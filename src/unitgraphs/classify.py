@@ -74,6 +74,12 @@ def classify_cm(descriptor_or_ring: RingDescriptor | Ring) -> dict[str, bool]:
     return {"cm": cm, "shellable": cm, "gorenstein": boolean}
 
 
+def predict(descriptor: RingDescriptor) -> dict:
+    """Every structural verdict: well_covered, cm, shellable, gorenstein."""
+    cm = classify_cm(descriptor)
+    return {"well_covered": classify_well_covered(descriptor), **cm}
+
+
 @dataclass
 class ClassificationReport:
     ring: str
@@ -99,7 +105,7 @@ class ClassificationReport:
 _CHECKS = ("wc", "cm", "shellable", "gorenstein")
 
 # predicted key -> observed key, per the report schema
-_PAIRS = {
+CHECK_KEYS = {
     "wc": ("well_covered", "well_covered"),
     "cm": ("cm", "cm_gf2"),
     "shellable": ("shellable", "shellable"),
@@ -133,13 +139,7 @@ def cross_validate(
         quotient_char=quotient.characteristic,
         shape=wedderburn_shape(descriptor),
     )
-    cm_pred = classify_cm(ring)
-    report.predicted = {
-        "well_covered": classify_well_covered(descriptor),
-        "cm": cm_pred["cm"],
-        "shellable": cm_pred["shellable"],
-        "gorenstein": cm_pred["gorenstein"],
-    }
+    report.predicted = predict(descriptor)
 
     graph = None
     complex_ = None
@@ -181,7 +181,7 @@ def cross_validate(
 
     comparisons = []
     for check in checks:
-        pred_key, obs_key = _PAIRS[check]
+        pred_key, obs_key = CHECK_KEYS[check]
         pred = report.predicted[pred_key]
         obs = observed.get(obs_key, SKIPPED)
         if pred is None or obs == SKIPPED:

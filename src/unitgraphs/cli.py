@@ -18,10 +18,11 @@ import time
 from importlib import resources
 
 from .classify import (
+    CHECK_KEYS,
     SKIPPED,
-    classify_cm,
     classify_well_covered,
     cross_validate,
+    predict,
 )
 from .complexes import (
     BudgetExceeded,
@@ -269,16 +270,7 @@ def _cmd_classify(args) -> int:
         result = report.to_dict()
         result.pop("runtime_ms", None)
     else:
-        ring = _realize(descriptor)
-        cm = classify_cm(ring)
-        result = {
-            "predicted": {
-                "well_covered": classify_well_covered(descriptor),
-                "cm": cm["cm"],
-                "shellable": cm["shellable"],
-                "gorenstein": cm["gorenstein"],
-            }
-        }
+        result = {"predicted": predict(descriptor)}
     _emit(args, print_ring_expr(descriptor), "classify", result, start=start)
     return EXIT_OK
 
@@ -427,44 +419,29 @@ def _cmd_verify(args) -> int:
 
 def _verify_entry(entry, facet_cap) -> dict:
     expr = entry["ring"]
-    descriptor = parse_ring_expr(expr)
-    expected = entry.get("well_covered")
-    predicted = classify_well_covered(descriptor)
-    ring = build_ring(descriptor)
-    graph = build_graph(ring, "unit")
-    observed = well_covered_bruteforce(graph)
-    ok = True
-    if predicted is not None and observed is not None and predicted != observed:
-        ok = False
-    if expected is not None and observed is not None and observed != expected:
-        ok = False
+    wanted = tuple(c for c in ("cm", "shellable", "gorenstein") if c in entry)
+    report = cross_validate(parse_ring_expr(expr), ("wc", *wanted), facet_cap=facet_cap)
+    expected = {"wc": entry.get("well_covered"), **{c: entry[c] for c in wanted}}
+    ok = report.agreement is not False
+    for check, want in expected.items():
+        obs = report.observed[CHECK_KEYS[check][1]]
+        if want is not None and obs != SKIPPED and obs != want:
+            ok = False
     row = {
         "ring": expr,
-        "predicted": predicted,
-        "observed": SKIPPED if observed is None else observed,
-        "expected": expected,
+        "predicted": report.predicted["well_covered"],
+        "observed": report.observed["well_covered"],
+        "expected": expected["wc"],
         "ok": ok,
     }
-    wanted = [c for c in ("cm", "shellable", "gorenstein") if c in entry]
     if wanted:
-        report = cross_validate(descriptor, tuple(wanted), facet_cap=facet_cap)
-        checks_ok = report.agreement in (True, None)
-        for check in wanted:
-            pred_key, obs_key = {
-                "cm": ("cm", "cm_gf2"),
-                "shellable": ("shellable", "shellable"),
-                "gorenstein": ("gorenstein", "gorenstein_gf2"),
-            }[check]
-            obs = report.observed.get(obs_key)
-            if obs != SKIPPED and obs != entry[check]:
-                checks_ok = False
         row["extra"] = "+".join(wanted)
         row["cm_report"] = {
             "predicted": report.predicted,
-            "observed": report.observed,
+            "observed": {
+                k: v for k, v in report.observed.items() if k != "well_covered"
+            },
         }
-        if not checks_ok:
-            row["ok"] = False
     return row
 
 

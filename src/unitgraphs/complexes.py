@@ -27,6 +27,7 @@ import numpy as np
 
 from .graphs import Graph
 from .indsets import enumerate_mis
+from .rings import mask_indices
 
 DEFAULT_FACET_CAP = 12
 DEFAULT_FACE_CAP = 200_000
@@ -39,15 +40,6 @@ class ComplexError(Exception):
 
 class BudgetExceeded(ComplexError):
     pass
-
-
-def _mask_indices(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 class SimplicialComplex:
@@ -66,7 +58,7 @@ class SimplicialComplex:
                 continue
             maximal.append(m)
         self.vertex_count = vertex_count
-        self.facets = tuple(sorted(maximal, key=_mask_indices))
+        self.facets = tuple(sorted(maximal, key=mask_indices))
 
     @classmethod
     def from_facets(cls, vertex_count: int, facets) -> "SimplicialComplex":
@@ -86,7 +78,7 @@ class SimplicialComplex:
         return max(m.bit_count() for m in self.facets) - 1
 
     def facet_lists(self) -> list[list[int]]:
-        return [list(_mask_indices(m)) for m in self.facets]
+        return [mask_indices(m) for m in self.facets]
 
     def faces(self, face_cap: int = DEFAULT_FACE_CAP) -> list[int]:
         """All faces (including the empty face) as masks, deduplicated."""
@@ -102,7 +94,7 @@ class SimplicialComplex:
                 if sub == 0:
                     break
                 sub = (sub - 1) & f
-        return sorted(seen, key=_mask_indices)
+        return sorted(seen, key=mask_indices)
 
     def __repr__(self) -> str:
         return (

@@ -41,11 +41,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .descriptors import Gf, Mat, Product, factorize
+from .descriptors import Gf, Mat, Product, factorize, flatten_factors
 from .fields import GfField, mat_det, mat_identity, mat_inv, mat_mul
 from .graphs import Graph, build_graph
 from .indsets import is_maximal_independent
 from .rings import (
+    HARD_ORDER_CAP,
     GfRing,
     MatRing,
     ProductRing,
@@ -86,8 +87,6 @@ def matrix_ring(n: int, q: int) -> Ring:
     while eager verification additionally needs the ring to fit the
     graph cap (pass verify=False above it).
     """
-    from .rings import HARD_ORDER_CAP
-
     return build_ring(Mat(n, Gf(q)), order_cap=HARD_ORDER_CAP)
 
 
@@ -326,32 +325,21 @@ def rank_normal_form(fld: GfField, a) -> RankNormalForm:
     )
 
 
-def _leaf_rings(ring: Ring):
-    if isinstance(ring, ProductRing):
-        out = []
-        for f in ring.factors:
-            out.extend(_leaf_rings(f))
-        return out
-    return [ring]
-
-
-def _leaf_values(ring: Ring, x: int):
-    if isinstance(ring, ProductRing):
-        out = []
-        for f, c in zip(ring.factors, ring.decode_components(x)):
-            out.extend(_leaf_values(f, c))
-        return out
-    return [x]
-
-
-def _encode_leaves(ring: Ring, values, pos=0):
-    if isinstance(ring, ProductRing):
-        comps = []
-        for f in ring.factors:
-            v, pos = _encode_leaves(f, values, pos)
-            comps.append(v)
-        return ring.encode_components(comps), pos
-    return values[pos], pos + 1
+def _leaves(ring: Ring) -> tuple[list[Ring], list[int]]:
+    """Leaf rings of a (nested) product in ``flatten_factors`` order, with
+    the mixed-radix stride of each; any other ring is its own leaf.
+    Flattening keeps the element encoding, so an element is the sum of
+    its leaf values times their strides."""
+    if not isinstance(ring, ProductRing):
+        return [ring], [1]
+    leaves = [
+        build_ring(d, order_cap=HARD_ORDER_CAP)
+        for d in flatten_factors(ring.descriptor)
+    ]
+    strides = [1]
+    for leaf in leaves[:-1]:
+        strides.append(strides[-1] * leaf.order)
+    return leaves, strides
 
 
 def _matrix_view(ring: Ring):
@@ -378,26 +366,21 @@ def nonunit_complement_witness(s_ring: Ring, y: int, verify: bool = True) -> int
         raise ConstructionError("y must be nonzero")
     if s_ring.is_unit(y):
         raise ConstructionError("y must not be a unit")
-    leaves = _leaf_rings(s_ring)
+    leaves, strides = _leaves(s_ring)
     views = [_matrix_view(r) for r in leaves]
     if any(v is None for v in views):
         raise ConstructionError(
             f"{s_ring.expr} is not a product of matrix rings over fields"
         )
-    parts = []
-    for leaf, view, value in zip(leaves, views, _leaf_values(s_ring, y)):
-        fld, size = view
-        if size == 1:
-            parts.append(fld.one if value == 0 else 0)
-            continue
-        assert isinstance(leaf, MatRing)
-        rows = leaf.decode_entries(value)
-        if all(v == 0 for row in rows for v in row):
-            parts.append(leaf.one)
-        elif mat_det(fld, rows) != 0:
-            parts.append(0)
+    z = 0
+    for leaf, (fld, size), stride in zip(leaves, views, strides):
+        value = y // stride % leaf.order
+        if value == 0:
+            part = leaf.one
+        elif size == 1 or mat_det(fld, leaf.decode_entries(value)) != 0:
+            part = 0
         else:
-            nf = rank_normal_form(fld, rows)
+            nf = rank_normal_form(fld, leaf.decode_entries(value))
             t = nf.rank
             middle = [
                 [fld.one if (i == j and i >= t) else 0 for j in range(size)]
@@ -405,9 +388,8 @@ def nonunit_complement_witness(s_ring: Ring, y: int, verify: bool = True) -> int
             ]
             u = mat_inv(fld, [list(r) for r in nf.p])
             v = mat_inv(fld, [list(r) for r in nf.q])
-            z_rows = mat_mul(fld, mat_mul(fld, u, middle), v)
-            parts.append(leaf.encode_entries(z_rows))
-    z, _ = _encode_leaves(s_ring, parts)
+            part = leaf.encode_entries(mat_mul(fld, mat_mul(fld, u, middle), v))
+        z += part * stride
     if verify:
         if s_ring.is_unit(z):
             raise ConstructionError("witness came out a unit")
@@ -459,7 +441,7 @@ def mixed_char_product_witnesses(
         raise ConstructionError("R must have characteristic 2")
     if s_ring.characteristic % 2 == 0:
         raise ConstructionError("S must have odd characteristic")
-    r_leaves = _leaf_rings(r_ring)
+    r_leaves, _ = _leaves(r_ring)
     m1 = _zero_first_row_of_leaf(r_leaves[0])
     if len(r_leaves) == 1:
         m_set = m1

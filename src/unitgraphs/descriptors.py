@@ -26,25 +26,22 @@ class DescriptorError(ValueError):
 # small integer utilities
 # ---------------------------------------------------------------------------
 
+# Trial division up to the square root of 2^40 stays near a tenth of a
+# second; larger moduli are rejected rather than factored for hours.
+MAX_MODULUS = 1 << 40
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and factorize(n) == [(n, 1)]
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of n >= 2 as (prime, exponent) pairs, ascending."""
+    """Prime factorization of 2 <= n <= MAX_MODULUS as (prime, exponent)
+    pairs, ascending."""
     if n < 2:
         raise ValueError(f"cannot factorize {n}")
+    if n > MAX_MODULUS:
+        raise DescriptorError("moduli and field orders above 2^40 are not supported")
     out = []
     d = 2
     while d * d <= n:
@@ -217,20 +214,50 @@ def validate_descriptor(d: RingDescriptor) -> None:
         raise DescriptorError(f"unknown descriptor {d!r}")
 
 
-def descriptor_order(d: RingDescriptor) -> int:
-    """Order of the ring d realizes."""
+def descriptor_order(d: RingDescriptor, cap: int | None = None) -> int:
+    """Order of the ring d realizes.  With a cap, every order above it
+    comes back as cap + 1, and no integer much larger than the cap is
+    formed on the way (M3000(Z2) has 2^(9*10^6) elements)."""
     if isinstance(d, Zn):
-        return d.n
+        return _saturate(d.n, cap)
     if isinstance(d, Gf):
-        return d.q
+        return _saturate(d.q, cap)
     if isinstance(d, Mat):
-        return descriptor_order(d.base) ** (d.k * d.k)
+        return _power(descriptor_order(d.base, cap), d.k * d.k, cap)
     if isinstance(d, Product):
         n = 1
         for f in d.factors:
-            n *= descriptor_order(f)
+            n = _saturate(n * descriptor_order(f, cap), cap)
         return n
-    return d.q ** group_order(d.group)
+    return _power(d.q, group_order(d.group), cap)
+
+
+def _saturate(n: int, cap: int | None) -> int:
+    return n if cap is None or n <= cap else cap + 1
+
+
+def _power(base: int, e: int, cap: int | None) -> int:
+    if cap is None:
+        return base**e
+    n = 1
+    for _ in range(e):  # base >= 2, so this stops within log2(cap) + 1 steps
+        n *= base
+        if n > cap:
+            return cap + 1
+    return n
+
+
+def is_commutative(d: RingDescriptor) -> bool:
+    """Commutativity read off the descriptor: Zn, GF(q), group algebras of
+    cyclic groups, and products of these.  Everything else, matrix rings
+    included, reports False."""
+    if isinstance(d, (Zn, Gf)):
+        return True
+    if isinstance(d, GroupAlgebra):
+        return isinstance(d.group, Cn)
+    if isinstance(d, Product):
+        return all(is_commutative(f) for f in d.factors)
+    return False
 
 
 def flatten_factors(d: RingDescriptor) -> tuple[RingDescriptor, ...]:

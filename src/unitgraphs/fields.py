@@ -17,9 +17,11 @@ first, with trailing zeros trimmed ([] is the zero polynomial).
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .descriptors import prime_power
+import numpy as np
+
+from .descriptors import factorize, prime_power
 
 
 def _trim(a: list[int]) -> list[int]:
@@ -109,7 +111,8 @@ def _lex_tuples(p: int, k: int):
 
 
 class GfField:
-    """Scalar arithmetic for GF(p^k) on integer indices."""
+    """Arithmetic for GF(p^k) on integer indices: scalar operations, plus
+    the vectorized product ``mul_many`` through log/antilog tables."""
 
     def __init__(self, q: int):
         pk = prime_power(q)
@@ -187,19 +190,47 @@ class GfField:
                     out[i] = (out[i] + c * r) % p
         return self.encode(out)
 
+    def power(self, x: int, e: int) -> int:
+        result = self.one
+        while e:
+            if e & 1:
+                result = self.mul(result, x)
+            x = self.mul(x, x)
+            e >>= 1
+        return result
+
     def inv(self, x: int) -> int:
         if x == 0:
             raise ZeroDivisionError("0 has no inverse")
-        # x^(q-2); exact and fast at desk scale
-        result = 1
-        base = x
-        e = self.q - 2
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return self.power(x, self.q - 2)
+
+    @cached_property
+    def _log_exp(self) -> tuple[np.ndarray, np.ndarray]:
+        """Discrete logarithm and antilogarithm tables for ``mul_many``.
+
+        log[0] is the sentinel 2(q-1) and exp is zero from index 2(q-1) on,
+        so a product with a zero factor looks up a zero without a branch.
+        """
+        q = self.q
+        primes = [r for r, _ in factorize(q - 1)] if q > 2 else []
+        gen = next(
+            c for c in range(1, q)
+            if all(self.power(c, (q - 1) // r) != self.one for r in primes)
+        )
+        exp = np.zeros(4 * (q - 1) + 1, dtype=np.int64)
+        x = self.one
+        for i in range(q - 1):
+            exp[i] = exp[i + q - 1] = x
+            x = self.mul(x, gen)
+        log = np.empty(q, dtype=np.int64)
+        log[exp[: q - 1]] = np.arange(q - 1)
+        log[0] = 2 * (q - 1)
+        return log, exp
+
+    def mul_many(self, xs, ys) -> np.ndarray:
+        """Elementwise, broadcasting product of index arrays."""
+        log, exp = self._log_exp
+        return exp[log[xs] + log[ys]]
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))

@@ -83,13 +83,6 @@ class Graph:
         return f"<Graph {self.kind}{src}: {self.n} vertices, {self.edge_count()} edges>"
 
 
-def _unit_bool(ring: Ring) -> np.ndarray:
-    out = np.zeros(ring.order, dtype=bool)
-    for u in ring.unit_set:
-        out[u] = True
-    return out
-
-
 @lru_cache(maxsize=None)
 def build_graph(ring: Ring, kind: str = "unit", cap: int = DEFAULT_GRAPH_CAP) -> Graph:
     """Build the graph of the given kind on ring's elements.
@@ -101,35 +94,26 @@ def build_graph(ring: Ring, kind: str = "unit", cap: int = DEFAULT_GRAPH_CAP) ->
     n = ring.order
     if n > cap:
         raise GraphError(f"ring order {n} exceeds the graph cap {cap}")
-    units = _unit_bool(ring)
-    rows = []
-    if kind == "unit":
-        for x in range(n):
-            bits = units[ring.add_row(x)]
-            bits[x] = False
-            rows.append(_bools_to_mask(bits))
-    elif kind == "cayley":
-        for x in range(n):
-            bits = units[ring.sub_from_row(x)]
-            bits[x] = False
-            rows.append(_bools_to_mask(bits))
-    else:
-        unit_list = ring.unit_set.indices()
-        table = ring.mul_table
+    units = ring.unit_set.bools()
+    idx = np.arange(n)
+    if kind == "generalized":
+        unit_list = np.array(ring.unit_set.indices(), dtype=np.int64)
         adj = np.zeros((n, n), dtype=bool)
         for y in range(n):
-            if table is not None:
-                uy = np.unique(table[unit_list, y])
-            else:
-                uy = sorted({ring.mul(u, y) for u in unit_list})
-            col = np.zeros(n, dtype=bool)
-            for v in uy:
-                col |= units[ring.add_row(int(v))]
-            adj[:, y] = col
+            uy = np.unique(ring.mul_many(unit_list, y))
+            adj[:, y] = units[ring.add_many(idx[:, None], uy)].any(axis=1)
         np.fill_diagonal(adj, False)
         if not np.array_equal(adj, adj.T):
             raise GraphError("generalized adjacency came out asymmetric")
         rows = [_bools_to_mask(adj[x]) for x in range(n)]
+    else:
+        # x + y for the unit graph, x - y for the unitary Cayley graph
+        others = idx if kind == "unit" else ring.neg_many(idx)
+        rows = []
+        for x in range(n):
+            bits = units[ring.add_many(x, others)]
+            bits[x] = False
+            rows.append(_bools_to_mask(bits))
     return Graph(n, kind, rows, ring_expr=ring.expr)
 
 

@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .graphs import DEFAULT_GRAPH_CAP, Graph
-from .rings import VertexSet
+from .rings import VertexSet, mask_indices
 
 DEFAULT_MAX_SETS = 10**6
 DEFAULT_TIME_BUDGET = 60.0
@@ -179,7 +179,7 @@ def enumerate_mis(
     truncated = reason in ("max_sets", "time_budget")
     sets = None
     if collect:
-        ordered = sorted(search.sets, key=_mask_key)
+        ordered = sorted(search.sets, key=mask_indices)
         sets = tuple(VertexSet(m, g.n) for m in ordered)
     witnesses: tuple[VertexSet, ...] = ()
     if len(search.sizes) >= 2:
@@ -197,15 +197,6 @@ def enumerate_mis(
         stop_reason=reason,
         sets=sets,
     )
-
-
-def _mask_key(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 def well_covered_bruteforce(

@@ -14,10 +14,26 @@ bit across runs:
                    element of the group first.
 
 In every encoding the additive group is a direct sum of cyclic groups
-acting digit-wise, which is what the vectorized helpers exploit.  Scalar
-``add``/``neg``/``mul`` are the definitional operations; the cached
-multiplication table and the per-kind unit-set fast paths are
-optimizations that the test suite checks against them.
+acting digit-wise.  Scalar ``add``/``neg``/``mul`` are the definitional
+operations that the tests compare everything else against.  Each ring
+kind also has one elementwise, broadcasting kernel ``mul_many(xs, ys)``
+on int64 index arrays, next to ``add_many``/``neg_many``, and all
+vectorized work is built from these: GF(q) multiplies through the
+log/antilog tables of ``fields``, matrix, product and group-algebra
+rings call their base or factor kernels on decoded digits, and a
+quotient calls its parent's kernel on coset representatives and
+projects.
+
+``mul_table`` is built from ``mul_many`` in row chunks and stored as
+uint16 (indices stay below HARD_ORDER_CAP = 2^16).  It exists for every
+ring up to DEFAULT_ORDER_CAP and feeds the definitional unit and radical
+scans, which raise CapExceeded above that cap.  Unit sets come from
+structure where it is known: the gcd for Zn, every nonzero element of
+GF(q), componentwise for products, a nonzero augmentation for group
+algebras of p-groups in characteristic p, and for matrices over a
+commutative base a unit determinant (Lam, *A First Course in
+Noncommutative Rings*), with the determinant computed through the base
+kernels.  Every other ring takes the definitional scan.
 """
 
 from __future__ import annotations
@@ -40,6 +56,7 @@ from .descriptors import (
     group_is_p_group,
     group_mul_table,
     group_order,
+    is_commutative,
     is_prime,
     squarefree_radical,
     validate_descriptor,
@@ -48,7 +65,10 @@ from .fields import GfField
 
 DEFAULT_ORDER_CAP = 4096
 HARD_ORDER_CAP = 1 << 16
-MUL_TABLE_CAP = 2048
+# Elements per vectorized chunk.  Its int64 temporaries (64 KiB) stay
+# below glibc's default 128 KiB mmap threshold, so chunk after chunk
+# reuses heap pages instead of mapping and faulting in fresh ones.
+CHUNK = 1 << 13
 
 
 class RingError(Exception):
@@ -61,6 +81,16 @@ class CapExceeded(RingError):
 
 class UnsupportedStructure(RingError):
     """A structural closed form does not apply to this descriptor."""
+
+
+def mask_indices(mask: int) -> list[int]:
+    """Positions of the set bits of a nonnegative int, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 class VertexSet:
@@ -84,13 +114,13 @@ class VertexSet:
         return cls(mask, universe)
 
     def indices(self) -> list[int]:
-        out = []
-        m = self.mask
-        while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
-        return out
+        return mask_indices(self.mask)
+
+    def bools(self) -> np.ndarray:
+        """Membership as a bool array of length universe."""
+        raw = self.mask.to_bytes((self.universe + 7) // 8, "little")
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+        return bits[: self.universe].astype(bool)
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -147,46 +177,29 @@ class Ring:
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))
 
-    # -- vectorized helpers --------------------------------------------------
+    # -- kernels: elementwise and broadcasting over int64 index arrays ------
 
-    def add_many(self, x: int, ys: np.ndarray) -> np.ndarray:
-        """x + y for every y in ys."""
-        return np.array([self.add(x, int(y)) for y in ys], dtype=np.int64)
+    def add_many(self, xs, ys) -> np.ndarray:
+        raise NotImplementedError
 
-    def sub_from_many(self, x: int, ys: np.ndarray) -> np.ndarray:
-        """x - y for every y in ys."""
-        return np.array([self.sub(x, int(y)) for y in ys], dtype=np.int64)
+    def neg_many(self, xs) -> np.ndarray:
+        raise NotImplementedError
 
-    def add_row(self, x: int) -> np.ndarray:
-        """x + y for every element y, as an index array of length order."""
-        return self.add_many(x, np.arange(self.order))
-
-    def sub_from_row(self, x: int) -> np.ndarray:
-        return self.sub_from_many(x, np.arange(self.order))
+    def mul_many(self, xs, ys) -> np.ndarray:
+        raise NotImplementedError
 
     @cached_property
-    def mul_table(self) -> np.ndarray | None:
-        """Full multiplication table, or None above MUL_TABLE_CAP."""
-        if self.order > MUL_TABLE_CAP:
-            return None
-        return self._build_mul_table()
-
-    def _build_mul_table(self) -> np.ndarray:
+    def mul_table(self) -> np.ndarray:
+        """Full multiplication table (uint16), up to DEFAULT_ORDER_CAP."""
         n = self.order
-        table = np.empty((n, n), dtype=np.int64)
-        for x in range(n):
-            for y in range(n):
-                table[x, y] = self.mul(x, y)
-        return table
-
-    @cached_property
-    def add_table(self) -> np.ndarray | None:
-        if self.order > MUL_TABLE_CAP:
-            return None
-        n = self.order
-        table = np.empty((n, n), dtype=np.int64)
-        for x in range(n):
-            table[x] = self.add_row(x)
+        if n > DEFAULT_ORDER_CAP:
+            raise CapExceeded(
+                f"{self.expr}: no multiplication table above {DEFAULT_ORDER_CAP} elements"
+            )
+        idx = np.arange(n)
+        table = np.empty((n, n), dtype=np.uint16)
+        for rows in _row_chunks(n):
+            table[rows] = self.mul_many(idx[rows, None], idx)
         return table
 
     # -- units ---------------------------------------------------------------
@@ -205,29 +218,12 @@ class Ring:
 
     def _units_generic(self) -> int:
         """Two-sided inverse search straight from the definition."""
-        one = self.one
-        table = self.mul_table
-        if table is not None:
-            right = table == one
-            # in a finite ring a one-sided inverse is two-sided; anything
-            # else signals an arithmetic bug
-            if not np.array_equal(right, right.T):
-                raise RingError("one-sided inverse found; arithmetic is inconsistent")
-            mask = 0
-            for x in np.nonzero(right.any(axis=1))[0]:
-                mask |= 1 << int(x)
-            return mask
-        mask = 0
-        for x in range(self.order):
-            for y in range(self.order):
-                if self.mul(x, y) == one:
-                    if self.mul(y, x) != one:
-                        raise RingError(
-                            "one-sided inverse found; arithmetic is inconsistent"
-                        )
-                    mask |= 1 << x
-                    break
-        return mask
+        right = self.mul_table == self.one
+        # in a finite ring a one-sided inverse is two-sided; anything else
+        # signals an arithmetic bug
+        if not np.array_equal(right, right.T):
+            raise RingError("one-sided inverse found; arithmetic is inconsistent")
+        return _bools_to_mask(right.any(axis=1))
 
     # -- misc ----------------------------------------------------------------
 
@@ -270,16 +266,7 @@ class PositionalRing(Ring):
             places.append(acc)
             acc *= m
         self._places = tuple(places)
-        self._np_moduli = np.array(self._moduli, dtype=np.int64)
-        self._np_places = np.array(self._places, dtype=np.int64)
-
-    @cached_property
-    def _digit_matrix(self) -> np.ndarray:
-        idx = np.arange(self.order, dtype=np.int64)[:, None]
-        return (idx // self._np_places[None, :]) % self._np_moduli[None, :]
-
-    def _digits_of(self, x: int) -> list[int]:
-        return [(x // pl) % m for pl, m in zip(self._places, self._moduli)]
+        self._binary = set(self._moduli) == {2}
 
     def add(self, x: int, y: int) -> int:
         out = 0
@@ -293,23 +280,23 @@ class PositionalRing(Ring):
             out += (-(x // pl) % m) * pl
         return out
 
-    def add_many(self, x: int, ys: np.ndarray) -> np.ndarray:
-        ys = np.asarray(ys, dtype=np.int64)
-        d = (ys[:, None] // self._np_places + np.array(self._digits_of(x))) % self._np_moduli
-        return d @ self._np_places
+    # one digit at a time, so temporaries stay the size of the operands;
+    # when every digit is binary, addition is XOR and negation the identity
+    def add_many(self, xs, ys) -> np.ndarray:
+        if self._binary:
+            return xs ^ ys
+        out = 0
+        for pl, m in zip(self._places, self._moduli):
+            out = out + (xs // pl + ys // pl) % m * pl
+        return out
 
-    def sub_from_many(self, x: int, ys: np.ndarray) -> np.ndarray:
-        ys = np.asarray(ys, dtype=np.int64)
-        d = (np.array(self._digits_of(x)) - ys[:, None] // self._np_places) % self._np_moduli
-        return d @ self._np_places
-
-    def add_row(self, x: int) -> np.ndarray:
-        d = (self._digit_matrix + np.array(self._digits_of(x))) % self._np_moduli
-        return d @ self._np_places
-
-    def sub_from_row(self, x: int) -> np.ndarray:
-        d = (np.array(self._digits_of(x)) - self._digit_matrix) % self._np_moduli
-        return d @ self._np_places
+    def neg_many(self, xs) -> np.ndarray:
+        if self._binary:
+            return xs
+        out = 0
+        for pl, m in zip(self._places, self._moduli):
+            out = out + -(xs // pl) % m * pl
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +319,8 @@ class ZnRing(PositionalRing):
     def mul(self, x: int, y: int) -> int:
         return (x * y) % self.order
 
-    def _build_mul_table(self) -> np.ndarray:
-        idx = np.arange(self.order, dtype=np.int64)
-        return (idx[:, None] * idx[None, :]) % self.order
+    def mul_many(self, xs, ys) -> np.ndarray:
+        return xs * ys % self.order
 
     def _compute_units(self) -> int:
         n = self.order
@@ -355,6 +341,9 @@ class GfRing(PositionalRing):
 
     def mul(self, x: int, y: int) -> int:
         return self.field.mul(x, y)
+
+    def mul_many(self, xs, ys) -> np.ndarray:
+        return self.field.mul_many(xs, ys)
 
     def inv(self, x: int) -> int:
         return self.field.inv(x)
@@ -396,16 +385,10 @@ class MatRing(PositionalRing):
         self.one = self.encode_entries(ident)
 
     # entries are row-major little-endian digits in base |base|
-    def decode_entries(self, x: int) -> list[list[int]]:
-        b = self.base.order
-        rows = []
-        for i in range(self.k):
-            row = []
-            for j in range(self.k):
-                row.append(x % b)
-                x //= b
-            rows.append(row)
-        return rows
+    def decode_entries(self, x):
+        """Entry rows of an element, or of each element of an index array."""
+        b, k = self.base.order, self.k
+        return [[x // b ** (i * k + j) % b for j in range(k)] for i in range(k)]
 
     def encode_entries(self, rows) -> int:
         b = self.base.order
@@ -431,43 +414,40 @@ class MatRing(PositionalRing):
             out.append(row)
         return self.encode_entries(out)
 
-    @cached_property
-    def _entry_matrix(self) -> np.ndarray:
-        b = self.base.order
-        idx = np.arange(self.order, dtype=np.int64)
-        ent = np.empty((self.order, self.k, self.k), dtype=np.int64)
-        for pos in range(self.k * self.k):
-            ent[:, pos // self.k, pos % self.k] = (idx // b**pos) % b
-        return ent
-
-    def _build_mul_table(self) -> np.ndarray:
-        bm = self.base.mul_table
-        ba = self.base.add_table
-        if bm is None or ba is None:
-            return super()._build_mul_table()
-        ent = self._entry_matrix
-        n, k, b = self.order, self.k, self.base.order
-        table = np.zeros((n, n), dtype=np.int64)
+    def mul_many(self, xs, ys) -> np.ndarray:
+        a, c = self.decode_entries(xs), self.decode_entries(ys)
+        base, k = self.base, self.k
+        out = 0
         for i in range(k):
             for j in range(k):
-                acc = np.full((n, n), self.base.zero, dtype=np.int64)
-                for l in range(k):
-                    term = bm[ent[:, i, l][:, None], ent[:, l, j][None, :]]
-                    acc = ba[acc, term]
-                table += acc * b ** (i * k + j)
-        return table
+                acc = base.mul_many(a[i][0], c[0][j])
+                for l in range(1, k):
+                    acc = base.add_many(acc, base.mul_many(a[i][l], c[l][j]))
+                out = out + acc * base.order ** (i * k + j)
+        return out
+
+    def det_many(self, xs) -> np.ndarray:
+        """Leibniz determinant through the base kernels; meaningful only
+        over a commutative base."""
+        a = self.decode_entries(xs)
+        base, k = self.base, self.k
+        det = 0
+        for perm in itertools.permutations(range(k)):
+            term = a[0][perm[0]]
+            for i in range(1, k):
+                term = base.mul_many(term, a[i][perm[i]])
+            inversions = sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
+            if inversions % 2:
+                term = base.neg_many(term)
+            det = base.add_many(det, term)
+        return det
 
     def _compute_units(self) -> int:
-        fld = self.base.field_view()
-        if fld is None:
+        if not is_commutative(self.base.descriptor):
             return self._units_generic()
-        from .fields import mat_det  # local import: helper lives with GfField
-
-        mask = 0
-        for x in range(self.order):
-            if mat_det(fld, self.decode_entries(x)) != 0:
-                mask |= 1 << x
-        return mask
+        # over a commutative base a matrix is a unit iff its determinant is
+        det = self.det_many(np.arange(self.order))
+        return _bools_to_mask(self.base.unit_set.bools()[det])
 
     def element_repr(self, x: int) -> str:
         rows = self.decode_entries(x)
@@ -493,8 +473,9 @@ class ProductRing(PositionalRing):
         self._init_positional(moduli)
         self.one = self.encode_components([f.one for f in factors])
 
-    def decode_components(self, x: int) -> list[int]:
-        return [(x // s) % f.order for s, f in zip(self._strides, self.factors)]
+    def decode_components(self, x):
+        """Factor components of an element, or of each element of an array."""
+        return [x // s % f.order for s, f in zip(self._strides, self.factors)]
 
     def encode_components(self, comps) -> int:
         x = 0
@@ -512,30 +493,21 @@ class ProductRing(PositionalRing):
             ]
         )
 
-    def _component_arrays(self) -> list[np.ndarray]:
-        idx = np.arange(self.order, dtype=np.int64)
-        return [
-            (idx // s) % f.order for s, f in zip(self._strides, self.factors)
-        ]
-
-    def _build_mul_table(self) -> np.ndarray:
-        tables = [f.mul_table for f in self.factors]
-        if any(t is None for t in tables):
-            return super()._build_mul_table()
-        comps = self._component_arrays()
-        table = np.zeros((self.order, self.order), dtype=np.int64)
-        for t, c, s in zip(tables, comps, self._strides):
-            table += t[c[:, None], c[None, :]] * s
-        return table
+    def mul_many(self, xs, ys) -> np.ndarray:
+        return self.encode_components(
+            [
+                f.mul_many(a, b)
+                for f, a, b in zip(
+                    self.factors, self.decode_components(xs), self.decode_components(ys)
+                )
+            ]
+        )
 
     def _compute_units(self) -> int:
-        comps = self._component_arrays()
-        ok = np.ones(self.order, dtype=bool)
+        ok = True
+        comps = self.decode_components(np.arange(self.order))
         for f, c in zip(self.factors, comps):
-            fu = np.zeros(f.order, dtype=bool)
-            for u in f.unit_set:
-                fu[u] = True
-            ok &= fu[c]
+            ok = ok & f.unit_set.bools()[c]
         return _bools_to_mask(ok)
 
     def element_repr(self, x: int) -> str:
@@ -546,22 +518,26 @@ class ProductRing(PositionalRing):
 
 
 class GroupAlgebraRing(PositionalRing):
-    def __init__(self, descriptor: GroupAlgebra):
+    def __init__(self, descriptor: GroupAlgebra, coeffs: GfRing):
         self.descriptor = descriptor
-        self.field = GfField(descriptor.q)
+        self.coeffs = coeffs  # the coefficient field as a ring, for its kernels
+        self.field = coeffs.field
         self.gorder = group_order(descriptor.group)
         self.gtable = group_mul_table(descriptor.group)
         self.order = descriptor.q ** self.gorder
         self._init_positional([self.field.p] * self.field.k * self.gorder)
         self.one = 1  # coefficient 1 on the group identity
+        # the (g, h) with g*h = t, for each group element t
+        self._terms = [
+            [(g, h) for g in range(self.gorder) for h in range(self.gorder)
+             if self.gtable[g][h] == t]
+            for t in range(self.gorder)
+        ]
 
-    def decode_coeffs(self, x: int) -> list[int]:
+    def decode_coeffs(self, x):
+        """Coefficient vector of an element, or of each element of an array."""
         q = self.field.q
-        out = []
-        for _ in range(self.gorder):
-            out.append(x % q)
-            x //= q
-        return out
+        return [x // q**g % q for g in range(self.gorder)]
 
     def encode_coeffs(self, coeffs) -> int:
         q = self.field.q
@@ -586,38 +562,30 @@ class GroupAlgebraRing(PositionalRing):
                 out[t] = fld.add(out[t], fld.mul(ag, bh))
         return self.encode_coeffs(out)
 
-    @cached_property
-    def _coeff_matrix(self) -> np.ndarray:
-        q = self.field.q
-        idx = np.arange(self.order, dtype=np.int64)
-        return np.stack([(idx // q**g) % q for g in range(self.gorder)], axis=1)
-
-    @cached_property
-    def _field_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        q = self.field.q
-        fadd = np.empty((q, q), dtype=np.int64)
-        fmul = np.empty((q, q), dtype=np.int64)
-        for a in range(q):
-            for b in range(q):
-                fadd[a, b] = self.field.add(a, b)
-                fmul[a, b] = self.field.mul(a, b)
-        return fadd, fmul
-
-    def _build_mul_table(self) -> np.ndarray:
-        fadd, fmul = self._field_tables
-        coeffs = self._coeff_matrix
-        n, q = self.order, self.field.q
-        out = np.zeros((n, n), dtype=np.int64)
-        for g_target in range(self.gorder):
-            acc = np.zeros((n, n), dtype=np.int64)
-            for g in range(self.gorder):
-                for h in range(self.gorder):
-                    if self.gtable[g][h] != g_target:
-                        continue
-                    term = fmul[coeffs[:, g][:, None], coeffs[:, h][None, :]]
-                    acc = fadd[acc, term]
-            out += acc * q**g_target
+    def mul_many(self, xs, ys) -> np.ndarray:
+        a, b = self.decode_coeffs(xs), self.decode_coeffs(ys)
+        f, q = self.coeffs, self.field.q
+        out = 0
+        for t, pairs in enumerate(self._terms):
+            acc = 0
+            for g, h in pairs:
+                acc = f.add_many(acc, f.mul_many(a[g], b[h]))
+            out = out + acc * q**t
         return out
+
+    def augmentation(self, xs):
+        """Coefficient sum, the map GF(q)[G] -> GF(q); elementwise on arrays."""
+        acc = 0
+        for c in self.decode_coeffs(xs):
+            acc = self.coeffs.add_many(acc, c)
+        return acc
+
+    def _compute_units(self) -> int:
+        if not group_is_p_group(self.descriptor.group, self.field.p):
+            return self._units_generic()
+        # a p-group algebra in characteristic p is local, with the
+        # augmentation ideal as its radical
+        return _bools_to_mask(self.augmentation(np.arange(self.order)) != 0)
 
     def element_repr(self, x: int) -> str:
         names = self._element_names()
@@ -656,7 +624,7 @@ def _build_ring_cached(descriptor: RingDescriptor) -> Ring:
             descriptor, [_build_ring_cached(f) for f in descriptor.factors]
         )
     if isinstance(descriptor, GroupAlgebra):
-        return GroupAlgebraRing(descriptor)
+        return GroupAlgebraRing(descriptor, _build_ring_cached(Gf(descriptor.q)))
     raise DescriptorError(f"unknown descriptor {descriptor!r}")
 
 
@@ -668,13 +636,18 @@ def build_ring(descriptor: RingDescriptor, order_cap: int = DEFAULT_ORDER_CAP) -
     (smaller) cap.
     """
     validate_descriptor(descriptor)
-    n = descriptor_order(descriptor)
     cap = min(order_cap, HARD_ORDER_CAP)
-    if n > cap:
+    if descriptor_order(descriptor, cap) > cap:
         raise CapExceeded(
-            f"{descriptor_expr(descriptor)} has order {n}, above the cap {cap}"
+            f"{descriptor_expr(descriptor)} has more elements than the cap {cap}"
         )
     return _build_ring_cached(descriptor)
+
+
+def _row_chunks(n: int) -> list[slice]:
+    """Row slices of an n x n computation, about CHUNK elements each."""
+    step = max(1, CHUNK // n)
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
 # ---------------------------------------------------------------------------
@@ -705,28 +678,13 @@ def jacobson_radical(ring: Ring, method: str = "auto") -> VertexSet:
 
 
 def _radical_generic(ring: Ring) -> int:
-    units = ring.unit_set.mask
-    one = ring.one
     table = ring.mul_table
-    mask = 0
-    if table is not None:
-        unit_bool = np.zeros(ring.order, dtype=bool)
-        for u in ring.unit_set:
-            unit_bool[u] = True
-        for x in range(ring.order):
-            vals = ring.sub_from_many(one, table[:, x])
-            if unit_bool[vals].all():
-                mask |= 1 << x
-        return mask
-    for x in range(ring.order):
-        ok = True
-        for r in range(ring.order):
-            if not (units >> ring.sub(one, ring.mul(r, x))) & 1:
-                ok = False
-                break
-        if ok:
-            mask |= 1 << x
-    return mask
+    units = ring.unit_set.bools()
+    ok = np.ones(ring.order, dtype=bool)
+    for rows in _row_chunks(ring.order):
+        products = table[rows].astype(np.int64)  # r * x for r in rows, every x
+        ok &= units[ring.add_many(ring.one, ring.neg_many(products))].all(axis=0)
+    return _bools_to_mask(ok)
 
 
 def _radical_structural(ring: Ring) -> int:
@@ -763,12 +721,7 @@ def _radical_structural(ring: Ring) -> int:
                 "group algebra radical closed form needs a p-group in "
                 "characteristic p"
             )
-        fadd, _ = ring._field_tables
-        coeffs = ring._coeff_matrix
-        acc = np.zeros(ring.order, dtype=np.int64)
-        for g in range(ring.gorder):
-            acc = fadd[acc, coeffs[:, g]]
-        return _bools_to_mask(acc == 0)
+        return _bools_to_mask(ring.augmentation(np.arange(ring.order)) == 0)
     raise UnsupportedStructure(f"no structural radical for {type(ring).__name__}")
 
 
@@ -796,19 +749,16 @@ class QuotientRing(Ring):
             reps.append(x)
             rep_of[parent.add_many(x, rad_indices)] = x
         self.representatives = tuple(reps)
-        self._rep_of = rep_of
-        compress = np.full(n, -1, dtype=np.int64)
-        for i, r in enumerate(reps):
-            compress[r] = i
-        self._compress = compress
         self.order = len(reps)
         if self.order * len(rad_indices) != n:
             raise RingError("radical cosets do not partition the ring")
+        self._reps = np.array(reps, dtype=np.int64)
+        self._index_of = np.searchsorted(self._reps, rep_of)  # parent -> quotient
         self.one = self.project(parent.one)
 
     def project(self, parent_index: int) -> int:
         """Quotient index of the coset containing a parent element."""
-        return int(self._compress[self._rep_of[parent_index]])
+        return int(self._index_of[parent_index])
 
     def add(self, x: int, y: int) -> int:
         return self.project(
@@ -823,28 +773,14 @@ class QuotientRing(Ring):
             self.parent.mul(self.representatives[x], self.representatives[y])
         )
 
-    def add_many(self, x: int, ys: np.ndarray) -> np.ndarray:
-        reps = np.asarray(self.representatives, dtype=np.int64)
-        vals = self.parent.add_many(self.representatives[x], reps[np.asarray(ys)])
-        return self._compress[self._rep_of[vals]]
+    def add_many(self, xs, ys) -> np.ndarray:
+        return self._index_of[self.parent.add_many(self._reps[xs], self._reps[ys])]
 
-    def sub_from_many(self, x: int, ys: np.ndarray) -> np.ndarray:
-        reps = np.asarray(self.representatives, dtype=np.int64)
-        vals = self.parent.sub_from_many(self.representatives[x], reps[np.asarray(ys)])
-        return self._compress[self._rep_of[vals]]
+    def neg_many(self, xs) -> np.ndarray:
+        return self._index_of[self.parent.neg_many(self._reps[xs])]
 
-    def add_row(self, x: int) -> np.ndarray:
-        return self.add_many(x, np.arange(self.order))
-
-    def sub_from_row(self, x: int) -> np.ndarray:
-        return self.sub_from_many(x, np.arange(self.order))
-
-    def _build_mul_table(self) -> np.ndarray:
-        pt = self.parent.mul_table
-        if pt is not None:
-            reps = np.asarray(self.representatives, dtype=np.int64)
-            return self._compress[self._rep_of[pt[reps[:, None], reps[None, :]]]]
-        return super()._build_mul_table()
+    def mul_many(self, xs, ys) -> np.ndarray:
+        return self._index_of[self.parent.mul_many(self._reps[xs], self._reps[ys])]
 
     @property
     def expr(self) -> str:
@@ -867,7 +803,8 @@ def quotient_by_radical(ring: Ring, method: str = "auto") -> QuotientRing:
 
 def is_boolean_ring(ring: Ring) -> bool:
     """True iff every element is idempotent (finite case: ring = Z_2^k)."""
-    return all(ring.mul(x, x) == x for x in range(ring.order))
+    idx = np.arange(ring.order)
+    return bool(np.array_equal(ring.mul_many(idx, idx), idx))
 
 
 def is_field(ring: Ring) -> bool:
@@ -875,13 +812,7 @@ def is_field(ring: Ring) -> bool:
     if len(ring.unit_set) != ring.order - 1:
         return False
     table = ring.mul_table
-    if table is not None:
-        return bool(np.array_equal(table, table.T))
-    return all(
-        ring.mul(x, y) == ring.mul(y, x)
-        for x in range(ring.order)
-        for y in range(x + 1, ring.order)
-    )
+    return bool(np.array_equal(table, table.T))
 
 
 def _bools_to_mask(arr: np.ndarray) -> int:

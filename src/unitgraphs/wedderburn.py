@@ -145,10 +145,7 @@ def _reduce_to_blocks(ring: Ring, x: int) -> list[int]:
         p = ring.field.p
         if not group_is_p_group(ring.descriptor.group, p):
             raise UnsupportedStructure("group algebra outside the p-group case")
-        acc = 0
-        for c in ring.decode_coeffs(x):
-            acc = ring.field.add(acc, c)
-        return [acc]
+        return [int(ring.augmentation(x))]
     raise UnsupportedStructure(f"no semisimple reduction for {type(ring).__name__}")
 
 

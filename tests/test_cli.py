@@ -1,4 +1,5 @@
 import json
+import time
 
 from unitgraphs.cli import EXIT_CAP, EXIT_DISAGREEMENT, EXIT_OK, EXIT_USAGE, main
 
@@ -34,8 +35,18 @@ def test_parse_error_exit_code(capsys):
 
 
 def test_cap_exit_code(capsys):
-    code, out, err = run(capsys, "info", "Z70000")
-    assert code == EXIT_CAP
+    for expr in ("Z70000", "M3000(Z2)"):
+        code, out, err = run(capsys, "info", expr)
+        assert code == EXIT_CAP, expr
+        assert "Traceback" not in err
+
+
+def test_huge_modulus_ends_quickly(capsys):
+    start = time.monotonic()
+    code, out, err = run(capsys, "info", "GF(1000000016000000063)")
+    assert time.monotonic() - start < 2.0
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_CAP)
+    assert "Traceback" not in err
 
 
 def test_graph_json_and_dot(capsys):

@@ -1,11 +1,14 @@
 import random
+import time
 
 import numpy as np
 import pytest
 
 from oracles import matrix_unit_count
 from unitgraphs.descriptors import Cn, Gf, GroupAlgebra, Mat, Product, Q8, Zn
+from unitgraphs.dsl import parse_ring_expr
 from unitgraphs.rings import (
+    HARD_ORDER_CAP,
     CapExceeded,
     RingError,
     UnsupportedStructure,
@@ -66,19 +69,58 @@ def test_mul_table_matches_scalar_sampled_large(catalog_descriptors):
     rng = random.Random(7)
     for expr, descriptor in catalog_descriptors:
         ring = build_ring(descriptor)
-        if ring.order <= 100 or ring.mul_table is None:
+        if ring.order <= 100:
             continue
         for _ in range(2000):
             x, y = rng.randrange(ring.order), rng.randrange(ring.order)
             assert ring.mul_table[x, y] == ring.mul(x, y), expr
 
 
+KERNEL_RINGS = ("GF(4096)", "M2(Z8)", "Z9 x M2(Z4)", "GA(GF(2), C12)")
+
+
+def test_mul_many_matches_scalar_without_tables():
+    rng = np.random.default_rng(11)
+    for expr in KERNEL_RINGS:
+        ring = build_ring(parse_ring_expr(expr))
+        xs = rng.integers(0, ring.order, 2000)
+        ys = rng.integers(0, ring.order, 2000)
+        got = ring.mul_many(xs, ys)
+        for x, y, z in zip(xs, ys, got):
+            assert z == ring.mul(int(x), int(y)), (expr, x, y)
+        assert "mul_table" not in vars(ring), expr
+
+
+def test_units_are_elements_with_a_right_inverse():
+    rng = np.random.default_rng(5)
+    for expr in ("M2(Z8)", "Z9 x M2(Z4)"):
+        ring = build_ring(parse_ring_expr(expr))
+        everything = np.arange(ring.order)
+        for x in rng.integers(0, ring.order, 200):
+            has_inverse = ring.one in ring.mul_many(int(x), everything)
+            assert ring.is_unit(int(x)) == has_inverse, (expr, x)
+
+
+def test_definitional_scans_refuse_rings_above_the_default_cap():
+    start = time.monotonic()
+    zn = build_ring(Zn(5000), order_cap=HARD_ORDER_CAP)
+    with pytest.raises(CapExceeded):
+        zn._units_generic()
+    with pytest.raises(CapExceeded):
+        jacobson_radical(zn, "generic")
+    ga = build_ring(GroupAlgebra(2, Cn(13)), order_cap=HARD_ORDER_CAP)  # not a 2-group
+    with pytest.raises(CapExceeded):
+        ga.unit_set
+    assert time.monotonic() - start < 1.0
+
+
 def test_vectorized_add_rows_match_scalar(catalog_descriptors):
     for expr, descriptor in catalog_descriptors:
         ring = build_ring(descriptor)
         for x in (0, 1, ring.order // 2, ring.order - 1):
-            row = ring.add_row(x)
-            sub = ring.sub_from_row(x)
+            idx = np.arange(ring.order)
+            row = ring.add_many(x, idx)
+            sub = ring.add_many(x, ring.neg_many(idx))
             for y in range(0, ring.order, max(1, ring.order // 37)):
                 assert row[y] == ring.add(x, y), expr
                 assert sub[y] == ring.sub(x, y), expr
@@ -98,7 +140,10 @@ def test_zn2_and_gf2_realize_identical_arithmetic():
     a, b = build_ring(Zn(2)), build_ring(Gf(2))
     assert a.order == b.order == 2
     assert np.array_equal(a.mul_table, b.mul_table)
-    assert np.array_equal(a.add_table, b.add_table)
+    idx = np.arange(2)
+    assert np.array_equal(
+        a.add_many(idx[:, None], idx), b.add_many(idx[:, None], idx)
+    )
     assert a.unit_set.mask == b.unit_set.mask
 
 

@@ -6,7 +6,8 @@ Results go to stdout as one JSON object per invocation:
 
 ``--pretty`` renders the same data as human-readable text.  Diagnostics
 go to stderr.  Exit codes: 0 success, 1 a verify run found a
-disagreement, 2 usage or parse error, 3 a resource cap was exceeded.
+disagreement, 2 usage or parse error, 3 a resource cap was exceeded,
+4 internal error (an unexpected exception, reported in one line).
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .graphs import GraphError, build_graph, graph_to_dot, graph_to_json
 from .indsets import enumerate_mis, well_covered_bruteforce
 from .rings import (
     CapExceeded,
+    UnsupportedStructure,
     VertexSet,
     build_ring,
     jacobson_radical,
@@ -60,6 +62,7 @@ EXIT_OK = 0
 EXIT_DISAGREEMENT = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 
 class _CliError(Exception):
@@ -121,22 +124,6 @@ def _is_flat(v):
     return False
 
 
-def _parse_ring(text: str):
-    try:
-        return parse_ring_expr(text)
-    except RingExprError as exc:
-        raise _CliError(f"cannot parse ring expression: {exc}", EXIT_USAGE)
-
-
-def _realize(descriptor):
-    try:
-        return build_ring(descriptor)
-    except CapExceeded as exc:
-        raise _CliError(str(exc), EXIT_CAP)
-    except DescriptorError as exc:
-        raise _CliError(str(exc), EXIT_USAGE)
-
-
 def _indices_arg(text: str, universe: int) -> VertexSet:
     try:
         indices = [int(part) for part in text.split(",") if part.strip() != ""]
@@ -151,8 +138,8 @@ def _indices_arg(text: str, universe: int) -> VertexSet:
 
 def _cmd_info(args) -> int:
     start = time.monotonic()
-    descriptor = _parse_ring(args.ring)
-    ring = _realize(descriptor)
+    descriptor = parse_ring_expr(args.ring)
+    ring = build_ring(descriptor)
     radical = jacobson_radical(ring)
     quotient = quotient_by_radical(ring)
     shape = wedderburn_shape(descriptor)
@@ -169,12 +156,9 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    descriptor = _parse_ring(args.ring)
-    ring = _realize(descriptor)
-    try:
-        graph = build_graph(ring, args.kind)
-    except GraphError as exc:
-        raise _CliError(str(exc), EXIT_CAP)
+    descriptor = parse_ring_expr(args.ring)
+    ring = build_ring(descriptor)
+    graph = build_graph(ring, args.kind)
     if args.format == "dot":
         sys.stdout.write(graph_to_dot(graph))
     else:
@@ -184,12 +168,9 @@ def _cmd_graph(args) -> int:
 
 def _cmd_mis(args) -> int:
     start = time.monotonic()
-    descriptor = _parse_ring(args.ring)
-    ring = _realize(descriptor)
-    try:
-        graph = build_graph(ring, args.kind)
-    except GraphError as exc:
-        raise _CliError(str(exc), EXIT_CAP)
+    descriptor = parse_ring_expr(args.ring)
+    ring = build_ring(descriptor)
+    graph = build_graph(ring, args.kind)
     report = enumerate_mis(
         graph,
         stop_mode="all",
@@ -221,7 +202,7 @@ def _cmd_mis(args) -> int:
 
 def _cmd_wellcovered(args) -> int:
     start = time.monotonic()
-    descriptor = _parse_ring(args.ring)
+    descriptor = parse_ring_expr(args.ring)
     result: dict[str, object] = {}
     truncated = False
     if args.method in ("classify", "both"):
@@ -229,11 +210,8 @@ def _cmd_wellcovered(args) -> int:
         if result["predicted"] is None:
             result["note"] = "shape unsupported; try --method brute"
     if args.method in ("brute", "both"):
-        ring = _realize(descriptor)
-        try:
-            graph = build_graph(ring, "unit")
-        except GraphError as exc:
-            raise _CliError(str(exc), EXIT_CAP)
+        ring = build_ring(descriptor)
+        graph = build_graph(ring, "unit")
         verdict = well_covered_bruteforce(
             graph, max_sets=args.max_sets, time_budget=args.time_budget
         )
@@ -257,8 +235,11 @@ def _cmd_wellcovered(args) -> int:
 
 def _cmd_classify(args) -> int:
     start = time.monotonic()
-    descriptor = _parse_ring(args.ring)
+    descriptor = parse_ring_expr(args.ring)
     checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
+    for c in checks:
+        if c not in CHECK_KEYS:
+            raise _CliError(f"unknown check {c!r}; use {', '.join(CHECK_KEYS)}", EXIT_USAGE)
     if args.cross_validate:
         report = cross_validate(
             descriptor,
@@ -277,52 +258,51 @@ def _cmd_classify(args) -> int:
 
 def _cmd_construct(args) -> int:
     start = time.monotonic()
-    descriptor = _parse_ring(args.ring)
-    ring = _realize(descriptor)
+    descriptor = parse_ring_expr(args.ring)
+    ring = build_ring(descriptor)
     what = args.what
-    try:
-        if what in ("signature", "zerorow"):
-            n, q = _matrix_params(descriptor)
-            builder = signature_set if what == "signature" else zero_first_row_set
-            out = builder(n, q)
-            result = {
-                "set": out.indices(),
-                "size": len(out),
-                "verified_maximal": True,
-            }
-        elif what in ("complement", "claim"):
-            if args.y is None:
-                raise _CliError("--y <index> is required", EXIT_USAGE)
-            z = nonunit_complement_witness(ring, args.y)
-            result = {
-                "y": args.y,
-                "witness": z,
-                "witness_repr": ring.element_repr(z),
-                "verified": True,
-            }
-        elif what == "two-size":
-            unit_side, nonunit_side = two_size_witnesses(ring)
-            result = {
-                "sets": [unit_side.indices(), nonunit_side.indices()],
-                "sizes": [len(unit_side), len(nonunit_side)],
-                "verified_maximal": True,
-            }
-        elif what == "lift":
-            if args.quotient_set is None:
-                raise _CliError("--quotient-set <indices> is required", EXIT_USAGE)
-            quotient = quotient_by_radical(ring)
-            qset = _indices_arg(args.quotient_set, quotient.order)
-            lifter = lift_unit_mis_reps if args.side == "unit" else lift_nonunit_mis
-            out = lifter(ring, qset)
-            result = {
-                "set": out.indices(),
-                "size": len(out),
-                "verified_maximal": True,
-            }
-        else:  # pragma: no cover - argparse restricts choices
-            raise _CliError(f"unknown construction {what!r}", EXIT_USAGE)
-    except ConstructionError as exc:
-        raise _CliError(str(exc), EXIT_USAGE)
+    if what in ("signature", "zerorow"):
+        n, q = _matrix_params(descriptor)
+        builder = signature_set if what == "signature" else zero_first_row_set
+        out = builder(n, q)
+        result = {
+            "set": out.indices(),
+            "size": len(out),
+            "verified_maximal": True,
+        }
+    elif what in ("complement", "claim"):
+        if args.y is None:
+            raise _CliError("--y <index> is required", EXIT_USAGE)
+        if not 0 <= args.y < ring.order:
+            raise _CliError(f"--y must be an element index 0..{ring.order - 1}", EXIT_USAGE)
+        z = nonunit_complement_witness(ring, args.y)
+        result = {
+            "y": args.y,
+            "witness": z,
+            "witness_repr": ring.element_repr(z),
+            "verified": True,
+        }
+    elif what == "two-size":
+        unit_side, nonunit_side = two_size_witnesses(ring)
+        result = {
+            "sets": [unit_side.indices(), nonunit_side.indices()],
+            "sizes": [len(unit_side), len(nonunit_side)],
+            "verified_maximal": True,
+        }
+    elif what == "lift":
+        if args.quotient_set is None:
+            raise _CliError("--quotient-set <indices> is required", EXIT_USAGE)
+        quotient = quotient_by_radical(ring)
+        qset = _indices_arg(args.quotient_set, quotient.order)
+        lifter = lift_unit_mis_reps if args.side == "unit" else lift_nonunit_mis
+        out = lifter(ring, qset)
+        result = {
+            "set": out.indices(),
+            "size": len(out),
+            "verified_maximal": True,
+        }
+    else:  # pragma: no cover - argparse restricts choices
+        raise _CliError(f"unknown construction {what!r}", EXIT_USAGE)
     _emit(args, print_ring_expr(descriptor), f"construct {what}", result, start=start)
     return EXIT_OK
 
@@ -341,36 +321,29 @@ def _matrix_params(descriptor) -> tuple[int, int]:
 def _cmd_complex(args) -> int:
     start = time.monotonic()
     if args.facets_file:
-        with open(args.facets_file, "r", encoding="utf-8") as fh:
+        with open(args.facets_file, "rb") as fh:
             complex_ = complex_from_json(fh.read())
         ring_expr = None
     else:
         if not args.ring:
             raise _CliError("a ring expression or --facets-file is required", EXIT_USAGE)
-        descriptor = _parse_ring(args.ring)
-        ring = _realize(descriptor)
-        try:
-            graph = build_graph(ring, "unit")
-            complex_ = independence_complex(graph)
-        except (GraphError, BudgetExceeded) as exc:
-            raise _CliError(str(exc), EXIT_CAP)
+        descriptor = parse_ring_expr(args.ring)
+        ring = build_ring(descriptor)
+        complex_ = independence_complex(build_graph(ring, "unit"))
         ring_expr = print_ring_expr(descriptor)
     result: dict[str, object] = {
         "facets": len(complex_.facets),
         "dimension": complex_.dimension,
     }
-    try:
-        if args.pure:
-            result["pure"] = is_pure(complex_)
-        if args.shellable:
-            verdict = is_shellable(complex_, facet_cap=args.facet_cap)
-            result["shellable"] = "undecided" if verdict is None else verdict
-        if args.cm:
-            result["cm_gf2"] = is_cm_gf2(complex_)
-        if args.gorenstein:
-            result["gorenstein_gf2"] = is_gorenstein_gf2(complex_)
-    except BudgetExceeded as exc:
-        raise _CliError(str(exc), EXIT_CAP)
+    if args.pure:
+        result["pure"] = is_pure(complex_)
+    if args.shellable:
+        verdict = is_shellable(complex_, facet_cap=args.facet_cap)
+        result["shellable"] = "undecided" if verdict is None else verdict
+    if args.cm:
+        result["cm_gf2"] = is_cm_gf2(complex_)
+    if args.gorenstein:
+        result["gorenstein_gf2"] = is_gorenstein_gf2(complex_)
     _emit(args, ring_expr, "complex", result, start=start)
     return EXIT_OK
 
@@ -378,8 +351,7 @@ def _cmd_complex(args) -> int:
 def _cmd_verify(args) -> int:
     start = time.monotonic()
     if args.catalog:
-        with open(args.catalog, "r", encoding="utf-8") as fh:
-            catalog = json.load(fh)
+        catalog = _read_catalog(args.catalog)
     else:
         catalog = json.loads(
             resources.files("unitgraphs").joinpath("data/catalog.json").read_text()
@@ -392,7 +364,7 @@ def _cmd_verify(args) -> int:
         if not row["ok"]:
             disagreements += 1
     if args.pretty:
-        width = max(len(r["ring"]) for r in rows)
+        width = max((len(r["ring"]) for r in rows), default=4)
         print(
             f"{'ring'.ljust(width)}  predicted  observed  expected  checks  ok"
         )
@@ -415,6 +387,28 @@ def _cmd_verify(args) -> int:
             start=start,
         )
     return EXIT_OK if disagreements == 0 else EXIT_DISAGREEMENT
+
+
+def _read_catalog(path: str) -> list:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        catalog = json.loads(raw)
+    except ValueError as exc:
+        raise _CliError(f"{path}: not a JSON file: {exc}", EXIT_USAGE)
+    expectations = ("well_covered", "cm", "shellable", "gorenstein")
+    if not isinstance(catalog, list) or not all(
+        isinstance(e, dict)
+        and isinstance(e.get("ring"), str)
+        and all(isinstance(e.get(k), (bool, type(None))) for k in expectations)
+        for e in catalog
+    ):
+        raise _CliError(
+            f'{path}: a catalog is a JSON array of objects with a "ring" string '
+            "and true/false/null expectations",
+            EXIT_USAGE,
+        )
+    return catalog
 
 
 def _verify_entry(entry, facet_cap) -> dict:
@@ -538,17 +532,23 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    # exception -> exit code; a BaseException (interrupt, timeout) passes through
     try:
         return args.func(args)
     except _CliError as exc:
-        print(str(exc), file=sys.stderr)
-        return exc.code
-    except (CapExceeded, BudgetExceeded) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_CAP
-    except (DescriptorError, RingExprError, ComplexError, OSError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(exc, exc.code)
+    except (CapExceeded, BudgetExceeded, GraphError) as exc:
+        return _fail(exc, EXIT_CAP)
+    except (DescriptorError, RingExprError, UnsupportedStructure, ComplexError,
+            ConstructionError, OSError) as exc:
+        return _fail(exc, EXIT_USAGE)
+    except Exception as exc:
+        return _fail(f"internal error: {type(exc).__name__}: {exc}", EXIT_INTERNAL)
+
+
+def _fail(message, code: int) -> int:
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

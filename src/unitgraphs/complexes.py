@@ -330,8 +330,13 @@ def facets_to_json(c: SimplicialComplex) -> str:
     return json.dumps(c.facet_lists())
 
 
-def complex_from_json(text: str, vertex_count: int | None = None) -> SimplicialComplex:
-    data = json.loads(text)
+def complex_from_json(
+    text: str | bytes, vertex_count: int | None = None
+) -> SimplicialComplex:
+    try:
+        data = json.loads(text)
+    except ValueError as exc:  # malformed JSON or undecodable bytes
+        raise ComplexError(f"facet file is not JSON: {exc}") from None
     if not isinstance(data, list):
         raise ComplexError("facet file must be a JSON array of index arrays")
     facets = []

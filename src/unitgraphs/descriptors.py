@@ -67,14 +67,6 @@ def prime_power(q: int) -> tuple[int, int] | None:
     return fac[0]
 
 
-def squarefree_radical(n: int) -> int:
-    """Product of the distinct primes dividing n."""
-    r = 1
-    for p, _ in factorize(n):
-        r *= p
-    return r
-
-
 # ---------------------------------------------------------------------------
 # group identifiers for group algebras
 # ---------------------------------------------------------------------------
@@ -258,6 +250,37 @@ def is_commutative(d: RingDescriptor) -> bool:
     if isinstance(d, Product):
         return all(is_commutative(f) for f in d.factors)
     return False
+
+
+Block = tuple[int, int]  # (matrix size n, field order q)
+
+
+def semisimple_blocks(d: RingDescriptor) -> tuple[Block, ...] | None:
+    """Blocks M_n(GF(q)) of R/J(R) in structural (descriptor) order, or
+    None outside the closed forms: one (1, p) per prime p | n for Zn,
+    (1, q) for GF(q) and for GF(q)[G] with G a p-group in characteristic
+    p, each base block (n, q) as (k*n, q) for M_k(base), and the
+    concatenation for products."""
+    if isinstance(d, Zn):
+        return tuple((1, p) for p, _ in factorize(d.n))
+    if isinstance(d, Gf):
+        return ((1, d.q),)
+    if isinstance(d, Mat):
+        base = semisimple_blocks(d.base)
+        if base is None:
+            return None
+        return tuple((d.k * n, q) for n, q in base)
+    if isinstance(d, Product):
+        out: list[Block] = []
+        for f in d.factors:
+            fb = semisimple_blocks(f)
+            if fb is None:
+                return None
+            out.extend(fb)
+        return tuple(out)
+    if group_is_p_group(d.group, factorize(d.q)[0][0]):
+        return ((1, d.q),)
+    return None
 
 
 def flatten_factors(d: RingDescriptor) -> tuple[RingDescriptor, ...]:

@@ -8,7 +8,8 @@ Grammar (whitespace-insensitive, case-sensitive):
     field   := 'GF(' NAT ')' | 'Z' PRIME
     group   := 'C' NAT | 'D4' | 'Q8'
 
-Products associate into a single flat Product node, so
+NAT is a run of ASCII digits, at most MAX_DIGITS long.  Products
+associate into a single flat Product node, so
 ``parse("Z2 x Z3 x Z5")`` and ``parse("(Z2 x Z3) x Z5")`` agree.
 Errors carry the offset into the input where parsing failed.
 """
@@ -29,6 +30,11 @@ from .descriptors import (
     is_prime,
     prime_power,
 )
+
+
+# Every supported modulus has at most 13 digits (descriptors.MAX_MODULUS);
+# the bound keeps int() far below Python's 4300-digit conversion limit.
+MAX_DIGITS = 40
 
 
 class RingExprError(ValueError):
@@ -62,10 +68,12 @@ class _Parser:
     def nat(self) -> tuple[int, int]:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while "0" <= self.peek() <= "9":
             self.pos += 1
         if self.pos == start:
             self.error("expected a number")
+        if self.pos - start > MAX_DIGITS:
+            self.error(f"numbers are limited to {MAX_DIGITS} digits", start)
         return int(self.text[start : self.pos]), start
 
     def ring(self) -> RingDescriptor:

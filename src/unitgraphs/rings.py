@@ -34,6 +34,13 @@ algebras of p-groups in characteristic p, and for matrices over a
 commutative base a unit determinant (Lam, *A First Course in
 Noncommutative Rings*), with the determinant computed through the base
 kernels.  Every other ring takes the definitional scan.
+
+``semisimple_images(ring, xs)`` is the one elementwise map R -> R/J(R)
+= B_1 x ... x B_t (blocks as in ``descriptors.semisimple_blocks``).  The
+structural Jacobson radical is its kernel, and ``wedderburn`` builds the
+semisimple form from its image on coset representatives; the
+definitional radical scan stays as the reference, and as the fallback
+where the map has no closed form.
 """
 
 from __future__ import annotations
@@ -53,12 +60,13 @@ from .descriptors import (
     Zn,
     descriptor_expr,
     descriptor_order,
+    factorize,
     group_is_p_group,
     group_mul_table,
     group_order,
     is_commutative,
     is_prime,
-    squarefree_radical,
+    semisimple_blocks,
     validate_descriptor,
 )
 from .fields import GfField
@@ -659,10 +667,8 @@ def jacobson_radical(ring: Ring, method: str = "auto") -> VertexSet:
 
     method="generic" scans for {x : 1 - r*x is a unit for every r}, which
     is the definition specialized to finite rings.  method="structural"
-    composes closed forms along the descriptor (radical of a modulus ring,
-    zero in a field, entry-wise in matrix rings, component-wise in
-    products, the augmentation ideal of a group algebra of a p-group in
-    characteristic p) and raises UnsupportedStructure outside them.
+    takes the kernel of ``semisimple_images`` and raises
+    UnsupportedStructure where that map has no closed form.
     method="auto" tries structural and falls back to generic.
     """
     if method == "generic":
@@ -677,6 +683,13 @@ def jacobson_radical(ring: Ring, method: str = "auto") -> VertexSet:
     raise ValueError(f"unknown radical method {method!r}")
 
 
+def _radical_structural(ring: Ring) -> int:
+    """J(R) as the kernel of R -> R/J(R): the elements whose block images
+    are all zero."""
+    images = semisimple_images(ring, np.arange(ring.order))
+    return _bools_to_mask(np.logical_and.reduce([image == 0 for image in images]))
+
+
 def _radical_generic(ring: Ring) -> int:
     table = ring.mul_table
     units = ring.unit_set.bools()
@@ -687,42 +700,46 @@ def _radical_generic(ring: Ring) -> int:
     return _bools_to_mask(ok)
 
 
-def _radical_structural(ring: Ring) -> int:
+def semisimple_images(ring: Ring, xs) -> list[np.ndarray]:
+    """Images of elements under R -> R/J(R) = B_1 x ... x B_t, elementwise
+    on an index array: one array of block-ring indices per block of
+    ``semisimple_blocks``, where block (n, q) is realized as GF(q) for
+    n = 1 and as M_n(GF(q)) otherwise.  Raises UnsupportedStructure where
+    R/J(R) has no closed form."""
+    xs = np.asarray(xs, dtype=np.int64)
     if isinstance(ring, ZnRing):
-        n = ring.order
-        r = squarefree_radical(n)
-        mask = 0
-        for x in range(0, n, r):
-            mask |= 1 << x
-        return mask
+        return [xs % p for p, _ in factorize(ring.order)]
     if isinstance(ring, GfRing):
-        return 1  # {0}
-    if isinstance(ring, MatRing):
-        base_rad = VertexSet(_radical_structural(ring.base), ring.base.order)
-        mask = 0
-        for combo in itertools.product(base_rad.indices(), repeat=ring.k * ring.k):
-            rows = [
-                list(combo[i * ring.k : (i + 1) * ring.k]) for i in range(ring.k)
-            ]
-            mask |= 1 << ring.encode_entries(rows)
-        return mask
+        return [xs]
     if isinstance(ring, ProductRing):
-        fr = [
-            VertexSet(_radical_structural(f), f.order).indices()
-            for f in ring.factors
+        return [
+            image
+            for f, c in zip(ring.factors, ring.decode_components(xs))
+            for image in semisimple_images(f, c)
         ]
-        mask = 0
-        for combo in itertools.product(*fr):
-            mask |= 1 << ring.encode_components(list(combo))
-        return mask
     if isinstance(ring, GroupAlgebraRing):
         if not group_is_p_group(ring.descriptor.group, ring.field.p):
             raise UnsupportedStructure(
-                "group algebra radical closed form needs a p-group in "
-                "characteristic p"
+                "R/J(R) of a group algebra has a closed form only for a "
+                "p-group in characteristic p"
             )
-        return _bools_to_mask(ring.augmentation(np.arange(ring.order)) == 0)
-    raise UnsupportedStructure(f"no structural radical for {type(ring).__name__}")
+        return [ring.augmentation(xs)]
+    if not isinstance(ring, MatRing):
+        raise UnsupportedStructure(f"no semisimple images for {type(ring).__name__}")
+    # entry (i, j) maps into every base block; block b's m x m piece of it
+    # lands at rows i*m.., columns j*m.. of a km x km matrix over GF(q)
+    k = ring.k
+    entries = [
+        semisimple_images(ring.base, e) for row in ring.decode_entries(xs) for e in row
+    ]
+    out = []
+    for b, (m, q) in enumerate(semisimple_blocks(ring.base.descriptor)):
+        big = 0
+        for i, j, r, c in itertools.product(range(k), range(k), range(m), range(m)):
+            digit = entries[i * k + j][b] // q ** (r * m + c) % q
+            big = big + digit * q ** ((i * m + r) * k * m + j * m + c)
+        out.append(big)
+    return out
 
 
 class QuotientRing(Ring):
@@ -791,10 +808,10 @@ class QuotientRing(Ring):
 
 
 @lru_cache(maxsize=None)
-def quotient_by_radical(ring: Ring, method: str = "auto") -> QuotientRing:
+def quotient_by_radical(ring: Ring) -> QuotientRing:
     """Quotient of a ring by its Jacobson radical; interned per ring so
     repeated lifts share one quotient (and one cached quotient graph)."""
-    return QuotientRing(ring, jacobson_radical(ring, method))
+    return QuotientRing(ring, jacobson_radical(ring))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,17 @@
 import json
 import time
 
-from unitgraphs.cli import EXIT_CAP, EXIT_DISAGREEMENT, EXIT_OK, EXIT_USAGE, main
+import pytest
+
+from unitgraphs import cli
+from unitgraphs.cli import (
+    EXIT_CAP,
+    EXIT_DISAGREEMENT,
+    EXIT_INTERNAL,
+    EXIT_OK,
+    EXIT_USAGE,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -47,6 +57,47 @@ def test_huge_modulus_ends_quickly(capsys):
     assert time.monotonic() - start < 2.0
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_CAP)
     assert "Traceback" not in err
+
+
+# FILE_* arguments are replaced by files written in the test
+BAD_INPUTS = {
+    "y-too-large": ["construct", "Z4", "complement", "--y", "99"],
+    "y-negative": ["construct", "Z4", "complement", "--y", "-1"],
+    "unknown-check": ["classify", "Z4", "--cross-validate", "--checks", "foo"],
+    "catalog-not-json": ["verify", "--catalog", "FILE_NOT_JSON"],
+    "catalog-entry-without-ring": ["verify", "--catalog", "FILE_NO_RING"],
+    "catalog-expectation-not-bool": ["verify", "--catalog", "FILE_NOT_BOOL"],
+    "facets-not-json": ["complex", "--facets-file", "FILE_NOT_JSON"],
+    "5000-digit-modulus": ["info", "Z" + "9" * 5000],
+    "superscript-digit": ["info", "Z\u00b2"],
+    "no-semisimple-form": ["construct", "GA(GF(3), C2)", "two-size"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_inputs_exit_without_traceback(tmp_path, capsys, argv):
+    files = {
+        "FILE_NOT_JSON": "not json",
+        "FILE_NO_RING": json.dumps([{"well_covered": True}]),
+        "FILE_NOT_BOOL": json.dumps([{"ring": "Z4", "well_covered": "yes"}]),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code in (EXIT_USAGE, EXIT_CAP), err
+    assert "Traceback" not in err
+    assert err.strip()
+
+
+def test_unexpected_exception_exits_internal(monkeypatch, capsys):
+    def broken(descriptor):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(cli, "build_ring", broken)
+    code, out, err = run(capsys, "info", "Z4")
+    assert code == EXIT_INTERNAL
+    assert err == "internal error: ZeroDivisionError: boom\n"
 
 
 def test_graph_json_and_dot(capsys):

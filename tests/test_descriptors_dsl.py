@@ -15,7 +15,6 @@ from unitgraphs.descriptors import (
     group_order,
     is_prime,
     prime_power,
-    squarefree_radical,
 )
 from unitgraphs.dsl import RingExprError, parse_ring_expr, print_ring_expr
 
@@ -26,12 +25,6 @@ def test_prime_power():
     assert prime_power(7) == (7, 1)
     assert prime_power(6) is None
     assert prime_power(1) is None
-
-
-def test_squarefree_radical():
-    assert squarefree_radical(12) == 6
-    assert squarefree_radical(8) == 2
-    assert squarefree_radical(30) == 30
 
 
 def test_group_tables_are_groups():
@@ -100,6 +93,15 @@ def test_parse_errors_carry_positions():
         parse_ring_expr("Z4 x")
     with pytest.raises(RingExprError):
         parse_ring_expr("Z4 junk")
+
+    # numbers are runs of at most 40 ASCII digits
+    with pytest.raises(RingExprError) as err:
+        parse_ring_expr("Z\u00b2")  # str.isdigit accepts the superscript two
+    assert err.value.position == 1
+    with pytest.raises(RingExprError) as err:
+        parse_ring_expr("Z" + "9" * 41)
+    assert err.value.position == 1
+    assert parse_ring_expr("Z" + "0" * 38 + "12") == Zn(12)
 
 
 def test_print_parse_round_trip(catalog_descriptors):

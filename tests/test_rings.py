@@ -18,6 +18,7 @@ from unitgraphs.rings import (
     is_field,
     jacobson_radical,
     quotient_by_radical,
+    semisimple_images,
 )
 from unitgraphs.wedderburn import semisimple_form, wedderburn_shape
 
@@ -200,8 +201,14 @@ def test_radical_examples():
     assert jacobson_radical(ga, "generic").indices() == [0, 3]
 
 
+# matrix rings over a multi-block base or over a matrix ring: the cases
+# where semisimple_images places m x m block pieces into a km x km matrix
+FLATTENING_EXPRS = ("M1(M2(Z4))", "M2(Z2 x Z3)", "M2(GA(GF(2), C2))", "M1(Z4 x M2(Z2))")
+
+
 def test_radical_structural_equals_generic(catalog_descriptors):
-    for expr, descriptor in catalog_descriptors:
+    flattening = [(expr, parse_ring_expr(expr)) for expr in FLATTENING_EXPRS]
+    for expr, descriptor in catalog_descriptors + flattening:
         ring = build_ring(descriptor)
         structural = jacobson_radical(ring, "structural")
         generic = jacobson_radical(ring, "generic")
@@ -315,6 +322,26 @@ def test_semisimple_form_is_an_isomorphism(catalog_descriptors):
                 assert to_q[cring.add(a, b)] == quot.add(to_q[a], to_q[b]), expr
                 assert to_q[cring.mul(a, b)] == quot.mul(to_q[a], to_q[b]), expr
         assert to_q[cring.one] == quot.one, expr
+
+
+@pytest.mark.parametrize("expr", [*FLATTENING_EXPRS, "M2(GF(8))", "Z9 x M2(Z4)"])
+def test_semisimple_form_is_an_isomorphism_sampled(expr):
+    ring = build_ring(parse_ring_expr(expr))
+    form = semisimple_form(ring)
+    cring, quot = form.canonical_ring, form.quotient
+    to_q = form.to_quotient
+    assert np.array_equal(np.sort(to_q), np.arange(quot.order)), expr
+    assert to_q[cring.one] == quot.one, expr
+    rng = random.Random(20240917)
+    for _ in range(2000):
+        a, b = rng.randrange(cring.order), rng.randrange(cring.order)
+        assert to_q[cring.add(a, b)] == quot.add(to_q[a], to_q[b]), expr
+        assert to_q[cring.mul(a, b)] == quot.mul(to_q[a], to_q[b]), expr
+        # the block map is constant on radical cosets, not just on the
+        # representatives the form was built from
+        x = rng.randrange(ring.order)
+        images = [int(i) for i in semisimple_images(ring, x)]
+        assert form.encode_blocks(images) == form.canonical_index(quot.project(x)), expr
 
 
 def test_vertex_set_behaviour():

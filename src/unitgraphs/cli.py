@@ -443,6 +443,13 @@ def _verify_entry(entry, facet_cap) -> dict:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unitgraphs",
@@ -473,14 +480,14 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--list", action="store_true", help="include the sets")
     group.add_argument("--sizes", action="store_true", help="sizes summary (default)")
     group.add_argument("--count", action="store_true", help="count only")
-    p.add_argument("--max-sets", type=int, default=10**6)
+    p.add_argument("--max-sets", type=_positive_int, default=10**6)
     p.add_argument("--time-budget", type=float, default=60.0)
     p.set_defaults(func=_cmd_mis)
 
     p = sub.add_parser("wellcovered", help="decide well-coveredness")
     add_common(p)
     p.add_argument("--method", choices=["brute", "classify", "both"], default="both")
-    p.add_argument("--max-sets", type=int, default=10**6)
+    p.add_argument("--max-sets", type=_positive_int, default=10**6)
     p.add_argument("--time-budget", type=float, default=60.0)
     p.set_defaults(func=_cmd_wellcovered)
 
@@ -489,7 +496,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checks", default="wc,cm,shellable,gorenstein")
     p.add_argument("--cross-validate", action="store_true")
     p.add_argument("--facet-cap", type=int, default=12)
-    p.add_argument("--max-sets", type=int, default=10**6)
+    p.add_argument("--max-sets", type=_positive_int, default=10**6)
     p.add_argument("--time-budget", type=float, default=60.0)
     p.set_defaults(func=_cmd_classify)
 

@@ -9,25 +9,27 @@ decides, at desk scale:
   pairwise codimension-one criterion and memoized dead prefixes,
 * reduced homology over GF(2), from boundary-matrix ranks,
 * Cohen-Macaulayness over GF(2), via vanishing of every face link's
-  reduced homology below its dimension,
+  reduced homology below its dimension (Reisner's criterion),
 * the Gorenstein property over GF(2), via the same vanishing on the
-  core plus one-dimensional top homology of every core link.
+  core plus one-dimensional top homology of every core link; both run
+  one walk over the faces that computes each distinct link's homology
+  once.
 
-Faces and facets are int bitmasks throughout.  The homology convention
-for the reduced chain complex is the usual one: the complex {[]} whose
-only face is empty has homology rank 1 in dimension -1; any complex
-with a vertex has rank 0 there.
+Faces, facets and links are int bitmasks throughout, and so are the
+rows of the boundary matrices: the row of a face has bit i set for the
+i-th face one size down, and ranks come from an XOR basis keyed by
+leading bit.  The homology convention for the reduced chain complex is
+the usual one: the complex {[]} whose only face is empty has homology
+rank 1 in dimension -1; any complex with a vertex has rank 0 there.
 """
 
 from __future__ import annotations
 
 import json
 
-import numpy as np
-
 from .graphs import Graph
 from .indsets import enumerate_mis
-from .rings import mask_indices
+from .rings import HARD_ORDER_CAP, mask_indices
 
 DEFAULT_FACET_CAP = 12
 DEFAULT_FACE_CAP = 200_000
@@ -49,14 +51,19 @@ class SimplicialComplex:
     __slots__ = ("vertex_count", "facets")
 
     def __init__(self, vertex_count: int, facet_masks):
-        unique = sorted(set(int(m) for m in facet_masks), key=lambda m: m.bit_count())
-        maximal = []
-        for i, m in enumerate(unique):
+        by_size: dict[int, list[int]] = {}
+        for m in set(int(m) for m in facet_masks):
             if m >> vertex_count:
                 raise ComplexError("facet has vertices outside the complex")
-            if any(m != other and m & other == m for other in unique[i + 1 :]):
-                continue
-            maximal.append(m)
+            by_size.setdefault(m.bit_count(), []).append(m)
+        # distinct sets of one size are incomparable, so a candidate is
+        # tested only against the kept facets of strictly larger size
+        maximal: list[int] = []
+        for size in sorted(by_size, reverse=True):
+            larger = tuple(maximal)
+            maximal.extend(
+                m for m in by_size[size] if not any(m & o == m for o in larger)
+            )
         self.vertex_count = vertex_count
         self.facets = tuple(sorted(maximal, key=mask_indices))
 
@@ -81,7 +88,11 @@ class SimplicialComplex:
         return [mask_indices(m) for m in self.facets]
 
     def faces(self, face_cap: int = DEFAULT_FACE_CAP) -> list[int]:
-        """All faces (including the empty face) as masks, deduplicated."""
+        """All faces (including the empty face) as masks, deduplicated and
+        sorted canonically."""
+        return sorted(self._face_set(face_cap), key=mask_indices)
+
+    def _face_set(self, face_cap: int) -> set[int]:
         seen: set[int] = set()
         for f in self.facets:
             sub = f
@@ -94,7 +105,7 @@ class SimplicialComplex:
                 if sub == 0:
                     break
                 sub = (sub - 1) & f
-        return sorted(seen, key=mask_indices)
+        return seen
 
     def __repr__(self) -> str:
         return (
@@ -201,24 +212,20 @@ def is_shellable(
 # GF(2) homology
 # ---------------------------------------------------------------------------
 
-def _gf2_rank(mat: np.ndarray) -> int:
-    m = mat.copy()
-    rows, cols = m.shape
-    rank = 0
-    for c in range(cols):
-        pivots = np.nonzero(m[rank:, c])[0]
-        if pivots.size == 0:
-            continue
-        p = rank + int(pivots[0])
-        if p != rank:
-            m[[rank, p]] = m[[p, rank]]
-        hit = np.nonzero(m[rank + 1 :, c])[0]
-        if hit.size:
-            m[rank + 1 + hit] ^= m[rank]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+def _gf2_rank(rows) -> int:
+    """Rank over GF(2) of a matrix given as int rows (bit i = column i):
+    each row is reduced against a basis keyed by leading bit and joins it
+    if anything is left."""
+    basis: dict[int, int] = {}
+    for row in rows:
+        while row:
+            lead = row.bit_length() - 1
+            pivot = basis.get(lead)
+            if pivot is None:
+                basis[lead] = row
+                break
+            row ^= pivot
+    return len(basis)
 
 
 def reduced_homology_gf2(
@@ -230,25 +237,27 @@ def reduced_homology_gf2(
     """
     if not c.facets:
         return []
-    faces = c.faces(face_cap)
+    # ranks do not depend on the order of faces, so they stay unsorted
     by_size: dict[int, list[int]] = {}
-    for f in faces:
+    for f in c._face_set(face_cap):
         by_size.setdefault(f.bit_count(), []).append(f)
     dim = c.dimension
     index_of = {s: {f: i for i, f in enumerate(fs)} for s, fs in by_size.items()}
-    # boundary from size s to size s-1, for s = 1..dim+1
+    # boundary from size s to size s-1, for s = 1..dim+1: one int row per
+    # face, bit i set for the i-th face one size down
     ranks = {}
     for s in range(1, dim + 2):
-        upper = by_size.get(s, [])
         lower = index_of.get(s - 1, {})
-        mat = np.zeros((len(lower), len(upper)), dtype=np.uint8)
-        for j, f in enumerate(upper):
+        rows = []
+        for f in by_size.get(s, []):
+            row = 0
             rest = f
             while rest:
                 low = rest & -rest
-                mat[lower[f ^ low], j] = 1
+                row |= 1 << lower[f ^ low]
                 rest ^= low
-        ranks[s] = _gf2_rank(mat) if mat.size else 0
+            rows.append(row)
+        ranks[s] = _gf2_rank(rows)
     ranks[dim + 2] = 0
     out = []
     for d in range(-1, dim + 1):
@@ -270,12 +279,7 @@ def is_cm_gf2(c: SimplicialComplex, face_cap: int = DEFAULT_FACE_CAP) -> bool:
     homology below its own dimension."""
     if not c.facets:
         raise ComplexError("void complex has no Cohen-Macaulay verdict")
-    cache: dict[tuple[int, ...], list[int]] = {}
-    for sigma in c.faces(face_cap):
-        ranks = _link_homology(c, sigma, cache, face_cap)
-        if any(ranks[:-1]):
-            return False
-    return True
+    return _every_link(c, face_cap, lambda top: True)
 
 
 def is_gorenstein_gf2(c: SimplicialComplex, face_cap: int = DEFAULT_FACE_CAP) -> bool:
@@ -288,22 +292,23 @@ def is_gorenstein_gf2(c: SimplicialComplex, face_cap: int = DEFAULT_FACE_CAP) ->
     for f in c.facets[1:]:
         common &= f
     core = SimplicialComplex(c.vertex_count, [f & ~common for f in c.facets])
-    cache: dict[tuple[int, ...], list[int]] = {}
-    for sigma in core.faces(face_cap):
-        ranks = _link_homology(core, sigma, cache, face_cap)
-        if any(ranks[:-1]) or ranks[-1] != 1:
+    return _every_link(core, face_cap, lambda top: top == 1)
+
+
+def _every_link(c: SimplicialComplex, face_cap: int, top_ok) -> bool:
+    """Reisner's walk: every face link has vanishing reduced homology
+    below its dimension and a top rank accepted by top_ok.  Homology is
+    computed once per distinct link."""
+    cache: dict[tuple[int, ...], bool] = {}
+    for sigma in c.faces(face_cap):
+        lk = link(c, sigma)
+        ok = cache.get(lk.facets)
+        if ok is None:
+            ranks = reduced_homology_gf2(lk, face_cap)
+            ok = cache[lk.facets] = not any(ranks[:-1]) and top_ok(ranks[-1])
+        if not ok:
             return False
     return True
-
-
-def _link_homology(c, sigma, cache, face_cap) -> list[int]:
-    lk = link(c, sigma)
-    key = lk.facets
-    got = cache.get(key)
-    if got is None:
-        got = reduced_homology_gf2(lk, face_cap)
-        cache[key] = got
-    return got
 
 
 def euler_characteristic_faces(c: SimplicialComplex, face_cap: int = DEFAULT_FACE_CAP) -> int:
@@ -343,9 +348,12 @@ def complex_from_json(
     top = -1
     for entry in data:
         if not isinstance(entry, list) or not all(
-            isinstance(v, int) and v >= 0 for v in entry
+            isinstance(v, int) and 0 <= v < HARD_ORDER_CAP for v in entry
         ):
-            raise ComplexError(f"bad facet entry {entry!r}")
+            raise ComplexError(
+                f"bad facet entry {entry!r}: vertices are integers "
+                f"0..{HARD_ORDER_CAP - 1}"
+            )
         facets.append(entry)
         top = max(top, max(entry, default=-1))
     n = vertex_count if vertex_count is not None else top + 1

@@ -47,7 +47,6 @@ from .graphs import Graph, build_graph
 from .indsets import is_maximal_independent
 from .rings import (
     HARD_ORDER_CAP,
-    GfRing,
     MatRing,
     ProductRing,
     QuotientRing,
@@ -132,7 +131,7 @@ def zero_first_row_set(n: int, q: int, verify: bool = True) -> VertexSet:
 # product-ring constructions
 # ---------------------------------------------------------------------------
 
-def _product_ring(rings) -> ProductRing | Ring:
+def _product_ring(rings) -> ProductRing:
     return build_ring(Product(tuple(r.descriptor for r in rings)))
 
 
@@ -155,12 +154,9 @@ def product_nonunit_extend(
     choices = [
         m_i.indices() if j == i else range(r.order) for j, r in enumerate(rings)
     ]
-    members = []
-    if isinstance(prod, ProductRing):
-        for combo in itertools.product(*choices):
-            members.append(prod.encode_components(list(combo)))
-    else:  # single factor: the product collapses to the factor itself
-        members = m_i.indices()
+    members = [
+        prod.encode_components(list(combo)) for combo in itertools.product(*choices)
+    ]
     out = VertexSet.from_indices(members, prod.order)
     if verify:
         _require_mis(prod, out, "the extended product set")
@@ -185,13 +181,10 @@ def product_unit_sets(rings, sets, verify: bool = True) -> VertexSet:
             raise ConstructionError("sets must consist of units")
         if verify:
             _require_mis(r, s, "a factor set")
-    if isinstance(prod, ProductRing):
-        members = [
-            prod.encode_components(list(combo))
-            for combo in itertools.product(*[s.indices() for s in sets])
-        ]
-    else:
-        members = sets[0].indices()
+    members = [
+        prod.encode_components(list(combo))
+        for combo in itertools.product(*[s.indices() for s in sets])
+    ]
     out = VertexSet.from_indices(members, prod.order)
     if verify:
         _require_mis(prod, out, "the product set")
@@ -407,22 +400,6 @@ def _require_semisimple(ring: Ring, name: str) -> None:
         raise ConstructionError(f"{name} = {ring.expr} is not semisimple")
 
 
-def _zero_first_row_of_leaf(leaf: Ring) -> VertexSet:
-    view = _matrix_view(leaf)
-    if view is None:
-        raise ConstructionError(
-            f"{leaf.expr} is not a matrix ring over a field"
-        )
-    _, size = view
-    if size == 1:
-        return VertexSet.from_indices([0], leaf.order)
-    stride = leaf.base.order**size
-    return VertexSet.from_indices(
-        [m * stride for m in range(leaf.base.order ** (size * size - size))],
-        leaf.order,
-    )
-
-
 def mixed_char_product_witnesses(
     r_ring: Ring, s_ring: Ring, verify: bool = True
 ) -> tuple[VertexSet, VertexSet]:
@@ -442,7 +419,11 @@ def mixed_char_product_witnesses(
     if s_ring.characteristic % 2 == 0:
         raise ConstructionError("S must have odd characteristic")
     r_leaves, _ = _leaves(r_ring)
-    m1 = _zero_first_row_of_leaf(r_leaves[0])
+    view = _matrix_view(r_leaves[0])
+    if view is None:
+        raise ConstructionError(f"{r_leaves[0].expr} is not a matrix ring over a field")
+    fld, size = view
+    m1 = zero_first_row_set(size, fld.q, verify=False)
     if len(r_leaves) == 1:
         m_set = m1
     else:
@@ -490,13 +471,9 @@ def two_size_witnesses(
             raise ConstructionError(
                 "2 a unit forces every residue field to odd characteristic"
             )
-    block_sign_sets = []
-    for (n, q), bring in zip(form.blocks, form.block_rings):
-        if isinstance(bring, GfRing):
-            fld = bring.field
-            block_sign_sets.append([fld.one, fld.neg(fld.one)])
-        else:
-            block_sign_sets.append(signature_set(n, q, verify=False).indices())
+    block_sign_sets = [
+        signature_set(n, q, verify=False).indices() for n, q in form.blocks
+    ]
     sig_quotient = VertexSet.from_indices(
         [
             form.quotient_index(form.encode_blocks(list(combo)))
@@ -504,12 +481,7 @@ def two_size_witnesses(
         ],
         form.quotient.order,
     )
-    lead_n, lead_q = form.blocks[0]
-    lead_zero_rows = (
-        [0]
-        if lead_n == 1
-        else zero_first_row_set(lead_n, lead_q, verify=False).indices()
-    )
+    lead_zero_rows = zero_first_row_set(*form.blocks[0], verify=False).indices()
     rest = [range(r.order) for r in form.block_rings[1:]]
     zero_quotient = VertexSet.from_indices(
         [

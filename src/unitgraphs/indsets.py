@@ -40,7 +40,7 @@ class MisReport:
     sizes_seen: Counter
     count: int
     independence_number: int
-    well_covered: bool
+    well_covered: bool | None  # None: stopped before a second size was seen
     witnesses: tuple[VertexSet, ...]
     truncated: bool
     stop_reason: str  # exhausted | two_sizes | max_sets | time_budget
@@ -181,8 +181,11 @@ def enumerate_mis(
     if collect:
         ordered = sorted(search.sets, key=mask_indices)
         sets = tuple(VertexSet(m, g.n) for m in ordered)
+    # a stopped search that saw one size has not decided well-coveredness
+    well_covered = None if truncated else len(search.sizes) == 1
     witnesses: tuple[VertexSet, ...] = ()
     if len(search.sizes) >= 2:
+        well_covered = False
         sizes_in_order = list(search.first_of_size)[:2]
         witnesses = tuple(
             VertexSet(search.first_of_size[s], g.n) for s in sizes_in_order
@@ -191,7 +194,7 @@ def enumerate_mis(
         sizes_seen=search.sizes,
         count=search.count,
         independence_number=max(search.sizes) if search.sizes else 0,
-        well_covered=len(search.sizes) == 1,
+        well_covered=well_covered,
         witnesses=witnesses,
         truncated=truncated,
         stop_reason=reason,

@@ -71,6 +71,11 @@ BAD_INPUTS = {
     "5000-digit-modulus": ["info", "Z" + "9" * 5000],
     "superscript-digit": ["info", "Z\u00b2"],
     "no-semisimple-form": ["construct", "GA(GF(3), C2)", "two-size"],
+    "max-sets-zero": ["mis", "Z3", "--max-sets", "0"],
+    "max-sets-negative": ["mis", "Z3", "--max-sets", "-1"],
+    "max-sets-zero-wellcovered": ["wellcovered", "Z3", "--max-sets", "0"],
+    "max-sets-negative-classify": ["classify", "Z3", "--cross-validate", "--max-sets", "-1"],
+    "facets-huge-vertex": ["complex", "--facets-file", "FILE_HUGE_VERTEX", "--cm"],
 }
 
 
@@ -80,6 +85,7 @@ def test_bad_inputs_exit_without_traceback(tmp_path, capsys, argv):
         "FILE_NOT_JSON": "not json",
         "FILE_NO_RING": json.dumps([{"well_covered": True}]),
         "FILE_NOT_BOOL": json.dumps([{"ring": "Z4", "well_covered": "yes"}]),
+        "FILE_HUGE_VERTEX": json.dumps([[1000000000]]),
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -136,6 +142,9 @@ def test_mis_listing(capsys):
 def test_mis_respects_max_sets(capsys):
     payload = run_json(capsys, "mis", "GF(5)", "--kind", "cayley", "--max-sets", "1")
     assert payload["truncated"] is True
+    payload = run_json(capsys, "mis", "Z3", "--max-sets", "1")
+    assert payload["truncated"] is True
+    assert payload["result"]["well_covered"] is None
 
 
 def test_wellcovered_modes(capsys):

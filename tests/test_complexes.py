@@ -1,10 +1,14 @@
 import json
+import random
+import time
 
 import pytest
 
 from unitgraphs.complexes import (
     BudgetExceeded,
+    ComplexError,
     SimplicialComplex,
+    _gf2_rank,
     complex_from_json,
     euler_characteristic_faces,
     euler_characteristic_homology,
@@ -185,3 +189,38 @@ def test_facets_json_round_trip():
     assert back.facets == c.facets
     explicit = complex_from_json(text, vertex_count=10)
     assert explicit.vertex_count == 10
+    assert complex_from_json("[[65535]]").vertex_count == 65536
+    with pytest.raises(ComplexError):
+        complex_from_json("[[65536]]")  # vertex indices stay below 2^16
+
+
+def test_large_pure_complex_builds_within_budget():
+    # the cross-polytope boundary on 28 vertices: one facet per choice of
+    # vertex 2i or 2i+1 for each of 14 pairs, 2^14 facets of one size
+    pairs = 14
+    masks = []
+    for choice in range(1 << pairs):
+        masks.append(sum(1 << (2 * i + ((choice >> i) & 1)) for i in range(pairs)))
+    start = time.perf_counter()
+    c = SimplicialComplex(2 * pairs, masks + [0b1, 0b101])  # two non-facets
+    elapsed = time.perf_counter() - start
+    assert set(c.facets) == set(masks) and is_pure(c)
+    assert elapsed < 1.0, f"{elapsed:.2f} s"
+
+
+def test_gf2_rank_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    field = sympy.GF(2)
+    rng = random.Random(5)
+    shapes = [(0, 0), (0, 4), (4, 0), (1, 1), (3, 3)]
+    shapes += [(rng.randint(1, 6), rng.randint(10, 40)) for _ in range(60)]  # wide
+    shapes += [(rng.randint(10, 40), rng.randint(1, 6)) for _ in range(60)]  # tall
+    shapes += [(rng.randint(1, 30), rng.randint(1, 30)) for _ in range(100)]
+    for case, (rows, cols) in enumerate(shapes):
+        density = (0.0, 0.1, 0.5, 0.9)[case % 4]  # every fourth is all zero
+        bits = [[int(rng.random() < density) for _ in range(cols)] for _ in range(rows)]
+        int_rows = [sum(b << i for i, b in enumerate(row)) for row in bits]
+        ref = DomainMatrix([[field(b) for b in row] for row in bits], (rows, cols), field)
+        assert _gf2_rank(int_rows) == ref.rank(), (rows, cols, bits)

@@ -55,6 +55,15 @@ def test_enumerate_examples():
     assert report.count == 1 and report.sets[0].indices() == [0, 1, 2, 3, 4]
 
 
+def test_truncated_enumeration_leaves_well_coveredness_open():
+    # Z3 has maximal independent sets of sizes 1 and 2
+    report = enumerate_mis(_graph("Z3"), max_sets=1)
+    assert report.truncated and report.stop_reason == "max_sets"
+    assert report.well_covered is None
+    report = enumerate_mis(_graph("Z3"), max_sets=2)
+    assert report.truncated and report.well_covered is False
+
+
 def test_enumeration_matches_subset_oracle(catalog_descriptors):
     for expr, descriptor in catalog_descriptors:
         ring = build_ring(descriptor)

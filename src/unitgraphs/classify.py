@@ -16,9 +16,8 @@ The classifiers work from structure alone:
 
 ``cross_validate`` runs the classifiers next to the independent oracles
 (set enumeration, GF(2) homology) and reports predictions, observations
-and their agreement.  The classifiers never silently fall back to the
-oracle; an unsupported shape stays "unknown" so that agreement remains
-evidence.
+and their agreement.  The classifiers never fall back to the oracle, so
+agreement remains evidence.
 """
 
 from __future__ import annotations
@@ -45,10 +44,8 @@ SKIPPED = "skipped"
 
 
 def classify_well_covered(descriptor: RingDescriptor) -> bool | None:
-    """True/False from the semisimple shape; None when unsupported."""
+    """True/False from the semisimple shape."""
     shape = wedderburn_shape(descriptor)
-    if shape is None:
-        return None
     if any(factorize(q)[0][0] != 2 for _, q in shape):
         return False
     if all(block == (1, 2) for block in shape):
@@ -84,7 +81,7 @@ def predict(descriptor: RingDescriptor) -> dict:
 class ClassificationReport:
     ring: str
     quotient_char: int
-    shape: tuple[tuple[int, int], ...] | None
+    shape: tuple[tuple[int, int], ...]
     predicted: dict = field(default_factory=dict)
     observed: dict = field(default_factory=dict)
     agreement: bool | None = None
@@ -94,7 +91,7 @@ class ClassificationReport:
         return {
             "ring": self.ring,
             "quotient_char": self.quotient_char,
-            "shape": [list(b) for b in self.shape] if self.shape is not None else None,
+            "shape": [list(b) for b in self.shape],
             "predicted": dict(self.predicted),
             "observed": dict(self.observed),
             "agreement": self.agreement,

@@ -149,7 +149,7 @@ def _cmd_info(args) -> int:
         "units": len(ring.unit_set),
         "radical_size": len(radical),
         "quotient_char": quotient.characteristic,
-        "shape": [list(b) for b in shape] if shape is not None else "unsupported",
+        "shape": [list(b) for b in shape],
     }
     _emit(args, print_ring_expr(descriptor), "info", result, start=start)
     return EXIT_OK
@@ -207,8 +207,6 @@ def _cmd_wellcovered(args) -> int:
     truncated = False
     if args.method in ("classify", "both"):
         result["predicted"] = classify_well_covered(descriptor)
-        if result["predicted"] is None:
-            result["note"] = "shape unsupported; try --method brute"
     if args.method in ("brute", "both"):
         ring = build_ring(descriptor)
         graph = build_graph(ring, "unit")

@@ -348,7 +348,7 @@ def complex_from_json(
     top = -1
     for entry in data:
         if not isinstance(entry, list) or not all(
-            isinstance(v, int) and 0 <= v < HARD_ORDER_CAP for v in entry
+            type(v) is int and 0 <= v < HARD_ORDER_CAP for v in entry
         ):
             raise ComplexError(
                 f"bad facet entry {entry!r}: vertices are integers "

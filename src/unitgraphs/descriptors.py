@@ -103,12 +103,23 @@ def group_name(g: GroupId) -> str:
     return "D4" if isinstance(g, D4) else "Q8"
 
 
-def group_is_p_group(g: GroupId, p: int) -> bool:
-    """Whether |G| is a power of the prime p (the trivial group counts)."""
-    n = group_order(g)
-    while n % p == 0:
-        n //= p
-    return n == 1
+def cyclotomic_cosets(q: int, n: int) -> list[tuple[int, ...]]:
+    """The q-cyclotomic cosets {j, jq, jq^2, ...} of Z/m, where m is the
+    part of n prime to the characteristic of GF(q), ordered by their least
+    element j (listed first)."""
+    p, m = factorize(q)[0][0], n
+    while m % p == 0:
+        m //= p
+    seen: set[int] = set()
+    out = []
+    for j in range(m):
+        if j not in seen:
+            coset = [j]
+            while coset[-1] * q % m != j:
+                coset.append(coset[-1] * q % m)
+            seen.update(coset)
+            out.append(tuple(coset))
+    return out
 
 
 def group_mul_table(g: GroupId) -> list[list[int]]:
@@ -239,48 +250,32 @@ def _power(base: int, e: int, cap: int | None) -> int:
     return n
 
 
-def is_commutative(d: RingDescriptor) -> bool:
-    """Commutativity read off the descriptor: Zn, GF(q), group algebras of
-    cyclic groups, and products of these.  Everything else, matrix rings
-    included, reports False."""
-    if isinstance(d, (Zn, Gf)):
-        return True
-    if isinstance(d, GroupAlgebra):
-        return isinstance(d.group, Cn)
-    if isinstance(d, Product):
-        return all(is_commutative(f) for f in d.factors)
-    return False
-
-
 Block = tuple[int, int]  # (matrix size n, field order q)
 
 
-def semisimple_blocks(d: RingDescriptor) -> tuple[Block, ...] | None:
-    """Blocks M_n(GF(q)) of R/J(R) in structural (descriptor) order, or
-    None outside the closed forms: one (1, p) per prime p | n for Zn,
-    (1, q) for GF(q) and for GF(q)[G] with G a p-group in characteristic
-    p, each base block (n, q) as (k*n, q) for M_k(base), and the
-    concatenation for products."""
+def semisimple_blocks(d: RingDescriptor) -> tuple[Block, ...]:
+    """Blocks M_n(GF(q)) of R/J(R) in structural (descriptor) order: one
+    (1, p) per prime p | n for Zn; (1, q) for GF(q); for GF(q)[C_n] one
+    (1, q^|c|) per q-cyclotomic coset c of Z/m, m the part of n prime to
+    the characteristic, by least element (Perlis & Walker, Trans. AMS 68,
+    1950: GF(q)[C_n]/J = GF(q)[C_m]); (1, q) for D4 and Q8 in
+    characteristic 2 (2-groups, so the algebra is local) and
+    4 (1, q) + (2, q) in odd characteristic (four linear characters and
+    one split 2-dimensional representation); each base block (n, q) as
+    (k*n, q) for M_k(base); and the concatenation for products."""
     if isinstance(d, Zn):
         return tuple((1, p) for p, _ in factorize(d.n))
     if isinstance(d, Gf):
         return ((1, d.q),)
     if isinstance(d, Mat):
-        base = semisimple_blocks(d.base)
-        if base is None:
-            return None
-        return tuple((d.k * n, q) for n, q in base)
+        return tuple((d.k * n, q) for n, q in semisimple_blocks(d.base))
     if isinstance(d, Product):
-        out: list[Block] = []
-        for f in d.factors:
-            fb = semisimple_blocks(f)
-            if fb is None:
-                return None
-            out.extend(fb)
-        return tuple(out)
-    if group_is_p_group(d.group, factorize(d.q)[0][0]):
+        return tuple(b for f in d.factors for b in semisimple_blocks(f))
+    if isinstance(d.group, Cn):
+        return tuple((1, d.q ** len(c)) for c in cyclotomic_cosets(d.q, d.group.m))
+    if d.q % 2 == 0:
         return ((1, d.q),)
-    return None
+    return ((1, d.q),) * 4 + ((2, d.q),)
 
 
 def flatten_factors(d: RingDescriptor) -> tuple[RingDescriptor, ...]:

@@ -8,7 +8,8 @@ Grammar (whitespace-insensitive, case-sensitive):
     field   := 'GF(' NAT ')' | 'Z' PRIME
     group   := 'C' NAT | 'D4' | 'Q8'
 
-NAT is a run of ASCII digits, at most MAX_DIGITS long.  Products
+NAT is a run of ASCII digits, at most MAX_DIGITS long, and brackets
+nest at most MAX_DEPTH deep.  Products
 associate into a single flat Product node, so
 ``parse("Z2 x Z3 x Z5")`` and ``parse("(Z2 x Z3) x Z5")`` agree.
 Errors carry the offset into the input where parsing failed.
@@ -35,6 +36,9 @@ from .descriptors import (
 # Every supported modulus has at most 13 digits (descriptors.MAX_MODULUS);
 # the bound keeps int() far below Python's 4300-digit conversion limit.
 MAX_DIGITS = 40
+# Brackets nest at most this deep, far inside Python's recursion limit
+# for the parser and for the recursive descriptor walks after it.
+MAX_DEPTH = 100
 
 
 class RingExprError(ValueError):
@@ -48,6 +52,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str, position: int | None = None):
         raise RingExprError(message, self.pos if position is None else position)
@@ -92,12 +97,21 @@ class _Parser:
             flat.extend(f.factors if isinstance(f, Product) else (f,))
         return Product(tuple(flat))
 
+    def inner_ring(self) -> RingDescriptor:
+        """A ring inside one more pair of brackets."""
+        if self.depth == MAX_DEPTH:
+            self.error(f"brackets nest at most {MAX_DEPTH} deep")
+        self.depth += 1
+        inner = self.ring()
+        self.depth -= 1
+        return inner
+
     def atom(self) -> RingDescriptor:
         self.skip_ws()
         ch = self.peek()
         if ch == "(":
             self.pos += 1
-            inner = self.ring()
+            inner = self.inner_ring()
             self.expect(")")
             return inner
         if ch == "Z":
@@ -112,7 +126,7 @@ class _Parser:
             if k < 1:
                 self.error(f"M{k}: matrix size must be at least 1", at)
             self.expect("(")
-            base = self.ring()
+            base = self.inner_ring()
             self.expect(")")
             return Mat(k, base)
         if self.text.startswith("GF", self.pos):

@@ -113,8 +113,6 @@ class _Search:
 
     def run(self) -> str:
         n = self.g.n
-        if n == 0:
-            return "exhausted"
         old_limit = sys.getrecursionlimit()
         sys.setrecursionlimit(max(old_limit, 4 * n + 1000))
         try:

@@ -24,23 +24,22 @@ rings call their base or factor kernels on decoded digits, and a
 quotient calls its parent's kernel on coset representatives and
 projects.
 
-``mul_table`` is built from ``mul_many`` in row chunks and stored as
-uint16 (indices stay below HARD_ORDER_CAP = 2^16).  It exists for every
-ring up to DEFAULT_ORDER_CAP and feeds the definitional unit and radical
-scans, which raise CapExceeded above that cap.  Unit sets come from
-structure where it is known: the gcd for Zn, every nonzero element of
-GF(q), componentwise for products, a nonzero augmentation for group
-algebras of p-groups in characteristic p, and for matrices over a
-commutative base a unit determinant (Lam, *A First Course in
-Noncommutative Rings*), with the determinant computed through the base
-kernels.  Every other ring takes the definitional scan.
-
 ``semisimple_images(ring, xs)`` is the one elementwise map R -> R/J(R)
-= B_1 x ... x B_t (blocks as in ``descriptors.semisimple_blocks``).  The
-structural Jacobson radical is its kernel, and ``wedderburn`` builds the
-semisimple form from its image on coset representatives; the
-definitional radical scan stays as the reference, and as the fallback
-where the map has no closed form.
+= B_1 x ... x B_t (blocks as in ``descriptors.semisimple_blocks``); for
+GF(q)[C_n] it sends g to a root of x^m - 1 in GF(q^d), one block per
+q-cyclotomic coset of Z/m.  Everything structural derives from it: the
+Jacobson radical is its kernel, the quotient's cosets are its fibres,
+``wedderburn`` builds the semisimple form from its image on coset
+representatives, and x is a unit iff every block image is a unit of its
+block (Lam, *A First Course in Noncommutative Rings*).  The leaves of
+that rule are GF(q) (nonzero) and matrices over a field (nonzero
+determinant, computed through the base kernels).
+
+``mul_table`` is built from ``mul_many`` in row chunks and stored as
+uint16 (indices stay below HARD_ORDER_CAP = 2^16), up to
+DEFAULT_ORDER_CAP.  It feeds the definitional unit and radical scans,
+which are reached only through ``method="generic"`` and the tests, as
+the reference the structural results are checked against.
 """
 
 from __future__ import annotations
@@ -51,6 +50,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .descriptors import (
+    Block,
+    Cn,
     DescriptorError,
     Gf,
     GroupAlgebra,
@@ -58,13 +59,12 @@ from .descriptors import (
     Product,
     RingDescriptor,
     Zn,
+    cyclotomic_cosets,
     descriptor_expr,
     descriptor_order,
     factorize,
-    group_is_p_group,
     group_mul_table,
     group_order,
-    is_commutative,
     is_prime,
     semisimple_blocks,
     validate_descriptor,
@@ -222,7 +222,12 @@ class Ring:
         return (self.unit_set.mask >> x) & 1 == 1
 
     def _compute_units(self) -> int:
-        return self._units_generic()
+        # x is a unit iff its image in every block of R/J(R) is a unit there
+        ok = True
+        images = semisimple_images(self, np.arange(self.order))
+        for block, image in zip(semisimple_blocks(self.descriptor), images):
+            ok = ok & block_ring(block).unit_set.bools()[image]
+        return _bools_to_mask(ok)
 
     def _units_generic(self) -> int:
         """Two-sided inverse search straight from the definition."""
@@ -329,11 +334,6 @@ class ZnRing(PositionalRing):
 
     def mul_many(self, xs, ys) -> np.ndarray:
         return xs * ys % self.order
-
-    def _compute_units(self) -> int:
-        n = self.order
-        coprime = np.gcd(np.arange(n), n) == 1
-        return _bools_to_mask(coprime)
 
     def field_view(self) -> GfField | None:
         return GfField(self.order) if is_prime(self.order) else None
@@ -451,11 +451,10 @@ class MatRing(PositionalRing):
         return det
 
     def _compute_units(self) -> int:
-        if not is_commutative(self.base.descriptor):
-            return self._units_generic()
-        # over a commutative base a matrix is a unit iff its determinant is
-        det = self.det_many(np.arange(self.order))
-        return _bools_to_mask(self.base.unit_set.bools()[det])
+        if not isinstance(self.base, GfRing):
+            return super()._compute_units()
+        # over a field a matrix is a unit iff its determinant is nonzero
+        return _bools_to_mask(self.det_many(np.arange(self.order)) != 0)
 
     def element_repr(self, x: int) -> str:
         rows = self.decode_entries(x)
@@ -510,13 +509,6 @@ class ProductRing(PositionalRing):
                 )
             ]
         )
-
-    def _compute_units(self) -> int:
-        ok = True
-        comps = self.decode_components(np.arange(self.order))
-        for f, c in zip(self.factors, comps):
-            ok = ok & f.unit_set.bools()[c]
-        return _bools_to_mask(ok)
 
     def element_repr(self, x: int) -> str:
         parts = [
@@ -581,19 +573,49 @@ class GroupAlgebraRing(PositionalRing):
             out = out + acc * q**t
         return out
 
-    def augmentation(self, xs):
-        """Coefficient sum, the map GF(q)[G] -> GF(q); elementwise on arrays."""
-        acc = 0
-        for c in self.decode_coeffs(xs):
-            acc = self.coeffs.add_many(acc, c)
-        return acc
+    @cached_property
+    def _block_maps(self) -> list[tuple[GfRing, np.ndarray, np.ndarray]]:
+        """Per block of R/J(R): the field F = GF(q^d) as ``block_ring``
+        realizes it, the embedding of GF(q) into F as an index table, and
+        the image in F of each group element.
 
-    def _compute_units(self) -> int:
-        if not group_is_p_group(self.descriptor.group, self.field.p):
-            return self._units_generic()
-        # a p-group algebra in characteristic p is local, with the
-        # augmentation ideal as its radical
-        return _bools_to_mask(self.augmentation(np.arange(self.order)) != 0)
+        For C_n with n = p^a m, p not dividing m, coset c of Z/m with least
+        element j sends g to eta = gamma^((q^d - 1) j / m), gamma the log
+        base of F; eta is a root of x^m - 1 whose Frobenius orbit is c.
+        D4 and Q8 in characteristic 2 have the one block of m = 1, the
+        augmentation; in odd characteristic they have no realized map."""
+        fld = self.field
+        if not isinstance(self.descriptor.group, Cn) and fld.p != 2:
+            raise UnsupportedStructure(f"{self.expr}: no realized map onto R/J(R)")
+        n = self.gorder if isinstance(self.descriptor.group, Cn) else 1
+        cosets = cyclotomic_cosets(fld.q, n)
+        m = sum(map(len, cosets))
+        out = []
+        for c in cosets:
+            big = block_ring((1, fld.q ** len(c)))
+            exp, top = big.field._log_exp[1], big.order - 1
+            chi = exp[np.arange(self.gorder) * (top * c[0] // m) % top]
+            out.append((big, self._embedding(big), chi))
+        return out
+
+    def _embedding(self, big: GfRing) -> np.ndarray:
+        """GF(q) -> F as an index table: GF(q)'s generator goes to the
+        least-index root in F of GF(q)'s modulus; the identity where
+        GF(q) is prime or F is GF(q) itself (whose least root is x)."""
+        fld = self.field
+        if fld.k == 1 or big.order == fld.q:
+            return np.arange(fld.q)
+        (log, exp), top = big.field._log_exp, big.order - 1
+        subfield = np.append(0, exp[np.arange(fld.q - 1) * (top // (fld.q - 1))])
+        value = 0
+        for coef in reversed(fld.modulus):
+            value = big.add_many(big.mul_many(value, subfield), coef)
+        root = subfield[value == 0].min()
+        out = 0
+        for i in range(fld.k):
+            power = exp[log[root] * i % top]
+            out = big.add_many(out, big.mul_many(np.arange(fld.q) // fld.p**i % fld.p, power))
+        return out
 
     def element_repr(self, x: int) -> str:
         names = self._element_names()
@@ -652,6 +674,13 @@ def build_ring(descriptor: RingDescriptor, order_cap: int = DEFAULT_ORDER_CAP) -
     return _build_ring_cached(descriptor)
 
 
+def block_ring(block: Block) -> Ring:
+    """Block (n, q) of R/J(R) realized: GF(q) for n = 1, else M_n(GF(q))."""
+    # arithmetic cap: a block never exceeds the order of the ring it is from
+    n, q = block
+    return build_ring(Gf(q) if n == 1 else Mat(n, Gf(q)), order_cap=HARD_ORDER_CAP)
+
+
 def _row_chunks(n: int) -> list[slice]:
     """Row slices of an n x n computation, about CHUNK elements each."""
     step = max(1, CHUNK // n)
@@ -665,21 +694,15 @@ def _row_chunks(n: int) -> list[slice]:
 def jacobson_radical(ring: Ring, method: str = "auto") -> VertexSet:
     """Jacobson radical as an element set.
 
-    method="generic" scans for {x : 1 - r*x is a unit for every r}, which
-    is the definition specialized to finite rings.  method="structural"
-    takes the kernel of ``semisimple_images`` and raises
-    UnsupportedStructure where that map has no closed form.
-    method="auto" tries structural and falls back to generic.
+    method="auto" (or "structural") takes the kernel of
+    ``semisimple_images``.  method="generic" scans for {x : 1 - r*x is a
+    unit for every r}, the definition specialized to finite rings; it is
+    the reference the structural kernel is tested against.
     """
     if method == "generic":
         return VertexSet(_radical_generic(ring), ring.order)
-    if method == "structural":
+    if method in ("auto", "structural"):
         return VertexSet(_radical_structural(ring), ring.order)
-    if method == "auto":
-        try:
-            return VertexSet(_radical_structural(ring), ring.order)
-        except UnsupportedStructure:
-            return VertexSet(_radical_generic(ring), ring.order)
     raise ValueError(f"unknown radical method {method!r}")
 
 
@@ -702,11 +725,12 @@ def _radical_generic(ring: Ring) -> int:
 
 def semisimple_images(ring: Ring, xs) -> list[np.ndarray]:
     """Images of elements under R -> R/J(R) = B_1 x ... x B_t, elementwise
-    on an index array: one array of block-ring indices per block of
-    ``semisimple_blocks``, where block (n, q) is realized as GF(q) for
-    n = 1 and as M_n(GF(q)) otherwise.  Raises UnsupportedStructure where
-    R/J(R) has no closed form."""
+    on an index array: one array of ``block_ring`` indices per block of
+    ``semisimple_blocks``.  Raises UnsupportedStructure for D4 and Q8 in
+    odd characteristic, whose algebras exceed the default cap."""
     xs = np.asarray(xs, dtype=np.int64)
+    if isinstance(ring, QuotientRing):
+        return semisimple_images(ring.parent, ring._reps[xs])
     if isinstance(ring, ZnRing):
         return [xs % p for p, _ in factorize(ring.order)]
     if isinstance(ring, GfRing):
@@ -718,12 +742,14 @@ def semisimple_images(ring: Ring, xs) -> list[np.ndarray]:
             for image in semisimple_images(f, c)
         ]
     if isinstance(ring, GroupAlgebraRing):
-        if not group_is_p_group(ring.descriptor.group, ring.field.p):
-            raise UnsupportedStructure(
-                "R/J(R) of a group algebra has a closed form only for a "
-                "p-group in characteristic p"
-            )
-        return [ring.augmentation(xs)]
+        coeffs = ring.decode_coeffs(xs)
+        out = []
+        for big, embed, chi in ring._block_maps:
+            acc = 0
+            for a, g in zip(coeffs, chi):
+                acc = big.add_many(acc, big.mul_many(embed[a], g))
+            out.append(acc)
+        return out
     if not isinstance(ring, MatRing):
         raise UnsupportedStructure(f"no semisimple images for {type(ring).__name__}")
     # entry (i, j) maps into every base block; block b's m x m piece of it
@@ -747,30 +773,29 @@ class QuotientRing(Ring):
 
     Elements are indexed 0..m-1 in increasing order of their canonical
     coset representative (the smallest parent index in the coset), and
-    ``representatives[i]`` maps back to the parent.  The unit set is
-    computed by inverse search inside the quotient, independently of the
-    parent, so the unit correspondence stays a testable fact.
+    ``representatives[i]`` maps back to the parent.  The cosets are the
+    fibres of ``semisimple_images``, labelled in one ``np.unique`` over
+    the block images; units are the elements whose representatives'
+    images are units of every block.
     """
 
     def __init__(self, parent: Ring, radical: VertexSet):
         self.parent = parent
         self.descriptor = parent.descriptor
         self.radical = radical
-        rad_indices = np.array(radical.indices(), dtype=np.int64)
         n = parent.order
-        rep_of = np.full(n, -1, dtype=np.int64)
-        reps: list[int] = []
-        for x in range(n):
-            if rep_of[x] >= 0:
-                continue
-            reps.append(x)
-            rep_of[parent.add_many(x, rad_indices)] = x
-        self.representatives = tuple(reps)
-        self.order = len(reps)
-        if self.order * len(rad_indices) != n:
+        key = 0
+        images = semisimple_images(parent, np.arange(n))
+        for (size, q), image in zip(semisimple_blocks(parent.descriptor), images):
+            key = key * q ** (size * size) + image
+        _, first, label = np.unique(key, return_index=True, return_inverse=True)
+        self._reps = np.sort(first)
+        self.representatives = tuple(self._reps.tolist())
+        self.order = len(self._reps)
+        if self.order * len(radical) != n:
             raise RingError("radical cosets do not partition the ring")
-        self._reps = np.array(reps, dtype=np.int64)
-        self._index_of = np.searchsorted(self._reps, rep_of)  # parent -> quotient
+        # parent -> quotient: the rank of the least element of x's coset
+        self._index_of = np.searchsorted(self._reps, first[label.ravel()])
         self.one = self.project(parent.one)
 
     def project(self, parent_index: int) -> int:

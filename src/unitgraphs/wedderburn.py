@@ -3,8 +3,7 @@
 Finite semisimple rings are products of matrix rings over finite fields.
 For the descriptors this toolkit realizes, ``descriptors.semisimple_blocks``
 reads that product shape off the descriptor, and ``wedderburn_shape``
-sorts it canonically; anything outside the closed forms is reported as
-unsupported rather than guessed.
+sorts it canonically.
 
 ``semisimple_form`` realizes the reduction explicitly.  It builds the
 canonical block-product ring C and the bijection between R/J(R) and C
@@ -21,45 +20,31 @@ from functools import lru_cache
 
 import numpy as np
 
-from .descriptors import Block, Gf, Mat, Product, RingDescriptor, semisimple_blocks
+from .descriptors import Block, Product, RingDescriptor, semisimple_blocks
 from .rings import (
     HARD_ORDER_CAP,
     Ring,
     RingError,
-    UnsupportedStructure,
+    block_ring,
     build_ring,
     quotient_by_radical,
     semisimple_images,
 )
 
 
-def wedderburn_shape(d: RingDescriptor) -> tuple[Block, ...] | None:
-    """Canonically sorted block list of R/J(R) (ascending field order,
-    then block size), or None when the symbolic rules do not apply."""
-    blocks = semisimple_blocks(d)
-    if blocks is None:
-        return None
-    return tuple(sorted(blocks, key=lambda b: (b[1], b[0])))
-
-
-def block_ring(block: Block) -> Ring:
-    # arithmetic cap: the canonical ring never exceeds the parent's order
-    n, q = block
-    return build_ring(Gf(q) if n == 1 else Mat(n, Gf(q)), order_cap=HARD_ORDER_CAP)
+def wedderburn_shape(d: RingDescriptor) -> tuple[Block, ...]:
+    """Canonically sorted block list of R/J(R): ascending field order,
+    then block size."""
+    return tuple(sorted(semisimple_blocks(d), key=lambda b: (b[1], b[0])))
 
 
 class SemisimpleForm:
     """Explicit isomorphism R/J(R) -> canonical block product ring."""
 
     def __init__(self, ring: Ring):
-        blocks = semisimple_blocks(ring.descriptor)
-        if blocks is None:
-            raise UnsupportedStructure(
-                f"{ring.expr}: R/J(R) has no symbolic semisimple form"
-            )
         self.ring = ring
-        self.blocks = blocks
-        self.block_rings = tuple(block_ring(b) for b in blocks)
+        self.blocks = semisimple_blocks(ring.descriptor)
+        self.block_rings = tuple(block_ring(b) for b in self.blocks)
         if len(self.block_rings) == 1:
             self.canonical_ring = self.block_rings[0]
         else:

@@ -17,8 +17,10 @@ def test_classify_well_covered_examples():
     assert classify_well_covered(Product((Gf(4), Gf(4)))) is True
     assert classify_well_covered(Product((Gf(4), Gf(2)))) is False
     assert classify_well_covered(GroupAlgebra(2, Q8())) is True
-    # outside the symbolic shape rules: unknown, never a guess
-    assert classify_well_covered(GroupAlgebra(2, Cn(3))) is None
+    # GF(2)[C3] / J = GF(2) x GF(4): two distinct fields
+    assert classify_well_covered(GroupAlgebra(2, Cn(3))) is False
+    # shape alone, without realizing the 6561-element algebra
+    assert classify_well_covered(GroupAlgebra(3, Q8())) is False
 
 
 def test_classify_well_covered_shape_patterns():

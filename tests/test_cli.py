@@ -70,12 +70,14 @@ BAD_INPUTS = {
     "facets-not-json": ["complex", "--facets-file", "FILE_NOT_JSON"],
     "5000-digit-modulus": ["info", "Z" + "9" * 5000],
     "superscript-digit": ["info", "Z\u00b2"],
-    "no-semisimple-form": ["construct", "GA(GF(3), C2)", "two-size"],
+    "two-not-a-unit": ["construct", "GA(GF(2), C3)", "two-size"],
     "max-sets-zero": ["mis", "Z3", "--max-sets", "0"],
     "max-sets-negative": ["mis", "Z3", "--max-sets", "-1"],
     "max-sets-zero-wellcovered": ["wellcovered", "Z3", "--max-sets", "0"],
     "max-sets-negative-classify": ["classify", "Z3", "--cross-validate", "--max-sets", "-1"],
     "facets-huge-vertex": ["complex", "--facets-file", "FILE_HUGE_VERTEX", "--cm"],
+    "facets-boolean-vertex": ["complex", "--facets-file", "FILE_BOOL_VERTEX"],
+    "nested-800-deep": ["info", "M1(" * 800 + "Z2" + ")" * 800],
 }
 
 
@@ -86,6 +88,7 @@ def test_bad_inputs_exit_without_traceback(tmp_path, capsys, argv):
         "FILE_NO_RING": json.dumps([{"well_covered": True}]),
         "FILE_NOT_BOOL": json.dumps([{"ring": "Z4", "well_covered": "yes"}]),
         "FILE_HUGE_VERTEX": json.dumps([[1000000000]]),
+        "FILE_BOOL_VERTEX": json.dumps([[True, False]]),
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -182,6 +185,15 @@ def test_construct_two_size(capsys):
     payload = run_json(capsys, "construct", "M2(GF(3))", "two-size")
     assert sorted(payload["result"]["sizes"]) == [4, 9]
     assert payload["result"]["verified_maximal"] is True
+
+
+def test_construct_two_size_in_a_cyclic_group_algebra(capsys):
+    # GF(3)[C2] / J = GF(3) x GF(3), where 2 is a unit
+    result = run_json(capsys, "construct", "GA(GF(3), C2)", "two-size")["result"]
+    first, second = result["sets"]
+    assert len(set(result["sizes"])) == 2
+    assert result["sizes"] == [len(first), len(second)]
+    assert result["verified_maximal"] is True
 
 
 def test_construct_complement_and_alias(capsys):

@@ -42,6 +42,8 @@ def test_independence_complex_examples():
     assert c4.facet_lists() == [[0], [1], [2], [3]]
     edgeless = independence_complex(Graph(3, "imported", [0, 0, 0]))
     assert edgeless.facet_lists() == [[0, 1, 2]]
+    # the empty graph's complex is {empty face}, not the void complex
+    assert independence_complex(Graph(0, "imported", [])).facet_lists() == [[]]
 
 
 def test_facets_are_maximal_and_sorted():
@@ -192,6 +194,8 @@ def test_facets_json_round_trip():
     assert complex_from_json("[[65535]]").vertex_count == 65536
     with pytest.raises(ComplexError):
         complex_from_json("[[65536]]")  # vertex indices stay below 2^16
+    with pytest.raises(ComplexError):
+        complex_from_json("[[true, false]]")  # JSON booleans are not indices
 
 
 def test_large_pure_complex_builds_within_budget():

@@ -103,6 +103,17 @@ def test_parse_errors_carry_positions():
     assert err.value.position == 1
     assert parse_ring_expr("Z" + "0" * 38 + "12") == Zn(12)
 
+    # brackets nest at most 100 deep
+    deep = parse_ring_expr("M1(" * 100 + "Z2" + ")" * 100)
+    for _ in range(100):
+        deep = deep.base
+    assert deep == Zn(2)
+    assert parse_ring_expr("(" * 100 + "Z2" + ")" * 100) == Zn(2)
+    for text in ("M1(" * 101 + "Z2" + ")" * 101, "(" * 800 + "Z2" + ")" * 800):
+        with pytest.raises(RingExprError) as err:
+            parse_ring_expr(text)
+        assert "nest" in err.value.message
+
 
 def test_print_parse_round_trip(catalog_descriptors):
     for expr, descriptor in catalog_descriptors:

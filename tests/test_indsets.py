@@ -55,6 +55,14 @@ def test_enumerate_examples():
     assert report.count == 1 and report.sets[0].indices() == [0, 1, 2, 3, 4]
 
 
+def test_empty_graph_has_the_empty_set_as_its_one_mis():
+    report = enumerate_mis(_edgeless(0))
+    assert report.count == 1 and dict(report.sizes_seen) == {0: 1}
+    assert [s.indices() for s in report.sets] == [[]]
+    assert report.well_covered is True
+    assert well_covered_bruteforce(_edgeless(0)) is True
+
+
 def test_truncated_enumeration_leaves_well_coveredness_open():
     # Z3 has maximal independent sets of sizes 1 and 2
     report = enumerate_mis(_graph("Z3"), max_sets=1)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from oracles import matrix_unit_count
-from unitgraphs.descriptors import Cn, Gf, GroupAlgebra, Mat, Product, Q8, Zn
+from unitgraphs import rings
+from unitgraphs.descriptors import D4, Cn, Gf, GroupAlgebra, Mat, Product, Q8, Zn, prime_power
 from unitgraphs.dsl import parse_ring_expr
 from unitgraphs.rings import (
     HARD_ORDER_CAP,
@@ -94,7 +95,7 @@ def test_mul_many_matches_scalar_without_tables():
 
 def test_units_are_elements_with_a_right_inverse():
     rng = np.random.default_rng(5)
-    for expr in ("M2(Z8)", "Z9 x M2(Z4)"):
+    for expr in ("M2(Z8)", "Z9 x M2(Z4)", "GA(GF(2), C12)", "GA(GF(3), C7)"):
         ring = build_ring(parse_ring_expr(expr))
         everything = np.arange(ring.order)
         for x in rng.integers(0, ring.order, 200):
@@ -109,9 +110,12 @@ def test_definitional_scans_refuse_rings_above_the_default_cap():
         zn._units_generic()
     with pytest.raises(CapExceeded):
         jacobson_radical(zn, "generic")
-    ga = build_ring(GroupAlgebra(2, Cn(13)), order_cap=HARD_ORDER_CAP)  # not a 2-group
+    ga = build_ring(GroupAlgebra(2, Cn(13)), order_cap=HARD_ORDER_CAP)
+    # units from the blocks GF(2) x GF(2^12): nonzero augmentation and
+    # nonzero image in the big field
+    assert len(ga.unit_set) == 4095
     with pytest.raises(CapExceeded):
-        ga.unit_set
+        ga._units_generic()
     assert time.monotonic() - start < 1.0
 
 
@@ -216,12 +220,24 @@ def test_radical_structural_equals_generic(catalog_descriptors):
 
 
 def test_radical_structural_unsupported_falls_back():
-    ring = build_ring(GroupAlgebra(2, Cn(3)))  # |G| = 3 is not a 2-power
-    with pytest.raises(UnsupportedStructure):
-        jacobson_radical(ring, "structural")
-    # semisimple by Maschke: generic and auto agree on {0}
+    # |G| = 3 is prime to 2, so the algebra is semisimple (Maschke) and
+    # its structural radical, the kernel of the coset map, is {0}
+    ring = build_ring(GroupAlgebra(2, Cn(3)))
+    assert jacobson_radical(ring, "structural").indices() == [0]
     assert jacobson_radical(ring, "auto").indices() == [0]
     assert jacobson_radical(ring, "generic").indices() == [0]
+
+
+def test_odd_dihedral_and_quaternion_algebras_have_a_shape_but_no_map():
+    for group in (D4(), Q8()):
+        assert wedderburn_shape(GroupAlgebra(3, group)) == ((1, 3),) * 4 + ((2, 3),)
+        ring = build_ring(GroupAlgebra(3, group), order_cap=HARD_ORDER_CAP)
+        with pytest.raises(UnsupportedStructure):
+            semisimple_images(ring, [0])
+        with pytest.raises(UnsupportedStructure):
+            ring.unit_set
+        with pytest.raises(UnsupportedStructure):
+            jacobson_radical(ring)
 
 
 def test_one_plus_radical_is_unit(catalog_descriptors):
@@ -286,7 +302,8 @@ def test_wedderburn_shape_examples():
     assert wedderburn_shape(Zn(12)) == ((1, 2), (1, 3))
     assert wedderburn_shape(Mat(2, Zn(4))) == ((2, 2),)
     assert wedderburn_shape(GroupAlgebra(2, Q8())) == ((1, 2),)
-    assert wedderburn_shape(GroupAlgebra(2, Cn(3))) is None
+    # x^3 - 1 = (x - 1)(x^2 + x + 1) over GF(2)
+    assert wedderburn_shape(GroupAlgebra(2, Cn(3))) == ((1, 2), (1, 4))
     # canonical order: ascending field order, then block size
     assert wedderburn_shape(Product((Gf(4), Mat(2, Zn(6))))) == (
         (2, 2),
@@ -324,7 +341,18 @@ def test_semisimple_form_is_an_isomorphism(catalog_descriptors):
         assert to_q[cring.one] == quot.one, expr
 
 
-@pytest.mark.parametrize("expr", [*FLATTENING_EXPRS, "M2(GF(8))", "Z9 x M2(Z4)"])
+# cyclic group algebras outside the p-group case: one field block per
+# q-cyclotomic coset; the last two embed GF(8) into GF(64) and GF(4)
+# into GF(16), which no algebra of at most 256 elements needs
+COSET_EXPRS = (
+    "GA(GF(2), C12)", "GA(GF(3), C7)", "GA(GF(4), C6)", "GA(GF(3), C4)", "GA(GF(2), C6)",
+    "GA(GF(8), C3)", "GA(GF(4), C5)",
+)
+
+
+@pytest.mark.parametrize(
+    "expr", [*FLATTENING_EXPRS, "M2(GF(8))", "Z9 x M2(Z4)", *COSET_EXPRS]
+)
 def test_semisimple_form_is_an_isomorphism_sampled(expr):
     ring = build_ring(parse_ring_expr(expr))
     form = semisimple_form(ring)
@@ -357,3 +385,91 @@ def test_inconsistent_arithmetic_is_detected():
     ring = build_ring(Zn(10))
     with pytest.raises(RingError):
         ring.is_unit(11)
+
+
+def _cyclic_group_algebras(bound):
+    for q in range(2, bound + 1):
+        n = 1
+        while prime_power(q) is not None and q**n <= bound:
+            yield f"GA(GF({q}), C{n})"
+            n += 1
+
+
+def test_cyclic_group_algebras_agree_with_the_definitions():
+    from unitgraphs.classify import classify_well_covered
+    from unitgraphs.graphs import build_graph
+    from unitgraphs.indsets import well_covered_bruteforce
+
+    decided = 0
+    for expr in [*_cyclic_group_algebras(256), *COSET_EXPRS[-2:]]:
+        descriptor = parse_ring_expr(expr)
+        ring = build_ring(descriptor)
+        assert ring.unit_set.mask == ring._units_generic(), expr
+        structural = jacobson_radical(ring, "structural")
+        assert structural == jacobson_radical(ring, "generic"), expr
+        blocks = wedderburn_shape(descriptor)
+        assert np.prod([q ** (n * n) for n, q in blocks]) * len(structural) == ring.order
+        observed = well_covered_bruteforce(
+            build_graph(ring, "unit"), max_sets=20_000, time_budget=1.0
+        )
+        if observed is not None:
+            assert classify_well_covered(descriptor) == observed, expr
+            decided += 1
+    assert decided >= 80
+
+
+def test_quotient_units_match_the_definition(catalog_descriptors):
+    for expr, descriptor in catalog_descriptors:
+        quot = quotient_by_radical(build_ring(descriptor))
+        if quot.parent.order <= 300:
+            assert quot.unit_set.mask == quot._units_generic(), expr
+
+
+def test_quotient_representatives_are_least_coset_elements(catalog_descriptors):
+    for expr, descriptor in catalog_descriptors:
+        ring = build_ring(descriptor)
+        quot = quotient_by_radical(ring)
+        radical = np.array(quot.radical.indices())
+        for i, rep in enumerate(quot.representatives):
+            coset = ring.add_many(rep, radical)
+            assert coset.min() == rep, expr
+            assert (quot._index_of[coset] == i).all(), expr
+
+
+# the rings of the benchmark's cap ladder, at the default cap
+LADDER_EXPRS = (
+    "GF(4096)", "Z4096", " x ".join(["Z2"] * 12), "M2(GF(8))", "M2(GF(7))",
+    "Z9 x M2(Z4)", "GA(GF(2), C11)", "M2(Z8)", "GA(GF(2), C12)", "GA(GF(3), C7)",
+)
+
+
+def _realize(ring):
+    units = ring.unit_set
+    radical = jacobson_radical(ring)
+    form = semisimple_form(ring)
+    return units, radical, form.quotient.unit_set, form
+
+
+def test_production_never_reaches_the_definitional_scans(catalog_descriptors, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("definitional scan reached")
+
+    monkeypatch.setattr(rings.Ring, "_units_generic", refuse)
+    monkeypatch.setattr(rings, "_radical_generic", refuse)
+    for cached in (rings._build_ring_cached, quotient_by_radical, semisimple_form):
+        cached.cache_clear()
+    exprs = [expr for expr, _ in catalog_descriptors] + list(LADDER_EXPRS)
+    for expr in exprs:
+        _realize(build_ring(parse_ring_expr(expr)))
+    for expr in ("M2(GA(GF(3), C2))", "M2(M2(Z2))"):
+        _realize(build_ring(parse_ring_expr(expr), order_cap=HARD_ORDER_CAP))
+
+
+def test_cyclic_group_algebras_at_the_cap_realize_quickly():
+    for expr in ("GA(GF(2), C11)", "GA(GF(2), C12)", "GA(GF(3), C7)"):
+        for cached in (rings._build_ring_cached, quotient_by_radical, semisimple_form):
+            cached.cache_clear()
+        start = time.monotonic()
+        units, radical, quotient_units, form = _realize(build_ring(parse_ring_expr(expr)))
+        assert time.monotonic() - start < 1.0, expr
+        assert len(units) == len(quotient_units) * len(radical), expr

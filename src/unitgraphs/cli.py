@@ -216,10 +216,8 @@ def _cmd_wellcovered(args) -> int:
         truncated = verdict is None
         result["observed"] = "undecided" if verdict is None else verdict
     if args.method == "both":
-        pred, obs = result.get("predicted"), result.get("observed")
-        result["agreement"] = (
-            None if pred is None or isinstance(obs, str) else pred == obs
-        )
+        pred, obs = result["predicted"], result["observed"]
+        result["agreement"] = None if isinstance(obs, str) else pred == obs
     _emit(
         args,
         print_ring_expr(descriptor),

@@ -22,6 +22,14 @@ class DescriptorError(ValueError):
     """A ring descriptor violates one of its invariants."""
 
 
+class RingError(Exception):
+    """Arithmetic-level failure (inconsistent inverses, bad element index)."""
+
+
+class CapExceeded(RingError):
+    """A configured size cap was exceeded."""
+
+
 # ---------------------------------------------------------------------------
 # small integer utilities
 # ---------------------------------------------------------------------------
@@ -29,6 +37,9 @@ class DescriptorError(ValueError):
 # Trial division up to the square root of 2^40 stays near a tenth of a
 # second; larger moduli are rejected rather than factored for hours.
 MAX_MODULUS = 1 << 40
+# Cyclotomic cosets of Z/m are listed element by element, so m is bounded;
+# GF(q)[C_m] then has at least 2^(2^16) elements, far past any realized ring.
+MAX_COSET_MODULUS = 1 << 16
 
 
 def is_prime(n: int) -> bool:
@@ -106,10 +117,12 @@ def group_name(g: GroupId) -> str:
 def cyclotomic_cosets(q: int, n: int) -> list[tuple[int, ...]]:
     """The q-cyclotomic cosets {j, jq, jq^2, ...} of Z/m, where m is the
     part of n prime to the characteristic of GF(q), ordered by their least
-    element j (listed first)."""
+    element j (listed first).  Raises CapExceeded above MAX_COSET_MODULUS."""
     p, m = factorize(q)[0][0], n
     while m % p == 0:
         m //= p
+    if m > MAX_COSET_MODULUS:
+        raise CapExceeded(f"C{n}: cosets modulo {m} exceed {MAX_COSET_MODULUS}")
     seen: set[int] = set()
     out = []
     for j in range(m):

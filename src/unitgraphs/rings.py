@@ -51,6 +51,7 @@ import numpy as np
 
 from .descriptors import (
     Block,
+    CapExceeded,
     Cn,
     DescriptorError,
     Gf,
@@ -58,6 +59,7 @@ from .descriptors import (
     Mat,
     Product,
     RingDescriptor,
+    RingError,
     Zn,
     cyclotomic_cosets,
     descriptor_expr,
@@ -77,14 +79,6 @@ HARD_ORDER_CAP = 1 << 16
 # below glibc's default 128 KiB mmap threshold, so chunk after chunk
 # reuses heap pages instead of mapping and faulting in fresh ones.
 CHUNK = 1 << 13
-
-
-class RingError(Exception):
-    """Arithmetic-level failure (inconsistent inverses, bad element index)."""
-
-
-class CapExceeded(RingError):
-    """A configured size cap was exceeded."""
 
 
 class UnsupportedStructure(RingError):
@@ -776,7 +770,9 @@ class QuotientRing(Ring):
     ``representatives[i]`` maps back to the parent.  The cosets are the
     fibres of ``semisimple_images``, labelled in one ``np.unique`` over
     the block images; units are the elements whose representatives'
-    images are units of every block.
+    images are units of every block.  ``block_keys[i]`` is element i's
+    image as one index of the block product, in ``Product``'s mixed
+    radix (block 0 least significant).
     """
 
     def __init__(self, parent: Ring, radical: VertexSet):
@@ -784,13 +780,15 @@ class QuotientRing(Ring):
         self.descriptor = parent.descriptor
         self.radical = radical
         n = parent.order
-        key = 0
+        key, stride = 0, 1
         images = semisimple_images(parent, np.arange(n))
         for (size, q), image in zip(semisimple_blocks(parent.descriptor), images):
-            key = key * q ** (size * size) + image
+            key = key + stride * image
+            stride *= q ** (size * size)
         _, first, label = np.unique(key, return_index=True, return_inverse=True)
         self._reps = np.sort(first)
         self.representatives = tuple(self._reps.tolist())
+        self.block_keys = key[self._reps]
         self.order = len(self._reps)
         if self.order * len(radical) != n:
             raise RingError("radical cosets do not partition the ring")

@@ -7,9 +7,9 @@ sorts it canonically.
 
 ``semisimple_form`` realizes the reduction explicitly.  It builds the
 canonical block-product ring C and the bijection between R/J(R) and C
-from one call of ``rings.semisimple_images`` on the quotient's coset
-representatives: the map R -> C whose kernel is the structural radical
-and whose image, restricted to representatives, is the semisimple form.
+from the quotient's ``block_keys``: the images in C of its coset
+representatives under ``rings.semisimple_images``, the map R -> C whose
+kernel is the structural radical and whose fibres are the cosets.
 The explicit map is what lets independent sets constructed inside C be
 transported into the actual quotient ring and then lifted to R.
 """
@@ -28,7 +28,6 @@ from .rings import (
     block_ring,
     build_ring,
     quotient_by_radical,
-    semisimple_images,
 )
 
 
@@ -58,12 +57,10 @@ class SemisimpleForm:
                 "semisimple form order mismatch: "
                 f"{self.canonical_ring.order} vs {self.quotient.order}"
             )
-        images = semisimple_images(ring, self.quotient.representatives)
-        to_quot = np.full(self.canonical_ring.order, -1, dtype=np.int64)
-        to_quot[self.encode_blocks(images)] = np.arange(self.quotient.order)
-        # the orders agree, so an unfilled slot means two cosets collided
-        if (to_quot < 0).any():
-            raise RingError("semisimple reduction is not injective")
+        # the quotient's block keys are distinct canonical indices, and
+        # there are as many as canonical elements: a permutation
+        to_quot = np.empty(self.canonical_ring.order, dtype=np.int64)
+        to_quot[self.quotient.block_keys] = np.arange(self.quotient.order)
         self.to_quotient = to_quot
         inv = np.empty_like(to_quot)
         inv[to_quot] = np.arange(len(to_quot))

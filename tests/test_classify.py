@@ -1,10 +1,21 @@
+import pytest
+
 from unitgraphs.classify import (
     SKIPPED,
     classify_cm,
     classify_well_covered,
     cross_validate,
 )
-from unitgraphs.descriptors import Gf, GroupAlgebra, Product, Q8, Zn, Cn
+from unitgraphs.descriptors import (
+    CapExceeded,
+    Cn,
+    Gf,
+    GroupAlgebra,
+    Product,
+    Q8,
+    Zn,
+    semisimple_blocks,
+)
 from unitgraphs.dsl import parse_ring_expr
 from unitgraphs.graphs import build_graph
 from unitgraphs.indsets import well_covered_bruteforce
@@ -21,6 +32,14 @@ def test_classify_well_covered_examples():
     assert classify_well_covered(GroupAlgebra(2, Cn(3))) is False
     # shape alone, without realizing the 6561-element algebra
     assert classify_well_covered(GroupAlgebra(3, Q8())) is False
+    # 2 has order 82 modulo 83: GF(2)[C83]/J = GF(2) x GF(2^82)
+    assert semisimple_blocks(GroupAlgebra(2, Cn(83))) == ((1, 2), (1, 2**82))
+    assert classify_well_covered(GroupAlgebra(2, Cn(83))) is False
+    # the 2-part of n adds no cosets: GF(2)[C_{2^40}] is local
+    assert classify_well_covered(GroupAlgebra(2, Cn(1 << 40))) is True
+    # the odd part 5^12 of 10^12 is refused before any coset is listed
+    with pytest.raises(CapExceeded):
+        classify_well_covered(GroupAlgebra(2, Cn(10**12)))
 
 
 def test_classify_well_covered_shape_patterns():

@@ -78,6 +78,10 @@ BAD_INPUTS = {
     "facets-huge-vertex": ["complex", "--facets-file", "FILE_HUGE_VERTEX", "--cm"],
     "facets-boolean-vertex": ["complex", "--facets-file", "FILE_BOOL_VERTEX"],
     "nested-800-deep": ["info", "M1(" * 800 + "Z2" + ")" * 800],
+    "13-digit-cyclic-group": ["wellcovered", "GA(GF(2), C1000000000000)"],
+    "13-digit-cyclic-group-classify": [
+        "wellcovered", "GA(GF(2), C1000000000000)", "--method", "classify"
+    ],
 }
 
 
@@ -155,6 +159,11 @@ def test_wellcovered_modes(capsys):
     assert payload["result"] == {"predicted": True, "observed": True, "agreement": True}
     payload = run_json(capsys, "wellcovered", "Z3", "--method", "classify")
     assert payload["result"] == {"predicted": False}
+    # GF(2)[C83]/J = GF(2) x GF(2^82), decided without factoring 2^82
+    payload = run_json(capsys, "wellcovered", "GA(GF(2), C83)", "--method", "classify")
+    assert payload["result"] == {"predicted": False}
+    code, out, err = run(capsys, "wellcovered", "GA(GF(2), C83)")
+    assert code == EXIT_CAP, err
 
 
 def test_classify_predict_and_cross_validate(capsys):

@@ -12,12 +12,15 @@ The classifiers work from structure alone:
   e.g. GF(2) x GF(4)).
 * ``classify_cm`` decides Cohen-Macaulay = shellable = (R is a field of
   characteristic 2, or every element of R is idempotent), and
-  Gorenstein = (every element idempotent).
+  Gorenstein = (every element idempotent), from the shape and |R|.
 
 ``cross_validate`` runs the classifiers next to the independent oracles
 (set enumeration, GF(2) homology) and reports predictions, observations
-and their agreement.  The classifiers never fall back to the oracle, so
-agreement remains evidence.
+and their agreement.  The oracles split the unit graph into connected
+components and judge each component's independence complex, combining
+the verdicts by the join rule; every step reads only adjacency rows and
+facets, never the ring.  The classifiers never fall back to the oracle,
+so agreement remains evidence.
 """
 
 from __future__ import annotations
@@ -32,12 +35,19 @@ from .complexes import (
     independence_complex,
     is_cm_gf2,
     is_gorenstein_gf2,
+    is_pure,
     is_shellable,
 )
-from .descriptors import RingDescriptor, descriptor_expr
-from .graphs import DEFAULT_GRAPH_CAP, GraphError, build_graph
+from .descriptors import RingDescriptor, descriptor_expr, descriptor_order
+from .graphs import (
+    DEFAULT_GRAPH_CAP,
+    GraphError,
+    build_graph,
+    connected_components,
+    induced_subgraph,
+)
 from .indsets import well_covered_bruteforce
-from .rings import Ring, build_ring, is_boolean_ring, is_field, quotient_by_radical
+from .rings import Ring, build_ring, quotient_by_radical
 from .wedderburn import wedderburn_shape
 
 SKIPPED = "skipped"
@@ -61,14 +71,25 @@ def classify_well_covered(descriptor: RingDescriptor) -> bool:
 
 
 def classify_cm(descriptor_or_ring: RingDescriptor | Ring) -> dict[str, bool]:
-    """Cohen-Macaulay / shellable / Gorenstein verdicts for the unit graph."""
-    ring = (
-        descriptor_or_ring
+    """Cohen-Macaulay / shellable / Gorenstein verdicts for the unit graph.
+
+    Read from the shape of R/J(R) and |R|, without realizing R: R is
+    Boolean iff every block is (1, 2) and |R| = 2^blocks, and a field iff
+    the shape is one block (1, q) and |R| = q (either way J(R) = 0)."""
+    descriptor = (
+        descriptor_or_ring.descriptor
         if isinstance(descriptor_or_ring, Ring)
-        else build_ring(descriptor_or_ring)
+        else descriptor_or_ring
     )
-    boolean = is_boolean_ring(ring)
-    cm = boolean or (ring.characteristic == 2 and is_field(ring))
+    shape = wedderburn_shape(descriptor)
+    n, q = shape[0]
+
+    def has_order(order: int) -> bool:
+        return descriptor_order(descriptor, order) == order
+
+    boolean = all(block == (1, 2) for block in shape) and has_order(2 ** len(shape))
+    # q is a prime power: characteristic 2 iff q is a power of 2
+    cm = boolean or (len(shape) == 1 and n == 1 and q & (q - 1) == 0 and has_order(q))
     return {"cm": cm, "shellable": cm, "gorenstein": boolean}
 
 
@@ -140,40 +161,48 @@ def cross_validate(
     report.predicted = predict(descriptor)
 
     graph = None
-    complex_ = None
     if set(checks):
         try:
             graph = build_graph(ring, "unit", cap=graph_cap)
         except GraphError:
             graph = None
+    # Ind(G1 + G2) is the join Ind(G1) * Ind(G2): one complex per
+    # component, None where its enumeration was truncated
+    factors = None
     if graph is not None and any(c in checks for c in ("cm", "shellable", "gorenstein")):
-        try:
-            complex_ = independence_complex(
-                graph, max_sets=max_sets, time_budget=time_budget
-            )
-        except BudgetExceeded:
-            complex_ = None
+        factors = []
+        deadline = time.monotonic() + time_budget
+        for part in connected_components(graph):
+            try:
+                factors.append(independence_complex(
+                    induced_subgraph(graph, part),
+                    max_sets=max_sets,
+                    time_budget=deadline - time.monotonic(),
+                ))
+            except BudgetExceeded:
+                factors.append(None)
 
     observed: dict[str, object] = {}
     if "wc" in checks:
         if graph is None:
             observed["well_covered"] = SKIPPED
         else:
-            verdict = well_covered_bruteforce(
-                graph, max_sets=max_sets, time_budget=time_budget
-            )
+            # well-covered iff the facets of every factor have one size
+            verdict = _join(factors, is_pure)
+            if verdict == SKIPPED:
+                verdict = well_covered_bruteforce(
+                    graph, max_sets=max_sets, time_budget=time_budget
+                )
             observed["well_covered"] = SKIPPED if verdict is None else verdict
     if "cm" in checks:
-        observed["cm_gf2"] = _run_complex_check(complex_, is_cm_gf2, face_cap)
+        observed["cm_gf2"] = _join(factors, lambda c: is_cm_gf2(c, face_cap))
     if "shellable" in checks:
-        if complex_ is None:
-            observed["shellable"] = SKIPPED
-        else:
-            verdict = is_shellable(complex_, facet_cap=facet_cap)
-            observed["shellable"] = SKIPPED if verdict is None else verdict
+        observed["shellable"] = _join(
+            factors, lambda c: is_shellable(c, facet_cap=facet_cap)
+        )
     if "gorenstein" in checks:
-        observed["gorenstein_gf2"] = _run_complex_check(
-            complex_, is_gorenstein_gf2, face_cap
+        observed["gorenstein_gf2"] = _join(
+            factors, lambda c: is_gorenstein_gf2(c, face_cap)
         )
     report.observed = observed
 
@@ -190,10 +219,24 @@ def cross_validate(
     return report
 
 
-def _run_complex_check(complex_, fn, face_cap):
-    if complex_ is None:
+def _join(factors, check):
+    """A verdict on the join of the factor complexes from the factors' own:
+    a join is CM (Gorenstein) iff every factor is, its Stanley-Reisner
+    ring being their tensor product (Stanley, Combinatorics and
+    Commutative Algebra, ch. II); a join of pure shellable complexes is
+    shellable, and each factor is the link of a facet of the others, so
+    it inherits shellability.  False if any factor is False, else
+    skipped if any is undecided (None) or hit a cap, else True."""
+    if factors is None:
         return SKIPPED
-    try:
-        return fn(complex_, face_cap)
-    except BudgetExceeded:
-        return SKIPPED
+    verdict = True
+    for c in factors:
+        try:
+            v = SKIPPED if c is None else check(c)
+        except BudgetExceeded:
+            v = SKIPPED
+        if v is False:
+            return False
+        if v is None or v == SKIPPED:
+            verdict = SKIPPED
+    return verdict

@@ -13,14 +13,19 @@ decides, at desk scale:
 * the Gorenstein property over GF(2), via the same vanishing on the
   core plus one-dimensional top homology of every core link; both run
   one walk over the faces that computes each distinct link's homology
-  once.
+  once.  Before any face is listed the walk rejects a complex that is
+  not pure, or that has dimension at least 1 and is disconnected: both
+  violate Reisner's criterion, so no verdict changes.
 
 Faces, facets and links are int bitmasks throughout, and so are the
 rows of the boundary matrices: the row of a face has bit i set for the
 i-th face one size down, and ranks come from an XOR basis keyed by
-leading bit.  The homology convention for the reduced chain complex is
-the usual one: the complex {[]} whose only face is empty has homology
-rank 1 in dimension -1; any complex with a vertex has rank 0 there.
+leading bit.  Each complex also keeps, per vertex, the bitset of the
+facets containing it; the maximality filter, links and the
+connectivity test AND and OR those bitsets instead of scanning facets.
+The homology convention for the reduced chain complex is the usual one:
+the complex {[]} whose only face is empty has homology rank 1 in
+dimension -1; any complex with a vertex has rank 0 there.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import json
 
 from .graphs import Graph
 from .indsets import enumerate_mis
-from .rings import HARD_ORDER_CAP, mask_indices
+from .rings import HARD_ORDER_CAP, _bits_to_masks, _masks_to_bits, mask_indices
 
 DEFAULT_FACET_CAP = 12
 DEFAULT_FACE_CAP = 200_000
@@ -48,24 +53,35 @@ class SimplicialComplex:
     """Facet-presented complex; facets are deduplicated, made mutually
     incomparable, and sorted canonically at construction."""
 
-    __slots__ = ("vertex_count", "facets")
+    __slots__ = ("vertex_count", "facets", "_incidence")
 
     def __init__(self, vertex_count: int, facet_masks):
-        by_size: dict[int, list[int]] = {}
-        for m in set(int(m) for m in facet_masks):
-            if m >> vertex_count:
-                raise ComplexError("facet has vertices outside the complex")
-            by_size.setdefault(m.bit_count(), []).append(m)
-        # distinct sets of one size are incomparable, so a candidate is
-        # tested only against the kept facets of strictly larger size
-        maximal: list[int] = []
-        for size in sorted(by_size, reverse=True):
-            larger = tuple(maximal)
-            maximal.extend(
-                m for m in by_size[size] if not any(m & o == m for o in larger)
-            )
+        masks = sorted(set(int(m) for m in facet_masks), key=int.bit_count, reverse=True)
+        if masks and max(masks) >> vertex_count:
+            raise ComplexError("facet has vertices outside the complex")
+        if masks and masks[0].bit_count() != masks[-1].bit_count():
+            masks = _maximal(masks, vertex_count)
+        self._set(vertex_count, masks)
+
+    @classmethod
+    def _of_maximal(cls, vertex_count: int, masks) -> "SimplicialComplex":
+        """A complex whose facet masks are already distinct and mutually
+        incomparable (links and cores of a complex)."""
+        c = cls.__new__(cls)
+        c._set(vertex_count, masks)
+        return c
+
+    def _set(self, vertex_count: int, masks) -> None:
         self.vertex_count = vertex_count
-        self.facets = tuple(sorted(maximal, key=mask_indices))
+        self.facets = tuple(sorted(masks, key=mask_indices))
+        self._incidence = None
+
+    @property
+    def incidence(self) -> list[int]:
+        """Per vertex, the facets containing it: bit j for facets[j]."""
+        if self._incidence is None:
+            self._incidence = _incidence(self.facets, self.vertex_count)
+        return self._incidence
 
     @classmethod
     def from_facets(cls, vertex_count: int, facets) -> "SimplicialComplex":
@@ -112,6 +128,44 @@ class SimplicialComplex:
             f"<SimplicialComplex on {self.vertex_count} vertices, "
             f"{len(self.facets)} facets, dim {self.dimension}>"
         )
+
+
+# facets per block of the incidence transpose, so that the 0/1 matrix it
+# goes through stays near 2^24 bytes
+_INCIDENCE_BLOCK_BYTES = 1 << 24
+
+
+def _incidence(facets, vertex_count: int) -> list[int]:
+    """Per vertex, the mask of the facets (bit j = facets[j]) containing it:
+    the transpose of the facet bitsets, a block of facets at a time."""
+    out = [0] * vertex_count
+    block = max(1, _INCIDENCE_BLOCK_BYTES // max(1, vertex_count))
+    for start in range(0, len(facets), block):
+        bits = _masks_to_bits(facets[start : start + block], vertex_count)
+        for v, column in enumerate(_bits_to_masks(bits.T)):
+            out[v] |= column << start
+    return out
+
+
+def _maximal(masks: list[int], vertex_count: int) -> list[int]:
+    """The masks not contained in another one, given distinct masks sorted
+    by size, largest first.  A mask lies in a larger one iff the incidence
+    of its vertices, ANDed over the larger masks, is nonzero."""
+    inc = _incidence(masks, vertex_count)
+    kept = []
+    size, larger = None, 0
+    for j, m in enumerate(masks):
+        if m.bit_count() != size:
+            size, larger = m.bit_count(), (1 << j) - 1
+        common = larger
+        rest = m
+        while rest and common:
+            low = rest & -rest
+            common &= inc[low.bit_length() - 1]
+            rest ^= low
+        if not common:
+            kept.append(m)
+    return kept
 
 
 def independence_complex(g: Graph, **limits) -> SimplicialComplex:
@@ -267,10 +321,17 @@ def reduced_homology_gf2(
 
 
 def link(c: SimplicialComplex, face_mask: int) -> SimplicialComplex:
-    """link(sigma) = {tau : tau disjoint from sigma, tau + sigma a face}."""
-    return SimplicialComplex(
-        c.vertex_count,
-        [f & ~face_mask for f in c.facets if f & face_mask == face_mask],
+    """link(sigma) = {tau : tau disjoint from sigma, tau + sigma a face}.
+    Its facets come from the facets containing sigma: the AND of the
+    incidence of sigma's vertices."""
+    containing = (1 << len(c.facets)) - 1
+    rest = face_mask
+    while rest and containing:
+        low = rest & -rest
+        containing &= c.incidence[low.bit_length() - 1]
+        rest ^= low
+    return SimplicialComplex._of_maximal(
+        c.vertex_count, [c.facets[j] & ~face_mask for j in mask_indices(containing)]
     )
 
 
@@ -291,14 +352,21 @@ def is_gorenstein_gf2(c: SimplicialComplex, face_cap: int = DEFAULT_FACE_CAP) ->
     common = c.facets[0]
     for f in c.facets[1:]:
         common &= f
-    core = SimplicialComplex(c.vertex_count, [f & ~common for f in c.facets])
+    core = SimplicialComplex._of_maximal(c.vertex_count, [f & ~common for f in c.facets])
     return _every_link(core, face_cap, lambda top: top == 1)
 
 
 def _every_link(c: SimplicialComplex, face_cap: int, top_ok) -> bool:
     """Reisner's walk: every face link has vanishing reduced homology
     below its dimension and a top rank accepted by top_ok.  Homology is
-    computed once per distinct link."""
+    computed once per distinct link.
+
+    Two failures of the criterion are read off the facets before any
+    face is listed: a complex whose links all pass is pure, and the link
+    of the empty face, the complex itself, has H~_0 of rank (components
+    - 1), which must vanish when the dimension is at least 1."""
+    if not is_pure(c) or (c.dimension >= 1 and not _connected(c)):
+        return False
     cache: dict[tuple[int, ...], bool] = {}
     for sigma in c.faces(face_cap):
         lk = link(c, sigma)
@@ -309,6 +377,26 @@ def _every_link(c: SimplicialComplex, face_cap: int, top_ok) -> bool:
         if not ok:
             return False
     return True
+
+
+def _connected(c: SimplicialComplex) -> bool:
+    """The facets form one component: a search from facets[0] that reads
+    the incidence of each vertex once."""
+    reached = 1
+    seen = 0
+    todo = c.facets[0]
+    while todo:
+        found = 0
+        for v in mask_indices(todo):
+            found |= c.incidence[v]
+        seen |= todo
+        found &= ~reached
+        reached |= found
+        todo = 0
+        for j in mask_indices(found):
+            todo |= c.facets[j]
+        todo &= ~seen
+    return reached == (1 << len(c.facets)) - 1
 
 
 def euler_characteristic_faces(c: SimplicialComplex, face_cap: int = DEFAULT_FACE_CAP) -> int:

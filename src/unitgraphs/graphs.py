@@ -20,7 +20,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rings import Ring, VertexSet, _bools_to_mask
+from .rings import (
+    Ring,
+    VertexSet,
+    _bits_to_masks,
+    _bools_to_mask,
+    _masks_to_bits,
+    mask_indices,
+)
 
 DEFAULT_GRAPH_CAP = 4096
 
@@ -115,6 +122,34 @@ def build_graph(ring: Ring, kind: str = "unit", cap: int = DEFAULT_GRAPH_CAP) ->
             bits[x] = False
             rows.append(_bools_to_mask(bits))
     return Graph(n, kind, rows, ring_expr=ring.expr)
+
+
+def connected_components(g: Graph) -> list[int]:
+    """Vertex masks of the connected components, by least vertex.  A
+    breadth-first search over bitmask rows reads each row once."""
+    parts = []
+    left = (1 << g.n) - 1
+    while left:
+        part = frontier = left & -left
+        while frontier:
+            reach = 0
+            for v in mask_indices(frontier):
+                reach |= g.rows[v]
+            frontier = reach & ~part
+            part |= frontier
+        parts.append(part)
+        left ^= part
+    return parts
+
+
+def induced_subgraph(g: Graph, mask: int) -> Graph:
+    """The subgraph induced on the vertices of mask, relabelled 0..k-1 in
+    increasing order; g itself when mask holds every vertex."""
+    if mask == (1 << g.n) - 1:
+        return g
+    keep = mask_indices(mask)
+    bits = _masks_to_bits([g.rows[v] for v in keep], g.n)
+    return Graph(len(keep), g.kind, _bits_to_masks(bits[:, keep]), g.ring_expr)
 
 
 def graphs_equal(g1: Graph, g2: Graph) -> bool:

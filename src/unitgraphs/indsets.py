@@ -8,6 +8,17 @@ ties broken by lowest index, which makes the emission order
 deterministic.  The collected family is sorted lexicographically, so
 reports are stable.
 
+The search runs on the false-twin quotient: vertices with equal rows are
+never adjacent and lie together in or out of every maximal independent
+set, so only the least vertex of each class is a candidate, and each
+emitted set is expanded by its classes.  The expansion is one to one,
+so counts, sizes, the sorted family and the caps mean what they would
+on the whole graph; only the order of emission (and so the callback
+order, the witnesses and which sets a capped run keeps) follows the
+quotient.  ``well_covered_bruteforce`` also splits the graph into
+connected components and decides each on its own.  Both reductions read
+only adjacency rows.
+
 Limits are explicit: a cap on emitted sets, a wall-clock budget, and a
 stop mode.  ``first_two_sizes`` halts as soon as two distinct sizes have
 been seen; that mode decides well-coveredness early and makes local
@@ -22,7 +33,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
-from .graphs import DEFAULT_GRAPH_CAP, Graph
+from .graphs import DEFAULT_GRAPH_CAP, Graph, connected_components, induced_subgraph
 from .rings import VertexSet, mask_indices
 
 DEFAULT_MAX_SETS = 10**6
@@ -85,6 +96,8 @@ class _Search:
         n = g.n
         full = (1 << n) - 1
         self.comp = [full ^ (g.rows[v] | (1 << v)) for v in range(n)]
+        self.reps, self.twins = _false_twin_classes(g)
+        self.paired = sum(self.twins)  # representatives with a twin
         self.g = g
         self.on_set = on_set
         self.stop_mode = stop_mode
@@ -97,7 +110,13 @@ class _Search:
         self.first_of_size: dict[int, int] = {}
         self.sets: list[int] = []
 
-    def emit(self, mask: int) -> None:
+    def emit(self, chosen: int) -> None:
+        mask = chosen
+        rest = chosen & self.paired
+        while rest:
+            low = rest & -rest
+            mask |= self.twins[low]
+            rest ^= low
         size = mask.bit_count()
         self.sizes[size] += 1
         self.count += 1
@@ -116,7 +135,7 @@ class _Search:
         old_limit = sys.getrecursionlimit()
         sys.setrecursionlimit(max(old_limit, 4 * n + 1000))
         try:
-            self.expand(0, (1 << n) - 1, 0)
+            self.expand(0, self.reps, 0)
             return "exhausted"
         except _Stop as stop:
             return stop.reason
@@ -149,6 +168,27 @@ class _Search:
             cand ^= low
             excl |= low
             ext ^= low
+
+
+def _false_twin_classes(g: Graph) -> tuple[int, dict[int, int]]:
+    """False twins (equal rows, so never adjacent) are all in or all out
+    of every maximal independent set.  Returns the mask of class
+    representatives (least members) and, for every class of two or more,
+    the representative's bit -> the mask of its class.  Sorting the
+    vertices by row is stable, so each run of equal rows starts at its
+    least vertex."""
+    rows = g.rows
+    reps = (1 << g.n) - 1
+    twins: dict[int, int] = {}
+    rep, previous = 0, None
+    for v in sorted(range(g.n), key=rows.__getitem__):
+        bit = 1 << v
+        if rows[v] == previous:
+            reps ^= bit
+            twins[rep] = twins.get(rep, rep) | bit
+        else:
+            rep, previous = bit, rows[v]
+    return reps, twins
 
 
 def enumerate_mis(
@@ -206,16 +246,29 @@ def well_covered_bruteforce(
     max_sets: int = DEFAULT_MAX_SETS,
     time_budget: float = DEFAULT_TIME_BUDGET,
 ) -> bool | None:
-    """True/False when decided; None when limits were hit first."""
-    report = enumerate_mis(
-        g,
-        stop_mode="first_two_sizes",
-        max_sets=max_sets,
-        time_budget=time_budget,
-        collect=False,
-    )
-    if len(report.sizes_seen) >= 2:
-        return False
-    if report.truncated:
-        return None
-    return True
+    """True/False when decided; None when limits were hit first.
+
+    A disjoint union is well-covered iff every component is (Plummer,
+    J. Combin. Theory 8, 1970), so each connected component is searched
+    on its own: max_sets caps each search, and time_budget all of them.
+    Two sizes in any component decide False; a component whose search
+    was capped leaves the verdict open unless another one decides False.
+    """
+    deadline = time.monotonic() + time_budget
+    verdict: bool | None = True
+    for part in connected_components(g):
+        left = deadline - time.monotonic()
+        if left <= 0:
+            return None
+        report = enumerate_mis(
+            induced_subgraph(g, part),
+            stop_mode="first_two_sizes",
+            max_sets=max_sets,
+            time_budget=left,
+            collect=False,
+        )
+        if len(report.sizes_seen) >= 2:
+            return False
+        if report.truncated:
+            verdict = None
+    return verdict

@@ -120,9 +120,7 @@ class VertexSet:
 
     def bools(self) -> np.ndarray:
         """Membership as a bool array of length universe."""
-        raw = self.mask.to_bytes((self.universe + 7) // 8, "little")
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-        return bits[: self.universe].astype(bool)
+        return _masks_to_bits([self.mask], self.universe)[0].astype(bool)
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -848,13 +846,25 @@ def is_boolean_ring(ring: Ring) -> bool:
 
 
 def is_field(ring: Ring) -> bool:
-    """True iff every nonzero element is a unit and multiplication commutes."""
-    if len(ring.unit_set) != ring.order - 1:
-        return False
-    table = ring.mul_table
-    return bool(np.array_equal(table, table.T))
+    """True iff every nonzero element is a unit.  Such a finite ring is a
+    division ring, hence commutative (Wedderburn's little theorem)."""
+    return len(ring.unit_set) == ring.order - 1
 
 
 def _bools_to_mask(arr: np.ndarray) -> int:
     packed = np.packbits(arr.astype(np.uint8), bitorder="little")
     return int.from_bytes(packed.tobytes(), "little")
+
+
+def _masks_to_bits(masks, width: int) -> np.ndarray:
+    """0/1 uint8 matrix whose row i holds bits 0..width-1 of masks[i]."""
+    nbytes = (width + 7) // 8
+    raw = b"".join(m.to_bytes(nbytes, "little") for m in masks)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes)
+    return np.unpackbits(packed, axis=1, count=width, bitorder="little")
+
+
+def _bits_to_masks(bits: np.ndarray) -> list[int]:
+    """One int per row of a 0/1 matrix; the inverse of _masks_to_bits."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]

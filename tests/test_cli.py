@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import unitgraphs
 from unitgraphs import cli
 from unitgraphs.cli import (
     EXIT_CAP,
@@ -164,6 +169,24 @@ def test_wellcovered_modes(capsys):
     assert payload["result"] == {"predicted": False}
     code, out, err = run(capsys, "wellcovered", "GA(GF(2), C83)")
     assert code == EXIT_CAP, err
+
+
+def test_classify_reads_a_ring_above_the_cap_from_its_shape(capsys):
+    payload = run_json(capsys, "classify", "GA(GF(2), C83)")
+    assert payload["result"]["predicted"] == {
+        "well_covered": False, "cm": False, "shellable": False, "gorenstein": False,
+    }
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(unitgraphs.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "unitgraphs", "info", "Z4"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert json.loads(done.stdout)["result"]["order"] == 4
 
 
 def test_classify_predict_and_cross_validate(capsys):

@@ -22,8 +22,9 @@ from unitgraphs.complexes import (
     link,
     reduced_homology_gf2,
 )
+from unitgraphs.classify import cross_validate
 from unitgraphs.dsl import parse_ring_expr
-from unitgraphs.graphs import Graph, build_graph
+from unitgraphs.graphs import Graph, build_graph, connected_components
 from unitgraphs.rings import build_ring
 
 
@@ -228,3 +229,119 @@ def test_gf2_rank_matches_sympy():
         int_rows = [sum(b << i for i, b in enumerate(row)) for row in bits]
         ref = DomainMatrix([[field(b) for b in row] for row in bits], (rows, cols), field)
         assert _gf2_rank(int_rows) == ref.rank(), (rows, cols, bits)
+
+
+# ---------------------------------------------------------------------------
+# pre-checks and the join rule against a plain Reisner walk
+# ---------------------------------------------------------------------------
+
+def _plain_link(c, sigma):
+    return SimplicialComplex(c.vertex_count, [f & ~sigma for f in c.facets if f & sigma == sigma])
+
+
+def _plain_walk(c, top_ok):
+    """Reisner's criterion face by face: no pre-checks, no incidence."""
+    seen = {}
+    for sigma in c.faces():
+        lk = _plain_link(c, sigma)
+        if lk.facets not in seen:
+            ranks = reduced_homology_gf2(lk)
+            seen[lk.facets] = not any(ranks[:-1]) and top_ok(ranks[-1])
+        if not seen[lk.facets]:
+            return False
+    return True
+
+
+def _plain_cm(c):
+    return _plain_walk(c, lambda top: True)
+
+
+def _plain_gorenstein(c):
+    common = c.facets[0]
+    for f in c.facets:
+        common &= f
+    core = SimplicialComplex(c.vertex_count, [f & ~common for f in c.facets])
+    return _plain_walk(core, lambda top: top == 1)
+
+
+def _random_complexes(seed, count):
+    rng = random.Random(seed)
+    for case in range(count):
+        n = rng.randint(1, 8)
+        size = rng.randint(0, min(n, 4))
+        facets = []
+        for _ in range(rng.randint(1, 7)):
+            # every third complex draws all facets of one size
+            k = size if case % 3 == 0 else rng.randint(0, min(n, 4))
+            facets.append(rng.sample(range(n), k))
+        yield _from_facets(n, facets)
+
+
+def test_facets_links_and_verdicts_match_the_plain_definitions():
+    for c in _random_complexes(11, 400):
+        masks = [sum(1 << v for v in f) for f in c.facet_lists()]
+        assert all(not (m & o == m and m != o) for m in masks for o in masks)
+        for sigma in c.faces():
+            assert link(c, sigma).facets == _plain_link(c, sigma).facets
+        assert is_cm_gf2(c) == _plain_cm(c), c.facet_lists()
+        assert is_gorenstein_gf2(c) == _plain_gorenstein(c), c.facet_lists()
+
+
+def test_maximality_filter_matches_pairwise_containment():
+    rng = random.Random(3)
+    for _ in range(200):
+        n = rng.randint(1, 10)
+        masks = [rng.getrandbits(n) for _ in range(rng.randint(1, 12))]
+        want = {m for m in masks if not any(m & o == m and m != o for o in masks)}
+        assert set(SimplicialComplex(n, masks).facets) == want
+
+
+def test_prechecks_decide_before_listing_faces(monkeypatch):
+    def refuse(self, face_cap=None):
+        raise AssertionError("faces were listed")
+
+    monkeypatch.setattr(SimplicialComplex, "faces", refuse)
+    two_simplices = _from_facets(60, [range(30), range(30, 60)])  # 2^31 faces
+    assert is_cm_gf2(two_simplices) is False
+    assert is_gorenstein_gf2(two_simplices) is False
+    not_pure = _from_facets(31, [range(30), [30]])
+    assert is_cm_gf2(not_pure) is False
+    assert is_gorenstein_gf2(not_pure) is False
+
+
+def test_join_rule_matches_the_whole_complex(catalog_descriptors):
+    checks = ("wc", "cm", "shellable", "gorenstein")
+    for expr, descriptor in catalog_descriptors:
+        ring = build_ring(descriptor)
+        if ring.order > 64:
+            continue
+        whole = independence_complex(build_graph(ring))
+        observed = cross_validate(descriptor, checks, facet_cap=20).observed
+        assert observed["well_covered"] == is_pure(whole), expr
+        cm = _plain_cm(whole)
+        assert observed["cm_gf2"] == cm, expr
+        assert observed["gorenstein_gf2"] == _plain_gorenstein(whole), expr
+        shellable = is_shellable(whole, facet_cap=20)
+        if shellable is not None:
+            assert observed["shellable"] == shellable, expr
+        else:  # too many facets to search whole; shellable implies CM
+            assert cm or observed["shellable"] is not True, expr
+
+
+def test_empty_graph_gives_the_empty_face_and_true_verdicts():
+    empty = Graph(0, "imported", [])
+    assert connected_components(empty) == []
+    c = independence_complex(empty)
+    assert c.facets == (0,)
+    assert is_cm_gf2(c) is True
+    assert is_gorenstein_gf2(c) is True
+    assert is_shellable(c) is True
+
+
+def test_join_decides_boolean_rings():
+    # Z2^5: 16 components K2, a join of 16 copies of S^0 (2^16 facets whole)
+    report = cross_validate(parse_ring_expr(" x ".join(["Z2"] * 5)),
+                            ("wc", "cm", "shellable", "gorenstein"))
+    assert report.observed == {
+        "well_covered": True, "cm_gf2": True, "shellable": True, "gorenstein_gf2": True,
+    }

@@ -1,9 +1,15 @@
+import time
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import all_mis_subsets
+from unitgraphs.classify import cross_validate
 from unitgraphs.descriptors import Zn
 from unitgraphs.dsl import parse_ring_expr
-from unitgraphs.graphs import Graph, build_graph
+from unitgraphs.graphs import Graph, build_graph, connected_components, induced_subgraph
 from unitgraphs.indsets import (
     EnumerationError,
     enumerate_mis,
@@ -11,7 +17,7 @@ from unitgraphs.indsets import (
     is_maximal_independent,
     well_covered_bruteforce,
 )
-from unitgraphs.rings import VertexSet, build_ring, quotient_by_radical
+from unitgraphs.rings import VertexSet, build_ring, mask_indices, quotient_by_radical
 
 
 def _graph(expr):
@@ -183,3 +189,93 @@ def test_enumeration_cap_guard():
         enumerate_mis(_edgeless(10), cap=5)
     with pytest.raises(EnumerationError):
         enumerate_mis(_edgeless(3), stop_mode="nope")
+
+
+# ---------------------------------------------------------------------------
+# the false-twin quotient and the component split, on planted structure
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def planted_graphs(draw):
+    """A disjoint union of 1-3 random base graphs whose vertices are blown
+    up into classes of false twins, relabelled by a random permutation;
+    at most 14 vertices, so the subset oracle stays cheap."""
+    pieces = []
+    total = 0
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(1, 4))
+        edges = [(a, b) for a in range(k) for b in range(a + 1, k) if draw(st.booleans())]
+        sizes = [draw(st.integers(1, 3)) for _ in range(k)]
+        if total + sum(sizes) > 14:
+            break
+        pieces.append((edges, sizes, total))
+        total += sum(sizes)
+    perm = draw(st.permutations(range(total)))
+    rows = [0] * total
+    for edges, sizes, offset in pieces:
+        members, v = [], offset
+        for size in sizes:
+            members.append([perm[v + i] for i in range(size)])
+            v += size
+        for a, b in edges:
+            for x in members[a]:
+                for y in members[b]:
+                    rows[x] |= 1 << y
+                    rows[y] |= 1 << x
+    return Graph(total, "imported", rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(planted_graphs())
+def test_enumeration_on_planted_twins_and_components(g):
+    want = all_mis_subsets(g)
+    report = enumerate_mis(g)
+    assert [s.mask for s in report.sets] == sorted(want, key=mask_indices)
+    assert report.count == len(want)
+    assert report.sizes_seen == Counter(m.bit_count() for m in want)
+    assert well_covered_bruteforce(g) is (len(report.sizes_seen) == 1)
+    # a capped run still emits true maximal independent sets, one per count
+    if len(want) > 1:
+        capped = enumerate_mis(g, max_sets=len(want) - 1)
+        assert capped.truncated and capped.count == len(want) - 1
+        assert {s.mask for s in capped.sets} <= want
+    # the components partition the vertices, and their induced subgraphs
+    # keep exactly the edges inside them
+    parts = connected_components(g)
+    assert sum(parts) == (1 << g.n) - 1
+    for part in parts:
+        sub = induced_subgraph(g, part)
+        keep = mask_indices(part)
+        for i, x in enumerate(keep):
+            assert mask_indices(sub.rows[i]) == [
+                j for j, y in enumerate(keep) if (g.rows[x] >> y) & 1
+            ]
+
+
+@pytest.mark.parametrize("expr", ["Z1024", "M2(Z4)", "Z8 x Z8", "Z2 x Z2 x Z2 x Z2 x Z2"])
+def test_mis_size_counts_match_networkx(expr):
+    nx = pytest.importorskip("networkx")
+    g = _graph(expr)
+    full = (1 << g.n) - 1
+    comp = nx.Graph()
+    comp.add_nodes_from(range(g.n))
+    for x, row in enumerate(g.rows):
+        later = (full ^ row) >> (x + 1) << (x + 1)
+        comp.add_edges_from((x, y) for y in mask_indices(later))
+    want = Counter(len(c) for c in nx.find_cliques(comp))
+    assert enumerate_mis(g, collect=False).sizes_seen == want
+
+
+@pytest.mark.parametrize("expr", ["Z4096", "M2(Z8)", " x ".join(["Z2"] * 12)])
+def test_well_covered_bruteforce_decides_large_structured_graphs(expr):
+    g = _graph(expr)
+    start = time.perf_counter()
+    assert well_covered_bruteforce(g) is True
+    assert time.perf_counter() - start < 1.0
+
+
+def test_cross_validate_decides_z2_to_the_sixth():
+    report = cross_validate(parse_ring_expr(" x ".join(["Z2"] * 6)), ("wc",))
+    assert report.observed == {"well_covered": True}
+    assert report.agreement is True

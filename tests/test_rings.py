@@ -6,6 +6,7 @@ import pytest
 
 from oracles import matrix_unit_count
 from unitgraphs import rings
+from unitgraphs.classify import classify_cm
 from unitgraphs.descriptors import D4, Cn, Gf, GroupAlgebra, Mat, Product, Q8, Zn, prime_power
 from unitgraphs.dsl import parse_ring_expr
 from unitgraphs.rings import (
@@ -298,6 +299,12 @@ def test_boolean_and_field_predicates():
     assert not is_field(build_ring(Mat(2, Gf(2))))
 
 
+def test_is_field_builds_no_table():
+    ring = rings.GfRing(Gf(4096))  # a fresh ring, not the interned one
+    assert is_field(ring)
+    assert "mul_table" not in vars(ring)
+
+
 def test_wedderburn_shape_examples():
     assert wedderburn_shape(Zn(12)) == ((1, 2), (1, 3))
     assert wedderburn_shape(Mat(2, Zn(4))) == ((2, 2),)
@@ -473,3 +480,24 @@ def test_cyclic_group_algebras_at_the_cap_realize_quickly():
         units, radical, quotient_units, form = _realize(build_ring(parse_ring_expr(expr)))
         assert time.monotonic() - start < 1.0, expr
         assert len(units) == len(quotient_units) * len(radical), expr
+
+
+def test_classify_cm_rule_matches_the_ring_predicates(catalog_descriptors):
+    exprs = [expr for expr, _ in catalog_descriptors] + list(LADDER_EXPRS)
+    for expr in exprs:
+        ring = build_ring(parse_ring_expr(expr))
+        boolean = is_boolean_ring(ring)
+        cm = boolean or (ring.characteristic == 2 and is_field(ring))
+        want = {"cm": cm, "shellable": cm, "gorenstein": boolean}
+        assert classify_cm(ring.descriptor) == want, expr
+        assert classify_cm(ring) == want, expr
+
+
+def test_classify_cm_needs_no_realization():
+    # 2^83 elements, far above every cap: the shape and the order decide
+    assert classify_cm(parse_ring_expr("GA(GF(2), C83)")) == {
+        "cm": False, "shellable": False, "gorenstein": False,
+    }
+    assert classify_cm(parse_ring_expr(f"GF({2**40})")) == {
+        "cm": True, "shellable": True, "gorenstein": False,
+    }

@@ -39,14 +39,8 @@ from .complexes import (
     is_shellable,
 )
 from .descriptors import RingDescriptor, descriptor_expr, descriptor_order
-from .graphs import (
-    DEFAULT_GRAPH_CAP,
-    GraphError,
-    build_graph,
-    connected_components,
-    induced_subgraph,
-)
-from .indsets import well_covered_bruteforce
+from .graphs import DEFAULT_GRAPH_CAP, GraphError, build_graph
+from .indsets import component_subgraphs, well_covered_bruteforce
 from .rings import Ring, build_ring, quotient_by_radical
 from .wedderburn import wedderburn_shape
 
@@ -75,17 +69,23 @@ def classify_cm(descriptor_or_ring: RingDescriptor | Ring) -> dict[str, bool]:
 
     Read from the shape of R/J(R) and |R|, without realizing R: R is
     Boolean iff every block is (1, 2) and |R| = 2^blocks, and a field iff
-    the shape is one block (1, q) and |R| = q (either way J(R) = 0)."""
-    descriptor = (
-        descriptor_or_ring.descriptor
-        if isinstance(descriptor_or_ring, Ring)
-        else descriptor_or_ring
-    )
+    the shape is one block (1, q) and |R| = q (either way J(R) = 0).  A
+    Ring is read through its descriptor, which has the shape of R/J(R)
+    also for a quotient R/J(R), and its own order."""
+    if isinstance(descriptor_or_ring, Ring):
+        descriptor = descriptor_or_ring.descriptor
+        ring_order = descriptor_or_ring.order
+
+        def has_order(order: int) -> bool:
+            return ring_order == order
+    else:
+        descriptor = descriptor_or_ring
+
+        def has_order(order: int) -> bool:
+            return descriptor_order(descriptor, order) == order
+
     shape = wedderburn_shape(descriptor)
     n, q = shape[0]
-
-    def has_order(order: int) -> bool:
-        return descriptor_order(descriptor, order) == order
 
     boolean = all(block == (1, 2) for block in shape) and has_order(2 ** len(shape))
     # q is a prime power: characteristic 2 iff q is a power of 2
@@ -171,13 +171,10 @@ def cross_validate(
     factors = None
     if graph is not None and any(c in checks for c in ("cm", "shellable", "gorenstein")):
         factors = []
-        deadline = time.monotonic() + time_budget
-        for part in connected_components(graph):
+        for part, left in component_subgraphs(graph, time_budget):
             try:
                 factors.append(independence_complex(
-                    induced_subgraph(graph, part),
-                    max_sets=max_sets,
-                    time_budget=deadline - time.monotonic(),
+                    part, max_sets=max_sets, time_budget=left
                 ))
             except BudgetExceeded:
                 factors.append(None)

@@ -56,22 +56,11 @@ class SimplicialComplex:
     __slots__ = ("vertex_count", "facets", "_incidence")
 
     def __init__(self, vertex_count: int, facet_masks):
-        masks = sorted(set(int(m) for m in facet_masks), key=int.bit_count, reverse=True)
+        masks = set(map(int, facet_masks))
         if masks and max(masks) >> vertex_count:
             raise ComplexError("facet has vertices outside the complex")
-        if masks and masks[0].bit_count() != masks[-1].bit_count():
-            masks = _maximal(masks, vertex_count)
-        self._set(vertex_count, masks)
-
-    @classmethod
-    def _of_maximal(cls, vertex_count: int, masks) -> "SimplicialComplex":
-        """A complex whose facet masks are already distinct and mutually
-        incomparable (links and cores of a complex)."""
-        c = cls.__new__(cls)
-        c._set(vertex_count, masks)
-        return c
-
-    def _set(self, vertex_count: int, masks) -> None:
+        if len(set(map(int.bit_count, masks))) > 1:
+            masks = _maximal(sorted(masks, key=int.bit_count, reverse=True), vertex_count)
         self.vertex_count = vertex_count
         self.facets = tuple(sorted(masks, key=mask_indices))
         self._incidence = None
@@ -147,6 +136,16 @@ def _incidence(facets, vertex_count: int) -> list[int]:
     return out
 
 
+def _containing(incidence: list[int], mask: int, within: int) -> int:
+    """The facets among within (a facet bitset) that contain mask: the
+    AND of the incidence of mask's vertices."""
+    while mask and within:
+        low = mask & -mask
+        within &= incidence[low.bit_length() - 1]
+        mask ^= low
+    return within
+
+
 def _maximal(masks: list[int], vertex_count: int) -> list[int]:
     """The masks not contained in another one, given distinct masks sorted
     by size, largest first.  A mask lies in a larger one iff the incidence
@@ -157,13 +156,7 @@ def _maximal(masks: list[int], vertex_count: int) -> list[int]:
     for j, m in enumerate(masks):
         if m.bit_count() != size:
             size, larger = m.bit_count(), (1 << j) - 1
-        common = larger
-        rest = m
-        while rest and common:
-            low = rest & -rest
-            common &= inc[low.bit_length() - 1]
-            rest ^= low
-        if not common:
+        if not _containing(inc, m, larger):
             kept.append(m)
     return kept
 
@@ -324,13 +317,8 @@ def link(c: SimplicialComplex, face_mask: int) -> SimplicialComplex:
     """link(sigma) = {tau : tau disjoint from sigma, tau + sigma a face}.
     Its facets come from the facets containing sigma: the AND of the
     incidence of sigma's vertices."""
-    containing = (1 << len(c.facets)) - 1
-    rest = face_mask
-    while rest and containing:
-        low = rest & -rest
-        containing &= c.incidence[low.bit_length() - 1]
-        rest ^= low
-    return SimplicialComplex._of_maximal(
+    containing = _containing(c.incidence, face_mask, (1 << len(c.facets)) - 1)
+    return SimplicialComplex(
         c.vertex_count, [c.facets[j] & ~face_mask for j in mask_indices(containing)]
     )
 
@@ -352,7 +340,7 @@ def is_gorenstein_gf2(c: SimplicialComplex, face_cap: int = DEFAULT_FACE_CAP) ->
     common = c.facets[0]
     for f in c.facets[1:]:
         common &= f
-    core = SimplicialComplex._of_maximal(c.vertex_count, [f & ~common for f in c.facets])
+    core = SimplicialComplex(c.vertex_count, [f & ~common for f in c.facets])
     return _every_link(core, face_cap, lambda top: top == 1)
 
 

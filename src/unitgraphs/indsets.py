@@ -240,6 +240,14 @@ def enumerate_mis(
     )
 
 
+def component_subgraphs(g: Graph, time_budget: float):
+    """The induced subgraph of each connected component, by least vertex,
+    with the seconds left of one time_budget that all of them share."""
+    deadline = time.monotonic() + time_budget
+    for part in connected_components(g):
+        yield induced_subgraph(g, part), deadline - time.monotonic()
+
+
 def well_covered_bruteforce(
     g: Graph,
     *,
@@ -254,14 +262,12 @@ def well_covered_bruteforce(
     Two sizes in any component decide False; a component whose search
     was capped leaves the verdict open unless another one decides False.
     """
-    deadline = time.monotonic() + time_budget
     verdict: bool | None = True
-    for part in connected_components(g):
-        left = deadline - time.monotonic()
+    for part, left in component_subgraphs(g, time_budget):
         if left <= 0:
             return None
         report = enumerate_mis(
-            induced_subgraph(g, part),
+            part,
             stop_mode="first_two_sizes",
             max_sets=max_sets,
             time_budget=left,

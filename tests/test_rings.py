@@ -483,14 +483,19 @@ def test_cyclic_group_algebras_at_the_cap_realize_quickly():
 
 
 def test_classify_cm_rule_matches_the_ring_predicates(catalog_descriptors):
+    def want(ring):
+        boolean = is_boolean_ring(ring)
+        cm = boolean or (ring.characteristic == 2 and is_field(ring))
+        return {"cm": cm, "shellable": cm, "gorenstein": boolean}
+
     exprs = [expr for expr, _ in catalog_descriptors] + list(LADDER_EXPRS)
     for expr in exprs:
         ring = build_ring(parse_ring_expr(expr))
-        boolean = is_boolean_ring(ring)
-        cm = boolean or (ring.characteristic == 2 and is_field(ring))
-        want = {"cm": cm, "shellable": cm, "gorenstein": boolean}
-        assert classify_cm(ring.descriptor) == want, expr
-        assert classify_cm(ring) == want, expr
+        assert classify_cm(ring.descriptor) == want(ring), expr
+        assert classify_cm(ring) == want(ring), expr
+        # R/J(R) keeps R's descriptor but has its own order
+        quotient = quotient_by_radical(ring)
+        assert classify_cm(quotient) == want(quotient), f"{expr} / J"
 
 
 def test_classify_cm_needs_no_realization():

@@ -1,4 +1,4 @@
-"""Build the three graph kinds on a few small rings and look around.
+"""Build the two graph kinds on a few small rings and look around.
 
 The unit graph joins x and y when x + y is invertible; the unitary
 Cayley graph uses x - y instead.  Over Z4 the two coincide (the residue
@@ -24,11 +24,6 @@ for expr in ("Z4", "Z5", "GF(4)", "Z2 x Z3"):
     degrees = [unit.degree(x) for x in range(ring.order)]
     print(f"  unit graph degrees {degrees}")
 
-print()
-print("generalized unit graph of a field is complete:")
-for q in (3, 4, 5):
-    g = build_graph(build_ring(parse_ring_expr(f"GF({q})")), "generalized")
-    print(f"  GF({q}): {g.edge_count()} edges of {q * (q - 1) // 2} possible")
 
 print()
 print("DOT output for the unit graph of Z2:")

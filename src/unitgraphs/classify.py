@@ -18,9 +18,10 @@ The classifiers work from structure alone:
 (set enumeration, GF(2) homology) and reports predictions, observations
 and their agreement.  The oracles split the unit graph into connected
 components and judge each component's independence complex, combining
-the verdicts by the join rule; every step reads only adjacency rows and
-facets, never the ring.  The classifiers never fall back to the oracle,
-so agreement remains evidence.
+the verdicts by the join rule (``join_factors``, ``join_verdicts``, also
+the path of the ``complex`` command); every step reads only adjacency
+rows and facets, never the ring.  The classifiers never fall back to
+the oracle, so agreement remains evidence.
 """
 
 from __future__ import annotations
@@ -40,7 +41,12 @@ from .complexes import (
 )
 from .descriptors import RingDescriptor, descriptor_expr, descriptor_order
 from .graphs import DEFAULT_GRAPH_CAP, GraphError, build_graph
-from .indsets import component_subgraphs, well_covered_bruteforce
+from .indsets import (
+    DEFAULT_MAX_SETS,
+    DEFAULT_TIME_BUDGET,
+    component_subgraphs,
+    well_covered_bruteforce,
+)
 from .rings import Ring, build_ring, quotient_by_radical
 from .wedderburn import wedderburn_shape
 
@@ -139,8 +145,8 @@ def cross_validate(
     graph_cap: int = DEFAULT_GRAPH_CAP,
     facet_cap: int = DEFAULT_FACET_CAP,
     face_cap: int = DEFAULT_FACE_CAP,
-    max_sets: int = 10**6,
-    time_budget: float = 60.0,
+    max_sets: int = DEFAULT_MAX_SETS,
+    time_budget: float = DEFAULT_TIME_BUDGET,
 ) -> ClassificationReport:
     """Run the classifiers and the oracles side by side.
 
@@ -166,41 +172,25 @@ def cross_validate(
             graph = build_graph(ring, "unit", cap=graph_cap)
         except GraphError:
             graph = None
-    # Ind(G1 + G2) is the join Ind(G1) * Ind(G2): one complex per
-    # component, None where its enumeration was truncated
     factors = None
     if graph is not None and any(c in checks for c in ("cm", "shellable", "gorenstein")):
-        factors = []
-        for part, left in component_subgraphs(graph, time_budget):
-            try:
-                factors.append(independence_complex(
-                    part, max_sets=max_sets, time_budget=left
-                ))
-            except BudgetExceeded:
-                factors.append(None)
-
+        factors = join_factors(graph, max_sets=max_sets, time_budget=time_budget)
+    verdicts = join_verdicts(
+        factors,
+        ["pure" if c == "wc" else CHECK_KEYS[c][1] for c in _CHECKS if c in checks],
+        facet_cap=facet_cap,
+        face_cap=face_cap,
+    )
     observed: dict[str, object] = {}
     if "wc" in checks:
-        if graph is None:
-            observed["well_covered"] = SKIPPED
-        else:
-            # well-covered iff the facets of every factor have one size
-            verdict = _join(factors, is_pure)
-            if verdict == SKIPPED:
-                verdict = well_covered_bruteforce(
-                    graph, max_sets=max_sets, time_budget=time_budget
-                )
-            observed["well_covered"] = SKIPPED if verdict is None else verdict
-    if "cm" in checks:
-        observed["cm_gf2"] = _join(factors, lambda c: is_cm_gf2(c, face_cap))
-    if "shellable" in checks:
-        observed["shellable"] = _join(
-            factors, lambda c: is_shellable(c, facet_cap=facet_cap)
-        )
-    if "gorenstein" in checks:
-        observed["gorenstein_gf2"] = _join(
-            factors, lambda c: is_gorenstein_gf2(c, face_cap)
-        )
+        # well-covered iff the facets of every factor have one size
+        verdict = verdicts.pop("pure")
+        if verdict == SKIPPED and graph is not None:
+            verdict = well_covered_bruteforce(
+                graph, max_sets=max_sets, time_budget=time_budget
+            )
+        observed["well_covered"] = SKIPPED if verdict is None else verdict
+    observed.update(verdicts)
     report.observed = observed
 
     comparisons = []
@@ -214,6 +204,31 @@ def cross_validate(
     report.agreement = all(comparisons) if comparisons else None
     report.runtime_ms = int((time.monotonic() - start) * 1000)
     return report
+
+
+def join_factors(graph, *, max_sets=DEFAULT_MAX_SETS, time_budget=DEFAULT_TIME_BUDGET):
+    """Ind(G1 + G2) is the join Ind(G1) * Ind(G2): the independence
+    complex of each connected component, None where its enumeration was
+    truncated.  max_sets caps each enumeration, time_budget all of them."""
+    factors = []
+    for part, left in component_subgraphs(graph, time_budget):
+        try:
+            factors.append(independence_complex(part, max_sets=max_sets, time_budget=left))
+        except BudgetExceeded:
+            factors.append(None)
+    return factors
+
+
+def join_verdicts(factors, keys, *, facet_cap=DEFAULT_FACET_CAP, face_cap=DEFAULT_FACE_CAP):
+    """The verdicts named by keys ("pure", "cm_gf2", "shellable",
+    "gorenstein_gf2") on the join of the factors, each by _join."""
+    oracles = {
+        "pure": is_pure,
+        "cm_gf2": lambda c: is_cm_gf2(c, face_cap),
+        "shellable": lambda c: is_shellable(c, facet_cap=facet_cap),
+        "gorenstein_gf2": lambda c: is_gorenstein_gf2(c, face_cap),
+    }
+    return {key: _join(factors, oracles[key]) for key in keys}
 
 
 def _join(factors, check):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from importlib import resources
@@ -23,17 +24,15 @@ from .classify import (
     SKIPPED,
     classify_well_covered,
     cross_validate,
+    join_factors,
+    join_verdicts,
     predict,
 )
 from .complexes import (
+    DEFAULT_FACE_CAP,
     BudgetExceeded,
     ComplexError,
     complex_from_json,
-    independence_complex,
-    is_cm_gf2,
-    is_gorenstein_gf2,
-    is_pure,
-    is_shellable,
 )
 from .constructions import (
     ConstructionError,
@@ -86,7 +85,7 @@ def _emit(args, ring_expr, command, result, truncated=False, start=None):
         print(json.dumps(payload))
 
 
-def _render_pretty(payload, indent=""):
+def _render_pretty(payload):
     print(f"ring:    {payload['ring']}")
     print(f"command: {payload['command']}")
     _render_value(payload["result"], "  ")
@@ -115,13 +114,11 @@ def _render_value(value, indent):
 
 
 def _is_flat(v):
-    if isinstance(v, list):
-        return all(
-            not isinstance(x, dict)
-            and (not isinstance(x, list) or all(not isinstance(y, (dict, list)) for y in x))
-            for x in v
-        )
-    return False
+    return all(
+        not isinstance(x, dict)
+        and (not isinstance(x, list) or all(not isinstance(y, (dict, list)) for y in x))
+        for x in v
+    )
 
 
 def _indices_arg(text: str, universe: int) -> VertexSet:
@@ -318,28 +315,28 @@ def _cmd_complex(args) -> int:
     start = time.monotonic()
     if args.facets_file:
         with open(args.facets_file, "rb") as fh:
-            complex_ = complex_from_json(fh.read())
+            factors = [complex_from_json(fh.read())]
         ring_expr = None
     else:
         if not args.ring:
             raise _CliError("a ring expression or --facets-file is required", EXIT_USAGE)
         descriptor = parse_ring_expr(args.ring)
-        ring = build_ring(descriptor)
-        complex_ = independence_complex(build_graph(ring, "unit"))
+        factors = join_factors(build_graph(build_ring(descriptor), "unit"))
+        if any(c is None for c in factors):
+            raise BudgetExceeded("a component's maximal independent sets were truncated")
         ring_expr = print_ring_expr(descriptor)
+    # the complex is the join of the factors
     result: dict[str, object] = {
-        "facets": len(complex_.facets),
-        "dimension": complex_.dimension,
+        "facets": math.prod(len(c.facets) for c in factors),
+        "dimension": sum(c.dimension + 1 for c in factors) - 1,
     }
-    if args.pure:
-        result["pure"] = is_pure(complex_)
-    if args.shellable:
-        verdict = is_shellable(complex_, facet_cap=args.facet_cap)
-        result["shellable"] = "undecided" if verdict is None else verdict
-    if args.cm:
-        result["cm_gf2"] = is_cm_gf2(complex_)
-    if args.gorenstein:
-        result["gorenstein_gf2"] = is_gorenstein_gf2(complex_)
+    flags = {"pure": args.pure, "shellable": args.shellable,
+             "cm_gf2": args.cm, "gorenstein_gf2": args.gorenstein}
+    wanted = [key for key, on in flags.items() if on]
+    for key, verdict in join_verdicts(factors, wanted, facet_cap=args.facet_cap).items():
+        if verdict == SKIPPED and key != "shellable":
+            raise BudgetExceeded(f"{key}: a factor has more than {DEFAULT_FACE_CAP} faces")
+        result[key] = "undecided" if verdict == SKIPPED else verdict
     _emit(args, ring_expr, "complex", result, start=start)
     return EXIT_OK
 
@@ -465,13 +462,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="emit a graph in DOT or JSON form")
     add_common(p)
-    p.add_argument("--kind", choices=["unit", "cayley", "generalized"], default="unit")
+    p.add_argument("--kind", choices=["unit", "cayley"], default="unit")
     p.add_argument("--format", choices=["dot", "json"], default="json")
     p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser("mis", help="enumerate maximal independent sets")
     add_common(p)
-    p.add_argument("--kind", choices=["unit", "cayley", "generalized"], default="unit")
+    p.add_argument("--kind", choices=["unit", "cayley"], default="unit")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--list", action="store_true", help="include the sets")
     group.add_argument("--sizes", action="store_true", help="sizes summary (default)")

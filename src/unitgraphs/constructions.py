@@ -491,8 +491,12 @@ def two_size_witnesses(
         ],
         form.quotient.order,
     )
-    unit_lift = lift_unit_mis_reps(ring, sig_quotient, verify=verify)
-    nonunit_lift = lift_nonunit_mis(ring, zero_quotient, verify=verify)
+    # both sets are checked once, in R: R/J(R) would need a second graph
+    unit_lift = lift_unit_mis_reps(ring, sig_quotient, verify=False)
+    nonunit_lift = lift_nonunit_mis(ring, zero_quotient, verify=False)
+    if verify:
+        _require_mis(ring, unit_lift, "the lifted signature set")
+        _require_mis(ring, nonunit_lift, "the lifted zero-first-row set")
     expected_sig = 1
     for n, _ in form.blocks:
         expected_sig *= 2**n

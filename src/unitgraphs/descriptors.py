@@ -30,6 +30,11 @@ class CapExceeded(RingError):
     """A configured size cap was exceeded."""
 
 
+# Entries kept by each lru_cache of the package (rings, quotients, forms,
+# graphs, moduli), so that a long-running process stays bounded.
+CACHE_SIZE = 32
+
+
 # ---------------------------------------------------------------------------
 # small integer utilities
 # ---------------------------------------------------------------------------

@@ -21,24 +21,13 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .descriptors import factorize, prime_power
+from .descriptors import CACHE_SIZE, factorize, prime_power
 
 
 def _trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
 
 
 def poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -83,7 +72,7 @@ def _is_irreducible(f: list[int], p: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     """Monic irreducible of degree k over GF(p) with lexicographically
     smallest low-first coefficient tuple (a_0, ..., a_{k-1}).

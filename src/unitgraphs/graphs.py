@@ -1,12 +1,9 @@
 """Graphs on the elements of a realized ring.
 
-Three kinds are supported, all simple and undirected:
+Two kinds are supported, both simple and undirected:
 
-* unit:        x ~ y  iff  x != y and x + y is a unit,
-* cayley:      x ~ y  iff  x != y and x - y is a unit,
-* generalized: x ~ y  iff  x != y and x + u*y is a unit for some unit u
-               (decided by direct search over the units; offered for
-               brute-force exploration only).
+* unit:   x ~ y  iff  x != y and x + y is a unit,
+* cayley: x ~ y  iff  x != y and x - y is a unit.
 
 Adjacency is stored as one bitmask row per vertex, which keeps
 256-vertex rings cheap and makes independence tests single AND
@@ -20,6 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .descriptors import CACHE_SIZE
 from .rings import (
     Ring,
     VertexSet,
@@ -31,7 +29,7 @@ from .rings import (
 
 DEFAULT_GRAPH_CAP = 4096
 
-KINDS = ("unit", "cayley", "generalized")
+KINDS = ("unit", "cayley")
 
 
 class GraphError(Exception):
@@ -90,11 +88,12 @@ class Graph:
         return f"<Graph {self.kind}{src}: {self.n} vertices, {self.edge_count()} edges>"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def build_graph(ring: Ring, kind: str = "unit", cap: int = DEFAULT_GRAPH_CAP) -> Graph:
     """Build the graph of the given kind on ring's elements.
 
-    Rings are interned per descriptor, so repeated calls share one graph.
+    Rings are interned per descriptor (up to CACHE_SIZE of each), so
+    repeated calls share one graph.
     """
     if kind not in KINDS:
         raise GraphError(f"unknown graph kind {kind!r}")
@@ -103,24 +102,13 @@ def build_graph(ring: Ring, kind: str = "unit", cap: int = DEFAULT_GRAPH_CAP) ->
         raise GraphError(f"ring order {n} exceeds the graph cap {cap}")
     units = ring.unit_set.bools()
     idx = np.arange(n)
-    if kind == "generalized":
-        unit_list = np.array(ring.unit_set.indices(), dtype=np.int64)
-        adj = np.zeros((n, n), dtype=bool)
-        for y in range(n):
-            uy = np.unique(ring.mul_many(unit_list, y))
-            adj[:, y] = units[ring.add_many(idx[:, None], uy)].any(axis=1)
-        np.fill_diagonal(adj, False)
-        if not np.array_equal(adj, adj.T):
-            raise GraphError("generalized adjacency came out asymmetric")
-        rows = [_bools_to_mask(adj[x]) for x in range(n)]
-    else:
-        # x + y for the unit graph, x - y for the unitary Cayley graph
-        others = idx if kind == "unit" else ring.neg_many(idx)
-        rows = []
-        for x in range(n):
-            bits = units[ring.add_many(x, others)]
-            bits[x] = False
-            rows.append(_bools_to_mask(bits))
+    # x + y for the unit graph, x - y for the unitary Cayley graph
+    others = idx if kind == "unit" else ring.neg_many(idx)
+    rows = []
+    for x in range(n):
+        bits = units[ring.add_many(x, others)]
+        bits[x] = False
+        rows.append(_bools_to_mask(bits))
     return Graph(n, kind, rows, ring_expr=ring.expr)
 
 

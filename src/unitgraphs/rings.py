@@ -50,6 +50,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .descriptors import (
+    CACHE_SIZE,
     Block,
     CapExceeded,
     Cn,
@@ -620,8 +621,6 @@ class GroupAlgebraRing(PositionalRing):
         return "+".join(terms) if terms else "0"
 
     def _element_names(self) -> list[str]:
-        from .descriptors import Cn
-
         n = self.gorder
         if isinstance(self.descriptor.group, Cn):
             return ["e"] + [f"g^{i}" if i > 1 else "g" for i in range(1, n)]
@@ -633,7 +632,7 @@ class GroupAlgebraRing(PositionalRing):
 # construction
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _build_ring_cached(descriptor: RingDescriptor) -> Ring:
     if isinstance(descriptor, Zn):
         return ZnRing(descriptor)
@@ -828,7 +827,7 @@ class QuotientRing(Ring):
         return self.parent.element_repr(self.representatives[x]) + "~"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def quotient_by_radical(ring: Ring) -> QuotientRing:
     """Quotient of a ring by its Jacobson radical; interned per ring so
     repeated lifts share one quotient (and one cached quotient graph)."""

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .descriptors import Block, Product, RingDescriptor, semisimple_blocks
+from .descriptors import CACHE_SIZE, Block, Product, RingDescriptor, semisimple_blocks
 from .rings import (
     HARD_ORDER_CAP,
     Ring,
@@ -79,6 +79,6 @@ class SemisimpleForm:
         return int(self.from_quotient[quotient_index])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def semisimple_form(ring: Ring) -> SemisimpleForm:
     return SemisimpleForm(ring)

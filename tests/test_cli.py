@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,9 +8,13 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import unitgraphs
 from unitgraphs import cli
+from unitgraphs.descriptors import CACHE_SIZE
+from unitgraphs.graphs import build_graph
 from unitgraphs.cli import (
     EXIT_CAP,
     EXIT_DISAGREEMENT,
@@ -83,6 +89,7 @@ BAD_INPUTS = {
     "facets-huge-vertex": ["complex", "--facets-file", "FILE_HUGE_VERTEX", "--cm"],
     "facets-boolean-vertex": ["complex", "--facets-file", "FILE_BOOL_VERTEX"],
     "nested-800-deep": ["info", "M1(" * 800 + "Z2" + ")" * 800],
+    "generalized-kind": ["graph", "Z4", "--kind", "generalized"],
     "13-digit-cyclic-group": ["wellcovered", "GA(GF(2), C1000000000000)"],
     "13-digit-cyclic-group-classify": [
         "wellcovered", "GA(GF(2), C1000000000000)", "--method", "classify"
@@ -106,6 +113,44 @@ def test_bad_inputs_exit_without_traceback(tmp_path, capsys, argv):
     assert code in (EXIT_USAGE, EXIT_CAP), err
     assert "Traceback" not in err
     assert err.strip()
+
+
+# ring expressions from the grammar in dsl.py, small enough to realize in
+# milliseconds or to stop at a cap, with bad tokens spliced in
+_NAT = st.integers(2, 20).map(str) | st.sampled_from(["0", "1", "6", "4097", "9" * 14])
+_Q = st.sampled_from(["2", "3", "4", "5", "7", "8", "9", "16"]) | _NAT
+_FIELD = st.builds("GF({})".format, _Q) | st.builds("Z{}".format, _NAT)
+_GROUP = st.builds("C{}".format, _NAT) | st.sampled_from(["D4", "Q8", "D5", "Q"])
+_ATOM = (
+    st.builds("Z{}".format, _NAT)
+    | st.builds("GF({})".format, _Q)
+    | st.builds("GA({}, {})".format, _FIELD, _GROUP)
+)
+_RING = st.recursive(
+    _ATOM,
+    lambda inner: (
+        st.builds("M{}({})".format, st.integers(0, 3), inner)
+        | st.lists(inner, min_size=2, max_size=3).map(" x ".join)
+        | inner.map("({})".format)
+    ),
+    max_leaves=4,
+)
+_BAD_TOKENS = st.just("") | st.sampled_from(
+    ["(", ")", ",", " x ", "x", "GF(", "M", "-1", "\u00b2", "\x00", "Z2Z"]
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_RING, _BAD_TOKENS, st.integers(0, 40))
+def test_generated_ring_expressions_exit_cleanly(expr, bad, at):
+    expr = expr[:at] + bad + expr[at:]
+    for argv in (["info", expr], ["classify", expr],
+                 ["wellcovered", expr, "--method", "classify"]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_CAP), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue(), argv
 
 
 def test_unexpected_exception_exits_internal(monkeypatch, capsys):
@@ -260,6 +305,12 @@ def test_complex_command(capsys):
     assert result["pure"] is True
     assert result["shellable"] is False
     assert result["cm_gf2"] is False
+    # M2(Z4): one component, 24 facets of 64 vertices; caps still exit 3 or
+    # leave shellability undecided
+    code, out, err = run(capsys, "complex", "M2(Z4)", "--cm")
+    assert code == EXIT_CAP and "faces" in err
+    payload = run_json(capsys, "complex", "M2(Z4)", "--shellable")
+    assert payload["result"] == {"facets": 24, "dimension": 63, "shellable": "undecided"}
 
 
 def test_complex_facets_file(tmp_path, capsys):
@@ -278,6 +329,15 @@ def test_verify_shipped_catalog(capsys):
     payload = json.loads(out)
     assert payload["result"]["disagreements"] == 0
     assert len(payload["result"]["entries"]) >= 30
+
+
+def test_caches_stay_bounded_over_a_long_catalog(tmp_path, capsys):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps([{"ring": f"Z{n}"} for n in range(2, CACHE_SIZE + 10)]))
+    code, out, err = run(capsys, "verify", "--catalog", str(path))
+    assert code == EXIT_OK, err
+    assert len(json.loads(out)["result"]["entries"]) > CACHE_SIZE
+    assert build_graph.cache_info().currsize <= CACHE_SIZE
 
 
 def test_verify_flags_disagreement(tmp_path, capsys):

@@ -22,6 +22,7 @@ from unitgraphs.complexes import (
     link,
     reduced_homology_gf2,
 )
+from unitgraphs import cli
 from unitgraphs.classify import cross_validate
 from unitgraphs.dsl import parse_ring_expr
 from unitgraphs.graphs import Graph, build_graph, connected_components
@@ -309,7 +310,7 @@ def test_prechecks_decide_before_listing_faces(monkeypatch):
     assert is_gorenstein_gf2(not_pure) is False
 
 
-def test_join_rule_matches_the_whole_complex(catalog_descriptors):
+def test_join_rule_matches_the_whole_complex(catalog_descriptors, capsys):
     checks = ("wc", "cm", "shellable", "gorenstein")
     for expr, descriptor in catalog_descriptors:
         ring = build_ring(descriptor)
@@ -317,15 +318,22 @@ def test_join_rule_matches_the_whole_complex(catalog_descriptors):
             continue
         whole = independence_complex(build_graph(ring))
         observed = cross_validate(descriptor, checks, facet_cap=20).observed
-        assert observed["well_covered"] == is_pure(whole), expr
+        assert cli.main(["complex", expr, "--pure", "--shellable", "--cm",
+                         "--gorenstein", "--facet-cap", "20"]) == 0, expr
+        shown = json.loads(capsys.readouterr().out)["result"]
+        assert shown["facets"] == len(whole.facets), expr
+        assert shown["dimension"] == whole.dimension, expr
+        assert observed["well_covered"] == shown["pure"] == is_pure(whole), expr
         cm = _plain_cm(whole)
-        assert observed["cm_gf2"] == cm, expr
-        assert observed["gorenstein_gf2"] == _plain_gorenstein(whole), expr
+        assert observed["cm_gf2"] == shown["cm_gf2"] == cm, expr
+        gorenstein = _plain_gorenstein(whole)
+        assert observed["gorenstein_gf2"] == shown["gorenstein_gf2"] == gorenstein, expr
         shellable = is_shellable(whole, facet_cap=20)
         if shellable is not None:
-            assert observed["shellable"] == shellable, expr
+            assert observed["shellable"] == shown["shellable"] == shellable, expr
         else:  # too many facets to search whole; shellable implies CM
             assert cm or observed["shellable"] is not True, expr
+            assert cm or shown["shellable"] is not True, expr
 
 
 def test_empty_graph_gives_the_empty_face_and_true_verdicts():
@@ -338,10 +346,19 @@ def test_empty_graph_gives_the_empty_face_and_true_verdicts():
     assert is_shellable(c) is True
 
 
-def test_join_decides_boolean_rings():
-    # Z2^5: 16 components K2, a join of 16 copies of S^0 (2^16 facets whole)
-    report = cross_validate(parse_ring_expr(" x ".join(["Z2"] * 5)),
-                            ("wc", "cm", "shellable", "gorenstein"))
+def test_join_decides_boolean_rings(capsys):
+    # Z2^5: 16 components K2, a join of 16 copies of S^0 (2^16 facets whole,
+    # more faces than the face cap)
+    expr = " x ".join(["Z2"] * 5)
+    report = cross_validate(parse_ring_expr(expr), ("wc", "cm", "shellable", "gorenstein"))
     assert report.observed == {
         "well_covered": True, "cm_gf2": True, "shellable": True, "gorenstein_gf2": True,
+    }
+    start = time.monotonic()
+    code = cli.main(["complex", expr, "--pure", "--shellable", "--cm", "--gorenstein"])
+    assert time.monotonic() - start < 1.0
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["result"] == {
+        "facets": 65536, "dimension": 15,
+        "pure": True, "shellable": True, "cm_gf2": True, "gorenstein_gf2": True,
     }

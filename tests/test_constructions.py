@@ -3,6 +3,7 @@ import random
 import pytest
 
 from oracles import all_mis_subsets
+from unitgraphs import constructions
 from unitgraphs.constructions import (
     ConstructionError,
     lift_nonunit_mis,
@@ -347,6 +348,23 @@ def test_two_size_witnesses_require_two_a_unit():
         two_size_witnesses(_ring("Z4"))
     with pytest.raises(ConstructionError):
         two_size_witnesses(_ring("Z6"))
+
+
+def test_two_size_witnesses_certify_their_output(monkeypatch):
+    real = constructions.zero_first_row_set
+
+    def short(n, q, verify=True):
+        full = real(n, q, verify=False)
+        # odd size still, and still independent, but no longer maximal
+        return VertexSet.from_indices(full.indices()[2:], full.universe)
+
+    ring = _ring("M2(GF(3))")
+    build_graph.cache_clear()
+    two_size_witnesses(ring)
+    assert build_graph.cache_info().misses == 1  # R/J(R) = R needs no second graph
+    monkeypatch.setattr(constructions, "zero_first_row_set", short)
+    with pytest.raises(ConstructionError, match="not a maximal independent set"):
+        two_size_witnesses(ring)
 
 
 def test_lifted_sizes_relate_to_radical():

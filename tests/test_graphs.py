@@ -93,23 +93,6 @@ def test_adjacency_descends_to_quotient_when_two_is_nonunit(catalog_descriptors)
                     assert adj == bool((gq.rows[xq] >> yq) & 1), expr
 
 
-def test_generalized_unit_graph_of_field_is_complete():
-    for q in (2, 3, 4, 5, 8, 9):
-        g = build_graph(build_ring(Gf(q)), "generalized")
-        assert g.edge_count() == q * (q - 1) // 2, q
-
-
-def test_generalized_contains_unit_and_cayley():
-    for expr in ("Z4", "Z6", "Z2 x Z3", "M2(GF(2))"):
-        ring = build_ring(parse_ring_expr(expr))
-        gu = build_graph(ring, "unit")
-        gc = build_graph(ring, "cayley")
-        gg = build_graph(ring, "generalized")
-        for x in range(ring.order):
-            assert gu.rows[x] & ~gg.rows[x] == 0, expr
-            assert gc.rows[x] & ~gg.rows[x] == 0, expr
-
-
 def test_dot_export_k2():
     dot = graph_to_dot(build_graph(build_ring(Zn(2))))
     edge_lines = [line for line in dot.splitlines() if "--" in line]

@@ -245,10 +245,13 @@ def is_shellable(
     """True/False when decided; None when a budget was exceeded.
 
     Non-pure complexes are immediately False (only pure shellability is
-    implemented).
+    implemented).  A pure complex of dimension at most 0 is True without a
+    search: any order of its points is a shelling.
     """
     if not is_pure(c):
         return False
+    if c.dimension <= 0:
+        return True
     try:
         return find_shelling(c, facet_cap=facet_cap, node_cap=node_cap) is not None
     except BudgetExceeded:

@@ -8,12 +8,25 @@ Two kinds are supported, both simple and undirected:
 Adjacency is stored as one bitmask row per vertex, which keeps
 256-vertex rings cheap and makes independence tests single AND
 operations.
+
+Every row is a translate of the unit set U.  ``build_graph`` asks the
+ring for ``T = ring.translates(U)``, where T[x] is the bitmask of x + U,
+and reads both graphs off it:
+
+* cayley: row x is T[x].  x - y is a unit iff y lies in x - U = x + U,
+  since U = -U; and x is not in x + U, since 0 is not a unit.
+* unit:   row x is T[-x] without bit x.  x + y is a unit iff y lies in
+  -x + U; x itself is in it exactly when 2x is a unit.
+
+``edges()`` and ``validate()`` unpack the rows into 0/1 blocks of
+BITS_BLOCK entries and read them with numpy.
 """
 
 from __future__ import annotations
 
 import json
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -22,14 +35,17 @@ from .rings import (
     Ring,
     VertexSet,
     _bits_to_masks,
-    _bools_to_mask,
     _masks_to_bits,
+    _row_chunks,
     mask_indices,
 )
 
 DEFAULT_GRAPH_CAP = 4096
 
 KINDS = ("unit", "cayley")
+# Entries of the 0/1 adjacency matrix unpacked at a time by edges() and
+# validate(): 1 MiB of uint8.
+BITS_BLOCK = 1 << 20
 
 
 class GraphError(Exception):
@@ -56,11 +72,19 @@ class Graph:
 
     def validate(self) -> None:
         """Full symmetry check (builders are symmetric by construction;
-        imported graphs and tests call this explicitly)."""
-        for x in range(self.n):
-            for y in VertexSet(self.rows[x], self.n):
-                if not (self.rows[y] >> x) & 1:
-                    raise GraphError(f"adjacency is not symmetric at ({x}, {y})")
+        imported graphs and tests call this explicitly).  Names the first
+        asymmetric (x, y) in row-major order."""
+        n = self.n
+        for rows in _row_chunks(n, BITS_BLOCK):
+            # rows lo.. of the matrix against its columns lo.., transposed
+            mine = _masks_to_bits(self.rows[rows], n)
+            lo, width = rows.start, len(mine)
+            strip = (1 << width) - 1
+            theirs = _masks_to_bits([(r >> lo) & strip for r in self.rows], width)
+            xs, ys = np.nonzero(mine > theirs.T)
+            if len(xs):
+                x, y = lo + int(xs[0]), int(ys[0])
+                raise GraphError(f"adjacency is not symmetric at ({x}, {y})")
 
     def degree(self, x: int) -> int:
         return self.rows[x].bit_count()
@@ -69,15 +93,14 @@ class Graph:
         return VertexSet(self.rows[x], self.n)
 
     def edges(self) -> list[tuple[int, int]]:
+        """The edges (x, y) with x < y, in row-major order.  Endpoints are
+        shared int objects, which keeps a dense edge list compact."""
+        labels = list(range(self.n))
         out = []
-        for x in range(self.n):
-            row = self.rows[x] >> (x + 1)
-            y = x + 1
-            while row:
-                if row & 1:
-                    out.append((x, y))
-                row >>= 1
-                y += 1
+        for rows in _row_chunks(self.n, BITS_BLOCK):
+            for x, row in zip(labels[rows], _masks_to_bits(self.rows[rows], self.n)):
+                ys = np.flatnonzero(row[x + 1 :]) + (x + 1)
+                out.extend(zip(repeat(x), map(labels.__getitem__, ys.tolist())))
         return out
 
     def edge_count(self) -> int:
@@ -100,15 +123,10 @@ def build_graph(ring: Ring, kind: str = "unit", cap: int = DEFAULT_GRAPH_CAP) ->
     n = ring.order
     if n > cap:
         raise GraphError(f"ring order {n} exceeds the graph cap {cap}")
-    units = ring.unit_set.bools()
-    idx = np.arange(n)
-    # x + y for the unit graph, x - y for the unitary Cayley graph
-    others = idx if kind == "unit" else ring.neg_many(idx)
-    rows = []
-    for x in range(n):
-        bits = units[ring.add_many(x, others)]
-        bits[x] = False
-        rows.append(_bools_to_mask(bits))
+    rows = ring.translates(ring.unit_set.mask)
+    if kind == "unit":
+        negs = ring.neg_many(np.arange(n)).tolist()
+        rows = [rows[negs[x]] & ~(1 << x) for x in range(n)]
     return Graph(n, kind, rows, ring_expr=ring.expr)
 
 
@@ -161,7 +179,7 @@ def graph_to_dot(g: Graph) -> str:
 
 
 def graph_to_json(g: Graph) -> str:
-    payload = {"n": g.n, "kind": g.kind, "edges": [list(e) for e in g.edges()]}
+    payload = {"n": g.n, "kind": g.kind, "edges": g.edges()}  # tuples dump as arrays
     return json.dumps(payload)
 
 

@@ -24,6 +24,17 @@ rings call their base or factor kernels on decoded digits, and a
 quotient calls its parent's kernel on coset representatives and
 projects.
 
+``translates(S)`` lists the bitmask of x + S for every element x, which
+is all the graphs need (see ``graphs``).  A positional ring builds it
+from the digits: adding the element whose digit j is 1 and the others
+0, at place p and modulus m, maps S to ``((S & ~high) << p) | ((S &
+high) >> (m - 1) * p)``, where ``high`` marks the indices whose digit j
+is m - 1.  Once digits 0..j-1 are done the list holds the translates by
+0..p_j - 1, and digit j appends m_j - 1 shifted copies of its last p_j
+entries, so each row costs a few big-int operations.  A quotient, the
+one non-positional kind, scatters its own ``add_many`` sums in row
+chunks instead.
+
 ``semisimple_images(ring, xs)`` is the one elementwise map R -> R/J(R)
 = B_1 x ... x B_t (blocks as in ``descriptors.semisimple_blocks``); for
 GF(q)[C_n] it sends g to a root of x^m - 1 in GF(q^d), one block per
@@ -189,6 +200,11 @@ class Ring:
     def mul_many(self, xs, ys) -> np.ndarray:
         raise NotImplementedError
 
+    def translates(self, mask: int) -> list[int]:
+        """The bitmask of x + S for every element x in index order, S given
+        as a bitmask."""
+        raise NotImplementedError
+
     @cached_property
     def mul_table(self) -> np.ndarray:
         """Full multiplication table (uint16), up to DEFAULT_ORDER_CAP."""
@@ -302,6 +318,23 @@ class PositionalRing(Ring):
         out = 0
         for pl, m in zip(self._places, self._moduli):
             out = out + -(xs // pl) % m * pl
+        return out
+
+    # adding the element of index p (digit j one, the rest zero) moves each
+    # index up by p, except where digit j is m - 1 and wraps down to 0; the
+    # rows for x < p are known before digit j, and each further value of
+    # that digit shifts the previous p rows once more
+    def translates(self, mask: int) -> list[int]:
+        out = [mask]
+        for p, m in zip(self._places, self._moduli):
+            back = p * (m - 1)
+            # one block of p ones at the top of every period of p * m indices
+            repeats = ((1 << self.order) - 1) // ((1 << (p * m)) - 1)
+            high = (((1 << p) - 1) << back) * repeats
+            low = ~high
+            for i in range(back):
+                s = out[i]
+                out.append(((s & low) << p) | ((s & high) >> back))
         return out
 
 
@@ -672,9 +705,9 @@ def block_ring(block: Block) -> Ring:
     return build_ring(Gf(q) if n == 1 else Mat(n, Gf(q)), order_cap=HARD_ORDER_CAP)
 
 
-def _row_chunks(n: int) -> list[slice]:
-    """Row slices of an n x n computation, about CHUNK elements each."""
-    step = max(1, CHUNK // n)
+def _row_chunks(n: int, size: int = CHUNK) -> list[slice]:
+    """Row slices of an n x n computation, about size elements each."""
+    step = max(1, size // max(n, 1))
     return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
@@ -818,6 +851,18 @@ class QuotientRing(Ring):
 
     def mul_many(self, xs, ys) -> np.ndarray:
         return self._index_of[self.parent.mul_many(self._reps[xs], self._reps[ys])]
+
+    def translates(self, mask: int) -> list[int]:
+        n = self.order
+        members = np.array(mask_indices(mask), dtype=np.int64)
+        idx = np.arange(n)
+        out = []
+        for rows in _row_chunks(n):
+            sums = self.add_many(idx[rows, None], members)
+            bits = np.zeros((len(sums), n), dtype=np.uint8)
+            np.put_along_axis(bits, sums, 1, axis=1)
+            out.extend(_bits_to_masks(bits))
+        return out
 
     @property
     def expr(self) -> str:

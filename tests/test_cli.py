@@ -144,8 +144,11 @@ _BAD_TOKENS = st.just("") | st.sampled_from(
 @given(_RING, _BAD_TOKENS, st.integers(0, 40))
 def test_generated_ring_expressions_exit_cleanly(expr, bad, at):
     expr = expr[:at] + bad + expr[at:]
+    budget = ["--max-sets", "100", "--time-budget", "0.05"]
     for argv in (["info", expr], ["classify", expr],
-                 ["wellcovered", expr, "--method", "classify"]):
+                 ["wellcovered", expr, "--method", "classify"],
+                 ["mis", expr, "--count", *budget],
+                 ["wellcovered", expr, "--method", "brute", *budget]):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)
@@ -311,6 +314,9 @@ def test_complex_command(capsys):
     assert code == EXIT_CAP and "faces" in err
     payload = run_json(capsys, "complex", "M2(Z4)", "--shellable")
     assert payload["result"] == {"facets": 24, "dimension": 63, "shellable": "undecided"}
+    # GF(4096): K_4096, whose complex is 4096 points, shellable in any order
+    payload = run_json(capsys, "complex", "GF(4096)", "--shellable")
+    assert payload["result"] == {"facets": 4096, "dimension": 0, "shellable": True}
 
 
 def test_complex_facets_file(tmp_path, capsys):

@@ -22,7 +22,7 @@ from unitgraphs.complexes import (
     link,
     reduced_homology_gf2,
 )
-from unitgraphs import cli
+from unitgraphs import cli, complexes
 from unitgraphs.classify import cross_validate
 from unitgraphs.dsl import parse_ring_expr
 from unitgraphs.graphs import Graph, build_graph, connected_components
@@ -81,6 +81,16 @@ def test_shellability_budget_returns_undecided():
     c = _from_facets(20, facets)
     assert is_shellable(c, facet_cap=12) is None
     assert is_shellable(c, facet_cap=25) is True
+
+
+def test_points_are_shellable_without_a_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("shelling search reached")
+
+    monkeypatch.setattr(complexes, "find_shelling", refuse)
+    points = _from_facets(13, [[v] for v in range(13)])  # over the 12-facet cap
+    assert is_shellable(points) is True
+    assert is_shellable(_from_facets(0, [[]])) is True
 
 
 def test_homology_examples():

@@ -1,7 +1,9 @@
 import json
+import random
 
 import pytest
 
+from unitgraphs import rings
 from unitgraphs.descriptors import Gf, Mat, Zn
 from unitgraphs.dsl import parse_ring_expr
 from unitgraphs.graphs import (
@@ -32,6 +34,50 @@ def test_graph_is_loop_free_and_symmetric(catalog_descriptors):
         ring = build_ring(descriptor)
         for kind in ("unit", "cayley"):
             build_graph(ring, kind).validate()
+
+
+def _scalar_rows(ring, kind, xs):
+    """Rows of the graph straight from the definition: x + y for the unit
+    graph, x - y = x + (-y) for the Cayley graph."""
+    ys = range(ring.order)
+    others = ys if kind == "unit" else [ring.neg(y) for y in ys]
+    add, is_unit = ring.add, ring.is_unit
+    return [
+        sum(1 << y for y, o in zip(ys, others) if y != x and is_unit(add(x, o)))
+        for x in xs
+    ]
+
+
+def test_graph_rows_match_the_definition(catalog_descriptors):
+    for expr, descriptor in catalog_descriptors:
+        ring = build_ring(descriptor)
+        for r in (ring, quotient_by_radical(ring)):
+            for kind in ("unit", "cayley"):
+                assert list(build_graph(r, kind).rows) == _scalar_rows(
+                    r, kind, range(r.order)
+                ), (expr, r, kind)
+
+
+def test_graph_rows_at_the_cap_match_the_definition():
+    rng = random.Random(20261018)
+    for expr in ("Z4096", "M2(Z8)", "GF(4096)", "GA(GF(3), C7)", "Z9 x M2(Z4)"):
+        ring = build_ring(parse_ring_expr(expr))
+        xs = rng.sample(range(ring.order), 64)
+        for kind in ("unit", "cayley"):
+            rows = build_graph(ring, kind).rows
+            assert [rows[x] for x in xs] == _scalar_rows(ring, kind, xs), (expr, kind)
+
+
+def test_positional_graphs_never_call_add_many(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("add_many reached")
+
+    ring = build_ring(parse_ring_expr("M2(GF(7))"))
+    ring.unit_set  # the determinant adds through the base kernels
+    build_graph.cache_clear()
+    monkeypatch.setattr(rings.PositionalRing, "add_many", refuse)
+    for kind in ("unit", "cayley"):
+        assert build_graph(ring, kind).n == 2401
 
 
 def test_cayley_graph_is_unit_regular(catalog_descriptors):

@@ -57,6 +57,18 @@ def test_ring_axioms_hold_across_catalog(catalog_descriptors):
             assert mul(x, one) == x == mul(one, x)
 
 
+def test_translates_match_scalar_addition(catalog_descriptors):
+    rng = random.Random(20261018)
+    for expr, descriptor in catalog_descriptors:
+        ring = build_ring(descriptor)
+        for r in (ring, quotient_by_radical(ring)):
+            n = r.order
+            for mask in (r.unit_set.mask, rng.getrandbits(n)):
+                members = VertexSet(mask, n).indices()
+                want = [sum(1 << r.add(x, s) for s in members) for x in range(n)]
+                assert r.translates(mask) == want, (expr, r)
+
+
 def test_mul_table_matches_scalar_mul(catalog_descriptors):
     for expr, descriptor in catalog_descriptors:
         ring = build_ring(descriptor)

@@ -127,8 +127,6 @@ class ClassificationReport:
         }
 
 
-_CHECKS = ("wc", "cm", "shellable", "gorenstein")
-
 # predicted key -> observed key, per the report schema
 CHECK_KEYS = {
     "wc": ("well_covered", "well_covered"),
@@ -154,7 +152,7 @@ def cross_validate(
     disagreement.
     """
     for c in checks:
-        if c not in _CHECKS:
+        if c not in CHECK_KEYS:
             raise ValueError(f"unknown check {c!r}")
     start = time.monotonic()
     ring = build_ring(descriptor)
@@ -177,7 +175,7 @@ def cross_validate(
         factors = join_factors(graph, max_sets=max_sets, time_budget=time_budget)
     verdicts = join_verdicts(
         factors,
-        ["pure" if c == "wc" else CHECK_KEYS[c][1] for c in _CHECKS if c in checks],
+        ["pure" if c == "wc" else CHECK_KEYS[c][1] for c in CHECK_KEYS if c in checks],
         facet_cap=facet_cap,
         face_cap=face_cap,
     )

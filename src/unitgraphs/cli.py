@@ -443,6 +443,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seconds(text: str) -> float:
+    # nan and inf would switch the clock off
+    value = float(text)
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unitgraphs",
@@ -474,23 +482,23 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--sizes", action="store_true", help="sizes summary (default)")
     group.add_argument("--count", action="store_true", help="count only")
     p.add_argument("--max-sets", type=_positive_int, default=10**6)
-    p.add_argument("--time-budget", type=float, default=60.0)
+    p.add_argument("--time-budget", type=_seconds, default=60.0)
     p.set_defaults(func=_cmd_mis)
 
     p = sub.add_parser("wellcovered", help="decide well-coveredness")
     add_common(p)
     p.add_argument("--method", choices=["brute", "classify", "both"], default="both")
     p.add_argument("--max-sets", type=_positive_int, default=10**6)
-    p.add_argument("--time-budget", type=float, default=60.0)
+    p.add_argument("--time-budget", type=_seconds, default=60.0)
     p.set_defaults(func=_cmd_wellcovered)
 
     p = sub.add_parser("classify", help="well-covered / CM / shellable / Gorenstein")
     add_common(p)
     p.add_argument("--checks", default="wc,cm,shellable,gorenstein")
     p.add_argument("--cross-validate", action="store_true")
-    p.add_argument("--facet-cap", type=int, default=12)
+    p.add_argument("--facet-cap", type=_positive_int, default=12)
     p.add_argument("--max-sets", type=_positive_int, default=10**6)
-    p.add_argument("--time-budget", type=float, default=60.0)
+    p.add_argument("--time-budget", type=_seconds, default=60.0)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("construct", help="run one of the explicit constructions")
@@ -514,13 +522,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shellable", action="store_true")
     p.add_argument("--cm", action="store_true")
     p.add_argument("--gorenstein", action="store_true")
-    p.add_argument("--facet-cap", type=int, default=12)
+    p.add_argument("--facet-cap", type=_positive_int, default=12)
     p.set_defaults(func=_cmd_complex)
 
     p = sub.add_parser("verify", help="run the classification catalog")
     p.add_argument("--catalog", default=None, help="catalog JSON path (default: shipped)")
     p.add_argument("--pretty", action="store_true")
-    p.add_argument("--facet-cap", type=int, default=40)
+    p.add_argument("--facet-cap", type=_positive_int, default=40)
     p.set_defaults(func=_cmd_verify)
 
     return parser

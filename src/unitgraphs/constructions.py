@@ -459,8 +459,9 @@ def two_size_witnesses(
     Inside the semisimple quotient, the product of the blocks' signature
     sets is an all-unit maximal independent set of size prod 2^(n_i); the
     zero-first-row set of the leading block times the remaining blocks is
-    a non-unit one of odd size.  Both transport through the explicit
-    semisimple form and lift to the ring.
+    a non-unit one of odd size.  The quotient is indexed by the block
+    product, so both are quotient sets as they stand; both lift to the
+    ring.
     """
     two = ring.add(ring.one, ring.one)
     if not ring.is_unit(two):
@@ -476,7 +477,7 @@ def two_size_witnesses(
     ]
     sig_quotient = VertexSet.from_indices(
         [
-            form.quotient_index(form.encode_blocks(list(combo)))
+            form.quotient.encode_blocks(list(combo))
             for combo in itertools.product(*block_sign_sets)
         ],
         form.quotient.order,
@@ -485,7 +486,7 @@ def two_size_witnesses(
     rest = [range(r.order) for r in form.block_rings[1:]]
     zero_quotient = VertexSet.from_indices(
         [
-            form.quotient_index(form.encode_blocks([first, *others]))
+            form.quotient.encode_blocks([first, *others])
             for first in lead_zero_rows
             for others in itertools.product(*rest)
         ],

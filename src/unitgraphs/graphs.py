@@ -92,15 +92,21 @@ class Graph:
     def neighbors(self, x: int) -> VertexSet:
         return VertexSet(self.rows[x], self.n)
 
+    def _neighbors_above(self):
+        """(x, [y > x adjacent to x]) for every vertex x in order, unpacking
+        BITS_BLOCK entries of the adjacency matrix at a time."""
+        for rows in _row_chunks(self.n, BITS_BLOCK):
+            bits = _masks_to_bits(self.rows[rows], self.n)
+            for x, row in zip(range(rows.start, self.n), bits):
+                yield x, (np.flatnonzero(row[x + 1 :]) + (x + 1)).tolist()
+
     def edges(self) -> list[tuple[int, int]]:
         """The edges (x, y) with x < y, in row-major order.  Endpoints are
         shared int objects, which keeps a dense edge list compact."""
         labels = list(range(self.n))
         out = []
-        for rows in _row_chunks(self.n, BITS_BLOCK):
-            for x, row in zip(labels[rows], _masks_to_bits(self.rows[rows], self.n)):
-                ys = np.flatnonzero(row[x + 1 :]) + (x + 1)
-                out.extend(zip(repeat(x), map(labels.__getitem__, ys.tolist())))
+        for x, ys in self._neighbors_above():
+            out.extend(zip(repeat(labels[x]), map(labels.__getitem__, ys)))
         return out
 
     def edge_count(self) -> int:
@@ -168,19 +174,29 @@ def graphs_equal(g1: Graph, g2: Graph) -> bool:
 # export / import
 # ---------------------------------------------------------------------------
 
+# Both writers format one row of edges at a time, so no list of edge
+# tuples is built; the text equals the DOT listing and json.dumps of
+# {"n", "kind", "edges"} exactly.
+
 def graph_to_dot(g: Graph) -> str:
     lines = ["graph G {"]
     for v in range(g.n):
         lines.append(f"  {v};")
-    for a, b in g.edges():
-        lines.append(f"  {a} -- {b};")
+    for x, ys in g._neighbors_above():
+        if ys:
+            head = f"  {x} -- "
+            lines.append(head + f";\n{head}".join(map(str, ys)) + ";")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def graph_to_json(g: Graph) -> str:
-    payload = {"n": g.n, "kind": g.kind, "edges": g.edges()}  # tuples dump as arrays
-    return json.dumps(payload)
+    rows = []
+    for x, ys in g._neighbors_above():
+        if ys:
+            head = f"[{x}, "
+            rows.append(head + f"], {head}".join(map(str, ys)) + "]")
+    return f'{{"n": {g.n}, "kind": {json.dumps(g.kind)}, "edges": [{", ".join(rows)}]}}'
 
 
 def graph_from_json(text: str) -> Graph:

@@ -11,40 +11,39 @@ bit across runs:
 * Product       -- mixed radix over the factors, factor 0 least
                    significant,
 * GroupAlgebra  -- base-|F| digits of the coefficient vector, identity
-                   element of the group first.
+                   element of the group first,
+* R/J(R)        -- the block product of ``semisimple_blocks``, as a
+                   Product of GF(q) and M_n(GF(q)) (see QuotientRing).
 
 In every encoding the additive group is a direct sum of cyclic groups
-acting digit-wise.  Scalar ``add``/``neg``/``mul`` are the definitional
-operations that the tests compare everything else against.  Each ring
-kind also has one elementwise, broadcasting kernel ``mul_many(xs, ys)``
-on int64 index arrays, next to ``add_many``/``neg_many``, and all
-vectorized work is built from these: GF(q) multiplies through the
+acting digit-wise, so ``Ring`` itself holds the scalar ``add``/``neg``
+and the elementwise ``add_many``/``neg_many``.  Each ring kind adds a
+scalar ``mul`` and one broadcasting kernel ``mul_many(xs, ys)`` on int64
+index arrays.  Scalar ``add``/``neg``/``mul`` are the definitional
+operations that the tests compare everything else against.  All
+vectorized work is built from the kernels: GF(q) multiplies through the
 log/antilog tables of ``fields``, matrix, product and group-algebra
 rings call their base or factor kernels on decoded digits, and a
-quotient calls its parent's kernel on coset representatives and
-projects.
+quotient calls its block product's kernel.
 
 ``translates(S)`` lists the bitmask of x + S for every element x, which
-is all the graphs need (see ``graphs``).  A positional ring builds it
-from the digits: adding the element whose digit j is 1 and the others
-0, at place p and modulus m, maps S to ``((S & ~high) << p) | ((S &
-high) >> (m - 1) * p)``, where ``high`` marks the indices whose digit j
-is m - 1.  Once digits 0..j-1 are done the list holds the translates by
-0..p_j - 1, and digit j appends m_j - 1 shifted copies of its last p_j
-entries, so each row costs a few big-int operations.  A quotient, the
-one non-positional kind, scatters its own ``add_many`` sums in row
-chunks instead.
+is all the graphs need (see ``graphs``).  It is built from the digits:
+adding the element whose digit j is 1 and the others 0, at place p and
+modulus m, maps S to ``((S & ~high) << p) | ((S & high) >> (m - 1) *
+p)``, where ``high`` marks the indices whose digit j is m - 1.  Once
+digits 0..j-1 are done the list holds the translates by 0..p_j - 1, and
+digit j appends m_j - 1 shifted copies of its last p_j entries, so each
+row costs a few big-int operations.
 
 ``semisimple_images(ring, xs)`` is the one elementwise map R -> R/J(R)
 = B_1 x ... x B_t (blocks as in ``descriptors.semisimple_blocks``); for
 GF(q)[C_n] it sends g to a root of x^m - 1 in GF(q^d), one block per
 q-cyclotomic coset of Z/m.  Everything structural derives from it: the
-Jacobson radical is its kernel, the quotient's cosets are its fibres,
-``wedderburn`` builds the semisimple form from its image on coset
-representatives, and x is a unit iff every block image is a unit of its
-block (Lam, *A First Course in Noncommutative Rings*).  The leaves of
-that rule are GF(q) (nonzero) and matrices over a field (nonzero
-determinant, computed through the base kernels).
+Jacobson radical is its kernel, the quotient's cosets are its fibres
+and are indexed by its image, and x is a unit iff every block image is
+a unit of its block (Lam, *A First Course in Noncommutative Rings*).
+The leaves of that rule are GF(q) (nonzero) and matrices over a field
+(nonzero determinant, computed through the base kernels).
 
 ``mul_table`` is built from ``mul_many`` in row chunks and stored as
 uint16 (indices stay below HARD_ORDER_CAP = 2^16), up to
@@ -166,44 +165,83 @@ class VertexSet:
 class Ring:
     """Common interface of all realized rings.
 
-    Instances are immutable after construction and safe to share between
-    concurrent workers.
+    Addition is digit-wise in the ring's encoding, one cyclic digit of
+    modulus ``_moduli[j]`` at place ``_places[j]``; each kind supplies
+    its own ``mul`` and ``mul_many``.  Instances are immutable after
+    construction and safe to share between concurrent workers.
     """
 
     descriptor: RingDescriptor
     order: int
     zero: int = 0
     one: int
+    _moduli: tuple[int, ...]
+
+    def _init_positional(self, moduli) -> None:
+        self._moduli = tuple(int(m) for m in moduli)
+        places = []
+        acc = 1
+        for m in self._moduli:
+            places.append(acc)
+            acc *= m
+        self._places = tuple(places)
+        self._binary = set(self._moduli) == {2}
 
     # -- scalar arithmetic (definitional) -----------------------------------
 
     def add(self, x: int, y: int) -> int:
-        raise NotImplementedError
+        out = 0
+        for pl, m in zip(self._places, self._moduli):
+            out += ((x // pl + y // pl) % m) * pl
+        return out
 
     def neg(self, x: int) -> int:
-        raise NotImplementedError
-
-    def mul(self, x: int, y: int) -> int:
-        raise NotImplementedError
+        out = 0
+        for pl, m in zip(self._places, self._moduli):
+            out += (-(x // pl) % m) * pl
+        return out
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))
 
     # -- kernels: elementwise and broadcasting over int64 index arrays ------
 
+    # one digit at a time, so temporaries stay the size of the operands;
+    # when every digit is binary, addition is XOR and negation the identity
     def add_many(self, xs, ys) -> np.ndarray:
-        raise NotImplementedError
+        if self._binary:
+            return xs ^ ys
+        out = 0
+        for pl, m in zip(self._places, self._moduli):
+            out = out + (xs // pl + ys // pl) % m * pl
+        return out
 
     def neg_many(self, xs) -> np.ndarray:
-        raise NotImplementedError
+        if self._binary:
+            return xs
+        out = 0
+        for pl, m in zip(self._places, self._moduli):
+            out = out + -(xs // pl) % m * pl
+        return out
 
-    def mul_many(self, xs, ys) -> np.ndarray:
-        raise NotImplementedError
-
+    # adding the element of index p (digit j one, the rest zero) moves each
+    # index up by p, except where digit j is m - 1 and wraps down to 0; the
+    # rows for x < p are known before digit j, and each further value of
+    # that digit shifts the previous p rows once more
     def translates(self, mask: int) -> list[int]:
         """The bitmask of x + S for every element x in index order, S given
         as a bitmask."""
-        raise NotImplementedError
+        out = [mask]
+        for p, m in zip(self._places, self._moduli):
+            back = p * (m - 1)
+            # one block of p ones at the top of every period of p * m indices
+            repeats = ((1 << self.order) - 1) // ((1 << (p * m)) - 1)
+            high = (((1 << p) - 1) << back) * repeats
+            low = ~high
+            for i in range(back):
+                s = out[i]
+                out.append(((s & low) << p) | ((s & high) >> back))
+        return out
 
     @cached_property
     def mul_table(self) -> np.ndarray:
@@ -275,74 +313,11 @@ class Ring:
         return f"<{type(self).__name__} {self.expr} order={self.order}>"
 
 
-class PositionalRing(Ring):
-    """Ring whose addition is digit-wise in its canonical encoding."""
-
-    _moduli: tuple[int, ...]
-
-    def _init_positional(self, moduli) -> None:
-        self._moduli = tuple(int(m) for m in moduli)
-        places = []
-        acc = 1
-        for m in self._moduli:
-            places.append(acc)
-            acc *= m
-        self._places = tuple(places)
-        self._binary = set(self._moduli) == {2}
-
-    def add(self, x: int, y: int) -> int:
-        out = 0
-        for pl, m in zip(self._places, self._moduli):
-            out += ((x // pl + y // pl) % m) * pl
-        return out
-
-    def neg(self, x: int) -> int:
-        out = 0
-        for pl, m in zip(self._places, self._moduli):
-            out += (-(x // pl) % m) * pl
-        return out
-
-    # one digit at a time, so temporaries stay the size of the operands;
-    # when every digit is binary, addition is XOR and negation the identity
-    def add_many(self, xs, ys) -> np.ndarray:
-        if self._binary:
-            return xs ^ ys
-        out = 0
-        for pl, m in zip(self._places, self._moduli):
-            out = out + (xs // pl + ys // pl) % m * pl
-        return out
-
-    def neg_many(self, xs) -> np.ndarray:
-        if self._binary:
-            return xs
-        out = 0
-        for pl, m in zip(self._places, self._moduli):
-            out = out + -(xs // pl) % m * pl
-        return out
-
-    # adding the element of index p (digit j one, the rest zero) moves each
-    # index up by p, except where digit j is m - 1 and wraps down to 0; the
-    # rows for x < p are known before digit j, and each further value of
-    # that digit shifts the previous p rows once more
-    def translates(self, mask: int) -> list[int]:
-        out = [mask]
-        for p, m in zip(self._places, self._moduli):
-            back = p * (m - 1)
-            # one block of p ones at the top of every period of p * m indices
-            repeats = ((1 << self.order) - 1) // ((1 << (p * m)) - 1)
-            high = (((1 << p) - 1) << back) * repeats
-            low = ~high
-            for i in range(back):
-                s = out[i]
-                out.append(((s & low) << p) | ((s & high) >> back))
-        return out
-
-
 # ---------------------------------------------------------------------------
 # concrete ring kinds
 # ---------------------------------------------------------------------------
 
-class ZnRing(PositionalRing):
+class ZnRing(Ring):
     def __init__(self, descriptor: Zn):
         self.descriptor = descriptor
         self.order = descriptor.n
@@ -365,7 +340,7 @@ class ZnRing(PositionalRing):
         return GfField(self.order) if is_prime(self.order) else None
 
 
-class GfRing(PositionalRing):
+class GfRing(Ring):
     def __init__(self, descriptor: Gf):
         self.descriptor = descriptor
         self.field = GfField(descriptor.q)
@@ -404,7 +379,7 @@ class GfRing(PositionalRing):
         return "+".join(terms) if terms else "0"
 
 
-class MatRing(PositionalRing):
+class MatRing(Ring):
     def __init__(self, descriptor: Mat, base: Ring):
         self.descriptor = descriptor
         self.base = base
@@ -412,7 +387,7 @@ class MatRing(PositionalRing):
         self.order = base.order ** (self.k * self.k)
         moduli = []
         for _ in range(self.k * self.k):
-            moduli.extend(base._moduli if isinstance(base, PositionalRing) else [base.order])
+            moduli.extend(base._moduli)
         self._init_positional(moduli)
         ident = [[base.one if i == j else base.zero for j in range(self.k)]
                  for i in range(self.k)]
@@ -490,7 +465,7 @@ class MatRing(PositionalRing):
         return f"[{body}]"
 
 
-class ProductRing(PositionalRing):
+class ProductRing(Ring):
     def __init__(self, descriptor: Product, factors: list[Ring]):
         self.descriptor = descriptor
         self.factors = tuple(factors)
@@ -502,7 +477,7 @@ class ProductRing(PositionalRing):
         self._strides = tuple(strides)
         moduli = []
         for f in factors:
-            moduli.extend(f._moduli if isinstance(f, PositionalRing) else [f.order])
+            moduli.extend(f._moduli)
         self._init_positional(moduli)
         self.one = self.encode_components([f.one for f in factors])
 
@@ -543,7 +518,7 @@ class ProductRing(PositionalRing):
         return "(" + ", ".join(parts) + ")"
 
 
-class GroupAlgebraRing(PositionalRing):
+class GroupAlgebraRing(Ring):
     def __init__(self, descriptor: GroupAlgebra, coeffs: GfRing):
         self.descriptor = descriptor
         self.coeffs = coeffs  # the coefficient field as a ring, for its kernels
@@ -754,7 +729,7 @@ def semisimple_images(ring: Ring, xs) -> list[np.ndarray]:
     odd characteristic, whose algebras exceed the default cap."""
     xs = np.asarray(xs, dtype=np.int64)
     if isinstance(ring, QuotientRing):
-        return semisimple_images(ring.parent, ring._reps[xs])
+        return semisimple_images(ring.canonical_ring, xs)
     if isinstance(ring, ZnRing):
         return [xs % p for p, _ in factorize(ring.order)]
     if isinstance(ring, GfRing):
@@ -793,76 +768,58 @@ def semisimple_images(ring: Ring, xs) -> list[np.ndarray]:
 
 
 class QuotientRing(Ring):
-    """The quotient of a ring by its Jacobson radical.
+    """The quotient of a ring by its Jacobson radical, indexed as the block
+    product ``canonical_ring`` = B_1 x ... x B_t of ``semisimple_blocks``.
 
-    Elements are indexed 0..m-1 in increasing order of their canonical
-    coset representative (the smallest parent index in the coset), and
-    ``representatives[i]`` maps back to the parent.  The cosets are the
-    fibres of ``semisimple_images``, labelled in one ``np.unique`` over
-    the block images; units are the elements whose representatives'
-    images are units of every block.  ``block_keys[i]`` is element i's
-    image as one index of the block product, in ``Product``'s mixed
-    radix (block 0 least significant).
+    Element k is the coset whose ``semisimple_images`` are the block
+    components of k in ``Product``'s mixed radix, block 0 least
+    significant, so the quotient adds digit-wise like any ring here and
+    multiplies through the canonical ring's kernel.  ``project`` sends a
+    parent element to its coset and ``representatives[k]`` is the least
+    parent element of coset k.  For Z6 -> GF(2) x GF(3), x goes to
+    x % 2 + 2 * (x % 3), so the representatives are (0, 3, 4, 1, 2, 5).
     """
 
     def __init__(self, parent: Ring, radical: VertexSet):
         self.parent = parent
         self.descriptor = parent.descriptor
         self.radical = radical
+        blocks = semisimple_blocks(parent.descriptor)
+        if len(blocks) == 1:
+            self.canonical_ring = block_ring(blocks[0])
+        else:
+            self.canonical_ring = build_ring(
+                Product(tuple(block_ring(b).descriptor for b in blocks)),
+                order_cap=HARD_ORDER_CAP,
+            )
+        self.order = self.canonical_ring.order
+        self.one = self.canonical_ring.one
+        self._init_positional(self.canonical_ring._moduli)
         n = parent.order
-        key, stride = 0, 1
-        images = semisimple_images(parent, np.arange(n))
-        for (size, q), image in zip(semisimple_blocks(parent.descriptor), images):
-            key = key + stride * image
-            stride *= q ** (size * size)
-        _, first, label = np.unique(key, return_index=True, return_inverse=True)
-        self._reps = np.sort(first)
-        self.representatives = tuple(self._reps.tolist())
-        self.block_keys = key[self._reps]
-        self.order = len(self._reps)
-        if self.order * len(radical) != n:
+        self._keys = self.encode_blocks(semisimple_images(parent, np.arange(n)))
+        found, first = np.unique(self._keys, return_index=True)
+        if len(found) != self.order or self.order * len(radical) != n:
             raise RingError("radical cosets do not partition the ring")
-        # parent -> quotient: the rank of the least element of x's coset
-        self._index_of = np.searchsorted(self._reps, first[label.ravel()])
-        self.one = self.project(parent.one)
+        self.representatives = tuple(first.tolist())
+
+    def encode_blocks(self, values):
+        """Quotient index of block values (ints, or index arrays)."""
+        if isinstance(self.canonical_ring, ProductRing):
+            return self.canonical_ring.encode_components(values)
+        return values[0]
 
     def project(self, parent_index: int) -> int:
         """Quotient index of the coset containing a parent element."""
-        return int(self._index_of[parent_index])
-
-    def add(self, x: int, y: int) -> int:
-        return self.project(
-            self.parent.add(self.representatives[x], self.representatives[y])
-        )
-
-    def neg(self, x: int) -> int:
-        return self.project(self.parent.neg(self.representatives[x]))
+        return int(self._keys[parent_index])
 
     def mul(self, x: int, y: int) -> int:
-        return self.project(
-            self.parent.mul(self.representatives[x], self.representatives[y])
-        )
-
-    def add_many(self, xs, ys) -> np.ndarray:
-        return self._index_of[self.parent.add_many(self._reps[xs], self._reps[ys])]
-
-    def neg_many(self, xs) -> np.ndarray:
-        return self._index_of[self.parent.neg_many(self._reps[xs])]
+        return self.canonical_ring.mul(x, y)
 
     def mul_many(self, xs, ys) -> np.ndarray:
-        return self._index_of[self.parent.mul_many(self._reps[xs], self._reps[ys])]
+        return self.canonical_ring.mul_many(xs, ys)
 
-    def translates(self, mask: int) -> list[int]:
-        n = self.order
-        members = np.array(mask_indices(mask), dtype=np.int64)
-        idx = np.arange(n)
-        out = []
-        for rows in _row_chunks(n):
-            sums = self.add_many(idx[rows, None], members)
-            bits = np.zeros((len(sums), n), dtype=np.uint8)
-            np.put_along_axis(bits, sums, 1, axis=1)
-            out.extend(_bits_to_masks(bits))
-        return out
+    def _compute_units(self) -> int:
+        return self.canonical_ring.unit_set.mask
 
     @property
     def expr(self) -> str:

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 import unitgraphs
 from unitgraphs import cli
-from unitgraphs.descriptors import CACHE_SIZE
+from unitgraphs.descriptors import CACHE_SIZE, descriptor_order
+from unitgraphs.dsl import parse_ring_expr
 from unitgraphs.graphs import build_graph
 from unitgraphs.cli import (
     EXIT_CAP,
@@ -86,6 +87,10 @@ BAD_INPUTS = {
     "max-sets-negative": ["mis", "Z3", "--max-sets", "-1"],
     "max-sets-zero-wellcovered": ["wellcovered", "Z3", "--max-sets", "0"],
     "max-sets-negative-classify": ["classify", "Z3", "--cross-validate", "--max-sets", "-1"],
+    "time-budget-nan": ["mis", "Z3", "--time-budget", "nan"],
+    "time-budget-inf": ["wellcovered", "Z3", "--time-budget", "inf"],
+    "time-budget-negative": ["classify", "Z3", "--cross-validate", "--time-budget", "-1"],
+    "facet-cap-zero": ["complex", "Z4", "--cm", "--facet-cap", "0"],
     "facets-huge-vertex": ["complex", "--facets-file", "FILE_HUGE_VERTEX", "--cm"],
     "facets-boolean-vertex": ["complex", "--facets-file", "FILE_BOOL_VERTEX"],
     "nested-800-deep": ["info", "M1(" * 800 + "Z2" + ")" * 800],
@@ -140,15 +145,26 @@ _BAD_TOKENS = st.just("") | st.sampled_from(
 )
 
 
+COMPLEX_FUZZ_ORDER = 64
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_RING, _BAD_TOKENS, st.integers(0, 40))
 def test_generated_ring_expressions_exit_cleanly(expr, bad, at):
     expr = expr[:at] + bad + expr[at:]
     budget = ["--max-sets", "100", "--time-budget", "0.05"]
-    for argv in (["info", expr], ["classify", expr],
-                 ["wellcovered", expr, "--method", "classify"],
-                 ["mis", expr, "--count", *budget],
-                 ["wellcovered", expr, "--method", "brute", *budget]):
+    argvs = [["info", expr], ["classify", expr],
+             ["wellcovered", expr, "--method", "classify"],
+             ["mis", expr, "--count", *budget],
+             ["wellcovered", expr, "--method", "brute", *budget]]
+    # complex has no enumeration budget, so only small rings get it
+    try:
+        order = descriptor_order(parse_ring_expr(expr), COMPLEX_FUZZ_ORDER)
+    except ValueError:
+        order = None
+    if order is not None and order <= COMPLEX_FUZZ_ORDER:
+        argvs.append(["complex", expr, "--pure", "--cm", "--gorenstein", "--shellable"])
+    for argv in argvs:
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)

@@ -341,6 +341,10 @@ def test_two_size_witnesses_examples():
     assert (len(a9), len(b9)) == (2, 3)
     am, bm = two_size_witnesses(_ring("M2(GF(3))"))
     assert (len(am), len(bm)) == (4, 9)
+    # several blocks: sets built in the block product are quotient sets
+    for expr, sizes in (("Z15", (4, 5)), ("Z45", (4, 15)), ("GF(3) x M2(GF(3))", (8, 81))):
+        a, b = two_size_witnesses(_ring(expr))  # verified internally
+        assert (len(a), len(b)) == sizes, expr
 
 
 def test_two_size_witnesses_require_two_a_unit():

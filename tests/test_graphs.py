@@ -7,6 +7,7 @@ from unitgraphs import rings
 from unitgraphs.descriptors import Gf, Mat, Zn
 from unitgraphs.dsl import parse_ring_expr
 from unitgraphs.graphs import (
+    Graph,
     GraphError,
     build_graph,
     graph_from_json,
@@ -74,10 +75,29 @@ def test_positional_graphs_never_call_add_many(monkeypatch):
 
     ring = build_ring(parse_ring_expr("M2(GF(7))"))
     ring.unit_set  # the determinant adds through the base kernels
+    quot = quotient_by_radical(build_ring(parse_ring_expr("GA(GF(3), C7)")))
+    quot.unit_set  # the block map adds through the field kernels
     build_graph.cache_clear()
-    monkeypatch.setattr(rings.PositionalRing, "add_many", refuse)
-    for kind in ("unit", "cayley"):
-        assert build_graph(ring, kind).n == 2401
+    monkeypatch.setattr(rings.Ring, "add_many", refuse)
+    for r, n in ((ring, 2401), (quot, 2187)):
+        for kind in ("unit", "cayley"):
+            assert build_graph(r, kind).n == n
+
+
+def test_graph_export_matches_the_edge_list(catalog_descriptors):
+    # the writers format row by row; the text is that of the whole edge list
+    graphs = [Graph(3, "imported", [0, 0, 0])] + [
+        build_graph(build_ring(descriptor), kind)
+        for _, descriptor in catalog_descriptors
+        for kind in ("unit", "cayley")
+    ]
+    for g in graphs:
+        edges = g.edges()
+        payload = {"n": g.n, "kind": g.kind, "edges": edges}
+        assert graph_to_json(g) == json.dumps(payload), g
+        lines = ["graph G {", *(f"  {v};" for v in range(g.n))]
+        lines += [f"  {a} -- {b};" for a, b in edges] + ["}"]
+        assert graph_to_dot(g) == "\n".join(lines) + "\n", g
 
 
 def test_cayley_graph_is_unit_regular(catalog_descriptors):

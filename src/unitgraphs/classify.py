@@ -17,11 +17,12 @@ The classifiers work from structure alone:
 ``cross_validate`` runs the classifiers next to the independent oracles
 (set enumeration, GF(2) homology) and reports predictions, observations
 and their agreement.  The oracles split the unit graph into connected
-components and judge each component's independence complex, combining
-the verdicts by the join rule (``join_factors``, ``join_verdicts``, also
-the path of the ``complex`` command); every step reads only adjacency
-rows and facets, never the ring.  The classifiers never fall back to
-the oracle, so agreement remains evidence.
+components and search each one once, stopping at a second facet size
+(``join_factors``); the verdicts on the whole complex follow from the
+factors' by the join rule (``join_verdicts``, also the path of the
+``complex`` command).  Every step reads only adjacency rows and facets,
+never the ring.  The classifiers never fall back to the oracle, so
+agreement remains evidence.
 """
 
 from __future__ import annotations
@@ -30,22 +31,21 @@ import time
 from dataclasses import dataclass, field
 
 from .complexes import (
-    DEFAULT_FACE_CAP,
     DEFAULT_FACET_CAP,
     BudgetExceeded,
-    independence_complex,
+    SimplicialComplex,
     is_cm_gf2,
     is_gorenstein_gf2,
     is_pure,
     is_shellable,
 )
 from .descriptors import RingDescriptor, descriptor_expr, descriptor_order
-from .graphs import DEFAULT_GRAPH_CAP, GraphError, build_graph
+from .graphs import GraphError, build_graph
 from .indsets import (
     DEFAULT_MAX_SETS,
     DEFAULT_TIME_BUDGET,
     component_subgraphs,
-    well_covered_bruteforce,
+    enumerate_mis,
 )
 from .rings import Ring, build_ring, quotient_by_radical
 from .wedderburn import wedderburn_shape
@@ -140,9 +140,7 @@ def cross_validate(
     descriptor: RingDescriptor,
     checks=("wc",),
     *,
-    graph_cap: int = DEFAULT_GRAPH_CAP,
     facet_cap: int = DEFAULT_FACET_CAP,
-    face_cap: int = DEFAULT_FACE_CAP,
     max_sets: int = DEFAULT_MAX_SETS,
     time_budget: float = DEFAULT_TIME_BUDGET,
 ) -> ClassificationReport:
@@ -164,69 +162,66 @@ def cross_validate(
     )
     report.predicted = predict(descriptor)
 
-    graph = None
-    if set(checks):
-        try:
-            graph = build_graph(ring, "unit", cap=graph_cap)
-        except GraphError:
-            graph = None
     factors = None
-    if graph is not None and any(c in checks for c in ("cm", "shellable", "gorenstein")):
-        factors = join_factors(graph, max_sets=max_sets, time_budget=time_budget)
-    verdicts = join_verdicts(
-        factors,
-        ["pure" if c == "wc" else CHECK_KEYS[c][1] for c in CHECK_KEYS if c in checks],
-        facet_cap=facet_cap,
-        face_cap=face_cap,
+    if checks:
+        try:
+            graph = build_graph(ring, "unit")
+        except GraphError:  # over the graph cap: every verdict is skipped
+            pass
+        else:
+            factors = join_factors(graph, max_sets=max_sets, time_budget=time_budget)
+    report.observed = join_verdicts(
+        factors, [CHECK_KEYS[c][1] for c in CHECK_KEYS if c in checks], facet_cap=facet_cap
     )
-    observed: dict[str, object] = {}
-    if "wc" in checks:
-        # well-covered iff the facets of every factor have one size
-        verdict = verdicts.pop("pure")
-        if verdict == SKIPPED and graph is not None:
-            verdict = well_covered_bruteforce(
-                graph, max_sets=max_sets, time_budget=time_budget
-            )
-        observed["well_covered"] = SKIPPED if verdict is None else verdict
-    observed.update(verdicts)
-    report.observed = observed
 
     comparisons = []
     for check in checks:
         pred_key, obs_key = CHECK_KEYS[check]
-        pred = report.predicted[pred_key]
-        obs = observed.get(obs_key, SKIPPED)
-        if obs == SKIPPED:
-            continue
-        comparisons.append(pred == obs)
+        obs = report.observed[obs_key]
+        if obs != SKIPPED:
+            comparisons.append(report.predicted[pred_key] == obs)
     report.agreement = all(comparisons) if comparisons else None
     report.runtime_ms = int((time.monotonic() - start) * 1000)
     return report
 
 
 def join_factors(graph, *, max_sets=DEFAULT_MAX_SETS, time_budget=DEFAULT_TIME_BUDGET):
-    """Ind(G1 + G2) is the join Ind(G1) * Ind(G2): the independence
-    complex of each connected component, None where its enumeration was
-    truncated.  max_sets caps each enumeration, time_budget all of them."""
+    """Ind(G1 + G2) is the join Ind(G1) * Ind(G2).  One search per connected
+    component, stopped at a second facet size, gives its complex; None if
+    truncated; False if it met two sizes, which decides every verdict on
+    the join, so no later component is searched.  max_sets caps each
+    search, time_budget all of them."""
     factors = []
     for part, left in component_subgraphs(graph, time_budget):
-        try:
-            factors.append(independence_complex(part, max_sets=max_sets, time_budget=left))
-        except BudgetExceeded:
+        found = enumerate_mis(
+            part, stop_mode="first_two_sizes", max_sets=max_sets, time_budget=left
+        )
+        if found.well_covered is False:
+            return factors + [False]
+        if found.truncated:
             factors.append(None)
+        else:
+            factors.append(SimplicialComplex(part.n, [s.mask for s in found.sets]))
     return factors
 
 
-def join_verdicts(factors, keys, *, facet_cap=DEFAULT_FACET_CAP, face_cap=DEFAULT_FACE_CAP):
-    """The verdicts named by keys ("pure", "cm_gf2", "shellable",
-    "gorenstein_gf2") on the join of the factors, each by _join."""
+def join_verdicts(factors, keys, *, facet_cap=DEFAULT_FACET_CAP):
+    """The verdicts named by keys ("well_covered" = "pure", "cm_gf2",
+    "shellable", "gorenstein_gf2") on the join of the factors, by _join.
+    Gorenstein and pure shellable complexes are CM (Stanley, ch. II), so
+    CM False decides both without their walks."""
     oracles = {
+        "well_covered": is_pure,
         "pure": is_pure,
-        "cm_gf2": lambda c: is_cm_gf2(c, face_cap),
+        "cm_gf2": is_cm_gf2,
         "shellable": lambda c: is_shellable(c, facet_cap=facet_cap),
-        "gorenstein_gf2": lambda c: is_gorenstein_gf2(c, face_cap),
+        "gorenstein_gf2": is_gorenstein_gf2,
     }
-    return {key: _join(factors, oracles[key]) for key in keys}
+    verdicts = {}
+    for key in sorted(keys, key=lambda k: k != "cm_gf2"):  # CM first
+        implied = key in ("shellable", "gorenstein_gf2") and verdicts.get("cm_gf2") is False
+        verdicts[key] = False if implied else _join(factors, oracles[key])
+    return {key: verdicts[key] for key in keys}
 
 
 def _join(factors, check):
@@ -235,12 +230,15 @@ def _join(factors, check):
     ring being their tensor product (Stanley, Combinatorics and
     Commutative Algebra, ch. II); a join of pure shellable complexes is
     shellable, and each factor is the link of a facet of the others, so
-    it inherits shellability.  False if any factor is False, else
-    skipped if any is undecided (None) or hit a cap, else True."""
+    it inherits shellability.  False if any factor is False (not pure)
+    or fails the check, else skipped if any is undecided (None) or hit a
+    cap, else True."""
     if factors is None:
         return SKIPPED
     verdict = True
     for c in factors:
+        if c is False:  # not pure: no check holds
+            return False
         try:
             v = SKIPPED if c is None else check(c)
         except BudgetExceeded:

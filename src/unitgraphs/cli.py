@@ -24,7 +24,6 @@ from .classify import (
     SKIPPED,
     classify_well_covered,
     cross_validate,
-    join_factors,
     join_verdicts,
     predict,
 )
@@ -33,6 +32,7 @@ from .complexes import (
     BudgetExceeded,
     ComplexError,
     complex_from_json,
+    independence_complex,
 )
 from .constructions import (
     ConstructionError,
@@ -45,8 +45,8 @@ from .constructions import (
 )
 from .descriptors import DescriptorError, Gf, Mat
 from .dsl import RingExprError, parse_ring_expr, print_ring_expr
-from .graphs import GraphError, build_graph, graph_to_dot, graph_to_json
-from .indsets import enumerate_mis, well_covered_bruteforce
+from .graphs import GraphError, build_graph, dot_blocks, json_blocks
+from .indsets import component_subgraphs, enumerate_mis, well_covered_bruteforce
 from .rings import (
     CapExceeded,
     UnsupportedStructure,
@@ -156,10 +156,9 @@ def _cmd_graph(args) -> int:
     descriptor = parse_ring_expr(args.ring)
     ring = build_ring(descriptor)
     graph = build_graph(ring, args.kind)
-    if args.format == "dot":
-        sys.stdout.write(graph_to_dot(graph))
-    else:
-        print(graph_to_json(graph))
+    sys.stdout.writelines(dot_blocks(graph) if args.format == "dot" else json_blocks(graph))
+    if args.format == "json":
+        print()  # the JSON text ends its line
     return EXIT_OK
 
 
@@ -245,7 +244,8 @@ def _cmd_classify(args) -> int:
         result.pop("runtime_ms", None)
     else:
         result = {"predicted": predict(descriptor)}
-    _emit(args, print_ring_expr(descriptor), "classify", result, start=start)
+    truncated = SKIPPED in result.get("observed", {}).values()
+    _emit(args, print_ring_expr(descriptor), "classify", result, truncated, start)
     return EXIT_OK
 
 
@@ -321,9 +321,8 @@ def _cmd_complex(args) -> int:
         if not args.ring:
             raise _CliError("a ring expression or --facets-file is required", EXIT_USAGE)
         descriptor = parse_ring_expr(args.ring)
-        factors = join_factors(build_graph(build_ring(descriptor), "unit"))
-        if any(c is None for c in factors):
-            raise BudgetExceeded("a component's maximal independent sets were truncated")
+        parts = component_subgraphs(build_graph(build_ring(descriptor), "unit"))
+        factors = [independence_complex(part, time_budget=left) for part, left in parts]
         ring_expr = print_ring_expr(descriptor)
     # the complex is the join of the factors
     result: dict[str, object] = {

@@ -33,7 +33,6 @@ import numpy as np
 from .descriptors import CACHE_SIZE
 from .rings import (
     Ring,
-    VertexSet,
     _bits_to_masks,
     _masks_to_bits,
     _row_chunks,
@@ -88,9 +87,6 @@ class Graph:
 
     def degree(self, x: int) -> int:
         return self.rows[x].bit_count()
-
-    def neighbors(self, x: int) -> VertexSet:
-        return VertexSet(self.rows[x], self.n)
 
     def _neighbors_above(self):
         """(x, [y > x adjacent to x]) for every vertex x in order, unpacking
@@ -174,29 +170,36 @@ def graphs_equal(g1: Graph, g2: Graph) -> bool:
 # export / import
 # ---------------------------------------------------------------------------
 
-# Both writers format one row of edges at a time, so no list of edge
-# tuples is built; the text equals the DOT listing and json.dumps of
+# Both writers yield one row of edges at a time, which the CLI writes out
+# as it comes; joined, the blocks are the DOT listing and json.dumps of
 # {"n", "kind", "edges"} exactly.
 
-def graph_to_dot(g: Graph) -> str:
-    lines = ["graph G {"]
-    for v in range(g.n):
-        lines.append(f"  {v};")
+def dot_blocks(g: Graph):
+    yield "graph G {\n" + "".join(f"  {v};\n" for v in range(g.n))
     for x, ys in g._neighbors_above():
         if ys:
             head = f"  {x} -- "
-            lines.append(head + f";\n{head}".join(map(str, ys)) + ";")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            yield head + f";\n{head}".join(map(str, ys)) + ";\n"
+    yield "}\n"
 
 
-def graph_to_json(g: Graph) -> str:
-    rows = []
+def json_blocks(g: Graph):
+    yield f'{{"n": {g.n}, "kind": {json.dumps(g.kind)}, "edges": ['
+    sep = ""
     for x, ys in g._neighbors_above():
         if ys:
             head = f"[{x}, "
-            rows.append(head + f"], {head}".join(map(str, ys)) + "]")
-    return f'{{"n": {g.n}, "kind": {json.dumps(g.kind)}, "edges": [{", ".join(rows)}]}}'
+            yield sep + head + f"], {head}".join(map(str, ys)) + "]"
+            sep = ", "
+    yield "]}"
+
+
+def graph_to_dot(g: Graph) -> str:
+    return "".join(dot_blocks(g))
+
+
+def graph_to_json(g: Graph) -> str:
+    return "".join(json_blocks(g))
 
 
 def graph_from_json(text: str) -> Graph:

@@ -15,14 +15,14 @@ emitted set is expanded by its classes.  The expansion is one to one,
 so counts, sizes, the sorted family and the caps mean what they would
 on the whole graph; only the order of emission (and so the callback
 order, the witnesses and which sets a capped run keeps) follows the
-quotient.  ``well_covered_bruteforce`` also splits the graph into
-connected components and decides each on its own.  Both reductions read
-only adjacency rows.
+quotient.  ``component_subgraphs`` splits a graph into its connected
+components under one shared budget.  Both reductions read only rows.
 
 Limits are explicit: a cap on emitted sets, a wall-clock budget, and a
 stop mode.  ``first_two_sizes`` halts as soon as two distinct sizes have
-been seen; that mode decides well-coveredness early and makes local
-rings with huge complement cliques instant.  Hitting a cap is reported
+been seen; it is the one search per component of both
+``well_covered_bruteforce`` and ``classify.join_factors`` (which keeps a
+one-size component's sets as its complex).  Hitting a cap is reported
 in-band, never silently.
 """
 
@@ -240,7 +240,7 @@ def enumerate_mis(
     )
 
 
-def component_subgraphs(g: Graph, time_budget: float):
+def component_subgraphs(g: Graph, time_budget: float = DEFAULT_TIME_BUDGET):
     """The induced subgraph of each connected component, by least vertex,
     with the seconds left of one time_budget that all of them share."""
     deadline = time.monotonic() + time_budget

@@ -1,5 +1,8 @@
+import time
+
 import pytest
 
+from unitgraphs import classify
 from unitgraphs.classify import (
     SKIPPED,
     classify_cm,
@@ -17,7 +20,7 @@ from unitgraphs.descriptors import (
     semisimple_blocks,
 )
 from unitgraphs.dsl import parse_ring_expr
-from unitgraphs.graphs import build_graph
+from unitgraphs.graphs import build_graph, connected_components
 from unitgraphs.indsets import well_covered_bruteforce
 from unitgraphs.rings import build_ring, quotient_by_radical
 
@@ -155,6 +158,57 @@ def test_cross_validate_marks_skips_not_disagreements():
     report = cross_validate(parse_ring_expr("M2(GF(2))"), ("shellable",), facet_cap=30)
     assert report.observed["shellable"] is False
     assert report.agreement is True
+
+
+ALL_CHECKS = ("wc", "cm", "shellable", "gorenstein")
+
+
+def test_cross_validate_spends_one_budget():
+    # M2(GF(8)): 4096 vertices, one component whose search outlasts 2 s
+    start = time.monotonic()
+    report = cross_validate(parse_ring_expr("M2(GF(8))"), ALL_CHECKS, time_budget=2)
+    assert time.monotonic() - start < 3
+    assert set(report.observed.values()) == {SKIPPED}
+    assert report.agreement is None
+
+
+@pytest.mark.parametrize("expr", ["M2(GF(5))", "M2(GF(7))"])
+def test_cross_validate_stops_each_search_at_its_second_size(monkeypatch, expr):
+    runs = []
+    real = classify.enumerate_mis
+
+    def counting(g, on_set=None, **limits):
+        assert on_set is None
+        sizes = []
+        runs.append((limits["stop_mode"], sizes))
+        return real(g, lambda s: sizes.append(len(s)), **limits)
+
+    monkeypatch.setattr(classify, "enumerate_mis", counting)
+    start = time.monotonic()
+    report = cross_validate(parse_ring_expr(expr), ALL_CHECKS)
+    assert time.monotonic() - start < 2
+    assert report.observed == {
+        "well_covered": False, "cm_gf2": False, "shellable": False, "gorenstein_gf2": False,
+    }
+    assert report.agreement is True
+    graph = build_graph(build_ring(parse_ring_expr(expr)))
+    assert 1 <= len(runs) <= len(connected_components(graph))
+    stop_mode, sizes = runs[-1]
+    # the last search emitted one size until the set that ended it
+    assert stop_mode == "first_two_sizes"
+    assert len(set(sizes[:-1])) == 1 and sizes[-1] != sizes[0]
+
+
+def test_cm_false_decides_gorenstein_and_shellable():
+    # GF(8) x GF(8): 16 facets, over the 12-facet shelling cap, and not CM
+    report = cross_validate(parse_ring_expr("GF(8) x GF(8)"), ALL_CHECKS)
+    assert report.observed == {
+        "well_covered": True, "cm_gf2": False, "shellable": False, "gorenstein_gf2": False,
+    }
+    assert report.agreement is True
+    # without the CM check, shellability is left to its capped search
+    report = cross_validate(parse_ring_expr("GF(8) x GF(8)"), ("shellable",))
+    assert report.observed == {"shellable": SKIPPED}
 
 
 def test_report_serializes():

@@ -195,6 +195,33 @@ def test_graph_json_and_dot(capsys):
     assert "0 -- 1;" in out
 
 
+class _Chunks(io.StringIO):
+    """A stdout that records the size of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_graph_streams_its_rows(monkeypatch, fmt):
+    from unitgraphs.graphs import graph_to_dot, graph_to_json
+    from unitgraphs.rings import build_ring
+
+    out = _Chunks()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["graph", "GF(64)", "--format", fmt]) == EXIT_OK
+    g = build_graph(build_ring(parse_ring_expr("GF(64)")))
+    whole = graph_to_json(g) + "\n" if fmt == "json" else graph_to_dot(g)
+    assert out.getvalue() == whole
+    # K64: one write per row of edges, none holding the whole text
+    assert len(out.sizes) > 60 and max(out.sizes) < len(whole) / 20
+
+
 def test_graph_json_round_trips(capsys):
     from unitgraphs.graphs import graph_from_json, graphs_equal, build_graph
     from unitgraphs.rings import build_ring
@@ -267,6 +294,23 @@ def test_classify_predict_and_cross_validate(capsys):
     assert result["observed"]["cm_gf2"] is False
 
 
+def test_classify_envelope_is_truncated_when_a_verdict_is_skipped(capsys):
+    # M2(GF(8)): its one component's search outlasts the budget
+    start = time.monotonic()
+    payload = run_json(capsys, "classify", "M2(GF(8))", "--cross-validate",
+                       "--checks", "wc,cm", "--time-budget", "2")
+    assert time.monotonic() - start < 3
+    assert payload["result"]["observed"] == {"well_covered": "skipped", "cm_gf2": "skipped"}
+    assert payload["truncated"] is True
+    # GF(8) x GF(8): CM False decides shellability over the 12-facet cap
+    payload = run_json(capsys, "classify", "GF(8) x GF(8)", "--cross-validate")
+    assert payload["result"]["observed"] == {
+        "well_covered": True, "cm_gf2": False, "shellable": False, "gorenstein_gf2": False,
+    }
+    assert payload["truncated"] is False
+    assert run_json(capsys, "classify", "GF(8) x GF(8)")["truncated"] is False
+
+
 def test_construct_signature_and_zerorow(capsys):
     payload = run_json(capsys, "construct", "M2(GF(3))", "signature")
     assert payload["result"]["size"] == 4
@@ -333,6 +377,24 @@ def test_complex_command(capsys):
     # GF(4096): K_4096, whose complex is 4096 points, shellable in any order
     payload = run_json(capsys, "complex", "GF(4096)", "--shellable")
     assert payload["result"] == {"facets": 4096, "dimension": 0, "shellable": True}
+
+
+def test_complex_reads_shellability_off_cm(capsys):
+    # GF(8) x GF(8): 16 facets, over the 12-facet cap, and not CM
+    payload = run_json(capsys, "complex", "GF(8) x GF(8)", "--cm", "--shellable")
+    assert payload["result"] == {
+        "facets": 16, "dimension": 7, "shellable": False, "cm_gf2": False,
+    }
+    payload = run_json(capsys, "complex", "GF(8) x GF(8)", "--shellable")
+    assert payload["result"]["shellable"] == "undecided"
+
+
+def test_complex_exits_on_a_truncated_search(monkeypatch, capsys):
+    real = cli.component_subgraphs
+    monkeypatch.setattr(cli, "component_subgraphs", lambda g: real(g, 0.0))
+    code, out, err = run(capsys, "complex", "M2(GF(8))", "--pure")
+    assert code == EXIT_CAP and out == ""
+    assert "truncated" in err
 
 
 def test_complex_facets_file(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -23,7 +24,7 @@ from unitgraphs.complexes import (
     reduced_homology_gf2,
 )
 from unitgraphs import cli, complexes
-from unitgraphs.classify import cross_validate
+from unitgraphs.classify import cross_validate, join_factors, join_verdicts
 from unitgraphs.dsl import parse_ring_expr
 from unitgraphs.graphs import Graph, build_graph, connected_components
 from unitgraphs.rings import build_ring
@@ -344,6 +345,42 @@ def test_join_rule_matches_the_whole_complex(catalog_descriptors, capsys):
         else:  # too many facets to search whole; shellable implies CM
             assert cm or observed["shellable"] is not True, expr
             assert cm or shown["shellable"] is not True, expr
+
+
+def _random_graph(rng, n):
+    p = rng.random()
+    rows = [0] * n
+    for x in range(n):
+        for y in range(x + 1, n):
+            if rng.random() < p:
+                rows[x] |= 1 << y
+                rows[y] |= 1 << x
+    return Graph(n, "imported", rows)
+
+
+def test_join_verdicts_match_the_whole_complex_on_random_graphs():
+    keys = ["well_covered", "cm_gf2", "shellable", "gorenstein_gf2"]
+    rng = random.Random(17)
+    shapes = Counter()
+    for _ in range(200):
+        g = _random_graph(rng, rng.randint(0, 10))
+        factors = join_factors(g)
+        got = join_verdicts(factors, keys)
+        whole = independence_complex(g)
+        facets = whole.facet_lists()
+        assert got["well_covered"] == is_pure(whole), facets
+        assert got["cm_gf2"] == _plain_cm(whole), facets
+        assert got["gorenstein_gf2"] == _plain_gorenstein(whole), facets
+        shellable = is_shellable(whole)
+        if shellable is not None:  # then no factor has more facets than the cap
+            assert got["shellable"] == shellable, facets
+        assert None not in factors
+        # a False factor is the last, a component with two facet sizes
+        if False in factors:
+            assert factors.index(False) == len(factors) - 1
+            assert set(got.values()) == {False}, facets
+        shapes[False in factors, len(factors) > 1] += 1
+    assert all(shapes[key] for key in [(True, True), (True, False), (False, True)]), shapes
 
 
 def test_empty_graph_gives_the_empty_face_and_true_verdicts():

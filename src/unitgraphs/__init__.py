@@ -22,8 +22,6 @@ from .complexes import (
     ComplexError,
     SimplicialComplex,
     complex_from_json,
-    euler_characteristic_faces,
-    euler_characteristic_homology,
     facets_to_json,
     find_shelling,
     independence_complex,

@@ -53,6 +53,16 @@ from .wedderburn import wedderburn_shape
 SKIPPED = "skipped"
 
 
+class Skipped(str):
+    """A verdict that hit a cap: equal to SKIPPED and printed as it, and
+    keeping the message of the cap that fired in ``reason``."""
+
+    def __new__(cls, reason: str):
+        self = super().__new__(cls, SKIPPED)
+        self.reason = reason
+        return self
+
+
 def classify_well_covered(descriptor: RingDescriptor) -> bool:
     """True/False from the semisimple shape."""
     shape = wedderburn_shape(descriptor)
@@ -201,7 +211,7 @@ def join_factors(graph, *, max_sets=DEFAULT_MAX_SETS, time_budget=DEFAULT_TIME_B
         if found.truncated:
             factors.append(None)
         else:
-            factors.append(SimplicialComplex(part.n, [s.mask for s in found.sets]))
+            factors.append(SimplicialComplex(part.n, [s.mask for s in found.sets], graph=part))
     return factors
 
 
@@ -232,7 +242,7 @@ def _join(factors, check):
     shellable, and each factor is the link of a facet of the others, so
     it inherits shellability.  False if any factor is False (not pure)
     or fails the check, else skipped if any is undecided (None) or hit a
-    cap, else True."""
+    cap (the first cap hit, as a Skipped with its message), else True."""
     if factors is None:
         return SKIPPED
     verdict = True
@@ -241,10 +251,10 @@ def _join(factors, check):
             return False
         try:
             v = SKIPPED if c is None else check(c)
-        except BudgetExceeded:
-            v = SKIPPED
+        except BudgetExceeded as exc:
+            v = Skipped(str(exc))
         if v is False:
             return False
-        if v is None or v == SKIPPED:
-            verdict = SKIPPED
+        if verdict is True and v is not True:
+            verdict = SKIPPED if v is None else v
     return verdict

@@ -28,7 +28,6 @@ from .classify import (
     predict,
 )
 from .complexes import (
-    DEFAULT_FACE_CAP,
     BudgetExceeded,
     ComplexError,
     complex_from_json,
@@ -46,7 +45,13 @@ from .constructions import (
 from .descriptors import DescriptorError, Gf, Mat
 from .dsl import RingExprError, parse_ring_expr, print_ring_expr
 from .graphs import GraphError, build_graph, dot_blocks, json_blocks
-from .indsets import component_subgraphs, enumerate_mis, well_covered_bruteforce
+from .indsets import (
+    DEFAULT_MAX_SETS,
+    DEFAULT_TIME_BUDGET,
+    component_subgraphs,
+    enumerate_mis,
+    well_covered_bruteforce,
+)
 from .rings import (
     CapExceeded,
     UnsupportedStructure,
@@ -321,8 +326,11 @@ def _cmd_complex(args) -> int:
         if not args.ring:
             raise _CliError("a ring expression or --facets-file is required", EXIT_USAGE)
         descriptor = parse_ring_expr(args.ring)
-        parts = component_subgraphs(build_graph(build_ring(descriptor), "unit"))
-        factors = [independence_complex(part, time_budget=left) for part, left in parts]
+        graph = build_graph(build_ring(descriptor), "unit")
+        factors = [
+            independence_complex(part, max_sets=args.max_sets, time_budget=left)
+            for part, left in component_subgraphs(graph, args.time_budget)
+        ]
         ring_expr = print_ring_expr(descriptor)
     # the complex is the join of the factors
     result: dict[str, object] = {
@@ -333,8 +341,8 @@ def _cmd_complex(args) -> int:
              "cm_gf2": args.cm, "gorenstein_gf2": args.gorenstein}
     wanted = [key for key, on in flags.items() if on]
     for key, verdict in join_verdicts(factors, wanted, facet_cap=args.facet_cap).items():
-        if verdict == SKIPPED and key != "shellable":
-            raise BudgetExceeded(f"{key}: a factor has more than {DEFAULT_FACE_CAP} faces")
+        if verdict == SKIPPED and key != "shellable":  # only a cap skips these
+            raise BudgetExceeded(f"{key}: {verdict.reason}")
         result[key] = "undecided" if verdict == SKIPPED else verdict
     _emit(args, ring_expr, "complex", result, start=start)
     return EXIT_OK
@@ -480,15 +488,15 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--list", action="store_true", help="include the sets")
     group.add_argument("--sizes", action="store_true", help="sizes summary (default)")
     group.add_argument("--count", action="store_true", help="count only")
-    p.add_argument("--max-sets", type=_positive_int, default=10**6)
-    p.add_argument("--time-budget", type=_seconds, default=60.0)
+    p.add_argument("--max-sets", type=_positive_int, default=DEFAULT_MAX_SETS)
+    p.add_argument("--time-budget", type=_seconds, default=DEFAULT_TIME_BUDGET)
     p.set_defaults(func=_cmd_mis)
 
     p = sub.add_parser("wellcovered", help="decide well-coveredness")
     add_common(p)
     p.add_argument("--method", choices=["brute", "classify", "both"], default="both")
-    p.add_argument("--max-sets", type=_positive_int, default=10**6)
-    p.add_argument("--time-budget", type=_seconds, default=60.0)
+    p.add_argument("--max-sets", type=_positive_int, default=DEFAULT_MAX_SETS)
+    p.add_argument("--time-budget", type=_seconds, default=DEFAULT_TIME_BUDGET)
     p.set_defaults(func=_cmd_wellcovered)
 
     p = sub.add_parser("classify", help="well-covered / CM / shellable / Gorenstein")
@@ -496,8 +504,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checks", default="wc,cm,shellable,gorenstein")
     p.add_argument("--cross-validate", action="store_true")
     p.add_argument("--facet-cap", type=_positive_int, default=12)
-    p.add_argument("--max-sets", type=_positive_int, default=10**6)
-    p.add_argument("--time-budget", type=_seconds, default=60.0)
+    p.add_argument("--max-sets", type=_positive_int, default=DEFAULT_MAX_SETS)
+    p.add_argument("--time-budget", type=_seconds, default=DEFAULT_TIME_BUDGET)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("construct", help="run one of the explicit constructions")
@@ -522,6 +530,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cm", action="store_true")
     p.add_argument("--gorenstein", action="store_true")
     p.add_argument("--facet-cap", type=_positive_int, default=12)
+    p.add_argument("--max-sets", type=_positive_int, default=DEFAULT_MAX_SETS)
+    p.add_argument("--time-budget", type=_seconds, default=DEFAULT_TIME_BUDGET)
     p.set_defaults(func=_cmd_complex)
 
     p = sub.add_parser("verify", help="run the classification catalog")

@@ -1,8 +1,8 @@
 """Independence complexes and their combinatorial ring-theoretic tests.
 
-The independence complex of a graph has the independent sets as faces;
-its facets are the maximal independent sets.  On top of that this module
-decides, at desk scale:
+The independence complex Ind(G) of a graph has the independent sets as
+faces; its facets are the maximal independent sets.  On top of that this
+module decides, at desk scale:
 
 * purity (all facets one size),
 * pure shellability, by exhaustive search over facet orderings with the
@@ -11,11 +11,31 @@ decides, at desk scale:
 * Cohen-Macaulayness over GF(2), via vanishing of every face link's
   reduced homology below its dimension (Reisner's criterion),
 * the Gorenstein property over GF(2), via the same vanishing on the
-  core plus one-dimensional top homology of every core link; both run
-  one walk over the faces that computes each distinct link's homology
-  once.  Before any face is listed the walk rejects a complex that is
-  not pure, or that has dimension at least 1 and is disconnected: both
-  violate Reisner's criterion, so no verdict changes.
+  core plus one-dimensional top homology of every core link.
+
+Both criteria first reject, from the facets alone, a complex that is not
+pure, or that has dimension at least 1 and is disconnected: both violate
+Reisner's criterion.  Then the path depends on where the complex came
+from:
+
+* A complex built from a graph (``independence_complex``, or a factor of
+  ``classify.join_factors``) keeps that graph in its ``graph`` slot, and
+  the criterion recurses over vertex masks of the graph, never listing
+  the faces of the whole complex.  The link of a face sigma of Ind(G) is
+  Ind(G - N[sigma]) (Woodroofe, Proc. AMS 137, 2009), so every link is
+  named by a vertex mask.  A mask is split into the components of the
+  subgraph it induces (Ind of a disjoint union is the join of the parts'
+  complexes, and a join passes iff every part does); a component passes
+  iff its vertex links all pass with one dimension and its own reduced
+  homology vanishes below its dimension.  That homology is computed on
+  the fold: if N(u) is a subset of N(v) for u != v, then Ind(G) and
+  Ind(G - v) are homotopy equivalent (Engström, Europ. J. Combin. 29,
+  2008).  Folding keeps homology but not Cohen-Macaulayness, so the
+  links recurse on the unfolded graph.  The recursion reads only
+  adjacency rows.
+* A complex given by its facets alone (a facet file) takes one walk over
+  its faces that computes each distinct link's homology once.  It is
+  also the reference the graph recursion is tested against.
 
 Faces, facets and links are int bitmasks throughout, and so are the
 rows of the boundary matrices: the row of a face has bit i set for the
@@ -32,7 +52,7 @@ from __future__ import annotations
 
 import json
 
-from .graphs import Graph
+from .graphs import Graph, mask_components
 from .indsets import enumerate_mis
 from .rings import HARD_ORDER_CAP, _bits_to_masks, _masks_to_bits, mask_indices
 
@@ -51,18 +71,26 @@ class BudgetExceeded(ComplexError):
 
 class SimplicialComplex:
     """Facet-presented complex; facets are deduplicated, made mutually
-    incomparable, and sorted canonically at construction."""
+    incomparable, and sorted canonically at construction.
 
-    __slots__ = ("vertex_count", "facets", "_incidence")
+    ``graph`` is the graph G when the complex is Ind(G): the facets must
+    then be exactly its maximal independent sets, and the Cohen-Macaulay
+    and Gorenstein tests recurse on G instead of walking faces.  It is
+    None for a complex known only by its facets."""
 
-    def __init__(self, vertex_count: int, facet_masks):
+    __slots__ = ("vertex_count", "facets", "graph", "_incidence")
+
+    def __init__(self, vertex_count: int, facet_masks, graph: Graph | None = None):
         masks = set(map(int, facet_masks))
         if masks and max(masks) >> vertex_count:
             raise ComplexError("facet has vertices outside the complex")
+        if graph is not None and graph.n != vertex_count:
+            raise ComplexError("the graph and the complex have different vertex counts")
         if len(set(map(int.bit_count, masks))) > 1:
             masks = _maximal(sorted(masks, key=int.bit_count, reverse=True), vertex_count)
         self.vertex_count = vertex_count
         self.facets = tuple(sorted(masks, key=mask_indices))
+        self.graph = graph
         self._incidence = None
 
     @property
@@ -169,7 +197,7 @@ def independence_complex(g: Graph, **limits) -> SimplicialComplex:
             "maximal independent set enumeration was truncated "
             f"({report.stop_reason}); cannot build the full complex"
         )
-    return SimplicialComplex(g.n, [s.mask for s in report.sets])
+    return SimplicialComplex(g.n, [s.mask for s in report.sets], graph=g)
 
 
 def is_pure(c: SimplicialComplex) -> bool:
@@ -287,11 +315,17 @@ def reduced_homology_gf2(
     """
     if not c.facets:
         return []
+    return _homology(c._face_set(face_cap))
+
+
+def _homology(faces) -> list[int]:
+    """Ranks of reduced GF(2) homology in dimensions -1..dim of the
+    complex whose faces (the empty one included) are given."""
     # ranks do not depend on the order of faces, so they stay unsorted
     by_size: dict[int, list[int]] = {}
-    for f in c._face_set(face_cap):
+    for f in faces:
         by_size.setdefault(f.bit_count(), []).append(f)
-    dim = c.dimension
+    dim = max(by_size) - 1
     index_of = {s: {f: i for i, f in enumerate(fs)} for s, fs in by_size.items()}
     # boundary from size s to size s-1, for s = 1..dim+1: one int row per
     # face, bit i set for the i-th face one size down
@@ -331,33 +365,45 @@ def is_cm_gf2(c: SimplicialComplex, face_cap: int = DEFAULT_FACE_CAP) -> bool:
     homology below its own dimension."""
     if not c.facets:
         raise ComplexError("void complex has no Cohen-Macaulay verdict")
-    return _every_link(c, face_cap, lambda top: True)
+    return _reisner(c, 0, face_cap, lambda top: True)
 
 
 def is_gorenstein_gf2(c: SimplicialComplex, face_cap: int = DEFAULT_FACE_CAP) -> bool:
     """Gorenstein over GF(2): on the core (the restriction to vertices
     missing from at least one facet), every face link has vanishing
-    reduced homology below its dimension and rank exactly 1 on top."""
+    reduced homology below its dimension and rank exactly 1 on top.  The
+    vertices in every facet of Ind(G) are the isolated vertices of G."""
     if not c.facets:
         raise ComplexError("void complex has no Gorenstein verdict")
     common = c.facets[0]
     for f in c.facets[1:]:
         common &= f
-    core = SimplicialComplex(c.vertex_count, [f & ~common for f in c.facets])
-    return _every_link(core, face_cap, lambda top: top == 1)
+    return _reisner(c, common, face_cap, lambda top: top == 1)
+
+
+def _reisner(c: SimplicialComplex, cone: int, face_cap: int, top_ok) -> bool:
+    """Reisner's criterion, with the top rank accepted by top_ok, on c
+    with the vertices of cone (a set in every facet) deleted.
+
+    Two failures are read off the facets first: a complex whose links
+    all pass is pure, and the link of the empty face, the complex
+    itself, has H~_0 of rank (components - 1), which must vanish when
+    the dimension is at least 1.  Then a complex with a graph recurses
+    on it, and one without walks its faces."""
+    core = c
+    if cone:
+        core = SimplicialComplex(c.vertex_count, [f & ~cone for f in c.facets])
+    if not is_pure(core) or (core.dimension >= 1 and not _connected(core)):
+        return False
+    if c.graph is None:
+        return _every_link(core, face_cap, top_ok)
+    return _graph_reisner(c.graph.rows, ((1 << c.vertex_count) - 1) & ~cone, face_cap, top_ok)
 
 
 def _every_link(c: SimplicialComplex, face_cap: int, top_ok) -> bool:
     """Reisner's walk: every face link has vanishing reduced homology
     below its dimension and a top rank accepted by top_ok.  Homology is
-    computed once per distinct link.
-
-    Two failures of the criterion are read off the facets before any
-    face is listed: a complex whose links all pass is pure, and the link
-    of the empty face, the complex itself, has H~_0 of rank (components
-    - 1), which must vanish when the dimension is at least 1."""
-    if not is_pure(c) or (c.dimension >= 1 and not _connected(c)):
-        return False
+    computed once per distinct link."""
     cache: dict[tuple[int, ...], bool] = {}
     for sigma in c.faces(face_cap):
         lk = link(c, sigma)
@@ -390,20 +436,142 @@ def _connected(c: SimplicialComplex) -> bool:
     return reached == (1 << len(c.facets)) - 1
 
 
-def euler_characteristic_faces(c: SimplicialComplex, face_cap: int = DEFAULT_FACE_CAP) -> int:
-    """Reduced Euler characteristic from face counts (includes the empty
-    face with sign -1)."""
-    total = 0
-    for f in c.faces(face_cap):
-        total += -1 if f.bit_count() % 2 == 0 else 1
-    return total
+# ---------------------------------------------------------------------------
+# Reisner's criterion on a graph: the vertex-link recursion
+# ---------------------------------------------------------------------------
+
+def _graph_reisner(rows, mask: int, face_cap: int, top_ok) -> bool:
+    """Reisner's criterion on Ind(G[mask]), where rows are G's adjacency
+    rows, by recursion over vertex masks of G.
+
+    The link of a vertex v in Ind(H) is Ind(H - N[v]), so each link is
+    the complex of the subgraph induced on a smaller mask.  Ind of a
+    disjoint union is the join of the parts' complexes; a join passes
+    iff every part does, and has dimension sum(d_i + 1) - 1.  So only
+    connected masks are judged (``_judge_component``), and each one that
+    passes is memoized with its dimension.  A mask is reached only as a
+    link of a link of ... of the top, so the first one that fails fails
+    the top as well, and the verdict is False at once.
+
+    Each judged mask is a generator that yields the masks it needs a
+    dimension for; a loop over an explicit stack drives them, so a
+    descent as deep as the independence number costs no Python
+    recursion.  face_cap bounds each homology computation and the count
+    of distinct passing masks; reaching either raises BudgetExceeded."""
+    passed: dict[int, int] = {}
+    for top in mask_components(rows, mask):
+        stack = [(top, _judge_component(rows, top, face_cap, top_ok, passed))]
+        dim = None
+        while stack:
+            part, judge = stack[-1]
+            try:
+                needed = judge.send(dim)
+            except StopIteration as done:
+                dim = done.value
+                if dim is None:
+                    return False
+                passed[part] = dim
+                if len(passed) > face_cap:
+                    raise BudgetExceeded(
+                        f"Reisner's criterion visited more than {face_cap} distinct links"
+                    )
+                stack.pop()
+            else:
+                stack.append((needed, _judge_component(rows, needed, face_cap, top_ok, passed)))
+                dim = None
+    return True
 
 
-def euler_characteristic_homology(c: SimplicialComplex, face_cap: int = DEFAULT_FACE_CAP) -> int:
-    total = 0
-    for d, rank in enumerate(reduced_homology_gf2(c, face_cap), start=-1):
-        total += rank if d % 2 == 0 else -rank
-    return total
+def _judge_component(rows, part: int, face_cap: int, top_ok, passed: dict[int, int]):
+    """Generator judging Ind(G[part]) for a connected part: it yields each
+    component of a vertex link that is not in passed, is sent that
+    component's dimension, and returns the dimension of Ind(G[part]), or
+    None if the criterion fails there.
+
+    Vertex links come first: two of different dimensions mean the
+    complex is not pure.  Otherwise every facet is a vertex plus a facet
+    of that vertex's link, so the dimension is one more than theirs, and
+    the reduced homology of the complex, computed on its fold, must
+    vanish below it, with top_ok accepting the top rank."""
+    link_dim = None
+    for v in mask_indices(part):
+        dim = -1
+        for sub in mask_components(rows, part & ~(rows[v] | 1 << v)):
+            sub_dim = passed.get(sub)
+            if sub_dim is None:
+                sub_dim = yield sub
+            dim += sub_dim + 1
+        if link_dim is None:
+            link_dim = dim
+        elif dim != link_dim:
+            return None
+    dim = link_dim + 1
+    ranks = _folded_homology(rows, part, face_cap)
+    ranks += [0] * (dim + 2 - len(ranks))
+    if any(ranks[: dim + 1]) or not top_ok(ranks[dim + 1]):
+        return None
+    return dim
+
+
+def _fold(rows, mask: int) -> int:
+    """The mask left once no fold applies: if N(u) is a subset of N(v) in
+    G[mask] for u != v, delete v, which keeps the homotopy type of
+    Ind(G[mask]) (Engström 2008).  The v that u folds away are the
+    vertices other than u and its neighbours that are adjacent to every
+    neighbour of u; they are deleted together, since deleting one leaves
+    N(u) inside the neighbourhoods of the others."""
+    while True:
+        folded = mask
+        for u in mask_indices(mask):
+            low = 1 << u
+            if not folded & low:
+                continue
+            neighbours = rows[u] & folded
+            covering = folded & ~neighbours & ~low
+            while covering and neighbours:
+                w = neighbours & -neighbours
+                covering &= rows[w.bit_length() - 1]
+                neighbours ^= w
+            folded &= ~covering
+        if folded == mask:
+            return mask
+        mask = folded
+
+
+def _folded_homology(rows, mask: int, face_cap: int) -> list[int]:
+    """Ranks of the reduced GF(2) homology of Ind(G[mask]) in dimensions
+    -1, 0, ... (trailing zeros may be missing), computed on the fold one
+    component at a time.  Over a field the homology of a join is the
+    tensor product of the factors' shifted by one, so with entry i for
+    dimension i - 1 the rank lists multiply as polynomials."""
+    ranks = [1]  # {[]}, the unit of the join
+    for part in mask_components(rows, _fold(rows, mask)):
+        factor = _homology(_independent_sets(rows, part, face_cap))
+        product = [0] * (len(ranks) + len(factor) - 1)
+        for i, a in enumerate(ranks):
+            if a:
+                for j, b in enumerate(factor):
+                    product[i + j] += a * b
+        ranks = product
+    return ranks
+
+
+def _independent_sets(rows, mask: int, face_cap: int) -> list[int]:
+    """Every independent set of G[mask], the empty one included: each set
+    grows only by vertices above its largest one that no member is
+    adjacent to, so it is listed once."""
+    faces = []
+    todo = [(0, mask)]
+    while todo:
+        face, free = todo.pop()
+        faces.append(face)
+        if len(faces) > face_cap:
+            raise BudgetExceeded(f"complex has more than {face_cap} faces")
+        while free:
+            low = free & -free
+            free ^= low
+            todo.append((face | low, free & ~rows[low.bit_length() - 1]))
+    return faces
 
 
 # ---------------------------------------------------------------------------

@@ -133,17 +133,23 @@ def build_graph(ring: Ring, kind: str = "unit", cap: int = DEFAULT_GRAPH_CAP) ->
 
 
 def connected_components(g: Graph) -> list[int]:
-    """Vertex masks of the connected components, by least vertex.  A
-    breadth-first search over bitmask rows reads each row once."""
+    """Vertex masks of the connected components, by least vertex."""
+    return mask_components(g.rows, (1 << g.n) - 1)
+
+
+def mask_components(rows, mask: int) -> list[int]:
+    """Vertex masks of the connected components of the subgraph induced on
+    mask, by least vertex.  A breadth-first search over the bitmask rows
+    reads each row of mask once."""
     parts = []
-    left = (1 << g.n) - 1
+    left = mask
     while left:
         part = frontier = left & -left
         while frontier:
             reach = 0
             for v in mask_indices(frontier):
-                reach |= g.rows[v]
-            frontier = reach & ~part
+                reach |= rows[v]
+            frontier = reach & left & ~part
             part |= frontier
         parts.append(part)
         left ^= part

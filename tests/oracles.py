@@ -2,13 +2,17 @@
 
 These deliberately avoid the library's algorithms: independence is
 re-derived from adjacency rows, maximal independent sets come from a
-full 2^n subset sweep, and polynomial irreducibility is checked by
-enumerating factor pairs.  Library outputs are asserted against these.
+full 2^n subset sweep, polynomial irreducibility is checked by
+enumerating factor pairs, and the reduced Euler characteristic is
+counted both from faces and from homology ranks.  Library outputs are
+asserted against these.
 """
 
 from __future__ import annotations
 
 import itertools
+
+from unitgraphs.complexes import DEFAULT_FACE_CAP, reduced_homology_gf2
 
 
 def subset_is_independent(g, mask: int) -> bool:
@@ -74,3 +78,21 @@ def matrix_unit_count(n: int, q: int) -> int:
     for i in range(n):
         out *= q**n - q**i
     return out
+
+
+def euler_characteristic_faces(c, face_cap: int = DEFAULT_FACE_CAP) -> int:
+    """Reduced Euler characteristic from face counts (includes the empty
+    face with sign -1)."""
+    total = 0
+    for f in c.faces(face_cap):
+        total += -1 if f.bit_count() % 2 == 0 else 1
+    return total
+
+
+def euler_characteristic_homology(c, face_cap: int = DEFAULT_FACE_CAP) -> int:
+    """Reduced Euler characteristic as the alternating sum of the reduced
+    GF(2) homology ranks."""
+    total = 0
+    for d, rank in enumerate(reduced_homology_gf2(c, face_cap), start=-1):
+        total += rank if d % 2 == 0 else -rank
+    return total

@@ -9,11 +9,14 @@ import random
 import time
 
 from conftest import CATALOG_EXPRS
-from oracles import all_mis_subsets, matrix_unit_count
-from unitgraphs.classify import classify_cm, classify_well_covered
-from unitgraphs.complexes import (
+from oracles import (
+    all_mis_subsets,
     euler_characteristic_faces,
     euler_characteristic_homology,
+    matrix_unit_count,
+)
+from unitgraphs.classify import classify_cm, classify_well_covered
+from unitgraphs.complexes import (
     independence_complex,
     is_cm_gf2,
     is_gorenstein_gf2,

@@ -172,6 +172,19 @@ def test_cross_validate_spends_one_budget():
     assert report.agreement is None
 
 
+@pytest.mark.parametrize("expr", ["M2(Z4)", "M2(GF(4))", "M2(Z8)"])
+def test_cross_validate_decides_every_check_past_the_face_cap(expr):
+    # well-covered, with complexes over the face cap (M2(Z8) has 4096
+    # vertices); the vertex-link recursion decides CM, and with it the rest
+    start = time.monotonic()
+    report = cross_validate(parse_ring_expr(expr), ALL_CHECKS)
+    assert time.monotonic() - start < 10
+    assert report.observed == {
+        "well_covered": True, "cm_gf2": False, "shellable": False, "gorenstein_gf2": False,
+    }
+    assert report.agreement is True
+
+
 @pytest.mark.parametrize("expr", ["M2(GF(5))", "M2(GF(7))"])
 def test_cross_validate_stops_each_search_at_its_second_size(monkeypatch, expr):
     runs = []

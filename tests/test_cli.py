@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import unitgraphs
-from unitgraphs import cli
+from unitgraphs import classify, cli
 from unitgraphs.descriptors import CACHE_SIZE, descriptor_order
 from unitgraphs.dsl import parse_ring_expr
 from unitgraphs.graphs import build_graph
@@ -91,6 +91,9 @@ BAD_INPUTS = {
     "time-budget-inf": ["wellcovered", "Z3", "--time-budget", "inf"],
     "time-budget-negative": ["classify", "Z3", "--cross-validate", "--time-budget", "-1"],
     "facet-cap-zero": ["complex", "Z4", "--cm", "--facet-cap", "0"],
+    "max-sets-zero-complex": ["complex", "Z4", "--pure", "--max-sets", "0"],
+    "time-budget-nan-complex": ["complex", "Z4", "--pure", "--time-budget", "nan"],
+    "time-budget-negative-complex": ["complex", "Z4", "--pure", "--time-budget", "-1"],
     "facets-huge-vertex": ["complex", "--facets-file", "FILE_HUGE_VERTEX", "--cm"],
     "facets-boolean-vertex": ["complex", "--facets-file", "FILE_BOOL_VERTEX"],
     "nested-800-deep": ["info", "M1(" * 800 + "Z2" + ")" * 800],
@@ -157,7 +160,8 @@ def test_generated_ring_expressions_exit_cleanly(expr, bad, at):
              ["wellcovered", expr, "--method", "classify"],
              ["mis", expr, "--count", *budget],
              ["wellcovered", expr, "--method", "brute", *budget]]
-    # complex has no enumeration budget, so only small rings get it
+    # complex's CM and Gorenstein checks have no clock budget, only caps,
+    # so only small rings get it
     try:
         order = descriptor_order(parse_ring_expr(expr), COMPLEX_FUZZ_ORDER)
     except ValueError:
@@ -368,10 +372,11 @@ def test_complex_command(capsys):
     assert result["pure"] is True
     assert result["shellable"] is False
     assert result["cm_gf2"] is False
-    # M2(Z4): one component, 24 facets of 64 vertices; caps still exit 3 or
-    # leave shellability undecided
-    code, out, err = run(capsys, "complex", "M2(Z4)", "--cm")
-    assert code == EXIT_CAP and "faces" in err
+    # M2(Z4): one component, 24 facets of 64 vertices, over the face cap as
+    # a whole; the link recursion decides CM, and shellability stays
+    # undecided over the facet cap
+    payload = run_json(capsys, "complex", "M2(Z4)", "--cm")
+    assert payload["result"] == {"facets": 24, "dimension": 63, "cm_gf2": False}
     payload = run_json(capsys, "complex", "M2(Z4)", "--shellable")
     assert payload["result"] == {"facets": 24, "dimension": 63, "shellable": "undecided"}
     # GF(4096): K_4096, whose complex is 4096 points, shellable in any order
@@ -391,10 +396,55 @@ def test_complex_reads_shellability_off_cm(capsys):
 
 def test_complex_exits_on_a_truncated_search(monkeypatch, capsys):
     real = cli.component_subgraphs
-    monkeypatch.setattr(cli, "component_subgraphs", lambda g: real(g, 0.0))
+    monkeypatch.setattr(cli, "component_subgraphs", lambda g, time_budget: real(g, 0.0))
     code, out, err = run(capsys, "complex", "M2(GF(8))", "--pure")
     assert code == EXIT_CAP and out == ""
     assert "truncated" in err
+
+
+def test_complex_spends_its_time_budget(capsys):
+    # M2(GF(8)): one component of 4096 vertices whose search outlasts 2 s
+    start = time.monotonic()
+    code, out, err = run(capsys, "complex", "M2(GF(8))", "--pure", "--time-budget", "2")
+    assert time.monotonic() - start < 4
+    assert code == EXIT_CAP and out == ""
+    assert "truncated (time_budget)" in err
+    code, out, err = run(capsys, "complex", "Z2 x Z2", "--pure", "--max-sets", "1")
+    assert code == EXIT_CAP and "truncated (max_sets)" in err
+
+
+@pytest.mark.parametrize("expr", ["M2(Z4)", "M2(GF(4))"])
+def test_complex_decides_cm_and_gorenstein_over_the_face_cap(capsys, expr):
+    # each complex has more than 200000 faces, which the face walk listed
+    payload = run_json(capsys, "complex", expr, "--cm", "--gorenstein")
+    assert payload["result"]["cm_gf2"] is False
+    assert payload["result"]["gorenstein_gf2"] is False
+
+
+def test_complex_names_the_cap_that_fired(monkeypatch, tmp_path, capsys):
+    # a facet file takes the face walk: the 17-simplex has 2^18 faces
+    path = tmp_path / "simplex.json"
+    path.write_text(json.dumps([list(range(18))]))
+    code, out, err = run(capsys, "complex", "--facets-file", str(path), "--cm")
+    assert code == EXIT_CAP and out == ""
+    assert err.strip() == "cm_gf2: complex has more than 200000 faces"
+
+    def over_the_link_cap(c, face_cap=None):
+        raise cli.BudgetExceeded("Reisner's criterion visited more than 7 distinct links")
+
+    monkeypatch.setattr(classify, "is_gorenstein_gf2", over_the_link_cap)
+    code, out, err = run(capsys, "complex", "Z4", "--gorenstein")
+    assert code == EXIT_CAP
+    assert err.strip() == "gorenstein_gf2: Reisner's criterion visited more than 7 distinct links"
+
+
+@pytest.mark.parametrize("argv", [["wellcovered", "M2(GF(8))"], ["mis", "M2(GF(8))", "--count"]])
+def test_enumeration_commands_spend_their_time_budget(capsys, argv):
+    # M2(GF(8)): one component of 4096 vertices whose search outlasts 2 s
+    start = time.monotonic()
+    payload = run_json(capsys, *argv, "--time-budget", "2")
+    assert time.monotonic() - start <= 2 + 1.5
+    assert payload["truncated"] is True
 
 
 def test_complex_facets_file(tmp_path, capsys):

@@ -5,14 +5,16 @@ from collections import Counter
 
 import pytest
 
+from oracles import euler_characteristic_faces, euler_characteristic_homology
 from unitgraphs.complexes import (
+    DEFAULT_FACE_CAP,
     BudgetExceeded,
     ComplexError,
     SimplicialComplex,
+    _every_link,
     _gf2_rank,
+    _graph_reisner,
     complex_from_json,
-    euler_characteristic_faces,
-    euler_characteristic_homology,
     facets_to_json,
     find_shelling,
     independence_complex,
@@ -409,3 +411,119 @@ def test_join_decides_boolean_rings(capsys):
         "facets": 65536, "dimension": 15,
         "pure": True, "shellable": True, "cm_gf2": True, "gorenstein_gf2": True,
     }
+
+
+# ---------------------------------------------------------------------------
+# the vertex-link recursion on graphs against the face walk
+# ---------------------------------------------------------------------------
+
+def _agreement_graph(rng, case):
+    """Graphs on 0-10 vertices, a quarter of each kind: disjoint unions of
+    cliques, whose complexes are joins of point sets and so CM; two
+    random graphs side by side; one random graph; and complete bipartite
+    graphs K_{a,b}, half of them with a = b (a pure complex of two
+    simplices) and half with an isolated vertex, whose cone over that is
+    connected."""
+    if case % 4 == 3:
+        a = rng.randint(1, 4)
+        b = a if rng.random() < 0.5 else rng.randint(1, 4)
+        cone = rng.random() < 0.5
+        left, right = (1 << a) - 1, ((1 << b) - 1) << a
+        rows = [right] * a + [left] * b + [0] * cone
+        return Graph(a + b + cone, "imported", rows)
+    n = rng.randint(0, 10)
+    if case % 4 == 0:
+        rows, start = [0] * n, 0
+        while start < n:
+            end = rng.randint(start + 1, n)
+            block = ((1 << end) - 1) ^ ((1 << start) - 1)
+            for v in range(start, end):
+                rows[v] = block & ~(1 << v)
+            start = end
+        return Graph(n, "imported", rows)
+    if case % 4 == 1:
+        left, right = _random_graph(rng, n // 2), _random_graph(rng, n - n // 2)
+        rows = list(left.rows) + [r << left.n for r in right.rows]
+        return Graph(n, "imported", rows)
+    return _random_graph(rng, n)
+
+
+def test_graph_recursion_matches_the_face_walk_on_random_graphs():
+    rng = random.Random(23)
+    shapes = Counter()
+    for case in range(400):
+        g = _agreement_graph(rng, case)
+        c = independence_complex(g)
+        assert c.graph is g
+        bare = SimplicialComplex(g.n, c.facets)  # no graph: the face walk
+        facets = c.facet_lists()
+        for check in (is_cm_gf2, is_gorenstein_gf2):
+            assert check(c) == check(bare), (check.__name__, facets)
+        # the recursion alone, without the pre-checks, on the whole complex
+        # and on its core (the isolated vertices dropped)
+        full = (1 << g.n) - 1
+        isolated = sum(1 << v for v in range(g.n) if not g.rows[v])
+        core = SimplicialComplex(g.n, [f & ~isolated for f in c.facets])
+        cm = _graph_reisner(g.rows, full, 10**4, lambda top: True)
+        gorenstein = _graph_reisner(g.rows, full & ~isolated, 10**4, lambda top: top == 1)
+        assert cm == _every_link(bare, 10**4, lambda top: True), facets
+        assert gorenstein == _every_link(core, 10**4, lambda top: top == 1), facets
+        shapes["isolated"] += bool(isolated)
+        shapes["disconnected"] += len(connected_components(g)) > 1
+        shapes["not pure"] += not is_pure(c)
+        shapes["cm"] += cm
+        shapes["gorenstein"] += gorenstein
+        passes_prechecks = is_pure(c) and (c.dimension < 1 or complexes._connected(c))
+        shapes["decided past the pre-checks"] += passes_prechecks and not cm
+    assert all(shapes[k] >= 20 for k in
+               ["isolated", "disconnected", "not pure", "cm", "gorenstein"]), shapes
+    assert shapes["decided past the pre-checks"] >= 10, shapes
+
+
+def test_graph_recursion_reads_only_adjacency_rows(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("faces were listed")
+
+    monkeypatch.setattr(SimplicialComplex, "faces", refuse)
+    monkeypatch.setattr(complexes, "_every_link", refuse)
+    # the 5-cycle, built from rows with no ring: Ind(C5) is again a 5-cycle,
+    # a circle, so CM and Gorenstein; every pre-check passes
+    c5 = Graph(5, "imported", [0b10010, 0b00101, 0b01010, 0b10100, 0b01001])
+    assert c5.ring_expr is None
+    assert is_cm_gf2(independence_complex(c5)) is True
+    assert is_gorenstein_gf2(independence_complex(c5)) is True
+    with pytest.raises(ComplexError):
+        SimplicialComplex(6, [0b101], graph=c5)
+    # a 4-cycle plus an isolated vertex 0: Ind is two triangles sharing
+    # vertex 0, pure and connected; the link of 0, two disjoint edges, is not
+    bowtie = Graph(5, "imported", [0, 0b11000, 0b11000, 0b00110, 0b00110])
+    c = independence_complex(bowtie)
+    assert is_pure(c) and c.dimension == 2
+    assert is_cm_gf2(c) is False
+
+
+def test_graph_recursion_needs_no_python_recursion():
+    # the path on 1500 vertices: the link of vertex 0 is the path on
+    # vertices 2.., whose link of vertex 2 is the path on 4.., and so on,
+    # about 750 links deep, far beyond the default recursion limit
+    n = 1500
+    rows = [(1 << (v - 1) if v else 0) | (1 << (v + 1) if v < n - 1 else 0) for v in range(n)]
+    Graph(n, "imported", rows).validate()
+    for top_ok in (lambda top: True, lambda top: top == 1):
+        try:
+            verdict = _graph_reisner(rows, (1 << n) - 1, DEFAULT_FACE_CAP, top_ok)
+        except BudgetExceeded as exc:
+            assert "distinct links" in str(exc)
+        else:
+            assert verdict is False  # the path on 3 vertices is not pure
+
+
+def test_graph_recursion_caps_distinct_links():
+    # the 5-cycle: its vertex links are 5 edges K2, each with 3 faces, and
+    # its own complex, a circle, has 11
+    c5 = [0b10010, 0b00101, 0b01010, 0b10100, 0b01001]
+    assert _graph_reisner(c5, 0b11111, 11, lambda top: True) is True
+    with pytest.raises(BudgetExceeded, match="more than 3 distinct links"):
+        _graph_reisner(c5, 0b11111, 3, lambda top: True)
+    with pytest.raises(BudgetExceeded, match="more than 2 faces"):
+        _graph_reisner(c5, 0b11111, 2, lambda top: True)

@@ -20,8 +20,10 @@ and their agreement.  The oracles split the unit graph into connected
 components and search each one once, stopping at a second facet size
 (``join_factors``); the verdicts on the whole complex follow from the
 factors' by the join rule (``join_verdicts``, also the path of the
-``complex`` command).  Every step reads only adjacency rows and facets,
-never the ring.  The classifiers never fall back to the oracle, so
+``complex`` command).  A long search runs on one vertex neighbourhood
+per orbit of the graph's verified automorphisms and closes the sets it
+finds under them (see ``indsets``).  Every step reads only adjacency
+rows and facets, never the ring.  The classifiers never fall back to the oracle, so
 agreement remains evidence.
 """
 

@@ -27,7 +27,9 @@ from:
   subgraph it induces (Ind of a disjoint union is the join of the parts'
   complexes, and a join passes iff every part does); a component passes
   iff its vertex links all pass with one dimension and its own reduced
-  homology vanishes below its dimension.  That homology is computed on
+  homology vanishes below its dimension.  False twins (equal rows in the
+  component) have isomorphic links, so one link per twin class is
+  judged.  That homology is computed on
   the fold: if N(u) is a subset of N(v) for u != v, then Ind(G) and
   Ind(G - v) are homotopy equivalent (Engström, Europ. J. Combin. 29,
   2008).  Folding keeps homology but not Cohen-Macaulayness, so the
@@ -53,7 +55,7 @@ from __future__ import annotations
 import json
 
 from .graphs import Graph, mask_components
-from .indsets import enumerate_mis
+from .indsets import _false_twin_classes, enumerate_mis
 from .rings import HARD_ORDER_CAP, _bits_to_masks, _masks_to_bits, mask_indices
 
 DEFAULT_FACET_CAP = 12
@@ -492,9 +494,15 @@ def _judge_component(rows, part: int, face_cap: int, top_ok, passed: dict[int, i
     complex is not pure.  Otherwise every facet is a vertex plus a facet
     of that vertex's link, so the dimension is one more than theirs, and
     the reduced homology of the complex, computed on its fold, must
-    vanish below it, with top_ok accepting the top rank."""
+    vanish below it, with top_ok accepting the top rank.
+
+    Swapping two false twins of G[part] (equal rows there) is an
+    automorphism of it that maps the link of one onto the link of the
+    other, so one link per twin class is judged."""
+    vertices = mask_indices(part)
+    reps, _ = _false_twin_classes({v: rows[v] & part for v in vertices}, part, vertices)
     link_dim = None
-    for v in mask_indices(part):
+    for v in mask_indices(reps):
         dim = -1
         for sub in mask_components(rows, part & ~(rows[v] | 1 << v)):
             sub_dim = passed.get(sub)

@@ -20,6 +20,14 @@ and reads both graphs off it:
 
 ``edges()`` and ``validate()`` unpack the rows into 0/1 blocks of
 BITS_BLOCK entries and read them with numpy.
+
+A built graph also keeps ``candidates``: the ring's translations by its
+additive generators (``Ring.place_translations``), as permutations of
+the vertices that may be automorphisms.  Translations are automorphisms
+of every Cayley graph, and of the unit graph when 2a lies in J(R) for
+each generator a, which holds when R/J(R) has characteristic 2.  Nothing
+here relies on that: ``indsets`` keeps a candidate only after checking
+it against the rows.  Imported graphs and induced subgraphs have none.
 """
 
 from __future__ import annotations
@@ -52,15 +60,20 @@ class GraphError(Exception):
 
 
 class Graph:
-    """Immutable simple graph on vertices 0..n-1 with bitmask rows."""
+    """Immutable simple graph on vertices 0..n-1 with bitmask rows.
 
-    __slots__ = ("n", "kind", "rows", "ring_expr")
+    ``candidates`` are vertex permutations, each a shift (up, high, down)
+    of ``rings.shift_mask``, that may be automorphisms; they are unchecked
+    hints."""
 
-    def __init__(self, n: int, kind: str, rows, ring_expr: str | None = None):
+    __slots__ = ("n", "kind", "rows", "ring_expr", "candidates")
+
+    def __init__(self, n: int, kind: str, rows, ring_expr: str | None = None, candidates=()):
         self.n = n
         self.kind = kind
         self.rows = tuple(rows)
         self.ring_expr = ring_expr
+        self.candidates = tuple(candidates)
         if len(self.rows) != n:
             raise GraphError("row count does not match vertex count")
         for x, row in enumerate(self.rows):
@@ -129,7 +142,7 @@ def build_graph(ring: Ring, kind: str = "unit", cap: int = DEFAULT_GRAPH_CAP) ->
     if kind == "unit":
         negs = ring.neg_many(np.arange(n)).tolist()
         rows = [rows[negs[x]] & ~(1 << x) for x in range(n)]
-    return Graph(n, kind, rows, ring_expr=ring.expr)
+    return Graph(n, kind, rows, ring_expr=ring.expr, candidates=ring.place_translations)
 
 
 def connected_components(g: Graph) -> list[int]:
@@ -140,19 +153,22 @@ def connected_components(g: Graph) -> list[int]:
 def mask_components(rows, mask: int) -> list[int]:
     """Vertex masks of the connected components of the subgraph induced on
     mask, by least vertex.  A breadth-first search over the bitmask rows
-    reads each row of mask once."""
+    reads each row of mask once; left keeps the vertices not reached yet."""
     parts = []
     left = mask
     while left:
         part = frontier = left & -left
+        left ^= frontier
         while frontier:
             reach = 0
-            for v in mask_indices(frontier):
-                reach |= rows[v]
-            frontier = reach & left & ~part
+            while frontier:
+                low = frontier & -frontier
+                reach |= rows[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & left
+            left ^= frontier
             part |= frontier
         parts.append(part)
-        left ^= part
     return parts
 
 

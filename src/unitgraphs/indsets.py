@@ -8,36 +8,67 @@ ties broken by lowest index, which makes the emission order
 deterministic.  The collected family is sorted lexicographically, so
 reports are stable.
 
-The search runs on the false-twin quotient: vertices with equal rows are
-never adjacent and lie together in or out of every maximal independent
-set, so only the least vertex of each class is a candidate, and each
-emitted set is expanded by its classes.  The expansion is one to one,
-so counts, sizes, the sorted family and the caps mean what they would
-on the whole graph; only the order of emission (and so the callback
-order, the witnesses and which sets a capped run keeps) follows the
-quotient.  ``component_subgraphs`` splits a graph into its connected
-components under one shared budget.  Both reductions read only rows.
+Three reductions follow the graph's structure; each reads only rows.
+
+* Twins.  The search runs on the false-twin quotient: vertices with
+  equal rows are never adjacent and lie together in or out of every
+  maximal independent set, so only the least vertex of each class is a
+  candidate, and each emitted set is expanded by its classes.  The
+  expansion is one to one, so counts, sizes, the sorted family and the
+  caps mean what they would on the whole graph; only the order of
+  emission (and so the callback order, the witnesses and which sets a
+  capped run keeps) follows the quotient.
+* Components.  ``component_subgraphs`` splits a graph into its connected
+  components under one shared budget.
+* Orbits.  An automorphism of G maps maximal independent sets onto
+  maximal independent sets of the same size.  A maximal independent set
+  S meets N[u] for every vertex u (it holds u or a neighbour of u), so
+  if the roots are one vertex per orbit of a group of automorphisms
+  that meets N[u], some automorphism maps S onto a set {r} + T with r a
+  root and T maximal independent in G - N[r].  The sizes are therefore
+  the union over the roots of 1 plus the sizes in G - N[r], each G -
+  N[r] searched on its own twin quotient, and the family is the closure
+  of those sets under the group's generators (McKay & Piperno, J.
+  Symbolic Comput. 60, 2014, prune by orbits the same way).  The
+  automorphisms come from ``Graph.candidates`` (for a ring's graph, its
+  translations, under which unit graphs over R/J(R) of characteristic 2
+  and all Cayley graphs are invariant), and ``verified_automorphisms``
+  keeps only those that map every row x onto the row of the image of x.
+  A wrong candidate costs time, never a verdict.
 
 Limits are explicit: a cap on emitted sets, a wall-clock budget, and a
 stop mode.  ``first_two_sizes`` halts as soon as two distinct sizes have
 been seen; it is the one search per component of both
 ``well_covered_bruteforce`` and ``classify.join_factors`` (which keeps a
-one-size component's sets as its complex).  Hitting a cap is reported
+one-size component's sets as its complex), and the only mode that takes
+the orbit path.  It first runs the plain search under a work allowance
+of one row read per candidate and vertex (at least VERIFY_MIN_ROWS per
+candidate), which is about what verifying the candidates costs; a
+search that outruns it has them verified, and switches to the orbit
+path if any is kept, or else carries on.  The allowance is counted, not
+timed, so the path taken, the witnesses and the output are
+deterministic.  ``mis`` and ``independence_complex`` list
+the whole family with a plain search.  Hitting a cap is reported
 in-band, never silently.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
 
 from .graphs import DEFAULT_GRAPH_CAP, Graph, connected_components, induced_subgraph
-from .rings import VertexSet, mask_indices
+from .rings import VertexSet, mask_indices, shift_mask
 
 DEFAULT_MAX_SETS = 10**6
 DEFAULT_TIME_BUDGET = 60.0
+# Verifying a candidate reads every row once, after a set-up that costs
+# about as much as a plain search reading this many rows on a small graph;
+# the allowance counts at least this many per candidate.
+VERIFY_MIN_ROWS = 256
 
 
 class EnumerationError(Exception):
@@ -56,6 +87,11 @@ class MisReport:
     truncated: bool
     stop_reason: str  # exhausted | two_sizes | max_sets | time_budget
     sets: tuple[VertexSet, ...] | None
+    nodes: int = 0  # search nodes, over every run
+    # orbits searched when the orbit reduction fired, else None; then
+    # count and sizes_seen count the sets {r} + T unless the family was
+    # collected, which is closed to every maximal independent set
+    orbits: int | None = None
 
 
 def is_independent(g: Graph, s: VertexSet) -> bool:
@@ -94,19 +130,43 @@ class _Stop(Exception):
 class _Search:
     def __init__(self, g, on_set, stop_mode, max_sets, time_budget, collect):
         n = g.n
-        full = (1 << n) - 1
-        self.comp = [full ^ (g.rows[v] | (1 << v)) for v in range(n)]
-        self.reps, self.twins = _false_twin_classes(g)
-        self.paired = sum(self.twins)  # representatives with a twin
         self.g = g
+        self.restrict((1 << n) - 1)
         self.on_set = on_set
         self.stop_mode = stop_mode
         self.max_sets = max_sets
         self.deadline = time.monotonic() + time_budget
         self.collect = collect
+        self.calls = 0
+        # rows read by the pivot scans and branches; past the allowance the
+        # candidates are verified (a callback sees one plain search)
+        self.reads = 0
+        self.allowance = math.inf
+        if stop_mode == "first_two_sizes" and on_set is None and g.candidates:
+            self.allowance = len(g.candidates) * max(n, VERIFY_MIN_ROWS)
+        self.generators: tuple[tuple[int, int, int], ...] = ()
+        self.reset()
+
+    def restrict(self, within: int) -> None:
+        """Search G[within]: its complement rows and false-twin classes."""
+        n = self.g.n
+        rows = self.g.rows
+        vertices = range(n)
+        if within != (1 << n) - 1:
+            vertices = mask_indices(within)
+            rows = [0] * n
+            for v in vertices:
+                rows[v] = self.g.rows[v] & within
+        comp = [0] * n
+        for v in vertices:
+            comp[v] = within ^ (rows[v] | (1 << v))
+        self.comp = comp
+        self.reps, self.twins = _false_twin_classes(rows, within, vertices)
+        self.paired = sum(self.twins)  # representatives with a twin
+
+    def reset(self) -> None:
         self.sizes = Counter()
         self.count = 0
-        self.calls = 0
         self.first_of_size: dict[int, int] = {}
         self.sets: list[int] = []
 
@@ -130,28 +190,68 @@ class _Search:
         if self.count >= self.max_sets:
             raise _Stop("max_sets")
 
-    def run(self) -> str:
+    def run(self, roots=None) -> str:
+        """Search the whole graph, or with roots, for each root r the sets
+        {r} + T, T maximal independent in G - N[r]."""
         n = self.g.n
         old_limit = sys.getrecursionlimit()
         sys.setrecursionlimit(max(old_limit, 4 * n + 1000))
         try:
-            self.expand(0, self.reps, 0)
+            if roots is None:
+                self.expand(0, self.reps, 0)
+            else:
+                full = (1 << n) - 1
+                for r in roots:
+                    self.restrict(full & ~(self.g.rows[r] | (1 << r)))
+                    self.expand(1 << r, self.reps, 0)
             return "exhausted"
         except _Stop as stop:
             return stop.reason
         finally:
             sys.setrecursionlimit(old_limit)
 
+    def close(self) -> str:
+        """Close the collected sets under the generators."""
+        family = set(self.sets)
+        todo = list(family)
+        steps = 0
+        try:
+            while todo:
+                mask = todo.pop()
+                steps += 1
+                if steps % 256 == 0 and time.monotonic() > self.deadline:
+                    raise _Stop("time_budget")
+                for shift in self.generators:
+                    image = shift_mask(mask, shift)
+                    if image not in family:
+                        family.add(image)
+                        todo.append(image)
+                        if len(family) >= self.max_sets:
+                            raise _Stop("max_sets")
+            return "exhausted"
+        except _Stop as stop:
+            return stop.reason
+        finally:
+            self.sets = list(family)
+            self.count = len(family)
+            self.sizes = Counter(map(int.bit_count, family))
+
     def expand(self, chosen: int, cand: int, excl: int) -> None:
         self.calls += 1
         if self.calls % 256 == 0 and time.monotonic() > self.deadline:
             raise _Stop("time_budget")
+        if self.reads > self.allowance:
+            self.allowance = math.inf
+            self.generators = verified_automorphisms(self.g)
+            if self.generators:
+                raise _Stop("orbits")
         if cand == 0 and excl == 0:
             self.emit(chosen)
             return
         # pivot: candidate-or-excluded vertex covering most of cand
         best, best_cover = -1, -1
         scan = cand | excl
+        reads = scan.bit_count()
         while scan:
             low = scan & -scan
             u = low.bit_length() - 1
@@ -160,6 +260,7 @@ class _Search:
                 best, best_cover = u, cover
             scan ^= low
         ext = cand & ~self.comp[best]
+        self.reads += reads + ext.bit_count()
         while ext:
             low = ext & -ext
             v = low.bit_length() - 1
@@ -170,18 +271,70 @@ class _Search:
             ext ^= low
 
 
-def _false_twin_classes(g: Graph) -> tuple[int, dict[int, int]]:
-    """False twins (equal rows, so never adjacent) are all in or all out
-    of every maximal independent set.  Returns the mask of class
-    representatives (least members) and, for every class of two or more,
-    the representative's bit -> the mask of its class.  Sorting the
-    vertices by row is stable, so each run of equal rows starts at its
-    least vertex."""
+def verified_automorphisms(g: Graph) -> tuple[tuple[int, int, int], ...]:
+    """The candidates of g that are automorphisms: shifts (up, high, down)
+    that permute the vertices 0..n-1 and map every row x onto the row of
+    the image of x.  Reads only g's rows; the first row that fails
+    rejects a candidate."""
+    n = g.n
+    full = (1 << n) - 1
     rows = g.rows
-    reps = (1 << g.n) - 1
+    kept = []
+    for shift in g.candidates:
+        up, high, down = shift
+        if up < 0 or down < 0:
+            continue
+        high &= full
+        low = full ^ high
+        raised, lowered = low << up, high >> down
+        # each part moves injectively, so this is a permutation iff no bit
+        # falls off the bottom and the two images tile the vertex set
+        if high & ((1 << down) - 1) or raised & lowered or raised | lowered != full:
+            continue
+        flags = format(high, f"0{n}b")[::-1]  # flags[x] == "1": x is in high
+        if all(
+            ((row & low) << up) | ((row & high) >> down)
+            == rows[x - down if flags[x] == "1" else x + up]
+            for x, row in enumerate(rows)
+        ):
+            kept.append(shift)
+    return tuple(kept)
+
+
+def _orbit_roots(generators, g: Graph) -> list[int]:
+    """The least vertex of each orbit, under the group the generators
+    span, that meets N[u] for a vertex u of least degree: every maximal
+    independent set meets N[u].  A group of permutations of a finite set
+    is closed under images alone, so each orbit grows by whole-mask
+    images until it stops."""
+    u = min(range(g.n), key=lambda v: g.rows[v].bit_count())
+    roots = []
+    left = g.rows[u] | (1 << u)
+    while left:
+        orbit = frontier = left & -left
+        while frontier:
+            reach = 0
+            for shift in generators:
+                reach |= shift_mask(frontier, shift)
+            frontier = reach & ~orbit
+            orbit |= frontier
+        roots.append((orbit & -orbit).bit_length() - 1)
+        left &= ~orbit
+    return roots
+
+
+def _false_twin_classes(rows, within: int, vertices) -> tuple[int, dict[int, int]]:
+    """False twins in the graph on within (its vertices, in increasing
+    order) with these rows, which have equal rows and so are never
+    adjacent, are all in or all out of every maximal independent set.
+    Returns the mask of class representatives (least members) and, for
+    every class of two or more, the representative's bit -> the mask of
+    its class.  Sorting the vertices by row is stable, so each run of
+    equal rows starts at its least vertex."""
+    reps = within
     twins: dict[int, int] = {}
     rep, previous = 0, None
-    for v in sorted(range(g.n), key=rows.__getitem__):
+    for v in sorted(vertices, key=rows.__getitem__):
         bit = 1 << v
         if rows[v] == previous:
             reps ^= bit
@@ -206,7 +359,10 @@ def enumerate_mis(
     With stop_mode="all" and no cap hit, the emitted family is exactly
     the family of all maximal independent sets.  The on_set callback (if
     given) sees each set as it is found, in search order; the collected
-    ``sets`` are sorted canonically.
+    ``sets`` are sorted canonically.  With stop_mode="first_two_sizes"
+    and no callback, a long search may take the orbit path (see the
+    module docstring); the collected family is then the closure, which
+    is the same family.
     """
     if stop_mode not in ("all", "first_two_sizes"):
         raise EnumerationError(f"unknown stop mode {stop_mode!r}")
@@ -214,6 +370,14 @@ def enumerate_mis(
         raise EnumerationError(f"vertex count {g.n} exceeds the cap {cap}")
     search = _Search(g, on_set, stop_mode, max_sets, time_budget, collect)
     reason = search.run()
+    orbits = None
+    if reason == "orbits":
+        roots = _orbit_roots(search.generators, g)
+        orbits = len(roots)
+        search.reset()
+        reason = search.run(roots)
+        if reason == "exhausted" and collect:
+            reason = search.close()
     truncated = reason in ("max_sets", "time_budget")
     sets = None
     if collect:
@@ -237,6 +401,8 @@ def enumerate_mis(
         truncated=truncated,
         stop_reason=reason,
         sets=sets,
+        nodes=search.calls,
+        orbits=orbits,
     )
 
 

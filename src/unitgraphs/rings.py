@@ -30,7 +30,8 @@ quotient calls its block product's kernel.
 is all the graphs need (see ``graphs``).  It is built from the digits:
 adding the element whose digit j is 1 and the others 0, at place p and
 modulus m, maps S to ``((S & ~high) << p) | ((S & high) >> (m - 1) *
-p)``, where ``high`` marks the indices whose digit j is m - 1.  Once
+p)``, where ``high`` marks the indices whose digit j is m - 1
+(``place_translations`` lists these shifts, one per digit).  Once
 digits 0..j-1 are done the list holds the translates by 0..p_j - 1, and
 digit j appends m_j - 1 shifted copies of its last p_j entries, so each
 row costs a few big-int operations.
@@ -94,6 +95,13 @@ CHUNK = 1 << 13
 
 class UnsupportedStructure(RingError):
     """A structural closed form does not apply to this descriptor."""
+
+
+def shift_mask(mask: int, shift: tuple[int, int, int]) -> int:
+    """The image of a bitmask under a shift (up, high, down): its bits
+    outside high move up by up places, those in high down by down."""
+    up, high, down = shift
+    return ((mask & ~high) << up) | ((mask & high) >> down)
 
 
 def mask_indices(mask: int) -> list[int]:
@@ -225,22 +233,31 @@ class Ring:
         return out
 
     # adding the element of index p (digit j one, the rest zero) moves each
-    # index up by p, except where digit j is m - 1 and wraps down to 0; the
-    # rows for x < p are known before digit j, and each further value of
+    # index up by p, except where digit j is m - 1 and wraps down to 0
+    @cached_property
+    def place_translations(self) -> tuple[tuple[int, int, int], ...]:
+        """Per digit j, the translation by the element whose digit j is 1 and
+        the others 0, as (up, high, down): it maps a bitmask S to
+        ``shift_mask(S, (up, high, down))``."""
+        out = []
+        for p, m in zip(self._places, self._moduli):
+            back = p * (m - 1)
+            # one block of p ones at the top of every period of p * m indices
+            repeats = ((1 << self.order) - 1) // ((1 << (p * m)) - 1)
+            out.append((p, (((1 << p) - 1) << back) * repeats, back))
+        return tuple(out)
+
+    # the rows for x < p are known before digit j, and each further value of
     # that digit shifts the previous p rows once more
     def translates(self, mask: int) -> list[int]:
         """The bitmask of x + S for every element x in index order, S given
         as a bitmask."""
         out = [mask]
-        for p, m in zip(self._places, self._moduli):
-            back = p * (m - 1)
-            # one block of p ones at the top of every period of p * m indices
-            repeats = ((1 << self.order) - 1) // ((1 << (p * m)) - 1)
-            high = (((1 << p) - 1) << back) * repeats
+        for up, high, down in self.place_translations:
             low = ~high
-            for i in range(back):
+            for i in range(down):
                 s = out[i]
-                out.append(((s & low) << p) | ((s & high) >> back))
+                out.append(((s & low) << up) | ((s & high) >> down))
         return out
 
     @cached_property

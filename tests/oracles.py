@@ -12,7 +12,15 @@ from __future__ import annotations
 
 import itertools
 
+from unitgraphs import graphs
 from unitgraphs.complexes import DEFAULT_FACE_CAP, reduced_homology_gf2
+
+
+def build_plain_graph(ring, kind: str = "unit"):
+    """graphs.build_graph without candidate automorphisms, so that every
+    verdict search on it takes the plain path."""
+    g = graphs.build_graph(ring, kind)
+    return graphs.Graph(g.n, g.kind, g.rows, g.ring_expr)
 
 
 def subset_is_independent(g, mask: int) -> bool:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import unitgraphs
+from oracles import build_plain_graph
 from unitgraphs import classify, cli
 from unitgraphs.descriptors import CACHE_SIZE, descriptor_order
 from unitgraphs.dsl import parse_ring_expr
@@ -266,6 +267,14 @@ def test_wellcovered_modes(capsys):
     assert code == EXIT_CAP, err
 
 
+def test_wellcovered_decides_m2_gf8_under_the_default_budget(capsys):
+    # 4096 vertices: one orbit of verified translations, so the search
+    # runs on G - N[0] (567 vertices, 18 sets of size 63)
+    payload = run_json(capsys, "wellcovered", "M2(GF(8))", "--method", "both")
+    assert payload["result"] == {"predicted": True, "observed": True, "agreement": True}
+    assert payload["truncated"] is False
+
+
 def test_classify_reads_a_ring_above_the_cap_from_its_shape(capsys):
     payload = run_json(capsys, "classify", "GA(GF(2), C83)")
     assert payload["result"]["predicted"] == {
@@ -298,8 +307,10 @@ def test_classify_predict_and_cross_validate(capsys):
     assert result["observed"]["cm_gf2"] is False
 
 
-def test_classify_envelope_is_truncated_when_a_verdict_is_skipped(capsys):
-    # M2(GF(8)): its one component's search outlasts the budget
+def test_classify_envelope_is_truncated_when_a_verdict_is_skipped(monkeypatch, capsys):
+    # M2(GF(8)) without its candidate automorphisms: its one component's
+    # plain search outlasts the budget
+    monkeypatch.setattr(classify, "build_graph", build_plain_graph)
     start = time.monotonic()
     payload = run_json(capsys, "classify", "M2(GF(8))", "--cross-validate",
                        "--checks", "wc,cm", "--time-budget", "2")
@@ -439,8 +450,11 @@ def test_complex_names_the_cap_that_fired(monkeypatch, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [["wellcovered", "M2(GF(8))"], ["mis", "M2(GF(8))", "--count"]])
-def test_enumeration_commands_spend_their_time_budget(capsys, argv):
-    # M2(GF(8)): one component of 4096 vertices whose search outlasts 2 s
+def test_enumeration_commands_spend_their_time_budget(monkeypatch, capsys, argv):
+    # M2(GF(8)): one component of 4096 vertices whose search outlasts 2 s;
+    # mis lists every set anyway, and wellcovered gets the graph without
+    # its candidate automorphisms, so it takes the plain search
+    monkeypatch.setattr(cli, "build_graph", build_plain_graph)
     start = time.monotonic()
     payload = run_json(capsys, *argv, "--time-budget", "2")
     assert time.monotonic() - start <= 2 + 1.5

@@ -1,3 +1,4 @@
+import random
 import time
 from collections import Counter
 
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import CATALOG_EXPRS
 from oracles import all_mis_subsets
+from unitgraphs import indsets
 from unitgraphs.classify import cross_validate
 from unitgraphs.descriptors import Zn
 from unitgraphs.dsl import parse_ring_expr
@@ -15,6 +18,7 @@ from unitgraphs.indsets import (
     enumerate_mis,
     is_independent,
     is_maximal_independent,
+    verified_automorphisms,
     well_covered_bruteforce,
 )
 from unitgraphs.rings import VertexSet, build_ring, mask_indices, quotient_by_radical
@@ -279,3 +283,145 @@ def test_cross_validate_decides_z2_to_the_sixth():
     report = cross_validate(parse_ring_expr(" x ".join(["Z2"] * 6)), ("wc",))
     assert report.observed == {"well_covered": True}
     assert report.agreement is True
+
+
+# ---------------------------------------------------------------------------
+# the orbit path: verified translations, one root per orbit, closure
+# ---------------------------------------------------------------------------
+
+def _plain(g):
+    """g without its candidate automorphisms, so every search is plain."""
+    return Graph(g.n, g.kind, g.rows, g.ring_expr)
+
+
+def _cayley_z2(k, connection, extra=()):
+    """The Cayley graph of Z2^k (x ~ y iff x XOR y is in connection), with
+    the translations by the unit vectors as candidates, plus extra."""
+    n = 1 << k
+    rows = [sum(1 << (x ^ s) for s in connection) for x in range(n)]
+    shifts = [
+        (1 << j, sum(1 << x for x in range(n) if x >> j & 1), 1 << j) for j in range(k)
+    ]
+    return Graph(n, "cayley", rows, candidates=shifts + list(extra))
+
+
+def _assert_orbit_path_agrees(g):
+    """The first-two-sizes search of g and of g without candidates give the
+    same verdict; a well-covered graph gives the same family (the closure
+    against the plain enumeration), and every False report two maximal
+    independent sets of different sizes.  True if the orbit path fired."""
+    orbit = enumerate_mis(g, stop_mode="first_two_sizes")
+    plain = enumerate_mis(_plain(g), stop_mode="first_two_sizes")
+    assert plain.orbits is None
+    assert orbit.well_covered is plain.well_covered is not None
+    if orbit.well_covered:
+        assert [s.mask for s in orbit.sets] == [s.mask for s in plain.sets]
+        assert orbit.count == plain.count and orbit.sizes_seen == plain.sizes_seen
+    else:
+        for report in (orbit, plain):
+            a, b = report.witnesses
+            assert len(a) != len(b)
+            assert is_maximal_independent(g, a) and is_maximal_independent(g, b)
+    assert well_covered_bruteforce(g) is orbit.well_covered
+    return orbit.orbits is not None
+
+
+ORACLE_RINGS = ["M2(GF(4))", "GF(8) x GF(8)", "Z8 x Z8", "GA(GF(3), C4)", "GA(GF(2), C6)"]
+
+
+def test_orbit_path_agrees_on_catalog_rings(monkeypatch):
+    # one row read per candidate and vertex, so that small graphs take the
+    # orbit path too
+    monkeypatch.setattr(indsets, "VERIFY_MIN_ROWS", 0)
+    fired = false = 0
+    for expr in CATALOG_EXPRS + ORACLE_RINGS:
+        ring = build_ring(parse_ring_expr(expr))
+        assert ring.order <= 256
+        for kind in ("unit", "cayley"):
+            g = build_graph(ring, kind)
+            if _assert_orbit_path_agrees(g):
+                fired += 1
+                false += well_covered_bruteforce(g) is False
+    assert fired >= 20 and false >= 3
+
+
+def test_orbit_path_agrees_on_random_cayley_graphs(monkeypatch):
+    monkeypatch.setattr(indsets, "VERIFY_MIN_ROWS", 0)
+    rng = random.Random(13)
+    fired = 0
+    for _ in range(60):
+        k = rng.randint(2, 6)
+        n = 1 << k
+        connection = {s for s in range(1, n) if rng.random() < rng.choice((0.2, 0.5, 0.8))}
+        # sometimes a rotation x -> x + 1 mod n, a permutation that is
+        # rarely an automorphism, rides along
+        extra = [(1, 1 << (n - 1), n - 1)] if rng.random() < 0.5 else []
+        fired += _assert_orbit_path_agrees(_cayley_z2(k, connection, extra))
+    assert fired >= 20
+
+
+@pytest.mark.parametrize("expr", ["M2(GF(4))", "GF(8) x GF(8)", "GA(GF(2), Q8)"])
+def test_closure_is_the_whole_family(expr):
+    g = _graph(expr)
+    closed = enumerate_mis(g, stop_mode="first_two_sizes")
+    full = enumerate_mis(g)
+    assert [s.mask for s in closed.sets] == [s.mask for s in full.sets]
+    assert closed.sizes_seen == full.sizes_seen and closed.count == full.count
+    if expr == "M2(GF(4))":
+        # 8 verified translations, one orbit: the 160 facets come from the
+        # 10 sets {0} + T with T maximal independent in G - N[0]
+        assert len(verified_automorphisms(g)) == 8
+        assert closed.orbits == 1 and closed.count == 160
+        seeds = enumerate_mis(g, stop_mode="first_two_sizes", collect=False)
+        assert seeds.orbits == 1 and seeds.count == 10
+        assert seeds.nodes < full.nodes / 10
+
+
+def test_a_candidate_that_is_no_automorphism_is_rejected():
+    # odd characteristic: 2a is a unit for every generator a, so no
+    # translation maps the unit graph onto itself
+    g = _graph("M2(GF(3))")
+    assert len(g.candidates) == 4 and verified_automorphisms(g) == ()
+    report = enumerate_mis(g, stop_mode="first_two_sizes")
+    assert report.orbits is None and report.well_covered is False
+    # the path 0 - 1 - 2 - 3: rotations by 1 and 2 are permutations but no
+    # automorphisms, and shifting every vertex up is no permutation
+    path = Graph(4, "imported", [0b10, 0b101, 0b1010, 0b100],
+                 candidates=[(1, 0b1000, 3), (2, 0b1100, 2), (1, 0, 0), (-1, 0, 0)])
+    assert verified_automorphisms(path) == ()
+    report = enumerate_mis(path, stop_mode="first_two_sizes")
+    assert report.orbits is None and report.well_covered is True and report.count == 3
+    # on the 4-cycle the rotation by 1 is kept and the bogus shift is not
+    cycle = Graph(4, "imported", [0b1010, 0b101, 0b1010, 0b101],
+                  candidates=[(1, 0, 0), (1, 0b1000, 3)])
+    assert verified_automorphisms(cycle) == ((1, 0b1000, 3),)
+
+
+def test_verification_waits_for_the_allowance(monkeypatch):
+    calls = []
+    real = indsets.verified_automorphisms
+    monkeypatch.setattr(indsets, "verified_automorphisms", lambda g: calls.append(g.n) or real(g))
+    # K_4096: 8192 row reads, under the allowance of 12 candidates x 4096
+    report = enumerate_mis(_graph("GF(4096)"), stop_mode="first_two_sizes", collect=False)
+    assert calls == [] and report.orbits is None and report.well_covered is True
+    assert report.nodes == 4097
+    # M2(GF(7)): past the allowance, the 4 candidates fail and the plain
+    # search carries on to the same witnesses
+    g = _graph("M2(GF(7))")
+    report = enumerate_mis(g, stop_mode="first_two_sizes", collect=False)
+    plain = enumerate_mis(_plain(g), stop_mode="first_two_sizes", collect=False)
+    assert calls == [2401] and report.orbits is None
+    assert [w.mask for w in report.witnesses] == [w.mask for w in plain.witnesses]
+    assert report.nodes == plain.nodes
+    # a callback sees one plain search: no verification
+    enumerate_mis(_graph("M2(GF(4))"), lambda s: None, stop_mode="first_two_sizes")
+    assert calls == [2401]
+
+
+def test_m2_gf8_is_decided_through_its_orbits():
+    g = _graph("M2(GF(8))")
+    start = time.monotonic()
+    report = enumerate_mis(g, stop_mode="first_two_sizes", collect=False)
+    assert time.monotonic() - start < 5
+    assert report.orbits == 1 and report.well_covered is True
+    assert report.sizes_seen == Counter({64: 18})

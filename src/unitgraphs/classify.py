@@ -16,15 +16,16 @@ The classifiers work from structure alone:
 
 ``cross_validate`` runs the classifiers next to the independent oracles
 (set enumeration, GF(2) homology) and reports predictions, observations
-and their agreement.  The oracles split the unit graph into connected
-components and search each one once, stopping at a second facet size
-(``join_factors``); the verdicts on the whole complex follow from the
-factors' by the join rule (``join_verdicts``, also the path of the
-``complex`` command).  A long search runs on one vertex neighbourhood
-per orbit of the graph's verified automorphisms and closes the sets it
-finds under them (see ``indsets``).  Every step reads only adjacency
-rows and facets, never the ring.  The classifiers never fall back to the oracle, so
-agreement remains evidence.
+and their agreement.  ``join_factors`` maps the component reports of
+``indsets.component_reports`` to the factors of the join, each search
+stopped at a second facet size (or, for the ``complex`` command, run to
+the whole family); the verdicts on the whole complex follow from the
+factors' by the join rule (``join_verdicts``).  A long verdict search
+runs on one vertex neighbourhood per orbit of the graph's verified
+automorphisms and closes the sets it finds under them (see
+``indsets``).  Every step reads only adjacency rows and facets, never
+the ring.  The classifiers never fall back to the oracle, so agreement
+remains evidence.
 """
 
 from __future__ import annotations
@@ -43,12 +44,7 @@ from .complexes import (
 )
 from .descriptors import RingDescriptor, descriptor_expr, descriptor_order
 from .graphs import GraphError, build_graph
-from .indsets import (
-    DEFAULT_MAX_SETS,
-    DEFAULT_TIME_BUDGET,
-    component_subgraphs,
-    enumerate_mis,
-)
+from .indsets import DEFAULT_MAX_SETS, DEFAULT_TIME_BUDGET, component_reports
 from .rings import Ring, build_ring, quotient_by_radical
 from .wedderburn import wedderburn_shape
 
@@ -197,21 +193,21 @@ def cross_validate(
     return report
 
 
-def join_factors(graph, *, max_sets=DEFAULT_MAX_SETS, time_budget=DEFAULT_TIME_BUDGET):
-    """Ind(G1 + G2) is the join Ind(G1) * Ind(G2).  One search per connected
-    component, stopped at a second facet size, gives its complex; None if
-    truncated; False if it met two sizes, which decides every verdict on
-    the join, so no later component is searched.  max_sets caps each
-    search, time_budget all of them."""
+def join_factors(graph, *, stop_mode="first_two_sizes", **limits):
+    """Ind(G1 + G2) is the join Ind(G1) * Ind(G2).  Each component's
+    search gives its complex; a Skipped with the stop reason if
+    truncated; False if it stopped at a second facet size, which decides
+    every verdict on the join.  stop_mode="all" gives every complex
+    whole, as the ``complex`` command needs.  limits (max_sets,
+    time_budget) go to ``component_reports``."""
     factors = []
-    for part, left in component_subgraphs(graph, time_budget):
-        found = enumerate_mis(
-            part, stop_mode="first_two_sizes", max_sets=max_sets, time_budget=left
-        )
-        if found.well_covered is False:
-            return factors + [False]
+    for part, found in component_reports(graph, stop_mode=stop_mode, **limits):
         if found.truncated:
-            factors.append(None)
+            factors.append(
+                Skipped(f"maximal independent set enumeration was truncated ({found.stop_reason})")
+            )
+        elif found.stop_reason == "two_sizes":
+            factors.append(False)
         else:
             factors.append(SimplicialComplex(part.n, [s.mask for s in found.sets], graph=part))
     return factors
@@ -244,7 +240,7 @@ def _join(factors, check):
     shellable, and each factor is the link of a facet of the others, so
     it inherits shellability.  False if any factor is False (not pure)
     or fails the check, else skipped if any is undecided (None) or hit a
-    cap (the first cap hit, as a Skipped with its message), else True."""
+    cap (the first cap hit or truncated factor, as a Skipped), else True."""
     if factors is None:
         return SKIPPED
     verdict = True
@@ -252,7 +248,7 @@ def _join(factors, check):
         if c is False:  # not pure: no check holds
             return False
         try:
-            v = SKIPPED if c is None else check(c)
+            v = c if isinstance(c, Skipped) else check(c)
         except BudgetExceeded as exc:
             v = Skipped(str(exc))
         if v is False:

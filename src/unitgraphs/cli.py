@@ -22,17 +22,14 @@ from importlib import resources
 from .classify import (
     CHECK_KEYS,
     SKIPPED,
+    Skipped,
     classify_well_covered,
     cross_validate,
+    join_factors,
     join_verdicts,
     predict,
 )
-from .complexes import (
-    BudgetExceeded,
-    ComplexError,
-    complex_from_json,
-    independence_complex,
-)
+from .complexes import DEFAULT_FACET_CAP, BudgetExceeded, ComplexError, complex_from_json
 from .constructions import (
     ConstructionError,
     nonunit_complement_witness,
@@ -48,7 +45,6 @@ from .graphs import GraphError, build_graph, dot_blocks, json_blocks
 from .indsets import (
     DEFAULT_MAX_SETS,
     DEFAULT_TIME_BUDGET,
-    component_subgraphs,
     enumerate_mis,
     well_covered_bruteforce,
 )
@@ -187,7 +183,7 @@ def _cmd_mis(args) -> int:
         "stop_reason": report.stop_reason,
     }
     if args.list:
-        result["sets"] = [s.indices() for s in report.sets]
+        result["sets"] = sorted(s.indices() for s in report.sets)
     if args.count:
         result = {"count": report.count, "stop_reason": report.stop_reason}
     _emit(
@@ -327,10 +323,12 @@ def _cmd_complex(args) -> int:
             raise _CliError("a ring expression or --facets-file is required", EXIT_USAGE)
         descriptor = parse_ring_expr(args.ring)
         graph = build_graph(build_ring(descriptor), "unit")
-        factors = [
-            independence_complex(part, max_sets=args.max_sets, time_budget=left)
-            for part, left in component_subgraphs(graph, args.time_budget)
-        ]
+        factors = join_factors(
+            graph, stop_mode="all", max_sets=args.max_sets, time_budget=args.time_budget
+        )
+        for c in factors:
+            if isinstance(c, Skipped):  # a truncated search
+                raise BudgetExceeded(f"{c.reason}; cannot build the full complex")
         ring_expr = print_ring_expr(descriptor)
     # the complex is the join of the factors
     result: dict[str, object] = {
@@ -503,7 +501,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--checks", default="wc,cm,shellable,gorenstein")
     p.add_argument("--cross-validate", action="store_true")
-    p.add_argument("--facet-cap", type=_positive_int, default=12)
+    p.add_argument("--facet-cap", type=_positive_int, default=DEFAULT_FACET_CAP)
     p.add_argument("--max-sets", type=_positive_int, default=DEFAULT_MAX_SETS)
     p.add_argument("--time-budget", type=_seconds, default=DEFAULT_TIME_BUDGET)
     p.set_defaults(func=_cmd_classify)
@@ -529,7 +527,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shellable", action="store_true")
     p.add_argument("--cm", action="store_true")
     p.add_argument("--gorenstein", action="store_true")
-    p.add_argument("--facet-cap", type=_positive_int, default=12)
+    p.add_argument("--facet-cap", type=_positive_int, default=DEFAULT_FACET_CAP)
     p.add_argument("--max-sets", type=_positive_int, default=DEFAULT_MAX_SETS)
     p.add_argument("--time-budget", type=_seconds, default=DEFAULT_TIME_BUDGET)
     p.set_defaults(func=_cmd_complex)

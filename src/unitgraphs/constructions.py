@@ -42,7 +42,7 @@ import itertools
 from dataclasses import dataclass
 
 from .descriptors import Gf, Mat, Product, factorize, flatten_factors
-from .fields import GfField, mat_det, mat_identity, mat_inv, mat_mul
+from .fields import GfField, mat_identity, mat_inv, mat_mul
 from .graphs import Graph, build_graph
 from .indsets import is_maximal_independent
 from .rings import (
@@ -370,7 +370,7 @@ def nonunit_complement_witness(s_ring: Ring, y: int, verify: bool = True) -> int
         value = y // stride % leaf.order
         if value == 0:
             part = leaf.one
-        elif size == 1 or mat_det(fld, leaf.decode_entries(value)) != 0:
+        elif leaf.is_unit(value):
             part = 0
         else:
             nf = rank_normal_form(fld, leaf.decode_entries(value))

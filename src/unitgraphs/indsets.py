@@ -5,8 +5,7 @@ complement of G, so enumeration runs the classic recursive clique search
 with pivoting on complement bitmask rows.  The pivot is the candidate
 (from candidates-plus-excluded) covering the most of the candidate set,
 ties broken by lowest index, which makes the emission order
-deterministic.  The collected family is sorted lexicographically, so
-reports are stable.
+deterministic.  The collected family is kept in that order.
 
 Three reductions follow the graph's structure; each reads only rows.
 
@@ -16,10 +15,10 @@ Three reductions follow the graph's structure; each reads only rows.
   candidate, and each emitted set is expanded by its classes.  The
   expansion is one to one, so counts, sizes, the sorted family and the
   caps mean what they would on the whole graph; only the order of
-  emission (and so the callback order, the witnesses and which sets a
-  capped run keeps) follows the quotient.
-* Components.  ``component_subgraphs`` splits a graph into its connected
-  components under one shared budget.
+  emission (and so the order of ``sets``, the witnesses and which sets
+  a capped run keeps) follows the quotient.
+* Components.  ``component_reports`` is the one walk over the connected
+  components of every brute-force verdict, under one deadline.
 * Orbits.  An automorphism of G maps maximal independent sets onto
   maximal independent sets of the same size.  A maximal independent set
   S meets N[u] for every vertex u (it holds u or a neighbour of u), so
@@ -128,21 +127,20 @@ class _Stop(Exception):
 
 
 class _Search:
-    def __init__(self, g, on_set, stop_mode, max_sets, time_budget, collect):
+    def __init__(self, g, stop_mode, max_sets, time_budget, collect):
         n = g.n
         self.g = g
         self.restrict((1 << n) - 1)
-        self.on_set = on_set
         self.stop_mode = stop_mode
         self.max_sets = max_sets
         self.deadline = time.monotonic() + time_budget
         self.collect = collect
         self.calls = 0
         # rows read by the pivot scans and branches; past the allowance the
-        # candidates are verified (a callback sees one plain search)
+        # candidates are verified
         self.reads = 0
         self.allowance = math.inf
-        if stop_mode == "first_two_sizes" and on_set is None and g.candidates:
+        if stop_mode == "first_two_sizes" and g.candidates:
             self.allowance = len(g.candidates) * max(n, VERIFY_MIN_ROWS)
         self.generators: tuple[tuple[int, int, int], ...] = ()
         self.reset()
@@ -183,8 +181,6 @@ class _Search:
         self.first_of_size.setdefault(size, mask)
         if self.collect:
             self.sets.append(mask)
-        if self.on_set is not None:
-            self.on_set(VertexSet(mask, self.g.n))
         if self.stop_mode == "first_two_sizes" and len(self.sizes) >= 2:
             raise _Stop("two_sizes")
         if self.count >= self.max_sets:
@@ -219,7 +215,7 @@ class _Search:
             while todo:
                 mask = todo.pop()
                 steps += 1
-                if steps % 256 == 0 and time.monotonic() > self.deadline:
+                if steps % 256 == 0 and time.monotonic() >= self.deadline:
                     raise _Stop("time_budget")
                 for shift in self.generators:
                     image = shift_mask(mask, shift)
@@ -238,7 +234,8 @@ class _Search:
 
     def expand(self, chosen: int, cand: int, excl: int) -> None:
         self.calls += 1
-        if self.calls % 256 == 0 and time.monotonic() > self.deadline:
+        # the first node reads the clock too: no search starts past its deadline
+        if self.calls % 256 == 1 and time.monotonic() >= self.deadline:
             raise _Stop("time_budget")
         if self.reads > self.allowance:
             self.allowance = math.inf
@@ -346,7 +343,6 @@ def _false_twin_classes(rows, within: int, vertices) -> tuple[int, dict[int, int
 
 def enumerate_mis(
     g: Graph,
-    on_set=None,
     *,
     stop_mode: str = "all",
     max_sets: int = DEFAULT_MAX_SETS,
@@ -357,18 +353,16 @@ def enumerate_mis(
     """Enumerate maximal independent sets.
 
     With stop_mode="all" and no cap hit, the emitted family is exactly
-    the family of all maximal independent sets.  The on_set callback (if
-    given) sees each set as it is found, in search order; the collected
-    ``sets`` are sorted canonically.  With stop_mode="first_two_sizes"
-    and no callback, a long search may take the orbit path (see the
-    module docstring); the collected family is then the closure, which
-    is the same family.
+    the family of all maximal independent sets; the collected ``sets``
+    come in search order.  With stop_mode="first_two_sizes" a long
+    search may take the orbit path (see the module docstring); the
+    collected family is then the closure, which is the same family.
     """
     if stop_mode not in ("all", "first_two_sizes"):
         raise EnumerationError(f"unknown stop mode {stop_mode!r}")
     if g.n > cap:
         raise EnumerationError(f"vertex count {g.n} exceeds the cap {cap}")
-    search = _Search(g, on_set, stop_mode, max_sets, time_budget, collect)
+    search = _Search(g, stop_mode, max_sets, time_budget, collect)
     reason = search.run()
     orbits = None
     if reason == "orbits":
@@ -379,10 +373,7 @@ def enumerate_mis(
         if reason == "exhausted" and collect:
             reason = search.close()
     truncated = reason in ("max_sets", "time_budget")
-    sets = None
-    if collect:
-        ordered = sorted(search.sets, key=mask_indices)
-        sets = tuple(VertexSet(m, g.n) for m in ordered)
+    sets = tuple(VertexSet(m, g.n) for m in search.sets) if collect else None
     # a stopped search that saw one size has not decided well-coveredness
     well_covered = None if truncated else len(search.sizes) == 1
     witnesses: tuple[VertexSet, ...] = ()
@@ -406,12 +397,19 @@ def enumerate_mis(
     )
 
 
-def component_subgraphs(g: Graph, time_budget: float = DEFAULT_TIME_BUDGET):
-    """The induced subgraph of each connected component, by least vertex,
-    with the seconds left of one time_budget that all of them share."""
+def component_reports(g: Graph, *, time_budget: float = DEFAULT_TIME_BUDGET, **limits):
+    """(induced subgraph, enumerate_mis report) for each connected
+    component, by least vertex, under one deadline.  A search that meets
+    the deadline, or would start past it, is truncated (time_budget) and
+    ends the walk, as does one that met two sizes; a max_sets cap on one
+    component does not."""
     deadline = time.monotonic() + time_budget
     for part in connected_components(g):
-        yield induced_subgraph(g, part), deadline - time.monotonic()
+        sub = induced_subgraph(g, part)
+        report = enumerate_mis(sub, time_budget=deadline - time.monotonic(), **limits)
+        yield sub, report
+        if report.stop_reason in ("two_sizes", "time_budget"):
+            return
 
 
 def well_covered_bruteforce(
@@ -423,23 +421,17 @@ def well_covered_bruteforce(
     """True/False when decided; None when limits were hit first.
 
     A disjoint union is well-covered iff every component is (Plummer,
-    J. Combin. Theory 8, 1970), so each connected component is searched
-    on its own: max_sets caps each search, and time_budget all of them.
-    Two sizes in any component decide False; a component whose search
-    was capped leaves the verdict open unless another one decides False.
+    J. Combin. Theory 8, 1970), so the verdict folds the reports of
+    ``component_reports``.  Two sizes in any component decide False; a
+    component whose search was capped leaves the verdict open unless
+    another one decides False.
     """
     verdict: bool | None = True
-    for part, left in component_subgraphs(g, time_budget):
-        if left <= 0:
-            return None
-        report = enumerate_mis(
-            part,
-            stop_mode="first_two_sizes",
-            max_sets=max_sets,
-            time_budget=left,
-            collect=False,
-        )
-        if len(report.sizes_seen) >= 2:
+    reports = component_reports(
+        g, stop_mode="first_two_sizes", max_sets=max_sets, time_budget=time_budget, collect=False
+    )
+    for _, report in reports:
+        if report.well_covered is False:
             return False
         if report.truncated:
             verdict = None

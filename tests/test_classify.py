@@ -3,7 +3,7 @@ import time
 import pytest
 
 from oracles import build_plain_graph
-from unitgraphs import classify
+from unitgraphs import classify, indsets
 from unitgraphs.classify import (
     SKIPPED,
     classify_cm,
@@ -205,15 +205,14 @@ def test_cross_validate_decides_m2_gf8():
 @pytest.mark.parametrize("expr", ["M2(GF(5))", "M2(GF(7))"])
 def test_cross_validate_stops_each_search_at_its_second_size(monkeypatch, expr):
     runs = []
-    real = classify.enumerate_mis
+    real = indsets.enumerate_mis
 
-    def counting(g, on_set=None, **limits):
-        assert on_set is None
-        sizes = []
-        runs.append((limits["stop_mode"], sizes))
-        return real(g, lambda s: sizes.append(len(s)), **limits)
+    def recording(g, **limits):
+        report = real(g, **limits)
+        runs.append((limits["stop_mode"], report))
+        return report
 
-    monkeypatch.setattr(classify, "enumerate_mis", counting)
+    monkeypatch.setattr(indsets, "enumerate_mis", recording)
     start = time.monotonic()
     report = cross_validate(parse_ring_expr(expr), ALL_CHECKS)
     assert time.monotonic() - start < 2
@@ -223,10 +222,12 @@ def test_cross_validate_stops_each_search_at_its_second_size(monkeypatch, expr):
     assert report.agreement is True
     graph = build_graph(build_ring(parse_ring_expr(expr)))
     assert 1 <= len(runs) <= len(connected_components(graph))
-    stop_mode, sizes = runs[-1]
+    assert all(mode == "first_two_sizes" for mode, _ in runs)
+    assert all(r.stop_reason == "exhausted" for _, r in runs[:-1])
     # the last search emitted one size until the set that ended it
-    assert stop_mode == "first_two_sizes"
-    assert len(set(sizes[:-1])) == 1 and sizes[-1] != sizes[0]
+    last = runs[-1][1]
+    assert last.stop_reason == "two_sizes" and len(last.sizes_seen) == 2
+    assert last.sizes_seen[len(last.witnesses[1])] == 1
 
 
 def test_cm_false_decides_gorenstein_and_shellable():

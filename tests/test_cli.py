@@ -405,12 +405,30 @@ def test_complex_reads_shellability_off_cm(capsys):
     assert payload["result"]["shellable"] == "undecided"
 
 
-def test_complex_exits_on_a_truncated_search(monkeypatch, capsys):
-    real = cli.component_subgraphs
-    monkeypatch.setattr(cli, "component_subgraphs", lambda g, time_budget: real(g, 0.0))
-    code, out, err = run(capsys, "complex", "M2(GF(8))", "--pure")
+def test_complex_exits_on_a_truncated_search(capsys):
+    code, out, err = run(capsys, "complex", "M2(GF(8))", "--pure", "--time-budget", "0")
     assert code == EXIT_CAP and out == ""
-    assert "truncated" in err
+    assert "truncated (time_budget)" in err
+
+
+def test_a_spent_budget_starts_no_component_search(capsys):
+    # Z2^12: 2048 components, K2 each; the deadline has passed at the first
+    z2_12 = " x ".join(["Z2"] * 12)
+    start = time.monotonic()
+    payload = run_json(capsys, "wellcovered", z2_12, "--method", "brute", "--time-budget", "0")
+    assert payload["result"]["observed"] == "undecided" and payload["truncated"] is True
+    assert time.monotonic() - start < 1
+    start = time.monotonic()
+    payload = run_json(capsys, "classify", z2_12, "--cross-validate",
+                       "--checks", "wc,cm,gorenstein", "--time-budget", "0")
+    assert set(payload["result"]["observed"].values()) == {"skipped"}
+    assert payload["truncated"] is True
+    assert time.monotonic() - start < 1
+    start = time.monotonic()
+    code, out, err = run(capsys, "complex", z2_12, "--pure", "--cm", "--time-budget", "0")
+    assert code == EXIT_CAP and out == ""
+    assert "truncated (time_budget)" in err
+    assert time.monotonic() - start < 1
 
 
 def test_complex_spends_its_time_budget(capsys):

@@ -124,12 +124,6 @@ def test_emitted_sets_are_maximal_independent(catalog_descriptors):
             assert is_maximal_independent(g, s), expr
 
 
-def test_callback_sees_every_set():
-    seen = []
-    report = enumerate_mis(_graph("Z4"), on_set=seen.append)
-    assert sorted(s.mask for s in seen) == sorted(s.mask for s in report.sets)
-
-
 def test_first_two_sizes_stops_early():
     report = enumerate_mis(_graph("M2(GF(3))"), stop_mode="first_two_sizes")
     assert report.stop_reason == "two_sizes"
@@ -235,7 +229,8 @@ def planted_graphs(draw):
 def test_enumeration_on_planted_twins_and_components(g):
     want = all_mis_subsets(g)
     report = enumerate_mis(g)
-    assert [s.mask for s in report.sets] == sorted(want, key=mask_indices)
+    # the sets come in search order: each one once
+    assert sorted(s.mask for s in report.sets) == sorted(want)
     assert report.count == len(want)
     assert report.sizes_seen == Counter(m.bit_count() for m in want)
     assert well_covered_bruteforce(g) is (len(report.sizes_seen) == 1)
@@ -315,7 +310,7 @@ def _assert_orbit_path_agrees(g):
     assert plain.orbits is None
     assert orbit.well_covered is plain.well_covered is not None
     if orbit.well_covered:
-        assert [s.mask for s in orbit.sets] == [s.mask for s in plain.sets]
+        assert sorted(s.mask for s in orbit.sets) == sorted(s.mask for s in plain.sets)
         assert orbit.count == plain.count and orbit.sizes_seen == plain.sizes_seen
     else:
         for report in (orbit, plain):
@@ -365,7 +360,7 @@ def test_closure_is_the_whole_family(expr):
     g = _graph(expr)
     closed = enumerate_mis(g, stop_mode="first_two_sizes")
     full = enumerate_mis(g)
-    assert [s.mask for s in closed.sets] == [s.mask for s in full.sets]
+    assert sorted(s.mask for s in closed.sets) == sorted(s.mask for s in full.sets)
     assert closed.sizes_seen == full.sizes_seen and closed.count == full.count
     if expr == "M2(GF(4))":
         # 8 verified translations, one orbit: the 160 facets come from the
@@ -413,9 +408,6 @@ def test_verification_waits_for_the_allowance(monkeypatch):
     assert calls == [2401] and report.orbits is None
     assert [w.mask for w in report.witnesses] == [w.mask for w in plain.witnesses]
     assert report.nodes == plain.nodes
-    # a callback sees one plain search: no verification
-    enumerate_mis(_graph("M2(GF(4))"), lambda s: None, stop_mode="first_two_sizes")
-    assert calls == [2401]
 
 
 def test_m2_gf8_is_decided_through_its_orbits():

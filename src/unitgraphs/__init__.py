@@ -92,6 +92,6 @@ from .rings import (
     jacobson_radical,
     quotient_by_radical,
 )
-from .wedderburn import SemisimpleForm, semisimple_form, wedderburn_shape
+from .wedderburn import semisimple_form, wedderburn_shape
 
 __version__ = "0.1.0"

@@ -12,14 +12,17 @@ The classifiers work from structure alone:
   e.g. GF(2) x GF(4)).
 * ``classify_cm`` decides Cohen-Macaulay = shellable = (R is a field of
   characteristic 2, or every element of R is idempotent), and
-  Gorenstein = (every element idempotent), from the shape and |R|.
+  Gorenstein = (every element idempotent), from the shape and |R| of a
+  descriptor.
 
 ``cross_validate`` runs the classifiers next to the independent oracles
 (set enumeration, GF(2) homology) and reports predictions, observations
-and their agreement.  ``join_factors`` maps the component reports of
-``indsets.component_reports`` to the factors of the join, each search
-stopped at a second facet size (or, for the ``complex`` command, run to
-the whole family); the verdicts on the whole complex follow from the
+and their agreement.  Its ``shape`` and ``quotient_char`` are read off
+the descriptor too, so it realizes R and its unit graph but neither
+J(R) nor R/J(R).  ``join_factors`` yields the factors of the join one
+component report of ``indsets.component_reports`` at a time, each
+search stopped at a second facet size (or, for the ``complex`` command,
+run to the whole family); the verdicts on the whole complex follow from the
 factors' by the join rule (``join_verdicts``).  A long verdict search
 runs on one vertex neighbourhood per orbit of the graph's verified
 automorphisms and closes the sets it finds under them (see
@@ -30,6 +33,7 @@ remains evidence.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -42,10 +46,10 @@ from .complexes import (
     is_pure,
     is_shellable,
 )
-from .descriptors import RingDescriptor, descriptor_expr, descriptor_order
+from .descriptors import RingDescriptor, descriptor_expr, descriptor_order, prime_power
 from .graphs import GraphError, build_graph
 from .indsets import DEFAULT_MAX_SETS, DEFAULT_TIME_BUDGET, component_reports
-from .rings import Ring, build_ring, quotient_by_radical
+from .rings import build_ring
 from .wedderburn import wedderburn_shape
 
 SKIPPED = "skipped"
@@ -78,32 +82,22 @@ def classify_well_covered(descriptor: RingDescriptor) -> bool:
     return False
 
 
-def classify_cm(descriptor_or_ring: RingDescriptor | Ring) -> dict[str, bool]:
+def classify_cm(descriptor: RingDescriptor) -> dict[str, bool]:
     """Cohen-Macaulay / shellable / Gorenstein verdicts for the unit graph.
 
     Read from the shape of R/J(R) and |R|, without realizing R: R is
     Boolean iff every block is (1, 2) and |R| = 2^blocks, and a field iff
-    the shape is one block (1, q) and |R| = q (either way J(R) = 0).  A
-    Ring is read through its descriptor, which has the shape of R/J(R)
-    also for a quotient R/J(R), and its own order."""
-    if isinstance(descriptor_or_ring, Ring):
-        descriptor = descriptor_or_ring.descriptor
-        ring_order = descriptor_or_ring.order
-
-        def has_order(order: int) -> bool:
-            return ring_order == order
-    else:
-        descriptor = descriptor_or_ring
-
-        def has_order(order: int) -> bool:
-            return descriptor_order(descriptor, order) == order
-
+    the shape is one block (1, q) and |R| = q (either way J(R) = 0)."""
     shape = wedderburn_shape(descriptor)
     n, q = shape[0]
-
-    boolean = all(block == (1, 2) for block in shape) and has_order(2 ** len(shape))
+    blocks_order = 2 ** len(shape)
+    boolean = all(block == (1, 2) for block in shape) and (
+        descriptor_order(descriptor, blocks_order) == blocks_order
+    )
     # q is a prime power: characteristic 2 iff q is a power of 2
-    cm = boolean or (len(shape) == 1 and n == 1 and q & (q - 1) == 0 and has_order(q))
+    cm = boolean or (
+        len(shape) == 1 and n == 1 and q & (q - 1) == 0 and descriptor_order(descriptor, q) == q
+    )
     return {"cm": cm, "shellable": cm, "gorenstein": boolean}
 
 
@@ -162,11 +156,13 @@ def cross_validate(
             raise ValueError(f"unknown check {c!r}")
     start = time.monotonic()
     ring = build_ring(descriptor)
-    quotient = quotient_by_radical(ring)
+    shape = wedderburn_shape(descriptor)
     report = ClassificationReport(
         ring=descriptor_expr(descriptor),
-        quotient_char=quotient.characteristic,
-        shape=wedderburn_shape(descriptor),
+        # a product of matrix rings over fields GF(p^k) has characteristic
+        # the product of the distinct primes p
+        quotient_char=math.prod({prime_power(q)[0] for _, q in shape}),
+        shape=shape,
     )
     report.predicted = predict(descriptor)
 
@@ -177,7 +173,7 @@ def cross_validate(
         except GraphError:  # over the graph cap: every verdict is skipped
             pass
         else:
-            factors = join_factors(graph, max_sets=max_sets, time_budget=time_budget)
+            factors = list(join_factors(graph, max_sets=max_sets, time_budget=time_budget))
     report.observed = join_verdicts(
         factors, [CHECK_KEYS[c][1] for c in CHECK_KEYS if c in checks], facet_cap=facet_cap
     )
@@ -194,23 +190,21 @@ def cross_validate(
 
 
 def join_factors(graph, *, stop_mode="first_two_sizes", **limits):
-    """Ind(G1 + G2) is the join Ind(G1) * Ind(G2).  Each component's
-    search gives its complex; a Skipped with the stop reason if
-    truncated; False if it stopped at a second facet size, which decides
-    every verdict on the join.  stop_mode="all" gives every complex
-    whole, as the ``complex`` command needs.  limits (max_sets,
-    time_budget) go to ``component_reports``."""
-    factors = []
+    """Ind(G1 + G2) is the join Ind(G1) * Ind(G2).  Yields the factors
+    one component search at a time: its complex; a Skipped with the stop
+    reason if truncated; False if it stopped at a second facet size,
+    which decides every verdict on the join.  stop_mode="all" gives every
+    complex whole, as the ``complex`` command needs; that command stops
+    at the first Skipped, before the next search starts.  limits
+    (max_sets, time_budget) go to ``component_reports``."""
     for part, found in component_reports(graph, stop_mode=stop_mode, **limits):
         if found.truncated:
-            factors.append(
-                Skipped(f"maximal independent set enumeration was truncated ({found.stop_reason})")
-            )
+            reason = f"maximal independent set enumeration was truncated ({found.stop_reason})"
+            yield Skipped(reason)
         elif found.stop_reason == "two_sizes":
-            factors.append(False)
+            yield False
         else:
-            factors.append(SimplicialComplex(part.n, [s.mask for s in found.sets], graph=part))
-    return factors
+            yield SimplicialComplex(part.n, [s.mask for s in found.sets], graph=part)
 
 
 def join_verdicts(factors, keys, *, facet_cap=DEFAULT_FACET_CAP):

@@ -323,12 +323,13 @@ def _cmd_complex(args) -> int:
             raise _CliError("a ring expression or --facets-file is required", EXIT_USAGE)
         descriptor = parse_ring_expr(args.ring)
         graph = build_graph(build_ring(descriptor), "unit")
-        factors = join_factors(
+        factors = []
+        for c in join_factors(
             graph, stop_mode="all", max_sets=args.max_sets, time_budget=args.time_budget
-        )
-        for c in factors:
-            if isinstance(c, Skipped):  # a truncated search
+        ):
+            if isinstance(c, Skipped):  # a truncated search: no later one can help
                 raise BudgetExceeded(f"{c.reason}; cannot build the full complex")
+            factors.append(c)
         ring_expr = print_ring_expr(descriptor)
     # the complex is the join of the factors
     result: dict[str, object] = {
@@ -469,6 +470,10 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("ring", help="ring expression, e.g. 'Z4 x M2(GF(2))'")
         p.add_argument("--pretty", action="store_true", help="human-readable output")
 
+    def add_limits(p):
+        p.add_argument("--max-sets", type=_positive_int, default=DEFAULT_MAX_SETS)
+        p.add_argument("--time-budget", type=_seconds, default=DEFAULT_TIME_BUDGET)
+
     p = sub.add_parser("info", help="order, characteristic, units, radical, shape")
     add_common(p)
     p.set_defaults(func=_cmd_info)
@@ -486,15 +491,13 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--list", action="store_true", help="include the sets")
     group.add_argument("--sizes", action="store_true", help="sizes summary (default)")
     group.add_argument("--count", action="store_true", help="count only")
-    p.add_argument("--max-sets", type=_positive_int, default=DEFAULT_MAX_SETS)
-    p.add_argument("--time-budget", type=_seconds, default=DEFAULT_TIME_BUDGET)
+    add_limits(p)
     p.set_defaults(func=_cmd_mis)
 
     p = sub.add_parser("wellcovered", help="decide well-coveredness")
     add_common(p)
     p.add_argument("--method", choices=["brute", "classify", "both"], default="both")
-    p.add_argument("--max-sets", type=_positive_int, default=DEFAULT_MAX_SETS)
-    p.add_argument("--time-budget", type=_seconds, default=DEFAULT_TIME_BUDGET)
+    add_limits(p)
     p.set_defaults(func=_cmd_wellcovered)
 
     p = sub.add_parser("classify", help="well-covered / CM / shellable / Gorenstein")
@@ -502,39 +505,36 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checks", default="wc,cm,shellable,gorenstein")
     p.add_argument("--cross-validate", action="store_true")
     p.add_argument("--facet-cap", type=_positive_int, default=DEFAULT_FACET_CAP)
-    p.add_argument("--max-sets", type=_positive_int, default=DEFAULT_MAX_SETS)
-    p.add_argument("--time-budget", type=_seconds, default=DEFAULT_TIME_BUDGET)
+    add_limits(p)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("construct", help="run one of the explicit constructions")
-    p.add_argument("ring")
+    add_common(p)
     p.add_argument(
         "what",
         choices=["signature", "zerorow", "complement", "claim", "two-size", "lift"],
         help="construction to run ('claim' is an alias of 'complement')",
     )
-    p.add_argument("--pretty", action="store_true")
     p.add_argument("--y", type=int, default=None, help="element index for complement")
     p.add_argument("--side", choices=["unit", "nonunit"], default="nonunit")
     p.add_argument("--quotient-set", default=None, help="comma-separated quotient indices")
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("complex", help="independence complex properties")
+    add_common(p, ring=False)
     p.add_argument("ring", nargs="?", default=None)
-    p.add_argument("--pretty", action="store_true")
     p.add_argument("--facets-file", default=None, help="standalone facet JSON file")
     p.add_argument("--pure", action="store_true")
     p.add_argument("--shellable", action="store_true")
     p.add_argument("--cm", action="store_true")
     p.add_argument("--gorenstein", action="store_true")
     p.add_argument("--facet-cap", type=_positive_int, default=DEFAULT_FACET_CAP)
-    p.add_argument("--max-sets", type=_positive_int, default=DEFAULT_MAX_SETS)
-    p.add_argument("--time-budget", type=_seconds, default=DEFAULT_TIME_BUDGET)
+    add_limits(p)
     p.set_defaults(func=_cmd_complex)
 
     p = sub.add_parser("verify", help="run the classification catalog")
     p.add_argument("--catalog", default=None, help="catalog JSON path (default: shipped)")
-    p.add_argument("--pretty", action="store_true")
+    add_common(p, ring=False)
     p.add_argument("--facet-cap", type=_positive_int, default=40)
     p.set_defaults(func=_cmd_verify)
 

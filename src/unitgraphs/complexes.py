@@ -91,7 +91,7 @@ class SimplicialComplex:
         if len(set(map(int.bit_count, masks))) > 1:
             masks = _maximal(sorted(masks, key=int.bit_count, reverse=True), vertex_count)
         self.vertex_count = vertex_count
-        self.facets = tuple(sorted(masks, key=mask_indices))
+        self.facets = tuple(sorted(masks, key=_canonical_key))
         self.graph = graph
         self._incidence = None
 
@@ -125,7 +125,7 @@ class SimplicialComplex:
     def faces(self, face_cap: int = DEFAULT_FACE_CAP) -> list[int]:
         """All faces (including the empty face) as masks, deduplicated and
         sorted canonically."""
-        return sorted(self._face_set(face_cap), key=mask_indices)
+        return sorted(self._face_set(face_cap), key=_canonical_key)
 
     def _face_set(self, face_cap: int) -> set[int]:
         seen: set[int] = set()
@@ -174,6 +174,13 @@ def _containing(incidence: list[int], mask: int, within: int) -> int:
         within &= incidence[low.bit_length() - 1]
         mask ^= low
     return within
+
+
+def _canonical_key(mask: int) -> str:
+    """Sort key for the lexicographic order of index lists: the bits from
+    bit 0 up to the top one, a member before a non-member ("1" < "2").
+    The empty set is first, so it gets "" (format(0, "b") is "0")."""
+    return format(mask, "b")[::-1].replace("0", "2") if mask else ""
 
 
 def _maximal(masks: list[int], vertex_count: int) -> list[int]:

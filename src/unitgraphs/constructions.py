@@ -56,7 +56,6 @@ from .rings import (
     jacobson_radical,
     quotient_by_radical,
 )
-from .wedderburn import semisimple_form
 
 
 class ConstructionError(Exception):
@@ -466,31 +465,31 @@ def two_size_witnesses(
     two = ring.add(ring.one, ring.one)
     if not ring.is_unit(two):
         raise ConstructionError("2 must be a unit")
-    form = semisimple_form(ring)
-    for _, q in form.blocks:
+    quotient = quotient_by_radical(ring)
+    for _, q in quotient.blocks:
         if factorize(q)[0][0] == 2:
             raise ConstructionError(
                 "2 a unit forces every residue field to odd characteristic"
             )
     block_sign_sets = [
-        signature_set(n, q, verify=False).indices() for n, q in form.blocks
+        signature_set(n, q, verify=False).indices() for n, q in quotient.blocks
     ]
     sig_quotient = VertexSet.from_indices(
         [
-            form.quotient.encode_blocks(list(combo))
+            quotient.encode_blocks(list(combo))
             for combo in itertools.product(*block_sign_sets)
         ],
-        form.quotient.order,
+        quotient.order,
     )
-    lead_zero_rows = zero_first_row_set(*form.blocks[0], verify=False).indices()
-    rest = [range(r.order) for r in form.block_rings[1:]]
+    lead_zero_rows = zero_first_row_set(*quotient.blocks[0], verify=False).indices()
+    rest = [range(r.order) for r in quotient.block_rings[1:]]
     zero_quotient = VertexSet.from_indices(
         [
-            form.quotient.encode_blocks([first, *others])
+            quotient.encode_blocks([first, *others])
             for first in lead_zero_rows
             for others in itertools.product(*rest)
         ],
-        form.quotient.order,
+        quotient.order,
     )
     # both sets are checked once, in R: R/J(R) would need a second graph
     unit_lift = lift_unit_mis_reps(ring, sig_quotient, verify=False)
@@ -499,7 +498,7 @@ def two_size_witnesses(
         _require_mis(ring, unit_lift, "the lifted signature set")
         _require_mis(ring, nonunit_lift, "the lifted zero-first-row set")
     expected_sig = 1
-    for n, _ in form.blocks:
+    for n, _ in quotient.blocks:
         expected_sig *= 2**n
     if len(unit_lift) != expected_sig:
         raise ConstructionError("signature lift has the wrong cardinality")

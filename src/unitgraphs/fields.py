@@ -17,6 +17,7 @@ first, with trailing zeros trimmed ([] is the zero polynomial).
 
 from __future__ import annotations
 
+import itertools
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -59,15 +60,8 @@ def _is_irreducible(f: list[int], p: int) -> bool:
         return True
     for d in range(1, k // 2 + 1):
         # monic divisors of degree d, low-first coefficients a_0..a_{d-1}
-        for code in range(p ** d):
-            g = []
-            c = code
-            for _ in range(d):
-                g.append(c % p)
-                c //= p
-            g.append(1)
-            _, rem = poly_divmod(f, g, p)
-            if not rem:
+        for low in itertools.product(range(p), repeat=d):
+            if not poly_divmod(f, [*low, 1], p)[1]:
                 return False
     return True
 
@@ -81,22 +75,11 @@ def smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     """
     if k == 1:
         return (0, 1)
-    for code_tuple in _lex_tuples(p, k):
-        f = list(code_tuple) + [1]
-        if _is_irreducible(f, p):
-            return tuple(f)
+    # itertools.product counts with a_0 most significant: lexicographic
+    for low in itertools.product(range(p), repeat=k):
+        if _is_irreducible([*low, 1], p):
+            return (*low, 1)
     raise RuntimeError(f"no irreducible polynomial of degree {k} over GF({p})")
-
-
-def _lex_tuples(p: int, k: int):
-    # tuples (a_0, ..., a_{k-1}) in lexicographic order: a_0 most significant
-    total = p ** k
-    for t in range(total):
-        digits = []
-        rest = t
-        for pos in range(k):
-            digits.append(rest // p ** (k - 1 - pos) % p)
-        yield tuple(digits)
 
 
 class GfField:

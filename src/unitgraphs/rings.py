@@ -786,7 +786,9 @@ def semisimple_images(ring: Ring, xs) -> list[np.ndarray]:
 
 class QuotientRing(Ring):
     """The quotient of a ring by its Jacobson radical, indexed as the block
-    product ``canonical_ring`` = B_1 x ... x B_t of ``semisimple_blocks``.
+    product ``canonical_ring`` = B_1 x ... x B_t of ``semisimple_blocks``:
+    ``blocks`` lists the shapes (n, q) and ``block_rings`` the realized
+    B_i = M_n(GF(q)), in the order of ``semisimple_blocks``.
 
     Element k is the coset whose ``semisimple_images`` are the block
     components of k in ``Product``'s mixed radix, block 0 least
@@ -801,12 +803,13 @@ class QuotientRing(Ring):
         self.parent = parent
         self.descriptor = parent.descriptor
         self.radical = radical
-        blocks = semisimple_blocks(parent.descriptor)
-        if len(blocks) == 1:
-            self.canonical_ring = block_ring(blocks[0])
+        self.blocks = semisimple_blocks(parent.descriptor)
+        self.block_rings = tuple(block_ring(b) for b in self.blocks)
+        if len(self.blocks) == 1:
+            self.canonical_ring = self.block_rings[0]
         else:
             self.canonical_ring = build_ring(
-                Product(tuple(block_ring(b).descriptor for b in blocks)),
+                Product(tuple(r.descriptor for r in self.block_rings)),
                 order_cap=HARD_ORDER_CAP,
             )
         self.order = self.canonical_ring.order

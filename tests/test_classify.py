@@ -3,7 +3,7 @@ import time
 import pytest
 
 from oracles import build_plain_graph
-from unitgraphs import classify, indsets
+from unitgraphs import classify, indsets, rings
 from unitgraphs.classify import (
     SKIPPED,
     classify_cm,
@@ -269,3 +269,24 @@ def test_classify_cm_matches_complex_oracles_small(catalog_descriptors):
         assert is_gorenstein_gf2(c) == predicted["gorenstein"], expr
         shell = is_shellable(c, facet_cap=300)
         assert shell == predicted["shellable"], expr
+
+
+def test_cross_validate_realizes_no_quotient(catalog_descriptors, monkeypatch):
+    # the report reads R/J(R) off the shape: with the quotient and the
+    # radical unbuildable, every report is the same
+    def reports():
+        out = []
+        for _, descriptor in catalog_descriptors:
+            report = cross_validate(descriptor, ALL_CHECKS).to_dict()
+            report.pop("runtime_ms")
+            out.append(report)
+        return out
+
+    def refuse(*args):
+        raise AssertionError("R/J(R) or J(R) realized")
+
+    want = reports()
+    quotient_by_radical.cache_clear()
+    monkeypatch.setattr(rings.QuotientRing, "__init__", refuse)
+    monkeypatch.setattr(rings, "_radical_structural", refuse)
+    assert reports() == want

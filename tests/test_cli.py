@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import unitgraphs
 from oracles import build_plain_graph
-from unitgraphs import classify, cli
+from unitgraphs import classify, cli, indsets
 from unitgraphs.descriptors import CACHE_SIZE, descriptor_order
 from unitgraphs.dsl import parse_ring_expr
 from unitgraphs.graphs import build_graph
@@ -429,6 +429,24 @@ def test_a_spent_budget_starts_no_component_search(capsys):
     assert code == EXIT_CAP and out == ""
     assert "truncated (time_budget)" in err
     assert time.monotonic() - start < 1
+
+
+def test_complex_stops_at_its_first_capped_component(capsys, monkeypatch):
+    # Z2^12: 2048 components, each capped at one set; the first makes the
+    # complex unbuildable, so no second search starts
+    searches = []
+    real = indsets.enumerate_mis
+
+    def counting(g, **limits):
+        searches.append(g.n)
+        return real(g, **limits)
+
+    monkeypatch.setattr(indsets, "enumerate_mis", counting)
+    z2_12 = " x ".join(["Z2"] * 12)
+    code, out, err = run(capsys, "complex", z2_12, "--pure", "--max-sets", "1")
+    assert code == EXIT_CAP and out == ""
+    assert "truncated (max_sets)" in err
+    assert searches == [2]
 
 
 def test_complex_spends_its_time_budget(capsys):

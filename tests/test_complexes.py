@@ -29,7 +29,7 @@ from unitgraphs import cli, complexes
 from unitgraphs.classify import cross_validate, join_factors, join_verdicts
 from unitgraphs.dsl import parse_ring_expr
 from unitgraphs.graphs import Graph, build_graph, connected_components
-from unitgraphs.rings import build_ring
+from unitgraphs.rings import build_ring, mask_indices
 
 
 def _complex(expr):
@@ -366,7 +366,7 @@ def test_join_verdicts_match_the_whole_complex_on_random_graphs():
     shapes = Counter()
     for _ in range(200):
         g = _random_graph(rng, rng.randint(0, 10))
-        factors = join_factors(g)
+        factors = list(join_factors(g))
         got = join_verdicts(factors, keys)
         whole = independence_complex(g)
         facets = whole.facet_lists()
@@ -527,3 +527,16 @@ def test_graph_recursion_caps_distinct_links():
         _graph_reisner(c5, 0b11111, 3, lambda top: True)
     with pytest.raises(BudgetExceeded, match="more than 2 faces"):
         _graph_reisner(c5, 0b11111, 2, lambda top: True)
+
+
+def test_canonical_key_orders_like_index_lists():
+    # 300 random families of widths 1..4096, each with the empty set and
+    # with subsets of its members, so that prefixes of index lists occur
+    rng = random.Random(20241019)
+    for _ in range(300):
+        width = rng.choice((1, 2, 3, 5, 8, 13, 64, 200, 1000, 4096))
+        family = {0, *(rng.getrandbits(width) for _ in range(rng.randint(1, 40)))}
+        family |= {m & rng.getrandbits(width) for m in family}
+        masks = sorted(family)
+        rng.shuffle(masks)
+        assert sorted(masks, key=complexes._canonical_key) == sorted(masks, key=mask_indices)

@@ -6,8 +6,10 @@ import pytest
 
 from oracles import matrix_unit_count
 from unitgraphs import rings
-from unitgraphs.classify import classify_cm
-from unitgraphs.descriptors import D4, Cn, Gf, GroupAlgebra, Mat, Product, Q8, Zn, prime_power
+from unitgraphs.classify import classify_cm, cross_validate
+from unitgraphs.descriptors import (
+    D4, Cn, Gf, GroupAlgebra, Mat, Product, Q8, Zn, prime_power, semisimple_blocks,
+)
 from unitgraphs.dsl import parse_ring_expr
 from unitgraphs.rings import (
     HARD_ORDER_CAP,
@@ -349,9 +351,13 @@ def test_shape_orders_multiply_to_quotient_order(catalog_descriptors):
 
 def _check_semisimple_form(ring, samples=2000):
     """Sampled: R -> R/J(R) through block images is a ring homomorphism,
-    and the quotient index of x is the canonical index of x's images."""
-    form = semisimple_form(ring)
-    cring, quot, expr = form.canonical_ring, form.quotient, ring.expr
+    and the quotient index of x is the canonical index of x's images.
+    The form is the interned quotient, block by block."""
+    quot = semisimple_form(ring)
+    cring, expr = quot.canonical_ring, ring.expr
+    assert quot is quotient_by_radical(ring), expr
+    assert quot.blocks == semisimple_blocks(ring.descriptor), expr
+    assert quot.block_rings == tuple(map(rings.block_ring, quot.blocks)), expr
     assert cring.order == quot.order, expr
     assert quot.one == cring.one == quot.project(ring.one), expr
     rng = random.Random(20240917)
@@ -460,7 +466,7 @@ def _realize(ring):
     units = ring.unit_set
     radical = jacobson_radical(ring)
     form = semisimple_form(ring)
-    return units, radical, form.quotient.unit_set, form
+    return units, radical, form.unit_set, form
 
 
 def test_production_never_reaches_the_definitional_scans(catalog_descriptors, monkeypatch):
@@ -469,7 +475,7 @@ def test_production_never_reaches_the_definitional_scans(catalog_descriptors, mo
 
     monkeypatch.setattr(rings.Ring, "_units_generic", refuse)
     monkeypatch.setattr(rings, "_radical_generic", refuse)
-    for cached in (rings._build_ring_cached, quotient_by_radical, semisimple_form):
+    for cached in (rings._build_ring_cached, quotient_by_radical):
         cached.cache_clear()
     exprs = [expr for expr, _ in catalog_descriptors] + list(LADDER_EXPRS)
     for expr in exprs:
@@ -480,7 +486,7 @@ def test_production_never_reaches_the_definitional_scans(catalog_descriptors, mo
 
 def test_cyclic_group_algebras_at_the_cap_realize_quickly():
     for expr in ("GA(GF(2), C11)", "GA(GF(2), C12)", "GA(GF(3), C7)"):
-        for cached in (rings._build_ring_cached, quotient_by_radical, semisimple_form):
+        for cached in (rings._build_ring_cached, quotient_by_radical):
             cached.cache_clear()
         start = time.monotonic()
         units, radical, quotient_units, form = _realize(build_ring(parse_ring_expr(expr)))
@@ -498,10 +504,18 @@ def test_classify_cm_rule_matches_the_ring_predicates(catalog_descriptors):
     for expr in exprs:
         ring = build_ring(parse_ring_expr(expr))
         assert classify_cm(ring.descriptor) == want(ring), expr
-        assert classify_cm(ring) == want(ring), expr
-        # R/J(R) keeps R's descriptor but has its own order
+        # R/J(R) is classified through its canonical block product
         quotient = quotient_by_radical(ring)
-        assert classify_cm(quotient) == want(quotient), f"{expr} / J"
+        assert classify_cm(quotient.canonical_ring.descriptor) == want(quotient), f"{expr} / J"
+
+
+def test_quotient_characteristic_is_read_off_the_shape(catalog_descriptors):
+    # the realized quotient is the reference
+    exprs = [expr for expr, _ in catalog_descriptors] + list(LADDER_EXPRS)
+    for expr in exprs:
+        descriptor = parse_ring_expr(expr)
+        realized = quotient_by_radical(build_ring(descriptor)).characteristic
+        assert cross_validate(descriptor, ()).quotient_char == realized, expr
 
 
 def test_classify_cm_needs_no_realization():

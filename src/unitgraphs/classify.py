@@ -24,7 +24,8 @@ component report of ``indsets.component_reports`` at a time, each
 search stopped at a second facet size (or, for the ``complex`` command,
 run to the whole family); the verdicts on the whole complex follow from the
 factors' by the join rule (``join_verdicts``).  A long verdict search
-runs on one vertex neighbourhood per orbit of the graph's verified
+first runs a greedy probe, which ends it if it finds two sizes, and
+else runs on one vertex neighbourhood per orbit of the graph's verified
 automorphisms and closes the sets it finds under them (see
 ``indsets``).  Every step reads only adjacency rows and facets, never
 the ring.  The classifiers never fall back to the oracle, so agreement
@@ -33,7 +34,6 @@ remains evidence.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -46,11 +46,11 @@ from .complexes import (
     is_pure,
     is_shellable,
 )
-from .descriptors import RingDescriptor, descriptor_expr, descriptor_order, prime_power
+from .descriptors import RingDescriptor, descriptor_expr, descriptor_order
 from .graphs import GraphError, build_graph
 from .indsets import DEFAULT_MAX_SETS, DEFAULT_TIME_BUDGET, component_reports
 from .rings import build_ring
-from .wedderburn import wedderburn_shape
+from .wedderburn import shape_characteristic, wedderburn_shape
 
 SKIPPED = "skipped"
 
@@ -159,9 +159,7 @@ def cross_validate(
     shape = wedderburn_shape(descriptor)
     report = ClassificationReport(
         ring=descriptor_expr(descriptor),
-        # a product of matrix rings over fields GF(p^k) has characteristic
-        # the product of the distinct primes p
-        quotient_char=math.prod({prime_power(q)[0] for _, q in shape}),
+        quotient_char=shape_characteristic(shape),
         shape=shape,
     )
     report.predicted = predict(descriptor)

@@ -53,10 +53,9 @@ from .rings import (
     UnsupportedStructure,
     VertexSet,
     build_ring,
-    jacobson_radical,
     quotient_by_radical,
 )
-from .wedderburn import wedderburn_shape
+from .wedderburn import shape_characteristic, wedderburn_shape
 
 EXIT_OK = 0
 EXIT_DISAGREEMENT = 1
@@ -138,15 +137,14 @@ def _cmd_info(args) -> int:
     start = time.monotonic()
     descriptor = parse_ring_expr(args.ring)
     ring = build_ring(descriptor)
-    radical = jacobson_radical(ring)
-    quotient = quotient_by_radical(ring)
     shape = wedderburn_shape(descriptor)
     result = {
         "order": ring.order,
         "characteristic": ring.characteristic,
         "units": len(ring.unit_set),
-        "radical_size": len(radical),
-        "quotient_char": quotient.characteristic,
+        # |R/J(R)| is the product of q^(n^2) over the blocks (n, q)
+        "radical_size": ring.order // math.prod(q ** (n * n) for n, q in shape),
+        "quotient_char": shape_characteristic(shape),
         "shape": [list(b) for b in shape],
     }
     _emit(args, print_ring_expr(descriptor), "info", result, start=start)

@@ -82,9 +82,21 @@ def smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     raise RuntimeError(f"no irreducible polynomial of degree {k} over GF({p})")
 
 
+def _power(mul, x: int, e: int) -> int:
+    """x^e by square-and-multiply under the product mul."""
+    result = 1
+    while e:
+        if e & 1:
+            result = mul(result, x)
+        x = mul(x, x)
+        e >>= 1
+    return result
+
+
 class GfField:
-    """Arithmetic for GF(p^k) on integer indices: scalar operations, plus
-    the vectorized product ``mul_many`` through log/antilog tables."""
+    """Arithmetic for GF(p^k) on integer indices.  For k > 1 the scalar
+    ``mul`` and ``inv`` and the vectorized product ``mul_many`` read one
+    pair of log/antilog tables, built from the polynomial product."""
 
     def __init__(self, q: int):
         pk = prime_power(q)
@@ -145,6 +157,12 @@ class GfField:
     def mul(self, x: int, y: int) -> int:
         if self.k == 1:
             return (x * y) % self.p
+        log, exp = self._scalar_tables
+        return exp[log[x] + log[y]]
+
+    def _poly_mul(self, x: int, y: int) -> int:
+        """The product as polynomials reduced modulo the modulus: what the
+        log/antilog tables are built from."""
         a = self.decode(x)
         b = self.decode(y)
         prod = [0] * (2 * self.k - 1)
@@ -163,18 +181,15 @@ class GfField:
         return self.encode(out)
 
     def power(self, x: int, e: int) -> int:
-        result = self.one
-        while e:
-            if e & 1:
-                result = self.mul(result, x)
-            x = self.mul(x, x)
-            e >>= 1
-        return result
+        return _power(self.mul, x, e)
 
     def inv(self, x: int) -> int:
         if x == 0:
             raise ZeroDivisionError("0 has no inverse")
-        return self.power(x, self.q - 2)
+        if self.k == 1:
+            return pow(x, self.p - 2, self.p)
+        log, exp = self._scalar_tables
+        return exp[(self.q - 1 - log[x]) % (self.q - 1)]
 
     @cached_property
     def _log_exp(self) -> tuple[np.ndarray, np.ndarray]:
@@ -187,17 +202,23 @@ class GfField:
         primes = [r for r, _ in factorize(q - 1)] if q > 2 else []
         gen = next(
             c for c in range(1, q)
-            if all(self.power(c, (q - 1) // r) != self.one for r in primes)
+            if all(_power(self._poly_mul, c, (q - 1) // r) != self.one for r in primes)
         )
         exp = np.zeros(4 * (q - 1) + 1, dtype=np.int64)
         x = self.one
         for i in range(q - 1):
             exp[i] = exp[i + q - 1] = x
-            x = self.mul(x, gen)
+            x = self._poly_mul(x, gen)
         log = np.empty(q, dtype=np.int64)
         log[exp[: q - 1]] = np.arange(q - 1)
         log[0] = 2 * (q - 1)
         return log, exp
+
+    @cached_property
+    def _scalar_tables(self) -> tuple[list[int], list[int]]:
+        """``_log_exp`` as Python lists, for the scalar ``mul`` and ``inv``."""
+        log, exp = self._log_exp
+        return log.tolist(), exp.tolist()
 
     def mul_many(self, xs, ys) -> np.ndarray:
         """Elementwise, broadcasting product of index arrays."""

@@ -7,7 +7,8 @@ with pivoting on complement bitmask rows.  The pivot is the candidate
 ties broken by lowest index, which makes the emission order
 deterministic.  The collected family is kept in that order.
 
-Three reductions follow the graph's structure; each reads only rows.
+Three reductions follow the graph's structure, and a probe looks for a
+quick False; each reads only rows.
 
 * Twins.  The search runs on the false-twin quotient: vertices with
   equal rows are never adjacent and lie together in or out of every
@@ -35,18 +36,31 @@ Three reductions follow the graph's structure; each reads only rows.
   keeps only those that map every row x onto the row of the image of x.
   A wrong candidate costs time, never a verdict.
 
+* Probe.  Two maximal independent sets of different sizes prove a
+  graph not well-covered by definition, while recognizing well-covered
+  graphs is co-NP-complete (Chvatal & Slater, Ann. Discrete Math. 55,
+  1993; Sankaranarayana & Stewart, Networks 22, 1992).  So a cheap
+  certificate can decide the False side, and the exact search stays for
+  True.  ``_greedy_sets`` builds up to PROBE_ORDERS greedy maximal
+  independent sets from the rows, scanning the vertices in index order,
+  in reverse order and then in orders shuffled by a local
+  ``random.Random(0)``, never the global random state, and stops at the
+  first set of a second size.
+
 Limits are explicit: a cap on emitted sets, a wall-clock budget, and a
 stop mode.  ``first_two_sizes`` halts as soon as two distinct sizes have
 been seen; it is the one search per component of both
 ``well_covered_bruteforce`` and ``classify.join_factors`` (which keeps a
 one-size component's sets as its complex), and the only mode that takes
-the orbit path.  It first runs the plain search under a work allowance
-of one row read per candidate and vertex (at least VERIFY_MIN_ROWS per
-candidate), which is about what verifying the candidates costs; a
-search that outruns it has them verified, and switches to the orbit
-path if any is kept, or else carries on.  The allowance is counted, not
-timed, so the path taken, the witnesses and the output are
-deterministic.  ``mis`` and ``independence_complex`` list
+the probe and the orbit path.  It first runs the plain search under a
+work allowance of one row read per candidate (at least one) and vertex,
+with at least VERIFY_MIN_ROWS per candidate, which is about what
+verifying the candidates costs.  A search that outruns it runs the
+probe, which ends it with two sizes if it finds them; else the
+candidates are verified, and the search switches to the orbit path if
+any is kept, or carries on.  The allowance is counted, not timed, and
+the probe's orders are seeded, so the path taken, the witnesses and the
+output are deterministic.  ``mis`` and ``independence_complex`` list
 the whole family with a plain search.  Hitting a cap is reported
 in-band, never silently.
 """
@@ -54,10 +68,13 @@ in-band, never silently.
 from __future__ import annotations
 
 import math
+import random
 import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from .graphs import DEFAULT_GRAPH_CAP, Graph, connected_components, induced_subgraph
 from .rings import VertexSet, mask_indices, shift_mask
@@ -66,8 +83,12 @@ DEFAULT_MAX_SETS = 10**6
 DEFAULT_TIME_BUDGET = 60.0
 # Verifying a candidate reads every row once, after a set-up that costs
 # about as much as a plain search reading this many rows on a small graph;
-# the allowance counts at least this many per candidate.
+# the allowance counts at least this many per candidate, and as many for
+# a graph without candidates, which pays for the probe.
 VERIFY_MIN_ROWS = 256
+# greedy maximal independent sets the probe builds at most; 0 switches
+# the probe off
+PROBE_ORDERS = 10
 
 
 class EnumerationError(Exception):
@@ -91,6 +112,11 @@ class MisReport:
     # count and sizes_seen count the sets {r} + T unless the family was
     # collected, which is closed to every maximal independent set
     orbits: int | None = None
+    # greedy sets the probe built when it ran, else None; when it found
+    # two sizes (stop_reason two_sizes), count, sizes_seen and sets
+    # describe its distinct sets and the witnesses are its first set and
+    # its first set of another size
+    probes: int | None = None
 
 
 def is_independent(g: Graph, s: VertexSet) -> bool:
@@ -137,11 +163,12 @@ class _Search:
         self.collect = collect
         self.calls = 0
         # rows read by the pivot scans and branches; past the allowance the
-        # candidates are verified
+        # probe runs and the candidates are verified
         self.reads = 0
         self.allowance = math.inf
-        if stop_mode == "first_two_sizes" and g.candidates:
-            self.allowance = len(g.candidates) * max(n, VERIFY_MIN_ROWS)
+        if stop_mode == "first_two_sizes":
+            self.allowance = max(len(g.candidates), 1) * max(n, VERIFY_MIN_ROWS)
+        self.probes: int | None = None
         self.generators: tuple[tuple[int, int, int], ...] = ()
         self.reset()
 
@@ -185,6 +212,18 @@ class _Search:
             raise _Stop("two_sizes")
         if self.count >= self.max_sets:
             raise _Stop("max_sets")
+
+    def probe(self) -> None:
+        """Greedy sets until two sizes; if found, they replace what the
+        search emitted so far and the last one stops it."""
+        if not PROBE_ORDERS:
+            return
+        masks = _greedy_sets(self.g, PROBE_ORDERS)
+        self.probes = len(masks)
+        if masks[0].bit_count() != masks[-1].bit_count():
+            self.reset()
+            for mask in dict.fromkeys(masks):
+                self.emit(mask)
 
     def run(self, roots=None) -> str:
         """Search the whole graph, or with roots, for each root r the sets
@@ -239,6 +278,7 @@ class _Search:
             raise _Stop("time_budget")
         if self.reads > self.allowance:
             self.allowance = math.inf
+            self.probe()
             self.generators = verified_automorphisms(self.g)
             if self.generators:
                 raise _Stop("orbits")
@@ -266,6 +306,38 @@ class _Search:
             cand ^= low
             excl |= low
             ext ^= low
+
+
+def _greedy_sets(g: Graph, k: int) -> list[int]:
+    """Up to k greedy maximal independent sets of g, each taking every
+    vertex no earlier choice rules out, in index order, reverse order,
+    then orders shuffled by a local random.Random(0) (sorted by its
+    random keys, which costs no Python call per vertex); the list ends
+    at the first set whose size differs from the first set's."""
+    n = g.n
+    rows = g.rows
+    bits = [1 << v for v in range(n)]
+    rng = random.Random(0)
+    sets: list[int] = []
+    for i in range(k):
+        if i < 2:
+            order = range(n) if i == 0 else range(n - 1, -1, -1)
+        else:
+            keys = np.frombuffer(rng.randbytes(4 * n), dtype="<u4")
+            order = np.argsort(keys, kind="stable").tolist()
+        free = (1 << n) - 1
+        chosen = 0
+        for v in order:
+            bit = bits[v]
+            if free & bit:
+                chosen |= bit
+                free &= ~(rows[v] | bit)
+                if not free:
+                    break
+        sets.append(chosen)
+        if chosen.bit_count() != sets[0].bit_count():
+            break
+    return sets
 
 
 def verified_automorphisms(g: Graph) -> tuple[tuple[int, int, int], ...]:
@@ -355,7 +427,8 @@ def enumerate_mis(
     With stop_mode="all" and no cap hit, the emitted family is exactly
     the family of all maximal independent sets; the collected ``sets``
     come in search order.  With stop_mode="first_two_sizes" a long
-    search may take the orbit path (see the module docstring); the
+    search runs the probe, and may end on its greedy sets of two sizes,
+    or else take the orbit path (see the module docstring); the
     collected family is then the closure, which is the same family.
     """
     if stop_mode not in ("all", "first_two_sizes"):
@@ -394,6 +467,7 @@ def enumerate_mis(
         sets=sets,
         nodes=search.calls,
         orbits=orbits,
+        probes=search.probes,
     )
 
 

@@ -4,8 +4,9 @@ Finite semisimple rings are products of matrix rings over finite fields.
 For the descriptors this toolkit realizes, ``descriptors.semisimple_blocks``
 reads that product shape off the descriptor, and ``wedderburn_shape``
 sorts it canonically.  The shape is the one description of R/J(R): the
-classifiers and ``classify.cross_validate`` read it without realizing
-anything.
+classifiers, ``classify.cross_validate`` and the ``info`` command read it
+without realizing anything, the characteristic through
+``shape_characteristic``.
 
 ``semisimple_form`` names the reduction explicitly and returns the one
 realization, ``rings.quotient_by_radical``.  That ``QuotientRing`` holds
@@ -18,7 +19,9 @@ inside C are quotient sets as they stand, ready to be lifted to R.
 
 from __future__ import annotations
 
-from .descriptors import Block, RingDescriptor, semisimple_blocks
+import math
+
+from .descriptors import Block, RingDescriptor, prime_power, semisimple_blocks
 from .rings import QuotientRing, Ring, quotient_by_radical
 
 
@@ -26,6 +29,12 @@ def wedderburn_shape(d: RingDescriptor) -> tuple[Block, ...]:
     """Canonically sorted block list of R/J(R): ascending field order,
     then block size."""
     return tuple(sorted(semisimple_blocks(d), key=lambda b: (b[1], b[0])))
+
+
+def shape_characteristic(shape: tuple[Block, ...]) -> int:
+    """The characteristic of R/J(R): a product of matrix rings over fields
+    GF(p^k) has characteristic the product of the distinct primes p."""
+    return math.prod({prime_power(q)[0] for _, q in shape})
 
 
 def semisimple_form(ring: Ring) -> QuotientRing:

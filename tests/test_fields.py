@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from oracles import poly_is_irreducible_bruteforce
+from unitgraphs.descriptors import prime_power
 from unitgraphs.fields import (
     GfField,
     mat_det,
@@ -97,6 +98,23 @@ def test_mul_matches_naive_polynomial_reduction():
                         for i, m in enumerate(modulus):
                             prod[top - k + i] = (prod[top - k + i] - c * m) % p
                 assert fld.mul(x, y) == fld.encode(prod[:k]), (q, x, y)
+
+
+PRIME_POWERS_TO_64 = [q for q in range(2, 65) if prime_power(q)]
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_64)
+def test_table_arithmetic_matches_the_polynomial_product(q):
+    # the scalar mul and inv read the log/antilog tables; the polynomial
+    # product they are built from is the reference, over every pair
+    fld = GfField(q)
+    for x in range(q):
+        for y in range(q):
+            assert fld.mul(x, y) == fld._poly_mul(x, y), (q, x, y)
+        if x:
+            assert fld._poly_mul(x, fld.inv(x)) == 1, (q, x)
+    with pytest.raises(ZeroDivisionError):
+        fld.inv(0)
 
 
 def test_mat_helpers_over_gf3():

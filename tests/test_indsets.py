@@ -326,8 +326,9 @@ ORACLE_RINGS = ["M2(GF(4))", "GF(8) x GF(8)", "Z8 x Z8", "GA(GF(3), C4)", "GA(GF
 
 def test_orbit_path_agrees_on_catalog_rings(monkeypatch):
     # one row read per candidate and vertex, so that small graphs take the
-    # orbit path too
+    # orbit path too; the probe is off, so that False graphs reach it
     monkeypatch.setattr(indsets, "VERIFY_MIN_ROWS", 0)
+    monkeypatch.setattr(indsets, "PROBE_ORDERS", 0)
     fired = false = 0
     for expr in CATALOG_EXPRS + ORACLE_RINGS:
         ring = build_ring(parse_ring_expr(expr))
@@ -400,12 +401,18 @@ def test_verification_waits_for_the_allowance(monkeypatch):
     report = enumerate_mis(_graph("GF(4096)"), stop_mode="first_two_sizes", collect=False)
     assert calls == [] and report.orbits is None and report.well_covered is True
     assert report.nodes == 4097
-    # M2(GF(7)): past the allowance, the 4 candidates fail and the plain
-    # search carries on to the same witnesses
+    # M2(GF(7)): at the allowance the probe finds two sizes, and nothing
+    # is verified
     g = _graph("M2(GF(7))")
     report = enumerate_mis(g, stop_mode="first_two_sizes", collect=False)
+    assert calls == [] and report.stop_reason == "two_sizes" and report.probes == 3
+    assert report.orbits is None and report.nodes < 200
+    # with the probe off, past the allowance the 4 candidates fail and the
+    # plain search carries on to the same witnesses
+    monkeypatch.setattr(indsets, "PROBE_ORDERS", 0)
+    report = enumerate_mis(g, stop_mode="first_two_sizes", collect=False)
+    assert calls == [2401] and report.orbits is None and report.probes is None
     plain = enumerate_mis(_plain(g), stop_mode="first_two_sizes", collect=False)
-    assert calls == [2401] and report.orbits is None
     assert [w.mask for w in report.witnesses] == [w.mask for w in plain.witnesses]
     assert report.nodes == plain.nodes
 
@@ -415,5 +422,94 @@ def test_m2_gf8_is_decided_through_its_orbits():
     start = time.monotonic()
     report = enumerate_mis(g, stop_mode="first_two_sizes", collect=False)
     assert time.monotonic() - start < 5
+    # the probe saw one size and fell through to the orbit path
+    assert report.probes == indsets.PROBE_ORDERS
     assert report.orbits == 1 and report.well_covered is True
     assert report.sizes_seen == Counter({64: 18})
+
+
+# ---------------------------------------------------------------------------
+# the probe: greedy maximal independent sets before the exact search
+# ---------------------------------------------------------------------------
+
+def _random_graph(rng, n, density):
+    rows = [0] * n
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rng.random() < density:
+                rows[a] |= 1 << b
+                rows[b] |= 1 << a
+    return Graph(n, "imported", rows)
+
+
+def _assert_probe_witnesses(g, report):
+    a, b = report.witnesses
+    assert len(a) != len(b)
+    assert is_maximal_independent(g, a) and is_maximal_independent(g, b)
+    assert report.count == len({s.mask for s in report.sets})
+    assert all(is_maximal_independent(g, s) for s in report.sets)
+    assert report.sizes_seen == Counter(len(s) for s in report.sets)
+
+
+def test_probe_agrees_with_the_plain_search_on_random_graphs(monkeypatch):
+    # the least allowance (n row reads), so that the probe runs on small
+    # graphs; the reference is the same search with the probe off
+    monkeypatch.setattr(indsets, "VERIFY_MIN_ROWS", 0)
+    rng = random.Random(2024)
+    ran = decided = 0
+    for _ in range(150):
+        g = _random_graph(rng, rng.randint(6, 40), rng.choice((0.1, 0.3, 0.5, 0.8)))
+        report = enumerate_mis(g, stop_mode="first_two_sizes")
+        with monkeypatch.context() as m:
+            m.setattr(indsets, "PROBE_ORDERS", 0)
+            plain = enumerate_mis(g, stop_mode="first_two_sizes")
+        assert plain.probes is None
+        assert report.well_covered is plain.well_covered is not None
+        if report.probes is None:
+            continue
+        ran += 1
+        greedy = indsets._greedy_sets(g, indsets.PROBE_ORDERS)
+        assert report.probes == len(greedy)
+        if greedy[0].bit_count() != greedy[-1].bit_count():
+            decided += 1
+            assert report.stop_reason == "two_sizes" and report.nodes <= plain.nodes
+            _assert_probe_witnesses(g, report)
+        else:  # one size: the same search as with the probe off
+            assert report.nodes == plain.nodes and report.witnesses == plain.witnesses
+    # most graphs are decided by the probe; some fall through
+    assert ran >= 120 and decided >= 100 and ran - decided >= 3
+
+
+def test_probe_is_deterministic():
+    # the orders come from a local generator: the global random state
+    # does not move them
+    g = _random_graph(random.Random(7), 60, 0.3)
+    state = random.getstate()
+    try:
+        random.seed(1)
+        sets = indsets._greedy_sets(g, indsets.PROBE_ORDERS)
+        random.seed(2)
+        assert sets == indsets._greedy_sets(g, indsets.PROBE_ORDERS)
+    finally:
+        random.setstate(state)
+    assert all(is_maximal_independent(g, VertexSet(m, g.n)) for m in sets)
+    # one size until the last set, which alone has another
+    assert len({m.bit_count() for m in sets[:-1]}) == 1
+
+
+@pytest.mark.parametrize("expr", [
+    "M2(GF(2)) x M2(GF(2)) x M2(GF(2))",
+    "GF(32) x M2(GF(2)) x GA(GF(2), C3)",
+    "M2(GF(4)) x M2(GF(2))",
+])
+def test_probe_decides_false_rings_at_the_cap(expr):
+    # each took the exact search 995-2032 nodes and over a second on the
+    # orbit path; the probe stops it at the allowance, about 15 nodes in
+    g = _graph(expr)
+    assert g.n == 4096
+    report = enumerate_mis(g, stop_mode="first_two_sizes")
+    assert report.well_covered is False and report.stop_reason == "two_sizes"
+    assert report.orbits is None and report.probes is not None
+    assert report.nodes < 100
+    _assert_probe_witnesses(g, report)
+    assert well_covered_bruteforce(g) is False

@@ -1,3 +1,4 @@
+import json
 import random
 import time
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import matrix_unit_count
-from unitgraphs import rings
+from unitgraphs import cli, rings
 from unitgraphs.classify import classify_cm, cross_validate
 from unitgraphs.descriptors import (
     D4, Cn, Gf, GroupAlgebra, Mat, Product, Q8, Zn, prime_power, semisimple_blocks,
@@ -516,6 +517,17 @@ def test_quotient_characteristic_is_read_off_the_shape(catalog_descriptors):
         descriptor = parse_ring_expr(expr)
         realized = quotient_by_radical(build_ring(descriptor)).characteristic
         assert cross_validate(descriptor, ()).quotient_char == realized, expr
+
+
+def test_info_reads_the_radical_and_quotient_off_the_shape(catalog_descriptors, capsys):
+    # the realized radical and quotient are the reference
+    exprs = [expr for expr, _ in catalog_descriptors] + list(LADDER_EXPRS)
+    for expr in exprs:
+        ring = build_ring(parse_ring_expr(expr))
+        assert cli.main(["info", expr]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["radical_size"] == len(jacobson_radical(ring)), expr
+        assert result["quotient_char"] == quotient_by_radical(ring).characteristic, expr
 
 
 def test_classify_cm_needs_no_realization():

@@ -24,10 +24,10 @@ component report of ``indsets.component_reports`` at a time, each
 search stopped at a second facet size (or, for the ``complex`` command,
 run to the whole family); the verdicts on the whole complex follow from the
 factors' by the join rule (``join_verdicts``).  A long verdict search
-first runs a greedy probe, which ends it if it finds two sizes, and
-else runs on one vertex neighbourhood per orbit of the graph's verified
-automorphisms and closes the sets it finds under them (see
-``indsets``).  Every step reads only adjacency rows and facets, never
+first runs a greedy probe, which ends it if it finds two sizes; past
+that, every long search runs on one vertex neighbourhood per orbit of
+the graph's verified automorphisms and closes the sets it finds under
+them (see ``indsets``).  Every step reads only adjacency rows and facets, never
 the ring.  The classifiers never fall back to the oracle, so agreement
 remains evidence.
 """

@@ -180,9 +180,6 @@ class GfField:
                     out[i] = (out[i] + c * r) % p
         return self.encode(out)
 
-    def power(self, x: int, e: int) -> int:
-        return _power(self.mul, x, e)
-
     def inv(self, x: int) -> int:
         if x == 0:
             raise ZeroDivisionError("0 has no inverse")

@@ -29,12 +29,15 @@ quick False; each reads only rows.
   the union over the roots of 1 plus the sizes in G - N[r], each G -
   N[r] searched on its own twin quotient, and the family is the closure
   of those sets under the group's generators (McKay & Piperno, J.
-  Symbolic Comput. 60, 2014, prune by orbits the same way).  The
-  automorphisms come from ``Graph.candidates`` (for a ring's graph, its
-  translations, under which unit graphs over R/J(R) of characteristic 2
-  and all Cayley graphs are invariant), and ``verified_automorphisms``
-  keeps only those that map every row x onto the row of the image of x.
-  A wrong candidate costs time, never a verdict.
+  Symbolic Comput. 60, 2014, prune by orbits the same way).  The family
+  is counted without being held: ``_weighted_sizes`` weighs each set
+  {r} + T by the size of r's orbit over the number of its members in
+  the union of the root orbits.  The automorphisms come from
+  ``Graph.candidates`` (for a ring's graph, its translations, under
+  which unit graphs over R/J(R) of characteristic 2 and all Cayley
+  graphs are invariant), and ``verified_automorphisms`` keeps only
+  those that map every row x onto the row of the image of x.  A wrong
+  candidate costs time, never a verdict.
 
 * Probe.  Two maximal independent sets of different sizes prove a
   graph not well-covered by definition, while recognizing well-covered
@@ -47,21 +50,20 @@ quick False; each reads only rows.
   ``random.Random(0)``, never the global random state, and stops at the
   first set of a second size.
 
-Limits are explicit: a cap on emitted sets, a wall-clock budget, and a
-stop mode.  ``first_two_sizes`` halts as soon as two distinct sizes have
+Limits are explicit: a cap on sets, a wall-clock budget, and a stop
+mode.  ``first_two_sizes`` halts as soon as two distinct sizes have
 been seen; it is the one search per component of both
 ``well_covered_bruteforce`` and ``classify.join_factors`` (which keeps a
 one-size component's sets as its complex), and the only mode that takes
-the probe and the orbit path.  It first runs the plain search under a
-work allowance of one row read per candidate (at least one) and vertex,
-with at least VERIFY_MIN_ROWS per candidate, which is about what
-verifying the candidates costs.  A search that outruns it runs the
-probe, which ends it with two sizes if it finds them; else the
-candidates are verified, and the search switches to the orbit path if
-any is kept, or carries on.  The allowance is counted, not timed, and
-the probe's orders are seeded, so the path taken, the witnesses and the
-output are deterministic.  ``mis`` and ``independence_complex`` list
-the whole family with a plain search.  Hitting a cap is reported
+the probe.  ``all`` lists or counts the whole family.  Every search
+first runs plain under a work allowance of one row read per candidate
+(at least one) and vertex, with at least VERIFY_MIN_ROWS per candidate,
+which is about what verifying the candidates costs.  Past it, a verdict
+search runs the probe, which ends it with two sizes if it finds them;
+then the candidates are verified, and the search switches to the orbit
+path if any is kept, or carries on.  The allowance is counted, not
+timed, and the probe's orders are seeded, so the path taken, the
+witnesses and the output are deterministic.  Hitting a cap is reported
 in-band, never silently.
 """
 
@@ -73,6 +75,7 @@ import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -108,9 +111,7 @@ class MisReport:
     stop_reason: str  # exhausted | two_sizes | max_sets | time_budget
     sets: tuple[VertexSet, ...] | None
     nodes: int = 0  # search nodes, over every run
-    # orbits searched when the orbit reduction fired, else None; then
-    # count and sizes_seen count the sets {r} + T unless the family was
-    # collected, which is closed to every maximal independent set
+    # orbits searched when the orbit reduction fired, else None
     orbits: int | None = None
     # greedy sets the probe built when it ran, else None; when it found
     # two sizes (stop_reason two_sizes), count, sizes_seen and sets
@@ -162,14 +163,16 @@ class _Search:
         self.deadline = time.monotonic() + time_budget
         self.collect = collect
         self.calls = 0
-        # rows read by the pivot scans and branches; past the allowance the
-        # probe runs and the candidates are verified
+        # rows read by the pivot scans and branches; past the allowance a
+        # verdict search runs the probe, and the candidates are verified
         self.reads = 0
-        self.allowance = math.inf
-        if stop_mode == "first_two_sizes":
-            self.allowance = max(len(g.candidates), 1) * max(n, VERIFY_MIN_ROWS)
+        self.allowance = max(len(g.candidates), 1) * max(n, VERIFY_MIN_ROWS)
         self.probes: int | None = None
         self.generators: tuple[tuple[int, int, int], ...] = ()
+        # on the orbit path: W, the union of the root orbits, and per root
+        # the sets {r} + T emitted, by (size, |S & W|)
+        self.orbit_union = 0
+        self.tallies: list[Counter] = []
         self.reset()
 
     def restrict(self, within: int) -> None:
@@ -208,6 +211,8 @@ class _Search:
         self.first_of_size.setdefault(size, mask)
         if self.collect:
             self.sets.append(mask)
+        if self.orbit_union:
+            self.tallies[-1][size, (mask & self.orbit_union).bit_count()] += 1
         if self.stop_mode == "first_two_sizes" and len(self.sizes) >= 2:
             raise _Stop("two_sizes")
         if self.count >= self.max_sets:
@@ -238,12 +243,35 @@ class _Search:
                 full = (1 << n) - 1
                 for r in roots:
                     self.restrict(full & ~(self.g.rows[r] | (1 << r)))
+                    self.tallies.append(Counter())
                     self.expand(1 << r, self.reps, 0)
             return "exhausted"
         except _Stop as stop:
             return stop.reason
         finally:
             sys.setrecursionlimit(old_limit)
+
+    def count_family(self, orbit_sizes) -> str:
+        """After the root searches: the whole family's sizes from the
+        tallies (see ``_weighted_sizes``), and with collect, the family
+        itself by closing the sets found.  A family of max_sets or more
+        sets, or a closure cut short, leaves the report describing only
+        the sets found."""
+        sizes = _weighted_sizes(self.tallies, orbit_sizes)
+        count = sum(sizes.values())
+        reason = self.close() if self.collect else "exhausted"
+        if reason != "exhausted":
+            self.sizes = Counter(map(int.bit_count, self.sets))
+            self.count = len(self.sets)
+            return reason
+        if self.collect and len(self.sets) != count:
+            raise EnumerationError(
+                f"the closure holds {len(self.sets)} sets, the orbit weights count {count}"
+            )
+        if count >= self.max_sets:
+            return "max_sets"
+        self.sizes, self.count = sizes, count
+        return reason
 
     def close(self) -> str:
         """Close the collected sets under the generators."""
@@ -268,8 +296,6 @@ class _Search:
             return stop.reason
         finally:
             self.sets = list(family)
-            self.count = len(family)
-            self.sizes = Counter(map(int.bit_count, family))
 
     def expand(self, chosen: int, cand: int, excl: int) -> None:
         self.calls += 1
@@ -278,7 +304,8 @@ class _Search:
             raise _Stop("time_budget")
         if self.reads > self.allowance:
             self.allowance = math.inf
-            self.probe()
+            if self.stop_mode == "first_two_sizes":
+                self.probe()
             self.generators = verified_automorphisms(self.g)
             if self.generators:
                 raise _Stop("orbits")
@@ -370,14 +397,15 @@ def verified_automorphisms(g: Graph) -> tuple[tuple[int, int, int], ...]:
     return tuple(kept)
 
 
-def _orbit_roots(generators, g: Graph) -> list[int]:
+def _orbit_roots(generators, g: Graph) -> tuple[list[int], list[int], int]:
     """The least vertex of each orbit, under the group the generators
-    span, that meets N[u] for a vertex u of least degree: every maximal
-    independent set meets N[u].  A group of permutations of a finite set
-    is closed under images alone, so each orbit grows by whole-mask
-    images until it stops."""
+    span, that meets N[u] for a vertex u of least degree (every maximal
+    independent set meets N[u]); the orbits' sizes; and W, the union of
+    those orbits.  A group of permutations of a finite set is closed
+    under images alone, so each orbit grows by whole-mask images until
+    it stops."""
     u = min(range(g.n), key=lambda v: g.rows[v].bit_count())
-    roots = []
+    roots, sizes, union = [], [], 0
     left = g.rows[u] | (1 << u)
     while left:
         orbit = frontier = left & -left
@@ -388,8 +416,29 @@ def _orbit_roots(generators, g: Graph) -> list[int]:
             frontier = reach & ~orbit
             orbit |= frontier
         roots.append((orbit & -orbit).bit_length() - 1)
+        sizes.append(orbit.bit_count())
+        union |= orbit
         left &= ~orbit
-    return roots
+    return roots, sizes, union
+
+
+def _weighted_sizes(tallies, orbit_sizes) -> Counter:
+    """The number of maximal independent sets of each size, from the
+    tallies of the root searches (per root r, the sets S containing r by
+    (|S|, |S & W|)) and the orbits' sizes.  Every S meets W, and |S & W|
+    is the same on S's orbit under the group H, since W is a union of
+    H-orbits.  Count each S as the sum of 1/|S & W| over v in S & W;
+    H is transitive on the orbit O of each root r_O, so the sets of size
+    k number the sum over O of |O| * (the sum of 1/|S & W| over the S of
+    size k containing r_O).  A count that is no integer raises
+    EnumerationError."""
+    weighted = Counter()
+    for tally, orbit_size in zip(tallies, orbit_sizes):
+        for (size, meet), sets in tally.items():
+            weighted[size] += Fraction(orbit_size * sets, meet)
+    if any(w.denominator != 1 for w in weighted.values()):
+        raise EnumerationError(f"orbit weights give a fractional count: {dict(weighted)}")
+    return Counter({size: int(w) for size, w in weighted.items()})
 
 
 def _false_twin_classes(rows, within: int, vertices) -> tuple[int, dict[int, int]]:
@@ -424,12 +473,13 @@ def enumerate_mis(
 ) -> MisReport:
     """Enumerate maximal independent sets.
 
-    With stop_mode="all" and no cap hit, the emitted family is exactly
-    the family of all maximal independent sets; the collected ``sets``
-    come in search order.  With stop_mode="first_two_sizes" a long
-    search runs the probe, and may end on its greedy sets of two sizes,
-    or else take the orbit path (see the module docstring); the
-    collected family is then the closure, which is the same family.
+    With stop_mode="all" and no cap hit, ``count`` and ``sizes_seen``
+    describe the family of all maximal independent sets, and the
+    collected ``sets`` are that family: in search order, or on the orbit
+    path (see the module docstring) in the order of its closure.  With
+    stop_mode="first_two_sizes" a long search first runs the probe, and
+    may end on its greedy sets of two sizes.  A truncated report
+    describes the sets it found, at most max_sets of them.
     """
     if stop_mode not in ("all", "first_two_sizes"):
         raise EnumerationError(f"unknown stop mode {stop_mode!r}")
@@ -439,12 +489,12 @@ def enumerate_mis(
     reason = search.run()
     orbits = None
     if reason == "orbits":
-        roots = _orbit_roots(search.generators, g)
+        roots, orbit_sizes, search.orbit_union = _orbit_roots(search.generators, g)
         orbits = len(roots)
         search.reset()
         reason = search.run(roots)
-        if reason == "exhausted" and collect:
-            reason = search.close()
+        if reason == "exhausted":
+            reason = search.count_family(orbit_sizes)
     truncated = reason in ("max_sets", "time_budget")
     sets = tuple(VertexSet(m, g.n) for m in search.sets) if collect else None
     # a stopped search that saw one size has not decided well-coveredness

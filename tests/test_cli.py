@@ -449,8 +449,10 @@ def test_complex_stops_at_its_first_capped_component(capsys, monkeypatch):
     assert searches == [2]
 
 
-def test_complex_spends_its_time_budget(capsys):
-    # M2(GF(8)): one component of 4096 vertices whose search outlasts 2 s
+def test_complex_spends_its_time_budget(monkeypatch, capsys):
+    # M2(GF(8)) without its candidate automorphisms: one component of 4096
+    # vertices whose plain search outlasts 2 s
+    monkeypatch.setattr(cli, "build_graph", build_plain_graph)
     start = time.monotonic()
     code, out, err = run(capsys, "complex", "M2(GF(8))", "--pure", "--time-budget", "2")
     assert time.monotonic() - start < 4
@@ -487,14 +489,54 @@ def test_complex_names_the_cap_that_fired(monkeypatch, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["wellcovered", "M2(GF(8))"], ["mis", "M2(GF(8))", "--count"]])
 def test_enumeration_commands_spend_their_time_budget(monkeypatch, capsys, argv):
-    # M2(GF(8)): one component of 4096 vertices whose search outlasts 2 s;
-    # mis lists every set anyway, and wellcovered gets the graph without
-    # its candidate automorphisms, so it takes the plain search
+    # M2(GF(8)) without its candidate automorphisms: one component of 4096
+    # vertices whose plain search outlasts 2 s
     monkeypatch.setattr(cli, "build_graph", build_plain_graph)
     start = time.monotonic()
     payload = run_json(capsys, *argv, "--time-budget", "2")
     assert time.monotonic() - start <= 2 + 1.5
     assert payload["truncated"] is True
+
+
+def test_m2_gf8_whole_family_commands_take_the_orbit_path(capsys):
+    start = time.monotonic()
+    payload = run_json(capsys, "mis", "M2(GF(8))", "--count")
+    assert payload["result"] == {"count": 1152, "stop_reason": "exhausted"}
+    payload = run_json(capsys, "complex", "M2(GF(8))", "--pure", "--cm")
+    assert payload["result"]["facets"] == 1152 and payload["result"]["pure"] is True
+    assert payload["result"]["cm_gf2"] is False
+    assert time.monotonic() - start < 5
+    # a family of max_sets or more sets is truncated, counted or listed
+    for flag in ("--count", "--list"):
+        payload = run_json(capsys, "mis", "M2(GF(8))", flag, "--max-sets", "100")
+        assert payload["truncated"] is True
+        assert payload["result"]["stop_reason"] == "max_sets"
+        assert payload["result"]["count"] <= 100
+
+
+def test_counting_holds_no_sets():
+    # Z2^12: a perfect matching on 4096 vertices, one orbit.  Counting by
+    # orbit weights keeps none of the 10^5 sets (about 39 MB peak), where
+    # closing the sets found would take about 68 MB
+    z2_12 = " x ".join(["Z2"] * 12)
+    script = (
+        "import resource, sys\n"
+        "from unitgraphs.cli import main\n"
+        f"code = main(['mis', {z2_12!r}, '--count', '--max-sets', '100000'])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    src = str(Path(unitgraphs.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    # On Linux a process's ru_maxrss starts at the peak of the process that
+    # started it, so the run goes through a small launcher, not this one
+    launch = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+    done = subprocess.run([sys.executable, "-c", launch, sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == EXIT_OK, done.stderr
+    result = json.loads(done.stdout)["result"]
+    assert result == {"count": 100000, "stop_reason": "max_sets"}
+    assert int(done.stderr.split()[-1]) < 50 * 1024  # ru_maxrss is in KiB
 
 
 def test_complex_facets_file(tmp_path, capsys):

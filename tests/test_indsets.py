@@ -252,7 +252,14 @@ def test_enumeration_on_planted_twins_and_components(g):
             ]
 
 
-@pytest.mark.parametrize("expr", ["Z1024", "M2(Z4)", "Z8 x Z8", "Z2 x Z2 x Z2 x Z2 x Z2"])
+# these take the orbit path with 3, 5 and 5 orbits; on the second, the
+# union W of the root orbits holds 20 of the 36 vertices
+SEVERAL_ORBITS = ["M2(GF(2)) x Z3", "Z2 x Z2 x Z3 x Z3", "M2(GF(2)) x Z5"]
+
+
+@pytest.mark.parametrize(
+    "expr", ["Z1024", "M2(Z4)", "Z8 x Z8", "Z2 x Z2 x Z2 x Z2 x Z2"] + SEVERAL_ORBITS
+)
 def test_mis_size_counts_match_networkx(expr):
     nx = pytest.importorskip("networkx")
     g = _graph(expr)
@@ -263,7 +270,10 @@ def test_mis_size_counts_match_networkx(expr):
         later = (full ^ row) >> (x + 1) << (x + 1)
         comp.add_edges_from((x, y) for y in mask_indices(later))
     want = Counter(len(c) for c in nx.find_cliques(comp))
-    assert enumerate_mis(g, collect=False).sizes_seen == want
+    report = enumerate_mis(g, collect=False)
+    assert report.sizes_seen == want and report.count == sum(want.values())
+    if expr in SEVERAL_ORBITS:
+        assert report.orbits > 1
 
 
 @pytest.mark.parametrize("expr", ["Z4096", "M2(Z8)", " x ".join(["Z2"] * 12)])
@@ -304,7 +314,15 @@ def _assert_orbit_path_agrees(g):
     """The first-two-sizes search of g and of g without candidates give the
     same verdict; a well-covered graph gives the same family (the closure
     against the plain enumeration), and every False report two maximal
-    independent sets of different sizes.  True if the orbit path fired."""
+    independent sets of different sizes.  The whole-family search, counted
+    or collected, gives the plain enumeration's count, sizes and family.
+    True if the orbit path fired."""
+    whole = enumerate_mis(_plain(g))
+    for collect in (False, True):
+        report = enumerate_mis(g, collect=collect)
+        assert report.count == whole.count and report.sizes_seen == whole.sizes_seen
+        if collect:
+            assert sorted(s.mask for s in report.sets) == sorted(s.mask for s in whole.sets)
     orbit = enumerate_mis(g, stop_mode="first_two_sizes")
     plain = enumerate_mis(_plain(g), stop_mode="first_two_sizes")
     assert plain.orbits is None
@@ -360,16 +378,17 @@ def test_orbit_path_agrees_on_random_cayley_graphs(monkeypatch):
 def test_closure_is_the_whole_family(expr):
     g = _graph(expr)
     closed = enumerate_mis(g, stop_mode="first_two_sizes")
-    full = enumerate_mis(g)
+    full = enumerate_mis(_plain(g))
     assert sorted(s.mask for s in closed.sets) == sorted(s.mask for s in full.sets)
     assert closed.sizes_seen == full.sizes_seen and closed.count == full.count
     if expr == "M2(GF(4))":
         # 8 verified translations, one orbit: the 160 facets come from the
-        # 10 sets {0} + T with T maximal independent in G - N[0]
+        # 10 sets {0} + T with T maximal independent in G - N[0], and so
+        # does their count, 256 * 10 / 16
         assert len(verified_automorphisms(g)) == 8
         assert closed.orbits == 1 and closed.count == 160
         seeds = enumerate_mis(g, stop_mode="first_two_sizes", collect=False)
-        assert seeds.orbits == 1 and seeds.count == 10
+        assert seeds.orbits == 1 and seeds.count == 160
         assert seeds.nodes < full.nodes / 10
 
 
@@ -425,7 +444,8 @@ def test_m2_gf8_is_decided_through_its_orbits():
     # the probe saw one size and fell through to the orbit path
     assert report.probes == indsets.PROBE_ORDERS
     assert report.orbits == 1 and report.well_covered is True
-    assert report.sizes_seen == Counter({64: 18})
+    # 18 sets {0} + T, each of 64 members, weigh 4096 / 64 each
+    assert report.sizes_seen == Counter({64: 1152})
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,6 @@ from .descriptors import (
     descriptor_expr,
 )
 from .dsl import RingExprError, parse_ring_expr, print_ring_expr
-from .fields import GfField
 from .graphs import (
     Graph,
     GraphError,

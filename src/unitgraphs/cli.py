@@ -32,6 +32,7 @@ from .classify import (
 from .complexes import DEFAULT_FACET_CAP, BudgetExceeded, ComplexError, complex_from_json
 from .constructions import (
     ConstructionError,
+    _matrix_view,
     nonunit_complement_witness,
     lift_nonunit_mis,
     lift_unit_mis_reps,
@@ -39,7 +40,7 @@ from .constructions import (
     two_size_witnesses,
     zero_first_row_set,
 )
-from .descriptors import DescriptorError, Gf, Mat
+from .descriptors import DescriptorError
 from .dsl import RingExprError, parse_ring_expr, print_ring_expr
 from .graphs import GraphError, build_graph, dot_blocks, json_blocks
 from .indsets import (
@@ -254,7 +255,7 @@ def _cmd_construct(args) -> int:
     ring = build_ring(descriptor)
     what = args.what
     if what in ("signature", "zerorow"):
-        n, q = _matrix_params(descriptor)
+        n, q = _matrix_params(ring)
         builder = signature_set if what == "signature" else zero_first_row_set
         out = builder(n, q)
         result = {
@@ -299,15 +300,15 @@ def _cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _matrix_params(descriptor) -> tuple[int, int]:
-    if isinstance(descriptor, Mat) and isinstance(descriptor.base, Gf):
-        return descriptor.k, descriptor.base.q
-    if isinstance(descriptor, Gf):
-        return 1, descriptor.q
-    raise _CliError(
-        "this construction needs a matrix ring over a field, like M2(GF(3))",
-        EXIT_USAGE,
-    )
+def _matrix_params(ring) -> tuple[int, int]:
+    view = _matrix_view(ring)
+    if view is None:
+        raise _CliError(
+            "this construction needs a matrix ring over a field, like M2(GF(3))",
+            EXIT_USAGE,
+        )
+    fld, n = view
+    return n, fld.q
 
 
 def _cmd_complex(args) -> int:

@@ -41,17 +41,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .descriptors import Gf, Mat, Product, factorize, flatten_factors
-from .fields import GfField, mat_identity, mat_inv, mat_mul
+from .descriptors import Gf, Mat, Product, factorize, flatten_factors, is_prime
+from .fields import mat_identity, mat_inv, mat_mul
 from .graphs import Graph, build_graph
 from .indsets import is_maximal_independent
 from .rings import (
     HARD_ORDER_CAP,
+    GfRing,
     MatRing,
     ProductRing,
     QuotientRing,
     Ring,
     VertexSet,
+    ZnRing,
     build_ring,
     jacobson_radical,
     quotient_by_radical,
@@ -93,7 +95,7 @@ def signature_set(n: int, q: int, verify: bool = True) -> VertexSet:
     where +1 = -1 collapses the set to the identity."""
     ring = matrix_ring(n, q)
     assert isinstance(ring, MatRing)
-    fld = ring.base.field_view()
+    fld = _field(ring.base)
     if fld.p == 2:
         raise ConstructionError(
             "signature matrices need odd characteristic (in characteristic "
@@ -263,9 +265,13 @@ class RankNormalForm:
     rank: int
 
 
-def rank_normal_form(fld: GfField, a) -> RankNormalForm:
-    """Full-pivot Gauss-Jordan over GF(q); the pivot is the first nonzero
-    entry of the active submatrix in row-major order."""
+def rank_normal_form(ring: Ring, a) -> RankNormalForm:
+    """Full-pivot Gauss-Jordan over a field ring (see ``_field``); the
+    pivot is the first nonzero entry of the active submatrix in row-major
+    order."""
+    fld = _field(ring)
+    if fld is None:
+        raise ConstructionError(f"{ring.expr} is not a field")
     m = len(a)
     b = [list(row) for row in a]
     if any(len(row) != m for row in b):
@@ -334,15 +340,26 @@ def _leaves(ring: Ring) -> tuple[list[Ring], list[int]]:
     return leaves, strides
 
 
-def _matrix_view(ring: Ring):
+def _field(ring: Ring) -> GfRing | None:
+    """The field a ring is, if it is one here: a GfRing itself, or for a
+    prime Z_p the GfRing of GF(p), which indexes its elements the same
+    way."""
+    if isinstance(ring, GfRing):
+        return ring
+    if isinstance(ring, ZnRing) and is_prime(ring.order):
+        return build_ring(Gf(ring.order), order_cap=HARD_ORDER_CAP)
+    return None
+
+
+def _matrix_view(ring: Ring) -> tuple[GfRing, int] | None:
     """(field, size) when the ring is a field or a matrix ring over one."""
-    fld = ring.field_view()
+    fld = _field(ring)
     if fld is not None:
         return fld, 1
     if isinstance(ring, MatRing):
-        base_fld = ring.base.field_view()
-        if base_fld is not None:
-            return base_fld, ring.k
+        fld = _field(ring.base)
+        if fld is not None:
+            return fld, ring.k
     return None
 
 

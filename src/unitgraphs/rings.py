@@ -21,10 +21,10 @@ and the elementwise ``add_many``/``neg_many``.  Each ring kind adds a
 scalar ``mul`` and one broadcasting kernel ``mul_many(xs, ys)`` on int64
 index arrays.  Scalar ``add``/``neg``/``mul`` are the definitional
 operations that the tests compare everything else against.  All
-vectorized work is built from the kernels: GF(q) multiplies through the
-log/antilog tables of ``fields``, matrix, product and group-algebra
-rings call their base or factor kernels on decoded digits, and a
-quotient calls its block product's kernel.
+vectorized work is built from the kernels: GF(q), realized once as
+``GfRing``, multiplies through its own log/antilog tables, matrix,
+product and group-algebra rings call their base or factor kernels on
+decoded digits, and a quotient calls its block product's kernel.
 
 ``translates(S)`` lists the bitmask of x + S for every element x, which
 is all the graphs need (see ``graphs``).  It is built from the digits:
@@ -79,11 +79,11 @@ from .descriptors import (
     factorize,
     group_mul_table,
     group_order,
-    is_prime,
+    prime_power,
     semisimple_blocks,
     validate_descriptor,
 )
-from .fields import GfField
+from .fields import smallest_irreducible
 
 DEFAULT_ORDER_CAP = 4096
 HARD_ORDER_CAP = 1 << 16
@@ -315,10 +315,6 @@ class Ring:
                 raise RingError("additive order of 1 exceeds ring order")
         return k
 
-    def field_view(self) -> GfField | None:
-        """Scalar field arithmetic if this ring is canonically a field."""
-        return None
-
     @property
     def expr(self) -> str:
         return descriptor_expr(self.descriptor)
@@ -353,39 +349,109 @@ class ZnRing(Ring):
     def mul_many(self, xs, ys) -> np.ndarray:
         return xs * ys % self.order
 
-    def field_view(self) -> GfField | None:
-        return GfField(self.order) if is_prime(self.order) else None
-
 
 class GfRing(Ring):
+    """GF(p^k), with the modulus and the element indexing of ``fields``.
+    For k > 1 the scalar ``mul`` and ``inv`` and the kernel ``mul_many``
+    read one pair of log/antilog tables, built from the polynomial
+    product ``_poly_mul``; addition is ``Ring``'s digit-wise one."""
+
     def __init__(self, descriptor: Gf):
         self.descriptor = descriptor
-        self.field = GfField(descriptor.q)
-        self.order = descriptor.q
+        self.order = self.q = descriptor.q
+        self.p, self.k = prime_power(descriptor.q)
+        self.modulus = smallest_irreducible(self.p, self.k)
         self.one = 1
-        self._init_positional([self.field.p] * self.field.k)
+        self._init_positional([self.p] * self.k)
+        # x^(k+j) mod f for j = 0..k-2, used to fold products back down
+        self._red: list[list[int]] = []
+        f = list(self.modulus)
+        xk = [(-c) % self.p for c in f[:-1]]  # x^k = -(f - x^k)
+        cur = xk
+        for _ in range(self.k - 1):
+            self._red.append(list(cur))
+            cur = [0] + cur  # multiply by x
+            if len(cur) > self.k:
+                top = cur.pop()
+                if top:
+                    cur = [(c + top * r) % self.p for c, r in zip(cur, xk)]
 
     def mul(self, x: int, y: int) -> int:
-        return self.field.mul(x, y)
+        if self.k == 1:
+            return (x * y) % self.p
+        log, exp = self._scalar_tables
+        return exp[log[x] + log[y]]
 
-    def mul_many(self, xs, ys) -> np.ndarray:
-        return self.field.mul_many(xs, ys)
+    def _poly_mul(self, x: int, y: int) -> int:
+        """The product as polynomials reduced modulo the modulus: what the
+        log/antilog tables are built from."""
+        p = self.p
+        a = [x // pl % p for pl in self._places]
+        b = [y // pl % p for pl in self._places]
+        prod = [0] * (2 * self.k - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    prod[i + j] = (prod[i + j] + ai * bj) % p
+        out = prod[: self.k]
+        for j in range(self.k - 1):
+            c = prod[self.k + j]
+            if c:
+                red = self._red[j]
+                for i, r in enumerate(red):
+                    out[i] = (out[i] + c * r) % p
+        return sum(c * pl for c, pl in zip(out, self._places))
 
     def inv(self, x: int) -> int:
-        return self.field.inv(x)
+        if x == 0:
+            raise ZeroDivisionError("0 has no inverse")
+        if self.k == 1:
+            return pow(x, self.p - 2, self.p)
+        log, exp = self._scalar_tables
+        return exp[(self.q - 1 - log[x]) % (self.q - 1)]
+
+    @cached_property
+    def _log_exp(self) -> tuple[np.ndarray, np.ndarray]:
+        """Discrete logarithm and antilogarithm tables for ``mul_many``.
+
+        log[0] is the sentinel 2(q-1) and exp is zero from index 2(q-1) on,
+        so a product with a zero factor looks up a zero without a branch.
+        """
+        q = self.q
+        primes = [r for r, _ in factorize(q - 1)] if q > 2 else []
+        gen = next(
+            c for c in range(1, q)
+            if all(_power(self._poly_mul, c, (q - 1) // r) != self.one for r in primes)
+        )
+        exp = np.zeros(4 * (q - 1) + 1, dtype=np.int64)
+        x = self.one
+        for i in range(q - 1):
+            exp[i] = exp[i + q - 1] = x
+            x = self._poly_mul(x, gen)
+        log = np.empty(q, dtype=np.int64)
+        log[exp[: q - 1]] = np.arange(q - 1)
+        log[0] = 2 * (q - 1)
+        return log, exp
+
+    @cached_property
+    def _scalar_tables(self) -> tuple[list[int], list[int]]:
+        """``_log_exp`` as Python lists, for the scalar ``mul`` and ``inv``."""
+        log, exp = self._log_exp
+        return log.tolist(), exp.tolist()
+
+    def mul_many(self, xs, ys) -> np.ndarray:
+        log, exp = self._log_exp
+        return exp[log[xs] + log[ys]]
 
     def _compute_units(self) -> int:
         return ((1 << self.order) - 1) & ~1
 
-    def field_view(self) -> GfField:
-        return self.field
-
     def element_repr(self, x: int) -> str:
-        if self.field.k == 1:
+        if self.k == 1:
             return str(x)
-        coeffs = self.field.decode(x)
         terms = []
-        for i, c in enumerate(coeffs):
+        for i, pl in enumerate(self._places):
+            c = x // pl % self.p
             if c == 0:
                 continue
             if i == 0:
@@ -394,6 +460,17 @@ class GfRing(Ring):
                 head = "" if c == 1 else str(c)
                 terms.append(f"{head}g" if i == 1 else f"{head}g^{i}")
         return "+".join(terms) if terms else "0"
+
+
+def _power(mul, x: int, e: int) -> int:
+    """x^e by square-and-multiply under the product mul."""
+    result = 1
+    while e:
+        if e & 1:
+            result = mul(result, x)
+        x = mul(x, x)
+        e >>= 1
+    return result
 
 
 class MatRing(Ring):
@@ -536,10 +613,9 @@ class ProductRing(Ring):
 
 
 class GroupAlgebraRing(Ring):
-    def __init__(self, descriptor: GroupAlgebra, coeffs: GfRing):
+    def __init__(self, descriptor: GroupAlgebra, field: GfRing):
         self.descriptor = descriptor
-        self.coeffs = coeffs  # the coefficient field as a ring, for its kernels
-        self.field = coeffs.field
+        self.field = field  # the coefficient field
         self.gorder = group_order(descriptor.group)
         self.gtable = group_mul_table(descriptor.group)
         self.order = descriptor.q ** self.gorder
@@ -582,13 +658,13 @@ class GroupAlgebraRing(Ring):
 
     def mul_many(self, xs, ys) -> np.ndarray:
         a, b = self.decode_coeffs(xs), self.decode_coeffs(ys)
-        f, q = self.coeffs, self.field.q
+        f = self.field
         out = 0
         for t, pairs in enumerate(self._terms):
             acc = 0
             for g, h in pairs:
                 acc = f.add_many(acc, f.mul_many(a[g], b[h]))
-            out = out + acc * q**t
+            out = out + acc * f.q**t
         return out
 
     @cached_property
@@ -611,7 +687,7 @@ class GroupAlgebraRing(Ring):
         out = []
         for c in cosets:
             big = block_ring((1, fld.q ** len(c)))
-            exp, top = big.field._log_exp[1], big.order - 1
+            exp, top = big._log_exp[1], big.order - 1
             chi = exp[np.arange(self.gorder) * (top * c[0] // m) % top]
             out.append((big, self._embedding(big), chi))
         return out
@@ -623,7 +699,7 @@ class GroupAlgebraRing(Ring):
         fld = self.field
         if fld.k == 1 or big.order == fld.q:
             return np.arange(fld.q)
-        (log, exp), top = big.field._log_exp, big.order - 1
+        (log, exp), top = big._log_exp, big.order - 1
         subfield = np.append(0, exp[np.arange(fld.q - 1) * (top // (fld.q - 1))])
         value = 0
         for coef in reversed(fld.modulus):
@@ -707,17 +783,17 @@ def _row_chunks(n: int, size: int = CHUNK) -> list[slice]:
 # Jacobson radical and quotient
 # ---------------------------------------------------------------------------
 
-def jacobson_radical(ring: Ring, method: str = "auto") -> VertexSet:
+def jacobson_radical(ring: Ring, method: str = "structural") -> VertexSet:
     """Jacobson radical as an element set.
 
-    method="auto" (or "structural") takes the kernel of
+    method="structural" takes the kernel of
     ``semisimple_images``.  method="generic" scans for {x : 1 - r*x is a
     unit for every r}, the definition specialized to finite rings; it is
     the reference the structural kernel is tested against.
     """
     if method == "generic":
         return VertexSet(_radical_generic(ring), ring.order)
-    if method in ("auto", "structural"):
+    if method == "structural":
         return VertexSet(_radical_structural(ring), ring.order)
     raise ValueError(f"unknown radical method {method!r}")
 

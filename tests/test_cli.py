@@ -336,6 +336,19 @@ def test_construct_signature_and_zerorow(capsys):
     assert code == EXIT_USAGE and "characteristic" in err
 
 
+@pytest.mark.parametrize("what", ["signature", "zerorow"])
+@pytest.mark.parametrize("over_zp,over_gf", [("M2(Z3)", "M2(GF(3))"), ("Z3", "GF(3)")])
+def test_matrix_constructions_read_prime_residues_as_fields(capsys, what, over_zp, over_gf):
+    # Z3 and GF(3) index their elements alike, so the sets print alike;
+    # the complement witness already took Z3 as a field
+    assert (
+        run_json(capsys, "construct", over_zp, what)["result"]
+        == run_json(capsys, "construct", over_gf, what)["result"]
+    )
+    code, _, err = run(capsys, "construct", "M2(Z4)", what)
+    assert code == EXIT_USAGE and "over a field" in err
+
+
 def test_construct_two_size(capsys):
     payload = run_json(capsys, "construct", "M2(GF(3))", "two-size")
     assert sorted(payload["result"]["sizes"]) == [4, 9]

@@ -18,9 +18,9 @@ from unitgraphs.constructions import (
     two_size_witnesses,
     zero_first_row_set,
 )
-from unitgraphs.descriptors import Product
+from unitgraphs.descriptors import Gf, Product
 from unitgraphs.dsl import parse_ring_expr
-from unitgraphs.fields import GfField, mat_det, mat_identity, mat_mul
+from unitgraphs.fields import mat_det, mat_identity, mat_mul
 from unitgraphs.graphs import build_graph
 from unitgraphs.indsets import is_maximal_independent, well_covered_bruteforce
 from unitgraphs.rings import VertexSet, build_ring, jacobson_radical, quotient_by_radical
@@ -199,7 +199,7 @@ def _check_normal_form(fld, a, nf):
 
 
 def test_rank_normal_form_identity_and_zero():
-    fld = GfField(3)
+    fld = build_ring(Gf(3))
     nf = rank_normal_form(fld, mat_identity(fld, 3))
     assert nf.rank == 3
     _check_normal_form(fld, mat_identity(fld, 3), nf)
@@ -209,7 +209,7 @@ def test_rank_normal_form_identity_and_zero():
 
 
 def test_rank_normal_form_singular_example():
-    fld = GfField(3)
+    fld = build_ring(Gf(3))
     a = [[1, 2], [2, 1]]  # determinant 1 - 4 = 0 mod 3
     nf = rank_normal_form(fld, a)
     assert nf.rank == 1
@@ -218,7 +218,7 @@ def test_rank_normal_form_singular_example():
 
 def test_rank_normal_form_exhaustive_small():
     for q in (2, 3):
-        fld = GfField(q)
+        fld = build_ring(Gf(q))
         for code in range(q**4):
             a = [
                 [code % q, code // q % q],
@@ -230,8 +230,15 @@ def test_rank_normal_form_exhaustive_small():
                 v == 0 for row in a for v in row) else 1)
 
 
+def test_rank_normal_form_reads_prime_residues_as_their_field():
+    a = [[1, 2], [2, 4]]
+    assert rank_normal_form(_ring("Z5"), a) == rank_normal_form(build_ring(Gf(5)), a)
+    with pytest.raises(ConstructionError):
+        rank_normal_form(_ring("Z4"), a)
+
+
 def test_rank_invariant_under_invertible_translations():
-    fld = GfField(5)
+    fld = build_ring(Gf(5))
     rng = random.Random(11)
 
     def random_invertible(m):
@@ -278,6 +285,9 @@ def test_complement_witness_block_rules():
         "Z2 x Z3",
         "GF(4) x GF(4)",
         "GF(2) x GF(4)",
+        # matrix rings over Z_p, which count as fields through GF(p)
+        "M2(Z3)",
+        "Z5 x M2(Z2)",
     ],
 )
 def test_complement_witness_exhaustive(expr):

@@ -240,7 +240,6 @@ def test_radical_structural_unsupported_falls_back():
     # its structural radical, the kernel of the coset map, is {0}
     ring = build_ring(GroupAlgebra(2, Cn(3)))
     assert jacobson_radical(ring, "structural").indices() == [0]
-    assert jacobson_radical(ring, "auto").indices() == [0]
     assert jacobson_radical(ring, "generic").indices() == [0]
 
 

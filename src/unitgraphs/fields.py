@@ -9,8 +9,10 @@ the zero element and 1 the identity.
 
 The modulus is pinned without external tables: it is the monic irreducible
 polynomial of degree k whose coefficient tuple (a_0, ..., a_{k-1}),
-ordered low degree first, is lexicographically smallest.  Exhaustive
-search is cheap at the supported sizes (q <= 2^16).
+ordered low degree first, is lexicographically smallest.  For k >= 2
+the search starts at a_0 = 1: a polynomial with a_0 = 0 has x as a
+factor, and those are half the tuples that come first.  From there the
+exhaustive search is cheap at the supported sizes (q <= 2^16).
 
 Polynomials over GF(p) are plain lists of ints in [0, p), low degree
 first, with trailing zeros trimmed ([] is the zero polynomial).
@@ -78,11 +80,13 @@ def smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     smallest low-first coefficient tuple (a_0, ..., a_{k-1}).
 
     Returned as the full coefficient tuple of length k + 1 (leading 1).
+    For k >= 2 every tuple with a_0 = 0 is divisible by x, so the search
+    skips them and starts at a_0 = 1; the result is the same.
     """
     if k == 1:
         return (0, 1)
     # itertools.product counts with a_0 most significant: lexicographic
-    for low in itertools.product(range(p), repeat=k):
+    for low in itertools.product(range(1, p), *[range(p)] * (k - 1)):
         if _is_irreducible([*low, 1], p):
             return (*low, 1)
     raise RuntimeError(f"no irreducible polynomial of degree {k} over GF({p})")

@@ -9,14 +9,17 @@ Adjacency is stored as one bitmask row per vertex, which keeps
 256-vertex rings cheap and makes independence tests single AND
 operations.
 
-Every row is a translate of the unit set U.  ``build_graph`` asks the
-ring for ``T = ring.translates(U)``, where T[x] is the bitmask of x + U,
-and reads both graphs off it:
+Every row is a translate of the unit set U.  ``build_graph`` reads both
+graphs off ``T = ring.unit_translates``, where T[x] is the bitmask of
+x + U; the ring computes T once and both kinds share its row objects:
 
 * cayley: row x is T[x].  x - y is a unit iff y lies in x - U = x + U,
   since U = -U; and x is not in x + U, since 0 is not a unit.
-* unit:   row x is T[-x] without bit x.  x + y is a unit iff y lies in
-  -x + U; x itself is in it exactly when 2x is a unit.
+* unit:   row x is T[-x] without bit x (T itself in characteristic 2,
+  where -x = x and 1 + 1 = 0).  x + y is a unit iff y lies in -x + U, and x
+  itself is in it exactly when 2x = (1 + 1)x is a unit.  As 1 + 1 is
+  central, that happens iff 1 + 1 is a unit and then exactly at the
+  units, so only then are bits cleared, and only at the units.
 
 ``edges()`` and ``validate()`` unpack the rows into 0/1 blocks of
 BITS_BLOCK entries and read them with numpy.
@@ -138,10 +141,14 @@ def build_graph(ring: Ring, kind: str = "unit", cap: int = DEFAULT_GRAPH_CAP) ->
     n = ring.order
     if n > cap:
         raise GraphError(f"ring order {n} exceeds the graph cap {cap}")
-    rows = ring.translates(ring.unit_set.mask)
-    if kind == "unit":
-        negs = ring.neg_many(np.arange(n)).tolist()
-        rows = [rows[negs[x]] & ~(1 << x) for x in range(n)]
+    rows = ring.unit_translates
+    two = ring.add(ring.one, ring.one)
+    # in characteristic 2, -x = x and the unit rows are T
+    if kind == "unit" and two != ring.zero:
+        rows = list(map(rows.__getitem__, ring.neg_many(np.arange(n)).tolist()))
+        if ring.is_unit(two):
+            for x in ring.unit_set.indices():
+                rows[x] ^= 1 << x
     return Graph(n, kind, rows, ring_expr=ring.expr, candidates=ring.place_translations)
 
 

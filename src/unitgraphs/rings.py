@@ -24,7 +24,11 @@ operations that the tests compare everything else against.  All
 vectorized work is built from the kernels: GF(q), realized once as
 ``GfRing``, multiplies through its own log/antilog tables, matrix,
 product and group-algebra rings call their base or factor kernels on
-decoded digits, and a quotient calls its block product's kernel.
+decoded digits, and a quotient calls its block product's kernel.  The
+antilog table is a walk through the powers of a generator: multiplying
+by it is GF(p)-linear on the digits, so one k x k digit matrix maps
+every index to its next power at once, and the polynomial product is
+called only to find the generator and that matrix.
 
 ``translates(S)`` lists the bitmask of x + S for every element x, which
 is all the graphs need (see ``graphs``).  It is built from the digits:
@@ -280,6 +284,12 @@ class Ring:
     def unit_set(self) -> VertexSet:
         return VertexSet(self._compute_units(), self.order)
 
+    @cached_property
+    def unit_translates(self) -> list[int]:
+        """``translates`` of the unit set: the bitmask of x + U for every
+        element x, shared by both graph kinds."""
+        return self.translates(self.unit_set.mask)
+
     def is_unit(self, x: int) -> bool:
         if not 0 <= x < self.order:
             raise RingError(f"element index {x} out of range")
@@ -353,8 +363,10 @@ class ZnRing(Ring):
 class GfRing(Ring):
     """GF(p^k), with the modulus and the element indexing of ``fields``.
     For k > 1 the scalar ``mul`` and ``inv`` and the kernel ``mul_many``
-    read one pair of log/antilog tables, built from the polynomial
-    product ``_poly_mul``; addition is ``Ring``'s digit-wise one."""
+    read one pair of log/antilog tables; addition is ``Ring``'s digit-wise
+    one.  The polynomial product ``_poly_mul`` finds a generator and the
+    images gen * x^j of the basis, and the antilog table walks the powers
+    of the generator through the linear map those images span."""
 
     def __init__(self, descriptor: Gf):
         self.descriptor = descriptor
@@ -417,17 +429,24 @@ class GfRing(Ring):
         log[0] is the sentinel 2(q-1) and exp is zero from index 2(q-1) on,
         so a product with a zero factor looks up a zero without a branch.
         """
-        q = self.q
+        q, p = self.q, self.p
         primes = [r for r, _ in factorize(q - 1)] if q > 2 else []
         gen = next(
             c for c in range(1, q)
             if all(_power(self._poly_mul, c, (q - 1) // r) != self.one for r in primes)
         )
-        exp = np.zeros(4 * (q - 1) + 1, dtype=np.int64)
+        places = np.array(self._places, dtype=np.int64)
+        # multiplying by gen is GF(p)-linear on the digits; row j of its
+        # matrix holds the digits of gen * x^j
+        gen_times = np.array([self._poly_mul(gen, pl) for pl in self._places])
+        digits = np.arange(q)[:, None] // places % p
+        step = (digits @ (gen_times[:, None] // places % p) % p @ places).tolist()
+        walk = [self.one] * (q - 1)
         x = self.one
-        for i in range(q - 1):
-            exp[i] = exp[i + q - 1] = x
-            x = self._poly_mul(x, gen)
+        for i in range(1, q - 1):
+            x = walk[i] = step[x]
+        exp = np.zeros(4 * (q - 1) + 1, dtype=np.int64)
+        exp[: q - 1] = exp[q - 1 : 2 * (q - 1)] = walk
         log = np.empty(q, dtype=np.int64)
         log[exp[: q - 1]] = np.arange(q - 1)
         log[0] = 2 * (q - 1)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -11,7 +12,7 @@ from unitgraphs.fields import (
     mat_mul,
     smallest_irreducible,
 )
-from unitgraphs.rings import build_ring
+from unitgraphs.rings import HARD_ORDER_CAP, build_ring
 
 
 def _lex_smallest_by_oracle(p, k):
@@ -33,6 +34,15 @@ def test_modulus_frozen_values():
     assert smallest_irreducible(2, 3) == (1, 0, 1, 1)  # x^3 + x^2 + 1
     assert smallest_irreducible(3, 2) == (1, 0, 1)  # x^2 + 1
     assert smallest_irreducible(2, 4) == (1, 0, 0, 1, 1)  # x^4 + x^3 + 1
+    # the fields the rings at the default cap realize, and GF(2^16)
+    assert smallest_irreducible(2, 10) == (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1)
+    assert smallest_irreducible(2, 11) == (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1)
+    assert smallest_irreducible(2, 12) == (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1)
+    assert smallest_irreducible(3, 6) == (1, 0, 0, 0, 1, 1, 1)
+    assert smallest_irreducible(3, 7) == (1, 0, 0, 0, 0, 1, 2, 1)
+    assert smallest_irreducible(2, 16) == (
+        1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1
+    )
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
@@ -111,6 +121,42 @@ def test_table_arithmetic_matches_the_polynomial_product(q):
             assert fld._poly_mul(x, fld.inv(x)) == 1, (q, x)
     with pytest.raises(ZeroDivisionError):
         fld.inv(0)
+
+
+LOG_EXP_ORDERS = [q for q in range(2, 257) if prime_power(q)] + [729, 1024, 2048, 2187, 4096]
+
+
+@pytest.mark.parametrize("q", LOG_EXP_ORDERS)
+def test_log_exp_tables_match_the_polynomial_walk(q):
+    # the antilog table against the powers of the least generator, taken
+    # one polynomial product at a time
+    fld = build_ring(Gf(q))
+    log, exp = fld._log_exp
+
+    def powers(c):
+        out, x = [], 1
+        while not out or x != 1:
+            out.append(x)
+            x = fld._poly_mul(x, c)
+        return out
+
+    walk = next(w for w in map(powers, range(1, q)) if len(w) == q - 1)
+    assert exp[: q - 1].tolist() == walk
+    assert exp[q - 1 : 2 * (q - 1)].tolist() == walk
+    assert not exp[2 * (q - 1) :].any()
+    assert log[0] == 2 * (q - 1)
+    assert [int(log[w]) for w in walk] == list(range(q - 1))
+
+
+def test_log_exp_tables_at_the_hard_cap():
+    q = HARD_ORDER_CAP
+    fld = build_ring(Gf(q), order_cap=q)
+    log, exp = fld._log_exp
+    assert sorted(exp[: q - 1].tolist()) == list(range(1, q))
+    rng = random.Random(20261019)
+    for _ in range(2000):
+        x, y = rng.randrange(q), rng.randrange(q)
+        assert fld.mul(x, y) == fld._poly_mul(x, y), (x, y)
 
 
 def test_mat_helpers_over_gf3():

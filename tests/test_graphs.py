@@ -61,7 +61,11 @@ def test_graph_rows_match_the_definition(catalog_descriptors):
 
 def test_graph_rows_at_the_cap_match_the_definition():
     rng = random.Random(20261018)
-    for expr in ("Z4096", "M2(Z8)", "GF(4096)", "GA(GF(3), C7)", "Z9 x M2(Z4)"):
+    # M2(GF(7)): 2 is a unit, so the unit rows drop bit x at every unit;
+    # the Z2 product: every digit is binary, so the unit rows are T itself
+    exprs = ("Z4096", "M2(Z8)", "GF(4096)", "GA(GF(3), C7)", "Z9 x M2(Z4)",
+             "M2(GF(7))", " x ".join(["Z2"] * 12))
+    for expr in exprs:
         ring = build_ring(parse_ring_expr(expr))
         xs = rng.sample(range(ring.order), 64)
         for kind in ("unit", "cayley"):
@@ -82,6 +86,35 @@ def test_positional_graphs_never_call_add_many(monkeypatch):
     for r, n in ((ring, 2401), (quot, 2187)):
         for kind in ("unit", "cayley"):
             assert build_graph(r, kind).n == n
+
+
+def test_both_kinds_share_one_translates(monkeypatch):
+    calls = []
+    translates = rings.Ring.translates
+
+    def counting(self, mask):
+        calls.append(self)
+        return translates(self, mask)
+
+    monkeypatch.setattr(rings.Ring, "translates", counting)
+    rings._build_ring_cached.cache_clear()
+    build_graph.cache_clear()
+    # 2 is not a unit of M2(Z2), so no unit row drops a bit
+    ring = build_ring(parse_ring_expr("Z3 x M2(Z2)"))
+    unit, cayley = build_graph(ring, "unit"), build_graph(ring, "cayley")
+    assert calls == [ring]
+    # the unit rows are the Cayley rows at -x, the same int objects
+    assert all(unit.rows[ring.neg(x)] is cayley.rows[x] for x in range(ring.order))
+
+
+def test_binary_unit_rows_are_the_cayley_rows():
+    # every digit binary: -x = x and 1 + 1 = 0, so the unit graph takes
+    # the Cayley rows themselves
+    for expr in ("Z2 x Z2 x Z2", "M2(Z2)", "GA(GF(2), C4)", "GF(256)"):
+        ring = build_ring(parse_ring_expr(expr))
+        unit, cayley = build_graph(ring, "unit"), build_graph(ring, "cayley")
+        assert unit.rows == cayley.rows, expr
+        assert all(u is c for u, c in zip(unit.rows, cayley.rows)), expr
 
 
 def test_graph_export_matches_the_edge_list(catalog_descriptors):

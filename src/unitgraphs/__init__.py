@@ -34,7 +34,6 @@ from .complexes import (
 )
 from .constructions import (
     ConstructionError,
-    RankNormalForm,
     lift_nonunit_mis,
     lift_unit_mis_reps,
     matrix_ring,
@@ -42,7 +41,6 @@ from .constructions import (
     nonunit_complement_witness,
     product_nonunit_extend,
     product_unit_sets,
-    rank_normal_form,
     signature_set,
     two_size_witnesses,
     zero_first_row_set,

@@ -21,11 +21,10 @@ The recipes:
   independent sets of R/J(R) back to R: a non-unit set lifts to the
   union of its radical cosets, an all-unit set (when 2 is a unit in R)
   lifts to any transversal, here the canonical smallest-index one.
-* ``rank_normal_form``    -- invertible P, Q with P*A*Q = [[I_t,0],[0,0]]
-  by full-pivot Gauss-Jordan elimination.
 * ``nonunit_complement_witness`` -- in a semisimple product of matrix
   rings, every nonzero non-unit y admits a non-unit z with y + z a
-  unit; z is assembled block-wise from the rank normal form.
+  unit; each block of z is a 0/1 matrix read off one forward row
+  reduction of the block of y.
 * ``mixed_char_product_witnesses`` -- for semisimple R, S with
   char(R) = 2 and char(S) odd, two maximal independent sets of the unit
   graph of R x S with different sizes (so that graph is not
@@ -39,10 +38,8 @@ The recipes:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .descriptors import Gf, Mat, Product, factorize, flatten_factors, is_prime
-from .fields import mat_identity, mat_inv, mat_mul
 from .graphs import Graph, build_graph
 from .indsets import is_maximal_independent
 from .rings import (
@@ -252,76 +249,8 @@ def _check_quotient_set(
 
 
 # ---------------------------------------------------------------------------
-# rank normal form and the complement witness
+# the complement witness
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RankNormalForm:
-    """Invertible p, q (rows of field indices) with p @ a @ q equal to
-    the block matrix [[I_rank, 0], [0, 0]]."""
-
-    p: tuple[tuple[int, ...], ...]
-    q: tuple[tuple[int, ...], ...]
-    rank: int
-
-
-def rank_normal_form(ring: Ring, a) -> RankNormalForm:
-    """Full-pivot Gauss-Jordan over a field ring (see ``_field``); the
-    pivot is the first nonzero entry of the active submatrix in row-major
-    order."""
-    fld = _field(ring)
-    if fld is None:
-        raise ConstructionError(f"{ring.expr} is not a field")
-    m = len(a)
-    b = [list(row) for row in a]
-    if any(len(row) != m for row in b):
-        raise ConstructionError("matrix must be square")
-    p = mat_identity(fld, m)
-    q = mat_identity(fld, m)
-    t = 0
-    while t < m:
-        pivot = None
-        for r in range(t, m):
-            for c in range(t, m):
-                if b[r][c] != 0:
-                    pivot = (r, c)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        r, c = pivot
-        if r != t:
-            b[t], b[r] = b[r], b[t]
-            p[t], p[r] = p[r], p[t]
-        if c != t:
-            for row in b:
-                row[t], row[c] = row[c], row[t]
-            for row in q:
-                row[t], row[c] = row[c], row[t]
-        inv = fld.inv(b[t][t])
-        b[t] = [fld.mul(inv, v) for v in b[t]]
-        p[t] = [fld.mul(inv, v) for v in p[t]]
-        for i in range(m):
-            if i == t or b[i][t] == 0:
-                continue
-            f = b[i][t]
-            b[i] = [fld.sub(v, fld.mul(f, w)) for v, w in zip(b[i], b[t])]
-            p[i] = [fld.sub(v, fld.mul(f, w)) for v, w in zip(p[i], p[t])]
-        for j in range(m):
-            if j == t or b[t][j] == 0:
-                continue
-            f = b[t][j]
-            for row, qrow in zip(b, q):
-                row[j] = fld.sub(row[j], fld.mul(f, row[t]))
-                qrow[j] = fld.sub(qrow[j], fld.mul(f, qrow[t]))
-        t += 1
-    return RankNormalForm(
-        p=tuple(tuple(row) for row in p),
-        q=tuple(tuple(row) for row in q),
-        rank=t,
-    )
-
 
 def _leaves(ring: Ring) -> tuple[list[Ring], list[int]]:
     """Leaf rings of a (nested) product in ``flatten_factors`` order, with
@@ -363,13 +292,47 @@ def _matrix_view(ring: Ring) -> tuple[GfRing, int] | None:
     return None
 
 
+def _complement_block(fld: GfRing, size: int, value: int) -> int:
+    """The 0/1 block Z with A + Z invertible, for the size x size block A
+    of index ``value``: entry (i, j) is base-q digit i * size + j, as
+    ``MatRing`` encodes it, and a field element is a 1 x 1 block.
+
+    One pass reduces each row of A against the echelon basis of the rows
+    above it.  A row that reduces to zero is dependent; any other joins
+    the basis, scaled to 1 at its lead column.  Z has a one at (i_j, d_j)
+    for the j-th dependent row i_j and the j-th column d_j that leads no
+    basis row.  Every dependent row lies in the row space V of A, and V
+    plus the span of those columns' unit vectors is the whole space, so
+    the rows of A + Z span it.
+    """
+    q = fld.order
+    basis: list[tuple[int, list[int]]] = []
+    dependent = []
+    for i in range(size):
+        row = [value // q ** (i * size + j) % q for j in range(size)]
+        for lead, b in basis:
+            f = row[lead]
+            if f:
+                row = [fld.sub(v, fld.mul(f, w)) for v, w in zip(row, b)]
+        lead = next((j for j, v in enumerate(row) if v), None)
+        if lead is None:
+            dependent.append(i)
+        else:
+            inv = fld.inv(row[lead])
+            basis.append((lead, [fld.mul(inv, v) for v in row]))
+    leads = {lead for lead, _ in basis}
+    free = [j for j in range(size) if j not in leads]
+    return sum(q ** (i * size + j) for i, j in zip(dependent, free))
+
+
 def nonunit_complement_witness(s_ring: Ring, y: int, verify: bool = True) -> int:
     """For a nonzero non-unit y of a semisimple product of matrix rings
     over fields, a non-unit z with y + z a unit.
 
-    Block rule: a zero block gets the identity, an invertible block gets
-    zero, and a singular nonzero block A of rank t gets
-    P^-1 [[0,0],[0,I_{m-t}]] Q^-1 where P A Q is the rank normal form.
+    Each block A of y gets the 0/1 block of ``_complement_block``, of
+    rank m - rank(A): the identity when A is zero, zero when A is
+    invertible, and a singular nonzero block otherwise.  Some block of y
+    is nonzero, so its block of z is singular and z is a non-unit.
     """
     if y == s_ring.zero:
         raise ConstructionError("y must be nonzero")
@@ -383,22 +346,7 @@ def nonunit_complement_witness(s_ring: Ring, y: int, verify: bool = True) -> int
         )
     z = 0
     for leaf, (fld, size), stride in zip(leaves, views, strides):
-        value = y // stride % leaf.order
-        if value == 0:
-            part = leaf.one
-        elif leaf.is_unit(value):
-            part = 0
-        else:
-            nf = rank_normal_form(fld, leaf.decode_entries(value))
-            t = nf.rank
-            middle = [
-                [fld.one if (i == j and i >= t) else 0 for j in range(size)]
-                for i in range(size)
-            ]
-            u = mat_inv(fld, [list(r) for r in nf.p])
-            v = mat_inv(fld, [list(r) for r in nf.q])
-            part = leaf.encode_entries(mat_mul(fld, mat_mul(fld, u, middle), v))
-        z += part * stride
+        z += _complement_block(fld, size, y // stride % leaf.order) * stride
     if verify:
         if s_ring.is_unit(z):
             raise ConstructionError("witness came out a unit")

@@ -1,5 +1,4 @@
-"""Polynomials over GF(p), the pinned modulus of GF(p^k), and dense
-matrices over a field.
+"""Polynomials over GF(p) and the pinned modulus of GF(p^k).
 
 GF(p^k) is realized by ``rings.GfRing``: its elements are residues of
 GF(p)[x] modulo the monic irreducible ``smallest_irreducible(p, k)``,
@@ -16,21 +15,14 @@ exhaustive search is cheap at the supported sizes (q <= 2^16).
 
 Polynomials over GF(p) are plain lists of ints in [0, p), low degree
 first, with trailing zeros trimmed ([] is the zero polynomial).
-
-The matrix helpers take the field as a ring with ``add``, ``neg``,
-``sub``, ``mul`` and ``inv``, in practice a ``GfRing``.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 from .descriptors import CACHE_SIZE
-
-if TYPE_CHECKING:
-    from .rings import GfRing
 
 
 def _trim(a: list[int]) -> list[int]:
@@ -91,71 +83,3 @@ def smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
             return (*low, 1)
     raise RuntimeError(f"no irreducible polynomial of degree {k} over GF({p})")
 
-
-# ---------------------------------------------------------------------------
-# dense matrices over a field, represented as lists of rows of indices
-# ---------------------------------------------------------------------------
-
-def mat_identity(fld: GfRing, n: int) -> list[list[int]]:
-    return [[fld.one if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(fld: GfRing, a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n, m = len(a), len(b[0])
-    inner = len(b)
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        for l in range(inner):
-            ail = a[i][l]
-            if ail == 0:
-                continue
-            brow = b[l]
-            orow = out[i]
-            for j in range(m):
-                if brow[j]:
-                    orow[j] = fld.add(orow[j], fld.mul(ail, brow[j]))
-    return out
-
-
-def mat_det(fld: GfRing, a: list[list[int]]) -> int:
-    """Determinant by Gaussian elimination; 0 exactly when singular."""
-    n = len(a)
-    m = [row[:] for row in a]
-    det = fld.one
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = fld.neg(det)
-        pv = m[col][col]
-        det = fld.mul(det, pv)
-        pv_inv = fld.inv(pv)
-        for r in range(col + 1, n):
-            factor = m[r][col]
-            if factor == 0:
-                continue
-            scale = fld.mul(factor, pv_inv)
-            for c in range(col, n):
-                m[r][c] = fld.sub(m[r][c], fld.mul(scale, m[col][c]))
-    return det
-
-
-def mat_inv(fld: GfRing, a: list[list[int]]) -> list[list[int]]:
-    """Inverse by Gauss-Jordan; raises ZeroDivisionError if singular."""
-    n = len(a)
-    m = [row[:] + ident_row for row, ident_row in zip(a, mat_identity(fld, n))]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("matrix is singular")
-        m[col], m[pivot] = m[pivot], m[col]
-        pv_inv = fld.inv(m[col][col])
-        m[col] = [fld.mul(pv_inv, v) for v in m[col]]
-        for r in range(n):
-            if r == col or m[r][col] == 0:
-                continue
-            factor = m[r][col]
-            m[r] = [fld.sub(v, fld.mul(factor, w)) for v, w in zip(m[r], m[col])]
-    return [row[n:] for row in m]

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from oracles import all_mis_subsets
@@ -13,14 +11,12 @@ from unitgraphs.constructions import (
     nonunit_complement_witness,
     product_nonunit_extend,
     product_unit_sets,
-    rank_normal_form,
     signature_set,
     two_size_witnesses,
     zero_first_row_set,
 )
-from unitgraphs.descriptors import Gf, Product
+from unitgraphs.descriptors import Product
 from unitgraphs.dsl import parse_ring_expr
-from unitgraphs.fields import mat_det, mat_identity, mat_mul
 from unitgraphs.graphs import build_graph
 from unitgraphs.indsets import is_maximal_independent, well_covered_bruteforce
 from unitgraphs.rings import VertexSet, build_ring, jacobson_radical, quotient_by_radical
@@ -182,80 +178,6 @@ def test_lift_rejects_wrong_universe():
 
 
 # ---------------------------------------------------------------------------
-# rank normal form
-# ---------------------------------------------------------------------------
-
-def _check_normal_form(fld, a, nf):
-    m = len(a)
-    paq = mat_mul(fld, mat_mul(fld, [list(r) for r in nf.p], [list(r) for r in a]),
-                  [list(r) for r in nf.q])
-    expected = [
-        [fld.one if (i == j and i < nf.rank) else 0 for j in range(m)]
-        for i in range(m)
-    ]
-    assert paq == expected
-    assert mat_det(fld, [list(r) for r in nf.p]) != 0
-    assert mat_det(fld, [list(r) for r in nf.q]) != 0
-
-
-def test_rank_normal_form_identity_and_zero():
-    fld = build_ring(Gf(3))
-    nf = rank_normal_form(fld, mat_identity(fld, 3))
-    assert nf.rank == 3
-    _check_normal_form(fld, mat_identity(fld, 3), nf)
-    nf0 = rank_normal_form(fld, [[0, 0], [0, 0]])
-    assert nf0.rank == 0
-    assert nf0.p == ((1, 0), (0, 1)) and nf0.q == ((1, 0), (0, 1))
-
-
-def test_rank_normal_form_singular_example():
-    fld = build_ring(Gf(3))
-    a = [[1, 2], [2, 1]]  # determinant 1 - 4 = 0 mod 3
-    nf = rank_normal_form(fld, a)
-    assert nf.rank == 1
-    _check_normal_form(fld, a, nf)
-
-
-def test_rank_normal_form_exhaustive_small():
-    for q in (2, 3):
-        fld = build_ring(Gf(q))
-        for code in range(q**4):
-            a = [
-                [code % q, code // q % q],
-                [code // q**2 % q, code // q**3 % q],
-            ]
-            nf = rank_normal_form(fld, a)
-            _check_normal_form(fld, a, nf)
-            assert nf.rank == (2 if mat_det(fld, a) != 0 else 0 if all(
-                v == 0 for row in a for v in row) else 1)
-
-
-def test_rank_normal_form_reads_prime_residues_as_their_field():
-    a = [[1, 2], [2, 4]]
-    assert rank_normal_form(_ring("Z5"), a) == rank_normal_form(build_ring(Gf(5)), a)
-    with pytest.raises(ConstructionError):
-        rank_normal_form(_ring("Z4"), a)
-
-
-def test_rank_invariant_under_invertible_translations():
-    fld = build_ring(Gf(5))
-    rng = random.Random(11)
-
-    def random_invertible(m):
-        while True:
-            cand = [[rng.randrange(5) for _ in range(m)] for _ in range(m)]
-            if mat_det(fld, cand) != 0:
-                return cand
-
-    for _ in range(25):
-        a = [[rng.randrange(5) for _ in range(3)] for _ in range(3)]
-        r = rank_normal_form(fld, a).rank
-        u, v = random_invertible(3), random_invertible(3)
-        moved = mat_mul(fld, mat_mul(fld, u, a), v)
-        assert rank_normal_form(fld, moved).rank == r
-
-
-# ---------------------------------------------------------------------------
 # complement witness
 # ---------------------------------------------------------------------------
 
@@ -288,6 +210,13 @@ def test_complement_witness_block_rules():
         # matrix rings over Z_p, which count as fields through GF(p)
         "M2(Z3)",
         "Z5 x M2(Z2)",
+        # 3 x 3 blocks, where a block can have two dependent rows, and the
+        # larger fields
+        "M3(GF(2))",
+        "M3(GF(2)) x GF(3)",
+        "M2(GF(4))",
+        "M2(GF(7))",
+        "M2(GF(8))",
     ],
 )
 def test_complement_witness_exhaustive(expr):
@@ -301,6 +230,36 @@ def test_complement_witness_exhaustive(expr):
         assert ring.is_unit(ring.add(y, z))
         checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize(
+    "expr,count,total",
+    [
+        ("M2(Z3)", 32, 560),
+        ("Z5 x M2(Z2)", 55, 1320),
+        ("M2(GF(4))", 75, 3315),
+        ("M2(GF(7))", 384, 103200),
+        ("M2(GF(8))", 567, 233415),
+        ("GF(2) x M2(GF(3))", 113, 2376),
+    ],
+)
+def test_complement_witness_sums_are_pinned(expr, count, total):
+    # sums over every nonzero non-unit, measured with the earlier
+    # rank-normal-form rule, which the row pass matches on every 1 x 1 and
+    # 2 x 2 block
+    ring = _ring(expr)
+    ys = [y for y in range(1, ring.order) if not ring.is_unit(y)]
+    assert len(ys) == count
+    assert sum(nonunit_complement_witness(ring, y) for y in ys) == total
+
+
+def test_complement_witness_pairs_dependent_rows_with_free_columns():
+    # row 0 leads at column 2; rows 1 and 2 are dependent, columns 0 and 1
+    # lead nothing, so Z = E_10 + E_21
+    ring = _ring("M3(GF(2))")
+    y = ring.encode_entries([[0, 0, 1], [0, 0, 0], [0, 0, 0]])
+    z = nonunit_complement_witness(ring, y)
+    assert ring.decode_entries(z) == [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
 
 
 def test_complement_witness_rejects_bad_inputs():

@@ -5,13 +5,7 @@ import pytest
 
 from oracles import poly_is_irreducible_bruteforce
 from unitgraphs.descriptors import Gf, prime_power
-from unitgraphs.fields import (
-    mat_det,
-    mat_identity,
-    mat_inv,
-    mat_mul,
-    smallest_irreducible,
-)
+from unitgraphs.fields import smallest_irreducible
 from unitgraphs.rings import HARD_ORDER_CAP, build_ring
 
 
@@ -157,34 +151,3 @@ def test_log_exp_tables_at_the_hard_cap():
     for _ in range(2000):
         x, y = rng.randrange(q), rng.randrange(q)
         assert fld.mul(x, y) == fld._poly_mul(x, y), (x, y)
-
-
-def test_mat_helpers_over_gf3():
-    fld = build_ring(Gf(3))
-    a = [[1, 2], [2, 1]]
-    assert mat_det(fld, a) == 0  # 1 - 4 = -3 = 0 mod 3
-    b = [[1, 1], [0, 1]]
-    assert mat_det(fld, b) == 1
-    binv = mat_inv(fld, b)
-    assert mat_mul(fld, b, binv) == mat_identity(fld, 2)
-    with pytest.raises(ZeroDivisionError):
-        mat_inv(fld, a)
-
-
-def test_mat_det_matches_permanent_expansion_gf2():
-    # 3x3 over GF(2): compare elimination against the Leibniz expansion
-    fld = build_ring(Gf(2))
-    import itertools as it
-
-    def leibniz(m):
-        total = 0
-        for perm in it.permutations(range(3)):
-            prod = 1
-            for i, j in enumerate(perm):
-                prod &= m[i][j]
-            total ^= prod  # signs vanish mod 2
-        return total
-
-    for bits in range(512):
-        m = [[(bits >> (3 * i + j)) & 1 for j in range(3)] for i in range(3)]
-        assert mat_det(fld, m) == leibniz(m)

@@ -122,21 +122,20 @@ class SimplicialComplex:
     def facet_lists(self) -> list[list[int]]:
         return [mask_indices(m) for m in self.facets]
 
-    def faces(self, face_cap: int = DEFAULT_FACE_CAP) -> list[int]:
+    def faces(self) -> list[int]:
         """All faces (including the empty face) as masks, deduplicated and
         sorted canonically."""
-        return sorted(self._face_set(face_cap), key=_canonical_key)
+        return sorted(self._face_set(), key=_canonical_key)
 
-    def _face_set(self, face_cap: int) -> set[int]:
+    def _face_set(self) -> set[int]:
+        """All faces, unsorted; raises BudgetExceeded past DEFAULT_FACE_CAP."""
         seen: set[int] = set()
         for f in self.facets:
             sub = f
             while True:
                 seen.add(sub)
-                if len(seen) > face_cap:
-                    raise BudgetExceeded(
-                        f"complex has more than {face_cap} faces"
-                    )
+                if len(seen) > DEFAULT_FACE_CAP:
+                    raise BudgetExceeded(f"complex has more than {DEFAULT_FACE_CAP} faces")
                 if sub == 0:
                     break
                 sub = (sub - 1) & f
@@ -198,9 +197,9 @@ def _maximal(masks: list[int], vertex_count: int) -> list[int]:
     return kept
 
 
-def independence_complex(g: Graph, **limits) -> SimplicialComplex:
+def independence_complex(g: Graph) -> SimplicialComplex:
     """Complex whose facets are all maximal independent sets of g."""
-    report = enumerate_mis(g, stop_mode="all", collect=True, **limits)
+    report = enumerate_mis(g, stop_mode="all", collect=True)
     if report.truncated:
         raise BudgetExceeded(
             "maximal independent set enumeration was truncated "
@@ -219,13 +218,12 @@ def is_pure(c: SimplicialComplex) -> bool:
 # ---------------------------------------------------------------------------
 
 def find_shelling(
-    c: SimplicialComplex,
-    facet_cap: int = DEFAULT_FACET_CAP,
-    node_cap: int = DEFAULT_SHELLING_NODE_CAP,
+    c: SimplicialComplex, facet_cap: int = DEFAULT_FACET_CAP
 ) -> list[int] | None:
     """A shelling order (as facet indices) or None if none exists.
 
-    Raises BudgetExceeded beyond the caps.  Only pure complexes can be
+    Raises BudgetExceeded beyond facet_cap facets or beyond
+    DEFAULT_SHELLING_NODE_CAP search nodes.  Only pure complexes can be
     shellable here; callers gate on is_pure first.
     """
     facets = c.facets
@@ -257,7 +255,7 @@ def find_shelling(
         if placed_mask in failed:
             return None
         nodes += 1
-        if nodes > node_cap:
+        if nodes > DEFAULT_SHELLING_NODE_CAP:
             raise BudgetExceeded("shelling search exceeded its node budget")
         for j in range(m):
             if (placed_mask >> j) & 1:
@@ -274,11 +272,7 @@ def find_shelling(
     return search(0, [])
 
 
-def is_shellable(
-    c: SimplicialComplex,
-    facet_cap: int = DEFAULT_FACET_CAP,
-    node_cap: int = DEFAULT_SHELLING_NODE_CAP,
-) -> bool | None:
+def is_shellable(c: SimplicialComplex, facet_cap: int = DEFAULT_FACET_CAP) -> bool | None:
     """True/False when decided; None when a budget was exceeded.
 
     Non-pure complexes are immediately False (only pure shellability is
@@ -290,7 +284,7 @@ def is_shellable(
     if c.dimension <= 0:
         return True
     try:
-        return find_shelling(c, facet_cap=facet_cap, node_cap=node_cap) is not None
+        return find_shelling(c, facet_cap=facet_cap) is not None
     except BudgetExceeded:
         return None
 
@@ -315,16 +309,14 @@ def _gf2_rank(rows) -> int:
     return len(basis)
 
 
-def reduced_homology_gf2(
-    c: SimplicialComplex, face_cap: int = DEFAULT_FACE_CAP
-) -> list[int]:
+def reduced_homology_gf2(c: SimplicialComplex) -> list[int]:
     """Ranks of reduced GF(2) homology in dimensions -1..dim.
 
     Entry 0 of the result is dimension -1.  The void complex gives [].
     """
     if not c.facets:
         return []
-    return _homology(c._face_set(face_cap))
+    return _homology(c._face_set())
 
 
 def _homology(faces) -> list[int]:
@@ -369,15 +361,15 @@ def link(c: SimplicialComplex, face_mask: int) -> SimplicialComplex:
     )
 
 
-def is_cm_gf2(c: SimplicialComplex, face_cap: int = DEFAULT_FACE_CAP) -> bool:
+def is_cm_gf2(c: SimplicialComplex) -> bool:
     """Cohen-Macaulay over GF(2): every face link has vanishing reduced
     homology below its own dimension."""
     if not c.facets:
         raise ComplexError("void complex has no Cohen-Macaulay verdict")
-    return _reisner(c, 0, face_cap, lambda top: True)
+    return _reisner(c, 0, lambda top: True)
 
 
-def is_gorenstein_gf2(c: SimplicialComplex, face_cap: int = DEFAULT_FACE_CAP) -> bool:
+def is_gorenstein_gf2(c: SimplicialComplex) -> bool:
     """Gorenstein over GF(2): on the core (the restriction to vertices
     missing from at least one facet), every face link has vanishing
     reduced homology below its dimension and rank exactly 1 on top.  The
@@ -387,10 +379,10 @@ def is_gorenstein_gf2(c: SimplicialComplex, face_cap: int = DEFAULT_FACE_CAP) ->
     common = c.facets[0]
     for f in c.facets[1:]:
         common &= f
-    return _reisner(c, common, face_cap, lambda top: top == 1)
+    return _reisner(c, common, lambda top: top == 1)
 
 
-def _reisner(c: SimplicialComplex, cone: int, face_cap: int, top_ok) -> bool:
+def _reisner(c: SimplicialComplex, cone: int, top_ok) -> bool:
     """Reisner's criterion, with the top rank accepted by top_ok, on c
     with the vertices of cone (a set in every facet) deleted.
 
@@ -405,20 +397,20 @@ def _reisner(c: SimplicialComplex, cone: int, face_cap: int, top_ok) -> bool:
     if not is_pure(core) or (core.dimension >= 1 and not _connected(core)):
         return False
     if c.graph is None:
-        return _every_link(core, face_cap, top_ok)
-    return _graph_reisner(c.graph.rows, ((1 << c.vertex_count) - 1) & ~cone, face_cap, top_ok)
+        return _every_link(core, top_ok)
+    return _graph_reisner(c.graph.rows, ((1 << c.vertex_count) - 1) & ~cone, top_ok)
 
 
-def _every_link(c: SimplicialComplex, face_cap: int, top_ok) -> bool:
+def _every_link(c: SimplicialComplex, top_ok) -> bool:
     """Reisner's walk: every face link has vanishing reduced homology
     below its dimension and a top rank accepted by top_ok.  Homology is
     computed once per distinct link."""
     cache: dict[tuple[int, ...], bool] = {}
-    for sigma in c.faces(face_cap):
+    for sigma in c.faces():
         lk = link(c, sigma)
         ok = cache.get(lk.facets)
         if ok is None:
-            ranks = reduced_homology_gf2(lk, face_cap)
+            ranks = reduced_homology_gf2(lk)
             ok = cache[lk.facets] = not any(ranks[:-1]) and top_ok(ranks[-1])
         if not ok:
             return False
@@ -449,7 +441,7 @@ def _connected(c: SimplicialComplex) -> bool:
 # Reisner's criterion on a graph: the vertex-link recursion
 # ---------------------------------------------------------------------------
 
-def _graph_reisner(rows, mask: int, face_cap: int, top_ok) -> bool:
+def _graph_reisner(rows, mask: int, top_ok) -> bool:
     """Reisner's criterion on Ind(G[mask]), where rows are G's adjacency
     rows, by recursion over vertex masks of G.
 
@@ -465,11 +457,12 @@ def _graph_reisner(rows, mask: int, face_cap: int, top_ok) -> bool:
     Each judged mask is a generator that yields the masks it needs a
     dimension for; a loop over an explicit stack drives them, so a
     descent as deep as the independence number costs no Python
-    recursion.  face_cap bounds each homology computation and the count
-    of distinct passing masks; reaching either raises BudgetExceeded."""
+    recursion.  DEFAULT_FACE_CAP bounds each homology computation and
+    the count of distinct passing masks; passing either raises
+    BudgetExceeded."""
     passed: dict[int, int] = {}
     for top in mask_components(rows, mask):
-        stack = [(top, _judge_component(rows, top, face_cap, top_ok, passed))]
+        stack = [(top, _judge_component(rows, top, top_ok, passed))]
         dim = None
         while stack:
             part, judge = stack[-1]
@@ -480,18 +473,18 @@ def _graph_reisner(rows, mask: int, face_cap: int, top_ok) -> bool:
                 if dim is None:
                     return False
                 passed[part] = dim
-                if len(passed) > face_cap:
+                if len(passed) > DEFAULT_FACE_CAP:
                     raise BudgetExceeded(
-                        f"Reisner's criterion visited more than {face_cap} distinct links"
+                        f"Reisner's criterion visited more than {DEFAULT_FACE_CAP} distinct links"
                     )
                 stack.pop()
             else:
-                stack.append((needed, _judge_component(rows, needed, face_cap, top_ok, passed)))
+                stack.append((needed, _judge_component(rows, needed, top_ok, passed)))
                 dim = None
     return True
 
 
-def _judge_component(rows, part: int, face_cap: int, top_ok, passed: dict[int, int]):
+def _judge_component(rows, part: int, top_ok, passed: dict[int, int]):
     """Generator judging Ind(G[part]) for a connected part: it yields each
     component of a vertex link that is not in passed, is sent that
     component's dimension, and returns the dimension of Ind(G[part]), or
@@ -521,7 +514,7 @@ def _judge_component(rows, part: int, face_cap: int, top_ok, passed: dict[int, i
         elif dim != link_dim:
             return None
     dim = link_dim + 1
-    ranks = _folded_homology(rows, part, face_cap)
+    ranks = _folded_homology(rows, part)
     ranks += [0] * (dim + 2 - len(ranks))
     if any(ranks[: dim + 1]) or not top_ok(ranks[dim + 1]):
         return None
@@ -553,7 +546,7 @@ def _fold(rows, mask: int) -> int:
         mask = folded
 
 
-def _folded_homology(rows, mask: int, face_cap: int) -> list[int]:
+def _folded_homology(rows, mask: int) -> list[int]:
     """Ranks of the reduced GF(2) homology of Ind(G[mask]) in dimensions
     -1, 0, ... (trailing zeros may be missing), computed on the fold one
     component at a time.  Over a field the homology of a join is the
@@ -561,7 +554,7 @@ def _folded_homology(rows, mask: int, face_cap: int) -> list[int]:
     dimension i - 1 the rank lists multiply as polynomials."""
     ranks = [1]  # {[]}, the unit of the join
     for part in mask_components(rows, _fold(rows, mask)):
-        factor = _homology(_independent_sets(rows, part, face_cap))
+        factor = _homology(_independent_sets(rows, part))
         product = [0] * (len(ranks) + len(factor) - 1)
         for i, a in enumerate(ranks):
             if a:
@@ -571,17 +564,18 @@ def _folded_homology(rows, mask: int, face_cap: int) -> list[int]:
     return ranks
 
 
-def _independent_sets(rows, mask: int, face_cap: int) -> list[int]:
+def _independent_sets(rows, mask: int) -> list[int]:
     """Every independent set of G[mask], the empty one included: each set
     grows only by vertices above its largest one that no member is
-    adjacent to, so it is listed once."""
+    adjacent to, so it is listed once.  Raises BudgetExceeded past
+    DEFAULT_FACE_CAP sets."""
     faces = []
     todo = [(0, mask)]
     while todo:
         face, free = todo.pop()
         faces.append(face)
-        if len(faces) > face_cap:
-            raise BudgetExceeded(f"complex has more than {face_cap} faces")
+        if len(faces) > DEFAULT_FACE_CAP:
+            raise BudgetExceeded(f"complex has more than {DEFAULT_FACE_CAP} faces")
         while free:
             low = free & -free
             free ^= low
@@ -597,9 +591,10 @@ def facets_to_json(c: SimplicialComplex) -> str:
     return json.dumps(c.facet_lists())
 
 
-def complex_from_json(
-    text: str | bytes, vertex_count: int | None = None
-) -> SimplicialComplex:
+def complex_from_json(text: str | bytes) -> SimplicialComplex:
+    """The complex of a JSON array of facets, each an array of vertex
+    indices 0..HARD_ORDER_CAP - 1, on the vertices up to the largest
+    index named."""
     try:
         data = json.loads(text)
     except ValueError as exc:  # malformed JSON or undecodable bytes
@@ -618,5 +613,4 @@ def complex_from_json(
             )
         facets.append(entry)
         top = max(top, max(entry, default=-1))
-    n = vertex_count if vertex_count is not None else top + 1
-    return SimplicialComplex.from_facets(n, facets)
+    return SimplicialComplex.from_facets(top + 1, facets)

@@ -130,8 +130,9 @@ class Graph:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def build_graph(ring: Ring, kind: str = "unit", cap: int = DEFAULT_GRAPH_CAP) -> Graph:
-    """Build the graph of the given kind on ring's elements.
+def build_graph(ring: Ring, kind: str = "unit") -> Graph:
+    """Build the graph of the given kind on ring's elements; a ring of more
+    than DEFAULT_GRAPH_CAP elements raises GraphError.
 
     Rings are interned per descriptor (up to CACHE_SIZE of each), so
     repeated calls share one graph.
@@ -139,8 +140,8 @@ def build_graph(ring: Ring, kind: str = "unit", cap: int = DEFAULT_GRAPH_CAP) ->
     if kind not in KINDS:
         raise GraphError(f"unknown graph kind {kind!r}")
     n = ring.order
-    if n > cap:
-        raise GraphError(f"ring order {n} exceeds the graph cap {cap}")
+    if n > DEFAULT_GRAPH_CAP:
+        raise GraphError(f"ring order {n} exceeds the graph cap {DEFAULT_GRAPH_CAP}")
     rows = ring.unit_translates
     two = ring.add(ring.one, ring.one)
     # in characteristic 2, -x = x and the unit rows are T
@@ -231,15 +232,34 @@ def graph_to_json(g: Graph) -> str:
     return "".join(json_blocks(g))
 
 
-def graph_from_json(text: str) -> Graph:
-    data = json.loads(text)
-    n = int(data["n"])
-    kind = data.get("kind", "imported")
+def graph_from_json(text: str | bytes) -> Graph:
+    """The graph of a JSON object {"n", "kind", "edges"}, as graph_to_json
+    writes it ("kind" optional).  Every malformed input raises GraphError,
+    and n is checked against DEFAULT_GRAPH_CAP before any row is made:
+    n and the endpoints are JSON integers (not booleans or floats), n is
+    0..DEFAULT_GRAPH_CAP, and each edge is a pair of distinct vertices
+    below n."""
+    try:
+        data = json.loads(text)
+    except ValueError as exc:  # malformed JSON or undecodable bytes
+        raise GraphError(f"graph file is not JSON: {exc}") from None
+    if not isinstance(data, dict) or "n" not in data or "edges" not in data:
+        raise GraphError('graph file must be a JSON object with "n" and "edges"')
+    n, kind, edges = data["n"], data.get("kind", "imported"), data["edges"]
+    if type(n) is not int or not 0 <= n <= DEFAULT_GRAPH_CAP:
+        raise GraphError(f"bad vertex count {n!r}: an integer 0..{DEFAULT_GRAPH_CAP}")
+    if not isinstance(kind, str):
+        raise GraphError(f"bad graph kind {kind!r}: a string")
+    if not isinstance(edges, list):
+        raise GraphError("edges must be a JSON array of vertex pairs")
     rows = [0] * n
-    for a, b in data["edges"]:
-        a, b = int(a), int(b)
-        if not (0 <= a < n and 0 <= b < n) or a == b:
-            raise GraphError(f"bad edge [{a}, {b}]")
+    for edge in edges:
+        # one test per step, no generator: a dense file has millions of edges
+        if type(edge) is not list or len(edge) != 2:
+            raise GraphError(f"bad edge {edge!r}: a pair of vertices")
+        a, b = edge
+        if type(a) is not int or type(b) is not int or not (0 <= a < n and 0 <= b < n) or a == b:
+            raise GraphError(f"bad edge {edge!r}: two distinct integers 0..{n - 1}")
         rows[a] |= 1 << b
         rows[b] |= 1 << a
     g = Graph(n, kind, rows)

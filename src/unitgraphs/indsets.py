@@ -469,7 +469,6 @@ def enumerate_mis(
     max_sets: int = DEFAULT_MAX_SETS,
     time_budget: float = DEFAULT_TIME_BUDGET,
     collect: bool = True,
-    cap: int = DEFAULT_GRAPH_CAP,
 ) -> MisReport:
     """Enumerate maximal independent sets.
 
@@ -479,12 +478,13 @@ def enumerate_mis(
     path (see the module docstring) in the order of its closure.  With
     stop_mode="first_two_sizes" a long search first runs the probe, and
     may end on its greedy sets of two sizes.  A truncated report
-    describes the sets it found, at most max_sets of them.
+    describes the sets it found, at most max_sets of them.  A graph of
+    more than DEFAULT_GRAPH_CAP vertices raises EnumerationError.
     """
     if stop_mode not in ("all", "first_two_sizes"):
         raise EnumerationError(f"unknown stop mode {stop_mode!r}")
-    if g.n > cap:
-        raise EnumerationError(f"vertex count {g.n} exceeds the cap {cap}")
+    if g.n > DEFAULT_GRAPH_CAP:
+        raise EnumerationError(f"vertex count {g.n} exceeds the cap {DEFAULT_GRAPH_CAP}")
     search = _Search(g, stop_mode, max_sets, time_budget, collect)
     reason = search.run()
     orbits = None

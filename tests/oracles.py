@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 
 from unitgraphs import graphs
-from unitgraphs.complexes import DEFAULT_FACE_CAP, reduced_homology_gf2
+from unitgraphs.complexes import reduced_homology_gf2
 
 
 def build_plain_graph(ring, kind: str = "unit"):
@@ -88,19 +88,19 @@ def matrix_unit_count(n: int, q: int) -> int:
     return out
 
 
-def euler_characteristic_faces(c, face_cap: int = DEFAULT_FACE_CAP) -> int:
+def euler_characteristic_faces(c) -> int:
     """Reduced Euler characteristic from face counts (includes the empty
     face with sign -1)."""
     total = 0
-    for f in c.faces(face_cap):
+    for f in c.faces():
         total += -1 if f.bit_count() % 2 == 0 else 1
     return total
 
 
-def euler_characteristic_homology(c, face_cap: int = DEFAULT_FACE_CAP) -> int:
+def euler_characteristic_homology(c) -> int:
     """Reduced Euler characteristic as the alternating sum of the reduced
     GF(2) homology ranks."""
     total = 0
-    for d, rank in enumerate(reduced_homology_gf2(c, face_cap), start=-1):
+    for d, rank in enumerate(reduced_homology_gf2(c), start=-1):
         total += rank if d % 2 == 0 else -rank
     return total

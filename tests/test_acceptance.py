@@ -118,6 +118,39 @@ def test_criterion_5_unit_equals_cayley_iff_char_two():
             assert same == (quot.characteristic == 2), expr
 
 
+# rings of odd characteristic R/J(R) on which the Cayley graph is
+# well-covered (the first four) and on which it is not (the last four)
+HEADLINE_EXTRA = (
+    "M2(GF(5))",
+    "M2(GF(7))",
+    "GF(5) x GF(5)",
+    "Z3 x Z9",
+    "GA(GF(3), C4)",
+    "GF(3) x GF(5)",
+    "M2(GF(3)) x GF(3)",
+    "GF(3) x GF(3) x GF(3)",
+)
+
+
+def test_criterion_5_unit_wc_iff_cayley_wc_and_char_two():
+    # the paper's headline equivalence, with both sides by brute force:
+    # the unit graph is well-covered iff the unitary Cayley graph is and
+    # R/J(R) has characteristic 2
+    with _Budget("5 (unit graph wc iff Cayley graph wc and char(R/J) = 2)", 30):
+        odd_cayley = {}
+        for expr in (*CATALOG_EXPRS, *HEADLINE_EXTRA):
+            ring = build_ring(parse_ring_expr(expr))
+            unit_wc = well_covered_bruteforce(build_graph(ring, "unit"))
+            cayley_wc = well_covered_bruteforce(build_graph(ring, "cayley"))
+            assert unit_wc is not None and cayley_wc is not None, expr
+            char_two = quotient_by_radical(ring).characteristic == 2
+            assert unit_wc == (cayley_wc and char_two), expr
+            if not char_two:
+                odd_cayley[expr] = cayley_wc
+        # both outcomes occur where the characteristic condition fails
+        assert [odd_cayley[e] for e in HEADLINE_EXTRA] == [True] * 4 + [False] * 4
+
+
 def test_criterion_6_coset_union_correspondence():
     with _Budget("6 (maximal sets = radical coset unions when 2 is a zero divisor)", 30):
         listed = ("Z4", "Z8", "Z9", "M2(Z4)")

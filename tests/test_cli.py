@@ -491,7 +491,7 @@ def test_complex_names_the_cap_that_fired(monkeypatch, tmp_path, capsys):
     assert code == EXIT_CAP and out == ""
     assert err.strip() == "cm_gf2: complex has more than 200000 faces"
 
-    def over_the_link_cap(c, face_cap=None):
+    def over_the_link_cap(c):
         raise cli.BudgetExceeded("Reisner's criterion visited more than 7 distinct links")
 
     monkeypatch.setattr(classify, "is_gorenstein_gf2", over_the_link_cap)

@@ -7,7 +7,6 @@ import pytest
 
 from oracles import euler_characteristic_faces, euler_characteristic_homology
 from unitgraphs.complexes import (
-    DEFAULT_FACE_CAP,
     BudgetExceeded,
     ComplexError,
     SimplicialComplex,
@@ -84,6 +83,14 @@ def test_shellability_budget_returns_undecided():
     c = _from_facets(20, facets)
     assert is_shellable(c, facet_cap=12) is None
     assert is_shellable(c, facet_cap=25) is True
+
+
+def test_shelling_node_budget_is_read_at_call_time(monkeypatch):
+    c = _from_facets(20, [[i, (i + 1) % 20] for i in range(20)])  # a 20-cycle
+    monkeypatch.setattr(complexes, "DEFAULT_SHELLING_NODE_CAP", 19)
+    with pytest.raises(BudgetExceeded, match="node budget"):
+        find_shelling(c, facet_cap=25)
+    assert is_shellable(c, facet_cap=25) is None
 
 
 def test_points_are_shellable_without_a_search(monkeypatch):
@@ -190,12 +197,13 @@ def test_zero_dimensional_complexes_are_cm():
         assert is_cm_gf2(c) is True
 
 
-def test_face_budget_guard():
+def test_face_budget_guard(monkeypatch):
     c = _from_facets(20, [list(range(20))])
-    with pytest.raises(BudgetExceeded):
-        c.faces(face_cap=1000)
-    with pytest.raises(BudgetExceeded):
-        reduced_homology_gf2(c, face_cap=1000)
+    monkeypatch.setattr(complexes, "DEFAULT_FACE_CAP", 1000)
+    with pytest.raises(BudgetExceeded, match="more than 1000 faces"):
+        c.faces()
+    with pytest.raises(BudgetExceeded, match="more than 1000 faces"):
+        reduced_homology_gf2(c)
 
 
 def test_facets_json_round_trip():
@@ -204,8 +212,6 @@ def test_facets_json_round_trip():
     assert json.loads(text) == [[0, 1], [0, 2], [1, 3], [2, 3]]
     back = complex_from_json(text)
     assert back.facets == c.facets
-    explicit = complex_from_json(text, vertex_count=10)
-    assert explicit.vertex_count == 10
     assert complex_from_json("[[65535]]").vertex_count == 65536
     with pytest.raises(ComplexError):
         complex_from_json("[[65536]]")  # vertex indices stay below 2^16
@@ -311,7 +317,7 @@ def test_maximality_filter_matches_pairwise_containment():
 
 
 def test_prechecks_decide_before_listing_faces(monkeypatch):
-    def refuse(self, face_cap=None):
+    def refuse(self):
         raise AssertionError("faces were listed")
 
     monkeypatch.setattr(SimplicialComplex, "faces", refuse)
@@ -448,7 +454,8 @@ def _agreement_graph(rng, case):
     return _random_graph(rng, n)
 
 
-def test_graph_recursion_matches_the_face_walk_on_random_graphs():
+def test_graph_recursion_matches_the_face_walk_on_random_graphs(monkeypatch):
+    monkeypatch.setattr(complexes, "DEFAULT_FACE_CAP", 10**4)
     rng = random.Random(23)
     shapes = Counter()
     for case in range(400):
@@ -464,10 +471,10 @@ def test_graph_recursion_matches_the_face_walk_on_random_graphs():
         full = (1 << g.n) - 1
         isolated = sum(1 << v for v in range(g.n) if not g.rows[v])
         core = SimplicialComplex(g.n, [f & ~isolated for f in c.facets])
-        cm = _graph_reisner(g.rows, full, 10**4, lambda top: True)
-        gorenstein = _graph_reisner(g.rows, full & ~isolated, 10**4, lambda top: top == 1)
-        assert cm == _every_link(bare, 10**4, lambda top: True), facets
-        assert gorenstein == _every_link(core, 10**4, lambda top: top == 1), facets
+        cm = _graph_reisner(g.rows, full, lambda top: True)
+        gorenstein = _graph_reisner(g.rows, full & ~isolated, lambda top: top == 1)
+        assert cm == _every_link(bare, lambda top: True), facets
+        assert gorenstein == _every_link(core, lambda top: top == 1), facets
         shapes["isolated"] += bool(isolated)
         shapes["disconnected"] += len(connected_components(g)) > 1
         shapes["not pure"] += not is_pure(c)
@@ -511,22 +518,25 @@ def test_graph_recursion_needs_no_python_recursion():
     Graph(n, "imported", rows).validate()
     for top_ok in (lambda top: True, lambda top: top == 1):
         try:
-            verdict = _graph_reisner(rows, (1 << n) - 1, DEFAULT_FACE_CAP, top_ok)
+            verdict = _graph_reisner(rows, (1 << n) - 1, top_ok)
         except BudgetExceeded as exc:
             assert "distinct links" in str(exc)
         else:
             assert verdict is False  # the path on 3 vertices is not pure
 
 
-def test_graph_recursion_caps_distinct_links():
+def test_graph_recursion_caps_distinct_links(monkeypatch):
     # the 5-cycle: its vertex links are 5 edges K2, each with 3 faces, and
     # its own complex, a circle, has 11
     c5 = [0b10010, 0b00101, 0b01010, 0b10100, 0b01001]
-    assert _graph_reisner(c5, 0b11111, 11, lambda top: True) is True
+    monkeypatch.setattr(complexes, "DEFAULT_FACE_CAP", 11)
+    assert _graph_reisner(c5, 0b11111, lambda top: True) is True
+    monkeypatch.setattr(complexes, "DEFAULT_FACE_CAP", 3)
     with pytest.raises(BudgetExceeded, match="more than 3 distinct links"):
-        _graph_reisner(c5, 0b11111, 3, lambda top: True)
+        _graph_reisner(c5, 0b11111, lambda top: True)
+    monkeypatch.setattr(complexes, "DEFAULT_FACE_CAP", 2)
     with pytest.raises(BudgetExceeded, match="more than 2 faces"):
-        _graph_reisner(c5, 0b11111, 2, lambda top: True)
+        _graph_reisner(c5, 0b11111, lambda top: True)
 
 
 def test_canonical_key_orders_like_index_lists():

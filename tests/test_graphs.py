@@ -7,6 +7,7 @@ from unitgraphs import rings
 from unitgraphs.descriptors import Gf, Mat, Zn
 from unitgraphs.dsl import parse_ring_expr
 from unitgraphs.graphs import (
+    DEFAULT_GRAPH_CAP,
     Graph,
     GraphError,
     build_graph,
@@ -15,7 +16,7 @@ from unitgraphs.graphs import (
     graph_to_json,
     graphs_equal,
 )
-from unitgraphs.rings import build_ring, quotient_by_radical
+from unitgraphs.rings import HARD_ORDER_CAP, build_ring, quotient_by_radical
 
 
 def _edges(expr, kind="unit"):
@@ -229,10 +230,46 @@ def test_json_import_rejects_bad_edges():
         graph_from_json(json.dumps({"n": 2, "kind": "unit", "edges": [[1, 1]]}))
 
 
-def test_graph_cap():
-    ring = build_ring(Zn(100))
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{",  # not JSON
+        "[]",  # not an object
+        '{"edges": []}',  # no vertex count
+        '{"n": 2}',  # no edges
+        '{"n": 5000, "edges": []}',  # over the graph cap
+        '{"n": -1, "edges": []}',
+        '{"n": 2.0, "edges": []}',
+        '{"n": true, "edges": []}',
+        '{"n": "3", "edges": []}',
+        '{"n": 2, "edges": {}}',
+        '{"n": 2, "edges": "01"}',
+        '{"n": 2, "edges": [[0]]}',
+        '{"n": 3, "edges": [[0, 1, 2]]}',
+        '{"n": 3, "edges": [[0, 1.7]]}',  # not silently edge (0, 1)
+        '{"n": 3, "edges": [[true, 2]]}',  # not silently edge (1, 2)
+        '{"n": 3, "edges": [["0", 2]]}',
+        '{"n": 3, "edges": [[0, 1]], "kind": 5}',
+    ],
+)
+def test_json_import_rejects_malformed_input(text):
     with pytest.raises(GraphError):
-        build_graph(ring, "unit", cap=50)
+        graph_from_json(text)
+
+
+def test_json_import_checks_the_cap_before_making_rows():
+    g = graph_from_json(json.dumps({"n": DEFAULT_GRAPH_CAP, "edges": [[0, 1]]}))
+    assert g.n == DEFAULT_GRAPH_CAP and g.kind == "imported" and g.edge_count() == 1
+    # 2^40 rows would be terabytes: the count is refused before any is made
+    with pytest.raises(GraphError, match=f"0..{DEFAULT_GRAPH_CAP}"):
+        graph_from_json(json.dumps({"n": 2**40, "edges": []}))
+
+
+def test_graph_cap():
+    ring = build_ring(Zn(DEFAULT_GRAPH_CAP + 1), order_cap=HARD_ORDER_CAP)
+    for kind in ("unit", "cayley"):
+        with pytest.raises(GraphError, match=f"exceeds the graph cap {DEFAULT_GRAPH_CAP}"):
+            build_graph(ring, kind)
 
 
 def test_quotient_rings_build_graphs():

@@ -12,7 +12,13 @@ from unitgraphs import indsets
 from unitgraphs.classify import cross_validate
 from unitgraphs.descriptors import Zn
 from unitgraphs.dsl import parse_ring_expr
-from unitgraphs.graphs import Graph, build_graph, connected_components, induced_subgraph
+from unitgraphs.graphs import (
+    DEFAULT_GRAPH_CAP,
+    Graph,
+    build_graph,
+    connected_components,
+    induced_subgraph,
+)
 from unitgraphs.indsets import (
     EnumerationError,
     enumerate_mis,
@@ -184,7 +190,7 @@ def test_coset_union_correspondence_fails_when_two_is_a_unit():
 
 def test_enumeration_cap_guard():
     with pytest.raises(EnumerationError):
-        enumerate_mis(_edgeless(10), cap=5)
+        enumerate_mis(_edgeless(DEFAULT_GRAPH_CAP + 1))
     with pytest.raises(EnumerationError):
         enumerate_mis(_edgeless(3), stop_mode="nope")
 

@@ -235,7 +235,7 @@ def test_radical_structural_equals_generic(catalog_descriptors):
         assert structural == generic, expr
 
 
-def test_radical_structural_unsupported_falls_back():
+def test_both_radicals_of_semisimple_gf2_c3_are_zero():
     # |G| = 3 is prime to 2, so the algebra is semisimple (Maschke) and
     # its structural radical, the kernel of the coset map, is {0}
     ring = build_ring(GroupAlgebra(2, Cn(3)))

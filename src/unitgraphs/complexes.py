@@ -55,7 +55,7 @@ from __future__ import annotations
 import json
 
 from .graphs import Graph, mask_components
-from .indsets import _false_twin_classes, enumerate_mis
+from .indsets import _twin_classes, enumerate_mis
 from .rings import HARD_ORDER_CAP, _bits_to_masks, _masks_to_bits, mask_indices
 
 DEFAULT_FACET_CAP = 12
@@ -500,7 +500,7 @@ def _judge_component(rows, part: int, top_ok, passed: dict[int, int]):
     automorphism of it that maps the link of one onto the link of the
     other, so one link per twin class is judged."""
     vertices = mask_indices(part)
-    reps, _ = _false_twin_classes({v: rows[v] & part for v in vertices}, part, vertices)
+    reps, _ = _twin_classes({v: rows[v] & part for v in vertices}, part, vertices)
     link_dim = None
     for v in mask_indices(reps):
         dim = -1

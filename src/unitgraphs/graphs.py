@@ -161,13 +161,15 @@ def connected_components(g: Graph) -> list[int]:
 def mask_components(rows, mask: int) -> list[int]:
     """Vertex masks of the connected components of the subgraph induced on
     mask, by least vertex.  A breadth-first search over the bitmask rows
-    reads each row of mask once; left keeps the vertices not reached yet."""
+    reads each row of mask at most once; left keeps the vertices not
+    reached yet, and once it is empty the last part is whole, so the rows
+    of its frontier go unread (a complete graph reads one row)."""
     parts = []
     left = mask
     while left:
         part = frontier = left & -left
         left ^= frontier
-        while frontier:
+        while frontier and left:
             reach = 0
             while frontier:
                 low = frontier & -frontier

@@ -10,16 +10,31 @@ deterministic.  The collected family is kept in that order.
 Three reductions follow the graph's structure, and a probe looks for a
 quick False; each reads only rows.
 
-* Twins.  The search runs on the false-twin quotient: vertices with
-  equal rows are never adjacent and lie together in or out of every
-  maximal independent set, so only the least vertex of each class is a
-  candidate, and each emitted set is expanded by its classes.  The
-  expansion is one to one, so counts, sizes, the sorted family and the
-  caps mean what they would on the whole graph; only the order of
-  emission (and so the order of ``sets``, the witnesses and which sets
-  a capped run keeps) follows the quotient.
+* Twins.  The search runs on both twin quotients.  False twins have
+  equal rows: they are never adjacent and lie together in or out of
+  every maximal independent set.  True twins have equal closed
+  neighbourhoods (so equal complement rows): they form a clique, a
+  maximal independent set holds at most one of them, and any one will
+  do.  So only the least vertex of each class is a candidate, and each
+  emitted set is expanded by its false-twin classes and counts once per
+  choice of one member from each true-twin class it meets; the choices
+  are listed member by member only when the sets are collected, and a
+  weighted emission stops the count at max_sets.  Counts, sizes, the
+  sorted family and the caps mean what they would on the whole graph;
+  only the order of emission (and so the order of ``sets``, the
+  witnesses and which sets a capped run keeps) follows the quotient.
+  The classes come from a stable sort of the rows, not a dict: rows of
+  4096 bits that differ in bits 61 apart share their hash (see
+  ``_twin_classes``).
 * Components.  ``component_reports`` is the one walk over the connected
-  components of every brute-force verdict, under one deadline.
+  components of every brute-force verdict, under one deadline.  A count
+  (stop_mode "all", not collected) of a disconnected graph multiplies
+  its components' size generating functions, searched in the same order
+  under one deadline, and stops at max_sets as soon as the product
+  reaches it: a graph of 2048 components of two vertices passes 10^6
+  sets after 20 of them.  The component searches share the whole
+  graph's allowance (see Orbits), and past it a verified automorphism
+  of the whole graph hands the count back to its orbit path.
 * Orbits.  An automorphism of G maps maximal independent sets onto
   maximal independent sets of the same size.  A maximal independent set
   S meets N[u] for every vertex u (it holds u or a neighbour of u), so
@@ -27,18 +42,18 @@ quick False; each reads only rows.
   that meets N[u], some automorphism maps S onto a set {r} + T with r a
   root and T maximal independent in G - N[r].  The sizes are therefore
   the union over the roots of 1 plus the sizes in G - N[r], each G -
-  N[r] searched on its own twin quotient, and the family is the closure
-  of those sets under the group's generators (McKay & Piperno, J.
-  Symbolic Comput. 60, 2014, prune by orbits the same way).  The family
-  is counted without being held: ``_weighted_sizes`` weighs each set
-  {r} + T by the size of r's orbit over the number of its members in
-  the union of the root orbits.  The automorphisms come from
+  N[r] searched on its own twin quotients, and the family is the
+  closure of those sets under the group's generators (McKay & Piperno,
+  J. Symbolic Comput. 60, 2014, prune by orbits the same way).  The
+  family is counted without being held: ``_weighted_sizes`` weighs each
+  set {r} + T by the size of r's orbit over the number of its members in
+  the union of the root orbits, tallied per choice of true-twin members
+  through one linear polynomial per class.  The automorphisms come from
   ``Graph.candidates`` (for a ring's graph, its translations, under
   which unit graphs over R/J(R) of characteristic 2 and all Cayley
   graphs are invariant), and ``verified_automorphisms`` keeps only
   those that map every row x onto the row of the image of x.  A wrong
   candidate costs time, never a verdict.
-
 * Probe.  Two maximal independent sets of different sizes prove a
   graph not well-covered by definition, while recognizing well-covered
   graphs is co-NP-complete (Chvatal & Slater, Ann. Discrete Math. 55,
@@ -48,7 +63,8 @@ quick False; each reads only rows.
   independent sets from the rows, scanning the vertices in index order,
   in reverse order and then in orders shuffled by a local
   ``random.Random(0)``, never the global random state, and stops at the
-  first set of a second size.
+  first set of a second size.  Its sets are sets of the whole graph, so
+  each counts once, whatever twin classes it meets.
 
 Limits are explicit: a cap on sets, a wall-clock budget, and a stop
 mode.  ``first_two_sizes`` halts as soon as two distinct sizes have
@@ -69,6 +85,7 @@ in-band, never silently.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import sys
@@ -154,9 +171,12 @@ class _Stop(Exception):
 
 
 class _Search:
-    def __init__(self, g, stop_mode, max_sets, time_budget, collect):
+    def __init__(self, g, stop_mode, max_sets, time_budget, collect, whole=None):
         n = g.n
         self.g = g
+        # the graph whose automorphisms the search turns to: g, or for a
+        # component of ``_component_product`` the whole graph
+        self.whole = g if whole is None else whole
         self.restrict((1 << n) - 1)
         self.stop_mode = stop_mode
         self.max_sets = max_sets
@@ -166,7 +186,7 @@ class _Search:
         # rows read by the pivot scans and branches; past the allowance a
         # verdict search runs the probe, and the candidates are verified
         self.reads = 0
-        self.allowance = max(len(g.candidates), 1) * max(n, VERIFY_MIN_ROWS)
+        self.allowance = _allowance(self.whole)
         self.probes: int | None = None
         self.generators: tuple[tuple[int, int, int], ...] = ()
         # on the orbit path: W, the union of the root orbits, and per root
@@ -176,7 +196,9 @@ class _Search:
         self.reset()
 
     def restrict(self, within: int) -> None:
-        """Search G[within]: its complement rows and false-twin classes."""
+        """Search G[within]: its complement rows and both twin quotients.
+        False twins have equal rows; true twins have equal closed
+        neighbourhoods, and so equal complement rows."""
         n = self.g.n
         rows = self.g.rows
         vertices = range(n)
@@ -189,8 +211,17 @@ class _Search:
         for v in vertices:
             comp[v] = within ^ (rows[v] | (1 << v))
         self.comp = comp
-        self.reps, self.twins = _false_twin_classes(rows, within, vertices)
-        self.paired = sum(self.twins)  # representatives with a twin
+        false_reps, self.twins = _twin_classes(rows, within, vertices)
+        self.paired = sum(self.twins)  # representatives with a false twin
+        # a vertex v with a false twin u has no true twin: one would be a
+        # neighbour of v, so of u, and its closed neighbourhood, N[v],
+        # would hold u; only the other vertices are sorted again
+        singles = false_reps & ~self.paired
+        if singles != within:
+            vertices = mask_indices(singles)
+        true_reps, self.cliques = _twin_classes(comp, singles, vertices)
+        self.reps = false_reps & ~singles | true_reps
+        self.cliqued = sum(self.cliques)  # representatives with a true twin
 
     def reset(self) -> None:
         self.sizes = Counter()
@@ -199,24 +230,74 @@ class _Search:
         self.sets: list[int] = []
 
     def emit(self, chosen: int) -> None:
+        """Record the sets of G that a set of the quotient stands for: its
+        false-twin classes whole, and any one member of each true-twin
+        class it meets in the class's least member."""
         mask = chosen
         rest = chosen & self.paired
         while rest:
             low = rest & -rest
             mask |= self.twins[low]
             rest ^= low
+        rest = chosen & self.cliqued
+        if not rest:
+            self.record(mask)
+            return
+        classes = []
+        while rest:
+            low = rest & -rest
+            classes.append(self.cliques[low])
+            rest ^= low
+        self.record(mask, classes)
+
+    def record(self, mask: int, classes=()) -> None:
+        """Count mask and every set that swaps the least member of one or
+        more of the classes (each meeting mask in that member alone) for
+        another member, at most max_sets in all; they share mask's size,
+        and with collect they are expanded member by member."""
         size = mask.bit_count()
-        self.sizes[size] += 1
-        self.count += 1
+        take = 1
+        if classes:
+            take = min(math.prod(map(int.bit_count, classes)), self.max_sets - self.count)
+        self.sizes[size] += take
+        self.count += take
         self.first_of_size.setdefault(size, mask)
         if self.collect:
-            self.sets.append(mask)
-        if self.orbit_union:
-            self.tallies[-1][size, (mask & self.orbit_union).bit_count()] += 1
+            if classes:
+                self.sets.extend(itertools.islice(_member_choices(mask, classes), take))
+            else:
+                self.sets.append(mask)
         if self.stop_mode == "first_two_sizes" and len(self.sizes) >= 2:
             raise _Stop("two_sizes")
         if self.count >= self.max_sets:
             raise _Stop("max_sets")
+        # a stopped root search leaves its tallies unread
+        if self.orbit_union:
+            self.tally(size, mask, classes)
+
+    def tally(self, size: int, mask: int, classes) -> None:
+        """Add the sets ``record`` counts for mask to the current root's
+        tally by (size, |S & W|).  Each class contributes one member, in W
+        or not, so the meets are the coefficients of a product of one
+        linear polynomial per class, and no choice is enumerated."""
+        union = self.orbit_union
+        tally = self.tallies[-1]
+        if not classes:
+            tally[size, (mask & union).bit_count()] += 1
+            return
+        meets = {(mask & ~sum(classes) & union).bit_count(): 1}
+        for c in classes:
+            inside = (c & union).bit_count()
+            outside = c.bit_count() - inside
+            grown = Counter()
+            for meet, ways in meets.items():
+                if outside:
+                    grown[meet] += ways * outside
+                if inside:
+                    grown[meet + 1] += ways * inside
+            meets = grown
+        for meet, ways in meets.items():
+            tally[size, meet] += ways
 
     def probe(self) -> None:
         """Greedy sets until two sizes; if found, they replace what the
@@ -228,7 +309,7 @@ class _Search:
         if masks[0].bit_count() != masks[-1].bit_count():
             self.reset()
             for mask in dict.fromkeys(masks):
-                self.emit(mask)
+                self.record(mask)
 
     def run(self, roots=None) -> str:
         """Search the whole graph, or with roots, for each root r the sets
@@ -306,7 +387,7 @@ class _Search:
             self.allowance = math.inf
             if self.stop_mode == "first_two_sizes":
                 self.probe()
-            self.generators = verified_automorphisms(self.g)
+            self.generators = verified_automorphisms(self.whole)
             if self.generators:
                 raise _Stop("orbits")
         if cand == 0 and excl == 0:
@@ -333,6 +414,12 @@ class _Search:
             cand ^= low
             excl |= low
             ext ^= low
+
+
+def _allowance(g: Graph) -> int:
+    """The row reads a search of g makes before it verifies g's
+    candidates."""
+    return max(len(g.candidates), 1) * max(g.n, VERIFY_MIN_ROWS)
 
 
 def _greedy_sets(g: Graph, k: int) -> list[int]:
@@ -441,25 +528,46 @@ def _weighted_sizes(tallies, orbit_sizes) -> Counter:
     return Counter({size: int(w) for size, w in weighted.items()})
 
 
-def _false_twin_classes(rows, within: int, vertices) -> tuple[int, dict[int, int]]:
-    """False twins in the graph on within (its vertices, in increasing
-    order) with these rows, which have equal rows and so are never
-    adjacent, are all in or all out of every maximal independent set.
-    Returns the mask of class representatives (least members) and, for
-    every class of two or more, the representative's bit -> the mask of
-    its class.  Sorting the vertices by row is stable, so each run of
-    equal rows starts at its least vertex."""
+def _twin_classes(keys, within: int, vertices) -> tuple[int, dict[int, int]]:
+    """The classes of vertices with equal keys in the graph on within (its
+    vertices, in increasing order).  Keyed by rows they are false twins,
+    never adjacent, which are all in or all out of every maximal
+    independent set; keyed by complement rows they are true twins, a
+    clique of vertices with one closed neighbourhood, of which a maximal
+    independent set holds at most one, and any one.  Returns the mask of
+    class representatives (least members) and, for every class of two or
+    more, the representative's bit -> the mask of its class.
+
+    The vertices are grouped by a stable sort, so each run of equal keys
+    starts at its least vertex.  A dict would do worse: 2^61 is 1 modulo
+    the int hash's modulus 2^61 - 1, so rows that differ in bits 61 apart
+    share their hash, and the rows of a complete graph fall into 61
+    buckets."""
+    order = sorted(vertices, key=keys.__getitem__)
+    if len(order) > 1 and keys[order[0]] == keys[order[-1]]:  # one class, as in a complete graph
+        least = within & -within
+        return least, {least: within}
     reps = within
-    twins: dict[int, int] = {}
+    classes: dict[int, int] = {}
     rep, previous = 0, None
-    for v in sorted(vertices, key=rows.__getitem__):
-        bit = 1 << v
-        if rows[v] == previous:
+    for v in order:
+        key = keys[v]
+        if key == previous:
+            bit = 1 << v
             reps ^= bit
-            twins[rep] = twins.get(rep, rep) | bit
+            classes[rep] = classes.get(rep, rep) | bit
         else:
-            rep, previous = bit, rows[v]
-    return reps, twins
+            rep, previous = 1 << v, key
+    return reps, classes
+
+
+def _member_choices(mask: int, classes):
+    """mask, then every set that swaps the least members of classes (each
+    meeting mask in that member alone) for other members of the same
+    classes, one at a time and in a fixed order."""
+    base = mask & ~sum(classes)
+    picks = itertools.product(*([1 << v for v in mask_indices(c)] for c in classes))
+    return map(base.__or__, map(sum, picks))
 
 
 def enumerate_mis(
@@ -475,7 +583,9 @@ def enumerate_mis(
     With stop_mode="all" and no cap hit, ``count`` and ``sizes_seen``
     describe the family of all maximal independent sets, and the
     collected ``sets`` are that family: in search order, or on the orbit
-    path (see the module docstring) in the order of its closure.  With
+    path (see the module docstring) in the order of its closure.  A
+    count (collect=False) of a disconnected graph multiplies its
+    components' families (see ``_component_product``).  With
     stop_mode="first_two_sizes" a long search first runs the probe, and
     may end on its greedy sets of two sizes.  A truncated report
     describes the sets it found, at most max_sets of them.  A graph of
@@ -485,8 +595,19 @@ def enumerate_mis(
         raise EnumerationError(f"unknown stop mode {stop_mode!r}")
     if g.n > DEFAULT_GRAPH_CAP:
         raise EnumerationError(f"vertex count {g.n} exceeds the cap {DEFAULT_GRAPH_CAP}")
+    if stop_mode == "all" and not collect:
+        parts = connected_components(g)
+        if len(parts) > 1:
+            return _component_product(g, parts, max_sets, time_budget)
     search = _Search(g, stop_mode, max_sets, time_budget, collect)
-    reason = search.run()
+    return _finish(search, search.run())
+
+
+def _finish(search: _Search, reason: str) -> MisReport:
+    """The report of a search of the whole graph whose first run ended
+    for reason; a run that stopped for the orbits is followed by the
+    orbit path."""
+    g = search.g
     orbits = None
     if reason == "orbits":
         roots, orbit_sizes, search.orbit_union = _orbit_roots(search.generators, g)
@@ -495,29 +616,113 @@ def enumerate_mis(
         reason = search.run(roots)
         if reason == "exhausted":
             reason = search.count_family(orbit_sizes)
-    truncated = reason in ("max_sets", "time_budget")
-    sets = tuple(VertexSet(m, g.n) for m in search.sets) if collect else None
-    # a stopped search that saw one size has not decided well-coveredness
-    well_covered = None if truncated else len(search.sizes) == 1
-    witnesses: tuple[VertexSet, ...] = ()
-    if len(search.sizes) >= 2:
-        well_covered = False
-        sizes_in_order = list(search.first_of_size)[:2]
-        witnesses = tuple(
-            VertexSet(search.first_of_size[s], g.n) for s in sizes_in_order
-        )
-    return MisReport(
-        sizes_seen=search.sizes,
-        count=search.count,
-        independence_number=max(search.sizes) if search.sizes else 0,
-        well_covered=well_covered,
-        witnesses=witnesses,
-        truncated=truncated,
-        stop_reason=reason,
-        sets=sets,
+    first = search.first_of_size
+    return _report(
+        g.n,
+        search.sizes,
+        search.count,
+        reason,
+        witnesses=list(first.values())[:2] if len(first) >= 2 else [],
+        sets=tuple(VertexSet(m, g.n) for m in search.sets) if search.collect else None,
         nodes=search.calls,
         orbits=orbits,
         probes=search.probes,
+    )
+
+
+def _report(n, sizes, count, reason, witnesses, **counters) -> MisReport:
+    """The report of a run that saw these sizes.  The witnesses are the
+    masks of two maximal independent sets of different sizes when the
+    run saw any, and decide False; otherwise a stopped run has not
+    decided well-coveredness."""
+    truncated = reason in ("max_sets", "time_budget")
+    well_covered = None if truncated else len(sizes) == 1
+    if witnesses:
+        well_covered = False
+    return MisReport(
+        sizes_seen=sizes,
+        count=count,
+        independence_number=max(sizes) if sizes else 0,
+        well_covered=well_covered,
+        witnesses=tuple(VertexSet(m, n) for m in witnesses),
+        truncated=truncated,
+        stop_reason=reason,
+        **counters,
+    )
+
+
+def _component_product(g: Graph, parts, max_sets: int, time_budget: float) -> MisReport:
+    """The count of a disconnected graph's family.  Its maximal independent
+    sets are the unions of one set per component, so the generating
+    function of their sizes is the product of the components'.  The
+    components are searched in order, under one deadline, and the walk
+    stops as soon as the product reaches max_sets.
+
+    An induced subgraph keeps no candidate automorphism, so the component
+    searches share the whole graph's allowance; past it they verify the
+    whole graph's candidates, and if any holds, the whole graph is
+    searched on its orbit path, as it would have been without the walk.
+
+    A truncated product describes the first max_sets sets in
+    component-product order: the sets of the components searched, their
+    product taken smaller sets first, each completed on the components
+    not searched by the index-order greedy set.  Two sets of different
+    sizes in one component decide False whatever the truncation keeps:
+    the witnesses are those two, completed on every other component by
+    the greedy set."""
+    deadline = time.monotonic() + time_budget
+    allowance = _allowance(g)
+    sizes, count = Counter({0: 1}), 1
+    reason = "exhausted"
+    searched = nodes = 0
+    split = None
+    for part in parts:
+        search = _Search(
+            induced_subgraph(g, part), "all", max_sets, deadline - time.monotonic(), False, g
+        )
+        search.allowance = allowance
+        stop = search.run()
+        nodes += search.calls
+        if stop == "orbits":
+            whole = _Search(g, "all", max_sets, deadline - time.monotonic(), False)
+            # past its allowance, with the generators verified
+            whole.allowance, whole.generators = math.inf, search.generators
+            whole.calls = nodes
+            return _finish(whole, "orbits")
+        allowance = search.allowance - search.reads
+        searched |= part
+        first = search.first_of_size
+        if split is None and len(first) >= 2:
+            split = part, list(first.values())[:2]
+        product = Counter()
+        for size, ways in sizes.items():
+            for other, more in search.sizes.items():
+                product[size + other] += ways * more
+        sizes, count = product, count * search.count
+        if count >= max_sets or stop != "exhausted":
+            reason = "max_sets" if count >= max_sets else stop
+            break
+    witnesses = []
+    if reason != "exhausted" or split:
+        greedy = _greedy_sets(g, 1)[0]
+    if reason != "exhausted":
+        rest = (greedy & ~searched).bit_count()
+        left = count = min(count, max_sets)
+        kept = Counter()
+        for size in sorted(sizes):
+            take = min(sizes[size], left)
+            if take:
+                kept[size + rest] = take
+            left -= take
+        sizes = kept
+    if split:
+        part, pair = split
+        keep = mask_indices(part)
+        witnesses = [
+            greedy & ~part | sum(1 << keep[v] for v in mask_indices(w)) for w in pair
+        ]
+    return _report(
+        g.n, sizes, count, reason, witnesses, sets=None, nodes=nodes, orbits=None, probes=None
     )
 
 

@@ -47,6 +47,9 @@ q-cyclotomic coset of Z/m.  Everything structural derives from it: the
 Jacobson radical is its kernel, the quotient's cosets are its fibres
 and are indexed by its image, and x is a unit iff every block image is
 a unit of its block (Lam, *A First Course in Noncommutative Rings*).
+A ring maps all of its elements once: ``block_images`` is that table,
+and the units, the radical (cached as ``radical_mask``) and the
+quotient's indexing all read it.
 The leaves of that rule are GF(q) (nonzero) and matrices over a field
 (nonzero determinant, computed through the base kernels).
 
@@ -295,10 +298,21 @@ class Ring:
             raise RingError(f"element index {x} out of range")
         return (self.unit_set.mask >> x) & 1 == 1
 
+    @cached_property
+    def block_images(self) -> list[np.ndarray]:
+        """``semisimple_images`` of every element: the one table of the map
+        R -> R/J(R) that the units, the radical and the quotient read."""
+        return semisimple_images(self, np.arange(self.order))
+
+    @cached_property
+    def radical_mask(self) -> int:
+        """The structural Jacobson radical as a bitmask."""
+        return _radical_structural(self)
+
     def _compute_units(self) -> int:
         # x is a unit iff its image in every block of R/J(R) is a unit there
         ok = True
-        images = semisimple_images(self, np.arange(self.order))
+        images = self.block_images
         for block, image in zip(semisimple_blocks(self.descriptor), images):
             ok = ok & block_ring(block).unit_set.bools()[image]
         return _bools_to_mask(ok)
@@ -805,23 +819,23 @@ def _row_chunks(n: int, size: int = CHUNK) -> list[slice]:
 def jacobson_radical(ring: Ring, method: str = "structural") -> VertexSet:
     """Jacobson radical as an element set.
 
-    method="structural" takes the kernel of
-    ``semisimple_images``.  method="generic" scans for {x : 1 - r*x is a
-    unit for every r}, the definition specialized to finite rings; it is
-    the reference the structural kernel is tested against.
+    method="structural" reads the ring's ``radical_mask``, the kernel of
+    its ``block_images``, computed once per ring.  method="generic" scans
+    for {x : 1 - r*x is a unit for every r}, the definition specialized
+    to finite rings; it is the reference the structural kernel is tested
+    against.
     """
     if method == "generic":
         return VertexSet(_radical_generic(ring), ring.order)
     if method == "structural":
-        return VertexSet(_radical_structural(ring), ring.order)
+        return VertexSet(ring.radical_mask, ring.order)
     raise ValueError(f"unknown radical method {method!r}")
 
 
 def _radical_structural(ring: Ring) -> int:
     """J(R) as the kernel of R -> R/J(R): the elements whose block images
     are all zero."""
-    images = semisimple_images(ring, np.arange(ring.order))
-    return _bools_to_mask(np.logical_and.reduce([image == 0 for image in images]))
+    return _bools_to_mask(np.logical_and.reduce([image == 0 for image in ring.block_images]))
 
 
 def _radical_generic(ring: Ring) -> int:
@@ -911,7 +925,7 @@ class QuotientRing(Ring):
         self.one = self.canonical_ring.one
         self._init_positional(self.canonical_ring._moduli)
         n = parent.order
-        self._keys = self.encode_blocks(semisimple_images(parent, np.arange(n)))
+        self._keys = self.encode_blocks(parent.block_images)
         found, first = np.unique(self._keys, return_index=True)
         if len(found) != self.order or self.order * len(radical) != n:
             raise RingError("radical cosets do not partition the ring")

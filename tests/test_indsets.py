@@ -21,6 +21,7 @@ from unitgraphs.graphs import (
 )
 from unitgraphs.indsets import (
     EnumerationError,
+    component_reports,
     enumerate_mis,
     is_independent,
     is_maximal_independent,
@@ -201,50 +202,77 @@ def test_enumeration_cap_guard():
 
 
 @st.composite
-def planted_graphs(draw):
+def planted_graphs(draw, limit=14):
     """A disjoint union of 1-3 random base graphs whose vertices are blown
-    up into classes of false twins, relabelled by a random permutation;
-    at most 14 vertices, so the subset oracle stays cheap."""
+    up into classes of false twins (independent sets) or of true twins
+    (cliques), and 0-2 isolated vertices, relabelled by a random
+    permutation; at most limit vertices, so that the subset oracle stays
+    cheap at the default."""
     pieces = []
-    total = 0
+    total = draw(st.integers(0, 2))  # the isolated vertices come first
     for _ in range(draw(st.integers(1, 3))):
         k = draw(st.integers(1, 4))
         edges = [(a, b) for a in range(k) for b in range(a + 1, k) if draw(st.booleans())]
         sizes = [draw(st.integers(1, 3)) for _ in range(k)]
-        if total + sum(sizes) > 14:
+        cliques = [draw(st.booleans()) for _ in range(k)]
+        if total + sum(sizes) > limit:
             break
-        pieces.append((edges, sizes, total))
+        pieces.append((edges, sizes, cliques, total))
         total += sum(sizes)
     perm = draw(st.permutations(range(total)))
     rows = [0] * total
-    for edges, sizes, offset in pieces:
-        members, v = [], offset
-        for size in sizes:
-            members.append([perm[v + i] for i in range(size)])
-            v += size
-        for a, b in edges:
-            for x in members[a]:
-                for y in members[b]:
+
+    def join(xs, ys):
+        for x in xs:
+            for y in ys:
+                if x != y:
                     rows[x] |= 1 << y
                     rows[y] |= 1 << x
+
+    for edges, sizes, cliques, offset in pieces:
+        members, v = [], offset
+        for size, clique in zip(sizes, cliques):
+            members.append([perm[v + i] for i in range(size)])
+            v += size
+            if clique:
+                join(members[-1], members[-1])
+        for a, b in edges:
+            join(members[a], members[b])
     return Graph(total, "imported", rows)
 
 
-@settings(max_examples=80, deadline=None)
+def _family_masks(g, report):
+    return sorted(s.mask for s in report.sets)
+
+
+@settings(max_examples=120, deadline=None)
 @given(planted_graphs())
 def test_enumeration_on_planted_twins_and_components(g):
     want = all_mis_subsets(g)
     report = enumerate_mis(g)
     # the sets come in search order: each one once
-    assert sorted(s.mask for s in report.sets) == sorted(want)
+    assert _family_masks(g, report) == sorted(want)
     assert report.count == len(want)
     assert report.sizes_seen == Counter(m.bit_count() for m in want)
     assert well_covered_bruteforce(g) is (len(report.sizes_seen) == 1)
-    # a capped run still emits true maximal independent sets, one per count
+    # counted, a disconnected graph multiplies its components' families
+    counted = enumerate_mis(g, collect=False)
+    assert counted.count == len(want) and counted.sizes_seen == report.sizes_seen
+    assert counted.well_covered is report.well_covered
+    for w in counted.witnesses:
+        assert w.mask in want
+    # a capped run, listed or counted, describes exactly max_sets true
+    # maximal independent sets
     if len(want) > 1:
-        capped = enumerate_mis(g, max_sets=len(want) - 1)
-        assert capped.truncated and capped.count == len(want) - 1
-        assert {s.mask for s in capped.sets} <= want
+        cap = len(want) - 1
+        for collect in (True, False):
+            capped = enumerate_mis(g, max_sets=cap, collect=collect)
+            assert capped.truncated and capped.stop_reason == "max_sets"
+            assert capped.count == cap == sum(capped.sizes_seen.values()), collect
+            assert all(capped.sizes_seen[k] <= report.sizes_seen[k] for k in capped.sizes_seen)
+            if collect:
+                assert len({s.mask for s in capped.sets}) == cap
+                assert {s.mask for s in capped.sets} <= want
     # the components partition the vertices, and their induced subgraphs
     # keep exactly the edges inside them
     parts = connected_components(g)
@@ -258,6 +286,137 @@ def test_enumeration_on_planted_twins_and_components(g):
             ]
 
 
+@settings(max_examples=120, deadline=None)
+@given(planted_graphs())
+def test_probe_decided_planted_graphs_count_their_greedy_sets_once(g):
+    # the least allowance, so that the probe runs on these small graphs:
+    # its greedy sets are sets of the whole graph, weighed by no twin class
+    want = all_mis_subsets(g)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(indsets, "VERIFY_MIN_ROWS", 0)
+        report = enumerate_mis(g, stop_mode="first_two_sizes")
+    assert report.well_covered is (len({w.bit_count() for w in want}) == 1)
+    assert {s.mask for s in report.sets} <= want
+    assert report.count == len(report.sets) == len({s.mask for s in report.sets})
+    assert report.sizes_seen == Counter(len(s) for s in report.sets)
+    if report.well_covered is False:
+        a, b = report.witnesses
+        assert len(a) != len(b) and {a.mask, b.mask} <= want
+
+
+def _networkx_sizes(nx, g):
+    """The sizes of the maximal independent sets of g, as networkx finds
+    the maximal cliques of its complement."""
+    full = (1 << g.n) - 1
+    comp = nx.Graph()
+    comp.add_nodes_from(range(g.n))
+    for x, row in enumerate(g.rows):
+        later = (full ^ row) >> (x + 1) << (x + 1)
+        comp.add_edges_from((x, y) for y in mask_indices(later))
+    return Counter(len(c) for c in nx.find_cliques(comp))
+
+
+@settings(max_examples=40, deadline=None)
+@given(planted_graphs(limit=40))
+def test_planted_twins_and_components_match_networkx(g):
+    nx = pytest.importorskip("networkx")
+    want = _networkx_sizes(nx, g)
+    for collect in (False, True):
+        report = enumerate_mis(g, collect=collect)
+        assert report.sizes_seen == want and report.count == sum(want.values())
+
+
+def test_random_cayley_graphs_match_networkx():
+    # Cayley graphs of Z2^k: a connection set that spans no more than a
+    # subgroup splits the graph into its cosets, and x, x + s are true
+    # twins whenever s is in the connection set and adding s fixes it
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(31)
+    split = twinned = 0
+    for _ in range(40):
+        k = rng.randint(2, 6)
+        n = 1 << k
+        connection = {s for s in range(1, n) if rng.random() < rng.choice((0.1, 0.3, 0.6, 0.9))}
+        g = _cayley_z2(k, connection)
+        split += len(connected_components(g)) > 1
+        twinned += any(g.rows[x] | 1 << x == g.rows[y] | 1 << y
+                       for x in range(n) for y in mask_indices(g.rows[x]))
+        want = _networkx_sizes(nx, g)
+        for collect in (False, True):
+            report = enumerate_mis(g, collect=collect)
+            assert report.sizes_seen == want and report.count == sum(want.values())
+    assert split >= 5 and twinned >= 5
+
+
+def test_a_complete_graph_is_one_true_twin_class():
+    # K_4096, the unit graph of GF(4096): the search runs on one vertex
+    g = _graph("GF(4096)")
+    report = enumerate_mis(g, stop_mode="first_two_sizes", collect=False)
+    assert report.nodes <= 2 and report.count == 4096 and report.well_covered is True
+    assert report.sizes_seen == Counter({1: 4096})
+    listed = enumerate_mis(_graph("GF(16)"))
+    assert listed.nodes <= 2
+    assert sorted(s.mask for s in listed.sets) == [1 << v for v in range(16)]
+
+
+@pytest.mark.parametrize("expr", [" x ".join(["Z2"] * 12), "Z2 x Z2 x Z2 x Z2 x Z2 x Z2 x Z2 x Z2 x Z3 x Z3"])
+def test_counts_of_disconnected_graphs_stop_at_max_sets_by_the_product(expr):
+    # 2048 components of 2 vertices, and 128 of 18: the product passes
+    # 10^6 sets after a few components, and no set is enumerated
+    g = _graph(expr)
+    report = enumerate_mis(g, collect=False)
+    assert report.count == indsets.DEFAULT_MAX_SETS and report.stop_reason == "max_sets"
+    assert report.truncated and sum(report.sizes_seen.values()) == report.count
+    assert report.nodes < 1000
+    # every size described is the size of a maximal independent set: a
+    # sum of one size per component
+    reachable = {0}
+    for _, part in component_reports(g, collect=False):
+        reachable = {a + b for a in reachable for b in part.sizes_seen}
+    assert set(report.sizes_seen) <= reachable
+
+
+def _union_graph(n, edges):
+    rows = [0] * n
+    for a, b in edges:
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+    return Graph(n, "imported", rows)
+
+
+def test_a_truncated_product_still_decides_false_on_a_split_component():
+    # P3 + K3: the path has sets of sizes 1 and 2, and max_sets = 3 keeps
+    # the three sets of size 2 only; the path's two sizes still decide
+    g = _union_graph(6, [(0, 1), (1, 2), (3, 4), (3, 5), (4, 5)])
+    report = enumerate_mis(g, collect=False, max_sets=3)
+    assert report.truncated and report.stop_reason == "max_sets"
+    assert report.count == 3 and report.sizes_seen == Counter({2: 3})
+    assert report.well_covered is False
+    # {1} and {0, 2}, each completed by the greedy set's vertex 3
+    assert sorted(w.mask for w in report.witnesses) == [0b1010, 0b1101]
+
+
+def test_a_product_past_the_allowance_hands_off_to_the_orbit_path(monkeypatch):
+    calls = []
+    real = indsets.verified_automorphisms
+    monkeypatch.setattr(indsets, "verified_automorphisms", lambda g: calls.append(g.n) or real(g))
+    # Z2 x Z2 x Z3 x Z3: its first component passes the whole graph's
+    # allowance, whose candidates hold, so the whole graph is counted on
+    # its orbit path, verified once
+    g = _graph("Z2 x Z2 x Z3 x Z3")
+    assert len(connected_components(g)) == 2
+    report = enumerate_mis(g, collect=False)
+    assert calls == [36] and report.orbits == 5
+    assert report.count == 1936 and report.stop_reason == "exhausted"
+    # three 10-cycles, with no candidate: past the allowance the
+    # verification finds nothing, and the product goes on
+    calls.clear()
+    cycles = [(c + i, c + (i + 1) % 10) for c in (0, 10, 20) for i in range(10)]
+    report = enumerate_mis(_union_graph(30, cycles), collect=False)
+    assert calls == [30] and report.orbits is None
+    assert report.count == 17**3 and report.stop_reason == "exhausted"
+
+
 # these take the orbit path with 3, 5 and 5 orbits; on the second, the
 # union W of the root orbits holds 20 of the 36 vertices
 SEVERAL_ORBITS = ["M2(GF(2)) x Z3", "Z2 x Z2 x Z3 x Z3", "M2(GF(2)) x Z5"]
@@ -269,17 +428,16 @@ SEVERAL_ORBITS = ["M2(GF(2)) x Z3", "Z2 x Z2 x Z3 x Z3", "M2(GF(2)) x Z5"]
 def test_mis_size_counts_match_networkx(expr):
     nx = pytest.importorskip("networkx")
     g = _graph(expr)
-    full = (1 << g.n) - 1
-    comp = nx.Graph()
-    comp.add_nodes_from(range(g.n))
-    for x, row in enumerate(g.rows):
-        later = (full ^ row) >> (x + 1) << (x + 1)
-        comp.add_edges_from((x, y) for y in mask_indices(later))
-    want = Counter(len(c) for c in nx.find_cliques(comp))
+    want = _networkx_sizes(nx, g)
     report = enumerate_mis(g, collect=False)
     assert report.sizes_seen == want and report.count == sum(want.values())
     if expr in SEVERAL_ORBITS:
+        # counted, the disconnected Z2 x Z2 x Z3 x Z3 passes the whole
+        # graph's allowance in its first component and hands the count
+        # back to the whole graph's orbit path; listed, every one takes it
         assert report.orbits > 1
+        listed = enumerate_mis(g)
+        assert listed.orbits > 1 and listed.sizes_seen == want
 
 
 @pytest.mark.parametrize("expr", ["Z4096", "M2(Z8)", " x ".join(["Z2"] * 12)])
@@ -353,8 +511,10 @@ def test_orbit_path_agrees_on_catalog_rings(monkeypatch):
     # orbit path too; the probe is off, so that False graphs reach it
     monkeypatch.setattr(indsets, "VERIFY_MIN_ROWS", 0)
     monkeypatch.setattr(indsets, "PROBE_ORDERS", 0)
+    # complete graphs end in two nodes, on their one true-twin class, so
+    # they no longer reach the orbit path; the SEVERAL_ORBITS rings do
     fired = false = 0
-    for expr in CATALOG_EXPRS + ORACLE_RINGS:
+    for expr in CATALOG_EXPRS + ORACLE_RINGS + SEVERAL_ORBITS:
         ring = build_ring(parse_ring_expr(expr))
         assert ring.order <= 256
         for kind in ("unit", "cayley"):
@@ -422,10 +582,11 @@ def test_verification_waits_for_the_allowance(monkeypatch):
     calls = []
     real = indsets.verified_automorphisms
     monkeypatch.setattr(indsets, "verified_automorphisms", lambda g: calls.append(g.n) or real(g))
-    # K_4096: 8192 row reads, under the allowance of 12 candidates x 4096
+    # K_4096 is one true-twin class: the search on its one representative
+    # reads 2 rows, under the allowance of 12 candidates x 4096
     report = enumerate_mis(_graph("GF(4096)"), stop_mode="first_two_sizes", collect=False)
     assert calls == [] and report.orbits is None and report.well_covered is True
-    assert report.nodes == 4097
+    assert report.nodes == 2
     # M2(GF(7)): at the allowance the probe finds two sizes, and nothing
     # is verified
     g = _graph("M2(GF(7))")

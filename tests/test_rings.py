@@ -8,6 +8,7 @@ import pytest
 from oracles import matrix_unit_count
 from unitgraphs import cli, rings
 from unitgraphs.classify import classify_cm, cross_validate
+from unitgraphs.constructions import two_size_witnesses
 from unitgraphs.descriptors import (
     D4, Cn, Gf, GroupAlgebra, Mat, Product, Q8, Zn, prime_power, semisimple_blocks,
 )
@@ -482,6 +483,43 @@ def test_production_never_reaches_the_definitional_scans(catalog_descriptors, mo
         _realize(build_ring(parse_ring_expr(expr)))
     for expr in ("M2(GA(GF(3), C2))", "M2(M2(Z2))"):
         _realize(build_ring(parse_ring_expr(expr), order_cap=HARD_ORDER_CAP))
+
+
+@pytest.mark.parametrize("expr", ["GA(GF(3), C7)", "M2(GF(7))", " x ".join(["Z2"] * 12)])
+def test_the_chain_maps_the_whole_ring_once(expr, monkeypatch):
+    # units, radical, quotient, semisimple form and the two-size witnesses
+    # all read the ring's one table of block images
+    for cached in (rings._build_ring_cached, quotient_by_radical):
+        cached.cache_clear()
+    ring = build_ring(parse_ring_expr(expr))
+    whole = []
+
+    def counting(r, xs):
+        if r is ring and len(xs) == ring.order:
+            whole.append(expr)
+        return semisimple_images(r, xs)
+
+    monkeypatch.setattr(rings, "semisimple_images", counting)
+    _realize(ring)
+    quotient_by_radical(ring)
+    if ring.is_unit(ring.add(ring.one, ring.one)):
+        two_size_witnesses(ring)
+    assert whole == [expr]
+
+
+def test_units_and_radical_read_one_table_in_either_order(catalog_descriptors):
+    for first in ("units", "radical"):
+        for cached in (rings._build_ring_cached, quotient_by_radical):
+            cached.cache_clear()
+        for expr, descriptor in catalog_descriptors:
+            ring = build_ring(descriptor)
+            if first == "radical":
+                radical = jacobson_radical(ring)
+            units = ring.unit_set
+            if first == "units":
+                radical = jacobson_radical(ring)
+            assert units.mask == ring._units_generic(), (expr, first)
+            assert radical == jacobson_radical(ring, "generic"), (expr, first)
 
 
 def test_cyclic_group_algebras_at_the_cap_realize_quickly():

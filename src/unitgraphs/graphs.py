@@ -15,11 +15,15 @@ x + U; the ring computes T once and both kinds share its row objects:
 
 * cayley: row x is T[x].  x - y is a unit iff y lies in x - U = x + U,
   since U = -U; and x is not in x + U, since 0 is not a unit.
-* unit:   row x is T[-x] without bit x (T itself in characteristic 2,
-  where -x = x and 1 + 1 = 0).  x + y is a unit iff y lies in -x + U, and x
-  itself is in it exactly when 2x = (1 + 1)x is a unit.  As 1 + 1 is
-  central, that happens iff 1 + 1 is a unit and then exactly at the
-  units, so only then are bits cleared, and only at the units.
+* unit:   row x is T[-x] without bit x.  x + y is a unit iff y lies in
+  -x + U, and x itself is in it exactly when 2x = (1 + 1)x is a unit.
+  As 1 + 1 is central, that happens iff 1 + 1 is a unit and then exactly
+  at the units, so only then are bits cleared, and only at the units.
+
+In characteristic 2, where -x = x and 1 + 1 = 0, the unit graph is the
+Cayley graph: ``build_graph`` builds (or finds) the Cayley graph and
+gives the unit graph its rows tuple, the same object, already checked
+for loops and range, so the rows are scanned once per ring.
 
 ``edges()`` and ``validate()`` unpack the rows into 0/1 blocks of
 BITS_BLOCK entries and read them with numpy.
@@ -143,14 +147,24 @@ def build_graph(ring: Ring, kind: str = "unit") -> Graph:
     if n > DEFAULT_GRAPH_CAP:
         raise GraphError(f"ring order {n} exceeds the graph cap {DEFAULT_GRAPH_CAP}")
     rows = ring.unit_translates
-    two = ring.add(ring.one, ring.one)
-    # in characteristic 2, -x = x and the unit rows are T
-    if kind == "unit" and two != ring.zero:
+    if kind == "unit":
+        two = ring.add(ring.one, ring.one)
+        if two == ring.zero:
+            return _renamed(build_graph(ring, "cayley"), kind)
         rows = list(map(rows.__getitem__, ring.neg_many(np.arange(n)).tolist()))
         if ring.is_unit(two):
             for x in ring.unit_set.indices():
                 rows[x] ^= 1 << x
     return Graph(n, kind, rows, ring_expr=ring.expr, candidates=ring.place_translations)
+
+
+def _renamed(g: Graph, kind: str) -> Graph:
+    """g as a graph of another kind, sharing its rows tuple and candidates;
+    the rows were checked when g was made, so they are not scanned again."""
+    out = Graph.__new__(Graph)
+    out.n, out.kind, out.rows = g.n, kind, g.rows
+    out.ring_expr, out.candidates = g.ring_expr, g.candidates
+    return out
 
 
 def connected_components(g: Graph) -> list[int]:
@@ -171,10 +185,8 @@ def mask_components(rows, mask: int) -> list[int]:
         left ^= frontier
         while frontier and left:
             reach = 0
-            while frontier:
-                low = frontier & -frontier
-                reach |= rows[low.bit_length() - 1]
-                frontier ^= low
+            for v in mask_indices(frontier):
+                reach |= rows[v]
             frontier = reach & left
             left ^= frontier
             part |= frontier

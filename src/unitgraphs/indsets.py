@@ -323,7 +323,7 @@ class _Search:
             else:
                 full = (1 << n) - 1
                 for r in roots:
-                    self.restrict(full & ~(self.g.rows[r] | (1 << r)))
+                    self.restrict(full ^ (self.g.rows[r] | (1 << r)))
                     self.tallies.append(Counter())
                     self.expand(1 << r, self.reps, 0)
             return "exhausted"
@@ -445,7 +445,7 @@ def _greedy_sets(g: Graph, k: int) -> list[int]:
             bit = bits[v]
             if free & bit:
                 chosen |= bit
-                free &= ~(rows[v] | bit)
+                free ^= free & (rows[v] | bit)
                 if not free:
                     break
         sets.append(chosen)
@@ -500,12 +500,12 @@ def _orbit_roots(generators, g: Graph) -> tuple[list[int], list[int], int]:
             reach = 0
             for shift in generators:
                 reach |= shift_mask(frontier, shift)
-            frontier = reach & ~orbit
+            frontier = (reach | orbit) ^ orbit
             orbit |= frontier
         roots.append((orbit & -orbit).bit_length() - 1)
         sizes.append(orbit.bit_count())
         union |= orbit
-        left &= ~orbit
+        left ^= left & orbit
     return roots, sizes, union
 
 

@@ -33,12 +33,17 @@ called only to find the generator and that matrix.
 ``translates(S)`` lists the bitmask of x + S for every element x, which
 is all the graphs need (see ``graphs``).  It is built from the digits:
 adding the element whose digit j is 1 and the others 0, at place p and
-modulus m, maps S to ``((S & ~high) << p) | ((S & high) >> (m - 1) *
-p)``, where ``high`` marks the indices whose digit j is m - 1
-(``place_translations`` lists these shifts, one per digit).  Once
-digits 0..j-1 are done the list holds the translates by 0..p_j - 1, and
-digit j appends m_j - 1 shifted copies of its last p_j entries, so each
-row costs a few big-int operations.
+modulus m, maps S to ``((S & low) << p) | ((S & high) >> (m - 1) *
+p)``, where ``high`` marks the indices whose digit j is m - 1 and
+``low = full ^ high`` the others (``place_translations`` lists these
+shifts, one per digit).  Once digits 0..j-1 are done the list holds the
+translates by 0..p_j - 1, and digit j appends m_j - 1 shifted copies of
+its last p_j entries, so each row costs a few big-int operations.
+
+Masks stay nonnegative throughout: CPython's ``&`` with a negative
+operand such as ``~high`` first copies and complements it, one more
+allocation and pass over every 4096-bit row.  ``mask_indices`` is the
+one walk over the set bits of a wide mask.
 
 ``semisimple_images(ring, xs)`` is the one elementwise map R -> R/J(R)
 = B_1 x ... x B_t (blocks as in ``descriptors.semisimple_blocks``); for
@@ -108,11 +113,24 @@ def shift_mask(mask: int, shift: tuple[int, int, int]) -> int:
     """The image of a bitmask under a shift (up, high, down): its bits
     outside high move up by up places, those in high down by down."""
     up, high, down = shift
-    return ((mask & ~high) << up) | ((mask & high) >> down)
+    moved = mask & high
+    return ((mask ^ moved) << up) | (moved >> down)
+
+
+# Set bits up to which mask_indices walks lowest bits one at a time; above
+# it, unpacking the bytes with NumPy is faster.  Measured crossover on a
+# 2-core x86-64 Xeon, CPython 3.11, NumPy 2.4: 24-32 set bits at widths
+# 128-4096 (3 set bits in 4096: loop 1.4 us, NumPy 13 us; 2049 set bits:
+# loop 717 us, NumPy 40 us).
+_WALK_BITS = 32
 
 
 def mask_indices(mask: int) -> list[int]:
     """Positions of the set bits of a nonnegative int, ascending."""
+    if mask.bit_count() > _WALK_BITS:
+        raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+        return np.flatnonzero(bits).tolist()
     out = []
     while mask:
         low = mask & -mask
@@ -260,8 +278,9 @@ class Ring:
         """The bitmask of x + S for every element x in index order, S given
         as a bitmask."""
         out = [mask]
+        full = (1 << self.order) - 1
         for up, high, down in self.place_translations:
-            low = ~high
+            low = full ^ high
             for i in range(down):
                 s = out[i]
                 out.append(((s & low) << up) | ((s & high) >> down))

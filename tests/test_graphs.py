@@ -9,6 +9,7 @@ from unitgraphs.dsl import parse_ring_expr
 from unitgraphs.graphs import (
     DEFAULT_GRAPH_CAP,
     Graph,
+    KINDS,
     GraphError,
     build_graph,
     graph_from_json,
@@ -116,6 +117,72 @@ def test_binary_unit_rows_are_the_cayley_rows():
         unit, cayley = build_graph(ring, "unit"), build_graph(ring, "cayley")
         assert unit.rows == cayley.rows, expr
         assert all(u is c for u, c in zip(unit.rows, cayley.rows)), expr
+
+
+CHAR_TWO_RINGS = ("GF(8)", "Z2 x Z2 x Z2", "M2(GF(2))", "GA(GF(2), C3)")
+
+
+def _counting_scans(monkeypatch):
+    """The kinds of the graphs whose rows Graph.__init__ scans, in order."""
+    scans = []
+    init = Graph.__init__
+
+    def counting(self, n, kind, rows, *args, **kwargs):
+        scans.append(kind)
+        init(self, n, kind, rows, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counting)
+    return scans
+
+
+@pytest.mark.parametrize("first", ["unit", "cayley"])
+def test_characteristic_two_unit_graph_shares_the_checked_cayley_rows(first, monkeypatch):
+    for expr in CHAR_TWO_RINGS:
+        ring = build_ring(parse_ring_expr(expr))
+        want = {kind: _scalar_rows(ring, kind, range(ring.order)) for kind in KINDS}
+        build_graph.cache_clear()
+        scans = _counting_scans(monkeypatch)
+        second = "cayley" if first == "unit" else "unit"
+        graphs = {first: build_graph(ring, first), second: build_graph(ring, second)}
+        monkeypatch.undo()
+        assert graphs["unit"].rows is graphs["cayley"].rows, expr
+        assert scans == ["cayley"], expr  # one row scan per ring
+        for kind, g in graphs.items():
+            assert g.kind == kind and g.n == ring.order and g.ring_expr == ring.expr
+            assert g.candidates == ring.place_translations, (expr, kind)
+            assert list(g.rows) == want[kind], (expr, kind)
+            # the export of each kind is that of a graph made from its own rows
+            fresh = Graph(ring.order, kind, want[kind], ring.expr, ring.place_translations)
+            assert graph_to_json(g) == graph_to_json(fresh), (expr, kind)
+            assert graph_to_dot(g) == graph_to_dot(fresh), (expr, kind)
+            assert json.loads(graph_to_json(g))["kind"] == kind
+
+
+def test_odd_characteristic_unit_rows_are_built_and_scanned_on_their_own(monkeypatch):
+    for expr in ("Z9", "M2(GF(3))"):
+        ring = build_ring(parse_ring_expr(expr))
+        build_graph.cache_clear()
+        scans = _counting_scans(monkeypatch)
+        unit, cayley = build_graph(ring, "unit"), build_graph(ring, "cayley")
+        monkeypatch.undo()
+        assert scans == ["unit", "cayley"], expr
+        assert unit.rows is not cayley.rows, expr
+        assert list(unit.rows) == _scalar_rows(ring, "unit", range(ring.order)), expr
+
+
+@pytest.mark.parametrize("first", ["unit", "cayley"])
+def test_a_planted_loop_is_caught_whichever_kind_is_built_first(first, monkeypatch):
+    def planted(self):
+        rows = self.translates(self.unit_set.mask)
+        rows[0] |= 1  # row 0 of either kind is T[0] = T[-0]; 0 is no unit
+        return rows
+
+    monkeypatch.setattr(rings.Ring, "unit_translates", property(planted))
+    for expr in (*CHAR_TWO_RINGS, "Z9", "M2(GF(3))"):
+        ring = build_ring(parse_ring_expr(expr))
+        build_graph.cache_clear()
+        with pytest.raises(GraphError, match="loop at vertex 0"):
+            build_graph(ring, first)
 
 
 def test_graph_export_matches_the_edge_list(catalog_descriptors):

@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import matrix_unit_count
 from unitgraphs import cli, rings
@@ -23,8 +25,10 @@ from unitgraphs.rings import (
     is_boolean_ring,
     is_field,
     jacobson_radical,
+    mask_indices,
     quotient_by_radical,
     semisimple_images,
+    shift_mask,
 )
 from unitgraphs.wedderburn import semisimple_form, wedderburn_shape
 
@@ -71,6 +75,55 @@ def test_translates_match_scalar_addition(catalog_descriptors):
                 members = VertexSet(mask, n).indices()
                 want = [sum(1 << r.add(x, s) for s in members) for x in range(n)]
                 assert r.translates(mask) == want, (expr, r)
+
+
+def _lowest_bit_walk(mask):
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+# popcounts on both sides of the 32-bit cutoff between the two walks
+@st.composite
+def _wide_masks(draw):
+    width = draw(st.integers(0, 4096))
+    count = min(width, draw(st.sampled_from([0, 1, 2, 31, 32, 33, 34, width // 2, width])))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return sum(1 << v for v in random.Random(seed).sample(range(width), count))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_wide_masks())
+@example(0)
+@example(1)
+@example((1 << 32) - 1)
+@example((1 << 33) - 1)
+@example(1 << 4095)
+@example((1 << 4096) - 1)
+@example(sum(1 << (128 * i) for i in range(32)))
+@example(sum(1 << (124 * i) for i in range(33)))
+def test_mask_indices_is_the_lowest_bit_walk(mask):
+    assert mask_indices(mask) == _lowest_bit_walk(mask)
+
+
+def test_shift_mask_is_the_translation_by_each_digit():
+    # the translation of place_translations entry j adds the element whose
+    # digit j is 1, the element whose index is that digit's place
+    rng = random.Random(20261019)
+    for expr in ("Z12", "GF(9)", "Z2 x Z2 x Z2", "M2(GF(3))", "M2(Z4)", "Z4 x GF(4)",
+                 "GA(GF(2), Q8)"):
+        ring = build_ring(parse_ring_expr(expr))
+        n = ring.order
+        assert len(ring._places) == len(ring.place_translations), expr
+        for place, shift in zip(ring._places, ring.place_translations):
+            for x in range(n):
+                assert shift_mask(1 << x, shift) == 1 << ring.add(x, place), (expr, x)
+            mask = rng.getrandbits(n)
+            want = sum(1 << ring.add(x, place) for x in _lowest_bit_walk(mask))
+            assert shift_mask(mask, shift) == want, expr
 
 
 def test_mul_table_matches_scalar_mul(catalog_descriptors):

@@ -23,7 +23,9 @@ J(R) nor R/J(R).  ``join_factors`` yields the factors of the join one
 component report of ``indsets.component_reports`` at a time, each
 search stopped at a second facet size (or, for the ``complex`` command,
 run to the whole family); the verdicts on the whole complex follow from the
-factors' by the join rule (``join_verdicts``).  A long verdict search
+factors' by the join rule (``join_verdicts``), each distinct factor
+built and judged once, however often its component repeats.  A long
+verdict search
 first runs a greedy probe, which ends it if it finds two sizes; past
 that, every long search runs on one vertex neighbourhood per orbit of
 the graph's verified automorphisms and closes the sets it finds under
@@ -47,7 +49,7 @@ from .complexes import (
     is_shellable,
 )
 from .descriptors import RingDescriptor, descriptor_expr, descriptor_order
-from .graphs import GraphError, build_graph
+from .graphs import Graph, GraphError, build_graph
 from .indsets import DEFAULT_MAX_SETS, DEFAULT_TIME_BUDGET, component_reports
 from .rings import build_ring
 from .wedderburn import shape_characteristic, wedderburn_shape
@@ -194,7 +196,10 @@ def join_factors(graph, *, stop_mode="first_two_sizes", **limits):
     which decides every verdict on the join.  stop_mode="all" gives every
     complex whole, as the ``complex`` command needs; that command stops
     at the first Skipped, before the next search starts.  limits
-    (max_sets, time_budget) go to ``component_reports``."""
+    (max_sets, time_budget) go to ``component_reports``.  A repeated
+    component comes with the same subgraph object, and yields the same
+    complex object."""
+    built: dict[Graph, SimplicialComplex] = {}
     for part, found in component_reports(graph, stop_mode=stop_mode, **limits):
         if found.truncated:
             reason = f"maximal independent set enumeration was truncated ({found.stop_reason})"
@@ -202,7 +207,9 @@ def join_factors(graph, *, stop_mode="first_two_sizes", **limits):
         elif found.stop_reason == "two_sizes":
             yield False
         else:
-            yield SimplicialComplex(part.n, [s.mask for s in found.sets], graph=part)
+            if part not in built:
+                built[part] = SimplicialComplex(part.n, [s.mask for s in found.sets], graph=part)
+            yield built[part]
 
 
 def join_verdicts(factors, keys, *, facet_cap=DEFAULT_FACET_CAP):
@@ -232,11 +239,13 @@ def _join(factors, check):
     shellable, and each factor is the link of a facet of the others, so
     it inherits shellability.  False if any factor is False (not pure)
     or fails the check, else skipped if any is undecided (None) or hit a
-    cap (the first cap hit or truncated factor, as a Skipped), else True."""
+    cap (the first cap hit or truncated factor, as a Skipped), else True.
+    A factor object that recurs (a repeated component's complex) is
+    judged once: its later places can change none of this."""
     if factors is None:
         return SKIPPED
     verdict = True
-    for c in factors:
+    for c in dict.fromkeys(factors):
         if c is False:  # not pure: no check holds
             return False
         try:

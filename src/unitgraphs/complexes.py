@@ -44,7 +44,8 @@ rows of the boundary matrices: the row of a face has bit i set for the
 i-th face one size down, and ranks come from an XOR basis keyed by
 leading bit.  Each complex also keeps, per vertex, the bitset of the
 facets containing it; the maximality filter, links and the
-connectivity test AND and OR those bitsets instead of scanning facets.
+connectivity test of a complex of many facets AND and OR those bitsets
+instead of scanning facets, while few facets are met pairwise.
 The homology convention for the reduced chain complex is the usual one:
 the complex {[]} whose only face is empty has homology rank 1 in
 dimension -1; any complex with a vertex has rank 0 there.
@@ -417,9 +418,35 @@ def _every_link(c: SimplicialComplex, top_ok) -> bool:
     return True
 
 
+# Facets up to which _connected meets them pairwise; above it, a search
+# over the incidence bounds the work.  Measured on a 2-core x86-64 Xeon,
+# CPython 3.11, NumPy 2.4, at 64 facets on 256-4096 vertices: random
+# facets 0.006-0.009 ms pairwise against 0.1-3.0 ms by incidence, and a
+# path of facets in the worst order, one facet joined per pass, 0.18-0.58
+# ms against 0.42-4.6 ms; at 128 the worst order takes 0.66 ms against
+# 0.58 ms on 256 vertices.  The two facets of Ind(K_{1024,1024}), the
+# unit graph of Z2048: 0.0005 ms against 0.67 ms.
+_PAIRWISE_FACETS = 64
+
+
 def _connected(c: SimplicialComplex) -> bool:
-    """The facets form one component: a search from facets[0] that reads
-    the incidence of each vertex once."""
+    """The facets form one component.  Few facets are met pairwise: each
+    pass joins every facet that meets the union of those joined so far,
+    the union growing as it goes.  More are searched from facets[0],
+    reading the incidence of each vertex once."""
+    if len(c.facets) <= _PAIRWISE_FACETS:
+        reached, left = c.facets[0], c.facets[1:]
+        while left:
+            rest = []
+            for f in left:
+                if f & reached:
+                    reached |= f
+                else:
+                    rest.append(f)
+            if len(rest) == len(left):
+                return False
+            left = rest
+        return True
     reached = 1
     seen = 0
     todo = c.facets[0]

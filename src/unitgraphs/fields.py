@@ -10,8 +10,10 @@ The modulus is pinned without external tables: it is the monic irreducible
 polynomial of degree k whose coefficient tuple (a_0, ..., a_{k-1}),
 ordered low degree first, is lexicographically smallest.  For k >= 2
 the search starts at a_0 = 1: a polynomial with a_0 = 0 has x as a
-factor, and those are half the tuples that come first.  From there the
-exhaustive search is cheap at the supported sizes (q <= 2^16).
+factor, and those are half the tuples that come first.  Each candidate
+then takes Ben-Or's irreducibility test, so the search is cheap at the
+supported sizes (q <= 2^16); trial division stays in the tests as the
+reference.
 
 Polynomials over GF(p) are plain lists of ints in [0, p), low degree
 first, with trailing zeros trimmed ([] is the zero polynomial).
@@ -31,38 +33,40 @@ def _trim(a: list[int]) -> list[int]:
     return a
 
 
-def poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by b over GF(p); b must be nonzero."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    inv_lead = pow(b[-1], p - 2, p) if b[-1] != 1 else 1
-    while len(r) >= len(b) and any(r):
-        _trim(r)
-        if len(r) < len(b):
-            break
-        shift = len(r) - len(b)
-        coef = (r[-1] * inv_lead) % p
-        q[shift] = coef
-        for i, bi in enumerate(b):
-            r[shift + i] = (r[shift + i] - coef * bi) % p
-        _trim(r)
-    return _trim(q), _trim(r)
+def _remainder(a: list[int], b: list[int], p: int) -> list[int]:
+    """a mod b over GF(p), for a trimmed nonzero b; a is not changed."""
+    k = len(b) - 1
+    a = list(a)
+    inv_lead = pow(b[-1], -1, p)
+    # cancel the top coefficient of a, then the next one down, ...; the
+    # coefficients above k stay uncancelled in a, since only a[:k] is read
+    for top in range(len(a) - 1, k - 1, -1):
+        coef = a[top] * inv_lead % p
+        if coef:
+            for i in range(k):
+                a[top - k + i] -= coef * b[i]
+    return _trim([c % p for c in a[:k]])
 
 
 def _is_irreducible(f: list[int], p: int) -> bool:
-    """Trial division by all monic polynomials of degree <= deg(f)/2."""
-    k = len(f) - 1
-    if k < 1 or f[-1] == 0:
-        return False
-    if k == 1:
-        return True
-    for d in range(1, k // 2 + 1):
-        # monic divisors of degree d, low-first coefficients a_0..a_{d-1}
-        for low in itertools.product(range(p), repeat=d):
-            if not poly_divmod(f, [*low, 1], p)[1]:
-                return False
+    """Ben-Or's test (FOCS 1981): f of degree k >= 1 is irreducible over
+    GF(p) iff gcd(f, x^(p^i) - x) = 1 for i = 1..k//2, since x^(p^i) - x
+    is the product of the monic irreducibles of degree dividing i, and a
+    reducible f has a factor of degree at most k/2.  Each x^(p^i) mod f
+    is the p-th power of the one before, and over GF(p) the p-th power
+    of h(x) is h(x^p), so it only spreads the coefficients."""
+    h = [0, 1]  # x
+    for _ in range((len(f) - 1) // 2):
+        spread = [0] * (len(h) * p)
+        spread[::p] = h
+        h = _remainder(spread, f, p)
+        a, b = f, h + [0] * (2 - len(h))
+        b[1] = (b[1] - 1) % p  # h - x
+        _trim(b)
+        while b:
+            a, b = b, _remainder(a, b, p)
+        if len(a) > 1:  # a common factor of positive degree
+            return False
     return True
 
 
@@ -82,4 +86,3 @@ def smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
         if _is_irreducible([*low, 1], p):
             return (*low, 1)
     raise RuntimeError(f"no irreducible polynomial of degree {k} over GF({p})")
-

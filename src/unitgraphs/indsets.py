@@ -34,7 +34,13 @@ quick False; each reads only rows.
   reaches it: a graph of 2048 components of two vertices passes 10^6
   sets after 20 of them.  The component searches share the whole
   graph's allowance (see Orbits), and past it a verified automorphism
-  of the whole graph hands the count back to its orbit path.
+  of the whole graph hands the count back to its orbit path.  Each
+  distinct component is searched once: a component's relabelled rows
+  determine its graph, so one whose rows equal an earlier one's reuses
+  that search, and the 2048 components of the unit graph of Z2^12 cost one
+  search of two vertices.  A reused count is charged the reads of its
+  first search, so the allowance runs out on the same component as if
+  every one were searched.
 * Orbits.  An automorphism of G maps maximal independent sets onto
   maximal independent sets of the same size.  A maximal independent set
   S meets N[u] for every vertex u (it holds u or a neighbour of u), so
@@ -97,7 +103,7 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import DEFAULT_GRAPH_CAP, Graph, connected_components, induced_subgraph
-from .rings import VertexSet, mask_indices, shift_mask
+from .rings import VertexSet, _indices_mask, mask_indices, shift_mask
 
 DEFAULT_MAX_SETS = 10**6
 DEFAULT_TIME_BUDGET = 60.0
@@ -547,17 +553,25 @@ def _twin_classes(keys, within: int, vertices) -> tuple[int, dict[int, int]]:
     if len(order) > 1 and keys[order[0]] == keys[order[-1]]:  # one class, as in a complete graph
         least = within & -within
         return least, {least: within}
-    reps = within
-    classes: dict[int, int] = {}
-    rep, previous = 0, None
+    # the runs of two or more equal keys, each mask then made once from
+    # its members
+    runs = []
+    run = first = previous = None
     for v in order:
         key = keys[v]
-        if key == previous:
-            bit = 1 << v
-            reps ^= bit
-            classes[rep] = classes.get(rep, rep) | bit
+        if key != previous:
+            previous, first, run = key, v, None
+        elif run is None:
+            run = [first, v]
+            runs.append(run)
         else:
-            rep, previous = 1 << v, key
+            run.append(v)
+    reps = within
+    classes: dict[int, int] = {}
+    for run in runs:
+        rep = 1 << run[0]
+        classes[rep] = mask = _indices_mask(run)
+        reps ^= mask ^ rep
     return reps, classes
 
 
@@ -662,6 +676,10 @@ def _component_product(g: Graph, parts, max_sets: int, time_budget: float) -> Mi
     searches share the whole graph's allowance; past it they verify the
     whole graph's candidates, and if any holds, the whole graph is
     searched on its orbit path, as it would have been without the walk.
+    A component equal to an earlier one (by relabelled rows) multiplies
+    in that one's sizes again and is charged its reads, unless they pass
+    the allowance left: then it is searched again, as it would be
+    without the reuse.
 
     A truncated product describes the first max_sets sets in
     component-product order: the sets of the components searched, their
@@ -676,20 +694,30 @@ def _component_product(g: Graph, parts, max_sets: int, time_budget: float) -> Mi
     reason = "exhausted"
     searched = nodes = 0
     split = None
+    known: dict[tuple[int, ...], _Search] = {}
     for part in parts:
-        search = _Search(
-            induced_subgraph(g, part), "all", max_sets, deadline - time.monotonic(), False, g
-        )
-        search.allowance = allowance
-        stop = search.run()
-        nodes += search.calls
-        if stop == "orbits":
-            whole = _Search(g, "all", max_sets, deadline - time.monotonic(), False)
-            # past its allowance, with the generators verified
-            whole.allowance, whole.generators = math.inf, search.generators
-            whole.calls = nodes
-            return _finish(whole, "orbits")
-        allowance = search.allowance - search.reads
+        sub = induced_subgraph(g, part)
+        search = known.get(sub.rows)
+        stop = "exhausted"
+        # a repeated component is the same graph, so its first search
+        # stands and is charged again; only where its reads pass the
+        # allowance left could a new search verify, and it runs again
+        if search is not None and search.reads <= allowance:
+            allowance -= search.reads
+        else:
+            search = known[sub.rows] = _Search(
+                sub, "all", max_sets, deadline - time.monotonic(), False, g
+            )
+            search.allowance = allowance
+            stop = search.run()
+            nodes += search.calls
+            if stop == "orbits":
+                whole = _Search(g, "all", max_sets, deadline - time.monotonic(), False)
+                # past its allowance, with the generators verified
+                whole.allowance, whole.generators = math.inf, search.generators
+                whole.calls = nodes
+                return _finish(whole, "orbits")
+            allowance = search.allowance - search.reads
         searched |= part
         first = search.first_of_size
         if split is None and len(first) >= 2:
@@ -731,13 +759,24 @@ def component_reports(g: Graph, *, time_budget: float = DEFAULT_TIME_BUDGET, **l
     component, by least vertex, under one deadline.  A search that meets
     the deadline, or would start past it, is truncated (time_budget) and
     ends the walk, as does one that met two sizes; a max_sets cap on one
-    component does not."""
+    component does not.
+
+    A component whose relabelled rows equal an earlier one's is that
+    graph, so it yields the earlier pair, the same objects, without a
+    search, even past the deadline."""
     deadline = time.monotonic() + time_budget
-    for part in connected_components(g):
+    parts = connected_components(g)
+    searched: dict[tuple[int, ...] | None, tuple[Graph, MisReport]] = {}
+    for part in parts:
         sub = induced_subgraph(g, part)
-        report = enumerate_mis(sub, time_budget=deadline - time.monotonic(), **limits)
-        yield sub, report
-        if report.stop_reason in ("two_sizes", "time_budget"):
+        # one component repeats none, and its rows are not worth hashing
+        key = sub.rows if len(parts) > 1 else None
+        pair = searched.get(key)
+        if pair is None:
+            report = enumerate_mis(sub, time_budget=deadline - time.monotonic(), **limits)
+            pair = searched[key] = sub, report
+        yield pair
+        if pair[1].stop_reason in ("two_sizes", "time_budget"):
             return
 
 

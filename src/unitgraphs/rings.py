@@ -1000,6 +1000,26 @@ def is_field(ring: Ring) -> bool:
     return len(ring.unit_set) == ring.order - 1
 
 
+# Indices up to which _indices_mask ORs bits in one at a time; above it,
+# setting them in a NumPy array is faster.  Measured on a 2-core x86-64
+# Xeon, CPython 3.11, NumPy 2.4, in widths 128-4096: 64 indices take
+# 5-6 us by OR and 8-9 us by NumPy, 128 take 10-13 us either way, 512
+# in 4096 bits 39 us by OR and 25 us by NumPy.
+_OR_BITS = 128
+
+
+def _indices_mask(indices: list[int]) -> int:
+    """The bitmask with the given nonnegative bits set."""
+    if len(indices) <= _OR_BITS:
+        mask = 0
+        for i in indices:
+            mask |= 1 << i
+        return mask
+    bits = np.zeros(max(indices) + 1, dtype=np.uint8)
+    bits[indices] = 1
+    return _bools_to_mask(bits)
+
+
 def _bools_to_mask(arr: np.ndarray) -> int:
     packed = np.packbits(arr.astype(np.uint8), bitorder="little")
     return int.from_bytes(packed.tobytes(), "little")

@@ -3,7 +3,8 @@
 These deliberately avoid the library's algorithms: independence is
 re-derived from adjacency rows, maximal independent sets come from a
 full 2^n subset sweep, polynomial irreducibility is checked by
-enumerating factor pairs, and the reduced Euler characteristic is
+enumerating factor pairs or by trial division, and the reduced Euler
+characteristic is
 counted both from faces and from homology ranks.  Library outputs are
 asserted against these.
 """
@@ -77,6 +78,45 @@ def poly_is_irreducible_bruteforce(coeffs: tuple[int, ...], p: int) -> bool:
                 if tuple(prod) == tuple(coeffs):
                     return False
     return True
+
+
+def poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b over GF(p), by long division; b
+    is trimmed and nonzero."""
+    r = list(a)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    inv_lead = pow(b[-1], -1, p)
+    for shift in range(len(r) - len(b), -1, -1):
+        coef = r[shift + len(b) - 1] * inv_lead % p
+        q[shift] = coef
+        for i, bi in enumerate(b):
+            r[shift + i] = (r[shift + i] - coef * bi) % p
+    while r and r[-1] == 0:
+        r.pop()
+    while q and q[-1] == 0:
+        q.pop()
+    return q, r
+
+
+def poly_is_irreducible_by_trial_division(coeffs, p: int) -> bool:
+    """A monic polynomial of degree k >= 1 is irreducible iff no monic
+    polynomial of degree 1..k//2 divides it."""
+    k = len(coeffs) - 1
+    for d in range(1, k // 2 + 1):
+        for low in itertools.product(range(p), repeat=d):
+            if not poly_divmod(list(coeffs), [*low, 1], p)[1]:
+                return False
+    return True
+
+
+def smallest_irreducible_by_trial_division(p: int, k: int) -> tuple[int, ...]:
+    """The monic irreducible of degree k over GF(p) whose low-first
+    coefficient tuple is lexicographically smallest, by trying every
+    tuple in order."""
+    for low in itertools.product(range(p), repeat=k):
+        if poly_is_irreducible_by_trial_division((*low, 1), p):
+            return (*low, 1)
+    raise AssertionError(f"no irreducible polynomial of degree {k} over GF({p})")
 
 
 def matrix_unit_count(n: int, q: int) -> int:

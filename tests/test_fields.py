@@ -3,7 +3,12 @@ import random
 
 import pytest
 
-from oracles import poly_is_irreducible_bruteforce
+from oracles import (
+    poly_is_irreducible_bruteforce,
+    poly_is_irreducible_by_trial_division,
+    smallest_irreducible_by_trial_division,
+)
+from unitgraphs import fields
 from unitgraphs.descriptors import Gf, prime_power
 from unitgraphs.fields import smallest_irreducible
 from unitgraphs.rings import HARD_ORDER_CAP, build_ring
@@ -20,6 +25,26 @@ def _lex_smallest_by_oracle(p, k):
 @pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (2, 8)])
 def test_modulus_is_lex_smallest_irreducible(p, k):
     assert smallest_irreducible(p, k) == _lex_smallest_by_oracle(p, k)
+
+
+# (p, k) of every prime power q = p^k <= 4096; k = 1 is the fixed (0, 1)
+EXTENSIONS = [pk for pk in map(prime_power, range(2, 4097)) if pk and pk[1] > 1]
+
+
+def test_modulus_matches_trial_division_at_every_size_to_4096():
+    assert len(EXTENSIONS) == 40 and (2, 12) in EXTENSIONS and (61, 2) in EXTENSIONS
+    for p, k in EXTENSIONS:
+        fields.smallest_irreducible.cache_clear()
+        assert smallest_irreducible(p, k) == smallest_irreducible_by_trial_division(p, k), (p, k)
+
+
+def test_ben_or_matches_trial_division_on_random_polynomials():
+    rng = random.Random(20261019)
+    for _ in range(2000):
+        p = rng.choice([2, 3, 5, 7, 11])
+        k = rng.randint(1, 7)
+        f = [rng.randrange(p) for _ in range(k)] + [1]
+        assert fields._is_irreducible(f, p) is poly_is_irreducible_by_trial_division(f, p), (f, p)
 
 
 def test_modulus_frozen_values():

@@ -290,6 +290,35 @@ def test_json_round_trip(catalog_descriptors):
         assert back.n == g.n and back.rows == g.rows, expr
 
 
+@pytest.mark.parametrize("expr", ["Z1024", " x ".join(["Z2"] * 10), "M2(GF(4)) x Z4"])
+def test_json_round_trip_at_1024_vertices(expr):
+    # dense, sparse, and a product: the rows are scattered from the edge
+    # array, so each must come back bit for bit
+    g = build_graph(build_ring(parse_ring_expr(expr)))
+    assert g.n == 1024
+    back = graph_from_json(graph_to_json(g))
+    assert back.n == g.n and back.rows == g.rows and back.kind == g.kind
+
+
+@pytest.mark.parametrize(
+    "edges,message",
+    [
+        ([[0, 1], [0, 1.7], [5, 5]], "bad edge [0, 1.7]: two distinct integers 0..2"),
+        ([[0, 1], [2], [0, 9]], "bad edge [2]: a pair of vertices"),
+        ([[0, 1], "01"], "bad edge '01': a pair of vertices"),
+        ([[1, 2], [0, 10**30]], f"bad edge [0, {10**30}]: two distinct integers 0..2"),
+        ([[1, 2], [-1, 2]], "bad edge [-1, 2]: two distinct integers 0..2"),
+        ([[0, 1], [2, 2], [0, 7]], "bad edge [2, 2]: two distinct integers 0..2"),
+        ([[0, 1], [True, 2]], "bad edge [True, 2]: two distinct integers 0..2"),
+        ([[0, 1], None], "bad edge None: a pair of vertices"),
+    ],
+)
+def test_json_import_names_the_first_bad_edge(edges, message):
+    with pytest.raises(GraphError) as info:
+        graph_from_json(json.dumps({"n": 3, "edges": edges}))
+    assert str(info.value) == message
+
+
 def test_json_import_rejects_bad_edges():
     with pytest.raises(GraphError):
         graph_from_json(json.dumps({"n": 2, "kind": "unit", "edges": [[0, 2]]}))

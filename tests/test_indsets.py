@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from collections import Counter
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import CATALOG_EXPRS
 from oracles import all_mis_subsets
-from unitgraphs import indsets
-from unitgraphs.classify import cross_validate
+from unitgraphs import classify, indsets
+from unitgraphs.classify import cross_validate, join_factors, join_verdicts
+from unitgraphs.complexes import SimplicialComplex
 from unitgraphs.descriptors import Zn
 from unitgraphs.dsl import parse_ring_expr
 from unitgraphs.graphs import (
@@ -241,6 +243,56 @@ def planted_graphs(draw, limit=14):
     return Graph(total, "imported", rows)
 
 
+@st.composite
+def blown_up_graphs(draw):
+    """A random graph on 1-5 base vertices, each blown up into a class of
+    false twins (an independent set) or of true twins (a clique) of 1 to
+    300 vertices, relabelled by a random permutation; classes above 128
+    members take the NumPy path of the mask they are given."""
+    k = draw(st.integers(1, 5))
+    edges = [(a, b) for a in range(k) for b in range(a + 1, k) if draw(st.booleans())]
+    sizes = [draw(st.sampled_from([1, 2, 3, 40, 129, 300])) for _ in range(k)]
+    cliques = [draw(st.booleans()) for _ in range(k)]
+    total = sum(sizes)
+    perm = draw(st.permutations(range(total)))
+    members, v = [], 0
+    for size in sizes:
+        members.append(perm[v : v + size])
+        v += size
+    rows = [0] * total
+    for a in range(k):
+        for b in range(k):
+            if (a, b) in edges or (b, a) in edges or (a == b and cliques[a]):
+                mask = sum(1 << y for y in members[b])
+                for x in members[a]:
+                    rows[x] |= mask & ~(1 << x)
+    return Graph(total, "imported", rows)
+
+
+def _grouped_twin_classes(keys, vertices):
+    """_twin_classes by grouping in a dict: the representatives' mask and
+    each class of two or more by its least member's bit."""
+    groups = {}
+    for v in vertices:
+        groups.setdefault(keys[v], []).append(v)
+    reps = sum(1 << min(m) for m in groups.values())
+    return reps, {1 << min(m): sum(1 << v for v in m) for m in groups.values() if len(m) > 1}
+
+
+@settings(max_examples=60, deadline=None)
+@given(blown_up_graphs(), st.randoms(use_true_random=False))
+def test_twin_classes_match_a_grouping(g, rnd):
+    full = (1 << g.n) - 1
+    comp = [full ^ (row | 1 << v) for v, row in enumerate(g.rows)]
+    for keys in (g.rows, comp):
+        assert indsets._twin_classes(keys, full, range(g.n)) == _grouped_twin_classes(keys, range(g.n))
+    # on a subgraph, keyed by the rows inside it, as a search restricts them
+    within = sum(1 << v for v in range(g.n) if rnd.random() < 0.7)
+    vertices = mask_indices(within)
+    keys = {v: g.rows[v] & within for v in vertices}
+    assert indsets._twin_classes(keys, within, vertices) == _grouped_twin_classes(keys, vertices)
+
+
 def _family_masks(g, report):
     return sorted(s.mask for s in report.sets)
 
@@ -326,6 +378,73 @@ def test_planted_twins_and_components_match_networkx(g):
         assert report.sizes_seen == want and report.count == sum(want.values())
 
 
+@st.composite
+def repeated_unions(draw, limit=24):
+    """A disjoint union of copies of 1-3 random base graphs.  A copy keeps
+    its base's labelling, so that its relabelled rows equal the base's,
+    or permutes it, isomorphic and mostly not equal.  The copies'
+    vertices are interleaved, each copy keeping its own order."""
+    copies = []  # (vertex count, edges) per copy
+    total = 0
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(1, 5))
+        edges = [(a, b) for a in range(k) for b in range(a + 1, k) if draw(st.booleans())]
+        for _ in range(draw(st.integers(1, 4))):
+            if total + k > limit:
+                break
+            perm = draw(st.permutations(range(k))) if draw(st.booleans()) else range(k)
+            copies.append((k, [(perm[a], perm[b]) for a, b in edges]))
+            total += k
+    owners = draw(st.permutations([i for i, (k, _) in enumerate(copies) for _ in range(k)]))
+    places = [[] for _ in copies]
+    for v, i in enumerate(owners):
+        places[i].append(v)
+    rows = [0] * total
+    for (_, edges), place in zip(copies, places):
+        for a, b in edges:
+            rows[place[a]] |= 1 << place[b]
+            rows[place[b]] |= 1 << place[a]
+    return Graph(total, "imported", rows)
+
+
+VERDICT_KEYS = ["well_covered", "cm_gf2", "shellable", "gorenstein_gf2"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(repeated_unions())
+def test_repeated_components_reuse_their_search(g):
+    nx = pytest.importorskip("networkx")
+    subs = [induced_subgraph(g, part) for part in connected_components(g)]
+    # every component searched on its own, as if none repeated: the walk
+    # yields the same subgraphs and reports, up to the first of two sizes
+    for stop_mode in ("first_two_sizes", "all"):
+        for collect in (False, True):
+            fresh = [enumerate_mis(sub, stop_mode=stop_mode, collect=collect) for sub in subs]
+            walked = list(component_reports(g, stop_mode=stop_mode, collect=collect))
+            ends = [i for i, r in enumerate(fresh) if r.stop_reason == "two_sizes"]
+            assert len(walked) == (ends[0] + 1 if ends else len(subs))
+            assert [sub.rows for sub, _ in walked] == [sub.rows for sub in subs[: len(walked)]]
+            assert [report for _, report in walked] == fresh[: len(walked)]
+            # a repeated component yields the first one's objects
+            for (sub, report), (other, again) in itertools.combinations(walked, 2):
+                assert (sub is other) == (report is again) == (sub.rows == other.rows)
+    want = _networkx_sizes(nx, g)
+    assert well_covered_bruteforce(g) is (len(want) == 1)
+    counted = enumerate_mis(g, collect=False)
+    assert counted.sizes_seen == want and counted.count == sum(want.values())
+    # the join's verdicts on one complex per component, without reuse
+    factors = []
+    for sub in subs:
+        report = enumerate_mis(sub, stop_mode="first_two_sizes")
+        if report.stop_reason == "two_sizes":
+            factors.append(False)
+            break
+        factors.append(SimplicialComplex(sub.n, [s.mask for s in report.sets], graph=sub))
+    verdicts = join_verdicts(list(join_factors(g)), VERDICT_KEYS)
+    assert verdicts == join_verdicts(factors, VERDICT_KEYS)
+    assert verdicts["well_covered"] is (len(want) == 1)
+
+
 def test_random_cayley_graphs_match_networkx():
     # Cayley graphs of Z2^k: a connection set that spans no more than a
     # subgroup splits the graph into its cosets, and x, x + s are true
@@ -397,23 +516,37 @@ def test_a_truncated_product_still_decides_false_on_a_split_component():
 
 
 def test_a_product_past_the_allowance_hands_off_to_the_orbit_path(monkeypatch):
-    calls = []
-    real = indsets.verified_automorphisms
-    monkeypatch.setattr(indsets, "verified_automorphisms", lambda g: calls.append(g.n) or real(g))
-    # Z2 x Z2 x Z3 x Z3: its first component passes the whole graph's
+    # each verification is recorded with the whole graph's size and the
+    # number of the component being counted; every component here repeats
+    # the first, and the one that passes the allowance is searched again,
+    # so the verification falls where a search of every component has it
+    parts, calls = [], []
+    real_sub, real = indsets.induced_subgraph, indsets.verified_automorphisms
+    monkeypatch.setattr(indsets, "induced_subgraph", lambda g, m: parts.append(m) or real_sub(g, m))
+    monkeypatch.setattr(
+        indsets, "verified_automorphisms", lambda g: calls.append((g.n, len(parts))) or real(g)
+    )
+    # Z2 x Z2 x Z3 x Z3: its second component passes the whole graph's
     # allowance, whose candidates hold, so the whole graph is counted on
     # its orbit path, verified once
     g = _graph("Z2 x Z2 x Z3 x Z3")
     assert len(connected_components(g)) == 2
     report = enumerate_mis(g, collect=False)
-    assert calls == [36] and report.orbits == 5
+    assert calls == [(36, 2)] and report.orbits == 5
     assert report.count == 1936 and report.stop_reason == "exhausted"
-    # three 10-cycles, with no candidate: past the allowance the
-    # verification finds nothing, and the product goes on
+    # Z2^3 x Z3^2: four components, the third past the allowance
+    parts.clear()
+    calls.clear()
+    report = enumerate_mis(_graph("Z2 x Z2 x Z2 x Z3 x Z3"), collect=False, max_sets=3 * 10**4)
+    assert calls == [(72, 3)] and report.orbits == 5
+    assert report.count == 3 * 10**4 and report.stop_reason == "max_sets"
+    # three 10-cycles, with no candidate: past the allowance in the third
+    # the verification finds nothing, and the product goes on
+    parts.clear()
     calls.clear()
     cycles = [(c + i, c + (i + 1) % 10) for c in (0, 10, 20) for i in range(10)]
     report = enumerate_mis(_union_graph(30, cycles), collect=False)
-    assert calls == [30] and report.orbits is None
+    assert calls == [(30, 3)] and report.orbits is None
     assert report.count == 17**3 and report.stop_reason == "exhausted"
 
 
@@ -446,6 +579,27 @@ def test_well_covered_bruteforce_decides_large_structured_graphs(expr):
     start = time.perf_counter()
     assert well_covered_bruteforce(g) is True
     assert time.perf_counter() - start < 1.0
+
+
+def test_z2_to_the_twelfth_searches_and_judges_one_component(monkeypatch):
+    # 2048 equal components of two vertices: one search; one complex,
+    # which each check judges once
+    searches, checks = [], Counter()
+    real = indsets.enumerate_mis
+    monkeypatch.setattr(indsets, "enumerate_mis", lambda g, **kw: searches.append(g.n) or real(g, **kw))
+    for name in ("is_pure", "is_cm_gf2", "is_shellable", "is_gorenstein_gf2"):
+        check = getattr(classify, name)
+        monkeypatch.setattr(
+            classify, name, lambda c, *a, _c=check, _n=name, **kw: checks.update([_n]) or _c(c, *a, **kw)
+        )
+    expr = " x ".join(["Z2"] * 12)
+    assert well_covered_bruteforce(_graph(expr)) is True
+    assert searches == [2]
+    searches.clear()
+    report = cross_validate(parse_ring_expr(expr), ("wc", "cm", "shellable", "gorenstein"))
+    assert report.agreement is True and set(report.observed.values()) == {True}
+    assert searches == [2]
+    assert checks == {"is_pure": 1, "is_cm_gf2": 1, "is_shellable": 1, "is_gorenstein_gf2": 1}
 
 
 def test_cross_validate_decides_z2_to_the_sixth():

@@ -25,22 +25,22 @@ quick False; each reads only rows.
   witnesses and which sets a capped run keeps) follows the quotient.
   The classes come from a stable sort of the rows, not a dict: rows of
   4096 bits that differ in bits 61 apart share their hash (see
-  ``_twin_classes``).
+  ``_twin_classes``).  A representative with no neighbour in the
+  quotient (an isolated vertex, or a true-twin class that is a whole
+  component) lies in every maximal independent set, so the search
+  starts with all of them chosen.
 * Components.  ``component_reports`` is the one walk over the connected
-  components of every brute-force verdict, under one deadline.  A count
-  (stop_mode "all", not collected) of a disconnected graph multiplies
-  its components' size generating functions, searched in the same order
-  under one deadline, and stops at max_sets as soon as the product
-  reaches it: a graph of 2048 components of two vertices passes 10^6
-  sets after 20 of them.  The component searches share the whole
-  graph's allowance (see Orbits), and past it a verified automorphism
-  of the whole graph hands the count back to its orbit path.  Each
-  distinct component is searched once: a component's relabelled rows
+  components, under one deadline, behind every brute-force verdict and
+  every count of a disconnected graph.  Each distinct component is searched once, by
+  ``enumerate_mis`` on its own subgraph: a component's relabelled rows
   determine its graph, so one whose rows equal an earlier one's reuses
-  that search, and the 2048 components of the unit graph of Z2^12 cost one
-  search of two vertices.  A reused count is charged the reads of its
-  first search, so the allowance runs out on the same component as if
-  every one were searched.
+  that report, and the 2048 components of the unit graph of Z2^12 cost
+  one search of two vertices.  A count (stop_mode "all", not collected)
+  of a disconnected graph multiplies the components' size generating
+  functions and stops at max_sets as soon as the product reaches it: a
+  graph of 2048 components of two vertices passes 10^6 sets after 20 of
+  them.  An induced subgraph keeps no candidates, so a component's own
+  search never takes the orbit path.
 * Orbits.  An automorphism of G maps maximal independent sets onto
   maximal independent sets of the same size.  A maximal independent set
   S meets N[u] for every vertex u (it holds u or a neighbour of u), so
@@ -177,12 +177,9 @@ class _Stop(Exception):
 
 
 class _Search:
-    def __init__(self, g, stop_mode, max_sets, time_budget, collect, whole=None):
+    def __init__(self, g, stop_mode, max_sets, time_budget, collect):
         n = g.n
         self.g = g
-        # the graph whose automorphisms the search turns to: g, or for a
-        # component of ``_component_product`` the whole graph
-        self.whole = g if whole is None else whole
         self.restrict((1 << n) - 1)
         self.stop_mode = stop_mode
         self.max_sets = max_sets
@@ -192,7 +189,8 @@ class _Search:
         # rows read by the pivot scans and branches; past the allowance a
         # verdict search runs the probe, and the candidates are verified
         self.reads = 0
-        self.allowance = _allowance(self.whole)
+        # the row reads a search makes before it verifies g's candidates
+        self.allowance = max(len(g.candidates), 1) * max(n, VERIFY_MIN_ROWS)
         self.probes: int | None = None
         self.generators: tuple[tuple[int, int, int], ...] = ()
         # on the orbit path: W, the union of the root orbits, and per root
@@ -202,15 +200,18 @@ class _Search:
         self.reset()
 
     def restrict(self, within: int) -> None:
-        """Search G[within]: its complement rows and both twin quotients.
-        False twins have equal rows; true twins have equal closed
-        neighbourhoods, and so equal complement rows."""
+        """Search G[within]: its complement rows, both twin quotients, and
+        the forced representatives.  False twins have equal rows; true
+        twins have equal closed neighbourhoods, and so equal complement
+        rows."""
         n = self.g.n
         rows = self.g.rows
         vertices = range(n)
         if within != (1 << n) - 1:
             vertices = mask_indices(within)
-            rows = [0] * n
+            # None outside within, so that rows.index(0) below finds only
+            # the isolated vertices of G[within]
+            rows = [None] * n
             for v in vertices:
                 rows[v] = self.g.rows[v] & within
         comp = [0] * n
@@ -228,6 +229,15 @@ class _Search:
         true_reps, self.cliques = _twin_classes(comp, singles, vertices)
         self.reps = false_reps & ~singles | true_reps
         self.cliqued = sum(self.cliques)  # representatives with a true twin
+        # representatives with no neighbour in the quotient, which every
+        # maximal independent set holds: the least isolated vertex (the
+        # isolated ones are false twins) and each true-twin class that is
+        # a whole component.  The plain search would take them first, one
+        # node each, scanning every candidate at each
+        self.forced = 1 << rows.index(0) if 0 in rows else 0
+        for rep, members in self.cliques.items():
+            if rows[rep.bit_length() - 1] | rep == members:
+                self.forced |= rep
 
     def reset(self) -> None:
         self.sizes = Counter()
@@ -325,13 +335,13 @@ class _Search:
         sys.setrecursionlimit(max(old_limit, 4 * n + 1000))
         try:
             if roots is None:
-                self.expand(0, self.reps, 0)
+                self.expand(self.forced, self.reps ^ self.forced, 0)
             else:
                 full = (1 << n) - 1
                 for r in roots:
                     self.restrict(full ^ (self.g.rows[r] | (1 << r)))
                     self.tallies.append(Counter())
-                    self.expand(1 << r, self.reps, 0)
+                    self.expand(1 << r | self.forced, self.reps ^ self.forced, 0)
             return "exhausted"
         except _Stop as stop:
             return stop.reason
@@ -393,7 +403,7 @@ class _Search:
             self.allowance = math.inf
             if self.stop_mode == "first_two_sizes":
                 self.probe()
-            self.generators = verified_automorphisms(self.whole)
+            self.generators = verified_automorphisms(self.g)
             if self.generators:
                 raise _Stop("orbits")
         if cand == 0 and excl == 0:
@@ -420,12 +430,6 @@ class _Search:
             cand ^= low
             excl |= low
             ext ^= low
-
-
-def _allowance(g: Graph) -> int:
-    """The row reads a search of g makes before it verifies g's
-    candidates."""
-    return max(len(g.candidates), 1) * max(g.n, VERIFY_MIN_ROWS)
 
 
 def _greedy_sets(g: Graph, k: int) -> list[int]:
@@ -598,8 +602,8 @@ def enumerate_mis(
     describe the family of all maximal independent sets, and the
     collected ``sets`` are that family: in search order, or on the orbit
     path (see the module docstring) in the order of its closure.  A
-    count (collect=False) of a disconnected graph multiplies its
-    components' families (see ``_component_product``).  With
+    count (collect=False) of a disconnected graph is folded from its
+    components' own reports (see ``_component_product``).  With
     stop_mode="first_two_sizes" a long search first runs the probe, and
     may end on its greedy sets of two sizes.  A truncated report
     describes the sets it found, at most max_sets of them.  A graph of
@@ -614,14 +618,7 @@ def enumerate_mis(
         if len(parts) > 1:
             return _component_product(g, parts, max_sets, time_budget)
     search = _Search(g, stop_mode, max_sets, time_budget, collect)
-    return _finish(search, search.run())
-
-
-def _finish(search: _Search, reason: str) -> MisReport:
-    """The report of a search of the whole graph whose first run ended
-    for reason; a run that stopped for the orbits is followed by the
-    orbit path."""
-    g = search.g
+    reason = search.run()
     orbits = None
     if reason == "orbits":
         roots, orbit_sizes, search.orbit_union = _orbit_roots(search.generators, g)
@@ -637,7 +634,7 @@ def _finish(search: _Search, reason: str) -> MisReport:
         search.count,
         reason,
         witnesses=list(first.values())[:2] if len(first) >= 2 else [],
-        sets=tuple(VertexSet(m, g.n) for m in search.sets) if search.collect else None,
+        sets=tuple(VertexSet(m, g.n) for m in search.sets) if collect else None,
         nodes=search.calls,
         orbits=orbits,
         probes=search.probes,
@@ -666,20 +663,12 @@ def _report(n, sizes, count, reason, witnesses, **counters) -> MisReport:
 
 
 def _component_product(g: Graph, parts, max_sets: int, time_budget: float) -> MisReport:
-    """The count of a disconnected graph's family.  Its maximal independent
-    sets are the unions of one set per component, so the generating
-    function of their sizes is the product of the components'.  The
-    components are searched in order, under one deadline, and the walk
-    stops as soon as the product reaches max_sets.
-
-    An induced subgraph keeps no candidate automorphism, so the component
-    searches share the whole graph's allowance; past it they verify the
-    whole graph's candidates, and if any holds, the whole graph is
-    searched on its orbit path, as it would have been without the walk.
-    A component equal to an earlier one (by relabelled rows) multiplies
-    in that one's sizes again and is charged its reads, unless they pass
-    the allowance left: then it is searched again, as it would be
-    without the reuse.
+    """The count of a disconnected graph's family, folded from the
+    reports of ``_component_walk``.  Its maximal independent sets are the
+    unions of one set per component, so the generating function of their
+    sizes is the product of the components'.  The fold stops as soon as
+    the product reaches max_sets, or at a component truncated by the
+    deadline; ``nodes`` counts each distinct component's search once.
 
     A truncated product describes the first max_sets sets in
     component-product order: the sets of the components searched, their
@@ -688,47 +677,24 @@ def _component_product(g: Graph, parts, max_sets: int, time_budget: float) -> Mi
     sizes in one component decide False whatever the truncation keeps:
     the witnesses are those two, completed on every other component by
     the greedy set."""
-    deadline = time.monotonic() + time_budget
-    allowance = _allowance(g)
     sizes, count = Counter({0: 1}), 1
     reason = "exhausted"
-    searched = nodes = 0
+    searched = 0
     split = None
-    known: dict[tuple[int, ...], _Search] = {}
-    for part in parts:
-        sub = induced_subgraph(g, part)
-        search = known.get(sub.rows)
-        stop = "exhausted"
-        # a repeated component is the same graph, so its first search
-        # stands and is charged again; only where its reads pass the
-        # allowance left could a new search verify, and it runs again
-        if search is not None and search.reads <= allowance:
-            allowance -= search.reads
-        else:
-            search = known[sub.rows] = _Search(
-                sub, "all", max_sets, deadline - time.monotonic(), False, g
-            )
-            search.allowance = allowance
-            stop = search.run()
-            nodes += search.calls
-            if stop == "orbits":
-                whole = _Search(g, "all", max_sets, deadline - time.monotonic(), False)
-                # past its allowance, with the generators verified
-                whole.allowance, whole.generators = math.inf, search.generators
-                whole.calls = nodes
-                return _finish(whole, "orbits")
-            allowance = search.allowance - search.reads
+    nodes = {}  # id of each distinct report -> its nodes
+    limits = {"stop_mode": "all", "max_sets": max_sets, "collect": False}
+    for part, _, report in _component_walk(g, parts, time_budget, **limits):
         searched |= part
-        first = search.first_of_size
-        if split is None and len(first) >= 2:
-            split = part, list(first.values())[:2]
+        nodes[id(report)] = report.nodes
+        if split is None and report.witnesses:
+            split = part, report.witnesses
         product = Counter()
         for size, ways in sizes.items():
-            for other, more in search.sizes.items():
+            for other, more in report.sizes_seen.items():
                 product[size + other] += ways * more
-        sizes, count = product, count * search.count
-        if count >= max_sets or stop != "exhausted":
-            reason = "max_sets" if count >= max_sets else stop
+        sizes, count = product, count * report.count
+        if count >= max_sets or report.stop_reason != "exhausted":
+            reason = "max_sets" if count >= max_sets else report.stop_reason
             break
     witnesses = []
     if reason != "exhausted" or split:
@@ -747,25 +713,33 @@ def _component_product(g: Graph, parts, max_sets: int, time_budget: float) -> Mi
         part, pair = split
         keep = mask_indices(part)
         witnesses = [
-            greedy & ~part | sum(1 << keep[v] for v in mask_indices(w)) for w in pair
+            greedy & ~part | sum(1 << keep[v] for v in w.indices()) for w in pair
         ]
     return _report(
-        g.n, sizes, count, reason, witnesses, sets=None, nodes=nodes, orbits=None, probes=None
+        g.n, sizes, count, reason, witnesses,
+        sets=None, nodes=sum(nodes.values()), orbits=None, probes=None,
     )
 
 
 def component_reports(g: Graph, *, time_budget: float = DEFAULT_TIME_BUDGET, **limits):
     """(induced subgraph, enumerate_mis report) for each connected
-    component, by least vertex, under one deadline.  A search that meets
-    the deadline, or would start past it, is truncated (time_budget) and
-    ends the walk, as does one that met two sizes; a max_sets cap on one
-    component does not.
+    component, by least vertex, under one deadline: the one component
+    walk behind every brute-force verdict and every count of a
+    disconnected graph.  A search that meets the deadline, or would start
+    past it, is truncated (time_budget) and ends the walk, as does one
+    that met two sizes; a max_sets cap on one component does not.
 
     A component whose relabelled rows equal an earlier one's is that
     graph, so it yields the earlier pair, the same objects, without a
     search, even past the deadline."""
+    for _, sub, report in _component_walk(g, connected_components(g), time_budget, **limits):
+        yield sub, report
+
+
+def _component_walk(g: Graph, parts, time_budget: float, **limits):
+    """``component_reports`` over parts, the components of g, each
+    yielded as (part mask, induced subgraph, report)."""
     deadline = time.monotonic() + time_budget
-    parts = connected_components(g)
     searched: dict[tuple[int, ...] | None, tuple[Graph, MisReport]] = {}
     for part in parts:
         sub = induced_subgraph(g, part)
@@ -775,7 +749,7 @@ def component_reports(g: Graph, *, time_budget: float = DEFAULT_TIME_BUDGET, **l
         if pair is None:
             report = enumerate_mis(sub, time_budget=deadline - time.monotonic(), **limits)
             pair = searched[key] = sub, report
-        yield pair
+        yield part, *pair
         if pair[1].stop_reason in ("two_sizes", "time_budget"):
             return
 

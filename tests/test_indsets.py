@@ -515,39 +515,56 @@ def test_a_truncated_product_still_decides_false_on_a_split_component():
     assert sorted(w.mask for w in report.witnesses) == [0b1010, 0b1101]
 
 
-def test_a_product_past_the_allowance_hands_off_to_the_orbit_path(monkeypatch):
-    # each verification is recorded with the whole graph's size and the
-    # number of the component being counted; every component here repeats
-    # the first, and the one that passes the allowance is searched again,
-    # so the verification falls where a search of every component has it
-    parts, calls = [], []
-    real_sub, real = indsets.induced_subgraph, indsets.verified_automorphisms
-    monkeypatch.setattr(indsets, "induced_subgraph", lambda g, m: parts.append(m) or real_sub(g, m))
+def test_a_count_folds_one_search_per_distinct_component(monkeypatch):
+    # every component search goes through the module's enumerate_mis, on
+    # the component alone; a count verifies no candidate of the whole graph
+    searches, verified = [], []
+    real, real_verify = indsets.enumerate_mis, indsets.verified_automorphisms
+    monkeypatch.setattr(indsets, "enumerate_mis", lambda g, **kw: searches.append(g.n) or real(g, **kw))
     monkeypatch.setattr(
-        indsets, "verified_automorphisms", lambda g: calls.append((g.n, len(parts))) or real(g)
+        indsets, "verified_automorphisms", lambda g: verified.append(g.n) or real_verify(g)
     )
-    # Z2 x Z2 x Z3 x Z3: its second component passes the whole graph's
-    # allowance, whose candidates hold, so the whole graph is counted on
-    # its orbit path, verified once
-    g = _graph("Z2 x Z2 x Z3 x Z3")
-    assert len(connected_components(g)) == 2
-    report = enumerate_mis(g, collect=False)
-    assert calls == [(36, 2)] and report.orbits == 5
-    assert report.count == 1936 and report.stop_reason == "exhausted"
-    # Z2^3 x Z3^2: four components, the third past the allowance
-    parts.clear()
-    calls.clear()
-    report = enumerate_mis(_graph("Z2 x Z2 x Z2 x Z3 x Z3"), collect=False, max_sets=3 * 10**4)
-    assert calls == [(72, 3)] and report.orbits == 5
-    assert report.count == 3 * 10**4 and report.stop_reason == "max_sets"
-    # three 10-cycles, with no candidate: past the allowance in the third
-    # the verification finds nothing, and the product goes on
-    parts.clear()
-    calls.clear()
     cycles = [(c + i, c + (i + 1) % 10) for c in (0, 10, 20) for i in range(10)]
-    report = enumerate_mis(_union_graph(30, cycles), collect=False)
-    assert calls == [(30, 3)] and report.orbits is None
-    assert report.count == 17**3 and report.stop_reason == "exhausted"
+    cases = [
+        # two equal components of 18 vertices
+        (_graph("Z2 x Z2 x Z3 x Z3"), {}, 1936, "exhausted", 18),
+        # four equal components of 18: the product passes max_sets
+        (_graph("Z2 x Z2 x Z2 x Z3 x Z3"), {"max_sets": 3 * 10**4}, 3 * 10**4, "max_sets", 18),
+        # three 10-cycles, 17 sets each
+        (_union_graph(30, cycles), {}, 17**3, "exhausted", 10),
+        # two equal components of 98 vertices, 996 sets each
+        (_graph("Z2 x Z2 x Z7 x Z7"), {}, 996**2, "exhausted", 98),
+    ]
+    for g, limits, count, reason, part in cases:
+        searches.clear()
+        verified.clear()
+        report = real(g, collect=False, **limits)
+        assert searches == [part] and g.n not in verified
+        assert report.count == count and report.stop_reason == reason
+        assert report.orbits is None
+    assert report.sizes_seen == Counter(
+        {8: 777924, 18: 197568, 28: 12544, 53: 3528, 63: 448, 98: 4}
+    )
+    nx = pytest.importorskip("networkx")
+    sub = induced_subgraph(g, connected_components(g)[0])
+    one = _networkx_sizes(nx, sub)
+    assert sum(one.values()) == 996
+    product = Counter()
+    for (a, i), (b, j) in itertools.product(one.items(), repeat=2):
+        product[a + b] += i * j
+    assert report.sizes_seen == product
+
+
+def test_forced_representatives_end_the_search_at_once():
+    # Z2^12: 2048 components of K2, each a true-twin class with no other
+    # neighbour, so every representative is forced; the plain search took
+    # 2074 nodes, one per representative, to reach the first set
+    g = _graph(" x ".join(["Z2"] * 12))
+    report = enumerate_mis(g, max_sets=1000)
+    assert report.nodes <= 2 and report.stop_reason == "max_sets"
+    assert len({s.mask for s in report.sets}) == report.count == 1000
+    # a sample: each check walks the set's 2048 members one by one
+    assert all(is_maximal_independent(g, s) for s in report.sets[::111])
 
 
 # these take the orbit path with 3, 5 and 5 orbits; on the second, the
@@ -565,10 +582,11 @@ def test_mis_size_counts_match_networkx(expr):
     report = enumerate_mis(g, collect=False)
     assert report.sizes_seen == want and report.count == sum(want.values())
     if expr in SEVERAL_ORBITS:
-        # counted, the disconnected Z2 x Z2 x Z3 x Z3 passes the whole
-        # graph's allowance in its first component and hands the count
-        # back to the whole graph's orbit path; listed, every one takes it
-        assert report.orbits > 1
+        # counted, the disconnected Z2 x Z2 x Z3 x Z3 is folded from its
+        # components' searches, which have no candidates; listed, every
+        # one takes the orbit path
+        if len(connected_components(g)) == 1:
+            assert report.orbits > 1
         listed = enumerate_mis(g)
         assert listed.orbits > 1 and listed.sizes_seen == want
 
@@ -736,11 +754,11 @@ def test_verification_waits_for_the_allowance(monkeypatch):
     calls = []
     real = indsets.verified_automorphisms
     monkeypatch.setattr(indsets, "verified_automorphisms", lambda g: calls.append(g.n) or real(g))
-    # K_4096 is one true-twin class: the search on its one representative
-    # reads 2 rows, under the allowance of 12 candidates x 4096
+    # K_4096 is one true-twin class, a whole component: its representative
+    # is forced, and the search reads no row
     report = enumerate_mis(_graph("GF(4096)"), stop_mode="first_two_sizes", collect=False)
     assert calls == [] and report.orbits is None and report.well_covered is True
-    assert report.nodes == 2
+    assert report.nodes == 1
     # M2(GF(7)): at the allowance the probe finds two sizes, and nothing
     # is verified
     g = _graph("M2(GF(7))")

@@ -11,6 +11,7 @@ well-covered / Cohen-Macaulay unit graphs against brute force:
     (True, True)
 """
 
+from .bits import VertexSet
 from .classify import (
     ClassificationReport,
     classify_cm,
@@ -82,7 +83,6 @@ from .rings import (
     Ring,
     RingError,
     UnsupportedStructure,
-    VertexSet,
     build_ring,
     is_boolean_ring,
     is_field,

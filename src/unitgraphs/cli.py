@@ -19,6 +19,7 @@ import sys
 import time
 from importlib import resources
 
+from .bits import VertexSet
 from .classify import (
     CHECK_KEYS,
     SKIPPED,
@@ -32,10 +33,10 @@ from .classify import (
 from .complexes import DEFAULT_FACET_CAP, BudgetExceeded, ComplexError, complex_from_json
 from .constructions import (
     ConstructionError,
-    _matrix_view,
     nonunit_complement_witness,
     lift_nonunit_mis,
     lift_unit_mis_reps,
+    matrix_view,
     signature_set,
     two_size_witnesses,
     zero_first_row_set,
@@ -52,7 +53,6 @@ from .indsets import (
 from .rings import (
     CapExceeded,
     UnsupportedStructure,
-    VertexSet,
     build_ring,
     quotient_by_radical,
 )
@@ -301,7 +301,7 @@ def _cmd_construct(args) -> int:
 
 
 def _matrix_params(ring) -> tuple[int, int]:
-    view = _matrix_view(ring)
+    view = matrix_view(ring)
     if view is None:
         raise _CliError(
             "this construction needs a matrix ring over a field, like M2(GF(3))",

@@ -55,9 +55,9 @@ from __future__ import annotations
 
 import json
 
+from .bits import HARD_ORDER_CAP, bits_to_masks, indices_mask, mask_indices, masks_to_bits
 from .graphs import Graph, mask_components
-from .indsets import _twin_classes, enumerate_mis
-from .rings import HARD_ORDER_CAP, _bits_to_masks, _masks_to_bits, mask_indices
+from .indsets import enumerate_mis, twin_classes
 
 DEFAULT_FACET_CAP = 12
 DEFAULT_FACE_CAP = 200_000
@@ -105,13 +105,7 @@ class SimplicialComplex:
 
     @classmethod
     def from_facets(cls, vertex_count: int, facets) -> "SimplicialComplex":
-        masks = []
-        for f in facets:
-            mask = 0
-            for v in f:
-                mask |= 1 << int(v)
-            masks.append(mask)
-        return cls(vertex_count, masks)
+        return cls(vertex_count, [indices_mask(map(int, f)) for f in facets])
 
     @property
     def dimension(self) -> int:
@@ -160,8 +154,8 @@ def _incidence(facets, vertex_count: int) -> list[int]:
     out = [0] * vertex_count
     block = max(1, _INCIDENCE_BLOCK_BYTES // max(1, vertex_count))
     for start in range(0, len(facets), block):
-        bits = _masks_to_bits(facets[start : start + block], vertex_count)
-        for v, column in enumerate(_bits_to_masks(bits.T)):
+        bits = masks_to_bits(facets[start : start + block], vertex_count)
+        for v, column in enumerate(bits_to_masks(bits.T)):
             out[v] |= column << start
     return out
 
@@ -527,7 +521,7 @@ def _judge_component(rows, part: int, top_ok, passed: dict[int, int]):
     automorphism of it that maps the link of one onto the link of the
     other, so one link per twin class is judged."""
     vertices = mask_indices(part)
-    reps, _ = _twin_classes({v: rows[v] & part for v in vertices}, part, vertices)
+    reps, _ = twin_classes({v: rows[v] & part for v in vertices}, part, vertices)
     link_dim = None
     for v in mask_indices(reps):
         dim = -1

@@ -39,17 +39,16 @@ from __future__ import annotations
 
 import itertools
 
+from .bits import HARD_ORDER_CAP, VertexSet
 from .descriptors import Gf, Mat, Product, factorize, flatten_factors, is_prime
 from .graphs import Graph, build_graph
 from .indsets import is_maximal_independent
 from .rings import (
-    HARD_ORDER_CAP,
     GfRing,
     MatRing,
     ProductRing,
     QuotientRing,
     Ring,
-    VertexSet,
     ZnRing,
     build_ring,
     jacobson_radical,
@@ -280,7 +279,7 @@ def _field(ring: Ring) -> GfRing | None:
     return None
 
 
-def _matrix_view(ring: Ring) -> tuple[GfRing, int] | None:
+def matrix_view(ring: Ring) -> tuple[GfRing, int] | None:
     """(field, size) when the ring is a field or a matrix ring over one."""
     fld = _field(ring)
     if fld is not None:
@@ -339,7 +338,7 @@ def nonunit_complement_witness(s_ring: Ring, y: int, verify: bool = True) -> int
     if s_ring.is_unit(y):
         raise ConstructionError("y must not be a unit")
     leaves, strides = _leaves(s_ring)
-    views = [_matrix_view(r) for r in leaves]
+    views = [matrix_view(r) for r in leaves]
     if any(v is None for v in views):
         raise ConstructionError(
             f"{s_ring.expr} is not a product of matrix rings over fields"
@@ -383,7 +382,7 @@ def mixed_char_product_witnesses(
     if s_ring.characteristic % 2 == 0:
         raise ConstructionError("S must have odd characteristic")
     r_leaves, _ = _leaves(r_ring)
-    view = _matrix_view(r_leaves[0])
+    view = matrix_view(r_leaves[0])
     if view is None:
         raise ConstructionError(f"{r_leaves[0].expr} is not a matrix ring over a field")
     fld, size = view

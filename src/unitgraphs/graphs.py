@@ -45,14 +45,9 @@ from itertools import chain, repeat
 
 import numpy as np
 
+from .bits import bits_to_masks, mask_indices, masks_to_bits, row_chunks
 from .descriptors import CACHE_SIZE
-from .rings import (
-    Ring,
-    _bits_to_masks,
-    _masks_to_bits,
-    _row_chunks,
-    mask_indices,
-)
+from .rings import Ring
 
 DEFAULT_GRAPH_CAP = 4096
 
@@ -70,7 +65,7 @@ class Graph:
     """Immutable simple graph on vertices 0..n-1 with bitmask rows.
 
     ``candidates`` are vertex permutations, each a shift (up, high, down)
-    of ``rings.shift_mask``, that may be automorphisms; they are unchecked
+    of ``bits.shift_mask``, that may be automorphisms; they are unchecked
     hints."""
 
     __slots__ = ("n", "kind", "rows", "ring_expr", "candidates")
@@ -94,12 +89,12 @@ class Graph:
         imported graphs and tests call this explicitly).  Names the first
         asymmetric (x, y) in row-major order."""
         n = self.n
-        for rows in _row_chunks(n, BITS_BLOCK):
+        for rows in row_chunks(n, BITS_BLOCK):
             # rows lo.. of the matrix against its columns lo.., transposed
-            mine = _masks_to_bits(self.rows[rows], n)
+            mine = masks_to_bits(self.rows[rows], n)
             lo, width = rows.start, len(mine)
             strip = (1 << width) - 1
-            theirs = _masks_to_bits([(r >> lo) & strip for r in self.rows], width)
+            theirs = masks_to_bits([(r >> lo) & strip for r in self.rows], width)
             xs, ys = np.nonzero(mine > theirs.T)
             if len(xs):
                 x, y = lo + int(xs[0]), int(ys[0])
@@ -111,8 +106,8 @@ class Graph:
     def _neighbors_above(self):
         """(x, [y > x adjacent to x]) for every vertex x in order, unpacking
         BITS_BLOCK entries of the adjacency matrix at a time."""
-        for rows in _row_chunks(self.n, BITS_BLOCK):
-            bits = _masks_to_bits(self.rows[rows], self.n)
+        for rows in row_chunks(self.n, BITS_BLOCK):
+            bits = masks_to_bits(self.rows[rows], self.n)
             for x, row in zip(range(rows.start, self.n), bits):
                 yield x, (np.flatnonzero(row[x + 1 :]) + (x + 1)).tolist()
 
@@ -222,8 +217,8 @@ def induced_subgraph(g: Graph, mask: int) -> Graph:
                 row ^= low
             rows.append(relabelled)
     else:
-        bits = _masks_to_bits([g.rows[v] for v in keep], g.n)
-        rows = _bits_to_masks(bits[:, keep])
+        bits = masks_to_bits([g.rows[v] for v in keep], g.n)
+        rows = bits_to_masks(bits[:, keep])
     return Graph(len(keep), g.kind, rows, g.ring_expr)
 
 
@@ -293,7 +288,7 @@ def graph_from_json(text: str | bytes) -> Graph:
     bits = np.zeros((n, n), dtype=np.uint8)
     bits[pairs[:, 0], pairs[:, 1]] = 1
     bits[pairs[:, 1], pairs[:, 0]] = 1
-    g = Graph(n, kind, _bits_to_masks(bits))
+    g = Graph(n, kind, bits_to_masks(bits))
     g.validate()
     return g
 

@@ -25,7 +25,7 @@ quick False; each reads only rows.
   witnesses and which sets a capped run keeps) follows the quotient.
   The classes come from a stable sort of the rows, not a dict: rows of
   4096 bits that differ in bits 61 apart share their hash (see
-  ``_twin_classes``).  A representative with no neighbour in the
+  ``twin_classes``).  A representative with no neighbour in the
   quotient (an isolated vertex, or a true-twin class that is a whole
   component) lies in every maximal independent set, so the search
   starts with all of them chosen.
@@ -102,8 +102,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .bits import VertexSet, indices_mask, mask_indices, shift_mask
 from .graphs import DEFAULT_GRAPH_CAP, Graph, connected_components, induced_subgraph
-from .rings import VertexSet, _indices_mask, mask_indices, shift_mask
 
 DEFAULT_MAX_SETS = 10**6
 DEFAULT_TIME_BUDGET = 60.0
@@ -148,14 +148,7 @@ def is_independent(g: Graph, s: VertexSet) -> bool:
     mask = s.mask
     if mask >> g.n:
         raise EnumerationError("set has vertices outside the graph")
-    m = mask
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        if g.rows[v] & mask:
-            return False
-        m ^= low
-    return True
+    return not any(g.rows[v] & mask for v in mask_indices(mask))
 
 
 def is_maximal_independent(g: Graph, s: VertexSet) -> bool:
@@ -163,11 +156,8 @@ def is_maximal_independent(g: Graph, s: VertexSet) -> bool:
     if not is_independent(g, s):
         return False
     covered = s.mask
-    m = s.mask
-    while m:
-        low = m & -m
-        covered |= g.rows[low.bit_length() - 1]
-        m ^= low
+    for v in mask_indices(s.mask):
+        covered |= g.rows[v]
     return covered == (1 << g.n) - 1
 
 
@@ -218,7 +208,7 @@ class _Search:
         for v in vertices:
             comp[v] = within ^ (rows[v] | (1 << v))
         self.comp = comp
-        false_reps, self.twins = _twin_classes(rows, within, vertices)
+        false_reps, self.twins = twin_classes(rows, within, vertices)
         self.paired = sum(self.twins)  # representatives with a false twin
         # a vertex v with a false twin u has no true twin: one would be a
         # neighbour of v, so of u, and its closed neighbourhood, N[v],
@@ -226,7 +216,7 @@ class _Search:
         singles = false_reps & ~self.paired
         if singles != within:
             vertices = mask_indices(singles)
-        true_reps, self.cliques = _twin_classes(comp, singles, vertices)
+        true_reps, self.cliques = twin_classes(comp, singles, vertices)
         self.reps = false_reps & ~singles | true_reps
         self.cliqued = sum(self.cliques)  # representatives with a true twin
         # representatives with no neighbour in the quotient, which every
@@ -538,7 +528,7 @@ def _weighted_sizes(tallies, orbit_sizes) -> Counter:
     return Counter({size: int(w) for size, w in weighted.items()})
 
 
-def _twin_classes(keys, within: int, vertices) -> tuple[int, dict[int, int]]:
+def twin_classes(keys, within: int, vertices) -> tuple[int, dict[int, int]]:
     """The classes of vertices with equal keys in the graph on within (its
     vertices, in increasing order).  Keyed by rows they are false twins,
     never adjacent, which are all in or all out of every maximal
@@ -574,7 +564,7 @@ def _twin_classes(keys, within: int, vertices) -> tuple[int, dict[int, int]]:
     classes: dict[int, int] = {}
     for run in runs:
         rep = 1 << run[0]
-        classes[rep] = mask = _indices_mask(run)
+        classes[rep] = mask = indices_mask(run)
         reps ^= mask ^ rep
     return reps, classes
 
@@ -713,7 +703,7 @@ def _component_product(g: Graph, parts, max_sets: int, time_budget: float) -> Mi
         part, pair = split
         keep = mask_indices(part)
         witnesses = [
-            greedy & ~part | sum(1 << keep[v] for v in w.indices()) for w in pair
+            greedy & ~part | indices_mask(keep[v] for v in w.indices()) for w in pair
         ]
     return _report(
         g.n, sizes, count, reason, witnesses,

@@ -42,8 +42,9 @@ its last p_j entries, so each row costs a few big-int operations.
 
 Masks stay nonnegative throughout: CPython's ``&`` with a negative
 operand such as ``~high`` first copies and complements it, one more
-allocation and pass over every 4096-bit row.  ``mask_indices`` is the
-one walk over the set bits of a wide mask.
+allocation and pass over every 4096-bit row.  The mask format and its
+helpers (``VertexSet``, ``shift_mask``, the set-bit walk) live in
+``bits``.
 
 ``semisimple_images(ring, xs)`` is the one elementwise map R -> R/J(R)
 = B_1 x ... x B_t (blocks as in ``descriptors.semisimple_blocks``); for
@@ -72,6 +73,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .bits import HARD_ORDER_CAP, VertexSet, bools_to_mask, row_chunks
 from .descriptors import (
     CACHE_SIZE,
     Block,
@@ -98,7 +100,6 @@ from .descriptors import (
 from .fields import smallest_irreducible
 
 DEFAULT_ORDER_CAP = 4096
-HARD_ORDER_CAP = 1 << 16
 # Elements per vectorized chunk.  Its int64 temporaries (64 KiB) stay
 # below glibc's default 128 KiB mmap threshold, so chunk after chunk
 # reuses heap pages instead of mapping and faulting in fresh ones.
@@ -107,88 +108,6 @@ CHUNK = 1 << 13
 
 class UnsupportedStructure(RingError):
     """A structural closed form does not apply to this descriptor."""
-
-
-def shift_mask(mask: int, shift: tuple[int, int, int]) -> int:
-    """The image of a bitmask under a shift (up, high, down): its bits
-    outside high move up by up places, those in high down by down."""
-    up, high, down = shift
-    moved = mask & high
-    return ((mask ^ moved) << up) | (moved >> down)
-
-
-# Set bits up to which mask_indices walks lowest bits one at a time; above
-# it, unpacking the bytes with NumPy is faster.  Measured crossover on a
-# 2-core x86-64 Xeon, CPython 3.11, NumPy 2.4: 24-32 set bits at widths
-# 128-4096 (3 set bits in 4096: loop 1.4 us, NumPy 13 us; 2049 set bits:
-# loop 717 us, NumPy 40 us).
-_WALK_BITS = 32
-
-
-def mask_indices(mask: int) -> list[int]:
-    """Positions of the set bits of a nonnegative int, ascending."""
-    if mask.bit_count() > _WALK_BITS:
-        raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-        return np.flatnonzero(bits).tolist()
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-class VertexSet:
-    """Immutable set of element/vertex indices backed by an int bitmask."""
-
-    __slots__ = ("mask", "universe")
-
-    def __init__(self, mask: int, universe: int):
-        if mask < 0 or mask >> universe:
-            raise ValueError("mask has bits outside the universe")
-        self.mask = mask
-        self.universe = universe
-
-    @classmethod
-    def from_indices(cls, indices, universe: int) -> "VertexSet":
-        mask = 0
-        for i in indices:
-            if not 0 <= i < universe:
-                raise ValueError(f"index {i} outside universe of size {universe}")
-            mask |= 1 << i
-        return cls(mask, universe)
-
-    def indices(self) -> list[int]:
-        return mask_indices(self.mask)
-
-    def bools(self) -> np.ndarray:
-        """Membership as a bool array of length universe."""
-        return _masks_to_bits([self.mask], self.universe)[0].astype(bool)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __contains__(self, i: int) -> bool:
-        return 0 <= i < self.universe and (self.mask >> i) & 1 == 1
-
-    def __iter__(self):
-        return iter(self.indices())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, VertexSet)
-            and self.mask == other.mask
-            and self.universe == other.universe
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.mask, self.universe))
-
-    def __repr__(self) -> str:
-        ids = self.indices()
-        shown = ", ".join(map(str, ids[:12])) + (", ..." if len(ids) > 12 else "")
-        return f"VertexSet({{{shown}}}, universe={self.universe})"
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +182,7 @@ class Ring:
     def place_translations(self) -> tuple[tuple[int, int, int], ...]:
         """Per digit j, the translation by the element whose digit j is 1 and
         the others 0, as (up, high, down): it maps a bitmask S to
-        ``shift_mask(S, (up, high, down))``."""
+        ``bits.shift_mask(S, (up, high, down))``."""
         out = []
         for p, m in zip(self._places, self._moduli):
             back = p * (m - 1)
@@ -296,7 +215,7 @@ class Ring:
             )
         idx = np.arange(n)
         table = np.empty((n, n), dtype=np.uint16)
-        for rows in _row_chunks(n):
+        for rows in row_chunks(n, CHUNK):
             table[rows] = self.mul_many(idx[rows, None], idx)
         return table
 
@@ -334,7 +253,7 @@ class Ring:
         images = self.block_images
         for block, image in zip(semisimple_blocks(self.descriptor), images):
             ok = ok & block_ring(block).unit_set.bools()[image]
-        return _bools_to_mask(ok)
+        return bools_to_mask(ok)
 
     def _units_generic(self) -> int:
         """Two-sided inverse search straight from the definition."""
@@ -343,7 +262,7 @@ class Ring:
         # signals an arithmetic bug
         if not np.array_equal(right, right.T):
             raise RingError("one-sided inverse found; arithmetic is inconsistent")
-        return _bools_to_mask(right.any(axis=1))
+        return bools_to_mask(right.any(axis=1))
 
     # -- misc ----------------------------------------------------------------
 
@@ -601,7 +520,7 @@ class MatRing(Ring):
         if not isinstance(self.base, GfRing):
             return super()._compute_units()
         # over a field a matrix is a unit iff its determinant is nonzero
-        return _bools_to_mask(self.det_many(np.arange(self.order)) != 0)
+        return bools_to_mask(self.det_many(np.arange(self.order)) != 0)
 
     def element_repr(self, x: int) -> str:
         rows = self.decode_entries(x)
@@ -825,12 +744,6 @@ def block_ring(block: Block) -> Ring:
     return build_ring(Gf(q) if n == 1 else Mat(n, Gf(q)), order_cap=HARD_ORDER_CAP)
 
 
-def _row_chunks(n: int, size: int = CHUNK) -> list[slice]:
-    """Row slices of an n x n computation, about size elements each."""
-    step = max(1, size // max(n, 1))
-    return [slice(lo, lo + step) for lo in range(0, n, step)]
-
-
 # ---------------------------------------------------------------------------
 # Jacobson radical and quotient
 # ---------------------------------------------------------------------------
@@ -854,17 +767,17 @@ def jacobson_radical(ring: Ring, method: str = "structural") -> VertexSet:
 def _radical_structural(ring: Ring) -> int:
     """J(R) as the kernel of R -> R/J(R): the elements whose block images
     are all zero."""
-    return _bools_to_mask(np.logical_and.reduce([image == 0 for image in ring.block_images]))
+    return bools_to_mask(np.logical_and.reduce([image == 0 for image in ring.block_images]))
 
 
 def _radical_generic(ring: Ring) -> int:
     table = ring.mul_table
     units = ring.unit_set.bools()
     ok = np.ones(ring.order, dtype=bool)
-    for rows in _row_chunks(ring.order):
+    for rows in row_chunks(ring.order, CHUNK):
         products = table[rows].astype(np.int64)  # r * x for r in rows, every x
         ok &= units[ring.add_many(ring.one, ring.neg_many(products))].all(axis=0)
-    return _bools_to_mask(ok)
+    return bools_to_mask(ok)
 
 
 def semisimple_images(ring: Ring, xs) -> list[np.ndarray]:
@@ -998,42 +911,3 @@ def is_field(ring: Ring) -> bool:
     """True iff every nonzero element is a unit.  Such a finite ring is a
     division ring, hence commutative (Wedderburn's little theorem)."""
     return len(ring.unit_set) == ring.order - 1
-
-
-# Indices up to which _indices_mask ORs bits in one at a time; above it,
-# setting them in a NumPy array is faster.  Measured on a 2-core x86-64
-# Xeon, CPython 3.11, NumPy 2.4, in widths 128-4096: 64 indices take
-# 5-6 us by OR and 8-9 us by NumPy, 128 take 10-13 us either way, 512
-# in 4096 bits 39 us by OR and 25 us by NumPy.
-_OR_BITS = 128
-
-
-def _indices_mask(indices: list[int]) -> int:
-    """The bitmask with the given nonnegative bits set."""
-    if len(indices) <= _OR_BITS:
-        mask = 0
-        for i in indices:
-            mask |= 1 << i
-        return mask
-    bits = np.zeros(max(indices) + 1, dtype=np.uint8)
-    bits[indices] = 1
-    return _bools_to_mask(bits)
-
-
-def _bools_to_mask(arr: np.ndarray) -> int:
-    packed = np.packbits(arr.astype(np.uint8), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
-
-
-def _masks_to_bits(masks, width: int) -> np.ndarray:
-    """0/1 uint8 matrix whose row i holds bits 0..width-1 of masks[i]."""
-    nbytes = (width + 7) // 8
-    raw = b"".join(m.to_bytes(nbytes, "little") for m in masks)
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes)
-    return np.unpackbits(packed, axis=1, count=width, bitorder="little")
-
-
-def _bits_to_masks(bits: np.ndarray) -> list[int]:
-    """One int per row of a 0/1 matrix; the inverse of _masks_to_bits."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]

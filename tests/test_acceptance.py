@@ -15,6 +15,7 @@ from oracles import (
     euler_characteristic_homology,
     matrix_unit_count,
 )
+from unitgraphs.bits import VertexSet
 from unitgraphs.classify import classify_cm, classify_well_covered
 from unitgraphs.complexes import (
     independence_complex,
@@ -33,7 +34,6 @@ from unitgraphs.dsl import parse_ring_expr
 from unitgraphs.graphs import build_graph, graphs_equal
 from unitgraphs.indsets import enumerate_mis, is_maximal_independent, well_covered_bruteforce
 from unitgraphs.rings import (
-    VertexSet,
     build_ring,
     jacobson_radical,
     quotient_by_radical,

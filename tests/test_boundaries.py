@@ -1,0 +1,94 @@
+"""The oracle modules stay off ring structure, and no module imports
+another module's private name.
+
+The brute-force oracles (``indsets``, ``complexes``) must rest on graph
+facts alone, so that their agreement with the classifier is evidence.
+Read with ``ast``, every import of the package is checked:
+
+* ``indsets`` and ``complexes`` import from no module of the package but
+  ``graphs``, ``bits`` and each other;
+* ``graphs`` imports from ``bits`` anything, from ``rings`` only the
+  ``Ring`` type and from ``descriptors`` only ``CACHE_SIZE`` (the size
+  of ``build_graph``'s cache), and from no other module of the package;
+* no module imports a private name (one underscore) of another module.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "unitgraphs"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+ORACLES = {"indsets", "complexes"}
+ORACLE_SOURCES = {"graphs", "bits", *ORACLES}
+# per module the graph layer may import from, the names it may take (None:
+# any name)
+GRAPH_SOURCES = {"bits": None, "rings": {"Ring"}, "descriptors": {"CACHE_SIZE"}}
+
+
+def package_imports(source: str):
+    """(module, name) for every name imported from a module of the
+    package: ``from .x import a`` gives ("x", "a"), and ``from . import
+    x`` gives ("x", None)."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if node.module is None:
+                    yield alias.name, None
+                else:
+                    yield node.module.partition(".")[0], alias.name
+
+
+def violations(module: str, source: str) -> list[str]:
+    """The imports of module (given its source) that break a rule of the
+    module docstring, as "module: from x import name" (or "module:
+    import x" for ``from . import x``)."""
+    out = []
+    for origin, name in package_imports(source):
+        bad = name is not None and name.startswith("_") and not name.startswith("__")
+        if module in ORACLES:
+            bad |= origin not in ORACLE_SOURCES
+        elif module == "graphs":
+            allowed = GRAPH_SOURCES.get(origin, set())
+            bad |= allowed is not None and name not in allowed
+        if bad:
+            what = f"import {origin}" if name is None else f"from {origin} import {name}"
+            out.append(f"{module}: {what}")
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_keep_the_boundaries(path):
+    assert violations(path.stem, path.read_text()) == []
+
+
+def test_the_check_sees_planted_imports():
+    oracle = (
+        "from .graphs import Graph\nfrom .bits import mask_indices\n"
+        "from .complexes import link\nfrom .rings import VertexSet\n"
+        "from . import wedderburn\n"
+    )
+    assert violations("indsets", oracle) == [
+        "indsets: from rings import VertexSet",
+        "indsets: import wedderburn",
+    ]
+    graph = (
+        "from .bits import row_chunks\nfrom .rings import Ring, build_ring\n"
+        "from .descriptors import CACHE_SIZE, Zn\nfrom .classify import predict\n"
+    )
+    assert violations("graphs", graph) == [
+        "graphs: from rings import build_ring",
+        "graphs: from descriptors import Zn",
+        "graphs: from classify import predict",
+    ]
+    private = (
+        "from .constructions import _matrix_view, matrix_ring\n"
+        "from .bits import __all__\nfrom os import _exit\n"
+        "def f():\n    from .indsets import _twin_classes\n"
+    )
+    assert violations("cli", private) == [
+        "cli: from constructions import _matrix_view",
+        "cli: from indsets import _twin_classes",
+    ]

@@ -389,6 +389,13 @@ def test_construct_lift(capsys):
     assert payload["result"]["set"] == [1, 2]
 
 
+@pytest.mark.parametrize("index", ["3", "-1"])
+def test_construct_lift_rejects_an_index_outside_the_quotient(capsys, index):
+    code, out, err = run(capsys, "construct", "Z9", "lift", "--quotient-set", index)
+    assert code == EXIT_USAGE and out == ""
+    assert f"index {index} outside universe of size 3" in err
+
+
 def test_complex_command(capsys):
     payload = run_json(capsys, "complex", "Z4", "--pure", "--shellable", "--cm")
     result = payload["result"]

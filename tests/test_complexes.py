@@ -25,10 +25,11 @@ from unitgraphs.complexes import (
     reduced_homology_gf2,
 )
 from unitgraphs import cli, complexes
+from unitgraphs.bits import mask_indices
 from unitgraphs.classify import cross_validate, join_factors, join_verdicts
 from unitgraphs.dsl import parse_ring_expr
 from unitgraphs.graphs import Graph, build_graph, connected_components
-from unitgraphs.rings import build_ring, mask_indices
+from unitgraphs.rings import build_ring
 
 
 def _complex(expr):

@@ -15,11 +15,12 @@ from unitgraphs.constructions import (
     two_size_witnesses,
     zero_first_row_set,
 )
+from unitgraphs.bits import VertexSet
 from unitgraphs.descriptors import Product
 from unitgraphs.dsl import parse_ring_expr
 from unitgraphs.graphs import build_graph
 from unitgraphs.indsets import is_maximal_independent, well_covered_bruteforce
-from unitgraphs.rings import VertexSet, build_ring, jacobson_radical, quotient_by_radical
+from unitgraphs.rings import build_ring, jacobson_radical, quotient_by_radical
 
 
 def _ring(expr):

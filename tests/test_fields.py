@@ -9,9 +9,10 @@ from oracles import (
     smallest_irreducible_by_trial_division,
 )
 from unitgraphs import fields
+from unitgraphs.bits import HARD_ORDER_CAP
 from unitgraphs.descriptors import Gf, prime_power
 from unitgraphs.fields import smallest_irreducible
-from unitgraphs.rings import HARD_ORDER_CAP, build_ring
+from unitgraphs.rings import build_ring
 
 
 def _lex_smallest_by_oracle(p, k):

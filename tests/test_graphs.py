@@ -4,6 +4,7 @@ import random
 import pytest
 
 from unitgraphs import rings
+from unitgraphs.bits import HARD_ORDER_CAP
 from unitgraphs.descriptors import Gf, Mat, Zn
 from unitgraphs.dsl import parse_ring_expr
 from unitgraphs.graphs import (
@@ -17,7 +18,7 @@ from unitgraphs.graphs import (
     graph_to_json,
     graphs_equal,
 )
-from unitgraphs.rings import HARD_ORDER_CAP, build_ring, quotient_by_radical
+from unitgraphs.rings import build_ring, quotient_by_radical
 
 
 def _edges(expr, kind="unit"):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import CATALOG_EXPRS
 from oracles import all_mis_subsets
 from unitgraphs import classify, indsets
+from unitgraphs.bits import VertexSet, mask_indices
 from unitgraphs.classify import cross_validate, join_factors, join_verdicts
 from unitgraphs.complexes import SimplicialComplex
 from unitgraphs.descriptors import Zn
@@ -30,7 +31,7 @@ from unitgraphs.indsets import (
     verified_automorphisms,
     well_covered_bruteforce,
 )
-from unitgraphs.rings import VertexSet, build_ring, mask_indices, quotient_by_radical
+from unitgraphs.rings import build_ring, quotient_by_radical
 
 
 def _graph(expr):
@@ -270,7 +271,7 @@ def blown_up_graphs(draw):
 
 
 def _grouped_twin_classes(keys, vertices):
-    """_twin_classes by grouping in a dict: the representatives' mask and
+    """twin_classes by grouping in a dict: the representatives' mask and
     each class of two or more by its least member's bit."""
     groups = {}
     for v in vertices:
@@ -285,12 +286,12 @@ def test_twin_classes_match_a_grouping(g, rnd):
     full = (1 << g.n) - 1
     comp = [full ^ (row | 1 << v) for v, row in enumerate(g.rows)]
     for keys in (g.rows, comp):
-        assert indsets._twin_classes(keys, full, range(g.n)) == _grouped_twin_classes(keys, range(g.n))
+        assert indsets.twin_classes(keys, full, range(g.n)) == _grouped_twin_classes(keys, range(g.n))
     # on a subgraph, keyed by the rows inside it, as a search restricts them
     within = sum(1 << v for v in range(g.n) if rnd.random() < 0.7)
     vertices = mask_indices(within)
     keys = {v: g.rows[v] & within for v in vertices}
-    assert indsets._twin_classes(keys, within, vertices) == _grouped_twin_classes(keys, vertices)
+    assert indsets.twin_classes(keys, within, vertices) == _grouped_twin_classes(keys, vertices)
 
 
 def _family_masks(g, report):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import matrix_unit_count
 from unitgraphs import cli, rings
+from unitgraphs.bits import HARD_ORDER_CAP, VertexSet, mask_indices, shift_mask
 from unitgraphs.classify import classify_cm, cross_validate
 from unitgraphs.constructions import two_size_witnesses
 from unitgraphs.descriptors import (
@@ -16,19 +17,15 @@ from unitgraphs.descriptors import (
 )
 from unitgraphs.dsl import parse_ring_expr
 from unitgraphs.rings import (
-    HARD_ORDER_CAP,
     CapExceeded,
     RingError,
     UnsupportedStructure,
-    VertexSet,
     build_ring,
     is_boolean_ring,
     is_field,
     jacobson_radical,
-    mask_indices,
     quotient_by_radical,
     semisimple_images,
-    shift_mask,
 )
 from unitgraphs.wedderburn import semisimple_form, wedderburn_shape
 

@@ -24,12 +24,14 @@ component report of ``indsets.component_reports`` at a time, each
 search stopped at a second facet size (or, for the ``complex`` command,
 run to the whole family); the verdicts on the whole complex follow from the
 factors' by the join rule (``join_verdicts``), each distinct factor
-built and judged once, however often its component repeats.  A long
-verdict search
-first runs a greedy probe, which ends it if it finds two sizes; past
-that, every long search runs on one vertex neighbourhood per orbit of
-the graph's verified automorphisms and closes the sets it finds under
-them (see ``indsets``).  Every step reads only adjacency rows and facets, never
+built and judged once, however often its component repeats.  Only a cm,
+shellable or gorenstein verdict builds complexes: for well-coveredness
+alone the searches hold no sets (the orbit path counts by weights
+without closing the family), and a one-size component's factor is True.
+A long verdict search first runs a greedy probe, which ends it if it
+finds two sizes; past that, every long search runs on one vertex
+neighbourhood per orbit of the graph's verified automorphisms (see
+``indsets``).  Every step reads only adjacency rows and facets, never
 the ring.  The classifiers never fall back to the oracle, so agreement
 remains evidence.
 """
@@ -173,18 +175,16 @@ def cross_validate(
         except GraphError:  # over the graph cap: every verdict is skipped
             pass
         else:
-            factors = list(join_factors(graph, max_sets=max_sets, time_budget=time_budget))
+            collect = set(checks) != {"wc"}  # the other verdicts read the complexes
+            limits = {"max_sets": max_sets, "time_budget": time_budget, "collect": collect}
+            factors = list(join_factors(graph, **limits))
     report.observed = join_verdicts(
         factors, [CHECK_KEYS[c][1] for c in CHECK_KEYS if c in checks], facet_cap=facet_cap
     )
 
-    comparisons = []
-    for check in checks:
-        pred_key, obs_key = CHECK_KEYS[check]
-        obs = report.observed[obs_key]
-        if obs != SKIPPED:
-            comparisons.append(report.predicted[pred_key] == obs)
-    report.agreement = all(comparisons) if comparisons else None
+    pairs = [(report.predicted[p], report.observed[o]) for p, o in map(CHECK_KEYS.get, checks)]
+    decided = [pred == obs for pred, obs in pairs if obs != SKIPPED]
+    report.agreement = all(decided) if decided else None
     report.runtime_ms = int((time.monotonic() - start) * 1000)
     return report
 
@@ -196,20 +196,24 @@ def join_factors(graph, *, stop_mode="first_two_sizes", **limits):
     which decides every verdict on the join.  stop_mode="all" gives every
     complex whole, as the ``complex`` command needs; that command stops
     at the first Skipped, before the next search starts.  limits
-    (max_sets, time_budget) go to ``component_reports``.  A repeated
-    component comes with the same subgraph object, and yields the same
-    complex object."""
+    (max_sets, time_budget, collect) go to ``component_reports``; with
+    collect=False no sets are held and a component yields its
+    well-coveredness instead of its complex, which decides "well_covered"
+    and no other verdict.  A repeated component comes with the same
+    subgraph object, and yields the same complex object."""
     built: dict[Graph, SimplicialComplex] = {}
-    for part, found in component_reports(graph, stop_mode=stop_mode, **limits):
+    for _, sub, found in component_reports(graph, stop_mode=stop_mode, **limits):
         if found.truncated:
             reason = f"maximal independent set enumeration was truncated ({found.stop_reason})"
             yield Skipped(reason)
         elif found.stop_reason == "two_sizes":
             yield False
+        elif found.sets is None:
+            yield found.well_covered
         else:
-            if part not in built:
-                built[part] = SimplicialComplex(part.n, [s.mask for s in found.sets], graph=part)
-            yield built[part]
+            if sub not in built:
+                built[sub] = SimplicialComplex(sub.n, [s.mask for s in found.sets], graph=sub)
+            yield built[sub]
 
 
 def join_verdicts(factors, keys, *, facet_cap=DEFAULT_FACET_CAP):
@@ -240,6 +244,7 @@ def _join(factors, check):
     it inherits shellability.  False if any factor is False (not pure)
     or fails the check, else skipped if any is undecided (None) or hit a
     cap (the first cap hit or truncated factor, as a Skipped), else True.
+    A True factor (a one-size component whose sets were not held) passes.
     A factor object that recurs (a repeated component's complex) is
     judged once: its later places can change none of this."""
     if factors is None:
@@ -249,7 +254,7 @@ def _join(factors, check):
         if c is False:  # not pure: no check holds
             return False
         try:
-            v = c if isinstance(c, Skipped) else check(c)
+            v = c if c is True or isinstance(c, Skipped) else check(c)
         except BudgetExceeded as exc:
             v = Skipped(str(exc))
         if v is False:

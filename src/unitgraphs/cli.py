@@ -44,12 +44,7 @@ from .constructions import (
 from .descriptors import DescriptorError
 from .dsl import RingExprError, parse_ring_expr, print_ring_expr
 from .graphs import GraphError, build_graph, dot_blocks, json_blocks
-from .indsets import (
-    DEFAULT_MAX_SETS,
-    DEFAULT_TIME_BUDGET,
-    enumerate_mis,
-    well_covered_bruteforce,
-)
+from .indsets import DEFAULT_MAX_SETS, DEFAULT_TIME_BUDGET, enumerate_mis
 from .rings import (
     CapExceeded,
     UnsupportedStructure,
@@ -200,28 +195,18 @@ def _cmd_wellcovered(args) -> int:
     start = time.monotonic()
     descriptor = parse_ring_expr(args.ring)
     result: dict[str, object] = {}
-    truncated = False
     if args.method in ("classify", "both"):
         result["predicted"] = classify_well_covered(descriptor)
     if args.method in ("brute", "both"):
-        ring = build_ring(descriptor)
-        graph = build_graph(ring, "unit")
-        verdict = well_covered_bruteforce(
-            graph, max_sets=args.max_sets, time_budget=args.time_budget
+        report = cross_validate(
+            descriptor, ("wc",), max_sets=args.max_sets, time_budget=args.time_budget
         )
-        truncated = verdict is None
-        result["observed"] = "undecided" if verdict is None else verdict
-    if args.method == "both":
-        pred, obs = result["predicted"], result["observed"]
-        result["agreement"] = None if isinstance(obs, str) else pred == obs
-    _emit(
-        args,
-        print_ring_expr(descriptor),
-        "wellcovered",
-        result,
-        truncated=truncated,
-        start=start,
-    )
+        observed = report.observed["well_covered"]
+        result["observed"] = "undecided" if observed == SKIPPED else observed
+        if args.method == "both":
+            result["agreement"] = report.agreement
+    truncated = result.get("observed") == "undecided"
+    _emit(args, print_ring_expr(descriptor), "wellcovered", result, truncated, start)
     return EXIT_OK
 
 

@@ -86,7 +86,8 @@ class SimplicialComplex:
     def __init__(self, vertex_count: int, facet_masks, graph: Graph | None = None):
         masks = set(map(int, facet_masks))
         if masks and max(masks) >> vertex_count:
-            raise ComplexError("facet has vertices outside the complex")
+            top = max(masks).bit_length() - 1
+            raise ComplexError(f"facet has vertex {top} outside the complex")
         if graph is not None and graph.n != vertex_count:
             raise ComplexError("the graph and the complex have different vertex counts")
         if len(set(map(int.bit_count, masks))) > 1:
@@ -105,7 +106,11 @@ class SimplicialComplex:
 
     @classmethod
     def from_facets(cls, vertex_count: int, facets) -> "SimplicialComplex":
-        return cls(vertex_count, [indices_mask(map(int, f)) for f in facets])
+        facets = [[int(v) for v in f] for f in facets]
+        low = min(map(min, filter(None, facets)), default=0)
+        if low < 0:  # past vertex_count, the constructor names the vertex
+            raise ComplexError(f"facet has vertex {low} outside the complex")
+        return cls(vertex_count, map(indices_mask, facets))
 
     @property
     def dimension(self) -> int:

@@ -31,10 +31,13 @@ BITS_BLOCK entries and read them with numpy.
 A built graph also keeps ``candidates``: the ring's translations by its
 additive generators (``Ring.place_translations``), as permutations of
 the vertices that may be automorphisms.  Translations are automorphisms
-of every Cayley graph, and of the unit graph when 2a lies in J(R) for
-each generator a, which holds when R/J(R) has characteristic 2.  Nothing
-here relies on that: ``indsets`` keeps a candidate only after checking
-it against the rows.  Imported graphs and induced subgraphs have none.
+of every Cayley graph.  The translation by a maps an edge {x, y} of the
+unit graph to a pair with sum x + y + 2a, so it is an automorphism iff
+2a + U = U (iff 2a lies in J(R)), and a unit graph with 1 + 1 != 0 keeps
+only the translations with T[2a] == T[0]: all of them when R/J(R) has
+characteristic 2.  Nothing here relies on the candidates being
+automorphisms: ``indsets`` keeps one only after checking it against the
+rows.  Imported graphs and induced subgraphs have none.
 """
 
 from __future__ import annotations
@@ -142,15 +145,18 @@ def build_graph(ring: Ring, kind: str = "unit") -> Graph:
     if n > DEFAULT_GRAPH_CAP:
         raise GraphError(f"ring order {n} exceeds the graph cap {DEFAULT_GRAPH_CAP}")
     rows = ring.unit_translates
+    candidates = ring.place_translations
     if kind == "unit":
         two = ring.add(ring.one, ring.one)
         if two == ring.zero:
             return _renamed(build_graph(ring, "cayley"), kind)
+        # the translation by a, at index up, keeps the unit graph iff 2a + U = U
+        candidates = [t for t in candidates if rows[ring.add(t[0], t[0])] == rows[0]]
         rows = list(map(rows.__getitem__, ring.neg_many(np.arange(n)).tolist()))
         if ring.is_unit(two):
             for x in ring.unit_set.indices():
                 rows[x] ^= 1 << x
-    return Graph(n, kind, rows, ring_expr=ring.expr, candidates=ring.place_translations)
+    return Graph(n, kind, rows, ring_expr=ring.expr, candidates=candidates)
 
 
 def _renamed(g: Graph, kind: str) -> Graph:

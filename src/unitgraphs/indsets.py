@@ -31,16 +31,17 @@ quick False; each reads only rows.
   starts with all of them chosen.
 * Components.  ``component_reports`` is the one walk over the connected
   components, under one deadline, behind every brute-force verdict and
-  every count of a disconnected graph.  Each distinct component is searched once, by
-  ``enumerate_mis`` on its own subgraph: a component's relabelled rows
+  every count of a disconnected graph; it yields each component's part
+  mask, subgraph and report.  Each distinct component is searched once,
+  by ``enumerate_mis`` on its own subgraph: a component's relabelled rows
   determine its graph, so one whose rows equal an earlier one's reuses
   that report, and the 2048 components of the unit graph of Z2^12 cost
   one search of two vertices.  A count (stop_mode "all", not collected)
-  of a disconnected graph multiplies the components' size generating
-  functions and stops at max_sets as soon as the product reaches it: a
-  graph of 2048 components of two vertices passes 10^6 sets after 20 of
-  them.  An induced subgraph keeps no candidates, so a component's own
-  search never takes the orbit path.
+  of a disconnected graph walks the parts it found, multiplies the size
+  generating functions and stops at max_sets once the product reaches
+  it: 2048 components of two vertices pass 10^6 sets after 20 of them.
+  An induced subgraph keeps no candidates, so a component's own search
+  never takes the orbit path.
 * Orbits.  An automorphism of G maps maximal independent sets onto
   maximal independent sets of the same size.  A maximal independent set
   S meets N[u] for every vertex u (it holds u or a neighbour of u), so
@@ -76,17 +77,17 @@ Limits are explicit: a cap on sets, a wall-clock budget, and a stop
 mode.  ``first_two_sizes`` halts as soon as two distinct sizes have
 been seen; it is the one search per component of both
 ``well_covered_bruteforce`` and ``classify.join_factors`` (which keeps a
-one-size component's sets as its complex), and the only mode that takes
-the probe.  ``all`` lists or counts the whole family.  Every search
-first runs plain under a work allowance of one row read per candidate
-(at least one) and vertex, with at least VERIFY_MIN_ROWS per candidate,
-which is about what verifying the candidates costs.  Past it, a verdict
-search runs the probe, which ends it with two sizes if it finds them;
-then the candidates are verified, and the search switches to the orbit
-path if any is kept, or carries on.  The allowance is counted, not
-timed, and the probe's orders are seeded, so the path taken, the
-witnesses and the output are deterministic.  Hitting a cap is reported
-in-band, never silently.
+one-size component's sets as its complex for a complex verdict alone),
+and the only mode that takes the probe.  ``all`` lists or counts the
+whole family.  Every search first runs plain under a work allowance of
+one row read per candidate (at least one) and vertex, with at least
+VERIFY_MIN_ROWS per candidate, which is about what verifying the
+candidates costs.  Past it, a verdict search runs the probe, which ends
+it with two sizes if it finds them; then the candidates are verified,
+and the search switches to the orbit path if any is kept, or carries
+on.  The allowance is counted, not timed, and the probe's orders are
+seeded, so the path taken, the witnesses and the output are
+deterministic.  Hitting a cap is reported in-band, never silently.
 """
 
 from __future__ import annotations
@@ -654,7 +655,7 @@ def _report(n, sizes, count, reason, witnesses, **counters) -> MisReport:
 
 def _component_product(g: Graph, parts, max_sets: int, time_budget: float) -> MisReport:
     """The count of a disconnected graph's family, folded from the
-    reports of ``_component_walk``.  Its maximal independent sets are the
+    reports of ``component_reports``.  Its maximal independent sets are the
     unions of one set per component, so the generating function of their
     sizes is the product of the components'.  The fold stops as soon as
     the product reaches max_sets, or at a component truncated by the
@@ -673,7 +674,7 @@ def _component_product(g: Graph, parts, max_sets: int, time_budget: float) -> Mi
     split = None
     nodes = {}  # id of each distinct report -> its nodes
     limits = {"stop_mode": "all", "max_sets": max_sets, "collect": False}
-    for part, _, report in _component_walk(g, parts, time_budget, **limits):
+    for part, _, report in component_reports(g, parts, time_budget=time_budget, **limits):
         searched |= part
         nodes[id(report)] = report.nodes
         if split is None and report.witnesses:
@@ -711,24 +712,19 @@ def _component_product(g: Graph, parts, max_sets: int, time_budget: float) -> Mi
     )
 
 
-def component_reports(g: Graph, *, time_budget: float = DEFAULT_TIME_BUDGET, **limits):
-    """(induced subgraph, enumerate_mis report) for each connected
-    component, by least vertex, under one deadline: the one component
-    walk behind every brute-force verdict and every count of a
-    disconnected graph.  A search that meets the deadline, or would start
-    past it, is truncated (time_budget) and ends the walk, as does one
-    that met two sizes; a max_sets cap on one component does not.
+def component_reports(g: Graph, parts=None, *, time_budget: float = DEFAULT_TIME_BUDGET, **limits):
+    """(part mask, induced subgraph, enumerate_mis report) for each
+    connected component of g, by least vertex, under one deadline: the one
+    component walk behind every brute-force verdict and every count of a
+    disconnected graph.  parts are g's components when the caller has
+    them already.  A search that meets the deadline, or would start past
+    it, is truncated (time_budget) and ends the walk, as does one that met
+    two sizes; a max_sets cap on one component does not.
 
     A component whose relabelled rows equal an earlier one's is that
-    graph, so it yields the earlier pair, the same objects, without a
-    search, even past the deadline."""
-    for _, sub, report in _component_walk(g, connected_components(g), time_budget, **limits):
-        yield sub, report
-
-
-def _component_walk(g: Graph, parts, time_budget: float, **limits):
-    """``component_reports`` over parts, the components of g, each
-    yielded as (part mask, induced subgraph, report)."""
+    graph, so it yields the earlier subgraph and report, the same
+    objects, without a search, even past the deadline."""
+    parts = connected_components(g) if parts is None else parts
     deadline = time.monotonic() + time_budget
     searched: dict[tuple[int, ...] | None, tuple[Graph, MisReport]] = {}
     for part in parts:
@@ -762,7 +758,7 @@ def well_covered_bruteforce(
     reports = component_reports(
         g, stop_mode="first_two_sizes", max_sets=max_sets, time_budget=time_budget, collect=False
     )
-    for _, report in reports:
+    for _, _, report in reports:
         if report.well_covered is False:
             return False
         if report.truncated:

@@ -10,6 +10,9 @@ Read with ``ast``, every import of the package is checked:
 * ``graphs`` imports from ``bits`` anything, from ``rings`` only the
   ``Ring`` type and from ``descriptors`` only ``CACHE_SIZE`` (the size
   of ``build_graph``'s cache), and from no other module of the package;
+* ``cli`` imports from ``indsets`` only ``enumerate_mis`` and the two
+  default limits, so a brute-force verdict reaches the command line only
+  through ``classify.cross_validate``;
 * no module imports a private name (one underscore) of another module.
 """
 
@@ -26,6 +29,7 @@ ORACLE_SOURCES = {"graphs", "bits", *ORACLES}
 # per module the graph layer may import from, the names it may take (None:
 # any name)
 GRAPH_SOURCES = {"bits": None, "rings": {"Ring"}, "descriptors": {"CACHE_SIZE"}}
+CLI_FROM_INDSETS = {"enumerate_mis", "DEFAULT_MAX_SETS", "DEFAULT_TIME_BUDGET"}
 
 
 def package_imports(source: str):
@@ -53,6 +57,8 @@ def violations(module: str, source: str) -> list[str]:
         elif module == "graphs":
             allowed = GRAPH_SOURCES.get(origin, set())
             bad |= allowed is not None and name not in allowed
+        elif module == "cli":
+            bad |= origin == "indsets" and name not in CLI_FROM_INDSETS
         if bad:
             what = f"import {origin}" if name is None else f"from {origin} import {name}"
             out.append(f"{module}: {what}")
@@ -91,4 +97,12 @@ def test_the_check_sees_planted_imports():
     assert violations("cli", private) == [
         "cli: from constructions import _matrix_view",
         "cli: from indsets import _twin_classes",
+    ]
+    verdicts = (
+        "from .indsets import DEFAULT_MAX_SETS, enumerate_mis, well_covered_bruteforce\n"
+        "from .classify import cross_validate\nfrom . import indsets\n"
+    )
+    assert violations("cli", verdicts) == [
+        "cli: from indsets import well_covered_bruteforce",
+        "cli: import indsets",
     ]

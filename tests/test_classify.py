@@ -2,14 +2,19 @@ import time
 
 import pytest
 
+from conftest import CATALOG_EXPRS
 from oracles import build_plain_graph
 from unitgraphs import classify, indsets, rings
 from unitgraphs.classify import (
+    CHECK_KEYS,
     SKIPPED,
     classify_cm,
     classify_well_covered,
     cross_validate,
+    join_factors,
+    join_verdicts,
 )
+from unitgraphs.complexes import SimplicialComplex
 from unitgraphs.descriptors import (
     CapExceeded,
     Cn,
@@ -228,6 +233,40 @@ def test_cross_validate_stops_each_search_at_its_second_size(monkeypatch, expr):
     last = runs[-1][1]
     assert last.stop_reason == "two_sizes" and len(last.sizes_seen) == 2
     assert last.sizes_seen[len(last.witnesses[1])] == 1
+
+
+WC_ONLY_RINGS = [*CATALOG_EXPRS, "GF(4096)", "M2(GF(7))", "M2(GF(8))", "Z2 x Z2 x Z3 x Z3"]
+
+
+def test_wc_only_cross_validation_builds_no_complex(monkeypatch):
+    built = []
+    real = SimplicialComplex.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimplicialComplex, "__init__", counting)
+    # M2(GF(2)) has 24 maximal independent sets: max_sets 5 truncates it
+    cases = [(expr, {}) for expr in WC_ONLY_RINGS] + [("M2(GF(2))", {"max_sets": 5})]
+    seen = set()
+    for expr, limits in cases:
+        descriptor = parse_ring_expr(expr)
+        observed = cross_validate(descriptor, ("wc",), **limits).observed["well_covered"]
+        want = well_covered_bruteforce(build_graph(build_ring(descriptor)), **limits)
+        assert observed == (SKIPPED if want is None else want), expr
+        seen.add(observed)
+    assert seen == {True, False, SKIPPED}
+    assert built == []
+    # the complex verdicts still get the complexes, and their verdicts
+    # are those of the join of the whole collected complexes
+    keys = [CHECK_KEYS[c][1] for c in ALL_CHECKS]
+    for expr in WC_ONLY_RINGS:
+        descriptor = parse_ring_expr(expr)
+        observed = cross_validate(descriptor, ALL_CHECKS).observed
+        factors = list(join_factors(build_graph(build_ring(descriptor))))
+        assert observed == join_verdicts(factors, keys), expr
+    assert built
 
 
 def test_cm_false_decides_gorenstein_and_shellable():

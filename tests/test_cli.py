@@ -510,8 +510,10 @@ def test_complex_names_the_cap_that_fired(monkeypatch, tmp_path, capsys):
 @pytest.mark.parametrize("argv", [["wellcovered", "M2(GF(8))"], ["mis", "M2(GF(8))", "--count"]])
 def test_enumeration_commands_spend_their_time_budget(monkeypatch, capsys, argv):
     # M2(GF(8)) without its candidate automorphisms: one component of 4096
-    # vertices whose plain search outlasts 2 s
+    # vertices whose plain search outlasts 2 s; wellcovered builds its graph
+    # in cross_validate
     monkeypatch.setattr(cli, "build_graph", build_plain_graph)
+    monkeypatch.setattr(classify, "build_graph", build_plain_graph)
     start = time.monotonic()
     payload = run_json(capsys, *argv, "--time-budget", "2")
     assert time.monotonic() - start <= 2 + 1.5

@@ -57,6 +57,12 @@ def test_facets_are_maximal_and_sorted():
     assert c.dimension == 1
 
 
+@pytest.mark.parametrize("facets, vertex", [([[-1, 0]], -1), ([[0, 3]], 3), ([[1], [2, -5]], -5)])
+def test_a_vertex_outside_the_complex_is_named(facets, vertex):
+    with pytest.raises(ComplexError, match=f"facet has vertex {vertex} outside the complex"):
+        _from_facets(3, facets)
+
+
 def test_is_pure():
     assert is_pure(_complex("Z2 x Z2"))
     assert not is_pure(_from_facets(3, [[0], [1, 2]]))

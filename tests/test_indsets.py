@@ -415,19 +415,26 @@ VERDICT_KEYS = ["well_covered", "cm_gf2", "shellable", "gorenstein_gf2"]
 @given(repeated_unions())
 def test_repeated_components_reuse_their_search(g):
     nx = pytest.importorskip("networkx")
-    subs = [induced_subgraph(g, part) for part in connected_components(g)]
+    parts = connected_components(g)
+    subs = [induced_subgraph(g, part) for part in parts]
     # every component searched on its own, as if none repeated: the walk
-    # yields the same subgraphs and reports, up to the first of two sizes
+    # yields the same parts, subgraphs and reports, up to the first of two
+    # sizes, whether it finds the parts or is given them
     for stop_mode in ("first_two_sizes", "all"):
         for collect in (False, True):
             fresh = [enumerate_mis(sub, stop_mode=stop_mode, collect=collect) for sub in subs]
             walked = list(component_reports(g, stop_mode=stop_mode, collect=collect))
+            given = list(component_reports(g, parts, stop_mode=stop_mode, collect=collect))
             ends = [i for i, r in enumerate(fresh) if r.stop_reason == "two_sizes"]
             assert len(walked) == (ends[0] + 1 if ends else len(subs))
-            assert [sub.rows for sub, _ in walked] == [sub.rows for sub in subs[: len(walked)]]
-            assert [report for _, report in walked] == fresh[: len(walked)]
+            assert [part for part, _, _ in walked] == parts[: len(walked)]
+            assert [sub.rows for _, sub, _ in walked] == [sub.rows for sub in subs[: len(walked)]]
+            assert [report for _, _, report in walked] == fresh[: len(walked)]
+            assert [(part, sub.rows, report) for part, sub, report in given] == [
+                (part, sub.rows, report) for part, sub, report in walked
+            ]
             # a repeated component yields the first one's objects
-            for (sub, report), (other, again) in itertools.combinations(walked, 2):
+            for (_, sub, report), (_, other, again) in itertools.combinations(walked, 2):
                 assert (sub is other) == (report is again) == (sub.rows == other.rows)
     want = _networkx_sizes(nx, g)
     assert well_covered_bruteforce(g) is (len(want) == 1)
@@ -444,6 +451,10 @@ def test_repeated_components_reuse_their_search(g):
     verdicts = join_verdicts(list(join_factors(g)), VERDICT_KEYS)
     assert verdicts == join_verdicts(factors, VERDICT_KEYS)
     assert verdicts["well_covered"] is (len(want) == 1)
+    # without the sets, a one-size component's factor is True
+    counted = list(join_factors(g, collect=False))
+    assert all(c is True or c is False for c in counted)
+    assert join_verdicts(counted, ["well_covered"]) == {"well_covered": len(want) == 1}
 
 
 def test_random_cayley_graphs_match_networkx():
@@ -491,7 +502,7 @@ def test_counts_of_disconnected_graphs_stop_at_max_sets_by_the_product(expr):
     # every size described is the size of a maximal independent set: a
     # sum of one size per component
     reachable = {0}
-    for _, part in component_reports(g, collect=False):
+    for _, _, part in component_reports(g, collect=False):
         reachable = {a + b for a in reachable for b in part.sizes_seen}
     assert set(report.sizes_seen) <= reachable
 
@@ -733,8 +744,12 @@ def test_closure_is_the_whole_family(expr):
 
 def test_a_candidate_that_is_no_automorphism_is_rejected():
     # odd characteristic: 2a is a unit for every generator a, so no
-    # translation maps the unit graph onto itself
-    g = _graph("M2(GF(3))")
+    # translation maps the unit graph onto itself (build_graph drops them
+    # all; here they are put back, to be rejected on the rows)
+    ring = build_ring(parse_ring_expr("M2(GF(3))"))
+    built = build_graph(ring)
+    assert built.candidates == ()
+    g = Graph(built.n, "unit", built.rows, candidates=ring.place_translations)
     assert len(g.candidates) == 4 and verified_automorphisms(g) == ()
     report = enumerate_mis(g, stop_mode="first_two_sizes")
     assert report.orbits is None and report.well_covered is False
@@ -749,6 +764,24 @@ def test_a_candidate_that_is_no_automorphism_is_rejected():
     cycle = Graph(4, "imported", [0b1010, 0b101, 0b1010, 0b101],
                   candidates=[(1, 0, 0), (1, 0b1000, 3)])
     assert verified_automorphisms(cycle) == ((1, 0b1000, 3),)
+
+
+HINT_RINGS = [
+    *CATALOG_EXPRS,
+    "Z4096", "Z9 x M2(Z4)", "M2(GF(7))", "M2(GF(5))", "GA(GF(3), C7)",
+    "Z5 x Z4", "M2(Z3) x Z4", "Z2 x Z2 x Z7 x Z7", "M2(Z2) x Z9", "Z6 x Z9",
+]
+
+
+@pytest.mark.parametrize("expr", HINT_RINGS)
+def test_unit_graph_candidates_are_its_verified_translations(expr):
+    # build_graph keeps a translation by a on the unit graph iff 2a + U = U;
+    # the rows reject every translation it drops and keep every one it keeps
+    ring = build_ring(parse_ring_expr(expr))
+    built = build_graph(ring, "unit")
+    every = Graph(built.n, "unit", built.rows, candidates=ring.place_translations)
+    assert verified_automorphisms(every) == built.candidates
+    assert build_graph(ring, "cayley").candidates == ring.place_translations
 
 
 def test_verification_waits_for_the_allowance(monkeypatch):

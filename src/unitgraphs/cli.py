@@ -300,7 +300,8 @@ def _cmd_complex(args) -> int:
     start = time.monotonic()
     if args.facets_file:
         with open(args.facets_file, "rb") as fh:
-            factors = [complex_from_json(fh.read())]
+            c = complex_from_json(fh.read())
+        factors, facets, dimension = [c], len(c.facets), c.dimension
         ring_expr = None
     else:
         if not args.ring:
@@ -314,12 +315,11 @@ def _cmd_complex(args) -> int:
             if isinstance(c, Skipped):  # a truncated search: no later one can help
                 raise BudgetExceeded(f"{c.reason}; cannot build the full complex")
             factors.append(c)
+        # the complex is the join of the components' complexes
+        facets = math.prod(c.report.count for c in factors)
+        dimension = sum(c.report.independence_number for c in factors) - 1
         ring_expr = print_ring_expr(descriptor)
-    # the complex is the join of the factors
-    result: dict[str, object] = {
-        "facets": math.prod(len(c.facets) for c in factors),
-        "dimension": sum(c.dimension + 1 for c in factors) - 1,
-    }
+    result: dict[str, object] = {"facets": facets, "dimension": dimension}
     flags = {"pure": args.pure, "shellable": args.shellable,
              "cm_gf2": args.cm, "gorenstein_gf2": args.gorenstein}
     wanted = [key for key, on in flags.items() if on]

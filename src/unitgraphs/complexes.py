@@ -13,28 +13,27 @@ module decides, at desk scale:
 * the Gorenstein property over GF(2), via the same vanishing on the
   core plus one-dimensional top homology of every core link.
 
-Both criteria first reject, from the facets alone, a complex that is not
-pure, or that has dimension at least 1 and is disconnected: both violate
-Reisner's criterion.  Then the path depends on where the complex came
-from:
+Both criteria first reject a complex that is not pure, or that has
+dimension at least 1 and is disconnected: both violate Reisner's
+criterion.  Then the path depends on where the complex came from:
 
-* A complex built from a graph (``independence_complex``, or a factor of
-  ``classify.join_factors``) keeps that graph in its ``graph`` slot, and
-  the criterion recurses over vertex masks of the graph, never listing
-  the faces of the whole complex.  The link of a face sigma of Ind(G) is
-  Ind(G - N[sigma]) (Woodroofe, Proc. AMS 137, 2009), so every link is
-  named by a vertex mask.  A mask is split into the components of the
+* Ind(G) is judged on G (``ind_reisner``), given its dimension, with no
+  facet listed: by ``classify.join_verdicts``, or through the ``graph``
+  slot of ``independence_complex``.  The complement of G is its
+  1-skeleton, so connectivity is read off G's rows, and the criterion
+  recurses over vertex masks of G.  The link of a face sigma of Ind(G)
+  is Ind(G - N[sigma]) (Woodroofe, Proc. AMS 137, 2009), so every link
+  is named by a vertex mask.  A mask is split into the components of the
   subgraph it induces (Ind of a disjoint union is the join of the parts'
   complexes, and a join passes iff every part does); a component passes
   iff its vertex links all pass with one dimension and its own reduced
   homology vanishes below its dimension.  False twins (equal rows in the
   component) have isomorphic links, so one link per twin class is
-  judged.  That homology is computed on
-  the fold: if N(u) is a subset of N(v) for u != v, then Ind(G) and
-  Ind(G - v) are homotopy equivalent (Engström, Europ. J. Combin. 29,
-  2008).  Folding keeps homology but not Cohen-Macaulayness, so the
-  links recurse on the unfolded graph.  The recursion reads only
-  adjacency rows.
+  judged.  That homology is computed on the fold: if N(u) is a subset of
+  N(v) for u != v, then Ind(G) and Ind(G - v) are homotopy equivalent
+  (Engström, Europ. J. Combin. 29, 2008).  Folding keeps homology but
+  not Cohen-Macaulayness, so the links recurse on the unfolded graph.
+  The recursion reads only adjacency rows.
 * A complex given by its facets alone (a facet file) takes one walk over
   its faces that computes each distinct link's homology once.  It is
   also the reference the graph recursion is tested against.
@@ -44,8 +43,7 @@ rows of the boundary matrices: the row of a face has bit i set for the
 i-th face one size down, and ranks come from an XOR basis keyed by
 leading bit.  Each complex also keeps, per vertex, the bitset of the
 facets containing it; the maximality filter, links and the
-connectivity test of a complex of many facets AND and OR those bitsets
-instead of scanning facets, while few facets are met pairwise.
+connectivity test AND and OR those bitsets instead of scanning facets.
 The homology convention for the reduced chain complex is the usual one:
 the complex {[]} whose only face is empty has homology rank 1 in
 dimension -1; any complex with a vertex has rank 0 there.
@@ -384,21 +382,39 @@ def is_gorenstein_gf2(c: SimplicialComplex) -> bool:
 
 def _reisner(c: SimplicialComplex, cone: int, top_ok) -> bool:
     """Reisner's criterion, with the top rank accepted by top_ok, on c
-    with the vertices of cone (a set in every facet) deleted.
-
-    Two failures are read off the facets first: a complex whose links
-    all pass is pure, and the link of the empty face, the complex
-    itself, has H~_0 of rank (components - 1), which must vanish when
-    the dimension is at least 1.  Then a complex with a graph recurses
-    on it, and one without walks its faces."""
-    core = c
-    if cone:
-        core = SimplicialComplex(c.vertex_count, [f & ~cone for f in c.facets])
-    if not is_pure(core) or (core.dimension >= 1 and not _connected(core)):
+    with the vertices of cone (a set in every facet) deleted.  A complex
+    whose links all pass is pure; one with a graph is judged on it, and
+    one without must be connected at dimension 1 or more (its own H~_0
+    vanishes) and then walks its faces."""
+    if not is_pure(c):
         return False
-    if c.graph is None:
-        return _every_link(core, top_ok)
-    return _graph_reisner(c.graph.rows, ((1 << c.vertex_count) - 1) & ~cone, top_ok)
+    dimension = c.dimension - cone.bit_count()
+    if c.graph is not None:
+        return ind_reisner(c.graph.rows, ((1 << c.vertex_count) - 1) & ~cone, dimension, top_ok)
+    core = SimplicialComplex(c.vertex_count, [f & ~cone for f in c.facets]) if cone else c
+    return (dimension < 1 or _connected(core)) and _every_link(core, top_ok)
+
+
+def ind_reisner(rows, mask: int, dimension: int, top_ok) -> bool:
+    """Reisner's criterion, with the top rank accepted by top_ok, on
+    Ind(G[mask]), pure of this dimension, from G's adjacency rows.  Its
+    1-skeleton, the complement of G[mask], must be connected at dimension
+    1 or more; then the vertex-link recursion decides."""
+    connected = dimension < 1 or _complement_connected(rows, mask)
+    return connected and _graph_reisner(rows, mask, top_ok)
+
+
+def _complement_connected(rows, mask: int) -> bool:
+    """The complement of G[mask] is connected: a vertex joins the component
+    of the least one when a vertex reached last is not adjacent to it."""
+    new = mask & -mask
+    left = mask ^ new
+    while new and left:
+        common = left
+        for v in mask_indices(new):
+            common &= rows[v]
+        new, left = left ^ common, common
+    return not left
 
 
 def _every_link(c: SimplicialComplex, top_ok) -> bool:
@@ -417,35 +433,9 @@ def _every_link(c: SimplicialComplex, top_ok) -> bool:
     return True
 
 
-# Facets up to which _connected meets them pairwise; above it, a search
-# over the incidence bounds the work.  Measured on a 2-core x86-64 Xeon,
-# CPython 3.11, NumPy 2.4, at 64 facets on 256-4096 vertices: random
-# facets 0.006-0.009 ms pairwise against 0.1-3.0 ms by incidence, and a
-# path of facets in the worst order, one facet joined per pass, 0.18-0.58
-# ms against 0.42-4.6 ms; at 128 the worst order takes 0.66 ms against
-# 0.58 ms on 256 vertices.  The two facets of Ind(K_{1024,1024}), the
-# unit graph of Z2048: 0.0005 ms against 0.67 ms.
-_PAIRWISE_FACETS = 64
-
-
 def _connected(c: SimplicialComplex) -> bool:
-    """The facets form one component.  Few facets are met pairwise: each
-    pass joins every facet that meets the union of those joined so far,
-    the union growing as it goes.  More are searched from facets[0],
-    reading the incidence of each vertex once."""
-    if len(c.facets) <= _PAIRWISE_FACETS:
-        reached, left = c.facets[0], c.facets[1:]
-        while left:
-            rest = []
-            for f in left:
-                if f & reached:
-                    reached |= f
-                else:
-                    rest.append(f)
-            if len(rest) == len(left):
-                return False
-            left = rest
-        return True
+    """The facets form one component: a search from facets[0] that reads
+    the incidence of each vertex once."""
     reached = 1
     seen = 0
     todo = c.facets[0]

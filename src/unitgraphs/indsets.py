@@ -32,12 +32,13 @@ quick False; each reads only rows.
 * Components.  ``component_reports`` is the one walk over the connected
   components, under one deadline, behind every brute-force verdict and
   every count of a disconnected graph; it yields each component's part
-  mask, subgraph and report.  Each distinct component is searched once,
-  by ``enumerate_mis`` on its own subgraph: a component's relabelled rows
+  mask, subgraph and report, which holds no sets: the verdicts on Ind(G)
+  read only these.  Each distinct component is searched once, by
+  ``enumerate_mis`` on its own subgraph: a component's relabelled rows
   determine its graph, so one whose rows equal an earlier one's reuses
   that report, and the 2048 components of the unit graph of Z2^12 cost
-  one search of two vertices.  A count (stop_mode "all", not collected)
-  of a disconnected graph walks the parts it found, multiplies the size
+  one search of two vertices.  A count (stop_mode "all") of a
+  disconnected graph walks the parts it found, multiplies the size
   generating functions and stops at max_sets once the product reaches
   it: 2048 components of two vertices pass 10^6 sets after 20 of them.
   An induced subgraph keeps no candidates, so a component's own search
@@ -76,9 +77,8 @@ quick False; each reads only rows.
 Limits are explicit: a cap on sets, a wall-clock budget, and a stop
 mode.  ``first_two_sizes`` halts as soon as two distinct sizes have
 been seen; it is the one search per component of both
-``well_covered_bruteforce`` and ``classify.join_factors`` (which keeps a
-one-size component's sets as its complex for a complex verdict alone),
-and the only mode that takes the probe.  ``all`` lists or counts the
+``well_covered_bruteforce`` and ``classify.join_factors``, and the only
+mode that takes the probe.  ``all`` lists or counts the
 whole family.  Every search first runs plain under a work allowance of
 one row read per candidate (at least one) and vertex, with at least
 VERIFY_MIN_ROWS per candidate, which is about what verifying the
@@ -673,7 +673,7 @@ def _component_product(g: Graph, parts, max_sets: int, time_budget: float) -> Mi
     searched = 0
     split = None
     nodes = {}  # id of each distinct report -> its nodes
-    limits = {"stop_mode": "all", "max_sets": max_sets, "collect": False}
+    limits = {"stop_mode": "all", "max_sets": max_sets}
     for part, _, report in component_reports(g, parts, time_budget=time_budget, **limits):
         searched |= part
         nodes[id(report)] = report.nodes
@@ -713,11 +713,11 @@ def _component_product(g: Graph, parts, max_sets: int, time_budget: float) -> Mi
 
 
 def component_reports(g: Graph, parts=None, *, time_budget: float = DEFAULT_TIME_BUDGET, **limits):
-    """(part mask, induced subgraph, enumerate_mis report) for each
-    connected component of g, by least vertex, under one deadline: the one
-    component walk behind every brute-force verdict and every count of a
-    disconnected graph.  parts are g's components when the caller has
-    them already.  A search that meets the deadline, or would start past
+    """(part mask, induced subgraph, enumerate_mis report, holding no
+    sets) for each connected component of g, by least vertex, under one
+    deadline: the one component walk behind every brute-force verdict and
+    every count of a disconnected graph.  parts are g's components when
+    the caller has them already.  A search that meets the deadline, or would start past
     it, is truncated (time_budget) and ends the walk, as does one that met
     two sizes; a max_sets cap on one component does not.
 
@@ -733,7 +733,9 @@ def component_reports(g: Graph, parts=None, *, time_budget: float = DEFAULT_TIME
         key = sub.rows if len(parts) > 1 else None
         pair = searched.get(key)
         if pair is None:
-            report = enumerate_mis(sub, time_budget=deadline - time.monotonic(), **limits)
+            report = enumerate_mis(
+                sub, time_budget=deadline - time.monotonic(), collect=False, **limits
+            )
             pair = searched[key] = sub, report
         yield part, *pair
         if pair[1].stop_reason in ("two_sizes", "time_budget"):
@@ -755,10 +757,8 @@ def well_covered_bruteforce(
     another one decides False.
     """
     verdict: bool | None = True
-    reports = component_reports(
-        g, stop_mode="first_two_sizes", max_sets=max_sets, time_budget=time_budget, collect=False
-    )
-    for _, _, report in reports:
+    limits = {"stop_mode": "first_two_sizes", "max_sets": max_sets, "time_budget": time_budget}
+    for _, _, report in component_reports(g, **limits):
         if report.well_covered is False:
             return False
         if report.truncated:

@@ -13,6 +13,9 @@ Read with ``ast``, every import of the package is checked:
 * ``cli`` imports from ``indsets`` only ``enumerate_mis`` and the two
   default limits, so a brute-force verdict reaches the command line only
   through ``classify.cross_validate``;
+* ``classify`` does not import ``SimplicialComplex``: its verdicts on
+  Ind(G) are read off each component's subgraph and report, and build no
+  complex;
 * no module imports a private name (one underscore) of another module.
 """
 
@@ -59,6 +62,8 @@ def violations(module: str, source: str) -> list[str]:
             bad |= allowed is not None and name not in allowed
         elif module == "cli":
             bad |= origin == "indsets" and name not in CLI_FROM_INDSETS
+        elif module == "classify":
+            bad |= origin == "complexes" and name == "SimplicialComplex"
         if bad:
             what = f"import {origin}" if name is None else f"from {origin} import {name}"
             out.append(f"{module}: {what}")
@@ -106,3 +111,8 @@ def test_the_check_sees_planted_imports():
         "cli: from indsets import well_covered_bruteforce",
         "cli: import indsets",
     ]
+    judged = (
+        "from .complexes import SimplicialComplex, ind_reisner, is_shellable\n"
+        "from .graphs import Graph\n"
+    )
+    assert violations("classify", judged) == ["classify: from complexes import SimplicialComplex"]

@@ -4,15 +4,13 @@ import pytest
 
 from conftest import CATALOG_EXPRS
 from oracles import build_plain_graph
-from unitgraphs import classify, indsets, rings
+from unitgraphs import classify, cli, complexes, indsets, rings
 from unitgraphs.classify import (
     CHECK_KEYS,
     SKIPPED,
     classify_cm,
     classify_well_covered,
     cross_validate,
-    join_factors,
-    join_verdicts,
 )
 from unitgraphs.complexes import SimplicialComplex
 from unitgraphs.descriptors import (
@@ -238,15 +236,28 @@ def test_cross_validate_stops_each_search_at_its_second_size(monkeypatch, expr):
 WC_ONLY_RINGS = [*CATALOG_EXPRS, "GF(4096)", "M2(GF(7))", "M2(GF(8))", "Z2 x Z2 x Z3 x Z3"]
 
 
-def test_wc_only_cross_validation_builds_no_complex(monkeypatch):
-    built = []
-    real = SimplicialComplex.__init__
+# every verdict on these is read off the components' subgraphs and reports
+NO_LISTING_RINGS = [*CATALOG_EXPRS, "GF(4096)", "M2(GF(8))", "Z2 x Z2 x Z3 x Z3"]
+
+
+def test_wc_only_cross_validation_builds_no_complex(monkeypatch, capsys):
+    # nor does any other verdict, or the complex command: no complex is
+    # built and no family of maximal independent sets is listed
+    built, listed = [], []
+    real_init, real_enumerate = SimplicialComplex.__init__, indsets.enumerate_mis
 
     def counting(self, *args, **kwargs):
         built.append(self)
-        real(self, *args, **kwargs)
+        real_init(self, *args, **kwargs)
+
+    def spying(g, **kwargs):
+        if kwargs.get("collect", True):
+            listed.append(g.n)
+        return real_enumerate(g, **kwargs)
 
     monkeypatch.setattr(SimplicialComplex, "__init__", counting)
+    monkeypatch.setattr(indsets, "enumerate_mis", spying)
+    monkeypatch.setattr(complexes, "enumerate_mis", spying)
     # M2(GF(2)) has 24 maximal independent sets: max_sets 5 truncates it
     cases = [(expr, {}) for expr in WC_ONLY_RINGS] + [("M2(GF(2))", {"max_sets": 5})]
     seen = set()
@@ -257,16 +268,15 @@ def test_wc_only_cross_validation_builds_no_complex(monkeypatch):
         assert observed == (SKIPPED if want is None else want), expr
         seen.add(observed)
     assert seen == {True, False, SKIPPED}
-    assert built == []
-    # the complex verdicts still get the complexes, and their verdicts
-    # are those of the join of the whole collected complexes
-    keys = [CHECK_KEYS[c][1] for c in ALL_CHECKS]
-    for expr in WC_ONLY_RINGS:
-        descriptor = parse_ring_expr(expr)
-        observed = cross_validate(descriptor, ALL_CHECKS).observed
-        factors = list(join_factors(build_graph(build_ring(descriptor))))
-        assert observed == join_verdicts(factors, keys), expr
-    assert built
+    # the complex verdicts neither build a complex nor list a family:
+    # no component of these is pure, CM and of dimension 1 or more, the
+    # one kind whose shellability search lists its facets
+    for expr in NO_LISTING_RINGS:
+        report = cross_validate(parse_ring_expr(expr), ALL_CHECKS)
+        assert report.agreement is True and SKIPPED not in report.observed.values(), expr
+        assert cli.main(["complex", expr, "--pure", "--cm", "--gorenstein"]) == 0, expr
+    capsys.readouterr()
+    assert built == [] and listed == []
 
 
 def test_cm_false_decides_gorenstein_and_shellable():

@@ -498,10 +498,11 @@ def test_complex_names_the_cap_that_fired(monkeypatch, tmp_path, capsys):
     assert code == EXIT_CAP and out == ""
     assert err.strip() == "cm_gf2: complex has more than 200000 faces"
 
-    def over_the_link_cap(c):
+    def over_the_link_cap(*args):
         raise cli.BudgetExceeded("Reisner's criterion visited more than 7 distinct links")
 
-    monkeypatch.setattr(classify, "is_gorenstein_gf2", over_the_link_cap)
+    # a ring's complex is judged on its graph
+    monkeypatch.setattr(classify, "ind_reisner", over_the_link_cap)
     code, out, err = run(capsys, "complex", "Z4", "--gorenstein")
     assert code == EXIT_CAP
     assert err.strip() == "gorenstein_gf2: Reisner's criterion visited more than 7 distinct links"

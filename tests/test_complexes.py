@@ -5,8 +5,10 @@ from collections import Counter
 
 import pytest
 
+from conftest import CATALOG_EXPRS
 from oracles import euler_characteristic_faces, euler_characteristic_homology
 from unitgraphs.complexes import (
+    DEFAULT_FACET_CAP,
     BudgetExceeded,
     ComplexError,
     SimplicialComplex,
@@ -24,11 +26,12 @@ from unitgraphs.complexes import (
     link,
     reduced_homology_gf2,
 )
-from unitgraphs import cli, complexes
+from unitgraphs import cli, complexes, indsets
 from unitgraphs.bits import mask_indices
-from unitgraphs.classify import cross_validate, join_factors, join_verdicts
+from unitgraphs.classify import Component, cross_validate, join_factors, join_verdicts
 from unitgraphs.dsl import parse_ring_expr
 from unitgraphs.graphs import Graph, build_graph, connected_components
+from unitgraphs.indsets import enumerate_mis
 from unitgraphs.rings import build_ring
 
 
@@ -492,6 +495,100 @@ def test_graph_recursion_matches_the_face_walk_on_random_graphs(monkeypatch):
     assert all(shapes[k] >= 20 for k in
                ["isolated", "disconnected", "not pure", "cm", "gorenstein"]), shapes
     assert shapes["decided past the pre-checks"] >= 10, shapes
+
+
+# the unit graphs of the benchmark's oracle workload
+ORACLE_EXPRS = [
+    "Z1024", "Z2048", "M2(Z4)", "M2(GF(3))", "M2(GF(4))", "GA(GF(2), Q8)", "Z8 x Z8",
+    "GF(8) x GF(8)", "GA(GF(3), C4)", "GA(GF(2), C6)", "GA(GF(3), C2)",
+    " x ".join(["Z2"] * 6), " x ".join(["Z2"] * 5),
+]
+VERDICT_KEYS = ["well_covered", "cm_gf2", "shellable", "gorenstein_gf2"]
+
+
+def _face_walk_verdicts(g, facets):
+    """The verdicts on the whole complex Ind(g), given by its facets with
+    no graph, so the CM and Gorenstein tests walk its faces; a verdict the
+    walk does not decide (a cap hit) is left out."""
+    whole = SimplicialComplex(g.n, facets)
+    oracles = {"well_covered": is_pure, "cm_gf2": is_cm_gf2,
+               "shellable": is_shellable, "gorenstein_gf2": is_gorenstein_gf2}
+    verdicts = {}
+    for key, oracle in oracles.items():
+        try:
+            verdict = oracle(whole)
+        except BudgetExceeded:
+            continue
+        if verdict is not None:
+            verdicts[key] = verdict
+    return whole, verdicts
+
+
+def test_join_verdicts_on_graphs_match_the_whole_complex_face_walk(monkeypatch):
+    # Every verdict is read off the components' subgraphs and reports;
+    # wherever the face walk over the whole listed complex decides, the
+    # two agree.  A family is listed only for a shelling search, of a
+    # pure CM component of at most facet_cap facets.
+    monkeypatch.setattr(complexes, "DEFAULT_FACE_CAP", 10**4)
+    built, listed = [], []
+    real_init, real_enumerate = SimplicialComplex.__init__, complexes.enumerate_mis
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    def spying(g, **kwargs):
+        if kwargs.get("collect", True):
+            listed.append(g)
+        return real_enumerate(g, **kwargs)
+
+    rng = random.Random(29)
+    graphs = [(f"random {case}", _agreement_graph(rng, case)) for case in range(400)]
+    graphs += [(expr, build_graph(build_ring(parse_ring_expr(expr))))
+               for expr in [*CATALOG_EXPRS, *ORACLE_EXPRS]]
+    # Ind of the complement of the n-cycle is the n-cycle, a circle: pure,
+    # CM and shellable, with n facets, over the facet cap from n = 13 on
+    for n in range(4, 16):
+        full = (1 << n) - 1
+        rows = [full ^ (1 << v | 1 << (v + 1) % n | 1 << (v - 1) % n) for v in range(n)]
+        graphs.append((f"complement of C{n}", Graph(n, "imported", rows)))
+    shapes = Counter()
+    for name, g in graphs:
+        family = enumerate_mis(g, max_sets=10**5)
+        if not family.truncated:  # Z2^6 has 2^32 facets: no whole complex to walk
+            whole, want = _face_walk_verdicts(g, [s.mask for s in family.sets])
+            # the complement of g is the 1-skeleton of Ind(g), also with the
+            # isolated vertices deleted, as the Gorenstein test judges it
+            full = (1 << g.n) - 1
+            isolated = sum(1 << v for v in range(g.n) if not g.rows[v])
+            core = SimplicialComplex(g.n, [f & ~isolated for f in whole.facets])
+            for mask, c in [(full, whole), (full & ~isolated, core)] if g.n else []:
+                assert complexes._complement_connected(g.rows, mask) == complexes._connected(c), name
+            shapes["walked"] += 1
+            shapes["decided"] += len(want)
+        built.clear()
+        listed.clear()
+        with monkeypatch.context() as m:
+            m.setattr(SimplicialComplex, "__init__", counting)
+            m.setattr(complexes, "enumerate_mis", spying)
+            m.setattr(indsets, "enumerate_mis", spying)
+            factors = list(join_factors(g))
+            got = join_verdicts(factors, VERDICT_KEYS)
+        if not family.truncated:
+            assert {key: got[key] for key in want} == want, name
+        # the component searches list nothing; each listing is a shelling
+        # search of a pure CM component of at most facet_cap facets
+        components = [f for f in factors if isinstance(f, Component)]
+        assert len(built) == len(listed), name
+        for h in listed:
+            (found,) = [f.report for f in components if f.graph is h]
+            assert len(found.sizes_seen) == 1 and found.count <= DEFAULT_FACET_CAP, name
+            assert is_cm_gf2(SimplicialComplex(h.n, independence_complex(h).facets)), name
+        shapes["listed"] += bool(listed)
+        shapes["cm"] += got["cm_gf2"] is True
+        shapes["not cm"] += got["cm_gf2"] is False
+    assert shapes["walked"] == len(graphs) - 1, shapes
+    assert shapes["listed"] >= 5 and shapes["cm"] >= 20 and shapes["not cm"] >= 20, shapes
 
 
 def test_graph_recursion_reads_only_adjacency_rows(monkeypatch):

@@ -11,7 +11,7 @@ from conftest import CATALOG_EXPRS
 from oracles import all_mis_subsets
 from unitgraphs import classify, indsets
 from unitgraphs.bits import VertexSet, mask_indices
-from unitgraphs.classify import cross_validate, join_factors, join_verdicts
+from unitgraphs.classify import Component, cross_validate, join_factors, join_verdicts
 from unitgraphs.complexes import SimplicialComplex
 from unitgraphs.descriptors import Zn
 from unitgraphs.dsl import parse_ring_expr
@@ -418,24 +418,23 @@ def test_repeated_components_reuse_their_search(g):
     parts = connected_components(g)
     subs = [induced_subgraph(g, part) for part in parts]
     # every component searched on its own, as if none repeated: the walk
-    # yields the same parts, subgraphs and reports, up to the first of two
-    # sizes, whether it finds the parts or is given them
+    # yields the same parts, subgraphs and reports, which hold no sets, up
+    # to the first of two sizes, whether it finds the parts or is given them
     for stop_mode in ("first_two_sizes", "all"):
-        for collect in (False, True):
-            fresh = [enumerate_mis(sub, stop_mode=stop_mode, collect=collect) for sub in subs]
-            walked = list(component_reports(g, stop_mode=stop_mode, collect=collect))
-            given = list(component_reports(g, parts, stop_mode=stop_mode, collect=collect))
-            ends = [i for i, r in enumerate(fresh) if r.stop_reason == "two_sizes"]
-            assert len(walked) == (ends[0] + 1 if ends else len(subs))
-            assert [part for part, _, _ in walked] == parts[: len(walked)]
-            assert [sub.rows for _, sub, _ in walked] == [sub.rows for sub in subs[: len(walked)]]
-            assert [report for _, _, report in walked] == fresh[: len(walked)]
-            assert [(part, sub.rows, report) for part, sub, report in given] == [
-                (part, sub.rows, report) for part, sub, report in walked
-            ]
-            # a repeated component yields the first one's objects
-            for (_, sub, report), (_, other, again) in itertools.combinations(walked, 2):
-                assert (sub is other) == (report is again) == (sub.rows == other.rows)
+        fresh = [enumerate_mis(sub, stop_mode=stop_mode, collect=False) for sub in subs]
+        walked = list(component_reports(g, stop_mode=stop_mode))
+        given = list(component_reports(g, parts, stop_mode=stop_mode))
+        ends = [i for i, r in enumerate(fresh) if r.stop_reason == "two_sizes"]
+        assert len(walked) == (ends[0] + 1 if ends else len(subs))
+        assert [part for part, _, _ in walked] == parts[: len(walked)]
+        assert [sub.rows for _, sub, _ in walked] == [sub.rows for sub in subs[: len(walked)]]
+        assert [report for _, _, report in walked] == fresh[: len(walked)]
+        assert [(part, sub.rows, report) for part, sub, report in given] == [
+            (part, sub.rows, report) for part, sub, report in walked
+        ]
+        # a repeated component yields the first one's objects
+        for (_, sub, report), (_, other, again) in itertools.combinations(walked, 2):
+            assert (sub is other) == (report is again) == (sub.rows == other.rows)
     want = _networkx_sizes(nx, g)
     assert well_covered_bruteforce(g) is (len(want) == 1)
     counted = enumerate_mis(g, collect=False)
@@ -448,13 +447,16 @@ def test_repeated_components_reuse_their_search(g):
             factors.append(False)
             break
         factors.append(SimplicialComplex(sub.n, [s.mask for s in report.sets], graph=sub))
-    verdicts = join_verdicts(list(join_factors(g)), VERDICT_KEYS)
+    joined = list(join_factors(g))
+    verdicts = join_verdicts(joined, VERDICT_KEYS)
     assert verdicts == join_verdicts(factors, VERDICT_KEYS)
     assert verdicts["well_covered"] is (len(want) == 1)
-    # without the sets, a one-size component's factor is True
-    counted = list(join_factors(g, collect=False))
-    assert all(c is True or c is False for c in counted)
-    assert join_verdicts(counted, ["well_covered"]) == {"well_covered": len(want) == 1}
+    # a repeated component yields the same object, and only a repeat does
+    assert len(joined) == len(factors)
+    for (c, sub), (d, other) in itertools.combinations(zip(joined, subs), 2):
+        if isinstance(c, Component) and isinstance(d, Component):
+            assert c.graph.rows == sub.rows and d.graph.rows == other.rows
+            assert (c is d) == (sub.rows == other.rows)
 
 
 def test_random_cayley_graphs_match_networkx():
@@ -502,7 +504,7 @@ def test_counts_of_disconnected_graphs_stop_at_max_sets_by_the_product(expr):
     # every size described is the size of a maximal independent set: a
     # sum of one size per component
     reachable = {0}
-    for _, _, part in component_reports(g, collect=False):
+    for _, _, part in component_reports(g):
         reachable = {a + b for a in reachable for b in part.sizes_seen}
     assert set(report.sizes_seen) <= reachable
 
@@ -612,16 +614,14 @@ def test_well_covered_bruteforce_decides_large_structured_graphs(expr):
 
 
 def test_z2_to_the_twelfth_searches_and_judges_one_component(monkeypatch):
-    # 2048 equal components of two vertices: one search; one complex,
+    # 2048 equal components of two vertices: one search; one component,
     # which each check judges once
     searches, checks = [], Counter()
-    real = indsets.enumerate_mis
+    real, verdict = indsets.enumerate_mis, classify._verdict
     monkeypatch.setattr(indsets, "enumerate_mis", lambda g, **kw: searches.append(g.n) or real(g, **kw))
-    for name in ("is_pure", "is_cm_gf2", "is_shellable", "is_gorenstein_gf2"):
-        check = getattr(classify, name)
-        monkeypatch.setattr(
-            classify, name, lambda c, *a, _c=check, _n=name, **kw: checks.update([_n]) or _c(c, *a, **kw)
-        )
+    monkeypatch.setattr(
+        classify, "_verdict", lambda key, *a: checks.update([key]) or verdict(key, *a)
+    )
     expr = " x ".join(["Z2"] * 12)
     assert well_covered_bruteforce(_graph(expr)) is True
     assert searches == [2]
@@ -629,7 +629,7 @@ def test_z2_to_the_twelfth_searches_and_judges_one_component(monkeypatch):
     report = cross_validate(parse_ring_expr(expr), ("wc", "cm", "shellable", "gorenstein"))
     assert report.agreement is True and set(report.observed.values()) == {True}
     assert searches == [2]
-    assert checks == {"is_pure": 1, "is_cm_gf2": 1, "is_shellable": 1, "is_gorenstein_gf2": 1}
+    assert checks == {"well_covered": 1, "cm_gf2": 1, "shellable": 1, "gorenstein_gf2": 1}
 
 
 def test_cross_validate_decides_z2_to_the_sixth():

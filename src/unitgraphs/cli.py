@@ -20,17 +20,17 @@ import time
 from importlib import resources
 
 from .bits import VertexSet
-from .classify import (
-    CHECK_KEYS,
+from .classify import CHECK_KEYS, classify_well_covered, cross_validate, predict
+from .complexes import (
+    DEFAULT_FACET_CAP,
     SKIPPED,
-    Skipped,
-    classify_well_covered,
-    cross_validate,
+    BudgetExceeded,
+    ComplexError,
+    complex_from_json,
     join_factors,
     join_verdicts,
-    predict,
+    require_whole,
 )
-from .complexes import DEFAULT_FACET_CAP, BudgetExceeded, ComplexError, complex_from_json
 from .constructions import (
     ConstructionError,
     nonunit_complement_witness,
@@ -312,8 +312,7 @@ def _cmd_complex(args) -> int:
         for c in join_factors(
             graph, stop_mode="all", max_sets=args.max_sets, time_budget=args.time_budget
         ):
-            if isinstance(c, Skipped):  # a truncated search: no later one can help
-                raise BudgetExceeded(f"{c.reason}; cannot build the full complex")
+            require_whole(c.report)  # a truncated search: no later one can help
             factors.append(c)
         # the complex is the join of the components' complexes
         facets = math.prod(c.report.count for c in factors)

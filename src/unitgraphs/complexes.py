@@ -13,15 +13,17 @@ module decides, at desk scale:
 * the Gorenstein property over GF(2), via the same vanishing on the
   core plus one-dimensional top homology of every core link.
 
-Both criteria first reject a complex that is not pure, or that has
-dimension at least 1 and is disconnected: both violate Reisner's
-criterion.  Then the path depends on where the complex came from:
+Both criteria judge the core, the complex less the vertices in every
+facet: a cone is CM iff its base is.  They first reject a core that is
+not pure, or that has dimension at least 1 and is disconnected: both
+violate Reisner's criterion.  Then the path depends on its source:
 
 * Ind(G) is judged on G (``ind_reisner``), given its dimension, with no
-  facet listed: by ``classify.join_verdicts``, or through the ``graph``
-  slot of ``independence_complex``.  The complement of G is its
-  1-skeleton, so connectivity is read off G's rows, and the criterion
-  recurses over vertex masks of G.  The link of a face sigma of Ind(G)
+  facet listed: by ``join_verdicts``, or through the ``graph`` slot of
+  ``independence_complex``.  The vertices in every facet are G's
+  isolated ones, so the core is Ind of G less them.  The complement of
+  G is its 1-skeleton, so connectivity is read off G's rows, and the
+  criterion recurses over vertex masks of G.  The link of a face sigma of Ind(G)
   is Ind(G - N[sigma]) (Woodroofe, Proc. AMS 137, 2009), so every link
   is named by a vertex mask.  A mask is split into the components of the
   subgraph it induces (Ind of a disjoint union is the join of the parts'
@@ -34,9 +36,15 @@ criterion.  Then the path depends on where the complex came from:
   (Engström, Europ. J. Combin. 29, 2008).  Folding keeps homology but
   not Cohen-Macaulayness, so the links recurse on the unfolded graph.
   The recursion reads only adjacency rows.
-* A complex given by its facets alone (a facet file) takes one walk over
-  its faces that computes each distinct link's homology once.  It is
+* A complex given by its facets alone (a facet file) strips the
+  facets' common intersection, then takes one walk over the faces of
+  the core that computes each distinct link's homology once.  It is
   also the reference the graph recursion is tested against.
+
+A graph's verdicts are judged on the join of its components, one
+``indsets.Component`` (subgraph and report) at a time: ``join_factors``
+yields them and ``join_verdicts`` judges each distinct one once, from
+its report and rows.  A verdict that hits a cap is ``Skipped``.
 
 Faces, facets and links are int bitmasks throughout, and so are the
 rows of the boundary matrices: the row of a face has bit i set for the
@@ -52,14 +60,16 @@ dimension -1; any complex with a vertex has rank 0 there.
 from __future__ import annotations
 
 import json
+from functools import reduce
 
 from .bits import HARD_ORDER_CAP, bits_to_masks, indices_mask, mask_indices, masks_to_bits
 from .graphs import Graph, mask_components
-from .indsets import enumerate_mis, twin_classes
+from .indsets import Component, component_reports, enumerate_mis, twin_classes
 
 DEFAULT_FACET_CAP = 12
 DEFAULT_FACE_CAP = 200_000
 DEFAULT_SHELLING_NODE_CAP = 10**6
+SKIPPED = "skipped"
 
 
 class ComplexError(Exception):
@@ -68,6 +78,16 @@ class ComplexError(Exception):
 
 class BudgetExceeded(ComplexError):
     pass
+
+
+class Skipped(str):
+    """A verdict that hit a cap: equal to SKIPPED and printed as it, and
+    keeping the message of the cap that fired in ``reason``."""
+
+    def __new__(cls, reason: str):
+        self = super().__new__(cls, SKIPPED)
+        self.reason = reason
+        return self
 
 
 class SimplicialComplex:
@@ -104,7 +124,10 @@ class SimplicialComplex:
 
     @classmethod
     def from_facets(cls, vertex_count: int, facets) -> "SimplicialComplex":
-        facets = [[int(v) for v in f] for f in facets]
+        facets = [list(f) for f in facets]
+        for f in facets:
+            if not all(type(v) is int for v in f):  # no str, float or bool
+                raise ComplexError(f"bad facet entry {f!r}: vertices are integers")
         low = min(map(min, filter(None, facets)), default=0)
         if low < 0:  # past vertex_count, the constructor names the vertex
             raise ComplexError(f"facet has vertex {low} outside the complex")
@@ -198,12 +221,19 @@ def _maximal(masks: list[int], vertex_count: int) -> list[int]:
 def independence_complex(g: Graph) -> SimplicialComplex:
     """Complex whose facets are all maximal independent sets of g."""
     report = enumerate_mis(g, stop_mode="all", collect=True)
-    if report.truncated:
-        raise BudgetExceeded(
-            "maximal independent set enumeration was truncated "
-            f"({report.stop_reason}); cannot build the full complex"
-        )
+    require_whole(report)
     return SimplicialComplex(g.n, [s.mask for s in report.sets], graph=g)
+
+
+def require_whole(report) -> None:
+    """Raises BudgetExceeded if a cap cut the search short: its sets are
+    then not the whole family, and no complex is built from them."""
+    if report.truncated:
+        raise BudgetExceeded(f"{_cut_short(report)}; cannot build the full complex")
+
+
+def _cut_short(report) -> str:
+    return f"maximal independent set enumeration was truncated ({report.stop_reason})"
 
 
 def is_pure(c: SimplicialComplex) -> bool:
@@ -364,42 +394,42 @@ def is_cm_gf2(c: SimplicialComplex) -> bool:
     homology below its own dimension."""
     if not c.facets:
         raise ComplexError("void complex has no Cohen-Macaulay verdict")
-    return _reisner(c, 0, lambda top: True)
+    return _reisner(c, lambda top: True)
 
 
 def is_gorenstein_gf2(c: SimplicialComplex) -> bool:
-    """Gorenstein over GF(2): on the core (the restriction to vertices
-    missing from at least one facet), every face link has vanishing
-    reduced homology below its dimension and rank exactly 1 on top.  The
-    vertices in every facet of Ind(G) are the isolated vertices of G."""
+    """Gorenstein over GF(2): on the core, every face link has vanishing
+    reduced homology below its dimension and rank exactly 1 on top."""
     if not c.facets:
         raise ComplexError("void complex has no Gorenstein verdict")
-    common = c.facets[0]
-    for f in c.facets[1:]:
-        common &= f
-    return _reisner(c, common, lambda top: top == 1)
+    return _reisner(c, lambda top: top == 1)
 
 
-def _reisner(c: SimplicialComplex, cone: int, top_ok) -> bool:
-    """Reisner's criterion, with the top rank accepted by top_ok, on c
-    with the vertices of cone (a set in every facet) deleted.  A complex
-    whose links all pass is pure; one with a graph is judged on it, and
-    one without must be connected at dimension 1 or more (its own H~_0
-    vanishes) and then walks its faces."""
+def _reisner(c: SimplicialComplex, top_ok) -> bool:
+    """Reisner's criterion, with the top rank accepted by top_ok, on the
+    core of c.  A complex whose links all pass is pure; one with a graph
+    is judged on it, and the core of one without must be connected at
+    dimension 1 or more (its own H~_0 vanishes) and then walks its faces."""
     if not is_pure(c):
         return False
-    dimension = c.dimension - cone.bit_count()
     if c.graph is not None:
-        return ind_reisner(c.graph.rows, ((1 << c.vertex_count) - 1) & ~cone, dimension, top_ok)
-    core = SimplicialComplex(c.vertex_count, [f & ~cone for f in c.facets]) if cone else c
-    return (dimension < 1 or _connected(core)) and _every_link(core, top_ok)
+        return ind_reisner(c.graph.rows, c.dimension, top_ok)
+    common = reduce(int.__and__, c.facets)
+    core = SimplicialComplex(c.vertex_count, [f & ~common for f in c.facets]) if common else c
+    return (core.dimension < 1 or _connected(core)) and _every_link(core, top_ok)
 
 
-def ind_reisner(rows, mask: int, dimension: int, top_ok) -> bool:
-    """Reisner's criterion, with the top rank accepted by top_ok, on
-    Ind(G[mask]), pure of this dimension, from G's adjacency rows.  Its
-    1-skeleton, the complement of G[mask], must be connected at dimension
-    1 or more; then the vertex-link recursion decides."""
+def ind_reisner(rows, dimension: int, top_ok) -> bool:
+    """Reisner's criterion, with the top rank accepted by top_ok, on the
+    core of Ind(G), pure of this dimension, from G's adjacency rows: Ind
+    of G less its isolated vertices, lower in dimension by their number.
+    Its 1-skeleton, the complement of that graph, must be connected at
+    dimension 1 or more; then the vertex-link recursion decides."""
+    mask = (1 << len(rows)) - 1
+    if 0 in rows:  # one scan when no vertex is isolated
+        isolated = indices_mask(v for v, row in enumerate(rows) if not row)
+        mask ^= isolated
+        dimension -= isolated.bit_count()
     connected = dimension < 1 or _complement_connected(rows, mask)
     return connected and _graph_reisner(rows, mask, top_ok)
 
@@ -597,6 +627,78 @@ def _independent_sets(rows, mask: int) -> list[int]:
             free ^= low
             todo.append((face | low, free & ~rows[low.bit_length() - 1]))
     return faces
+
+
+# ---------------------------------------------------------------------------
+# the join of a graph's components
+# ---------------------------------------------------------------------------
+
+def join_factors(graph, *, stop_mode="first_two_sizes", **limits):
+    """Ind(G1 + G2) is the join Ind(G1) * Ind(G2): the factors are the
+    Components of ``component_reports`` (a repeat is the same object),
+    each search stopped at a second facet size, which decides every
+    verdict, or with stop_mode="all" run to the whole family, as the
+    ``complex`` command needs.  limits go to ``component_reports``."""
+    return (c for _, c in component_reports(graph, stop_mode=stop_mode, **limits))
+
+
+def join_verdicts(factors, keys, *, facet_cap=DEFAULT_FACET_CAP):
+    """The verdicts named by keys ("well_covered" = "pure", "cm_gf2",
+    "shellable", "gorenstein_gf2") on the join of the factors, by _join.
+    Gorenstein and pure shellable complexes are CM (Stanley, ch. II), so
+    CM False decides both without their walks."""
+    verdicts = {}
+    for key in sorted(keys, key=lambda k: k != "cm_gf2"):  # CM first
+        implied = key in ("shellable", "gorenstein_gf2") and verdicts.get("cm_gf2") is False
+        verdicts[key] = False if implied else _join(factors, key, facet_cap)
+    return {key: verdicts[key] for key in keys}
+
+
+def _verdict(key, factor, facet_cap):
+    """key's verdict on one factor: a facet file's complex by the facet
+    oracles; a Component by its report and rows.  A truncated search is
+    Skipped and one of two sizes is False (not pure); otherwise Ind of the
+    component is pure, of dimension independence_number - 1."""
+    if not isinstance(factor, Component):
+        if key == "shellable":
+            return is_shellable(factor, facet_cap=facet_cap)
+        return {"cm_gf2": is_cm_gf2, "gorenstein_gf2": is_gorenstein_gf2}.get(key, is_pure)(factor)
+    sub, found = factor.graph, factor.report
+    if found.truncated:
+        return Skipped(_cut_short(found))
+    if key in ("well_covered", "pure") or len(found.sizes_seen) > 1:
+        return len(found.sizes_seen) == 1
+    dimension = found.independence_number - 1
+    if key == "shellable":
+        if dimension <= 0 or found.count > facet_cap:  # any order, or over find_shelling's cap
+            return dimension <= 0 or None
+        return is_shellable(independence_complex(sub), facet_cap=facet_cap)
+    top_ok = (lambda top: top == 1) if key == "gorenstein_gf2" else (lambda top: True)
+    return ind_reisner(sub.rows, dimension, top_ok)
+
+
+def _join(factors, key, facet_cap):
+    """key's verdict on the join from the factors' own (``_verdict``): a
+    join is CM (Gorenstein) iff every factor is, its Stanley-Reisner ring
+    being their tensor product (Stanley, Combinatorics and Commutative
+    Algebra, ch. II); a join of pure shellable complexes is shellable, and
+    each factor is the link of a facet of the others, so it inherits
+    shellability.  False if any factor fails, else skipped if any is
+    undecided (None) or hit a cap (the first, as a Skipped), else True.
+    A recurring factor object is judged once."""
+    if factors is None:
+        return SKIPPED
+    verdict = True
+    for c in dict.fromkeys(factors):
+        try:
+            v = _verdict(key, c, facet_cap)
+        except BudgetExceeded as exc:
+            v = Skipped(str(exc))
+        if v is False:
+            return False
+        if verdict is True and v is not True:
+            verdict = SKIPPED if v is None else v
+    return verdict
 
 
 # ---------------------------------------------------------------------------

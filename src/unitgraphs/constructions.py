@@ -40,7 +40,7 @@ from __future__ import annotations
 import itertools
 
 from .bits import HARD_ORDER_CAP, VertexSet
-from .descriptors import Gf, Mat, Product, factorize, flatten_factors, is_prime
+from .descriptors import Gf, Mat, Product, factorize, is_prime
 from .graphs import Graph, build_graph
 from .indsets import is_maximal_independent
 from .rings import (
@@ -252,19 +252,18 @@ def _check_quotient_set(
 # ---------------------------------------------------------------------------
 
 def _leaves(ring: Ring) -> tuple[list[Ring], list[int]]:
-    """Leaf rings of a (nested) product in ``flatten_factors`` order, with
-    the mixed-radix stride of each; any other ring is its own leaf.
-    Flattening keeps the element encoding, so an element is the sum of
-    its leaf values times their strides."""
+    """Leaf rings of a (nested) product, factor 0 first, with the
+    mixed-radix stride of each (a factor's stride times the leaf's inside
+    it); any other ring is its own leaf.  An element is the sum of its
+    leaf values times their strides."""
     if not isinstance(ring, ProductRing):
         return [ring], [1]
-    leaves = [
-        build_ring(d, order_cap=HARD_ORDER_CAP)
-        for d in flatten_factors(ring.descriptor)
-    ]
-    strides = [1]
-    for leaf in leaves[:-1]:
-        strides.append(strides[-1] * leaf.order)
+    leaves, strides, stride = [], [], 1
+    for factor in ring.factors:
+        below, inner = _leaves(factor)
+        leaves += below
+        strides += [stride * s for s in inner]
+        stride *= factor.order
     return leaves, strides
 
 
@@ -391,8 +390,6 @@ def mixed_char_product_witnesses(
         m_set = m1
     else:
         m_set = product_nonunit_extend(r_leaves, 0, m1, verify=verify)
-        if m_set.universe != r_ring.order:
-            raise ConstructionError("factor flattening changed the encoding")
     prod = _product_ring([r_ring, s_ring])
     r_order, s_order = r_ring.order, s_ring.order
     m_times_s = VertexSet.from_indices(

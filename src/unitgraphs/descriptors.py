@@ -296,20 +296,6 @@ def semisimple_blocks(d: RingDescriptor) -> tuple[Block, ...]:
     return ((1, d.q),) * 4 + ((2, d.q),)
 
 
-def flatten_factors(d: RingDescriptor) -> tuple[RingDescriptor, ...]:
-    """Factor list of d viewed as a direct product (itself if not a product).
-
-    Nested products flatten; the mixed-radix element encoding is unchanged
-    by flattening because factor strides compose associatively.
-    """
-    if isinstance(d, Product):
-        out: list[RingDescriptor] = []
-        for f in d.factors:
-            out.extend(flatten_factors(f))
-        return tuple(out)
-    return (d,)
-
-
 def descriptor_expr(d: RingDescriptor) -> str:
     """Canonical text form of a descriptor (the parser's inverse)."""
     if isinstance(d, Zn):

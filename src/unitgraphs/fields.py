@@ -16,7 +16,9 @@ supported sizes (q <= 2^16); trial division stays in the tests as the
 reference.
 
 Polynomials over GF(p) are plain lists of ints in [0, p), low degree
-first, with trailing zeros trimmed ([] is the zero polynomial).
+first, with trailing zeros trimmed ([] is the zero polynomial).  This is
+the only module that knows that form: ``mul_mod`` is the one product
+reduced modulo a polynomial, and ``GfRing`` multiplies through it.
 """
 
 from __future__ import annotations
@@ -46,6 +48,16 @@ def _remainder(a: list[int], b: list[int], p: int) -> list[int]:
             for i in range(k):
                 a[top - k + i] -= coef * b[i]
     return _trim([c % p for c in a[:k]])
+
+
+def mul_mod(a, b, f, p: int) -> list[int]:
+    """a * b mod f over GF(p), for a trimmed nonzero f and any a, b."""
+    prod = [0] * (len(a) + len(b))
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    return _remainder(prod, f, p)
 
 
 def _is_irreducible(f: list[int], p: int) -> bool:

@@ -32,17 +32,17 @@ quick False; each reads only rows.
 * Components.  ``component_reports`` is the one walk over the connected
   components, under one deadline, behind every brute-force verdict and
   every count of a disconnected graph; it yields each component's part
-  mask, subgraph and report, which holds no sets: the verdicts on Ind(G)
-  read only these.  Each distinct component is searched once, by
-  ``enumerate_mis`` on its own subgraph: a component's relabelled rows
-  determine its graph, so one whose rows equal an earlier one's reuses
-  that report, and the 2048 components of the unit graph of Z2^12 cost
-  one search of two vertices.  A count (stop_mode "all") of a
-  disconnected graph walks the parts it found, multiplies the size
-  generating functions and stops at max_sets once the product reaches
-  it: 2048 components of two vertices pass 10^6 sets after 20 of them.
-  An induced subgraph keeps no candidates, so a component's own search
-  never takes the orbit path.
+  mask and ``Component``, its subgraph and report, which holds no sets:
+  the verdicts on Ind(G) read only these.  Each distinct component is
+  searched once, by ``enumerate_mis`` on its own subgraph: a component's
+  relabelled rows determine its graph, so one whose rows equal an
+  earlier one's yields that ``Component`` object again, and the 2048
+  components of the unit graph of Z2^12 cost one search of two
+  vertices.  A count (stop_mode "all") of a disconnected graph walks
+  the parts it found, multiplies the size generating functions and
+  stops at max_sets once the product reaches it: 2048 components of two
+  vertices pass 10^6 sets after 20 of them.  An induced subgraph keeps
+  no candidates, so a component's own search never takes the orbit path.
 * Orbits.  An automorphism of G maps maximal independent sets onto
   maximal independent sets of the same size.  A maximal independent set
   S meets N[u] for every vertex u (it holds u or a neighbour of u), so
@@ -77,7 +77,7 @@ quick False; each reads only rows.
 Limits are explicit: a cap on sets, a wall-clock budget, and a stop
 mode.  ``first_two_sizes`` halts as soon as two distinct sizes have
 been seen; it is the one search per component of both
-``well_covered_bruteforce`` and ``classify.join_factors``, and the only
+``well_covered_bruteforce`` and ``complexes.join_factors``, and the only
 mode that takes the probe.  ``all`` lists or counts the
 whole family.  Every search first runs plain under a work allowance of
 one row read per candidate (at least one) and vertex, with at least
@@ -142,6 +142,14 @@ class MisReport:
     # describe its distinct sets and the witnesses are its first set and
     # its first set of another size
     probes: int | None = None
+
+
+@dataclass(eq=False)
+class Component:
+    """A connected component of a graph and its search's report."""
+
+    graph: Graph
+    report: MisReport
 
 
 def is_independent(g: Graph, s: VertexSet) -> bool:
@@ -598,10 +606,14 @@ def enumerate_mis(
     stop_mode="first_two_sizes" a long search first runs the probe, and
     may end on its greedy sets of two sizes.  A truncated report
     describes the sets it found, at most max_sets of them.  A graph of
-    more than DEFAULT_GRAPH_CAP vertices raises EnumerationError.
+    more than DEFAULT_GRAPH_CAP vertices, max_sets below 1 and a NaN
+    time_budget (no deadline would pass) raise EnumerationError; a
+    negative time_budget is a deadline already past.
     """
     if stop_mode not in ("all", "first_two_sizes"):
         raise EnumerationError(f"unknown stop mode {stop_mode!r}")
+    if max_sets < 1 or math.isnan(time_budget):
+        raise EnumerationError(f"bad limits: max_sets={max_sets}, time_budget={time_budget}")
     if g.n > DEFAULT_GRAPH_CAP:
         raise EnumerationError(f"vertex count {g.n} exceeds the cap {DEFAULT_GRAPH_CAP}")
     if stop_mode == "all" and not collect:
@@ -672,11 +684,12 @@ def _component_product(g: Graph, parts, max_sets: int, time_budget: float) -> Mi
     reason = "exhausted"
     searched = 0
     split = None
-    nodes = {}  # id of each distinct report -> its nodes
+    nodes = {}  # each distinct component -> its search's nodes
     limits = {"stop_mode": "all", "max_sets": max_sets}
-    for part, _, report in component_reports(g, parts, time_budget=time_budget, **limits):
+    for part, c in component_reports(g, parts, time_budget=time_budget, **limits):
+        report = c.report
         searched |= part
-        nodes[id(report)] = report.nodes
+        nodes[c] = report.nodes
         if split is None and report.witnesses:
             split = part, report.witnesses
         product = Counter()
@@ -713,32 +726,33 @@ def _component_product(g: Graph, parts, max_sets: int, time_budget: float) -> Mi
 
 
 def component_reports(g: Graph, parts=None, *, time_budget: float = DEFAULT_TIME_BUDGET, **limits):
-    """(part mask, induced subgraph, enumerate_mis report, holding no
-    sets) for each connected component of g, by least vertex, under one
-    deadline: the one component walk behind every brute-force verdict and
-    every count of a disconnected graph.  parts are g's components when
-    the caller has them already.  A search that meets the deadline, or would start past
+    """(part mask, Component) for each connected component of g, by least
+    vertex, under one deadline: the one component walk behind every
+    brute-force verdict and every count of a disconnected graph.  The
+    Component holds the induced subgraph and its enumerate_mis report,
+    which holds no sets.  parts are g's components when the caller has
+    them already.  A search that meets the deadline, or would start past
     it, is truncated (time_budget) and ends the walk, as does one that met
     two sizes; a max_sets cap on one component does not.
 
     A component whose relabelled rows equal an earlier one's is that
-    graph, so it yields the earlier subgraph and report, the same
-    objects, without a search, even past the deadline."""
+    graph, so it yields the earlier Component, the same object, without
+    a search, even past the deadline."""
     parts = connected_components(g) if parts is None else parts
     deadline = time.monotonic() + time_budget
-    searched: dict[tuple[int, ...] | None, tuple[Graph, MisReport]] = {}
+    searched: dict[tuple[int, ...] | None, Component] = {}
     for part in parts:
         sub = induced_subgraph(g, part)
         # one component repeats none, and its rows are not worth hashing
         key = sub.rows if len(parts) > 1 else None
-        pair = searched.get(key)
-        if pair is None:
+        c = searched.get(key)
+        if c is None:
             report = enumerate_mis(
                 sub, time_budget=deadline - time.monotonic(), collect=False, **limits
             )
-            pair = searched[key] = sub, report
-        yield part, *pair
-        if pair[1].stop_reason in ("two_sizes", "time_budget"):
+            c = searched[key] = Component(sub, report)
+        yield part, c
+        if c.report.stop_reason in ("two_sizes", "time_budget"):
             return
 
 
@@ -758,9 +772,9 @@ def well_covered_bruteforce(
     """
     verdict: bool | None = True
     limits = {"stop_mode": "first_two_sizes", "max_sets": max_sets, "time_budget": time_budget}
-    for _, _, report in component_reports(g, **limits):
-        if report.well_covered is False:
+    for _, c in component_reports(g, **limits):
+        if c.report.well_covered is False:
             return False
-        if report.truncated:
+        if c.report.truncated:
             verdict = None
     return verdict

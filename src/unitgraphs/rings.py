@@ -97,7 +97,7 @@ from .descriptors import (
     semisimple_blocks,
     validate_descriptor,
 )
-from .fields import smallest_irreducible
+from .fields import mul_mod, smallest_irreducible
 
 DEFAULT_ORDER_CAP = 4096
 # Elements per vectorized chunk.  Its int64 temporaries (64 KiB) stay
@@ -316,9 +316,9 @@ class GfRing(Ring):
     """GF(p^k), with the modulus and the element indexing of ``fields``.
     For k > 1 the scalar ``mul`` and ``inv`` and the kernel ``mul_many``
     read one pair of log/antilog tables; addition is ``Ring``'s digit-wise
-    one.  The polynomial product ``_poly_mul`` finds a generator and the
-    images gen * x^j of the basis, and the antilog table walks the powers
-    of the generator through the linear map those images span."""
+    one.  The product ``_poly_mul`` (``fields.mul_mod``) finds a generator
+    and the images gen * x^j of the basis, and the antilog table walks the
+    powers of the generator through the linear map those images span."""
 
     def __init__(self, descriptor: Gf):
         self.descriptor = descriptor
@@ -327,18 +327,6 @@ class GfRing(Ring):
         self.modulus = smallest_irreducible(self.p, self.k)
         self.one = 1
         self._init_positional([self.p] * self.k)
-        # x^(k+j) mod f for j = 0..k-2, used to fold products back down
-        self._red: list[list[int]] = []
-        f = list(self.modulus)
-        xk = [(-c) % self.p for c in f[:-1]]  # x^k = -(f - x^k)
-        cur = xk
-        for _ in range(self.k - 1):
-            self._red.append(list(cur))
-            cur = [0] + cur  # multiply by x
-            if len(cur) > self.k:
-                top = cur.pop()
-                if top:
-                    cur = [(c + top * r) % self.p for c, r in zip(cur, xk)]
 
     def mul(self, x: int, y: int) -> int:
         if self.k == 1:
@@ -347,23 +335,11 @@ class GfRing(Ring):
         return exp[log[x] + log[y]]
 
     def _poly_mul(self, x: int, y: int) -> int:
-        """The product as polynomials reduced modulo the modulus: what the
-        log/antilog tables are built from."""
-        p = self.p
-        a = [x // pl % p for pl in self._places]
-        b = [y // pl % p for pl in self._places]
-        prod = [0] * (2 * self.k - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        out = prod[: self.k]
-        for j in range(self.k - 1):
-            c = prod[self.k + j]
-            if c:
-                red = self._red[j]
-                for i, r in enumerate(red):
-                    out[i] = (out[i] + c * r) % p
+        """The product as polynomials reduced modulo the modulus
+        (``fields.mul_mod`` on the digits): what the log/antilog tables
+        are built from."""
+        a, b = ([z // pl % self.p for pl in self._places] for z in (x, y))
+        out = mul_mod(a, b, self.modulus, self.p)
         return sum(c * pl for c, pl in zip(out, self._places))
 
     def inv(self, x: int) -> int:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import unitgraphs
 from oracles import build_plain_graph
-from unitgraphs import classify, cli, indsets
+from unitgraphs import classify, cli, complexes, indsets
 from unitgraphs.descriptors import CACHE_SIZE, descriptor_order
 from unitgraphs.dsl import parse_ring_expr
 from unitgraphs.graphs import build_graph
@@ -491,18 +491,25 @@ def test_complex_decides_cm_and_gorenstein_over_the_face_cap(capsys, expr):
 
 
 def test_complex_names_the_cap_that_fired(monkeypatch, tmp_path, capsys):
-    # a facet file takes the face walk: the 17-simplex has 2^18 faces
-    path = tmp_path / "simplex.json"
-    path.write_text(json.dumps([list(range(18))]))
+    # a facet file takes the face walk: the boundary of the 18-simplex, 19
+    # facets with no common vertex, has 2^19 - 1 faces
+    path = tmp_path / "sphere.json"
+    path.write_text(json.dumps([[v for v in range(19) if v != w] for w in range(19)]))
     code, out, err = run(capsys, "complex", "--facets-file", str(path), "--cm")
     assert code == EXIT_CAP and out == ""
     assert err.strip() == "cm_gf2: complex has more than 200000 faces"
+    # the 17-simplex (2^18 faces) is a cone over {[]}: its facet has no
+    # vertex outside the common intersection, so no face is walked
+    path.write_text(json.dumps([list(range(18))]))
+    payload = run_json(capsys, "complex", "--facets-file", str(path), "--cm", "--gorenstein")
+    assert payload["result"] == {"facets": 1, "dimension": 17, "cm_gf2": True,
+                                 "gorenstein_gf2": True}
 
     def over_the_link_cap(*args):
         raise cli.BudgetExceeded("Reisner's criterion visited more than 7 distinct links")
 
     # a ring's complex is judged on its graph
-    monkeypatch.setattr(classify, "ind_reisner", over_the_link_cap)
+    monkeypatch.setattr(complexes, "ind_reisner", over_the_link_cap)
     code, out, err = run(capsys, "complex", "Z4", "--gorenstein")
     assert code == EXIT_CAP
     assert err.strip() == "gorenstein_gf2: Reisner's criterion visited more than 7 distinct links"

@@ -1,0 +1,88 @@
+"""The command line's outputs stay byte-identical apart from runtime_ms.
+
+``tests/data/cli_golden.json`` records, per command, the argv of an
+in-process ``cli.main`` run, its exit code, its stdout with every
+``"runtime_ms": <n>`` masked to 0, and its stderr.  The test replays
+each command and compares all four.  A change that means to alter an
+output regenerates the file on purpose and says which entries moved:
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import io
+import json
+import re
+from pathlib import Path
+
+from conftest import CATALOG_EXPRS
+from unitgraphs.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
+RUNTIME = re.compile(r'"runtime_ms": \d+')
+
+# the rings of the benchmark's oracle workload
+ORACLE = [
+    "Z1024", "Z2048", "M2(Z4)", "M2(GF(3))", "M2(GF(4))", "GA(GF(2), Q8)",
+    "Z8 x Z8", "GF(8) x GF(8)", "GA(GF(3), C4)", "GA(GF(2), C6)",
+    "GA(GF(3), C2)", " x ".join(["Z2"] * 6), " x ".join(["Z2"] * 5),
+]
+BOOLEAN_12 = " x ".join(["Z2"] * 12)
+CAP_SCALE = [
+    "GF(4096)", "Z4096", "M2(GF(7))", "M2(GF(8))", "GA(GF(3), C7)",
+    "GA(GF(2), C11)", BOOLEAN_12, "Z2 x Z2 x Z3 x Z3", "Z2 x Z2 x Z7 x Z7",
+]
+ALL_FLAGS = ["--pure", "--cm", "--gorenstein", "--shellable"]
+
+
+def commands() -> list[list[str]]:
+    out = [["verify"], ["verify", "--pretty"]]
+    for ring in CATALOG_EXPRS + ORACLE + CAP_SCALE:
+        out.append(["classify", ring, "--cross-validate"])
+        out.append(["classify", ring, "--cross-validate", "--checks", "wc"])
+    for ring in CATALOG_EXPRS + ORACLE + ["M2(GF(8))", "Z2 x Z2 x Z3 x Z3"]:
+        out.append(["complex", ring, *ALL_FLAGS])
+    for ring in CATALOG_EXPRS:
+        for method in ("brute", "classify", "both"):
+            out.append(["wellcovered", ring, "--method", method])
+        out.append(["mis", ring])
+        out.append(["info", ring])
+    for ring in ["Z2 x Z2 x Z7 x Z7", BOOLEAN_12, "M2(GF(5))", "M2(GF(8))"]:
+        out.append(["mis", ring, "--count"])
+    out.append(["classify", "M2(GF(2))", "--cross-validate", "--max-sets", "5"])
+    out.append(["complex", "M2(GF(2))", *ALL_FLAGS, "--max-sets", "5"])
+    # the first ring nests a product; the DSL flattens it
+    for ring, order in [("(Z2 x GF(4)) x M2(Z2)", 128), ("GF(4) x M2(GF(2)) x Z3", 192)]:
+        for y in range(0, order, 7):
+            out.append(["construct", ring, "complement", "--y", str(y)])
+    for ring in ["M2(GF(3))", "M2(GF(5))", "GA(GF(3), C2)", "GA(GF(3), C4)", "Z3 x GF(9)"]:
+        out.append(["construct", ring, "two-size"])
+    for ring in ["M2(GF(2))", "M2(GF(3))", "M2(GF(4))", "M2(GF(5))", "M3(GF(2))"]:
+        out.append(["construct", ring, "signature"])
+        out.append(["construct", ring, "zerorow"])
+    return out
+
+
+def run(argv: list[str]) -> dict:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(list(argv))
+    return {
+        "argv": argv,
+        "exit": code,
+        "stdout": RUNTIME.sub('"runtime_ms": 0', stdout.getvalue()),
+        "stderr": stderr.getvalue(),
+    }
+
+
+def test_cli_outputs_match_the_golden_file():
+    entries = json.loads(GOLDEN.read_text())
+    assert [e["argv"] for e in entries] == commands()
+    moved = [" ".join(e["argv"]) for e in entries if run(e["argv"]) != e]
+    assert not moved, f"outputs differ from {GOLDEN.name}: {moved}"
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    lines = ",\n".join(json.dumps(run(argv)) for argv in commands())
+    GOLDEN.write_text(f"[\n{lines}\n]\n")

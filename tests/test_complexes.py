@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import time
 from collections import Counter
 
@@ -23,15 +24,17 @@ from unitgraphs.complexes import (
     is_gorenstein_gf2,
     is_pure,
     is_shellable,
+    join_factors,
+    join_verdicts,
     link,
     reduced_homology_gf2,
 )
 from unitgraphs import cli, complexes, indsets
 from unitgraphs.bits import mask_indices
-from unitgraphs.classify import Component, cross_validate, join_factors, join_verdicts
+from unitgraphs.classify import cross_validate
 from unitgraphs.dsl import parse_ring_expr
 from unitgraphs.graphs import Graph, build_graph, connected_components
-from unitgraphs.indsets import enumerate_mis
+from unitgraphs.indsets import Component, enumerate_mis
 from unitgraphs.rings import build_ring
 
 
@@ -64,6 +67,16 @@ def test_facets_are_maximal_and_sorted():
 def test_a_vertex_outside_the_complex_is_named(facets, vertex):
     with pytest.raises(ComplexError, match=f"facet has vertex {vertex} outside the complex"):
         _from_facets(3, facets)
+
+
+def test_from_facets_takes_only_integer_vertices():
+    # int() once turned "1" and 2.9 into vertices 1 and 2, and absorbed
+    # [True] into the facet as vertex 1
+    for facets, entry in [([[0, 1], ["1", 2.9], [True]], "['1', 2.9]"),
+                          ([[0], [True]], "[True]"), ([[0, 1.0]], "[0, 1.0]")]:
+        with pytest.raises(ComplexError, match=re.escape(f"bad facet entry {entry}")):
+            _from_facets(3, facets)
+    assert _from_facets(3, [(0, 1), range(1, 3)]).facet_lists() == [[0, 1], [1, 2]]
 
 
 def test_is_pure():
@@ -392,12 +405,14 @@ def test_join_verdicts_match_the_whole_complex_on_random_graphs():
         shellable = is_shellable(whole)
         if shellable is not None:  # then no factor has more facets than the cap
             assert got["shellable"] == shellable, facets
-        assert None not in factors
-        # a False factor is the last, a component with two facet sizes
-        if False in factors:
-            assert factors.index(False) == len(factors) - 1
+        assert all(isinstance(c, Component) for c in factors)
+        # a component whose search met two facet sizes is the last factor,
+        # and decides every verdict False
+        split = [c.report.stop_reason == "two_sizes" for c in factors]
+        if any(split):
+            assert split.index(True) == len(factors) - 1
             assert set(got.values()) == {False}, facets
-        shapes[False in factors, len(factors) > 1] += 1
+        shapes[any(split), len(factors) > 1] += 1
     assert all(shapes[key] for key in [(True, True), (True, False), (False, True)]), shapes
 
 
@@ -578,10 +593,9 @@ def test_join_verdicts_on_graphs_match_the_whole_complex_face_walk(monkeypatch):
             assert {key: got[key] for key in want} == want, name
         # the component searches list nothing; each listing is a shelling
         # search of a pure CM component of at most facet_cap facets
-        components = [f for f in factors if isinstance(f, Component)]
         assert len(built) == len(listed), name
         for h in listed:
-            (found,) = [f.report for f in components if f.graph is h]
+            (found,) = [f.report for f in factors if f.graph is h]
             assert len(found.sizes_seen) == 1 and found.count <= DEFAULT_FACET_CAP, name
             assert is_cm_gf2(SimplicialComplex(h.n, independence_complex(h).facets)), name
         shapes["listed"] += bool(listed)

@@ -16,11 +16,11 @@ from unitgraphs.constructions import (
     zero_first_row_set,
 )
 from unitgraphs.bits import VertexSet
-from unitgraphs.descriptors import Product
+from unitgraphs.descriptors import Gf, Mat, Product, Zn
 from unitgraphs.dsl import parse_ring_expr
 from unitgraphs.graphs import build_graph
 from unitgraphs.indsets import is_maximal_independent, well_covered_bruteforce
-from unitgraphs.rings import build_ring, jacobson_radical, quotient_by_radical
+from unitgraphs.rings import ProductRing, build_ring, jacobson_radical, quotient_by_radical
 
 
 def _ring(expr):
@@ -302,6 +302,19 @@ def test_mixed_char_witness_size_identity():
         assert well_covered_bruteforce(
             build_graph(build_ring(Product((r.descriptor, s.descriptor))))
         ) is False
+
+
+def test_a_nested_product_has_the_leaves_of_the_flat_one():
+    # strides compose down the nesting, so the nested product indexes its
+    # elements as the flat one does, with the same cached leaf rings
+    nested = build_ring(Product((Product((Zn(2), Gf(4))), Mat(2, Zn(2)))))
+    flat = _ring("Z2 x GF(4) x M2(Z2)")
+    assert isinstance(nested.factors[0], ProductRing)
+    assert constructions._leaves(nested) == (list(flat.factors), [1, 2, 8])
+    assert all(a is b for a, b in zip(constructions._leaves(nested)[0], flat.factors))
+    for y in range(1, flat.order):
+        if not flat.is_unit(y):
+            assert nonunit_complement_witness(nested, y) == nonunit_complement_witness(flat, y)
 
 
 def test_two_size_witnesses_examples():

@@ -10,7 +10,6 @@ from unitgraphs.descriptors import (
     Q8,
     Zn,
     descriptor_order,
-    flatten_factors,
     group_mul_table,
     group_order,
     is_prime,
@@ -125,12 +124,6 @@ def test_print_parse_round_trip(catalog_descriptors):
     ]
     for descriptor in extra:
         assert parse_ring_expr(print_ring_expr(descriptor)) == descriptor
-
-
-def test_flatten_factors():
-    d = Product((Product((Zn(2), Zn(3))), Gf(4)))
-    assert flatten_factors(d) == (Zn(2), Zn(3), Gf(4))
-    assert flatten_factors(Zn(6)) == (Zn(6),)
 
 
 def test_is_prime_small():

@@ -126,6 +126,29 @@ def test_mul_matches_naive_polynomial_reduction():
                 assert fld.mul(x, y) == index, (q, x, y)
 
 
+def test_mul_mod_matches_the_product_long_divided():
+    # any trimmed nonzero modulus, monic or not; factors of any length,
+    # trailing zeros included
+    rng = random.Random(5)
+    for _ in range(500):
+        p = rng.choice((2, 3, 5, 7))
+        f = [rng.randrange(p) for _ in range(rng.randint(0, 4))] + [rng.randrange(1, p)]
+        a, b = ([rng.randrange(p) for _ in range(rng.randint(0, 6))] for _ in "ab")
+        prod = [0] * (len(a) + len(b))
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                prod[i + j] = (prod[i + j] + ai * bj) % p
+        k, inv_lead = len(f) - 1, pow(f[-1], -1, p)
+        for top in range(len(prod) - 1, k - 1, -1):
+            c = prod[top] * inv_lead % p
+            for i, m in enumerate(f):
+                prod[top - k + i] = (prod[top - k + i] - c * m) % p
+        want = prod[:k]
+        while want and want[-1] == 0:
+            want.pop()
+        assert fields.mul_mod(a, b, f, p) == want, (a, b, f, p)
+
+
 PRIME_POWERS_TO_64 = [q for q in range(2, 65) if prime_power(q)]
 
 

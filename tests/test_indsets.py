@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from conftest import CATALOG_EXPRS
 from oracles import all_mis_subsets
-from unitgraphs import classify, indsets
+from unitgraphs import complexes, indsets
 from unitgraphs.bits import VertexSet, mask_indices
-from unitgraphs.classify import Component, cross_validate, join_factors, join_verdicts
-from unitgraphs.complexes import SimplicialComplex
+from unitgraphs.classify import cross_validate
+from unitgraphs.complexes import SimplicialComplex, join_factors, join_verdicts
 from unitgraphs.descriptors import Zn
 from unitgraphs.dsl import parse_ring_expr
 from unitgraphs.graphs import (
@@ -197,6 +197,27 @@ def test_enumeration_cap_guard():
         enumerate_mis(_edgeless(DEFAULT_GRAPH_CAP + 1))
     with pytest.raises(EnumerationError):
         enumerate_mis(_edgeless(3), stop_mode="nope")
+
+
+def test_enumeration_refuses_an_empty_cap_and_a_nan_budget():
+    # max_sets=0 once gave a truncated report of one set, past its cap; a
+    # NaN budget makes every deadline comparison false
+    g = _graph("M2(GF(2))")
+    for limits in ({"max_sets": 0}, {"max_sets": -3}, {"time_budget": float("nan")}):
+        calls = [
+            lambda: enumerate_mis(g, collect=False, **limits),
+            lambda: enumerate_mis(g, stop_mode="first_two_sizes", **limits),
+            lambda: list(component_reports(g, **limits)),
+            lambda: well_covered_bruteforce(g, **limits),
+            lambda: cross_validate(parse_ring_expr("M2(GF(2))"), ("wc", "cm"), **limits),
+        ]
+        for call in calls:
+            with pytest.raises(EnumerationError, match="bad limits: max_sets="):
+                call()
+    # a negative budget is a deadline already past: component_reports
+    # passes what is left of its deadline, which goes negative
+    report = enumerate_mis(g, time_budget=-1.0, collect=False)
+    assert report.truncated and report.stop_reason == "time_budget"
 
 
 # ---------------------------------------------------------------------------
@@ -426,37 +447,38 @@ def test_repeated_components_reuse_their_search(g):
         given = list(component_reports(g, parts, stop_mode=stop_mode))
         ends = [i for i, r in enumerate(fresh) if r.stop_reason == "two_sizes"]
         assert len(walked) == (ends[0] + 1 if ends else len(subs))
-        assert [part for part, _, _ in walked] == parts[: len(walked)]
-        assert [sub.rows for _, sub, _ in walked] == [sub.rows for sub in subs[: len(walked)]]
-        assert [report for _, _, report in walked] == fresh[: len(walked)]
-        assert [(part, sub.rows, report) for part, sub, report in given] == [
-            (part, sub.rows, report) for part, sub, report in walked
+        assert [part for part, _ in walked] == parts[: len(walked)]
+        assert [c.graph.rows for _, c in walked] == [sub.rows for sub in subs[: len(walked)]]
+        assert [c.report for _, c in walked] == fresh[: len(walked)]
+        assert [(part, c.graph.rows, c.report) for part, c in given] == [
+            (part, c.graph.rows, c.report) for part, c in walked
         ]
-        # a repeated component yields the first one's objects
-        for (_, sub, report), (_, other, again) in itertools.combinations(walked, 2):
-            assert (sub is other) == (report is again) == (sub.rows == other.rows)
+        # a repeated component yields the first one's object, and only a
+        # repeat does
+        for (_, c), (_, d) in itertools.combinations(walked, 2):
+            assert (c is d) == (c.graph.rows == d.graph.rows)
     want = _networkx_sizes(nx, g)
     assert well_covered_bruteforce(g) is (len(want) == 1)
     counted = enumerate_mis(g, collect=False)
     assert counted.sizes_seen == want and counted.count == sum(want.values())
-    # the join's verdicts on one complex per component, without reuse
+    # the join's verdicts on one complex per component, without reuse; a
+    # component of two sizes is the last, and its complex is not pure
     factors = []
     for sub in subs:
         report = enumerate_mis(sub, stop_mode="first_two_sizes")
-        if report.stop_reason == "two_sizes":
-            factors.append(False)
-            break
         factors.append(SimplicialComplex(sub.n, [s.mask for s in report.sets], graph=sub))
+        if report.stop_reason == "two_sizes":
+            break
     joined = list(join_factors(g))
     verdicts = join_verdicts(joined, VERDICT_KEYS)
     assert verdicts == join_verdicts(factors, VERDICT_KEYS)
     assert verdicts["well_covered"] is (len(want) == 1)
-    # a repeated component yields the same object, and only a repeat does
+    # the join's factors are the walk's Components, the same object for a
+    # repeated component and only for a repeat
     assert len(joined) == len(factors)
     for (c, sub), (d, other) in itertools.combinations(zip(joined, subs), 2):
-        if isinstance(c, Component) and isinstance(d, Component):
-            assert c.graph.rows == sub.rows and d.graph.rows == other.rows
-            assert (c is d) == (sub.rows == other.rows)
+        assert c.graph.rows == sub.rows and d.graph.rows == other.rows
+        assert (c is d) == (sub.rows == other.rows)
 
 
 def test_random_cayley_graphs_match_networkx():
@@ -504,8 +526,8 @@ def test_counts_of_disconnected_graphs_stop_at_max_sets_by_the_product(expr):
     # every size described is the size of a maximal independent set: a
     # sum of one size per component
     reachable = {0}
-    for _, _, part in component_reports(g):
-        reachable = {a + b for a in reachable for b in part.sizes_seen}
+    for _, c in component_reports(g):
+        reachable = {a + b for a in reachable for b in c.report.sizes_seen}
     assert set(report.sizes_seen) <= reachable
 
 
@@ -617,10 +639,10 @@ def test_z2_to_the_twelfth_searches_and_judges_one_component(monkeypatch):
     # 2048 equal components of two vertices: one search; one component,
     # which each check judges once
     searches, checks = [], Counter()
-    real, verdict = indsets.enumerate_mis, classify._verdict
+    real, verdict = indsets.enumerate_mis, complexes._verdict
     monkeypatch.setattr(indsets, "enumerate_mis", lambda g, **kw: searches.append(g.n) or real(g, **kw))
     monkeypatch.setattr(
-        classify, "_verdict", lambda key, *a: checks.update([key]) or verdict(key, *a)
+        complexes, "_verdict", lambda key, *a: checks.update([key]) or verdict(key, *a)
     )
     expr = " x ".join(["Z2"] * 12)
     assert well_covered_bruteforce(_graph(expr)) is True

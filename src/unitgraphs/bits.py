@@ -12,7 +12,7 @@ all such masks, and this module holds the helpers that convert them:
 * ``shift_mask``, the image of a mask under a shift (up, high, down),
   the form in which a ring's translations act on element sets;
 * ``row_chunks``, the row slices of an n x n computation done a block
-  at a time;
+  at a time, and BITS_BLOCK, the 0/1 entries unpacked in one block;
 * ``VertexSet``, a mask together with the size of its universe.
 
 Indices stay below HARD_ORDER_CAP, the most elements a ring may have.
@@ -23,6 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 HARD_ORDER_CAP = 1 << 16
+# Entries of a 0/1 matrix unpacked at a time: 1 MiB of uint8.
+BITS_BLOCK = 1 << 20
 
 
 def shift_mask(mask: int, shift: tuple[int, int, int]) -> int:

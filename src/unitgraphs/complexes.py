@@ -16,14 +16,14 @@ module decides, at desk scale:
 Both criteria judge the core, the complex less the vertices in every
 facet: a cone is CM iff its base is.  They first reject a core that is
 not pure, or that has dimension at least 1 and is disconnected: both
-violate Reisner's criterion.  Then the path depends on its source:
+violate Reisner's criterion.  Then one engine per representation decides:
 
-* Ind(G) is judged on G (``ind_reisner``), given its dimension, with no
-  facet listed: by ``join_verdicts``, or through the ``graph`` slot of
-  ``independence_complex``.  The vertices in every facet are G's
-  isolated ones, so the core is Ind of G less them.  The complement of
-  G is its 1-skeleton, so connectivity is read off G's rows, and the
-  criterion recurses over vertex masks of G.  The link of a face sigma of Ind(G)
+* Ind(G) is judged on G by ``ind_reisner``, given its dimension, with
+  no facet listed: ``join_verdicts`` runs it on each component of a
+  graph.  The vertices in every facet are G's isolated ones, so the
+  core is Ind of G less them.  The complement of G is its 1-skeleton,
+  so connectivity is read off G's rows, and the criterion recurses over
+  vertex masks of G.  The link of a face sigma of Ind(G)
   is Ind(G - N[sigma]) (Woodroofe, Proc. AMS 137, 2009), so every link
   is named by a vertex mask.  A mask is split into the components of the
   subgraph it induces (Ind of a disjoint union is the join of the parts'
@@ -36,10 +36,11 @@ violate Reisner's criterion.  Then the path depends on its source:
   (Engström, Europ. J. Combin. 29, 2008).  Folding keeps homology but
   not Cohen-Macaulayness, so the links recurse on the unfolded graph.
   The recursion reads only adjacency rows.
-* A complex given by its facets alone (a facet file) strips the
-  facets' common intersection, then takes one walk over the faces of
-  the core that computes each distinct link's homology once.  It is
-  also the reference the graph recursion is tested against.
+* A ``SimplicialComplex``, known by its facets (a facet file, or
+  ``independence_complex``), strips the facets' common intersection,
+  then takes one walk over the faces of the core that computes each
+  distinct link's homology once.  It is also the reference the graph
+  recursion is tested against.
 
 A graph's verdicts are judged on the join of its components, one
 ``indsets.Component`` (subgraph and report) at a time: ``join_factors``
@@ -62,7 +63,8 @@ from __future__ import annotations
 import json
 from functools import reduce
 
-from .bits import HARD_ORDER_CAP, bits_to_masks, indices_mask, mask_indices, masks_to_bits
+from .bits import BITS_BLOCK, HARD_ORDER_CAP, bits_to_masks, indices_mask
+from .bits import mask_indices, masks_to_bits
 from .graphs import Graph, mask_components
 from .indsets import Component, component_reports, enumerate_mis, twin_classes
 
@@ -91,28 +93,25 @@ class Skipped(str):
 
 
 class SimplicialComplex:
-    """Facet-presented complex; facets are deduplicated, made mutually
-    incomparable, and sorted canonically at construction.
+    """Facet-presented complex; facets are nonnegative int masks,
+    deduplicated, made mutually incomparable, and sorted canonically at
+    construction."""
 
-    ``graph`` is the graph G when the complex is Ind(G): the facets must
-    then be exactly its maximal independent sets, and the Cohen-Macaulay
-    and Gorenstein tests recurse on G instead of walking faces.  It is
-    None for a complex known only by its facets."""
+    __slots__ = ("vertex_count", "facets", "_incidence")
 
-    __slots__ = ("vertex_count", "facets", "graph", "_incidence")
-
-    def __init__(self, vertex_count: int, facet_masks, graph: Graph | None = None):
-        masks = set(map(int, facet_masks))
+    def __init__(self, vertex_count: int, facet_masks):
+        masks = list(facet_masks)
+        for m in masks:  # before deduplication, which would equate 1, 1.0 and True
+            if type(m) is not int or m < 0:
+                raise ComplexError(f"bad facet mask {m!r}: masks are nonnegative integers")
+        masks = set(masks)
         if masks and max(masks) >> vertex_count:
             top = max(masks).bit_length() - 1
             raise ComplexError(f"facet has vertex {top} outside the complex")
-        if graph is not None and graph.n != vertex_count:
-            raise ComplexError("the graph and the complex have different vertex counts")
         if len(set(map(int.bit_count, masks))) > 1:
             masks = _maximal(sorted(masks, key=int.bit_count, reverse=True), vertex_count)
         self.vertex_count = vertex_count
         self.facets = tuple(sorted(masks, key=_canonical_key))
-        self.graph = graph
         self._incidence = None
 
     @property
@@ -169,16 +168,11 @@ class SimplicialComplex:
         )
 
 
-# facets per block of the incidence transpose, so that the 0/1 matrix it
-# goes through stays near 2^24 bytes
-_INCIDENCE_BLOCK_BYTES = 1 << 24
-
-
 def _incidence(facets, vertex_count: int) -> list[int]:
     """Per vertex, the mask of the facets (bit j = facets[j]) containing it:
-    the transpose of the facet bitsets, a block of facets at a time."""
+    the transpose of the facet bitsets, BITS_BLOCK entries at a time."""
     out = [0] * vertex_count
-    block = max(1, _INCIDENCE_BLOCK_BYTES // max(1, vertex_count))
+    block = max(1, BITS_BLOCK // max(1, vertex_count))
     for start in range(0, len(facets), block):
         bits = masks_to_bits(facets[start : start + block], vertex_count)
         for v, column in enumerate(bits_to_masks(bits.T)):
@@ -222,7 +216,7 @@ def independence_complex(g: Graph) -> SimplicialComplex:
     """Complex whose facets are all maximal independent sets of g."""
     report = enumerate_mis(g, stop_mode="all", collect=True)
     require_whole(report)
-    return SimplicialComplex(g.n, [s.mask for s in report.sets], graph=g)
+    return SimplicialComplex(g.n, [s.mask for s in report.sets])
 
 
 def require_whole(report) -> None:
@@ -407,13 +401,11 @@ def is_gorenstein_gf2(c: SimplicialComplex) -> bool:
 
 def _reisner(c: SimplicialComplex, top_ok) -> bool:
     """Reisner's criterion, with the top rank accepted by top_ok, on the
-    core of c.  A complex whose links all pass is pure; one with a graph
-    is judged on it, and the core of one without must be connected at
-    dimension 1 or more (its own H~_0 vanishes) and then walks its faces."""
+    core of c.  A complex whose links all pass is pure, and its core must
+    be connected at dimension 1 or more (its own H~_0 vanishes); then the
+    walk over its faces decides."""
     if not is_pure(c):
         return False
-    if c.graph is not None:
-        return ind_reisner(c.graph.rows, c.dimension, top_ok)
     common = reduce(int.__and__, c.facets)
     core = SimplicialComplex(c.vertex_count, [f & ~common for f in c.facets]) if common else c
     return (core.dimension < 1 or _connected(core)) and _every_link(core, top_ok)

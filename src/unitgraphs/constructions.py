@@ -41,7 +41,7 @@ import itertools
 
 from .bits import HARD_ORDER_CAP, VertexSet
 from .descriptors import Gf, Mat, Product, factorize, is_prime
-from .graphs import Graph, build_graph
+from .graphs import build_graph
 from .indsets import is_maximal_independent
 from .rings import (
     GfRing,
@@ -60,12 +60,8 @@ class ConstructionError(Exception):
     pass
 
 
-def _unit_graph(ring: Ring) -> Graph:
-    return build_graph(ring, "unit")
-
-
 def _require_mis(ring: Ring, s: VertexSet, what: str) -> None:
-    if not is_maximal_independent(_unit_graph(ring), s):
+    if not is_maximal_independent(build_graph(ring, "unit"), s):
         raise ConstructionError(
             f"{what} is not a maximal independent set of the unit graph of "
             f"{ring.expr}"

@@ -130,13 +130,7 @@ class _Parser:
             self.expect(")")
             return Mat(k, base)
         if self.text.startswith("GF", self.pos):
-            self.pos += 2
-            self.expect("(")
-            q, at = self.nat()
-            self.expect(")")
-            if prime_power(q) is None:
-                self.error(f"{q} is not a prime power", at)
-            return Gf(q)
+            return Gf(self.gf())
         if self.text.startswith("GA", self.pos):
             self.pos += 2
             self.expect("(")
@@ -147,16 +141,20 @@ class _Parser:
             return GroupAlgebra(q, grp)
         self.error("expected a ring atom (Z.., GF(..), M..(..), GA(..), or parentheses)")
 
+    def gf(self) -> int:
+        """The prime power q of 'GF(' q ')', read from its 'GF'."""
+        self.pos += 2
+        self.expect("(")
+        q, at = self.nat()
+        self.expect(")")
+        if prime_power(q) is None:
+            self.error(f"{q} is not a prime power", at)
+        return q
+
     def field(self) -> int:
         self.skip_ws()
         if self.text.startswith("GF", self.pos):
-            self.pos += 2
-            self.expect("(")
-            q, at = self.nat()
-            self.expect(")")
-            if prime_power(q) is None:
-                self.error(f"{q} is not a prime power", at)
-            return q
+            return self.gf()
         if self.peek() == "Z":
             self.pos += 1
             p, at = self.nat()

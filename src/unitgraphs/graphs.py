@@ -48,16 +48,13 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .bits import bits_to_masks, mask_indices, masks_to_bits, row_chunks
+from .bits import BITS_BLOCK, bits_to_masks, mask_indices, masks_to_bits, row_chunks
 from .descriptors import CACHE_SIZE
 from .rings import Ring
 
 DEFAULT_GRAPH_CAP = 4096
 
 KINDS = ("unit", "cayley")
-# Entries of the 0/1 adjacency matrix unpacked at a time by edges() and
-# validate(): 1 MiB of uint8.
-BITS_BLOCK = 1 << 20
 
 
 class GraphError(Exception):

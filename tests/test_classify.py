@@ -300,7 +300,8 @@ def test_report_serializes():
     assert isinstance(data["runtime_ms"], int)
 
 
-def test_classify_cm_matches_complex_oracles_small(catalog_descriptors):
+def test_classify_cm_matches_complex_oracles_small(catalog_descriptors, monkeypatch):
+    from unitgraphs import complexes
     from unitgraphs.complexes import (
         independence_complex,
         is_cm_gf2,
@@ -308,6 +309,14 @@ def test_classify_cm_matches_complex_oracles_small(catalog_descriptors):
         is_shellable,
     )
 
+    def refuse(*args):
+        raise AssertionError("the graph recursion judged a facet complex")
+
+    # the facet judges walk the faces: independent of the graph recursion
+    # that cross_validate runs
+    monkeypatch.setattr(complexes, "ind_reisner", refuse)
+    monkeypatch.setattr(complexes, "_graph_reisner", refuse)
+    decided = 0
     for expr, descriptor in catalog_descriptors:
         ring = build_ring(descriptor)
         if ring.order > 16:
@@ -318,6 +327,8 @@ def test_classify_cm_matches_complex_oracles_small(catalog_descriptors):
         assert is_gorenstein_gf2(c) == predicted["gorenstein"], expr
         shell = is_shellable(c, facet_cap=300)
         assert shell == predicted["shellable"], expr
+        decided += 1
+    assert decided == 33
 
 
 def test_cross_validate_realizes_no_quotient(catalog_descriptors, monkeypatch):

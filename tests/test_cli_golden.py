@@ -12,13 +12,15 @@ output regenerates the file on purpose and says which entries moved:
 import contextlib
 import io
 import json
+import os
 import re
 from pathlib import Path
 
 from conftest import CATALOG_EXPRS
 from unitgraphs.cli import main
 
-GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
+ROOT = Path(__file__).resolve().parent.parent  # the facet files' paths are relative to it
+GOLDEN = ROOT / "tests" / "data" / "cli_golden.json"
 RUNTIME = re.compile(r'"runtime_ms": \d+')
 
 # the rings of the benchmark's oracle workload
@@ -33,6 +35,10 @@ CAP_SCALE = [
     "GA(GF(2), C11)", BOOLEAN_12, "Z2 x Z2 x Z3 x Z3", "Z2 x Z2 x Z7 x Z7",
 ]
 ALL_FLAGS = ["--pure", "--cm", "--gorenstein", "--shellable"]
+# tests/data/facets: the 6-vertex RP^2, the 17-simplex (a cone), the
+# boundary of the 18-simplex (past the face cap), the bowtie, and Ind of
+# the unit graphs of M2(GF(2)) and Z2 x Z2 x Z2
+FACET_FILES = ["rp2", "simplex_17", "simplex_18_boundary", "bowtie", "m2_gf2", "z2_cubed"]
 
 
 def commands() -> list[list[str]]:
@@ -60,6 +66,12 @@ def commands() -> list[list[str]]:
     for ring in ["M2(GF(2))", "M2(GF(3))", "M2(GF(4))", "M2(GF(5))", "M3(GF(2))"]:
         out.append(["construct", ring, "signature"])
         out.append(["construct", ring, "zerorow"])
+    for name in FACET_FILES:
+        out.append(["complex", "--facets-file", f"tests/data/facets/{name}.json", *ALL_FLAGS])
+    # error exits: a malformed facet file and a bad ring (2), a cap (3)
+    out.append(["complex", "--facets-file", "tests/data/facets/malformed.json", *ALL_FLAGS])
+    out.append(["classify", "Z1"])
+    out.append(["info", "M2(Z9)"])
     return out
 
 
@@ -75,7 +87,8 @@ def run(argv: list[str]) -> dict:
     }
 
 
-def test_cli_outputs_match_the_golden_file():
+def test_cli_outputs_match_the_golden_file(monkeypatch):
+    monkeypatch.chdir(ROOT)
     entries = json.loads(GOLDEN.read_text())
     assert [e["argv"] for e in entries] == commands()
     moved = [" ".join(e["argv"]) for e in entries if run(e["argv"]) != e]
@@ -83,6 +96,6 @@ def test_cli_outputs_match_the_golden_file():
 
 
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
+    os.chdir(ROOT)
     lines = ",\n".join(json.dumps(run(argv)) for argv in commands())
     GOLDEN.write_text(f"[\n{lines}\n]\n")

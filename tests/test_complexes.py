@@ -19,6 +19,7 @@ from unitgraphs.complexes import (
     complex_from_json,
     facets_to_json,
     find_shelling,
+    ind_reisner,
     independence_complex,
     is_cm_gf2,
     is_gorenstein_gf2,
@@ -77,6 +78,19 @@ def test_from_facets_takes_only_integer_vertices():
         with pytest.raises(ComplexError, match=re.escape(f"bad facet entry {entry}")):
             _from_facets(3, facets)
     assert _from_facets(3, [(0, 1), range(1, 3)]).facet_lists() == [[0, 1], [1, 2]]
+
+
+@pytest.mark.parametrize("masks, entry", [
+    ([2.9, "5", True], "2.9"), (["5"], "'5'"), ([1, True], "True"),
+    ([3, -3], "-3"), ([5, -1], "-1"), ([-2], "-2"),
+])
+def test_the_constructor_takes_only_nonnegative_int_masks(masks, entry):
+    # int() would read 2.9, "5" and True as masks 2, 5 and 1, and
+    # deduplication would fold True into 1; a negative mask has no finite
+    # set of vertices to list
+    with pytest.raises(ComplexError, match=re.escape(f"bad facet mask {entry}: masks are")):
+        SimplicialComplex(3, masks)
+    assert SimplicialComplex(3, iter([0b011, 0b110])).facet_lists() == [[0, 1], [1, 2]]
 
 
 def test_is_pure():
@@ -485,12 +499,10 @@ def test_graph_recursion_matches_the_face_walk_on_random_graphs(monkeypatch):
     shapes = Counter()
     for case in range(400):
         g = _agreement_graph(rng, case)
-        c = independence_complex(g)
-        assert c.graph is g
-        bare = SimplicialComplex(g.n, c.facets)  # no graph: the face walk
+        c = independence_complex(g)  # a facet complex: its judges walk faces
         facets = c.facet_lists()
-        for check in (is_cm_gf2, is_gorenstein_gf2):
-            assert check(c) == check(bare), (check.__name__, facets)
+        walked = {"cm_gf2": is_cm_gf2(c), "gorenstein_gf2": is_gorenstein_gf2(c)}
+        assert join_verdicts(list(join_factors(g)), list(walked)) == walked, facets
         # the recursion alone, without the pre-checks, on the whole complex
         # and on its core (the isolated vertices dropped)
         full = (1 << g.n) - 1
@@ -498,7 +510,7 @@ def test_graph_recursion_matches_the_face_walk_on_random_graphs(monkeypatch):
         core = SimplicialComplex(g.n, [f & ~isolated for f in c.facets])
         cm = _graph_reisner(g.rows, full, lambda top: True)
         gorenstein = _graph_reisner(g.rows, full & ~isolated, lambda top: top == 1)
-        assert cm == _every_link(bare, lambda top: True), facets
+        assert cm == _every_link(c, lambda top: True), facets
         assert gorenstein == _every_link(core, lambda top: top == 1), facets
         shapes["isolated"] += bool(isolated)
         shapes["disconnected"] += len(connected_components(g)) > 1
@@ -522,9 +534,9 @@ VERDICT_KEYS = ["well_covered", "cm_gf2", "shellable", "gorenstein_gf2"]
 
 
 def _face_walk_verdicts(g, facets):
-    """The verdicts on the whole complex Ind(g), given by its facets with
-    no graph, so the CM and Gorenstein tests walk its faces; a verdict the
-    walk does not decide (a cap hit) is left out."""
+    """The verdicts on the whole complex Ind(g), given by its facets, so
+    the CM and Gorenstein tests walk its faces; a verdict the walk does
+    not decide (a cap hit) is left out."""
     whole = SimplicialComplex(g.n, facets)
     oracles = {"well_covered": is_pure, "cm_gf2": is_cm_gf2,
                "shellable": is_shellable, "gorenstein_gf2": is_gorenstein_gf2}
@@ -597,7 +609,7 @@ def test_join_verdicts_on_graphs_match_the_whole_complex_face_walk(monkeypatch):
         for h in listed:
             (found,) = [f.report for f in factors if f.graph is h]
             assert len(found.sizes_seen) == 1 and found.count <= DEFAULT_FACET_CAP, name
-            assert is_cm_gf2(SimplicialComplex(h.n, independence_complex(h).facets)), name
+            assert is_cm_gf2(independence_complex(h)), name
         shapes["listed"] += bool(listed)
         shapes["cm"] += got["cm_gf2"] is True
         shapes["not cm"] += got["cm_gf2"] is False
@@ -615,16 +627,17 @@ def test_graph_recursion_reads_only_adjacency_rows(monkeypatch):
     # a circle, so CM and Gorenstein; every pre-check passes
     c5 = Graph(5, "imported", [0b10010, 0b00101, 0b01010, 0b10100, 0b01001])
     assert c5.ring_expr is None
-    assert is_cm_gf2(independence_complex(c5)) is True
-    assert is_gorenstein_gf2(independence_complex(c5)) is True
-    with pytest.raises(ComplexError):
-        SimplicialComplex(6, [0b101], graph=c5)
+    keys = ["cm_gf2", "gorenstein_gf2"]
+    assert join_verdicts(list(join_factors(c5)), keys) == dict.fromkeys(keys, True)
     # a 4-cycle plus an isolated vertex 0: Ind is two triangles sharing
-    # vertex 0, pure and connected; the link of 0, two disjoint edges, is not
+    # vertex 0, pure and connected; the link of 0, two disjoint edges, is
+    # not.  join_factors splits vertex 0 off, so ind_reisner judges the
+    # cone whole, and the join agrees
     bowtie = Graph(5, "imported", [0, 0b11000, 0b11000, 0b00110, 0b00110])
     c = independence_complex(bowtie)
     assert is_pure(c) and c.dimension == 2
-    assert is_cm_gf2(c) is False
+    assert ind_reisner(bowtie.rows, c.dimension, lambda top: True) is False
+    assert join_verdicts(list(join_factors(bowtie)), keys) == dict.fromkeys(keys, False)
 
 
 def test_graph_recursion_needs_no_python_recursion():

@@ -466,7 +466,7 @@ def test_repeated_components_reuse_their_search(g):
     factors = []
     for sub in subs:
         report = enumerate_mis(sub, stop_mode="first_two_sizes")
-        factors.append(SimplicialComplex(sub.n, [s.mask for s in report.sets], graph=sub))
+        factors.append(SimplicialComplex(sub.n, [s.mask for s in report.sets]))
         if report.stop_reason == "two_sizes":
             break
     joined = list(join_factors(g))

@@ -36,7 +36,6 @@ from .constructions import (
     nonunit_complement_witness,
     lift_nonunit_mis,
     lift_unit_mis_reps,
-    matrix_view,
     signature_set,
     two_size_witnesses,
     zero_first_row_set,
@@ -286,18 +285,25 @@ def _cmd_construct(args) -> int:
 
 
 def _matrix_params(ring) -> tuple[int, int]:
-    view = matrix_view(ring)
-    if view is None:
+    """(n, q) of a ring whose R/J(R) = R is one block M_n(GF(q)), indexed
+    as ``matrix_ring(n, q)`` (M_a(M_b(F)), a, b > 1, is over the cap)."""
+    quotient = quotient_by_radical(ring)
+    if quotient.order != ring.order or len(quotient.blocks) != 1:
         raise _CliError(
             "this construction needs a matrix ring over a field, like M2(GF(3))",
             EXIT_USAGE,
         )
-    fld, n = view
-    return n, fld.q
+    return quotient.blocks[0]
 
 
 def _cmd_complex(args) -> int:
     start = time.monotonic()
+    if args.facets_file and args.ring:
+        raise _CliError(
+            f"give a ring expression or --facets-file, not both "
+            f"(got {args.ring!r} and {args.facets_file!r})",
+            EXIT_USAGE,
+        )
     if args.facets_file:
         with open(args.facets_file, "rb") as fh:
             c = complex_from_json(fh.read())

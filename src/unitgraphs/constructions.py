@@ -21,14 +21,15 @@ The recipes:
   independent sets of R/J(R) back to R: a non-unit set lifts to the
   union of its radical cosets, an all-unit set (when 2 is a unit in R)
   lifts to any transversal, here the canonical smallest-index one.
-* ``nonunit_complement_witness`` -- in a semisimple product of matrix
-  rings, every nonzero non-unit y admits a non-unit z with y + z a
+* ``nonunit_complement_witness`` -- in a semisimple ring, its own
+  R/J(R), every nonzero non-unit y admits a non-unit z with y + z a
   unit; each block of z is a 0/1 matrix read off one forward row
-  reduction of the block of y.
+  reduction of the block of y in ``quotient_by_radical``.
 * ``mixed_char_product_witnesses`` -- for semisimple R, S with
   char(R) = 2 and char(S) odd, two maximal independent sets of the unit
   graph of R x S with different sizes (so that graph is not
-  well-covered).
+  well-covered), built from the zero-first-row set of R's leading block
+  of R/J(R).
 * ``two_size_witnesses``  -- for any supported ring in which 2 is a
   unit, two maximal independent sets of different sizes, produced by
   running the signature and zero-first-row constructions inside the
@@ -40,7 +41,7 @@ from __future__ import annotations
 import itertools
 
 from .bits import HARD_ORDER_CAP, VertexSet
-from .descriptors import Gf, Mat, Product, factorize, is_prime
+from .descriptors import Gf, Mat, Product
 from .graphs import build_graph
 from .indsets import is_maximal_independent
 from .rings import (
@@ -49,9 +50,7 @@ from .rings import (
     ProductRing,
     QuotientRing,
     Ring,
-    ZnRing,
     build_ring,
-    jacobson_radical,
     quotient_by_radical,
 )
 
@@ -66,6 +65,14 @@ def _require_mis(ring: Ring, s: VertexSet, what: str) -> None:
             f"{what} is not a maximal independent set of the unit graph of "
             f"{ring.expr}"
         )
+
+
+def _require_semisimple(ring: Ring, name: str) -> QuotientRing:
+    """R/J(R) of a semisimple ring, whose representatives are R itself."""
+    quotient = quotient_by_radical(ring)
+    if quotient.order != ring.order:
+        raise ConstructionError(f"{name} = {ring.expr} is not semisimple")
+    return quotient
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +94,7 @@ def signature_set(n: int, q: int, verify: bool = True) -> VertexSet:
     where +1 = -1 collapses the set to the identity."""
     ring = matrix_ring(n, q)
     assert isinstance(ring, MatRing)
-    fld = _field(ring.base)
+    fld = ring.base
     if fld.p == 2:
         raise ConstructionError(
             "signature matrices need odd characteristic (in characteristic "
@@ -247,45 +254,6 @@ def _check_quotient_set(
 # the complement witness
 # ---------------------------------------------------------------------------
 
-def _leaves(ring: Ring) -> tuple[list[Ring], list[int]]:
-    """Leaf rings of a (nested) product, factor 0 first, with the
-    mixed-radix stride of each (a factor's stride times the leaf's inside
-    it); any other ring is its own leaf.  An element is the sum of its
-    leaf values times their strides."""
-    if not isinstance(ring, ProductRing):
-        return [ring], [1]
-    leaves, strides, stride = [], [], 1
-    for factor in ring.factors:
-        below, inner = _leaves(factor)
-        leaves += below
-        strides += [stride * s for s in inner]
-        stride *= factor.order
-    return leaves, strides
-
-
-def _field(ring: Ring) -> GfRing | None:
-    """The field a ring is, if it is one here: a GfRing itself, or for a
-    prime Z_p the GfRing of GF(p), which indexes its elements the same
-    way."""
-    if isinstance(ring, GfRing):
-        return ring
-    if isinstance(ring, ZnRing) and is_prime(ring.order):
-        return build_ring(Gf(ring.order), order_cap=HARD_ORDER_CAP)
-    return None
-
-
-def matrix_view(ring: Ring) -> tuple[GfRing, int] | None:
-    """(field, size) when the ring is a field or a matrix ring over one."""
-    fld = _field(ring)
-    if fld is not None:
-        return fld, 1
-    if isinstance(ring, MatRing):
-        fld = _field(ring.base)
-        if fld is not None:
-            return fld, ring.k
-    return None
-
-
 def _complement_block(fld: GfRing, size: int, value: int) -> int:
     """The 0/1 block Z with A + Z invertible, for the size x size block A
     of index ``value``: entry (i, j) is base-q digit i * size + j, as
@@ -320,11 +288,12 @@ def _complement_block(fld: GfRing, size: int, value: int) -> int:
 
 
 def nonunit_complement_witness(s_ring: Ring, y: int, verify: bool = True) -> int:
-    """For a nonzero non-unit y of a semisimple product of matrix rings
-    over fields, a non-unit z with y + z a unit.
+    """For a nonzero non-unit y of a semisimple ring, a non-unit z with
+    y + z a unit.
 
-    Each block A of y gets the 0/1 block of ``_complement_block``, of
-    rank m - rank(A): the identity when A is zero, zero when A is
+    R is its own R/J(R) = M_{n_1}(F_1) x ... x M_{n_t}(F_t), and each
+    block A of y there gets the 0/1 block of ``_complement_block``, of
+    rank n_i - rank(A): the identity when A is zero, zero when A is
     invertible, and a singular nonzero block otherwise.  Some block of y
     is nonzero, so its block of z is singular and z is a non-unit.
     """
@@ -332,15 +301,13 @@ def nonunit_complement_witness(s_ring: Ring, y: int, verify: bool = True) -> int
         raise ConstructionError("y must be nonzero")
     if s_ring.is_unit(y):
         raise ConstructionError("y must not be a unit")
-    leaves, strides = _leaves(s_ring)
-    views = [matrix_view(r) for r in leaves]
-    if any(v is None for v in views):
-        raise ConstructionError(
-            f"{s_ring.expr} is not a product of matrix rings over fields"
-        )
-    z = 0
-    for leaf, (fld, size), stride in zip(leaves, views, strides):
-        z += _complement_block(fld, size, y // stride % leaf.order) * stride
+    quotient = _require_semisimple(s_ring, "R")
+    rings, images = quotient.block_rings, s_ring.block_images
+    blocks = [
+        _complement_block(r if n == 1 else r.base, n, int(image[y]))
+        for (n, _), r, image in zip(quotient.blocks, rings, images)
+    ]
+    z = quotient.representatives[quotient.encode_blocks(blocks)]
     if verify:
         if s_ring.is_unit(z):
             raise ConstructionError("witness came out a unit")
@@ -353,9 +320,19 @@ def nonunit_complement_witness(s_ring: Ring, y: int, verify: bool = True) -> int
 # non-well-covered witnesses
 # ---------------------------------------------------------------------------
 
-def _require_semisimple(ring: Ring, name: str) -> None:
-    if jacobson_radical(ring).mask != 1:
-        raise ConstructionError(f"{name} = {ring.expr} is not semisimple")
+def _zero_row_set(quotient: QuotientRing) -> VertexSet:
+    """The zero-first-row set of the leading block of R/J(R) times the
+    other blocks: a non-unit maximal independent set of R/J(R)."""
+    lead_zero_rows = zero_first_row_set(*quotient.blocks[0], verify=False).indices()
+    rest = [range(r.order) for r in quotient.block_rings[1:]]
+    return VertexSet.from_indices(
+        [
+            quotient.encode_blocks([first, *others])
+            for first in lead_zero_rows
+            for others in itertools.product(*rest)
+        ],
+        quotient.order,
+    )
 
 
 def mixed_char_product_witnesses(
@@ -365,37 +342,30 @@ def mixed_char_product_witnesses(
     R x S, for semisimple R of characteristic 2 and semisimple S of odd
     characteristic.
 
-    The first is M x S, where M fixes the zero-first-row set in the
-    leading factor of R; the second is (R x {0}) union (M x X) with X
-    the non-units of S.  Their sizes |M||S| and |R| + |M||X| - |M| have
-    different parity, so the unit graph is not well-covered.
+    The first is M x S, where M is the zero-first-row set of the leading
+    block of R = R/J(R) times the other blocks; the second is (R x {0})
+    union (M x X), X the non-units of S.  The sizes |M||S| and
+    |R| + |M||X| - |M| differ in parity: the graph is not well-covered.
     """
-    _require_semisimple(r_ring, "R")
+    quotient = _require_semisimple(r_ring, "R")
     _require_semisimple(s_ring, "S")
     if r_ring.characteristic != 2:
         raise ConstructionError("R must have characteristic 2")
     if s_ring.characteristic % 2 == 0:
         raise ConstructionError("S must have odd characteristic")
-    r_leaves, _ = _leaves(r_ring)
-    view = matrix_view(r_leaves[0])
-    if view is None:
-        raise ConstructionError(f"{r_leaves[0].expr} is not a matrix ring over a field")
-    fld, size = view
-    m1 = zero_first_row_set(size, fld.q, verify=False)
-    if len(r_leaves) == 1:
-        m_set = m1
-    else:
-        m_set = product_nonunit_extend(r_leaves, 0, m1, verify=verify)
+    # checked below as part of both witnesses
+    m_set = lift_nonunit_mis(r_ring, _zero_row_set(quotient), verify=False)
     prod = _product_ring([r_ring, s_ring])
-    r_order, s_order = r_ring.order, s_ring.order
-    m_times_s = VertexSet.from_indices(
-        [a + r_order * b for a in m_set for b in range(s_order)], prod.order
+
+    def pairs(firsts, seconds) -> set[int]:
+        return {prod.encode_components([a, b]) for a in firsts for b in seconds}
+
+    m_times_s = VertexSet.from_indices(pairs(m_set, range(s_ring.order)), prod.order)
+    nonunits = [b for b in range(s_ring.order) if not s_ring.is_unit(b)]
+    n_set = VertexSet.from_indices(
+        pairs(range(r_ring.order), [s_ring.zero]) | pairs(m_set, nonunits), prod.order
     )
-    nonunits = [b for b in range(s_order) if not s_ring.is_unit(b)]
-    n_members = {a for a in range(r_order)}  # R x {0}
-    n_members.update(a + r_order * b for a in m_set for b in nonunits)
-    n_set = VertexSet.from_indices(sorted(n_members), prod.order)
-    expected = r_order + len(m_set) * len(nonunits) - len(m_set)
+    expected = r_ring.order + len(m_set) * len(nonunits) - len(m_set)
     if len(n_set) != expected:
         raise ConstructionError("second witness has the wrong cardinality")
     if len(m_times_s) == len(n_set):
@@ -422,12 +392,8 @@ def two_size_witnesses(
     two = ring.add(ring.one, ring.one)
     if not ring.is_unit(two):
         raise ConstructionError("2 must be a unit")
+    # 2 is a unit in every block, so every q is odd
     quotient = quotient_by_radical(ring)
-    for _, q in quotient.blocks:
-        if factorize(q)[0][0] == 2:
-            raise ConstructionError(
-                "2 a unit forces every residue field to odd characteristic"
-            )
     block_sign_sets = [
         signature_set(n, q, verify=False).indices() for n, q in quotient.blocks
     ]
@@ -438,26 +404,14 @@ def two_size_witnesses(
         ],
         quotient.order,
     )
-    lead_zero_rows = zero_first_row_set(*quotient.blocks[0], verify=False).indices()
-    rest = [range(r.order) for r in quotient.block_rings[1:]]
-    zero_quotient = VertexSet.from_indices(
-        [
-            quotient.encode_blocks([first, *others])
-            for first in lead_zero_rows
-            for others in itertools.product(*rest)
-        ],
-        quotient.order,
-    )
+    zero_quotient = _zero_row_set(quotient)
     # both sets are checked once, in R: R/J(R) would need a second graph
     unit_lift = lift_unit_mis_reps(ring, sig_quotient, verify=False)
     nonunit_lift = lift_nonunit_mis(ring, zero_quotient, verify=False)
     if verify:
         _require_mis(ring, unit_lift, "the lifted signature set")
         _require_mis(ring, nonunit_lift, "the lifted zero-first-row set")
-    expected_sig = 1
-    for n, _ in quotient.blocks:
-        expected_sig *= 2**n
-    if len(unit_lift) != expected_sig:
+    if len(unit_lift) != 2 ** sum(n for n, _ in quotient.blocks):
         raise ConstructionError("signature lift has the wrong cardinality")
     if len(zero_quotient) % 2 == 0:
         raise ConstructionError("non-unit witness size should be odd")

@@ -16,6 +16,9 @@ Read with ``ast``, every import of the package is checked:
 * ``classify`` imports from ``complexes`` only ``DEFAULT_FACET_CAP``,
   ``SKIPPED``, ``join_factors`` and ``join_verdicts``: Ind(G) is judged
   in ``complexes`` alone, and ``classify`` builds no complex;
+* ``constructions`` imports neither ``ZnRing`` from ``rings`` nor
+  ``is_prime`` from ``descriptors``: a ring's fields and matrix blocks
+  come from ``rings.quotient_by_radical``, which alone decides them;
 * no module imports a private name (one underscore) of another module.
 """
 
@@ -34,6 +37,7 @@ ORACLE_SOURCES = {"graphs", "bits", *ORACLES}
 GRAPH_SOURCES = {"bits": None, "rings": {"Ring"}, "descriptors": {"CACHE_SIZE"}}
 CLI_FROM_INDSETS = {"enumerate_mis", "DEFAULT_MAX_SETS", "DEFAULT_TIME_BUDGET"}
 CLASSIFY_FROM_COMPLEXES = {"DEFAULT_FACET_CAP", "SKIPPED", "join_factors", "join_verdicts"}
+CONSTRUCTIONS_BARRED = {("rings", "ZnRing"), ("descriptors", "is_prime")}
 
 
 def package_imports(source: str):
@@ -65,6 +69,8 @@ def violations(module: str, source: str) -> list[str]:
             bad |= origin == "indsets" and name not in CLI_FROM_INDSETS
         elif module == "classify":
             bad |= origin == "complexes" and name not in CLASSIFY_FROM_COMPLEXES
+        elif module == "constructions":
+            bad |= (origin, name) in CONSTRUCTIONS_BARRED
         if bad:
             what = f"import {origin}" if name is None else f"from {origin} import {name}"
             out.append(f"{module}: {what}")
@@ -120,4 +126,12 @@ def test_the_check_sees_planted_imports():
         "classify: from complexes import SimplicialComplex",
         "classify: from complexes import ind_reisner",
         "classify: import complexes",
+    ]
+    blocks = (
+        "from .rings import GfRing, ZnRing, quotient_by_radical\n"
+        "from .descriptors import Gf, factorize, is_prime\n"
+    )
+    assert violations("constructions", blocks) == [
+        "constructions: from rings import ZnRing",
+        "constructions: from descriptors import is_prime",
     ]

@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 import unitgraphs
 from oracles import build_plain_graph
 from unitgraphs import classify, cli, complexes, indsets
+from unitgraphs.bits import VertexSet
 from unitgraphs.descriptors import CACHE_SIZE, descriptor_order
 from unitgraphs.dsl import parse_ring_expr
 from unitgraphs.graphs import build_graph
+from unitgraphs.rings import build_ring
 from unitgraphs.cli import (
     EXIT_CAP,
     EXIT_DISAGREEMENT,
@@ -349,6 +351,23 @@ def test_matrix_constructions_read_prime_residues_as_fields(capsys, what, over_z
     assert code == EXIT_USAGE and "over a field" in err
 
 
+@pytest.mark.parametrize("what", ["signature", "zerorow"])
+@pytest.mark.parametrize(
+    "expr", ["M2(Z3)", "M1(M2(GF(3)))", "M2(M1(GF(3)))", "GA(GF(5), C1)", "GF(9)"]
+)
+def test_matrix_sets_are_sets_of_the_input_ring(capsys, what, expr):
+    # each ring is its own R/J(R), one block M_n(GF(q)), so the set printed
+    # for it is maximal independent in its own unit graph
+    result = run_json(capsys, "construct", expr, what)["result"]
+    graph = build_graph(build_ring(parse_ring_expr(expr)), "unit")
+    assert indsets.is_maximal_independent(
+        graph, VertexSet.from_indices(result["set"], graph.n)
+    )
+    for other in ("Z6", "Z9", "M2(Z4)"):  # two blocks, or a radical
+        code, _, err = run(capsys, "construct", other, what)
+        assert code == EXIT_USAGE and "over a field" in err
+
+
 def test_construct_two_size(capsys):
     payload = run_json(capsys, "construct", "M2(GF(3))", "two-size")
     assert sorted(payload["result"]["sizes"]) == [4, 9]
@@ -611,6 +630,14 @@ def test_complex_facets_file(tmp_path, capsys):
     )
     assert payload["result"]["cm_gf2"] is True
     assert payload["result"]["gorenstein_gf2"] is True
+
+
+def test_complex_refuses_a_ring_and_a_facets_file_together(tmp_path, capsys):
+    path = tmp_path / "facets.json"
+    path.write_text(json.dumps([[0, 1], [1, 2]]))
+    code, out, err = run(capsys, "complex", "Z3", "--facets-file", str(path), "--cm")
+    assert code == EXIT_USAGE and out == ""
+    assert "'Z3'" in err and str(path) in err
 
 
 def test_verify_shipped_catalog(capsys):

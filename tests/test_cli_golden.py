@@ -61,15 +61,22 @@ def commands() -> list[list[str]]:
     for ring, order in [("(Z2 x GF(4)) x M2(Z2)", 128), ("GF(4) x M2(GF(2)) x Z3", 192)]:
         for y in range(0, order, 7):
             out.append(["construct", ring, "complement", "--y", str(y)])
+    # semisimple rings that are not products of matrix rings over fields
+    # as written, and a ring with a radical (exit 2)
+    for ring, y in [("Z6", 2), ("GA(GF(2), C3)", 3), ("M2(GF(2) x GF(2))", 1), ("Z4", 2)]:
+        out.append(["construct", ring, "complement", "--y", str(y)])
     for ring in ["M2(GF(3))", "M2(GF(5))", "GA(GF(3), C2)", "GA(GF(3), C4)", "Z3 x GF(9)"]:
         out.append(["construct", ring, "two-size"])
     for ring in ["M2(GF(2))", "M2(GF(3))", "M2(GF(4))", "M2(GF(5))", "M3(GF(2))"]:
         out.append(["construct", ring, "signature"])
         out.append(["construct", ring, "zerorow"])
+    out.append(["construct", "M1(M2(GF(3)))", "zerorow"])
     for name in FACET_FILES:
         out.append(["complex", "--facets-file", f"tests/data/facets/{name}.json", *ALL_FLAGS])
-    # error exits: a malformed facet file and a bad ring (2), a cap (3)
+    # error exits: a malformed facet file, a ring together with a facet
+    # file and a bad ring (2), a cap (3)
     out.append(["complex", "--facets-file", "tests/data/facets/malformed.json", *ALL_FLAGS])
+    out.append(["complex", "Z3", "--facets-file", "tests/data/facets/bowtie.json", "--cm"])
     out.append(["classify", "Z1"])
     out.append(["info", "M2(Z9)"])
     return out

@@ -218,6 +218,14 @@ def test_complement_witness_block_rules():
         "M2(GF(4))",
         "M2(GF(7))",
         "M2(GF(8))",
+        # semisimple rings whose blocks R/J(R) = R shows and the expression
+        # does not: Z_n squarefree, semisimple group algebras, and matrix
+        # rings over products
+        "Z6",
+        "Z15",
+        "GA(GF(2), C3)",
+        "GA(GF(3), C2)",
+        "M2(GF(2) x GF(2))",
     ],
 )
 def test_complement_witness_exhaustive(expr):
@@ -269,8 +277,9 @@ def test_complement_witness_rejects_bad_inputs():
         nonunit_complement_witness(ring, 0)
     with pytest.raises(ConstructionError):
         nonunit_complement_witness(ring, ring.one)
-    with pytest.raises(ConstructionError):
-        nonunit_complement_witness(_ring("Z4"), 2)  # not semisimple-shaped
+    for expr in ("Z4", "M2(Z4)"):  # J(R) != 0
+        with pytest.raises(ConstructionError, match="is not semisimple"):
+            nonunit_complement_witness(_ring(expr), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +301,14 @@ def test_mixed_char_witness_examples():
 
 
 def test_mixed_char_witness_size_identity():
-    for r_expr, s_expr in [("Z2", "Z3"), ("GF(4)", "Z3"), ("Z2", "Z5"), ("GF(2)", "M2(GF(3))")]:
+    for r_expr, s_expr in [
+        ("Z2", "Z3"),
+        ("GF(4)", "Z3"),
+        ("Z2", "Z5"),
+        ("GF(2)", "M2(GF(3))"),
+        ("GA(GF(2), C3)", "Z3"),  # R/J(R) = GF(2) x GF(4)
+        ("Z2 x M2(GF(2))", "Z3"),
+    ]:
         r, s = _ring(r_expr), _ring(s_expr)
         m_times_s, n_set = mixed_char_product_witnesses(r, s)
         m_size = len(m_times_s) // s.order
@@ -306,12 +322,10 @@ def test_mixed_char_witness_size_identity():
 
 def test_a_nested_product_has_the_leaves_of_the_flat_one():
     # strides compose down the nesting, so the nested product indexes its
-    # elements as the flat one does, with the same cached leaf rings
+    # elements as the flat one does
     nested = build_ring(Product((Product((Zn(2), Gf(4))), Mat(2, Zn(2)))))
     flat = _ring("Z2 x GF(4) x M2(Z2)")
     assert isinstance(nested.factors[0], ProductRing)
-    assert constructions._leaves(nested) == (list(flat.factors), [1, 2, 8])
-    assert all(a is b for a, b in zip(constructions._leaves(nested)[0], flat.factors))
     for y in range(1, flat.order):
         if not flat.is_unit(y):
             assert nonunit_complement_witness(nested, y) == nonunit_complement_witness(flat, y)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 from .complexes import DEFAULT_FACET_CAP, SKIPPED, join_factors, join_verdicts
 from .descriptors import RingDescriptor, descriptor_expr, descriptor_order
-from .graphs import GraphError, build_graph
+from .graphs import build_graph
 from .indsets import DEFAULT_MAX_SETS, DEFAULT_TIME_BUDGET
 from .rings import build_ring
 from .wedderburn import shape_characteristic, wedderburn_shape
@@ -137,14 +137,10 @@ def cross_validate(
     )
     report.predicted = predict(descriptor)
 
-    factors = None
-    if checks:
-        try:
-            graph = build_graph(ring, "unit")
-        except GraphError:  # over the graph cap: every verdict is skipped
-            pass
-        else:
-            factors = list(join_factors(graph, max_sets=max_sets, time_budget=time_budget))
+    factors = []
+    if checks:  # a realized ring is within the graph cap
+        graph = build_graph(ring, "unit")
+        factors = list(join_factors(graph, max_sets=max_sets, time_budget=time_budget))
     report.observed = join_verdicts(
         factors, [CHECK_KEYS[c][1] for c in CHECK_KEYS if c in checks], facet_cap=facet_cap
     )

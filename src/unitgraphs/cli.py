@@ -4,8 +4,11 @@ Results go to stdout as one JSON object per invocation:
 
     {"ring": ..., "command": ..., "result": ..., "truncated": ..., "runtime_ms": ...}
 
-``--pretty`` renders the same data as human-readable text.  Diagnostics
-go to stderr.  Exit codes: 0 success, 1 a verify run found a
+Each subcommand returns its ring, result and truncation flag; ``main``
+alone times the run, writes the envelope and picks the exit code
+(``graph`` and ``verify --pretty`` write their own text and return their
+exit code).  ``--pretty`` renders the same data as human-readable text.
+Diagnostics go to stderr.  Exit codes: 0 success, 1 a verify run found a
 disagreement, 2 usage or parse error, 3 a resource cap was exceeded,
 4 internal error (an unexpected exception, reported in one line).
 """
@@ -65,55 +68,33 @@ class _CliError(Exception):
         self.code = code
 
 
-def _emit(args, ring_expr, command, result, truncated=False, start=None):
-    runtime_ms = int((time.monotonic() - start) * 1000) if start else 0
-    payload = {
+def _emit(args, ring_expr, command, result, truncated, start):
+    if args.pretty:
+        print(f"ring:    {ring_expr}")
+        print(f"command: {command}")
+        _render_value(result, "  ")
+        if truncated:
+            print("  (truncated)")
+        return
+    runtime_ms = int((time.monotonic() - start) * 1000)
+    print(json.dumps({
         "ring": ring_expr,
         "command": command,
         "result": result,
         "truncated": truncated,
         "runtime_ms": runtime_ms,
-    }
-    if getattr(args, "pretty", False):
-        _render_pretty(payload)
-    else:
-        print(json.dumps(payload))
+    }))
 
 
-def _render_pretty(payload):
-    print(f"ring:    {payload['ring']}")
-    print(f"command: {payload['command']}")
-    _render_value(payload["result"], "  ")
-    if payload["truncated"]:
-        print("  (truncated)")
-
-
-def _render_value(value, indent):
-    if isinstance(value, dict):
-        width = max((len(str(k)) for k in value), default=0)
-        for k, v in value.items():
-            if isinstance(v, dict) and v:
-                print(f"{indent}{k}:")
-                _render_value(v, indent + "  ")
-            elif isinstance(v, list) and v and not _is_flat(v):
-                print(f"{indent}{k}:")
-                _render_value(v, indent + "  ")
-            else:
-                shown = json.dumps(v) if isinstance(v, list) else v
-                print(f"{indent}{str(k).ljust(width)} = {shown}")
-    elif isinstance(value, list):
-        for v in value:
-            _render_value(v, indent)
-    else:
-        print(f"{indent}{value}")
-
-
-def _is_flat(v):
-    return all(
-        not isinstance(x, dict)
-        and (not isinstance(x, list) or all(not isinstance(y, (dict, list)) for y in x))
-        for x in v
-    )
+def _render_value(result: dict, indent):
+    width = max((len(str(k)) for k in result), default=0)
+    for k, v in result.items():
+        if isinstance(v, dict) and v:
+            print(f"{indent}{k}:")
+            _render_value(v, indent + "  ")
+        else:
+            shown = json.dumps(v) if isinstance(v, list) else v
+            print(f"{indent}{str(k).ljust(width)} = {shown}")
 
 
 def _indices_arg(text: str, universe: int) -> VertexSet:
@@ -128,8 +109,7 @@ def _indices_arg(text: str, universe: int) -> VertexSet:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_info(args) -> int:
-    start = time.monotonic()
+def _cmd_info(args):
     descriptor = parse_ring_expr(args.ring)
     ring = build_ring(descriptor)
     shape = wedderburn_shape(descriptor)
@@ -142,8 +122,7 @@ def _cmd_info(args) -> int:
         "quotient_char": shape_characteristic(shape),
         "shape": [list(b) for b in shape],
     }
-    _emit(args, print_ring_expr(descriptor), "info", result, start=start)
-    return EXIT_OK
+    return print_ring_expr(descriptor), result, False
 
 
 def _cmd_graph(args) -> int:
@@ -156,8 +135,7 @@ def _cmd_graph(args) -> int:
     return EXIT_OK
 
 
-def _cmd_mis(args) -> int:
-    start = time.monotonic()
+def _cmd_mis(args):
     descriptor = parse_ring_expr(args.ring)
     ring = build_ring(descriptor)
     graph = build_graph(ring, args.kind)
@@ -179,19 +157,10 @@ def _cmd_mis(args) -> int:
         result["sets"] = sorted(s.indices() for s in report.sets)
     if args.count:
         result = {"count": report.count, "stop_reason": report.stop_reason}
-    _emit(
-        args,
-        print_ring_expr(descriptor),
-        "mis",
-        result,
-        truncated=report.truncated,
-        start=start,
-    )
-    return EXIT_OK
+    return print_ring_expr(descriptor), result, report.truncated
 
 
-def _cmd_wellcovered(args) -> int:
-    start = time.monotonic()
+def _cmd_wellcovered(args):
     descriptor = parse_ring_expr(args.ring)
     result: dict[str, object] = {}
     if args.method in ("classify", "both"):
@@ -204,13 +173,10 @@ def _cmd_wellcovered(args) -> int:
         result["observed"] = "undecided" if observed == SKIPPED else observed
         if args.method == "both":
             result["agreement"] = report.agreement
-    truncated = result.get("observed") == "undecided"
-    _emit(args, print_ring_expr(descriptor), "wellcovered", result, truncated, start)
-    return EXIT_OK
+    return print_ring_expr(descriptor), result, result.get("observed") == "undecided"
 
 
-def _cmd_classify(args) -> int:
-    start = time.monotonic()
+def _cmd_classify(args):
     descriptor = parse_ring_expr(args.ring)
     checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
     for c in checks:
@@ -228,25 +194,16 @@ def _cmd_classify(args) -> int:
         result.pop("runtime_ms", None)
     else:
         result = {"predicted": predict(descriptor)}
-    truncated = SKIPPED in result.get("observed", {}).values()
-    _emit(args, print_ring_expr(descriptor), "classify", result, truncated, start)
-    return EXIT_OK
+    return print_ring_expr(descriptor), result, SKIPPED in result.get("observed", {}).values()
 
 
-def _cmd_construct(args) -> int:
-    start = time.monotonic()
+def _cmd_construct(args):
     descriptor = parse_ring_expr(args.ring)
     ring = build_ring(descriptor)
     what = args.what
     if what in ("signature", "zerorow"):
-        n, q = _matrix_params(ring)
         builder = signature_set if what == "signature" else zero_first_row_set
-        out = builder(n, q)
-        result = {
-            "set": out.indices(),
-            "size": len(out),
-            "verified_maximal": True,
-        }
+        result = _set_result(builder(*_matrix_params(ring)))
     elif what in ("complement", "claim"):
         if args.y is None:
             raise _CliError("--y <index> is required", EXIT_USAGE)
@@ -266,22 +223,18 @@ def _cmd_construct(args) -> int:
             "sizes": [len(unit_side), len(nonunit_side)],
             "verified_maximal": True,
         }
-    elif what == "lift":
+    else:  # lift
         if args.quotient_set is None:
             raise _CliError("--quotient-set <indices> is required", EXIT_USAGE)
         quotient = quotient_by_radical(ring)
         qset = _indices_arg(args.quotient_set, quotient.order)
         lifter = lift_unit_mis_reps if args.side == "unit" else lift_nonunit_mis
-        out = lifter(ring, qset)
-        result = {
-            "set": out.indices(),
-            "size": len(out),
-            "verified_maximal": True,
-        }
-    else:  # pragma: no cover - argparse restricts choices
-        raise _CliError(f"unknown construction {what!r}", EXIT_USAGE)
-    _emit(args, print_ring_expr(descriptor), f"construct {what}", result, start=start)
-    return EXIT_OK
+        result = _set_result(lifter(ring, qset))
+    return print_ring_expr(descriptor), result, False
+
+
+def _set_result(vertex_set: VertexSet) -> dict:
+    return {"set": vertex_set.indices(), "size": len(vertex_set), "verified_maximal": True}
 
 
 def _matrix_params(ring) -> tuple[int, int]:
@@ -296,8 +249,7 @@ def _matrix_params(ring) -> tuple[int, int]:
     return quotient.blocks[0]
 
 
-def _cmd_complex(args) -> int:
-    start = time.monotonic()
+def _cmd_complex(args):
     if args.facets_file and args.ring:
         raise _CliError(
             f"give a ring expression or --facets-file, not both "
@@ -332,12 +284,10 @@ def _cmd_complex(args) -> int:
         if verdict == SKIPPED and key != "shellable":  # only a cap skips these
             raise BudgetExceeded(f"{key}: {verdict.reason}")
         result[key] = "undecided" if verdict == SKIPPED else verdict
-    _emit(args, ring_expr, "complex", result, start=start)
-    return EXIT_OK
+    return ring_expr, result, False
 
 
-def _cmd_verify(args) -> int:
-    start = time.monotonic()
+def _cmd_verify(args):
     if args.catalog:
         catalog = _read_catalog(args.catalog)
     else:
@@ -366,15 +316,8 @@ def _cmd_verify(args) -> int:
                 f"{'yes' if r['ok'] else 'NO'}"
             )
         print(f"{len(rows)} rings, {disagreements} disagreement(s)")
-    else:
-        _emit(
-            args,
-            None,
-            "verify",
-            {"entries": rows, "disagreements": disagreements},
-            start=start,
-        )
-    return EXIT_OK if disagreements == 0 else EXIT_DISAGREEMENT
+        return EXIT_OK if disagreements == 0 else EXIT_DISAGREEMENT
+    return None, {"entries": rows, "disagreements": disagreements}, False
 
 
 def _read_catalog(path: str) -> list:
@@ -536,9 +479,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    start = time.monotonic()
     # exception -> exit code; a BaseException (interrupt, timeout) passes through
     try:
-        return args.func(args)
+        out = args.func(args)
+        if isinstance(out, int):  # graph and verify --pretty wrote their own text
+            return out
+        ring_expr, result, truncated = out
+        command = f"construct {args.what}" if args.command == "construct" else args.command
+        _emit(args, ring_expr, command, result, truncated, start)
+        if args.command == "verify" and result["disagreements"]:
+            return EXIT_DISAGREEMENT
+        return EXIT_OK
     except _CliError as exc:
         return _fail(exc, exc.code)
     except (CapExceeded, BudgetExceeded, GraphError) as exc:

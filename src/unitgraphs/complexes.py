@@ -678,8 +678,6 @@ def _join(factors, key, facet_cap):
     shellability.  False if any factor fails, else skipped if any is
     undecided (None) or hit a cap (the first, as a Skipped), else True.
     A recurring factor object is judged once."""
-    if factors is None:
-        return SKIPPED
     verdict = True
     for c in dict.fromkeys(factors):
         try:

@@ -164,6 +164,13 @@ def test_cross_validate_marks_skips_not_disagreements():
     assert report.agreement is True
 
 
+def test_cross_validate_refuses_a_ring_over_the_order_cap():
+    # the order cap fires in build_ring before the equal graph cap could,
+    # so no verdict is ever skipped for the graph's size
+    with pytest.raises(CapExceeded, match="cap 4096"):
+        cross_validate(parse_ring_expr("M2(Z9)"), ("wc", "cm"))
+
+
 ALL_CHECKS = ("wc", "cm", "shellable", "gorenstein")
 
 

@@ -71,14 +71,42 @@ def commands() -> list[list[str]]:
         out.append(["construct", ring, "signature"])
         out.append(["construct", ring, "zerorow"])
     out.append(["construct", "M1(M2(GF(3)))", "zerorow"])
+    # every command's --pretty rendering, and a truncated one
+    for ring in ["Z4", "M2(GF(2))", "Z2 x GF(4)"]:
+        out.append(["info", ring, "--pretty"])
+        out.append(["mis", ring, "--list", "--pretty"])
+        out.append(["classify", ring, "--cross-validate", "--pretty"])
+        out.append(["complex", ring, "--pure", "--cm", "--pretty"])
+    for ring in ["M2(GF(3))", "GA(GF(3), C2)"]:
+        out.append(["construct", ring, "two-size", "--pretty"])
+    out.append(["mis", BOOLEAN_12, "--count", "--max-sets", "5", "--pretty"])
+    for ring in ["Z4", "M2(GF(2))"]:
+        for kind in ("unit", "cayley"):
+            for fmt in ("json", "dot"):
+                out.append(["graph", ring, "--kind", kind, "--format", fmt])
+    for ring in ["Z4", "Z6", "M2(GF(2))"]:
+        out.append(["mis", ring, "--kind", "cayley", "--list"])
+    out.append(["construct", "Z6", "claim", "--y", "2"])
+    out.append(["construct", "M2(GF(2))", "claim", "--y", "1"])
+    # lifts of quotient sets; 2 is not a unit in M2(Z4), so its unit lift exits 2
+    for ring, side, qset in [
+        ("Z9", "unit", "1,2"), ("Z9 x Z3", "unit", "4,5,7,8"), ("M2(Z4)", "unit", "1,2"),
+        ("Z4 x Z2", "nonunit", "0,1"), ("M2(Z4)", "nonunit", "0,1,2,3"),
+    ]:
+        out.append(["construct", ring, "lift", "--side", side, "--quotient-set", qset])
     for name in FACET_FILES:
         out.append(["complex", "--facets-file", f"tests/data/facets/{name}.json", *ALL_FLAGS])
     # error exits: a malformed facet file, a ring together with a facet
-    # file and a bad ring (2), a cap (3)
+    # file, a bad ring, a lift without its set, a complex without input and
+    # an unknown check (2), a cap (3)
     out.append(["complex", "--facets-file", "tests/data/facets/malformed.json", *ALL_FLAGS])
     out.append(["complex", "Z3", "--facets-file", "tests/data/facets/bowtie.json", "--cm"])
     out.append(["classify", "Z1"])
+    out.append(["construct", "Z4", "lift"])
+    out.append(["complex"])
+    out.append(["classify", "Z4", "--checks", "wc,bogus"])
     out.append(["info", "M2(Z9)"])
+    out.append(["classify", "M2(Z9)", "--cross-validate"])
     return out
 
 

@@ -744,6 +744,36 @@ def test_orbit_path_agrees_on_random_cayley_graphs(monkeypatch):
         extra = [(1, 1 << (n - 1), n - 1)] if rng.random() < 0.5 else []
         fired += _assert_orbit_path_agrees(_cayley_z2(k, connection, extra))
     assert fired >= 20
+    # and a graph whose true twins straddle W, the union of the root
+    # orbits: the whole-family tallies then count members outside W
+    outside = []
+    tally = indsets._Search.tally
+
+    def spy(search, size, mask, classes):
+        outside.append(any(c & ~search.orbit_union for c in classes))
+        return tally(search, size, mask, classes)
+
+    monkeypatch.setattr(indsets._Search, "tally", spy)
+    _assert_orbit_path_agrees(_twins_outside_the_roots())
+    assert any(outside)
+
+
+def _twins_outside_the_roots():
+    """12 vertices (a, b) = a + 3b, a in Z3, b in 0..3; (a, b1) ~ (a + d, b2)
+    for each (b1, b2, d) below, with the rotation a -> a + 1 as the one
+    candidate.  Its whole-family search has 3 orbits and sizes {3: 6, 4: 9}."""
+    edges = [(0, 0, 1), (0, 0, 2), (0, 2, 1), (0, 2, 2), (1, 2, 0), (1, 3, 0), (1, 3, 1),
+             (2, 2, 1), (2, 2, 2), (2, 3, 1), (2, 3, 2), (3, 3, 1), (3, 3, 2)]
+    rows = [0] * 12
+    for a in range(3):
+        for b1, b2, d in edges:
+            x, y = a + 3 * b1, (a + d) % 3 + 3 * b2
+            rows[x] |= 1 << y
+            rows[y] |= 1 << x
+    g = Graph(12, "imported", rows, candidates=[(1, 0b100100100100, 2)])
+    report = enumerate_mis(g, collect=False)
+    assert report.orbits == 3 and report.sizes_seen == {3: 6, 4: 9}
+    return g
 
 
 @pytest.mark.parametrize("expr", ["M2(GF(4))", "GF(8) x GF(8)", "GA(GF(2), Q8)"])

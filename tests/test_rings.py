@@ -208,6 +208,17 @@ def test_build_examples():
     assert m22.order == 16 and len(m22.unit_set) == 6
 
 
+@pytest.mark.parametrize("expr, x, text", [
+    ("GF(9)", 5, "2+g"), ("GF(9)", 7, "1+2g"), ("GF(8)", 6, "g+g^2"),
+    ("GA(GF(2), C3)", 0, "0"), ("GA(GF(2), C3)", 5, "1+g^2"),
+    ("GA(GF(2), D4)", 16, "b"), ("GA(GF(2), D4)", 255, "1+a+a^2+a^3+b+ab+a^2b+a^3b"),
+    ("GA(GF(2), Q8)", 128, "a^3b"),
+])
+def test_element_repr_names_powers_and_group_elements(expr, x, text):
+    # field terms above degree 0, zero coefficients skipped, D4/Q8 names
+    assert build_ring(parse_ring_expr(expr)).element_repr(x) == text
+
+
 def test_zn2_and_gf2_realize_identical_arithmetic():
     a, b = build_ring(Zn(2)), build_ring(Gf(2))
     assert a.order == b.order == 2

@@ -11,6 +11,8 @@ A ring is described compositionally before it is realized:
 
 Descriptors are immutable and hashable, so realized rings can be cached
 per descriptor and element encodings stay reproducible across runs.
+Each checks its fields when constructed, so a descriptor that names no
+ring raises DescriptorError instead of being built.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ class CapExceeded(RingError):
     """A configured size cap was exceeded."""
 
 
-# Entries kept by each lru_cache of the package (rings, quotients, forms,
-# graphs, moduli), so that a long-running process stays bounded.
+# Entries kept by each lru_cache of the package (build_ring, quotient_by_radical,
+# build_graph, smallest_irreducible), so a long-running process stays bounded.
 CACHE_SIZE = 32
 
 
@@ -73,14 +75,20 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
+def _check(value, ok, message: str) -> None:
+    # bool is an int subclass; NumPy integers are not int at all
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DescriptorError(f"{value!r} is not an int")
+    if not ok(value):
+        raise DescriptorError(message)
+
+
 def prime_power(q: int) -> tuple[int, int] | None:
     """Return (p, k) with q = p^k if q is a prime power >= 2, else None."""
     if q < 2:
         return None
     fac = factorize(q)
-    if len(fac) != 1:
-        return None
-    return fac[0]
+    return fac[0] if len(fac) == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -89,9 +97,12 @@ def prime_power(q: int) -> tuple[int, int] | None:
 
 @dataclass(frozen=True)
 class Cn:
-    """Cyclic group of order m."""
+    """Cyclic group of order m, m >= 1."""
 
     m: int
+
+    def __post_init__(self):
+        _check(self.m, lambda m: m >= 1, f"C{self.m}: group order must be positive")
 
 
 @dataclass(frozen=True)
@@ -175,12 +186,18 @@ class Zn:
 
     n: int
 
+    def __post_init__(self):
+        _check(self.n, lambda n: n >= 2, f"Z{self.n}: modulus must be at least 2")
+
 
 @dataclass(frozen=True)
 class Gf:
     """Finite field of prime-power order q."""
 
     q: int
+
+    def __post_init__(self):
+        _check(self.q, prime_power, f"{self.q} is not a prime power")
 
 
 @dataclass(frozen=True)
@@ -190,12 +207,24 @@ class Mat:
     k: int
     base: "RingDescriptor"
 
+    def __post_init__(self):
+        _check(self.k, lambda k: k >= 1, f"M{self.k}: matrix size must be at least 1")
+        if not isinstance(self.base, RingDescriptor):
+            raise DescriptorError(f"M{self.k}: {self.base!r} is not a ring descriptor")
+
 
 @dataclass(frozen=True)
 class Product:
     """Direct product of the factor rings, in order."""
 
     factors: tuple["RingDescriptor", ...]
+
+    def __post_init__(self):
+        fs = self.factors
+        if not isinstance(fs, tuple) or not all(isinstance(f, RingDescriptor) for f in fs):
+            raise DescriptorError(f"{fs!r} is not a tuple of ring descriptors")
+        if not fs:
+            raise DescriptorError("empty product")
 
 
 @dataclass(frozen=True)
@@ -205,34 +234,13 @@ class GroupAlgebra:
     q: int
     group: GroupId
 
+    def __post_init__(self):
+        _check(self.q, prime_power, f"{self.q} is not a prime power")
+        if not isinstance(self.group, GroupId):
+            raise DescriptorError(f"{self.group!r} is not C<n>, D4 or Q8")
+
 
 RingDescriptor = Zn | Gf | Mat | Product | GroupAlgebra
-
-
-def validate_descriptor(d: RingDescriptor) -> None:
-    """Raise DescriptorError if d violates a structural invariant."""
-    if isinstance(d, Zn):
-        if d.n < 2:
-            raise DescriptorError(f"Z{d.n}: modulus must be at least 2")
-    elif isinstance(d, Gf):
-        if prime_power(d.q) is None:
-            raise DescriptorError(f"{d.q} is not a prime power")
-    elif isinstance(d, Mat):
-        if d.k < 1:
-            raise DescriptorError(f"M{d.k}: matrix size must be at least 1")
-        validate_descriptor(d.base)
-    elif isinstance(d, Product):
-        if not d.factors:
-            raise DescriptorError("empty product")
-        for f in d.factors:
-            validate_descriptor(f)
-    elif isinstance(d, GroupAlgebra):
-        if prime_power(d.q) is None:
-            raise DescriptorError(f"{d.q} is not a prime power")
-        if isinstance(d.group, Cn) and d.group.m < 1:
-            raise DescriptorError(f"C{d.group.m}: group order must be positive")
-    else:
-        raise DescriptorError(f"unknown descriptor {d!r}")
 
 
 def descriptor_order(d: RingDescriptor, cap: int | None = None) -> int:

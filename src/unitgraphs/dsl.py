@@ -12,7 +12,8 @@ NAT is a run of ASCII digits, at most MAX_DIGITS long, and brackets
 nest at most MAX_DEPTH deep.  Products
 associate into a single flat Product node, so
 ``parse("Z2 x Z3 x Z5")`` and ``parse("(Z2 x Z3) x Z5")`` agree.
-Errors carry the offset into the input where parsing failed.
+Errors carry the offset into the input where parsing failed; a node's
+own DescriptorError is reported at the offset of its number.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 from .descriptors import (
     Cn,
     D4,
+    DescriptorError,
     Gf,
     GroupAlgebra,
     Mat,
@@ -29,7 +31,6 @@ from .descriptors import (
     Zn,
     descriptor_expr,
     is_prime,
-    prime_power,
 )
 
 
@@ -57,6 +58,13 @@ class _Parser:
     def error(self, message: str, position: int | None = None):
         raise RingExprError(message, self.pos if position is None else position)
 
+    def build(self, node, number: tuple[int, int], *fields):
+        """node(n, *fields), its DescriptorError reported at n's offset."""
+        try:
+            return node(number[0], *fields)
+        except DescriptorError as err:
+            self.error(str(err), number[1])
+
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
@@ -83,18 +91,14 @@ class _Parser:
 
     def ring(self) -> RingDescriptor:
         factors = [self.atom()]
-        while True:
+        self.skip_ws()
+        while self.peek() == "x":
+            self.pos += 1
+            factors.append(self.atom())
             self.skip_ws()
-            if self.peek() == "x":
-                self.pos += 1
-                factors.append(self.atom())
-            else:
-                break
         if len(factors) == 1:
             return factors[0]
-        flat: list[RingDescriptor] = []
-        for f in factors:
-            flat.extend(f.factors if isinstance(f, Product) else (f,))
+        flat = [g for f in factors for g in (f.factors if isinstance(f, Product) else (f,))]
         return Product(tuple(flat))
 
     def inner_ring(self) -> RingDescriptor:
@@ -116,21 +120,16 @@ class _Parser:
             return inner
         if ch == "Z":
             self.pos += 1
-            n, at = self.nat()
-            if n < 2:
-                self.error(f"Z{n}: modulus must be at least 2", at)
-            return Zn(n)
+            return self.build(Zn, self.nat())
         if ch == "M":
             self.pos += 1
-            k, at = self.nat()
-            if k < 1:
-                self.error(f"M{k}: matrix size must be at least 1", at)
+            k = self.nat()
             self.expect("(")
             base = self.inner_ring()
             self.expect(")")
-            return Mat(k, base)
+            return self.build(Mat, k, base)
         if self.text.startswith("GF", self.pos):
-            return Gf(self.gf())
+            return self.gf()
         if self.text.startswith("GA", self.pos):
             self.pos += 2
             self.expect("(")
@@ -141,20 +140,18 @@ class _Parser:
             return GroupAlgebra(q, grp)
         self.error("expected a ring atom (Z.., GF(..), M..(..), GA(..), or parentheses)")
 
-    def gf(self) -> int:
-        """The prime power q of 'GF(' q ')', read from its 'GF'."""
+    def gf(self) -> Gf:
+        """'GF(' q ')', read from its 'GF'."""
         self.pos += 2
         self.expect("(")
-        q, at = self.nat()
+        q = self.nat()
         self.expect(")")
-        if prime_power(q) is None:
-            self.error(f"{q} is not a prime power", at)
-        return q
+        return self.build(Gf, q)
 
     def field(self) -> int:
         self.skip_ws()
         if self.text.startswith("GF", self.pos):
-            return self.gf()
+            return self.gf().q
         if self.peek() == "Z":
             self.pos += 1
             p, at = self.nat()
@@ -173,10 +170,7 @@ class _Parser:
             return Q8()
         if self.peek() == "C":
             self.pos += 1
-            m, at = self.nat()
-            if m < 1:
-                self.error(f"C{m}: group order must be positive", at)
-            return Cn(m)
+            return self.build(Cn, self.nat())
         self.error("expected a group (C<n>, D4, or Q8)")
 
 

@@ -95,7 +95,6 @@ from .descriptors import (
     group_order,
     prime_power,
     semisimple_blocks,
-    validate_descriptor,
 )
 from .fields import mul_mod, smallest_irreducible
 
@@ -692,9 +691,7 @@ def _build_ring_cached(descriptor: RingDescriptor) -> Ring:
         return ProductRing(
             descriptor, [_build_ring_cached(f) for f in descriptor.factors]
         )
-    if isinstance(descriptor, GroupAlgebra):
-        return GroupAlgebraRing(descriptor, _build_ring_cached(Gf(descriptor.q)))
-    raise DescriptorError(f"unknown descriptor {descriptor!r}")
+    return GroupAlgebraRing(descriptor, _build_ring_cached(Gf(descriptor.q)))
 
 
 def build_ring(descriptor: RingDescriptor, order_cap: int = DEFAULT_ORDER_CAP) -> Ring:
@@ -704,7 +701,8 @@ def build_ring(descriptor: RingDescriptor, order_cap: int = DEFAULT_ORDER_CAP) -
     is supported up to 2^16 elements, graph construction has its own
     (smaller) cap.
     """
-    validate_descriptor(descriptor)
+    if not isinstance(descriptor, RingDescriptor):
+        raise DescriptorError(f"unknown descriptor {descriptor!r}")
     cap = min(order_cap, HARD_ORDER_CAP)
     if descriptor_order(descriptor, cap) > cap:
         raise CapExceeded(
@@ -803,9 +801,9 @@ def semisimple_images(ring: Ring, xs) -> list[np.ndarray]:
 
 class QuotientRing(Ring):
     """The quotient of a ring by its Jacobson radical, indexed as the block
-    product ``canonical_ring`` = B_1 x ... x B_t of ``semisimple_blocks``:
-    ``blocks`` lists the shapes (n, q) and ``block_rings`` the realized
-    B_i = M_n(GF(q)), in the order of ``semisimple_blocks``.
+    product ``canonical_ring`` = B_1 x ... x B_t of ``semisimple_blocks``,
+    whose ``descriptor`` it takes: ``blocks`` lists the shapes (n, q) and
+    ``block_rings`` the realized B_i = M_n(GF(q)), in that order.
 
     Element k is the coset whose ``semisimple_images`` are the block
     components of k in ``Product``'s mixed radix, block 0 least
@@ -818,7 +816,6 @@ class QuotientRing(Ring):
 
     def __init__(self, parent: Ring, radical: VertexSet):
         self.parent = parent
-        self.descriptor = parent.descriptor
         self.radical = radical
         self.blocks = semisimple_blocks(parent.descriptor)
         self.block_rings = tuple(block_ring(b) for b in self.blocks)
@@ -829,6 +826,7 @@ class QuotientRing(Ring):
                 Product(tuple(r.descriptor for r in self.block_rings)),
                 order_cap=HARD_ORDER_CAP,
             )
+        self.descriptor = self.canonical_ring.descriptor
         self.order = self.canonical_ring.order
         self.one = self.canonical_ring.one
         self._init_positional(self.canonical_ring._moduli)
@@ -860,7 +858,7 @@ class QuotientRing(Ring):
 
     @property
     def expr(self) -> str:
-        return f"({descriptor_expr(self.descriptor)})/J"
+        return f"({descriptor_expr(self.parent.descriptor)})/J"
 
     def element_repr(self, x: int) -> str:
         return self.parent.element_repr(self.representatives[x]) + "~"

@@ -19,6 +19,10 @@ Read with ``ast``, every import of the package is checked:
 * ``constructions`` imports neither ``ZnRing`` from ``rings`` nor
   ``is_prime`` from ``descriptors``: a ring's fields and matrix blocks
   come from ``rings.quotient_by_radical``, which alone decides them;
+* ``dsl`` imports from ``descriptors`` only the node classes (and their
+  union ``RingDescriptor``), ``DescriptorError``, ``descriptor_expr`` and
+  ``is_prime``: the rules on a descriptor's numbers are its constructor's,
+  and the parser has nothing to restate them with;
 * no module imports a private name (one underscore) of another module.
 """
 
@@ -38,6 +42,10 @@ GRAPH_SOURCES = {"bits": None, "rings": {"Ring"}, "descriptors": {"CACHE_SIZE"}}
 CLI_FROM_INDSETS = {"enumerate_mis", "DEFAULT_MAX_SETS", "DEFAULT_TIME_BUDGET"}
 CLASSIFY_FROM_COMPLEXES = {"DEFAULT_FACET_CAP", "SKIPPED", "join_factors", "join_verdicts"}
 CONSTRUCTIONS_BARRED = {("rings", "ZnRing"), ("descriptors", "is_prime")}
+DSL_FROM_DESCRIPTORS = {
+    "Cn", "D4", "Gf", "GroupAlgebra", "Mat", "Product", "Q8", "Zn", "RingDescriptor",
+    "DescriptorError", "descriptor_expr", "is_prime",
+}
 
 
 def package_imports(source: str):
@@ -71,6 +79,8 @@ def violations(module: str, source: str) -> list[str]:
             bad |= origin == "complexes" and name not in CLASSIFY_FROM_COMPLEXES
         elif module == "constructions":
             bad |= (origin, name) in CONSTRUCTIONS_BARRED
+        elif module == "dsl":
+            bad |= origin == "descriptors" and name not in DSL_FROM_DESCRIPTORS
         if bad:
             what = f"import {origin}" if name is None else f"from {origin} import {name}"
             out.append(f"{module}: {what}")
@@ -134,4 +144,13 @@ def test_the_check_sees_planted_imports():
     assert violations("constructions", blocks) == [
         "constructions: from rings import ZnRing",
         "constructions: from descriptors import is_prime",
+    ]
+    rules = (
+        "from .descriptors import DescriptorError, Gf, descriptor_expr, is_prime, prime_power\n"
+        "from .descriptors import factorize\nfrom . import descriptors\n"
+    )
+    assert violations("dsl", rules) == [
+        "dsl: from descriptors import prime_power",
+        "dsl: from descriptors import factorize",
+        "dsl: import descriptors",
     ]

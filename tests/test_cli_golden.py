@@ -97,11 +97,20 @@ def commands() -> list[list[str]]:
     for name in FACET_FILES:
         out.append(["complex", "--facets-file", f"tests/data/facets/{name}.json", *ALL_FLAGS])
     # error exits: a malformed facet file, a ring together with a facet
-    # file, a bad ring, a lift without its set, a complex without input and
+    # file, bad rings, a lift without its set, a complex without input and
     # an unknown check (2), a cap (3)
     out.append(["complex", "--facets-file", "tests/data/facets/malformed.json", *ALL_FLAGS])
     out.append(["complex", "Z3", "--facets-file", "tests/data/facets/bowtie.json", "--cm"])
     out.append(["classify", "Z1"])
+    # rings the descriptor rules refuse: field orders that are not prime
+    # powers, a zero matrix size (alone and around a bad base), a cyclic
+    # group of order 0, a coefficient ring that is not a field, a field
+    # order past 2^40
+    for ring in [
+        "GF(6)", "M0(Z2)", "M0(Z1)", "GA(GF(4), C0)", "GA(GF(6), C2)", "GA(Z4, C2)",
+        "GF(1000000016000000063)",
+    ]:
+        out.append(["info", ring])
     out.append(["construct", "Z4", "lift"])
     out.append(["complex"])
     out.append(["classify", "Z4", "--checks", "wc,bogus"])

@@ -320,6 +320,20 @@ def test_mixed_char_witness_size_identity():
         ) is False
 
 
+def test_a_quotient_factor_stays_the_quotient():
+    # R/J(Z4) = GF(2), so the products below are GF(2) x Z3 (6 elements),
+    # not Z4 x Z3
+    quot, z3 = quotient_by_radical(_ring("Z4")), _ring("Z3")
+    assert quot.descriptor == Gf(2) and quot.expr == "(Z4)/J"
+    target = _ring("GF(2) x Z3")
+    extended = product_nonunit_extend([quot, z3], 0, VertexSet.from_indices([0], 2))
+    assert extended == VertexSet.from_indices([0, 2, 4], 6)
+    first, second = mixed_char_product_witnesses(quot, z3)
+    assert (first, second) == (extended, VertexSet.from_indices([0, 1], 6))
+    for found in (extended, first, second):
+        assert is_maximal_independent(build_graph(target), found)
+
+
 def test_a_nested_product_has_the_leaves_of_the_flat_one():
     # strides compose down the nesting, so the nested product indexes its
     # elements as the flat one does

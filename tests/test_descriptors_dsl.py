@@ -1,21 +1,32 @@
-import pytest
+from typing import NamedTuple
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from unitgraphs.classify import classify_cm, classify_well_covered
 from unitgraphs.descriptors import (
+    CapExceeded,
     Cn,
     D4,
+    DescriptorError,
     Gf,
     GroupAlgebra,
     Mat,
     Product,
     Q8,
     Zn,
+    descriptor_expr,
     descriptor_order,
     group_mul_table,
     group_order,
     is_prime,
     prime_power,
+    semisimple_blocks,
 )
 from unitgraphs.dsl import RingExprError, parse_ring_expr, print_ring_expr
+from unitgraphs.wedderburn import wedderburn_shape
 
 
 def test_prime_power():
@@ -61,6 +72,90 @@ def test_descriptor_order():
     assert descriptor_order(Mat(2, Gf(2))) == 16
     assert descriptor_order(Product((Zn(4), Gf(4)))) == 16
     assert descriptor_order(GroupAlgebra(2, Q8())) == 256
+
+
+# descriptors that name no ring: each is refused by its constructor
+NO_RING = {
+    "Cn(0)": lambda: Cn(0),
+    "Cn(-2)": lambda: Cn(-2),
+    "Zn(1)": lambda: Zn(1),
+    "Zn(True)": lambda: Zn(True),
+    "Zn(4.0)": lambda: Zn(4.0),
+    "Zn(int64(4))": lambda: Zn(np.int64(4)),
+    "Gf(6)": lambda: Gf(6),
+    "Gf(4.0)": lambda: Gf(4.0),
+    "Mat(0, Gf(2))": lambda: Mat(0, Gf(2)),
+    "Mat(2, 'Z4')": lambda: Mat(2, "Z4"),
+    "Product(())": lambda: Product(()),
+    "Product([Zn(2)])": lambda: Product([Zn(2)]),
+    "Product((Zn(2), 3))": lambda: Product((Zn(2), 3)),
+    "GroupAlgebra(6, Cn(2))": lambda: GroupAlgebra(6, Cn(2)),
+    "GroupAlgebra(2, 'C3')": lambda: GroupAlgebra(2, "C3"),
+}
+
+
+@pytest.mark.parametrize("build", NO_RING.values(), ids=NO_RING.keys())
+def test_a_descriptor_that_names_no_ring_cannot_be_built(build):
+    with pytest.raises(DescriptorError):
+        build()
+
+
+class Node(NamedTuple):
+    """A drawn constructor call; its arguments may be nodes themselves."""
+
+    cls: type
+    args: tuple
+
+
+def realize(tree):
+    """The value a drawn tree names, its innermost nodes built first."""
+    if isinstance(tree, Node):
+        return tree.cls(*map(realize, tree.args))
+    if isinstance(tree, (list, tuple)):
+        return type(tree)(map(realize, tree))
+    return tree
+
+
+# field values: small and negative ints (leaning to valid ones, so that
+# many draws build), raw values of other types (bools, floats, strings),
+# and nested descriptors and groups
+RAW = st.sampled_from([True, False, 0.0, 4.0, -1.5, "", "2", "Z4", "C3"])
+NUMBERS = st.one_of(st.sampled_from([2, 3, 4, 5, 7, 8, 9]), st.integers(-3, 12), RAW)
+GROUPS = st.one_of(
+    st.builds(Node, st.just(Cn), st.tuples(NUMBERS)),
+    st.sampled_from([Node(D4, ()), Node(Q8, ())]),
+)
+LEAVES = st.builds(Node, st.sampled_from([Zn, Gf]), st.tuples(NUMBERS))
+RINGS = st.deferred(
+    lambda: st.one_of(
+        LEAVES,
+        LEAVES,
+        st.builds(Node, st.just(Mat), st.tuples(NUMBERS, st.one_of(RINGS, RAW, GROUPS))),
+        st.builds(Node, st.just(GroupAlgebra), st.tuples(NUMBERS, st.one_of(GROUPS, RAW, RINGS))),
+        st.builds(Node, st.just(Product), st.tuples(FACTORS)),
+    )
+)
+FACTORS = st.one_of(
+    st.lists(st.one_of(RINGS, RAW), max_size=3).map(tuple), st.lists(RINGS, max_size=2), RAW
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(RINGS)
+def test_a_descriptor_that_builds_is_read_to_the_end(tree):
+    try:
+        d = realize(tree)
+    except DescriptorError:
+        return
+    assert 2 <= descriptor_order(d, 4096) <= 4097
+    assert isinstance(descriptor_expr(d), str)
+    try:
+        blocks = semisimple_blocks(d)
+        assert sorted(blocks, key=lambda b: (b[1], b[0])) == list(wedderburn_shape(d))
+        assert isinstance(classify_well_covered(d), bool)
+        assert set(classify_cm(d)) == {"cm", "shellable", "gorenstein"}
+    except CapExceeded:  # cyclotomic cosets past MAX_COSET_MODULUS
+        pass
 
 
 def test_parse_examples():

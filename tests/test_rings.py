@@ -249,6 +249,8 @@ def test_build_ring_rejects_bad_descriptors():
         build_ring(Mat(0, Zn(2)))
     with pytest.raises(DescriptorError):
         build_ring(GroupAlgebra(6, Cn(2)))
+    with pytest.raises(DescriptorError, match="unknown descriptor"):
+        build_ring("Z4")
 
 
 def test_is_unit_examples():

@@ -42,7 +42,7 @@ for expr in ("Z3", "Z9", "Z25", "M2(GF(3))"):
 
 print("\nevery nonzero non-invertible y has a non-invertible complement z")
 print("with y + z invertible (shown here on a singular matrix):")
-y = ring.encode_entries([[1, 2], [2, 1]])
+y = ring.from_parts([1, 2, 2, 1])
 z = nonunit_complement_witness(ring, y)
 print(f"  y = {ring.element_repr(y)}  z = {ring.element_repr(z)}  "
       f"y + z = {ring.element_repr(ring.add(y, z))}")

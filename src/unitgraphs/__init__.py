@@ -59,7 +59,7 @@ from .descriptors import (
     Zn,
     descriptor_expr,
 )
-from .dsl import RingExprError, parse_ring_expr, print_ring_expr
+from .dsl import RingExprError, parse_ring_expr
 from .graphs import (
     Graph,
     GraphError,

@@ -43,8 +43,8 @@ from .constructions import (
     two_size_witnesses,
     zero_first_row_set,
 )
-from .descriptors import DescriptorError
-from .dsl import RingExprError, parse_ring_expr, print_ring_expr
+from .descriptors import DescriptorError, descriptor_expr
+from .dsl import RingExprError, parse_ring_expr
 from .graphs import GraphError, build_graph, dot_blocks, json_blocks
 from .indsets import DEFAULT_MAX_SETS, DEFAULT_TIME_BUDGET, enumerate_mis
 from .rings import (
@@ -122,7 +122,7 @@ def _cmd_info(args):
         "quotient_char": shape_characteristic(shape),
         "shape": [list(b) for b in shape],
     }
-    return print_ring_expr(descriptor), result, False
+    return descriptor_expr(descriptor), result, False
 
 
 def _cmd_graph(args) -> int:
@@ -157,7 +157,7 @@ def _cmd_mis(args):
         result["sets"] = sorted(s.indices() for s in report.sets)
     if args.count:
         result = {"count": report.count, "stop_reason": report.stop_reason}
-    return print_ring_expr(descriptor), result, report.truncated
+    return descriptor_expr(descriptor), result, report.truncated
 
 
 def _cmd_wellcovered(args):
@@ -173,7 +173,7 @@ def _cmd_wellcovered(args):
         result["observed"] = "undecided" if observed == SKIPPED else observed
         if args.method == "both":
             result["agreement"] = report.agreement
-    return print_ring_expr(descriptor), result, result.get("observed") == "undecided"
+    return descriptor_expr(descriptor), result, result.get("observed") == "undecided"
 
 
 def _cmd_classify(args):
@@ -194,7 +194,7 @@ def _cmd_classify(args):
         result.pop("runtime_ms", None)
     else:
         result = {"predicted": predict(descriptor)}
-    return print_ring_expr(descriptor), result, SKIPPED in result.get("observed", {}).values()
+    return descriptor_expr(descriptor), result, SKIPPED in result.get("observed", {}).values()
 
 
 def _cmd_construct(args):
@@ -230,7 +230,7 @@ def _cmd_construct(args):
         qset = _indices_arg(args.quotient_set, quotient.order)
         lifter = lift_unit_mis_reps if args.side == "unit" else lift_nonunit_mis
         result = _set_result(lifter(ring, qset))
-    return print_ring_expr(descriptor), result, False
+    return descriptor_expr(descriptor), result, False
 
 
 def _set_result(vertex_set: VertexSet) -> dict:
@@ -275,7 +275,7 @@ def _cmd_complex(args):
         # the complex is the join of the components' complexes
         facets = math.prod(c.report.count for c in factors)
         dimension = sum(c.report.independence_number for c in factors) - 1
-        ring_expr = print_ring_expr(descriptor)
+        ring_expr = descriptor_expr(descriptor)
     result: dict[str, object] = {"facets": facets, "dimension": dimension}
     flags = {"pure": args.pure, "shellable": args.shellable,
              "cm_gf2": args.cm, "gorenstein_gf2": args.gorenstein}

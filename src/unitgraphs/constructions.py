@@ -103,10 +103,8 @@ def signature_set(n: int, q: int, verify: bool = True) -> VertexSet:
     plus, minus = fld.one, fld.neg(fld.one)
     members = []
     for signs in itertools.product((plus, minus), repeat=n):
-        rows = [
-            [signs[i] if i == j else 0 for j in range(n)] for i in range(n)
-        ]
-        members.append(ring.encode_entries(rows))
+        entries = itertools.product(range(n), repeat=2)
+        members.append(ring.from_parts([signs[i] if i == j else 0 for i, j in entries]))
     out = VertexSet.from_indices(members, ring.order)
     if len(out) != 2**n:
         raise ConstructionError("signature set has the wrong cardinality")
@@ -154,9 +152,7 @@ def product_nonunit_extend(
     choices = [
         m_i.indices() if j == i else range(r.order) for j, r in enumerate(rings)
     ]
-    members = [
-        prod.encode_components(list(combo)) for combo in itertools.product(*choices)
-    ]
+    members = [prod.from_parts(combo) for combo in itertools.product(*choices)]
     out = VertexSet.from_indices(members, prod.order)
     if verify:
         _require_mis(prod, out, "the extended product set")
@@ -181,10 +177,7 @@ def product_unit_sets(rings, sets, verify: bool = True) -> VertexSet:
             raise ConstructionError("sets must consist of units")
         if verify:
             _require_mis(r, s, "a factor set")
-    members = [
-        prod.encode_components(list(combo))
-        for combo in itertools.product(*[s.indices() for s in sets])
-    ]
+    members = [prod.from_parts(c) for c in itertools.product(*[s.indices() for s in sets])]
     out = VertexSet.from_indices(members, prod.order)
     if verify:
         _require_mis(prod, out, "the product set")
@@ -307,7 +300,7 @@ def nonunit_complement_witness(s_ring: Ring, y: int, verify: bool = True) -> int
         _complement_block(r if n == 1 else r.base, n, int(image[y]))
         for (n, _), r, image in zip(quotient.blocks, rings, images)
     ]
-    z = quotient.representatives[quotient.encode_blocks(blocks)]
+    z = quotient.representatives[quotient.from_parts(blocks)]
     if verify:
         if s_ring.is_unit(z):
             raise ConstructionError("witness came out a unit")
@@ -327,7 +320,7 @@ def _zero_row_set(quotient: QuotientRing) -> VertexSet:
     rest = [range(r.order) for r in quotient.block_rings[1:]]
     return VertexSet.from_indices(
         [
-            quotient.encode_blocks([first, *others])
+            quotient.from_parts([first, *others])
             for first in lead_zero_rows
             for others in itertools.product(*rest)
         ],
@@ -358,7 +351,7 @@ def mixed_char_product_witnesses(
     prod = _product_ring([r_ring, s_ring])
 
     def pairs(firsts, seconds) -> set[int]:
-        return {prod.encode_components([a, b]) for a in firsts for b in seconds}
+        return {prod.from_parts([a, b]) for a in firsts for b in seconds}
 
     m_times_s = VertexSet.from_indices(pairs(m_set, range(s_ring.order)), prod.order)
     nonunits = [b for b in range(s_ring.order) if not s_ring.is_unit(b)]
@@ -398,11 +391,7 @@ def two_size_witnesses(
         signature_set(n, q, verify=False).indices() for n, q in quotient.blocks
     ]
     sig_quotient = VertexSet.from_indices(
-        [
-            quotient.encode_blocks(list(combo))
-            for combo in itertools.product(*block_sign_sets)
-        ],
-        quotient.order,
+        [quotient.from_parts(c) for c in itertools.product(*block_sign_sets)], quotient.order
     )
     zero_quotient = _zero_row_set(quotient)
     # both sets are checked once, in R: R/J(R) would need a second graph

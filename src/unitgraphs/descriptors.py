@@ -47,6 +47,10 @@ MAX_MODULUS = 1 << 40
 # Cyclotomic cosets of Z/m are listed element by element, so m is bounded;
 # GF(q)[C_m] then has at least 2^(2^16) elements, far past any realized ring.
 MAX_COSET_MODULUS = 1 << 16
+# Brackets nest at most this deep in a ring expression (see dsl) and in a
+# descriptor's text form, far inside Python's recursion limit for the
+# parser and for the recursive descriptor walks.
+MAX_DEPTH = 100
 
 
 def is_prime(n: int) -> bool:
@@ -211,6 +215,7 @@ class Mat:
         _check(self.k, lambda k: k >= 1, f"M{self.k}: matrix size must be at least 1")
         if not isinstance(self.base, RingDescriptor):
             raise DescriptorError(f"M{self.k}: {self.base!r} is not a ring descriptor")
+        _check_depth(self)
 
 
 @dataclass(frozen=True)
@@ -225,6 +230,7 @@ class Product:
             raise DescriptorError(f"{fs!r} is not a tuple of ring descriptors")
         if not fs:
             raise DescriptorError("empty product")
+        _check_depth(self)
 
 
 @dataclass(frozen=True)
@@ -241,6 +247,22 @@ class GroupAlgebra:
 
 
 RingDescriptor = Zn | Gf | Mat | Product | GroupAlgebra
+
+
+def _check_depth(d: Mat | Product) -> None:
+    # d's children passed this check when built, so the walk stays shallow
+    if _depth(d) > MAX_DEPTH:
+        raise DescriptorError(f"descriptors nest at most {MAX_DEPTH} brackets deep")
+
+
+def _depth(d: RingDescriptor) -> int:
+    """How deep ``descriptor_expr(d)`` nests the brackets the parser
+    counts: one pair per matrix, and one per product inside a product."""
+    if isinstance(d, Mat):
+        return 1 + _depth(d.base)
+    if isinstance(d, Product):
+        return max(_depth(f) + isinstance(f, Product) for f in d.factors)
+    return 0
 
 
 def descriptor_order(d: RingDescriptor, cap: int | None = None) -> int:

@@ -9,7 +9,7 @@ Grammar (whitespace-insensitive, case-sensitive):
     group   := 'C' NAT | 'D4' | 'Q8'
 
 NAT is a run of ASCII digits, at most MAX_DIGITS long, and brackets
-nest at most MAX_DEPTH deep.  Products
+nest at most MAX_DEPTH deep (``descriptors.MAX_DEPTH``).  Products
 associate into a single flat Product node, so
 ``parse("Z2 x Z3 x Z5")`` and ``parse("(Z2 x Z3) x Z5")`` agree.
 Errors carry the offset into the input where parsing failed; a node's
@@ -21,6 +21,7 @@ from __future__ import annotations
 from .descriptors import (
     Cn,
     D4,
+    MAX_DEPTH,
     DescriptorError,
     Gf,
     GroupAlgebra,
@@ -29,7 +30,6 @@ from .descriptors import (
     Q8,
     RingDescriptor,
     Zn,
-    descriptor_expr,
     is_prime,
 )
 
@@ -37,9 +37,6 @@ from .descriptors import (
 # Every supported modulus has at most 13 digits (descriptors.MAX_MODULUS);
 # the bound keeps int() far below Python's 4300-digit conversion limit.
 MAX_DIGITS = 40
-# Brackets nest at most this deep, far inside Python's recursion limit
-# for the parser and for the recursive descriptor walks after it.
-MAX_DEPTH = 100
 
 
 class RingExprError(ValueError):
@@ -181,7 +178,3 @@ def parse_ring_expr(text: str) -> RingDescriptor:
     if parser.pos != len(text):
         parser.error("unexpected trailing input")
     return descriptor
-
-
-def print_ring_expr(descriptor: RingDescriptor) -> str:
-    return descriptor_expr(descriptor)

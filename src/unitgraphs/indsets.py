@@ -606,13 +606,16 @@ def enumerate_mis(
     stop_mode="first_two_sizes" a long search first runs the probe, and
     may end on its greedy sets of two sizes.  A truncated report
     describes the sets it found, at most max_sets of them.  A graph of
-    more than DEFAULT_GRAPH_CAP vertices, max_sets below 1 and a NaN
-    time_budget (no deadline would pass) raise EnumerationError; a
-    negative time_budget is a deadline already past.
+    more than DEFAULT_GRAPH_CAP vertices, a max_sets that is not an int
+    (or is a bool) or is below 1, and a NaN time_budget (no deadline
+    would pass) raise EnumerationError; a negative time_budget is a
+    deadline already past.
     """
     if stop_mode not in ("all", "first_two_sizes"):
         raise EnumerationError(f"unknown stop mode {stop_mode!r}")
-    if max_sets < 1 or math.isnan(time_budget):
+    # bool is an int subclass; NumPy integers are not int at all
+    bad_cap = not isinstance(max_sets, int) or isinstance(max_sets, bool) or max_sets < 1
+    if bad_cap or math.isnan(time_budget):
         raise EnumerationError(f"bad limits: max_sets={max_sets}, time_budget={time_budget}")
     if g.n > DEFAULT_GRAPH_CAP:
         raise EnumerationError(f"vertex count {g.n} exceeds the cap {DEFAULT_GRAPH_CAP}")

@@ -5,15 +5,14 @@ encoding, so element sets, graphs and reports are reproducible bit for
 bit across runs:
 
 * Zn            -- the residue itself,
-* Gf(p^k)       -- little-endian base-p coefficient vector (see fields),
-* Mat(k, base)  -- row-major base-|base| digits, entry (i, j) at digit
-                   position i*k + j, first digit least significant,
-* Product       -- mixed radix over the factors, factor 0 least
-                   significant,
-* GroupAlgebra  -- base-|F| digits of the coefficient vector, identity
-                   element of the group first,
-* R/J(R)        -- the block product of ``semisimple_blocks``, as a
-                   Product of GF(q) and M_n(GF(q)) (see QuotientRing).
+* Gf(p^k)       -- little-endian base-p coefficient vector (see fields).
+
+A composite index is the mixed radix of its parts, part 0 least
+significant (``Ring.parts`` / ``Ring.from_parts``): entry (i, j) of a
+k x k matrix is part i*k + j, factor i of a product part i, the
+coefficient of group element g (identity first) part g of a group
+algebra, and block i of R/J(R) = B_1 x ... x B_t (``semisimple_blocks``,
+see QuotientRing) part i.
 
 In every encoding the additive group is a direct sum of cyclic groups
 acting digit-wise, so ``Ring`` itself holds the scalar ``add``/``neg``
@@ -24,7 +23,7 @@ operations that the tests compare everything else against.  All
 vectorized work is built from the kernels: GF(q), realized once as
 ``GfRing``, multiplies through its own log/antilog tables, matrix,
 product and group-algebra rings call their base or factor kernels on
-decoded digits, and a quotient calls its block product's kernel.  The
+their parts, and a quotient calls its block product's kernel.  The
 antilog table is a walk through the powers of a generator: multiplying
 by it is GF(p)-linear on the digits, so one k x k digit matrix maps
 every index to its next power at once, and the polynomial product is
@@ -69,6 +68,7 @@ the reference the structural results are checked against.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -118,8 +118,10 @@ class Ring:
 
     Addition is digit-wise in the ring's encoding, one cyclic digit of
     modulus ``_moduli[j]`` at place ``_places[j]``; each kind supplies
-    its own ``mul`` and ``mul_many``.  Instances are immutable after
-    construction and safe to share between concurrent workers.
+    its own ``mul`` and ``mul_many``.  A composite ring (``_init_parts``)
+    is indexed by the mixed radix of its parts over ``_radices``, and the
+    parts' digits, in order, are its digits.  Instances are immutable
+    after construction and safe to share between concurrent workers.
     """
 
     descriptor: RingDescriptor
@@ -127,6 +129,7 @@ class Ring:
     zero: int = 0
     one: int
     _moduli: tuple[int, ...]
+    _radices: tuple[int, ...] = ()
 
     def _init_positional(self, moduli) -> None:
         self._moduli = tuple(int(m) for m in moduli)
@@ -137,6 +140,33 @@ class Ring:
             acc *= m
         self._places = tuple(places)
         self._binary = set(self._moduli) == {2}
+
+    def _init_parts(self, rings) -> None:
+        """Index the ring by the mixed radix of its parts, part i an
+        element of rings[i]."""
+        self._radices = tuple(r.order for r in rings)
+        self.order = math.prod(self._radices)
+        self._init_positional([m for r in rings for m in r._moduli])
+
+    # -- the parts of a composite element -----------------------------------
+
+    def parts(self, x) -> list:
+        """The parts of an element, or of each element of an int64 index
+        array, part 0 first."""
+        if not self._radices:
+            raise RingError(f"{self.expr} has no parts")
+        out = []
+        for r in self._radices:
+            out.append(x % r)
+            x = x // r
+        return out
+
+    def from_parts(self, parts):
+        """The element (or index array) with the given parts."""
+        x = 0
+        for part, r in zip(reversed(parts), reversed(self._radices), strict=True):
+            x = x * r + part
+        return x
 
     # -- scalar arithmetic (definitional) -----------------------------------
 
@@ -423,68 +453,43 @@ class MatRing(Ring):
     def __init__(self, descriptor: Mat, base: Ring):
         self.descriptor = descriptor
         self.base = base
-        self.k = descriptor.k
-        self.order = base.order ** (self.k * self.k)
-        moduli = []
-        for _ in range(self.k * self.k):
-            moduli.extend(base._moduli)
-        self._init_positional(moduli)
-        ident = [[base.one if i == j else base.zero for j in range(self.k)]
-                 for i in range(self.k)]
-        self.one = self.encode_entries(ident)
-
-    # entries are row-major little-endian digits in base |base|
-    def decode_entries(self, x):
-        """Entry rows of an element, or of each element of an index array."""
-        b, k = self.base.order, self.k
-        return [[x // b ** (i * k + j) % b for j in range(k)] for i in range(k)]
-
-    def encode_entries(self, rows) -> int:
-        b = self.base.order
-        x = 0
-        flat = [rows[i][j] for i in range(self.k) for j in range(self.k)]
-        for e in reversed(flat):
-            x = x * b + e
-        return x
+        k = self.k = descriptor.k
+        self._init_parts([base] * (k * k))
+        pairs = itertools.product(range(k), repeat=2)
+        self.one = self.from_parts([base.one if i == j else base.zero for i, j in pairs])
 
     def mul(self, x: int, y: int) -> int:
-        a = self.decode_entries(x)
-        b = self.decode_entries(y)
-        base = self.base
-        k = self.k
+        a, b = self.parts(x), self.parts(y)
+        base, k = self.base, self.k
         out = []
-        for i in range(k):
-            row = []
-            for j in range(k):
-                acc = base.zero
-                for l in range(k):
-                    acc = base.add(acc, base.mul(a[i][l], b[l][j]))
-                row.append(acc)
-            out.append(row)
-        return self.encode_entries(out)
+        for i, j in itertools.product(range(k), repeat=2):
+            acc = base.zero
+            for l in range(k):
+                acc = base.add(acc, base.mul(a[i * k + l], b[l * k + j]))
+            out.append(acc)
+        return self.from_parts(out)
 
     def mul_many(self, xs, ys) -> np.ndarray:
-        a, c = self.decode_entries(xs), self.decode_entries(ys)
+        a, c = self.parts(xs), self.parts(ys)
         base, k = self.base, self.k
-        out = 0
-        for i in range(k):
-            for j in range(k):
-                acc = base.mul_many(a[i][0], c[0][j])
-                for l in range(1, k):
-                    acc = base.add_many(acc, base.mul_many(a[i][l], c[l][j]))
-                out = out + acc * base.order ** (i * k + j)
-        return out
+        out = []
+        for i, j in itertools.product(range(k), repeat=2):
+            acc = base.mul_many(a[i * k], c[j])
+            for l in range(1, k):
+                acc = base.add_many(acc, base.mul_many(a[i * k + l], c[l * k + j]))
+            out.append(acc)
+        return self.from_parts(out)
 
     def det_many(self, xs) -> np.ndarray:
         """Leibniz determinant through the base kernels; meaningful only
         over a commutative base."""
-        a = self.decode_entries(xs)
+        a = self.parts(xs)
         base, k = self.base, self.k
         det = 0
         for perm in itertools.permutations(range(k)):
-            term = a[0][perm[0]]
+            term = a[perm[0]]
             for i in range(1, k):
-                term = base.mul_many(term, a[i][perm[i]])
+                term = base.mul_many(term, a[i * k + perm[i]])
             inversions = sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
             if inversions % 2:
                 term = base.neg_many(term)
@@ -498,64 +503,29 @@ class MatRing(Ring):
         return bools_to_mask(self.det_many(np.arange(self.order)) != 0)
 
     def element_repr(self, x: int) -> str:
-        rows = self.decode_entries(x)
-        body = "; ".join(
-            " ".join(self.base.element_repr(e) for e in row) for row in rows
-        )
-        return f"[{body}]"
+        entries = [self.base.element_repr(e) for e in self.parts(x)]
+        k = self.k
+        return "[" + "; ".join(" ".join(entries[i : i + k]) for i in range(0, k * k, k)) + "]"
 
 
 class ProductRing(Ring):
     def __init__(self, descriptor: Product, factors: list[Ring]):
         self.descriptor = descriptor
         self.factors = tuple(factors)
-        self.order = 1
-        strides = []
-        for f in factors:
-            strides.append(self.order)
-            self.order *= f.order
-        self._strides = tuple(strides)
-        moduli = []
-        for f in factors:
-            moduli.extend(f._moduli)
-        self._init_positional(moduli)
-        self.one = self.encode_components([f.one for f in factors])
-
-    def decode_components(self, x):
-        """Factor components of an element, or of each element of an array."""
-        return [x // s % f.order for s, f in zip(self._strides, self.factors)]
-
-    def encode_components(self, comps) -> int:
-        x = 0
-        for c, s in zip(comps, self._strides):
-            x += c * s
-        return x
+        self._init_parts(factors)
+        self.one = self.from_parts([f.one for f in factors])
 
     def mul(self, x: int, y: int) -> int:
-        return self.encode_components(
-            [
-                f.mul(a, b)
-                for f, a, b in zip(
-                    self.factors, self.decode_components(x), self.decode_components(y)
-                )
-            ]
-        )
+        pairs = zip(self.factors, self.parts(x), self.parts(y))
+        return self.from_parts([f.mul(a, b) for f, a, b in pairs])
 
     def mul_many(self, xs, ys) -> np.ndarray:
-        return self.encode_components(
-            [
-                f.mul_many(a, b)
-                for f, a, b in zip(
-                    self.factors, self.decode_components(xs), self.decode_components(ys)
-                )
-            ]
-        )
+        pairs = zip(self.factors, self.parts(xs), self.parts(ys))
+        return self.from_parts([f.mul_many(a, b) for f, a, b in pairs])
 
     def element_repr(self, x: int) -> str:
-        parts = [
-            f.element_repr(c) for f, c in zip(self.factors, self.decode_components(x))
-        ]
-        return "(" + ", ".join(parts) + ")"
+        reprs = [f.element_repr(c) for f, c in zip(self.factors, self.parts(x))]
+        return "(" + ", ".join(reprs) + ")"
 
 
 class GroupAlgebraRing(Ring):
@@ -564,8 +534,7 @@ class GroupAlgebraRing(Ring):
         self.field = field  # the coefficient field
         self.gorder = group_order(descriptor.group)
         self.gtable = group_mul_table(descriptor.group)
-        self.order = descriptor.q ** self.gorder
-        self._init_positional([self.field.p] * self.field.k * self.gorder)
+        self._init_parts([field] * self.gorder)
         self.one = 1  # coefficient 1 on the group identity
         # the (g, h) with g*h = t, for each group element t
         self._terms = [
@@ -574,21 +543,8 @@ class GroupAlgebraRing(Ring):
             for t in range(self.gorder)
         ]
 
-    def decode_coeffs(self, x):
-        """Coefficient vector of an element, or of each element of an array."""
-        q = self.field.q
-        return [x // q**g % q for g in range(self.gorder)]
-
-    def encode_coeffs(self, coeffs) -> int:
-        q = self.field.q
-        x = 0
-        for c in reversed(list(coeffs)):
-            x = x * q + c
-        return x
-
     def mul(self, x: int, y: int) -> int:
-        a = self.decode_coeffs(x)
-        b = self.decode_coeffs(y)
+        a, b = self.parts(x), self.parts(y)
         fld = self.field
         out = [0] * self.gorder
         for g, ag in enumerate(a):
@@ -600,18 +556,18 @@ class GroupAlgebraRing(Ring):
                     continue
                 t = row[h]
                 out[t] = fld.add(out[t], fld.mul(ag, bh))
-        return self.encode_coeffs(out)
+        return self.from_parts(out)
 
     def mul_many(self, xs, ys) -> np.ndarray:
-        a, b = self.decode_coeffs(xs), self.decode_coeffs(ys)
+        a, b = self.parts(xs), self.parts(ys)
         f = self.field
-        out = 0
-        for t, pairs in enumerate(self._terms):
+        out = []
+        for pairs in self._terms:
             acc = 0
             for g, h in pairs:
                 acc = f.add_many(acc, f.mul_many(a[g], b[h]))
-            out = out + acc * f.q**t
-        return out
+            out.append(acc)
+        return self.from_parts(out)
 
     @cached_property
     def _block_maps(self) -> list[tuple[GfRing, np.ndarray, np.ndarray]]:
@@ -660,7 +616,7 @@ class GroupAlgebraRing(Ring):
     def element_repr(self, x: int) -> str:
         names = self._element_names()
         terms = []
-        for g, c in enumerate(self.decode_coeffs(x)):
+        for g, c in enumerate(self.parts(x)):
             if c == 0:
                 continue
             coef = "" if c == 1 else f"{c}*"
@@ -769,11 +725,11 @@ def semisimple_images(ring: Ring, xs) -> list[np.ndarray]:
     if isinstance(ring, ProductRing):
         return [
             image
-            for f, c in zip(ring.factors, ring.decode_components(xs))
+            for f, c in zip(ring.factors, ring.parts(xs))
             for image in semisimple_images(f, c)
         ]
     if isinstance(ring, GroupAlgebraRing):
-        coeffs = ring.decode_coeffs(xs)
+        coeffs = ring.parts(xs)
         out = []
         for big, embed, chi in ring._block_maps:
             acc = 0
@@ -786,9 +742,7 @@ def semisimple_images(ring: Ring, xs) -> list[np.ndarray]:
     # entry (i, j) maps into every base block; block b's m x m piece of it
     # lands at rows i*m.., columns j*m.. of a km x km matrix over GF(q)
     k = ring.k
-    entries = [
-        semisimple_images(ring.base, e) for row in ring.decode_entries(xs) for e in row
-    ]
+    entries = [semisimple_images(ring.base, e) for e in ring.parts(xs)]
     out = []
     for b, (m, q) in enumerate(semisimple_blocks(ring.base.descriptor)):
         big = 0
@@ -805,13 +759,13 @@ class QuotientRing(Ring):
     whose ``descriptor`` it takes: ``blocks`` lists the shapes (n, q) and
     ``block_rings`` the realized B_i = M_n(GF(q)), in that order.
 
-    Element k is the coset whose ``semisimple_images`` are the block
-    components of k in ``Product``'s mixed radix, block 0 least
-    significant, so the quotient adds digit-wise like any ring here and
-    multiplies through the canonical ring's kernel.  ``project`` sends a
-    parent element to its coset and ``representatives[k]`` is the least
-    parent element of coset k.  For Z6 -> GF(2) x GF(3), x goes to
-    x % 2 + 2 * (x % 3), so the representatives are (0, 3, 4, 1, 2, 5).
+    Element k is the coset whose ``semisimple_images`` are the parts of
+    k, one per block, block 0 least significant, so the quotient adds
+    digit-wise like any ring here and multiplies through the canonical
+    ring's kernel.  ``project`` sends a parent element to its coset and
+    ``representatives[k]`` is the least parent element of coset k.  For
+    Z6 -> GF(2) x GF(3), x goes to x % 2 + 2 * (x % 3), so the
+    representatives are (0, 3, 4, 1, 2, 5).
     """
 
     def __init__(self, parent: Ring, radical: VertexSet):
@@ -827,21 +781,13 @@ class QuotientRing(Ring):
                 order_cap=HARD_ORDER_CAP,
             )
         self.descriptor = self.canonical_ring.descriptor
-        self.order = self.canonical_ring.order
-        self.one = self.canonical_ring.one
-        self._init_positional(self.canonical_ring._moduli)
-        n = parent.order
-        self._keys = self.encode_blocks(parent.block_images)
+        self._init_parts(self.block_rings)
+        self.one = self.from_parts([r.one for r in self.block_rings])
+        self._keys = self.from_parts(parent.block_images)
         found, first = np.unique(self._keys, return_index=True)
-        if len(found) != self.order or self.order * len(radical) != n:
+        if len(found) != self.order or self.order * len(radical) != parent.order:
             raise RingError("radical cosets do not partition the ring")
         self.representatives = tuple(first.tolist())
-
-    def encode_blocks(self, values):
-        """Quotient index of block values (ints, or index arrays)."""
-        if isinstance(self.canonical_ring, ProductRing):
-            return self.canonical_ring.encode_components(values)
-        return values[0]
 
     def project(self, parent_index: int) -> int:
         """Quotient index of the coset containing a parent element."""

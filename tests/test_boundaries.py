@@ -1,5 +1,5 @@
 """The oracle modules stay off ring structure, and no module imports
-another module's private name.
+or reads another module's private name.
 
 The brute-force oracles (``indsets``, ``complexes``) must rest on graph
 facts alone, so that their agreement with the classifier is evidence.
@@ -20,10 +20,14 @@ Read with ``ast``, every import of the package is checked:
   ``is_prime`` from ``descriptors``: a ring's fields and matrix blocks
   come from ``rings.quotient_by_radical``, which alone decides them;
 * ``dsl`` imports from ``descriptors`` only the node classes (and their
-  union ``RingDescriptor``), ``DescriptorError``, ``descriptor_expr`` and
-  ``is_prime``: the rules on a descriptor's numbers are its constructor's,
-  and the parser has nothing to restate them with;
-* no module imports a private name (one underscore) of another module.
+  union ``RingDescriptor``), ``DescriptorError``, ``descriptor_expr``,
+  ``is_prime`` and ``MAX_DEPTH``: the rules on a descriptor's numbers are
+  its constructor's, and the parser has nothing to restate them with;
+* no module imports a private name (one underscore) of another module;
+* no module reads a private attribute (``x._name``) that it does not
+  define, assign or store itself: a ring's digit and part layout
+  (``_moduli``, ``_places``, ``_radices``) is read in ``rings`` alone,
+  and every other module goes through ``parts`` and ``from_parts``.
 """
 
 import ast
@@ -44,7 +48,7 @@ CLASSIFY_FROM_COMPLEXES = {"DEFAULT_FACET_CAP", "SKIPPED", "join_factors", "join
 CONSTRUCTIONS_BARRED = {("rings", "ZnRing"), ("descriptors", "is_prime")}
 DSL_FROM_DESCRIPTORS = {
     "Cn", "D4", "Gf", "GroupAlgebra", "Mat", "Product", "Q8", "Zn", "RingDescriptor",
-    "DescriptorError", "descriptor_expr", "is_prime",
+    "DescriptorError", "descriptor_expr", "is_prime", "MAX_DEPTH",
 }
 
 
@@ -87,9 +91,50 @@ def violations(module: str, source: str) -> list[str]:
     return out
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def foreign_private_reads(source: str) -> list[str]:
+    """The private attributes the source reads, sorted, that it neither
+    defines (as a function, method or class) nor binds (as a name or an
+    attribute) anywhere."""
+    own, reads = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            own.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            own.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            own.add(node.attr)
+        elif isinstance(node, ast.Attribute) and _private(node.attr):
+            reads.add(node.attr)
+    return sorted(reads - own)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_imports_keep_the_boundaries(path):
     assert violations(path.stem, path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_modules_read_only_their_own_private_attributes(path):
+    assert foreign_private_reads(path.read_text()) == []
+
+
+def test_the_check_sees_planted_private_reads():
+    layout = (
+        "from .rings import quotient_by_radical\n"
+        "def block_digits(ring, x):\n"
+        "    q = quotient_by_radical(ring)\n"
+        "    return [x // p % q._radices[0] for p in ring._places], q.__dict__\n"
+        "class Walk:\n"
+        "    _limit = 3\n"
+        "    def _step(self):\n"
+        "        self._seen = self._limit\n"
+        "        return self._seen, self._step, ring._radices\n"
+    )
+    assert foreign_private_reads(layout) == ["_places", "_radices"]
 
 
 def test_the_check_sees_planted_imports():

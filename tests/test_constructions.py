@@ -67,8 +67,7 @@ def test_zero_first_row_sizes_and_maximality():
 def test_zero_first_row_members_have_zero_first_row():
     ring = matrix_ring(2, 3)
     for idx in zero_first_row_set(2, 3):
-        rows = ring.decode_entries(idx)
-        assert rows[0] == [0, 0]
+        assert ring.parts(idx)[:2] == [0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +190,9 @@ def test_complement_witness_block_rules():
     assert z == 1 + 3 * 0  # (1, 0)
 
     # a matrix already in normal form: [[1,0],[0,0]] + witness = identity
-    y_idx = mring.encode_entries([[1, 0], [0, 0]])
+    y_idx = mring.from_parts([1, 0, 0, 0])
     z_idx = nonunit_complement_witness(mring, y_idx)
-    assert mring.decode_entries(z_idx) == [[0, 0], [0, 1]]
+    assert mring.parts(z_idx) == [0, 0, 0, 1]
     assert mring.add(y_idx, z_idx) == mring.one
 
 
@@ -266,9 +265,9 @@ def test_complement_witness_pairs_dependent_rows_with_free_columns():
     # row 0 leads at column 2; rows 1 and 2 are dependent, columns 0 and 1
     # lead nothing, so Z = E_10 + E_21
     ring = _ring("M3(GF(2))")
-    y = ring.encode_entries([[0, 0, 1], [0, 0, 0], [0, 0, 0]])
+    y = ring.from_parts([0, 0, 1, 0, 0, 0, 0, 0, 0])
     z = nonunit_complement_witness(ring, y)
-    assert ring.decode_entries(z) == [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+    assert ring.parts(z) == [0, 0, 0, 1, 0, 0, 0, 1, 0]
 
 
 def test_complement_witness_rejects_bad_inputs():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from unitgraphs.classify import classify_cm, classify_well_covered
 from unitgraphs.descriptors import (
+    MAX_DEPTH,
     CapExceeded,
     Cn,
     D4,
@@ -25,7 +26,7 @@ from unitgraphs.descriptors import (
     prime_power,
     semisimple_blocks,
 )
-from unitgraphs.dsl import RingExprError, parse_ring_expr, print_ring_expr
+from unitgraphs.dsl import RingExprError, parse_ring_expr
 from unitgraphs.wedderburn import wedderburn_shape
 
 
@@ -209,16 +210,35 @@ def test_parse_errors_carry_positions():
         assert "nest" in err.value.message
 
 
+def test_descriptors_nest_no_deeper_than_the_parser_reads():
+    # a chain of 1200 wraps once made descriptor_expr, semisimple_blocks,
+    # both classifiers and hash raise RecursionError
+    deepest = parse_ring_expr("M1(" * MAX_DEPTH + "Z2" + ")" * MAX_DEPTH)
+    products = Product((Zn(2),))
+    for _ in range(MAX_DEPTH):
+        products = Product((products,))
+    for d in (deepest, products):
+        assert descriptor_expr(d).count("(") == MAX_DEPTH
+        assert isinstance(hash(d), int)
+        assert semisimple_blocks(d) == ((1, 2),)
+        assert classify_well_covered(d) == classify_well_covered(Zn(2))
+        assert classify_cm(d) == classify_cm(Zn(2))
+    with pytest.raises(DescriptorError, match=f"nest at most {MAX_DEPTH}"):
+        Mat(1, deepest)
+    with pytest.raises(DescriptorError, match=f"nest at most {MAX_DEPTH}"):
+        Product((products,))
+
+
 def test_print_parse_round_trip(catalog_descriptors):
     for expr, descriptor in catalog_descriptors:
-        assert parse_ring_expr(print_ring_expr(descriptor)) == descriptor
+        assert parse_ring_expr(descriptor_expr(descriptor)) == descriptor
     extra = [
         Mat(2, Product((Zn(2), Zn(3)))),
         GroupAlgebra(4, D4()),
         Product((Mat(2, Gf(2)), GroupAlgebra(2, Cn(4)))),
     ]
     for descriptor in extra:
-        assert parse_ring_expr(print_ring_expr(descriptor)) == descriptor
+        assert parse_ring_expr(descriptor_expr(descriptor)) == descriptor
 
 
 def test_is_prime_small():

@@ -3,6 +3,7 @@ import random
 import time
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -218,6 +219,17 @@ def test_enumeration_refuses_an_empty_cap_and_a_nan_budget():
     # passes what is left of its deadline, which goes negative
     report = enumerate_mis(g, time_budget=-1.0, collect=False)
     assert report.truncated and report.stop_reason == "time_budget"
+
+
+def test_enumeration_refuses_a_cap_that_is_not_an_int():
+    # on K3 a cap of 1.5 once came back as the count (sizes_seen {1: 1.5}),
+    # 2.5 broke itertools.islice, and True and NumPy integers passed
+    k3 = Graph(3, "imported", [6, 5, 3])
+    for cap in (1.5, 2.5, True, np.int64(2)):
+        for collect in (False, True):
+            with pytest.raises(EnumerationError, match="bad limits: max_sets="):
+                enumerate_mis(k3, max_sets=cap, collect=collect)
+    assert enumerate_mis(k3, max_sets=2).count == 2
 
 
 # ---------------------------------------------------------------------------

@@ -431,7 +431,7 @@ def _check_semisimple_form(ring, samples=2000):
         assert quot.project(ring.add(x, y)) == quot.add(xq, yq) == cring.add(xq, yq), expr
         assert quot.project(ring.mul(x, y)) == quot.mul(xq, yq), expr
         images = [int(i) for i in semisimple_images(ring, x)]
-        assert quot.encode_blocks(images) == xq, expr
+        assert quot.from_parts(images) == xq, expr
 
 
 def test_semisimple_form_is_an_isomorphism(catalog_descriptors):
@@ -524,6 +524,50 @@ LADDER_EXPRS = (
     "GF(4096)", "Z4096", " x ".join(["Z2"] * 12), "M2(GF(8))", "M2(GF(7))",
     "Z9 x M2(Z4)", "GA(GF(2), C11)", "M2(Z8)", "GA(GF(2), C12)", "GA(GF(3), C7)",
 )
+
+
+def _check_parts(ring, x):
+    """x, an element or an index array, is the mixed radix of its parts,
+    and part j's own digits are the ring's digits over part j's span."""
+    parts = ring.parts(x)
+    assert np.array_equal(ring.from_parts(parts), x)
+    digit, place = 0, 1
+    for part, radix in zip(parts, ring._radices, strict=True):
+        assert np.all((0 <= part) & (part < radix))
+        span = 1
+        while span < radix:
+            m = ring._moduli[digit]
+            assert ring._places[digit] == place * span
+            assert np.array_equal(part // span % m, x // ring._places[digit] % m)
+            span, digit = span * m, digit + 1
+        assert span == radix
+        place *= radix
+    assert digit == len(ring._moduli)
+    return parts
+
+
+def test_parts_are_the_mixed_radix_of_the_digits(catalog_descriptors):
+    exprs = [expr for expr, _ in catalog_descriptors] + list(LADDER_EXPRS)
+    rng = random.Random(20240917)
+    kinds = set()
+    for expr in exprs:
+        ring = build_ring(parse_ring_expr(expr))
+        quot = quotient_by_radical(ring)
+        for r in (ring, quot):
+            if isinstance(r, (rings.ZnRing, rings.GfRing)):
+                with pytest.raises(RingError, match="no parts"):
+                    r.parts(0)
+                continue
+            kinds.add(type(r))
+            _check_parts(r, np.arange(r.order))
+            for x in [0, r.order - 1] + [rng.randrange(r.order) for _ in range(20)]:
+                assert all(type(p) is int for p in _check_parts(r, x)), expr
+        if isinstance(ring, rings.ProductRing):
+            assert ring.from_parts([f.one for f in ring.factors]) == ring.one, expr
+        assert quot.from_parts([b.one for b in quot.block_rings]) == quot.one, expr
+    assert kinds == {
+        rings.MatRing, rings.ProductRing, rings.GroupAlgebraRing, rings.QuotientRing
+    }
 
 
 def _realize(ring):

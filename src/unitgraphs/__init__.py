@@ -64,7 +64,6 @@ from .graphs import (
     Graph,
     GraphError,
     build_graph,
-    graph_from_json,
     graph_to_dot,
     graph_to_json,
     graphs_equal,
@@ -84,8 +83,6 @@ from .rings import (
     RingError,
     UnsupportedStructure,
     build_ring,
-    is_boolean_ring,
-    is_field,
     jacobson_radical,
     quotient_by_radical,
 )

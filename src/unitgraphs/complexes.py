@@ -376,8 +376,16 @@ def _homology(faces) -> list[int]:
 def link(c: SimplicialComplex, face_mask: int) -> SimplicialComplex:
     """link(sigma) = {tau : tau disjoint from sigma, tau + sigma a face}.
     Its facets come from the facets containing sigma: the AND of the
-    incidence of sigma's vertices."""
+    incidence of sigma's vertices.  A mask that is not a face of c
+    raises ComplexError."""
+    if type(face_mask) is not int or face_mask < 0:
+        raise ComplexError(f"bad face mask {face_mask!r}: masks are nonnegative integers")
+    if face_mask >> c.vertex_count:
+        top = face_mask.bit_length() - 1
+        raise ComplexError(f"face has vertex {top} outside the complex")
     containing = _containing(c.incidence, face_mask, (1 << len(c.facets)) - 1)
+    if not containing:
+        raise ComplexError(f"{mask_indices(face_mask)} is not a face of the complex")
     return SimplicialComplex(
         c.vertex_count, [c.facets[j] & ~face_mask for j in mask_indices(containing)]
     )

@@ -25,7 +25,7 @@ Cayley graph: ``build_graph`` builds (or finds) the Cayley graph and
 gives the unit graph its rows tuple, the same object, already checked
 for loops and range, so the rows are scanned once per ring.
 
-``edges()`` and ``validate()`` unpack the rows into 0/1 blocks of
+``edges()`` and the exports unpack the rows into 0/1 blocks of
 BITS_BLOCK entries and read them with numpy.
 
 A built graph also keeps ``candidates``: the ring's translations by its
@@ -37,14 +37,14 @@ unit graph to a pair with sum x + y + 2a, so it is an automorphism iff
 only the translations with T[2a] == T[0]: all of them when R/J(R) has
 characteristic 2.  Nothing here relies on the candidates being
 automorphisms: ``indsets`` keeps one only after checking it against the
-rows.  Imported graphs and induced subgraphs have none.
+rows.  Graphs built from rows and induced subgraphs have none.
 """
 
 from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -62,7 +62,8 @@ class GraphError(Exception):
 
 
 class Graph:
-    """Immutable simple graph on vertices 0..n-1 with bitmask rows.
+    """Immutable simple graph on vertices 0..n-1 with bitmask rows; the
+    constructor checks the rows for loops and range, not for symmetry.
 
     ``candidates`` are vertex permutations, each a shift (up, high, down)
     of ``bits.shift_mask``, that may be automorphisms; they are unchecked
@@ -83,22 +84,6 @@ class Graph:
                 raise GraphError(f"loop at vertex {x}")
             if row >> n:
                 raise GraphError(f"row {x} has bits outside the vertex range")
-
-    def validate(self) -> None:
-        """Full symmetry check (builders are symmetric by construction;
-        imported graphs and tests call this explicitly).  Names the first
-        asymmetric (x, y) in row-major order."""
-        n = self.n
-        for rows in row_chunks(n, BITS_BLOCK):
-            # rows lo.. of the matrix against its columns lo.., transposed
-            mine = masks_to_bits(self.rows[rows], n)
-            lo, width = rows.start, len(mine)
-            strip = (1 << width) - 1
-            theirs = masks_to_bits([(r >> lo) & strip for r in self.rows], width)
-            xs, ys = np.nonzero(mine > theirs.T)
-            if len(xs):
-                x, y = lo + int(xs[0]), int(ys[0])
-                raise GraphError(f"adjacency is not symmetric at ({x}, {y})")
 
     def degree(self, x: int) -> int:
         return self.rows[x].bit_count()
@@ -232,7 +217,7 @@ def graphs_equal(g1: Graph, g2: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# export / import
+# export
 # ---------------------------------------------------------------------------
 
 # Both writers yield one row of edges at a time, which the CLI writes out
@@ -265,57 +250,3 @@ def graph_to_dot(g: Graph) -> str:
 
 def graph_to_json(g: Graph) -> str:
     return "".join(json_blocks(g))
-
-
-def graph_from_json(text: str | bytes) -> Graph:
-    """The graph of a JSON object {"n", "kind", "edges"}, as graph_to_json
-    writes it ("kind" optional).  Every malformed input raises GraphError,
-    and n is checked against DEFAULT_GRAPH_CAP before any row is made:
-    n and the endpoints are JSON integers (not booleans or floats), n is
-    0..DEFAULT_GRAPH_CAP, and each edge is a pair of distinct vertices
-    below n."""
-    try:
-        data = json.loads(text)
-    except ValueError as exc:  # malformed JSON or undecodable bytes
-        raise GraphError(f"graph file is not JSON: {exc}") from None
-    if not isinstance(data, dict) or "n" not in data or "edges" not in data:
-        raise GraphError('graph file must be a JSON object with "n" and "edges"')
-    n, kind, edges = data["n"], data.get("kind", "imported"), data["edges"]
-    if type(n) is not int or not 0 <= n <= DEFAULT_GRAPH_CAP:
-        raise GraphError(f"bad vertex count {n!r}: an integer 0..{DEFAULT_GRAPH_CAP}")
-    if not isinstance(kind, str):
-        raise GraphError(f"bad graph kind {kind!r}: a string")
-    if not isinstance(edges, list):
-        raise GraphError("edges must be a JSON array of vertex pairs")
-    pairs = _edge_pairs(edges, n)
-    bits = np.zeros((n, n), dtype=np.uint8)
-    bits[pairs[:, 0], pairs[:, 1]] = 1
-    bits[pairs[:, 1], pairs[:, 0]] = 1
-    g = Graph(n, kind, bits_to_masks(bits))
-    g.validate()
-    return g
-
-
-def _edge_pairs(edges: list, n: int) -> np.ndarray:
-    """The edges as an m x 2 array of endpoints.  Each edge must be a
-    list of two distinct JSON integers (not booleans) 0..n-1, and the
-    first that is not raises GraphError.  The tests map over the whole
-    list at once, since a dense file has millions of edges; only a list
-    that fails them is read edge by edge, to name the edge."""
-    if set(map(type, edges)) <= {list} and set(map(len, edges)) <= {2}:
-        if set(map(type, chain.from_iterable(edges))) <= {int}:
-            try:
-                ends = np.fromiter(chain.from_iterable(edges), np.int32, 2 * len(edges))
-            except OverflowError:  # beyond 32 bits, so out of range
-                pass
-            else:
-                pairs = ends.reshape(-1, 2)
-                if ((0 <= pairs) & (pairs < n)).all() and (pairs[:, 0] != pairs[:, 1]).all():
-                    return pairs
-    for edge in edges:
-        if type(edge) is not list or len(edge) != 2:
-            raise GraphError(f"bad edge {edge!r}: a pair of vertices")
-        a, b = edge
-        if type(a) is not int or type(b) is not int or not (0 <= a < n and 0 <= b < n) or a == b:
-            raise GraphError(f"bad edge {edge!r}: two distinct integers 0..{n - 1}")
-    raise GraphError("edges must be a JSON array of vertex pairs")

@@ -154,6 +154,8 @@ class Component:
 
 def is_independent(g: Graph, s: VertexSet) -> bool:
     """No two members adjacent."""
+    if not isinstance(s, VertexSet):
+        raise EnumerationError(f"expected a VertexSet, got {type(s).__name__}")
     mask = s.mask
     if mask >> g.n:
         raise EnumerationError("set has vertices outside the graph")
@@ -607,16 +609,13 @@ def enumerate_mis(
     may end on its greedy sets of two sizes.  A truncated report
     describes the sets it found, at most max_sets of them.  A graph of
     more than DEFAULT_GRAPH_CAP vertices, a max_sets that is not an int
-    (or is a bool) or is below 1, and a NaN time_budget (no deadline
-    would pass) raise EnumerationError; a negative time_budget is a
-    deadline already past.
+    or is below 1, and a time_budget that is not an int or float or is
+    NaN (no deadline would pass) raise EnumerationError, a bool being
+    neither; a negative time_budget is a deadline already past.
     """
     if stop_mode not in ("all", "first_two_sizes"):
         raise EnumerationError(f"unknown stop mode {stop_mode!r}")
-    # bool is an int subclass; NumPy integers are not int at all
-    bad_cap = not isinstance(max_sets, int) or isinstance(max_sets, bool) or max_sets < 1
-    if bad_cap or math.isnan(time_budget):
-        raise EnumerationError(f"bad limits: max_sets={max_sets}, time_budget={time_budget}")
+    _check_limits(max_sets, time_budget)
     if g.n > DEFAULT_GRAPH_CAP:
         raise EnumerationError(f"vertex count {g.n} exceeds the cap {DEFAULT_GRAPH_CAP}")
     if stop_mode == "all" and not collect:
@@ -645,6 +644,16 @@ def enumerate_mis(
         orbits=orbits,
         probes=search.probes,
     )
+
+
+def _check_limits(max_sets, time_budget) -> None:
+    """The one check of the limits where they enter: enumerate_mis and
+    component_reports (see enumerate_mis for what is refused)."""
+    # bool is an int subclass; NumPy integers are not int at all
+    bad_cap = type(max_sets) is bool or not isinstance(max_sets, int) or max_sets < 1
+    bad_budget = type(time_budget) is bool or not isinstance(time_budget, (int, float))
+    if bad_cap or bad_budget or math.isnan(time_budget):
+        raise EnumerationError(f"bad limits: max_sets={max_sets}, time_budget={time_budget}")
 
 
 def _report(n, sizes, count, reason, witnesses, **counters) -> MisReport:
@@ -741,6 +750,7 @@ def component_reports(g: Graph, parts=None, *, time_budget: float = DEFAULT_TIME
     A component whose relabelled rows equal an earlier one's is that
     graph, so it yields the earlier Component, the same object, without
     a search, even past the deadline."""
+    _check_limits(limits.get("max_sets", DEFAULT_MAX_SETS), time_budget)
     parts = connected_components(g) if parts is None else parts
     deadline = time.monotonic() + time_budget
     searched: dict[tuple[int, ...] | None, Component] = {}

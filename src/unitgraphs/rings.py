@@ -56,13 +56,9 @@ A ring maps all of its elements once: ``block_images`` is that table,
 and the units, the radical (cached as ``radical_mask``) and the
 quotient's indexing all read it.
 The leaves of that rule are GF(q) (nonzero) and matrices over a field
-(nonzero determinant, computed through the base kernels).
-
-``mul_table`` is built from ``mul_many`` in row chunks and stored as
-uint16 (indices stay below HARD_ORDER_CAP = 2^16), up to
-DEFAULT_ORDER_CAP.  It feeds the definitional unit and radical scans,
-which are reached only through ``method="generic"`` and the tests, as
-the reference the structural results are checked against.
+(nonzero determinant, computed through the base kernels).  No ring
+builds a multiplication table; the definitional unit and radical scans
+that check these results are test oracles, outside the package.
 """
 
 from __future__ import annotations
@@ -73,7 +69,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .bits import HARD_ORDER_CAP, VertexSet, bools_to_mask, row_chunks
+from .bits import HARD_ORDER_CAP, VertexSet, bools_to_mask
 from .descriptors import (
     CACHE_SIZE,
     Block,
@@ -99,10 +95,6 @@ from .descriptors import (
 from .fields import mul_mod, smallest_irreducible
 
 DEFAULT_ORDER_CAP = 4096
-# Elements per vectorized chunk.  Its int64 temporaries (64 KiB) stay
-# below glibc's default 128 KiB mmap threshold, so chunk after chunk
-# reuses heap pages instead of mapping and faulting in fresh ones.
-CHUNK = 1 << 13
 
 
 class UnsupportedStructure(RingError):
@@ -234,20 +226,6 @@ class Ring:
                 out.append(((s & low) << up) | ((s & high) >> down))
         return out
 
-    @cached_property
-    def mul_table(self) -> np.ndarray:
-        """Full multiplication table (uint16), up to DEFAULT_ORDER_CAP."""
-        n = self.order
-        if n > DEFAULT_ORDER_CAP:
-            raise CapExceeded(
-                f"{self.expr}: no multiplication table above {DEFAULT_ORDER_CAP} elements"
-            )
-        idx = np.arange(n)
-        table = np.empty((n, n), dtype=np.uint16)
-        for rows in row_chunks(n, CHUNK):
-            table[rows] = self.mul_many(idx[rows, None], idx)
-        return table
-
     # -- units ---------------------------------------------------------------
 
     @cached_property
@@ -283,15 +261,6 @@ class Ring:
         for block, image in zip(semisimple_blocks(self.descriptor), images):
             ok = ok & block_ring(block).unit_set.bools()[image]
         return bools_to_mask(ok)
-
-    def _units_generic(self) -> int:
-        """Two-sided inverse search straight from the definition."""
-        right = self.mul_table == self.one
-        # in a finite ring a one-sided inverse is two-sided; anything else
-        # signals an arithmetic bug
-        if not np.array_equal(right, right.T):
-            raise RingError("one-sided inverse found; arithmetic is inconsistent")
-        return bools_to_mask(right.any(axis=1))
 
     # -- misc ----------------------------------------------------------------
 
@@ -678,36 +647,16 @@ def block_ring(block: Block) -> Ring:
 # Jacobson radical and quotient
 # ---------------------------------------------------------------------------
 
-def jacobson_radical(ring: Ring, method: str = "structural") -> VertexSet:
-    """Jacobson radical as an element set.
-
-    method="structural" reads the ring's ``radical_mask``, the kernel of
-    its ``block_images``, computed once per ring.  method="generic" scans
-    for {x : 1 - r*x is a unit for every r}, the definition specialized
-    to finite rings; it is the reference the structural kernel is tested
-    against.
-    """
-    if method == "generic":
-        return VertexSet(_radical_generic(ring), ring.order)
-    if method == "structural":
-        return VertexSet(ring.radical_mask, ring.order)
-    raise ValueError(f"unknown radical method {method!r}")
+def jacobson_radical(ring: Ring) -> VertexSet:
+    """Jacobson radical as an element set: the ring's ``radical_mask``,
+    the kernel of its ``block_images``, computed once per ring."""
+    return VertexSet(ring.radical_mask, ring.order)
 
 
 def _radical_structural(ring: Ring) -> int:
     """J(R) as the kernel of R -> R/J(R): the elements whose block images
     are all zero."""
     return bools_to_mask(np.logical_and.reduce([image == 0 for image in ring.block_images]))
-
-
-def _radical_generic(ring: Ring) -> int:
-    table = ring.mul_table
-    units = ring.unit_set.bools()
-    ok = np.ones(ring.order, dtype=bool)
-    for rows in row_chunks(ring.order, CHUNK):
-        products = table[rows].astype(np.int64)  # r * x for r in rows, every x
-        ok &= units[ring.add_many(ring.one, ring.neg_many(products))].all(axis=0)
-    return bools_to_mask(ok)
 
 
 def semisimple_images(ring: Ring, xs) -> list[np.ndarray]:
@@ -815,19 +764,3 @@ def quotient_by_radical(ring: Ring) -> QuotientRing:
     """Quotient of a ring by its Jacobson radical; interned per ring so
     repeated lifts share one quotient (and one cached quotient graph)."""
     return QuotientRing(ring, jacobson_radical(ring))
-
-
-# ---------------------------------------------------------------------------
-# predicates
-# ---------------------------------------------------------------------------
-
-def is_boolean_ring(ring: Ring) -> bool:
-    """True iff every element is idempotent (finite case: ring = Z_2^k)."""
-    idx = np.arange(ring.order)
-    return bool(np.array_equal(ring.mul_many(idx, idx), idx))
-
-
-def is_field(ring: Ring) -> bool:
-    """True iff every nonzero element is a unit.  Such a finite ring is a
-    division ring, hence commutative (Wedderburn's little theorem)."""
-    return len(ring.unit_set) == ring.order - 1

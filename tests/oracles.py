@@ -2,19 +2,109 @@
 
 These deliberately avoid the library's algorithms: independence is
 re-derived from adjacency rows, maximal independent sets come from a
-full 2^n subset sweep, polynomial irreducibility is checked by
-enumerating factor pairs or by trial division, and the reduced Euler
-characteristic is
-counted both from faces and from homology ranks.  Library outputs are
-asserted against these.
+full 2^n subset sweep, units and the Jacobson radical are scanned from
+the definitions over rows of the multiplication table, polynomial
+irreducibility is checked by enumerating factor pairs or by trial
+division, and the reduced Euler characteristic is counted both from
+faces and from homology ranks.  Library outputs are asserted against
+these.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
+
+import numpy as np
 
 from unitgraphs import graphs
+from unitgraphs.bits import BITS_BLOCK, indices_mask, masks_to_bits, row_chunks
 from unitgraphs.complexes import reduced_homology_gf2
+from unitgraphs.rings import DEFAULT_ORDER_CAP, CapExceeded
+
+# Elements per vectorized chunk of the table scans
+CHUNK = 1 << 18
+
+
+def _row_slices(count: int, width: int) -> list[slice]:
+    """Slices of count rows of width entries, about CHUNK entries each."""
+    step = max(1, CHUNK // width)
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
+def mul_table(ring, xs=None) -> np.ndarray:
+    """Rows of the multiplication table, built from ``mul_many``: row i
+    lists xs[i] * r for every element r, as uint16 (indices stay below
+    2^16).  xs defaults to every element, the full table.  Rings above
+    DEFAULT_ORDER_CAP elements are refused."""
+    n = ring.order
+    if n > DEFAULT_ORDER_CAP:
+        raise CapExceeded(
+            f"{ring.expr}: no multiplication table above {DEFAULT_ORDER_CAP} elements"
+        )
+    idx = np.arange(n)
+    xs = idx if xs is None else np.asarray(xs, dtype=np.int64)
+    table = np.empty((len(xs), n), dtype=np.uint16)
+    for rows in _row_slices(len(xs), n):
+        table[rows] = ring.mul_many(xs[rows, None], idx)
+    return table
+
+
+def units_generic(ring, xs=None) -> int:
+    """The units among xs (default every element) as a mask, by an
+    inverse search straight from the definition."""
+    xs = np.arange(ring.order) if xs is None else np.asarray(xs, dtype=np.int64)
+    right = mul_table(ring, xs) == ring.one
+    found = right.any(axis=1)
+    # in a finite ring a one-sided inverse is two-sided; anything else
+    # signals an arithmetic bug
+    inverses = right.argmax(axis=1)[found]
+    assert (ring.mul_many(inverses, xs[found]) == ring.one).all(), ring.expr
+    return indices_mask(xs[found].tolist())
+
+
+def radical_generic(ring, xs=None) -> int:
+    """The members of J(R) among xs (default every element) as a mask:
+    the x with 1 - x*r a unit for every r, the definition specialized to
+    finite rings.  Units are read from ``ring.unit_set``, which
+    ``units_generic`` checks."""
+    xs = np.arange(ring.order) if xs is None else np.asarray(xs, dtype=np.int64)
+    table = mul_table(ring, xs)
+    units = ring.unit_set.bools()
+    ok = np.empty(len(xs), dtype=bool)
+    for rows in _row_slices(len(xs), ring.order):
+        products = table[rows].astype(np.int64)  # x * r for x in rows, every r
+        ok[rows] = units[ring.add_many(ring.one, ring.neg_many(products))].all(axis=1)
+    return indices_mask(xs[ok].tolist())
+
+
+def is_boolean_ring(ring) -> bool:
+    """True iff every element is idempotent (finite case: ring = Z_2^k)."""
+    idx = np.arange(ring.order)
+    return bool(np.array_equal(ring.mul_many(idx, idx), idx))
+
+
+def is_field(ring) -> bool:
+    """True iff every nonzero element is a unit.  Such a finite ring is a
+    division ring, hence commutative (Wedderburn's little theorem)."""
+    return len(ring.unit_set) == ring.order - 1
+
+
+def asymmetric_pair(g) -> tuple[int, int] | None:
+    """The first (x, y) in row-major order with y in row x but x not in
+    row y, or None when the adjacency is symmetric; the rows are
+    unpacked BITS_BLOCK entries at a time."""
+    n = g.n
+    for rows in row_chunks(n, BITS_BLOCK):
+        # rows lo.. of the matrix against its columns lo.., transposed
+        mine = masks_to_bits(g.rows[rows], n)
+        lo, width = rows.start, len(mine)
+        strip = (1 << width) - 1
+        theirs = masks_to_bits([(r >> lo) & strip for r in g.rows], width)
+        xs, ys = np.nonzero(mine > theirs.T)
+        if len(xs):
+            return lo + int(xs[0]), int(ys[0])
+    return None
 
 
 def build_plain_graph(ring, kind: str = "unit"):
@@ -144,3 +234,18 @@ def euler_characteristic_homology(c) -> int:
     for d, rank in enumerate(reduced_homology_gf2(c), start=-1):
         total += rank if d % 2 == 0 else -rank
     return total
+
+
+def rows_from_json(text) -> tuple[dict, tuple[int, ...]]:
+    """The payload of a ``graph_to_json`` export and the adjacency rows
+    rebuilt from its edges, each a pair x < y of vertices listed once,
+    in row-major order."""
+    payload = json.loads(text)
+    n, edges = payload["n"], payload["edges"]
+    assert all(len(e) == 2 and 0 <= e[0] < e[1] < n for e in edges)
+    assert edges == sorted(edges) and len(set(map(tuple, edges))) == len(edges)
+    rows = [0] * n
+    for x, y in edges:
+        rows[x] |= 1 << y
+        rows[y] |= 1 << x
+    return payload, tuple(rows)

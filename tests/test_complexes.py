@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from conftest import CATALOG_EXPRS
-from oracles import euler_characteristic_faces, euler_characteristic_homology
+from oracles import asymmetric_pair, euler_characteristic_faces, euler_characteristic_homology
 from unitgraphs.complexes import (
     DEFAULT_FACET_CAP,
     BudgetExceeded,
@@ -187,6 +187,25 @@ def test_link_examples():
     assert lk.facet_lists() == [[1], [2]]
     lk_edge = link(cycle, (1 << 0) | (1 << 1))
     assert lk_edge.facet_lists() == [[]]
+
+
+def test_link_refuses_a_mask_that_is_not_a_face():
+    # Ind of Z4's unit graph, the 4-cycle: facets {0, 2} and {1, 3}; the
+    # link of -1 was once a void complex of dimension -2
+    c = _complex("Z4")
+    assert c.facet_lists() == [[0, 2], [1, 3]]
+    assert link(c, 0).facets == c.facets
+    cases = {
+        -1: "bad face mask -1",
+        True: "bad face mask True",
+        1 << 4: "vertex 4 outside the complex",
+        0b11: r"\[0, 1\] is not a face",
+    }
+    for mask, message in cases.items():
+        with pytest.raises(ComplexError, match=message):
+            link(c, mask)
+    with pytest.raises(ComplexError, match=r"\[\] is not a face"):
+        link(SimplicialComplex(2, []), 0)
 
 
 def test_cm_examples():
@@ -646,7 +665,7 @@ def test_graph_recursion_needs_no_python_recursion():
     # about 750 links deep, far beyond the default recursion limit
     n = 1500
     rows = [(1 << (v - 1) if v else 0) | (1 << (v + 1) if v < n - 1 else 0) for v in range(n)]
-    Graph(n, "imported", rows).validate()
+    assert asymmetric_pair(Graph(n, "imported", rows)) is None
     for top_ok in (lambda top: True, lambda top: top == 1):
         try:
             verdict = _graph_reisner(rows, (1 << n) - 1, top_ok)

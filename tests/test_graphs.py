@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from oracles import asymmetric_pair, rows_from_json
 from unitgraphs import rings
 from unitgraphs.bits import HARD_ORDER_CAP
 from unitgraphs.descriptors import Gf, Mat, Zn
@@ -13,7 +14,6 @@ from unitgraphs.graphs import (
     KINDS,
     GraphError,
     build_graph,
-    graph_from_json,
     graph_to_dot,
     graph_to_json,
     graphs_equal,
@@ -37,7 +37,7 @@ def test_graph_is_loop_free_and_symmetric(catalog_descriptors):
     for expr, descriptor in catalog_descriptors:
         ring = build_ring(descriptor)
         for kind in ("unit", "cayley"):
-            build_graph(ring, kind).validate()
+            assert asymmetric_pair(build_graph(ring, kind)) is None, (expr, kind)
 
 
 def _scalar_rows(ring, kind, xs):
@@ -277,8 +277,8 @@ def test_json_export_z4():
 
 
 def test_json_export_edgeless():
-    g = graph_from_json(json.dumps({"n": 3, "kind": "imported", "edges": []}))
-    assert json.loads(graph_to_json(g))["edges"] == []
+    g = Graph(3, "imported", [0, 0, 0])
+    assert json.loads(graph_to_json(g)) == {"n": 3, "kind": "imported", "edges": []}
 
 
 def test_json_round_trip(catalog_descriptors):
@@ -287,79 +287,18 @@ def test_json_round_trip(catalog_descriptors):
         if ring.order > 100:
             continue
         g = build_graph(ring, "unit")
-        back = graph_from_json(graph_to_json(g))
-        assert back.n == g.n and back.rows == g.rows, expr
+        payload, rows = rows_from_json(graph_to_json(g))
+        assert payload["n"] == g.n and rows == g.rows, expr
 
 
 @pytest.mark.parametrize("expr", ["Z1024", " x ".join(["Z2"] * 10), "M2(GF(4)) x Z4"])
 def test_json_round_trip_at_1024_vertices(expr):
-    # dense, sparse, and a product: the rows are scattered from the edge
-    # array, so each must come back bit for bit
+    # dense, sparse, and a product: each row is written edge by edge, so
+    # each must come back bit for bit
     g = build_graph(build_ring(parse_ring_expr(expr)))
     assert g.n == 1024
-    back = graph_from_json(graph_to_json(g))
-    assert back.n == g.n and back.rows == g.rows and back.kind == g.kind
-
-
-@pytest.mark.parametrize(
-    "edges,message",
-    [
-        ([[0, 1], [0, 1.7], [5, 5]], "bad edge [0, 1.7]: two distinct integers 0..2"),
-        ([[0, 1], [2], [0, 9]], "bad edge [2]: a pair of vertices"),
-        ([[0, 1], "01"], "bad edge '01': a pair of vertices"),
-        ([[1, 2], [0, 10**30]], f"bad edge [0, {10**30}]: two distinct integers 0..2"),
-        ([[1, 2], [-1, 2]], "bad edge [-1, 2]: two distinct integers 0..2"),
-        ([[0, 1], [2, 2], [0, 7]], "bad edge [2, 2]: two distinct integers 0..2"),
-        ([[0, 1], [True, 2]], "bad edge [True, 2]: two distinct integers 0..2"),
-        ([[0, 1], None], "bad edge None: a pair of vertices"),
-    ],
-)
-def test_json_import_names_the_first_bad_edge(edges, message):
-    with pytest.raises(GraphError) as info:
-        graph_from_json(json.dumps({"n": 3, "edges": edges}))
-    assert str(info.value) == message
-
-
-def test_json_import_rejects_bad_edges():
-    with pytest.raises(GraphError):
-        graph_from_json(json.dumps({"n": 2, "kind": "unit", "edges": [[0, 2]]}))
-    with pytest.raises(GraphError):
-        graph_from_json(json.dumps({"n": 2, "kind": "unit", "edges": [[1, 1]]}))
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "{",  # not JSON
-        "[]",  # not an object
-        '{"edges": []}',  # no vertex count
-        '{"n": 2}',  # no edges
-        '{"n": 5000, "edges": []}',  # over the graph cap
-        '{"n": -1, "edges": []}',
-        '{"n": 2.0, "edges": []}',
-        '{"n": true, "edges": []}',
-        '{"n": "3", "edges": []}',
-        '{"n": 2, "edges": {}}',
-        '{"n": 2, "edges": "01"}',
-        '{"n": 2, "edges": [[0]]}',
-        '{"n": 3, "edges": [[0, 1, 2]]}',
-        '{"n": 3, "edges": [[0, 1.7]]}',  # not silently edge (0, 1)
-        '{"n": 3, "edges": [[true, 2]]}',  # not silently edge (1, 2)
-        '{"n": 3, "edges": [["0", 2]]}',
-        '{"n": 3, "edges": [[0, 1]], "kind": 5}',
-    ],
-)
-def test_json_import_rejects_malformed_input(text):
-    with pytest.raises(GraphError):
-        graph_from_json(text)
-
-
-def test_json_import_checks_the_cap_before_making_rows():
-    g = graph_from_json(json.dumps({"n": DEFAULT_GRAPH_CAP, "edges": [[0, 1]]}))
-    assert g.n == DEFAULT_GRAPH_CAP and g.kind == "imported" and g.edge_count() == 1
-    # 2^40 rows would be terabytes: the count is refused before any is made
-    with pytest.raises(GraphError, match=f"0..{DEFAULT_GRAPH_CAP}"):
-        graph_from_json(json.dumps({"n": 2**40, "edges": []}))
+    payload, rows = rows_from_json(graph_to_json(g))
+    assert payload["n"] == g.n and rows == g.rows and payload["kind"] == g.kind
 
 
 def test_graph_cap():

@@ -232,6 +232,31 @@ def test_enumeration_refuses_a_cap_that_is_not_an_int():
     assert enumerate_mis(k3, max_sets=2).count == 2
 
 
+def test_enumeration_refuses_a_budget_that_is_not_a_number():
+    # on K3 "5" and None once raised TypeError from math.isnan or from
+    # time.monotonic() + time_budget, and True ran as a 1 s budget
+    k3 = Graph(3, "imported", [6, 5, 3])
+    for budget in ("5", None, True, float("nan")):
+        calls = [
+            lambda: enumerate_mis(k3, time_budget=budget),
+            lambda: well_covered_bruteforce(k3, time_budget=budget),
+            lambda: list(component_reports(k3, time_budget=budget)),
+        ]
+        for call in calls:
+            with pytest.raises(EnumerationError, match="bad limits: max_sets="):
+                call()
+    assert enumerate_mis(k3, time_budget=5).count == 3
+
+
+def test_independence_tests_take_only_vertex_sets():
+    k3 = Graph(3, "imported", [6, 5, 3])
+    for s in ([0, 2], {0}, 1, None):
+        for test in (is_independent, is_maximal_independent):
+            with pytest.raises(EnumerationError, match="expected a VertexSet"):
+                test(k3, s)
+    assert is_maximal_independent(k3, VertexSet(0b100, 3))
+
+
 # ---------------------------------------------------------------------------
 # the false-twin quotient and the component split, on planted structure
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Every private function or method of the package is used by the package,
-and every default of one is overridden by some call in the package.
+every default of one is overridden by some call in the package, and
+every export is used by the package, its demos or its benchmark.
 
 Read with ``ast``: a function or method defined at module or class level
 whose name starts with one underscore (dunders are left out) must be
@@ -14,15 +15,31 @@ some call in the package, by keyword or by position; a call that
 unpacks ``*args`` or ``**kwargs`` counts as passing what it could.  A
 default no caller overrides is a setting nobody sets, and belongs in a
 module constant read where it is enforced.
+
+A name ``__init__.py`` exports must be named in ``src/unitgraphs``
+outside ``__init__.py`` and outside its own definition, or in
+``demos/`` or ``benchmark/``: as a bare name, an attribute, or a string
+(the benchmark's tracer looks names up with ``getattr``).  An export
+only library users and the tests call is listed, with its reason, in
+PUBLIC_ONLY.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "unitgraphs"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "unitgraphs"
 
-# definitional scans kept as independent oracles for the tests
-ORACLES = {"Ring._units_generic"}
+# private functions only the tests call; the definitional scans that
+# were listed here live in tests/oracles.py
+ORACLES: set[str] = set()
+
+# exports that nothing in src/, demos/ or benchmark/ names
+PUBLIC_ONLY = {
+    "facets_to_json": "writes the format that complex --facets-file reads",
+    "product_nonunit_extend": "the paper's product recipe from a non-unit set of one factor",
+    "product_unit_sets": "the paper's product recipe from all-unit sets of every factor",
+}
 
 
 def _private_defs(tree: ast.Module):
@@ -145,6 +162,64 @@ def unreferenced(sources: dict[str, str]) -> list[str]:
             ):
                 out.append(f"{path}:{qualname}")
     return out
+
+
+def exports(init_source: str) -> list[str]:
+    """The names an ``__init__`` module re-exports from its modules."""
+    return [
+        alias.asname or alias.name
+        for node in ast.parse(init_source).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+
+
+def _named(tree: ast.Module):
+    """(name, line) of every bare name, attribute and string in the tree."""
+    yield from _uses(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node.lineno
+
+
+def unnamed_exports(init_source: str, sources: dict[str, str]) -> list[str]:
+    """The exports of init_source that no source (file name -> text)
+    names outside a module-level definition of that name."""
+    found = set()
+    for text in sources.values():
+        tree = ast.parse(text)
+        spans = {
+            node.name: range(node.lineno, node.end_lineno + 1)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        }
+        for name, line in _named(tree):
+            if line not in spans.get(name, ()):
+                found.add(name)
+    return [name for name in exports(init_source) if name not in found]
+
+
+def test_every_export_is_used_or_listed_as_public_only():
+    users = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    for folder in ("demos", "benchmark"):
+        users += sorted((ROOT / folder).glob("*.py"))
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in users}
+    init = (PACKAGE / "__init__.py").read_text()
+    assert sorted(unnamed_exports(init, sources)) == sorted(PUBLIC_ONLY)
+
+
+def test_the_check_sees_a_planted_unused_export():
+    init = "from .a import Used, helper, dead, Shown, recursive\n"
+    first = (
+        "class Used:\n    pass\n\n"
+        "def helper():\n    return Used()\n\n"
+        "def dead():\n    return dead\n\n"
+        "def recursive(n):\n    return recursive(n - 1)\n\n"
+        "class Shown:\n    def same(self):\n        return Shown\n"
+    )
+    demo = "import unitgraphs as ug\n\nug.helper()\nLAYERS = ('Shown',)\n"
+    # a use inside the name's own definition does not count
+    assert unnamed_exports(init, {"a.py": first, "demo.py": demo}) == ["dead", "recursive"]
 
 
 def test_every_private_function_is_used_or_a_listed_oracle():

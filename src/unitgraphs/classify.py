@@ -137,10 +137,10 @@ def cross_validate(
     )
     report.predicted = predict(descriptor)
 
-    factors = []
+    factors = ()
     if checks:  # a realized ring is within the graph cap
         graph = build_graph(ring, "unit")
-        factors = list(join_factors(graph, max_sets=max_sets, time_budget=time_budget))
+        factors = join_factors(graph, max_sets=max_sets, time_budget=time_budget)
     report.observed = join_verdicts(
         factors, [CHECK_KEYS[c][1] for c in CHECK_KEYS if c in checks], facet_cap=facet_cap
     )

@@ -248,6 +248,7 @@ def find_shelling(
     DEFAULT_SHELLING_NODE_CAP search nodes.  Only pure complexes can be
     shellable here; callers gate on is_pure first.
     """
+    _check_facet_cap(facet_cap)
     facets = c.facets
     m = len(facets)
     if m > facet_cap:
@@ -294,6 +295,12 @@ def find_shelling(
     return search(0, [])
 
 
+def _check_facet_cap(facet_cap) -> None:
+    """Where the facet cap enters: anything but an int >= 0 is refused."""
+    if type(facet_cap) is bool or not isinstance(facet_cap, int) or facet_cap < 0:
+        raise ComplexError(f"bad facet_cap {facet_cap!r}")
+
+
 def is_shellable(c: SimplicialComplex, facet_cap: int = DEFAULT_FACET_CAP) -> bool | None:
     """True/False when decided; None when a budget was exceeded.
 
@@ -301,6 +308,7 @@ def is_shellable(c: SimplicialComplex, facet_cap: int = DEFAULT_FACET_CAP) -> bo
     implemented).  A pure complex of dimension at most 0 is True without a
     search: any order of its points is a shelling.
     """
+    _check_facet_cap(facet_cap)
     if not is_pure(c):
         return False
     if c.dimension <= 0:
@@ -646,7 +654,10 @@ def join_verdicts(factors, keys, *, facet_cap=DEFAULT_FACET_CAP):
     """The verdicts named by keys ("well_covered" = "pure", "cm_gf2",
     "shellable", "gorenstein_gf2") on the join of the factors, by _join.
     Gorenstein and pure shellable complexes are CM (Stanley, ch. II), so
-    CM False decides both without their walks."""
+    CM False decides both without their walks.  factors may be a lazy
+    iterable, read only once facet_cap is accepted."""
+    _check_facet_cap(facet_cap)
+    factors = list(factors)
     verdicts = {}
     for key in sorted(keys, key=lambda k: k != "cm_gf2"):  # CM first
         implied = key in ("shellable", "gorenstein_gf2") and verdicts.get("cm_gf2") is False

@@ -295,7 +295,7 @@ def nonunit_complement_witness(s_ring: Ring, y: int, verify: bool = True) -> int
     if s_ring.is_unit(y):
         raise ConstructionError("y must not be a unit")
     quotient = _require_semisimple(s_ring, "R")
-    rings, images = quotient.block_rings, s_ring.block_images
+    rings, images = quotient.factors, s_ring.block_images
     blocks = [
         _complement_block(r if n == 1 else r.base, n, int(image[y]))
         for (n, _), r, image in zip(quotient.blocks, rings, images)
@@ -317,7 +317,7 @@ def _zero_row_set(quotient: QuotientRing) -> VertexSet:
     """The zero-first-row set of the leading block of R/J(R) times the
     other blocks: a non-unit maximal independent set of R/J(R)."""
     lead_zero_rows = zero_first_row_set(*quotient.blocks[0], verify=False).indices()
-    rest = [range(r.order) for r in quotient.block_rings[1:]]
+    rest = [range(r.order) for r in quotient.factors[1:]]
     return VertexSet.from_indices(
         [
             quotient.from_parts([first, *others])

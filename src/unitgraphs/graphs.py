@@ -220,11 +220,17 @@ def graphs_equal(g1: Graph, g2: Graph) -> bool:
 # export
 # ---------------------------------------------------------------------------
 
+def _require_graph(g) -> None:
+    if not isinstance(g, Graph):
+        raise GraphError(f"{g!r} is not a Graph")
+
+
 # Both writers yield one row of edges at a time, which the CLI writes out
 # as it comes; joined, the blocks are the DOT listing and json.dumps of
 # {"n", "kind", "edges"} exactly.
 
 def dot_blocks(g: Graph):
+    _require_graph(g)
     yield "graph G {\n" + "".join(f"  {v};\n" for v in range(g.n))
     for x, ys in g._neighbors_above():
         if ys:
@@ -234,6 +240,7 @@ def dot_blocks(g: Graph):
 
 
 def json_blocks(g: Graph):
+    _require_graph(g)
     yield f'{{"n": {g.n}, "kind": {json.dumps(g.kind)}, "edges": ['
     sep = ""
     for x, ys in g._neighbors_above():

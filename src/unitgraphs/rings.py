@@ -16,14 +16,13 @@ see QuotientRing) part i.
 
 In every encoding the additive group is a direct sum of cyclic groups
 acting digit-wise, so ``Ring`` itself holds the scalar ``add``/``neg``
-and the elementwise ``add_many``/``neg_many``.  Each ring kind adds a
-scalar ``mul`` and one broadcasting kernel ``mul_many(xs, ys)`` on int64
-index arrays.  Scalar ``add``/``neg``/``mul`` are the definitional
-operations that the tests compare everything else against.  All
-vectorized work is built from the kernels: GF(q), realized once as
-``GfRing``, multiplies through its own log/antilog tables, matrix,
-product and group-algebra rings call their base or factor kernels on
-their parts, and a quotient calls its block product's kernel.  The
+and the elementwise ``add_many``/``neg_many``.  Each ring kind states
+its product once, as a broadcasting kernel ``mul_many(xs, ys)`` on
+int64 index arrays, and ``Ring.mul`` is that kernel on one pair; the
+scalar operations refuse an index outside the ring.  GF(q), realized
+once as ``GfRing``, multiplies through its own log/antilog tables,
+matrix, product and group-algebra rings call their base or factor
+kernels on their parts, and R/J(R) is the product of its blocks.  The
 antilog table is a walk through the powers of a generator: multiplying
 by it is GF(p)-linear on the digits, so one k x k digit matrix maps
 every index to its next power at once, and the polynomial product is
@@ -110,10 +109,11 @@ class Ring:
 
     Addition is digit-wise in the ring's encoding, one cyclic digit of
     modulus ``_moduli[j]`` at place ``_places[j]``; each kind supplies
-    its own ``mul`` and ``mul_many``.  A composite ring (``_init_parts``)
-    is indexed by the mixed radix of its parts over ``_radices``, and the
-    parts' digits, in order, are its digits.  Instances are immutable
-    after construction and safe to share between concurrent workers.
+    its own ``mul_many``, and ``mul`` is that kernel on one pair.  A
+    composite ring (``_init_parts``) is indexed by the mixed radix of its
+    parts over ``_radices``, and the parts' digits, in order, are its
+    digits.  Instances are immutable after construction and safe to
+    share between concurrent workers.
     """
 
     descriptor: RingDescriptor
@@ -160,19 +160,29 @@ class Ring:
             x = x * r + part
         return x
 
-    # -- scalar arithmetic (definitional) -----------------------------------
+    # -- scalar arithmetic ---------------------------------------------------
+
+    def _element(self, x: int) -> int:
+        if not 0 <= x < self.order:
+            raise RingError(f"element index {x} out of range")
+        return x
 
     def add(self, x: int, y: int) -> int:
+        x, y = self._element(x), self._element(y)
         out = 0
         for pl, m in zip(self._places, self._moduli):
             out += ((x // pl + y // pl) % m) * pl
         return out
 
     def neg(self, x: int) -> int:
+        x = self._element(x)
         out = 0
         for pl, m in zip(self._places, self._moduli):
             out += (-(x // pl) % m) * pl
         return out
+
+    def mul(self, x: int, y: int) -> int:
+        return int(self.mul_many(self._element(x), self._element(y)))
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))
@@ -239,9 +249,7 @@ class Ring:
         return self.translates(self.unit_set.mask)
 
     def is_unit(self, x: int) -> bool:
-        if not 0 <= x < self.order:
-            raise RingError(f"element index {x} out of range")
-        return (self.unit_set.mask >> x) & 1 == 1
+        return (self.unit_set.mask >> self._element(x)) & 1 == 1
 
     @cached_property
     def block_images(self) -> list[np.ndarray]:
@@ -297,15 +305,6 @@ class ZnRing(Ring):
         self.one = 1
         self._init_positional([descriptor.n])
 
-    def add(self, x: int, y: int) -> int:
-        return (x + y) % self.order
-
-    def neg(self, x: int) -> int:
-        return -x % self.order
-
-    def mul(self, x: int, y: int) -> int:
-        return (x * y) % self.order
-
     def mul_many(self, xs, ys) -> np.ndarray:
         return xs * ys % self.order
 
@@ -327,6 +326,7 @@ class GfRing(Ring):
         self._init_positional([self.p] * self.k)
 
     def mul(self, x: int, y: int) -> int:
+        x, y = self._element(x), self._element(y)
         if self.k == 1:
             return (x * y) % self.p
         log, exp = self._scalar_tables
@@ -341,7 +341,7 @@ class GfRing(Ring):
         return sum(c * pl for c, pl in zip(out, self._places))
 
     def inv(self, x: int) -> int:
-        if x == 0:
+        if self._element(x) == 0:
             raise ZeroDivisionError("0 has no inverse")
         if self.k == 1:
             return pow(x, self.p - 2, self.p)
@@ -427,17 +427,6 @@ class MatRing(Ring):
         pairs = itertools.product(range(k), repeat=2)
         self.one = self.from_parts([base.one if i == j else base.zero for i, j in pairs])
 
-    def mul(self, x: int, y: int) -> int:
-        a, b = self.parts(x), self.parts(y)
-        base, k = self.base, self.k
-        out = []
-        for i, j in itertools.product(range(k), repeat=2):
-            acc = base.zero
-            for l in range(k):
-                acc = base.add(acc, base.mul(a[i * k + l], b[l * k + j]))
-            out.append(acc)
-        return self.from_parts(out)
-
     def mul_many(self, xs, ys) -> np.ndarray:
         a, c = self.parts(xs), self.parts(ys)
         base, k = self.base, self.k
@@ -484,10 +473,6 @@ class ProductRing(Ring):
         self._init_parts(factors)
         self.one = self.from_parts([f.one for f in factors])
 
-    def mul(self, x: int, y: int) -> int:
-        pairs = zip(self.factors, self.parts(x), self.parts(y))
-        return self.from_parts([f.mul(a, b) for f, a, b in pairs])
-
     def mul_many(self, xs, ys) -> np.ndarray:
         pairs = zip(self.factors, self.parts(xs), self.parts(ys))
         return self.from_parts([f.mul_many(a, b) for f, a, b in pairs])
@@ -511,21 +496,6 @@ class GroupAlgebraRing(Ring):
              if self.gtable[g][h] == t]
             for t in range(self.gorder)
         ]
-
-    def mul(self, x: int, y: int) -> int:
-        a, b = self.parts(x), self.parts(y)
-        fld = self.field
-        out = [0] * self.gorder
-        for g, ag in enumerate(a):
-            if ag == 0:
-                continue
-            row = self.gtable[g]
-            for h, bh in enumerate(b):
-                if bh == 0:
-                    continue
-                t = row[h]
-                out[t] = fld.add(out[t], fld.mul(ag, bh))
-        return self.from_parts(out)
 
     def mul_many(self, xs, ys) -> np.ndarray:
         a, b = self.parts(xs), self.parts(ys)
@@ -628,6 +598,8 @@ def build_ring(descriptor: RingDescriptor, order_cap: int = DEFAULT_ORDER_CAP) -
     """
     if not isinstance(descriptor, RingDescriptor):
         raise DescriptorError(f"unknown descriptor {descriptor!r}")
+    if type(order_cap) is bool or not isinstance(order_cap, int):
+        raise RingError(f"bad order_cap {order_cap!r}")
     cap = min(order_cap, HARD_ORDER_CAP)
     if descriptor_order(descriptor, cap) > cap:
         raise CapExceeded(
@@ -666,7 +638,7 @@ def semisimple_images(ring: Ring, xs) -> list[np.ndarray]:
     odd characteristic, whose algebras exceed the default cap."""
     xs = np.asarray(xs, dtype=np.int64)
     if isinstance(ring, QuotientRing):
-        return semisimple_images(ring.canonical_ring, xs)
+        return ring.parts(xs)
     if isinstance(ring, ZnRing):
         return [xs % p for p, _ in factorize(ring.order)]
     if isinstance(ring, GfRing):
@@ -702,16 +674,18 @@ def semisimple_images(ring: Ring, xs) -> list[np.ndarray]:
     return out
 
 
-class QuotientRing(Ring):
-    """The quotient of a ring by its Jacobson radical, indexed as the block
-    product ``canonical_ring`` = B_1 x ... x B_t of ``semisimple_blocks``,
-    whose ``descriptor`` it takes: ``blocks`` lists the shapes (n, q) and
-    ``block_rings`` the realized B_i = M_n(GF(q)), in that order.
+class QuotientRing(ProductRing):
+    """The quotient of a ring by its Jacobson radical, realized as the
+    block product B_1 x ... x B_t of ``semisimple_blocks``: ``blocks``
+    lists the shapes (n, q) and ``factors`` the realized B_i =
+    M_n(GF(q)), in that order.  ``descriptor`` is the block's own for one
+    block, their ``Product`` otherwise, and ``canonical_ring`` the same
+    product realized from it alone.
 
     Element k is the coset whose ``semisimple_images`` are the parts of
     k, one per block, block 0 least significant, so the quotient adds
-    digit-wise like any ring here and multiplies through the canonical
-    ring's kernel.  ``project`` sends a parent element to its coset and
+    digit-wise and multiplies factor by factor like any product here.
+    ``project`` sends a parent element to its coset and
     ``representatives[k]`` is the least parent element of coset k.  For
     Z6 -> GF(2) x GF(3), x goes to x % 2 + 2 * (x % 3), so the
     representatives are (0, 3, 4, 1, 2, 5).
@@ -721,17 +695,10 @@ class QuotientRing(Ring):
         self.parent = parent
         self.radical = radical
         self.blocks = semisimple_blocks(parent.descriptor)
-        self.block_rings = tuple(block_ring(b) for b in self.blocks)
-        if len(self.blocks) == 1:
-            self.canonical_ring = self.block_rings[0]
-        else:
-            self.canonical_ring = build_ring(
-                Product(tuple(r.descriptor for r in self.block_rings)),
-                order_cap=HARD_ORDER_CAP,
-            )
-        self.descriptor = self.canonical_ring.descriptor
-        self._init_parts(self.block_rings)
-        self.one = self.from_parts([r.one for r in self.block_rings])
+        factors = [block_ring(b) for b in self.blocks]
+        shapes = tuple(r.descriptor for r in factors)
+        super().__init__(shapes[0] if len(shapes) == 1 else Product(shapes), factors)
+        self.canonical_ring = build_ring(self.descriptor, order_cap=HARD_ORDER_CAP)
         self._keys = self.from_parts(parent.block_images)
         found, first = np.unique(self._keys, return_index=True)
         if len(found) != self.order or self.order * len(radical) != parent.order:
@@ -740,16 +707,7 @@ class QuotientRing(Ring):
 
     def project(self, parent_index: int) -> int:
         """Quotient index of the coset containing a parent element."""
-        return int(self._keys[parent_index])
-
-    def mul(self, x: int, y: int) -> int:
-        return self.canonical_ring.mul(x, y)
-
-    def mul_many(self, xs, ys) -> np.ndarray:
-        return self.canonical_ring.mul_many(xs, ys)
-
-    def _compute_units(self) -> int:
-        return self.canonical_ring.unit_set.mask
+        return int(self._keys[self.parent._element(parent_index)])
 
     @property
     def expr(self) -> str:

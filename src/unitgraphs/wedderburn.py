@@ -9,12 +9,13 @@ without realizing anything, the characteristic through
 ``shape_characteristic``.
 
 ``semisimple_form`` names the reduction explicitly and returns the one
-realization, ``rings.quotient_by_radical``.  That ``QuotientRing`` holds
-the blocks and their rings and is indexed by its image in the canonical
-block product C under ``rings.semisimple_images`` (the map R -> C whose
-kernel is the structural radical and whose fibres are the cosets), so an
-index of C is already an index of R/J(R): independent sets constructed
-inside C are quotient sets as they stand, ready to be lifted to R.
+realization, ``rings.quotient_by_radical``.  That ``QuotientRing`` is
+the canonical block product C itself, a ``ProductRing`` whose
+``factors`` are the realized blocks, and a coset is indexed by its image
+under ``rings.semisimple_images`` (the map R -> C whose kernel is the
+structural radical and whose fibres are the cosets): independent sets
+constructed inside C are quotient sets as they stand, ready to be
+lifted to R.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's algorithms: independence is
 re-derived from adjacency rows, maximal independent sets come from a
-full 2^n subset sweep, units and the Jacobson radical are scanned from
-the definitions over rows of the multiplication table, polynomial
+full 2^n subset sweep, a product is taken one pair at a time from the
+definition of its ring kind, units and the Jacobson radical are scanned
+from the definitions over rows of the multiplication table, polynomial
 irreducibility is checked by enumerating factor pairs or by trial
 division, and the reduced Euler characteristic is counted both from
 faces and from homology ranks.  Library outputs are asserted against
@@ -17,7 +18,7 @@ import json
 
 import numpy as np
 
-from unitgraphs import graphs
+from unitgraphs import graphs, rings
 from unitgraphs.bits import BITS_BLOCK, indices_mask, masks_to_bits, row_chunks
 from unitgraphs.complexes import reduced_homology_gf2
 from unitgraphs.rings import DEFAULT_ORDER_CAP, CapExceeded
@@ -30,6 +31,38 @@ def _row_slices(count: int, width: int) -> list[slice]:
     """Slices of count rows of width entries, about CHUNK entries each."""
     step = max(1, CHUNK // width)
     return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
+def product(ring, x: int, y: int) -> int:
+    """x * y from the definition of the ring kind, one pair at a time:
+    residues mod n for Zn, the field's scalar ``mul`` for GF(q), and for
+    a composite ring the row-by-column, factor-wise or group-convolution
+    product of the parts, each part product again by ``product``.  A
+    quotient R/J(R) is the product of its blocks.  The rings'
+    ``mul_many`` kernels are checked against this."""
+    if isinstance(ring, rings.ZnRing):
+        return x * y % ring.order
+    if isinstance(ring, rings.GfRing):
+        return ring.mul(x, y)
+    a, b = ring.parts(x), ring.parts(y)
+    if isinstance(ring, rings.ProductRing):
+        return ring.from_parts([product(f, s, t) for f, s, t in zip(ring.factors, a, b)])
+    if isinstance(ring, rings.MatRing):
+        base, k = ring.base, ring.k
+        out = []
+        for i, j in itertools.product(range(k), repeat=2):
+            acc = base.zero
+            for l in range(k):
+                acc = base.add(acc, product(base, a[i * k + l], b[l * k + j]))
+            out.append(acc)
+        return ring.from_parts(out)
+    fld = ring.field  # a group algebra: a_g b_h lands on g * h
+    out = [0] * ring.gorder
+    for g, ag in enumerate(a):
+        for h, bh in enumerate(b):
+            t = ring.gtable[g][h]
+            out[t] = fld.add(out[t], fld.mul(ag, bh))
+    return ring.from_parts(out)
 
 
 def mul_table(ring, xs=None) -> np.ndarray:

@@ -122,6 +122,21 @@ def test_shellability_budget_returns_undecided():
     assert is_shellable(c, facet_cap=25) is True
 
 
+def test_facet_cap_must_be_a_nonnegative_int():
+    c = _from_facets(3, [[0], [1, 2]])
+    z4 = parse_ring_expr("Z4")
+    for cap in ("x", None, 2.0, True, -1):
+        for call in (
+            lambda: find_shelling(c, facet_cap=cap),
+            lambda: is_shellable(c, facet_cap=cap),
+            lambda: join_verdicts([], ["shellable"], facet_cap=cap),
+            lambda: cross_validate(z4, ("wc",), facet_cap=cap),
+            lambda: cross_validate(z4, (), facet_cap=cap),
+        ):
+            with pytest.raises(ComplexError, match="bad facet_cap"):
+                call()
+
+
 def test_shelling_node_budget_is_read_at_call_time(monkeypatch):
     c = _from_facets(20, [[i, (i + 1) % 20] for i in range(20)])  # a 20-cycle
     monkeypatch.setattr(complexes, "DEFAULT_SHELLING_NODE_CAP", 19)

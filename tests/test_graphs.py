@@ -232,6 +232,13 @@ def test_graphs_equal_examples():
         graphs_equal(build_graph(z3), build_graph(z8))
 
 
+def test_exports_refuse_what_is_not_a_graph():
+    for export in (graph_to_dot, graph_to_json):
+        for value in ("x", None, [[1], [0]]):
+            with pytest.raises(GraphError, match="is not a Graph"):
+                export(value)
+
+
 def test_unit_equals_cayley_iff_quotient_char_two(catalog_descriptors):
     for expr, descriptor in catalog_descriptors:
         ring = build_ring(descriptor)

@@ -12,6 +12,7 @@ from oracles import (
     is_field,
     matrix_unit_count,
     mul_table,
+    product,
     radical_generic,
     units_generic,
 )
@@ -40,32 +41,29 @@ SAMPLED_TRIPLES = 10_000
 
 
 def _axiom_triples(ring):
+    """Every triple of elements at small order, else a sample, as three
+    index arrays."""
     n = ring.order
     if n <= EXHAUSTIVE_ORDER:
-        return ((x, y, z) for x in range(n) for y in range(n) for z in range(n))
-    rng = random.Random(20240917)
-    return (
-        (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-        for _ in range(SAMPLED_TRIPLES)
-    )
+        return np.indices((n, n, n)).reshape(3, -1)
+    return np.random.default_rng(20240917).integers(0, n, (3, SAMPLED_TRIPLES))
 
 
 def test_ring_axioms_hold_across_catalog(catalog_descriptors):
     for expr, descriptor in catalog_descriptors:
         ring = build_ring(descriptor)
-        add, mul, neg = ring.add, ring.mul, ring.neg
-        zero, one = ring.zero, ring.one
-        for x, y, z in _axiom_triples(ring):
-            assert add(add(x, y), z) == add(x, add(y, z)), expr
-            assert add(x, y) == add(y, x), expr
-            assert mul(mul(x, y), z) == mul(x, mul(y, z)), expr
-            assert mul(x, add(y, z)) == add(mul(x, y), mul(x, z)), expr
-            assert mul(add(x, y), z) == add(mul(x, z), mul(y, z)), expr
-        n = ring.order
-        for x in range(n):
-            assert add(x, zero) == x
-            assert add(x, neg(x)) == zero
-            assert mul(x, one) == x == mul(one, x)
+        add, mul = ring.add_many, ring.mul_many
+        x, y, z = _axiom_triples(ring)
+        assert np.array_equal(add(add(x, y), z), add(x, add(y, z))), expr
+        assert np.array_equal(add(x, y), add(y, x)), expr
+        assert np.array_equal(mul(mul(x, y), z), mul(x, mul(y, z))), expr
+        assert np.array_equal(mul(x, add(y, z)), add(mul(x, y), mul(x, z))), expr
+        assert np.array_equal(mul(add(x, y), z), add(mul(x, z), mul(y, z))), expr
+        every = np.arange(ring.order)
+        assert np.array_equal(add(every, ring.zero), every), expr
+        assert (add(every, ring.neg_many(every)) == ring.zero).all(), expr
+        assert np.array_equal(mul(every, ring.one), every), expr
+        assert np.array_equal(mul(ring.one, every), every), expr
 
 
 def test_translates_match_scalar_addition(catalog_descriptors):
@@ -137,7 +135,7 @@ def test_mul_table_matches_scalar_mul(catalog_descriptors):
         table = mul_table(ring)
         for x in range(ring.order):
             for y in range(ring.order):
-                assert table[x, y] == ring.mul(x, y), expr
+                assert table[x, y] == product(ring, x, y), expr
 
 
 def test_mul_table_matches_scalar_sampled_large(catalog_descriptors):
@@ -149,7 +147,7 @@ def test_mul_table_matches_scalar_sampled_large(catalog_descriptors):
         table = mul_table(ring)
         for _ in range(2000):
             x, y = rng.randrange(ring.order), rng.randrange(ring.order)
-            assert table[x, y] == ring.mul(x, y), expr
+            assert table[x, y] == product(ring, x, y), expr
 
 
 KERNEL_RINGS = ("GF(4096)", "M2(Z8)", "Z9 x M2(Z4)", "GA(GF(2), C12)")
@@ -163,7 +161,7 @@ def test_mul_many_matches_scalar_without_tables():
         ys = rng.integers(0, ring.order, 2000)
         got = ring.mul_many(xs, ys)
         for x, y, z in zip(xs, ys, got):
-            assert z == ring.mul(int(x), int(y)), (expr, x, y)
+            assert z == product(ring, int(x), int(y)), (expr, x, y)
 
 
 def test_units_are_elements_with_a_right_inverse():
@@ -242,6 +240,46 @@ def test_order_cap():
     assert build_ring(Zn(5000), order_cap=1 << 16).order == 5000
     with pytest.raises(CapExceeded):
         build_ring(Mat(3, Zn(8)), order_cap=1 << 16)  # 8^9 is over every cap
+
+
+def test_order_cap_must_be_an_int():
+    for cap in ("x", None, 4.0, True):
+        with pytest.raises(RingError, match="bad order_cap"):
+            build_ring(Zn(4), order_cap=cap)
+
+
+# one ring of each kind; each also gives its quotient by the radical
+KIND_EXPRS = ("Z4", "GF(5)", "GF(4)", "M2(Z4)", "Z2 x Z3", "GA(GF(2), C3)")
+
+
+def test_scalar_arithmetic_refuses_an_index_outside_the_ring():
+    for expr in KIND_EXPRS:
+        ring = build_ring(parse_ring_expr(expr))
+        for r in (ring, quotient_by_radical(ring)):
+            last = r.order - 1
+            assert r.mul(last, r.one) == r.add(last, r.zero) == r.neg(r.neg(last)) == last
+            for bad in (-1, r.order, 2 * r.order + 1):
+                calls = (
+                    lambda: r.add(1, bad), lambda: r.add(bad, 0), lambda: r.neg(bad),
+                    lambda: r.mul(1, bad), lambda: r.mul(bad, 1),
+                )
+                for call in calls:
+                    with pytest.raises(RingError, match=f"element index {bad} out of range"):
+                        call()
+    for q in (5, 4):
+        fld = build_ring(Gf(q))
+        assert fld.mul(fld.inv(q - 1), q - 1) == 1
+        for bad in (-1, q):
+            with pytest.raises(RingError, match="out of range"):
+                fld.inv(bad)
+
+
+def test_project_refuses_an_index_outside_the_parent():
+    q4 = quotient_by_radical(build_ring(Zn(4)))
+    assert [q4.project(x) for x in range(4)] == [0, 1, 0, 1]
+    for bad in (-1, 4, 99):
+        with pytest.raises(RingError, match=f"element index {bad} out of range"):
+            q4.project(bad)
 
 
 def test_build_ring_rejects_bad_descriptors():
@@ -352,14 +390,11 @@ def test_quotient_is_a_ring_homomorphic_image(catalog_descriptors):
         assert len(quot.representatives) * len(quot.radical) == ring.order, expr
         if ring.order > 300:
             continue
-        for x in range(ring.order):
-            for y in range(0, ring.order, 3):
-                assert quot.project(ring.add(x, y)) == quot.add(
-                    quot.project(x), quot.project(y)
-                ), expr
-                assert quot.project(ring.mul(x, y)) == quot.mul(
-                    quot.project(x), quot.project(y)
-                ), expr
+        keys = np.array([quot.project(x) for x in range(ring.order)])
+        x, y = np.indices((ring.order, ring.order)).reshape(2, -1)
+        xq, yq = keys[x], keys[y]
+        assert np.array_equal(keys[ring.add_many(x, y)], quot.add_many(xq, yq)), expr
+        assert np.array_equal(keys[ring.mul_many(x, y)], quot.mul_many(xq, yq)), expr
 
 
 def test_unit_iff_unit_in_quotient(catalog_descriptors):
@@ -422,17 +457,17 @@ def _check_semisimple_form(ring, samples=2000):
     cring, expr = quot.canonical_ring, ring.expr
     assert quot is quotient_by_radical(ring), expr
     assert quot.blocks == semisimple_blocks(ring.descriptor), expr
-    assert quot.block_rings == tuple(map(rings.block_ring, quot.blocks)), expr
+    assert quot.factors == tuple(map(rings.block_ring, quot.blocks)), expr
     assert cring.order == quot.order, expr
     assert quot.one == cring.one == quot.project(ring.one), expr
-    rng = random.Random(20240917)
-    for _ in range(samples):
-        x, y = rng.randrange(ring.order), rng.randrange(ring.order)
-        xq, yq = quot.project(x), quot.project(y)
-        assert quot.project(ring.add(x, y)) == quot.add(xq, yq) == cring.add(xq, yq), expr
-        assert quot.project(ring.mul(x, y)) == quot.mul(xq, yq), expr
-        images = [int(i) for i in semisimple_images(ring, x)]
-        assert quot.from_parts(images) == xq, expr
+    keys = np.array([quot.project(x) for x in range(ring.order)])
+    x, y = np.random.default_rng(20240917).integers(0, ring.order, (2, samples))
+    xq, yq = keys[x], keys[y]
+    assert np.array_equal(keys[ring.add_many(x, y)], quot.add_many(xq, yq)), expr
+    assert np.array_equal(quot.add_many(xq, yq), cring.add_many(xq, yq)), expr
+    assert np.array_equal(keys[ring.mul_many(x, y)], quot.mul_many(xq, yq)), expr
+    assert np.array_equal(quot.mul_many(xq, yq), cring.mul_many(xq, yq)), expr
+    assert np.array_equal(quot.from_parts(semisimple_images(ring, x)), xq), expr
 
 
 def test_semisimple_form_is_an_isomorphism(catalog_descriptors):
@@ -565,7 +600,7 @@ def test_parts_are_the_mixed_radix_of_the_digits(catalog_descriptors):
                 assert all(type(p) is int for p in _check_parts(r, x)), expr
         if isinstance(ring, rings.ProductRing):
             assert ring.from_parts([f.one for f in ring.factors]) == ring.one, expr
-        assert quot.from_parts([b.one for b in quot.block_rings]) == quot.one, expr
+        assert quot.from_parts([b.one for b in quot.factors]) == quot.one, expr
     assert kinds == {
         rings.MatRing, rings.ProductRing, rings.GroupAlgebraRing, rings.QuotientRing
     }

@@ -72,6 +72,8 @@ class Graph:
     __slots__ = ("n", "kind", "rows", "ring_expr", "candidates")
 
     def __init__(self, n: int, kind: str, rows, ring_expr: str | None = None, candidates=()):
+        if type(n) is bool or not isinstance(n, int):
+            raise GraphError(f"vertex count must be an int, got {n!r}")
         self.n = n
         self.kind = kind
         self.rows = tuple(rows)
@@ -79,11 +81,14 @@ class Graph:
         self.candidates = tuple(candidates)
         if len(self.rows) != n:
             raise GraphError("row count does not match vertex count")
-        for x, row in enumerate(self.rows):
-            if (row >> x) & 1:
-                raise GraphError(f"loop at vertex {x}")
-            if row >> n:
-                raise GraphError(f"row {x} has bits outside the vertex range")
+        try:
+            for x, row in enumerate(self.rows):
+                if (row >> x) & 1:
+                    raise GraphError(f"loop at vertex {x}")
+                if row >> n:
+                    raise GraphError(f"row {x} has bits outside the vertex range")
+        except TypeError:
+            raise GraphError(f"row {x} is not an int: {row!r}") from None
 
     def degree(self, x: int) -> int:
         return self.rows[x].bit_count()

@@ -25,10 +25,12 @@ quick False; each reads only rows.
   witnesses and which sets a capped run keeps) follows the quotient.
   The classes come from a stable sort of the rows, not a dict: rows of
   4096 bits that differ in bits 61 apart share their hash (see
-  ``twin_classes``).  A representative with no neighbour in the
-  quotient (an isolated vertex, or a true-twin class that is a whole
-  component) lies in every maximal independent set, so the search
-  starts with all of them chosen.
+  ``twin_classes``).  Complement rows are built for the false-twin
+  representatives alone, all the search reads: 2 of 2048 for the unit
+  graph of Z2048.  A representative with no neighbour in the quotient
+  (an isolated vertex, or a true-twin class that is a whole component)
+  lies in every maximal independent set, so the search starts with all
+  of them chosen.
 * Components.  ``component_reports`` is the one walk over the connected
   components, under one deadline, behind every brute-force verdict and
   every count of a disconnected graph; it yields each component's part
@@ -201,10 +203,10 @@ class _Search:
         self.reset()
 
     def restrict(self, within: int) -> None:
-        """Search G[within]: its complement rows, both twin quotients, and
-        the forced representatives.  False twins have equal rows; true
-        twins have equal closed neighbourhoods, and so equal complement
-        rows."""
+        """Search G[within]: both twin quotients, the complement rows of the
+        false-twin representatives (the search reads no others), and the
+        forced representatives.  False twins have equal rows; true twins
+        have equal closed neighbourhoods, and so equal complement rows."""
         n = self.g.n
         rows = self.g.rows
         vertices = range(n)
@@ -215,17 +217,19 @@ class _Search:
             rows = [None] * n
             for v in vertices:
                 rows[v] = self.g.rows[v] & within
+        false_reps, self.twins = twin_classes(rows, within, vertices)
+        if false_reps != within:
+            vertices = mask_indices(false_reps)
         comp = [0] * n
         for v in vertices:
             comp[v] = within ^ (rows[v] | (1 << v))
         self.comp = comp
-        false_reps, self.twins = twin_classes(rows, within, vertices)
         self.paired = sum(self.twins)  # representatives with a false twin
         # a vertex v with a false twin u has no true twin: one would be a
         # neighbour of v, so of u, and its closed neighbourhood, N[v],
         # would hold u; only the other vertices are sorted again
         singles = false_reps & ~self.paired
-        if singles != within:
+        if singles != false_reps:
             vertices = mask_indices(singles)
         true_reps, self.cliques = twin_classes(comp, singles, vertices)
         self.reps = false_reps & ~singles | true_reps

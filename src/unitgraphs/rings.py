@@ -35,8 +35,11 @@ modulus m, maps S to ``((S & low) << p) | ((S & high) >> (m - 1) *
 p)``, where ``high`` marks the indices whose digit j is m - 1 and
 ``low = full ^ high`` the others (``place_translations`` lists these
 shifts, one per digit).  Once digits 0..j-1 are done the list holds the
-translates by 0..p_j - 1, and digit j appends m_j - 1 shifted copies of
-its last p_j entries, so each row costs a few big-int operations.
+translates by 0..p_j - 1, and digit j appends shifted copies of its last
+p_j entries, a few big-int operations each, up to its period: the first
+d with d e_j + S = S.  Each element takes the row of its digits reduced
+modulo the periods, one shared int; as U + J(R) = U, Zn and matrices and
+products over Zn build |R/J(R)| unit rows.
 
 Masks stay nonnegative throughout: CPython's ``&`` with a negative
 operand such as ``~high`` first copies and complements it, one more
@@ -222,18 +225,32 @@ class Ring:
             out.append((p, (((1 << p) - 1) << back) * repeats, back))
         return tuple(out)
 
-    # the rows for x < p are known before digit j, and each further value of
-    # that digit shifts the previous p rows once more
+    # the rows for x < p are known before digit j, and each further value d
+    # shifts the previous p rows once more; at a d dividing m (as a period
+    # does), a first row d e_j + S equal to S makes values from d on repeat
     def translates(self, mask: int) -> list[int]:
         """The bitmask of x + S for every element x in index order, S given
         as a bitmask."""
         out = [mask]
         full = (1 << self.order) - 1
-        for up, high, down in self.place_translations:
-            low = full ^ high
-            for i in range(down):
-                s = out[i]
-                out.append(((s & low) << up) | ((s & high) >> down))
+        periods = []
+        for (up, high, down), m in zip(self.place_translations, self._moduli):
+            low, size = full ^ high, len(out)
+            for d in range(1, m + 1):
+                if m % d:
+                    continue
+                for i in range(len(out) - size, min(size * (d - 1) + 1, size * (m - 1))):
+                    s = out[i]
+                    out.append(((s & low) << up) | ((s & high) >> down))
+                if d < m and out[size * d] == mask:
+                    del out[size * d :]
+                    break
+            periods.append(len(out) // size)
+        if len(out) < self.order:
+            xs, index, step = np.arange(self.order), 0, 1
+            for pl, m, d in zip(self._places, self._moduli, periods):
+                index, step = index + xs // pl % m % d * step, step * d
+            out = list(map(out.__getitem__, index.tolist()))
         return out
 
     # -- units ---------------------------------------------------------------
@@ -288,7 +305,7 @@ class Ring:
         return descriptor_expr(self.descriptor)
 
     def element_repr(self, x: int) -> str:
-        return str(x)
+        return str(self._element(x))
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.expr} order={self.order}>"
@@ -392,6 +409,7 @@ class GfRing(Ring):
         return ((1 << self.order) - 1) & ~1
 
     def element_repr(self, x: int) -> str:
+        x = self._element(x)
         if self.k == 1:
             return str(x)
         terms = []
@@ -461,7 +479,7 @@ class MatRing(Ring):
         return bools_to_mask(self.det_many(np.arange(self.order)) != 0)
 
     def element_repr(self, x: int) -> str:
-        entries = [self.base.element_repr(e) for e in self.parts(x)]
+        entries = [self.base.element_repr(e) for e in self.parts(self._element(x))]
         k = self.k
         return "[" + "; ".join(" ".join(entries[i : i + k]) for i in range(0, k * k, k)) + "]"
 
@@ -478,7 +496,7 @@ class ProductRing(Ring):
         return self.from_parts([f.mul_many(a, b) for f, a, b in pairs])
 
     def element_repr(self, x: int) -> str:
-        reprs = [f.element_repr(c) for f, c in zip(self.factors, self.parts(x))]
+        reprs = [f.element_repr(c) for f, c in zip(self.factors, self.parts(self._element(x)))]
         return "(" + ", ".join(reprs) + ")"
 
 
@@ -555,7 +573,7 @@ class GroupAlgebraRing(Ring):
     def element_repr(self, x: int) -> str:
         names = self._element_names()
         terms = []
-        for g, c in enumerate(self.parts(x)):
+        for g, c in enumerate(self.parts(self._element(x))):
             if c == 0:
                 continue
             coef = "" if c == 1 else f"{c}*"
@@ -714,7 +732,7 @@ class QuotientRing(ProductRing):
         return f"({descriptor_expr(self.parent.descriptor)})/J"
 
     def element_repr(self, x: int) -> str:
-        return self.parent.element_repr(self.representatives[x]) + "~"
+        return self.parent.element_repr(self.representatives[self._element(x)]) + "~"
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -283,6 +283,22 @@ def test_json_export_z4():
     }
 
 
+
+@pytest.mark.parametrize("n, rows, message", [
+    (2, [2], "row count does not match vertex count"),
+    (2, [1, 0], "loop at vertex 0"),
+    (2, [2, 4], "row 1 has bits outside the vertex range"),
+    (2, [2.0, 1.0], "row 0 is not an int"),
+    (2, [2, "1"], "row 1 is not an int"),
+    (2, [2, None], "row 1 is not an int"),
+    (2.0, [2, 1], "vertex count must be an int"),
+    (True, [0], "vertex count must be an int"),
+    ("2", [2, 1], "vertex count must be an int"),
+])
+def test_graph_refuses_malformed_rows_and_vertex_counts(n, rows, message):
+    with pytest.raises(GraphError, match=message):
+        Graph(n, "imported", rows)
+
 def test_json_export_edgeless():
     g = Graph(3, "imported", [0, 0, 0])
     assert json.loads(graph_to_json(g)) == {"n": 3, "kind": "imported", "edges": []}

@@ -17,7 +17,9 @@ from oracles import (
     units_generic,
 )
 from unitgraphs import cli, rings
-from unitgraphs.bits import HARD_ORDER_CAP, VertexSet, indices_mask, mask_indices, shift_mask
+from unitgraphs.bits import (
+    HARD_ORDER_CAP, VertexSet, bools_to_mask, indices_mask, mask_indices, shift_mask,
+)
 from unitgraphs.classify import classify_cm, cross_validate
 from unitgraphs.constructions import two_size_witnesses
 from unitgraphs.descriptors import (
@@ -76,6 +78,42 @@ def test_translates_match_scalar_addition(catalog_descriptors):
                 members = VertexSet(mask, n).indices()
                 want = [sum(1 << r.add(x, s) for s in members) for x in range(n)]
                 assert r.translates(mask) == want, (expr, r)
+
+
+def _translates_by_addition(ring, mask):
+    """x + S for every x, S as a bitmask: y lies in x + S iff y - x lies in S."""
+    member = VertexSet(mask, ring.order).bools()
+    every = np.arange(ring.order)
+    return [bools_to_mask(member[ring.add_many(every, ring.neg_many(x))]) for x in every]
+
+
+def test_translates_at_the_cap_match_addition_whatever_the_stabilizer():
+    # the stabilizer {a : a + S = S} is everything (empty and full masks),
+    # the evens or the multiples of 4 (periods 2 and 4 of the one digit),
+    # or nothing but 0 (the multiples of 4 and 2; a random mask)
+    z4096 = build_ring(Zn(4096))
+    full = (1 << 4096) - 1
+    evens = indices_mask(range(0, 4096, 2))
+    fours = indices_mask(range(0, 4096, 4))
+    m2z8 = build_ring(Mat(2, Zn(8)))
+    cases = [(z4096, 0, 1), (z4096, full, 1), (z4096, evens, 2), (z4096, fours, 4),
+             (z4096, fours | 2, 4096), (m2z8, random.Random(20261022).getrandbits(4096), 4096)]
+    for ring, mask, distinct in cases:
+        rows = ring.translates(mask)
+        assert rows == _translates_by_addition(ring, mask), (ring, distinct)
+        assert len({id(row) for row in rows}) == distinct, ring
+
+
+@pytest.mark.parametrize("expr", [
+    "Z4096", "Z2048", "Z1024", "M2(Z4)", "M2(Z8)", "Z8 x Z8", "Z9 x M2(Z4)", "Z4 x Z8 x Z9",
+])
+def test_unit_translates_build_one_row_per_coset_of_the_radical(expr):
+    # U + J = U, so x + U depends on x + J alone; here J is spanned by
+    # multiples of the digits, and each coset's row is one int object
+    ring = build_ring(parse_ring_expr(expr))
+    rows = ring.unit_translates
+    assert len({id(row) for row in rows}) == quotient_by_radical(ring).order
+    assert len(set(rows)) == quotient_by_radical(ring).order
 
 
 def _lowest_bit_walk(mask):
@@ -261,7 +299,7 @@ def test_scalar_arithmetic_refuses_an_index_outside_the_ring():
             for bad in (-1, r.order, 2 * r.order + 1):
                 calls = (
                     lambda: r.add(1, bad), lambda: r.add(bad, 0), lambda: r.neg(bad),
-                    lambda: r.mul(1, bad), lambda: r.mul(bad, 1),
+                    lambda: r.mul(1, bad), lambda: r.mul(bad, 1), lambda: r.element_repr(bad),
                 )
                 for call in calls:
                     with pytest.raises(RingError, match=f"element index {bad} out of range"):

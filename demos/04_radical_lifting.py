@@ -45,7 +45,7 @@ for qset in quot_report.sets:
 print(f"  lifted family == enumerated family: "
       f"{lifted == {s.mask for s in full_report.sets}}")
 
-zero_rows = zero_first_row_set(2, 2, verify=False)
+zero_rows = zero_first_row_set(2, 2)
 lift = lift_nonunit_mis(ring, VertexSet(zero_rows.mask, quot.order))
 print(f"\nlifting the 4 zero-first-row classes: {len(lift)} elements "
       f"(4 x |J| = {4 * len(radical)})")

@@ -1,9 +1,11 @@
 """Explicit maximal-independent-set constructions, each verified.
 
 Every function here *constructs* a set by a closed-form recipe and then
-*checks* the claimed property with the independent-set predicates, so a
-successful return certifies the recipe on that input.  Failures raise
-ConstructionError rather than returning unverified data.
+*checks* the claimed property with the independent-set predicates, once,
+in the ring it returns the set in, so a successful return certifies the
+recipe on that input; a ring above the graph cap raises GraphError.
+Failures, and arguments of the wrong type, raise ConstructionError
+rather than returning unverified data.
 
 The recipes:
 
@@ -59,17 +61,28 @@ class ConstructionError(Exception):
     pass
 
 
-def _require_mis(ring: Ring, s: VertexSet, what: str) -> None:
+def _arg(value, kind, name: str):
+    """value, refused unless it is an instance of kind (a type or a tuple
+    of types); for kind int, exactly an int, as True is no index."""
+    if not (type(value) is int if kind is int else isinstance(value, kind)):
+        raise ConstructionError(f"bad {name} {value!r}")
+    return value
+
+
+def _require_mis(ring: Ring, s: VertexSet, what: str) -> VertexSet:
+    """s, once certified a maximal independent set of the unit graph of
+    ring."""
     if not is_maximal_independent(build_graph(ring, "unit"), s):
         raise ConstructionError(
             f"{what} is not a maximal independent set of the unit graph of "
             f"{ring.expr}"
         )
+    return s
 
 
 def _require_semisimple(ring: Ring, name: str) -> QuotientRing:
     """R/J(R) of a semisimple ring, whose representatives are R itself."""
-    quotient = quotient_by_radical(ring)
+    quotient = quotient_by_radical(_arg(ring, Ring, name))
     if quotient.order != ring.order:
         raise ConstructionError(f"{name} = {ring.expr} is not semisimple")
     return quotient
@@ -82,16 +95,20 @@ def _require_semisimple(ring: Ring, name: str) -> QuotientRing:
 def matrix_ring(n: int, q: int) -> Ring:
     """The canonical home of the matrix constructions below.
 
-    Built at the arithmetic cap: the recipes need only element encoding,
-    while eager verification additionally needs the ring to fit the
-    graph cap (pass verify=False above it).
+    Built at the arithmetic cap, which the recipes' element encoding
+    needs; certifying a set needs the unit graph as well, so a recipe
+    above the graph cap raises GraphError.
     """
-    return build_ring(Mat(n, Gf(q)), order_cap=HARD_ORDER_CAP)
+    return build_ring(Mat(_arg(n, int, "n"), Gf(_arg(q, int, "q"))), order_cap=HARD_ORDER_CAP)
 
 
-def signature_set(n: int, q: int, verify: bool = True) -> VertexSet:
+def signature_set(n: int, q: int) -> VertexSet:
     """Diagonal +-1 matrices inside M_n(GF(q)); refuses characteristic 2,
     where +1 = -1 collapses the set to the identity."""
+    return _require_mis(matrix_ring(n, q), _signature_members(n, q), "the signature set")
+
+
+def _signature_members(n: int, q: int) -> VertexSet:
     ring = matrix_ring(n, q)
     assert isinstance(ring, MatRing)
     fld = ring.base
@@ -108,62 +125,57 @@ def signature_set(n: int, q: int, verify: bool = True) -> VertexSet:
     out = VertexSet.from_indices(members, ring.order)
     if len(out) != 2**n:
         raise ConstructionError("signature set has the wrong cardinality")
-    if verify:
-        _require_mis(ring, out, "the signature set")
     return out
 
 
-def zero_first_row_set(n: int, q: int, verify: bool = True) -> VertexSet:
+def zero_first_row_set(n: int, q: int) -> VertexSet:
     """All matrices in M_n(GF(q)) whose first row is zero; size q^(n^2-n)."""
-    ring = matrix_ring(n, q)
+    return _require_mis(matrix_ring(n, q), _zero_row_members(n, q), "the zero-first-row set")
+
+
+def _zero_row_members(n: int, q: int) -> VertexSet:
     # first-row entries occupy the n least significant base-q digits
-    stride = q**n
-    members = [m * stride for m in range(q ** (n * n - n))]
-    out = VertexSet.from_indices(members, ring.order)
-    if verify:
-        _require_mis(ring, out, "the zero-first-row set")
-    return out
+    return VertexSet.from_indices(range(0, q ** (n * n), q**n), q ** (n * n))
 
 
 # ---------------------------------------------------------------------------
 # product-ring constructions
 # ---------------------------------------------------------------------------
 
+def _factors(rings) -> list[Ring]:
+    return [_arg(r, Ring, "factor") for r in _arg(rings, (list, tuple), "factor list")]
+
+
 def _product_ring(rings) -> ProductRing:
     return build_ring(Product(tuple(r.descriptor for r in rings)))
 
 
-def product_nonunit_extend(
-    rings, i: int, m_i: VertexSet, verify: bool = True
-) -> VertexSet:
+def product_nonunit_extend(rings, i: int, m_i: VertexSet) -> VertexSet:
     """R_0 x ... x M_i x ... x R_{t-1}: fix a non-unit maximal independent
     set in coordinate i (0-based), leave every other coordinate free."""
-    rings = list(rings)
-    if not 0 <= i < len(rings):
+    rings = _factors(rings)
+    if not 0 <= _arg(i, int, "factor position") < len(rings):
         raise ConstructionError(f"factor position {i} out of range")
     target = rings[i]
-    if m_i.universe != target.order:
+    if _arg(m_i, VertexSet, "factor set").universe != target.order:
         raise ConstructionError("set universe does not match the chosen factor")
     if m_i.mask & target.unit_set.mask:
         raise ConstructionError("set must avoid the units of its factor")
-    if verify:
-        _require_mis(target, m_i, "the factor set")
+    _require_mis(target, m_i, "the factor set")
     prod = _product_ring(rings)
     choices = [
         m_i.indices() if j == i else range(r.order) for j, r in enumerate(rings)
     ]
     members = [prod.from_parts(combo) for combo in itertools.product(*choices)]
     out = VertexSet.from_indices(members, prod.order)
-    if verify:
-        _require_mis(prod, out, "the extended product set")
-    return out
+    return _require_mis(prod, out, "the extended product set")
 
 
-def product_unit_sets(rings, sets, verify: bool = True) -> VertexSet:
+def product_unit_sets(rings, sets) -> VertexSet:
     """Cartesian product of all-unit maximal independent sets; requires
     2 to be a unit of the product ring."""
-    rings = list(rings)
-    sets = list(sets)
+    rings = _factors(rings)
+    sets = [_arg(s, VertexSet, "factor set") for s in _arg(sets, (list, tuple), "set list")]
     if len(rings) != len(sets):
         raise ConstructionError("one set per factor is required")
     prod = _product_ring(rings)
@@ -175,61 +187,60 @@ def product_unit_sets(rings, sets, verify: bool = True) -> VertexSet:
             raise ConstructionError("set universe does not match its factor")
         if s.mask & ~r.unit_set.mask:
             raise ConstructionError("sets must consist of units")
-        if verify:
-            _require_mis(r, s, "a factor set")
+        _require_mis(r, s, "a factor set")
     members = [prod.from_parts(c) for c in itertools.product(*[s.indices() for s in sets])]
     out = VertexSet.from_indices(members, prod.order)
-    if verify:
-        _require_mis(prod, out, "the product set")
-    return out
+    return _require_mis(prod, out, "the product set")
 
 
 # ---------------------------------------------------------------------------
 # radical lifting
 # ---------------------------------------------------------------------------
 
-def lift_nonunit_mis(
-    ring: Ring, quotient_mis: VertexSet, verify: bool = True
-) -> VertexSet:
+def lift_nonunit_mis(ring: Ring, quotient_mis: VertexSet) -> VertexSet:
     """Union of the radical cosets of a non-unit maximal independent set
     of the unit graph of R/J(R); size |set| * |J(R)|."""
-    quot = quotient_by_radical(ring)
-    _check_quotient_set(quot, quotient_mis, want_units=False, verify=verify)
+    out = _coset_union(ring, quotient_mis)
+    _require_mis(quotient_by_radical(ring), quotient_mis, "the quotient set")
+    return _require_mis(ring, out, "the lifted coset union")
+
+
+def _coset_union(ring: Ring, quotient_set: VertexSet) -> VertexSet:
+    quot = _check_quotient_set(ring, quotient_set, want_units=False)
     rad = quot.radical.indices()
     members = [
-        ring.add(quot.representatives[a], j) for a in quotient_mis for j in rad
+        ring.add(quot.representatives[a], j) for a in quotient_set for j in rad
     ]
     out = VertexSet.from_indices(members, ring.order)
-    if len(out) != len(quotient_mis) * len(rad):
+    if len(out) != len(quotient_set) * len(rad):
         raise ConstructionError("coset union has the wrong cardinality")
-    if verify:
-        _require_mis(ring, out, "the lifted coset union")
     return out
 
 
-def lift_unit_mis_reps(
-    ring: Ring, quotient_mis: VertexSet, verify: bool = True
-) -> VertexSet:
+def lift_unit_mis_reps(ring: Ring, quotient_mis: VertexSet) -> VertexSet:
     """Canonical (smallest-index) representatives of an all-unit maximal
     independent set of the unit graph of R/J(R); needs 2 a unit in R."""
-    two = ring.add(ring.one, ring.one)
+    two = _arg(ring, Ring, "ring").add(ring.one, ring.one)
     if not ring.is_unit(two):
         raise ConstructionError("2 must be a unit to lift by representatives")
-    quot = quotient_by_radical(ring)
-    _check_quotient_set(quot, quotient_mis, want_units=True, verify=verify)
-    members = [quot.representatives[a] for a in quotient_mis]
-    out = VertexSet.from_indices(members, ring.order)
-    if len(out) != len(quotient_mis):
+    out = _representative_lift(ring, quotient_mis)
+    _require_mis(quotient_by_radical(ring), quotient_mis, "the quotient set")
+    return _require_mis(ring, out, "the representative lift")
+
+
+def _representative_lift(ring: Ring, quotient_set: VertexSet) -> VertexSet:
+    quot = _check_quotient_set(ring, quotient_set, want_units=True)
+    out = VertexSet.from_indices([quot.representatives[a] for a in quotient_set], ring.order)
+    if len(out) != len(quotient_set):
         raise ConstructionError("representative lift changed the cardinality")
-    if verify:
-        _require_mis(ring, out, "the representative lift")
     return out
 
 
-def _check_quotient_set(
-    quot: QuotientRing, s: VertexSet, want_units: bool, verify: bool
-) -> None:
-    if s.universe != quot.order:
+def _check_quotient_set(ring: Ring, s: VertexSet, want_units: bool) -> QuotientRing:
+    """R/J(R), once s is a set of its units (want_units) or of its
+    non-units."""
+    quot = quotient_by_radical(_arg(ring, Ring, "ring"))
+    if _arg(s, VertexSet, "quotient set").universe != quot.order:
         raise ConstructionError(
             "set must be given in quotient-ring indices "
             f"(universe {quot.order}, got {s.universe})"
@@ -239,8 +250,7 @@ def _check_quotient_set(
         raise ConstructionError("set must consist of units of the quotient")
     if not want_units and s.mask & units:
         raise ConstructionError("set must avoid the units of the quotient")
-    if verify:
-        _require_mis(quot, s, "the quotient set")
+    return quot
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +290,7 @@ def _complement_block(fld: GfRing, size: int, value: int) -> int:
     return sum(q ** (i * size + j) for i, j in zip(dependent, free))
 
 
-def nonunit_complement_witness(s_ring: Ring, y: int, verify: bool = True) -> int:
+def nonunit_complement_witness(s_ring: Ring, y: int) -> int:
     """For a nonzero non-unit y of a semisimple ring, a non-unit z with
     y + z a unit.
 
@@ -290,7 +300,8 @@ def nonunit_complement_witness(s_ring: Ring, y: int, verify: bool = True) -> int
     invertible, and a singular nonzero block otherwise.  Some block of y
     is nonzero, so its block of z is singular and z is a non-unit.
     """
-    if y == s_ring.zero:
+    _arg(s_ring, Ring, "R")
+    if _arg(y, int, "y") == s_ring.zero:
         raise ConstructionError("y must be nonzero")
     if s_ring.is_unit(y):
         raise ConstructionError("y must not be a unit")
@@ -301,11 +312,10 @@ def nonunit_complement_witness(s_ring: Ring, y: int, verify: bool = True) -> int
         for (n, _), r, image in zip(quotient.blocks, rings, images)
     ]
     z = quotient.representatives[quotient.from_parts(blocks)]
-    if verify:
-        if s_ring.is_unit(z):
-            raise ConstructionError("witness came out a unit")
-        if not s_ring.is_unit(s_ring.add(y, z)):
-            raise ConstructionError("y + witness is not a unit")
+    if s_ring.is_unit(z):
+        raise ConstructionError("witness came out a unit")
+    if not s_ring.is_unit(s_ring.add(y, z)):
+        raise ConstructionError("y + witness is not a unit")
     return z
 
 
@@ -316,7 +326,7 @@ def nonunit_complement_witness(s_ring: Ring, y: int, verify: bool = True) -> int
 def _zero_row_set(quotient: QuotientRing) -> VertexSet:
     """The zero-first-row set of the leading block of R/J(R) times the
     other blocks: a non-unit maximal independent set of R/J(R)."""
-    lead_zero_rows = zero_first_row_set(*quotient.blocks[0], verify=False).indices()
+    lead_zero_rows = _zero_row_members(*quotient.blocks[0]).indices()
     rest = [range(r.order) for r in quotient.factors[1:]]
     return VertexSet.from_indices(
         [
@@ -328,9 +338,7 @@ def _zero_row_set(quotient: QuotientRing) -> VertexSet:
     )
 
 
-def mixed_char_product_witnesses(
-    r_ring: Ring, s_ring: Ring, verify: bool = True
-) -> tuple[VertexSet, VertexSet]:
+def mixed_char_product_witnesses(r_ring: Ring, s_ring: Ring) -> tuple[VertexSet, VertexSet]:
     """Two different-size maximal independent sets of the unit graph of
     R x S, for semisimple R of characteristic 2 and semisimple S of odd
     characteristic.
@@ -347,7 +355,7 @@ def mixed_char_product_witnesses(
     if s_ring.characteristic % 2 == 0:
         raise ConstructionError("S must have odd characteristic")
     # checked below as part of both witnesses
-    m_set = lift_nonunit_mis(r_ring, _zero_row_set(quotient), verify=False)
+    m_set = _coset_union(r_ring, _zero_row_set(quotient))
     prod = _product_ring([r_ring, s_ring])
 
     def pairs(firsts, seconds) -> set[int]:
@@ -363,15 +371,11 @@ def mixed_char_product_witnesses(
         raise ConstructionError("second witness has the wrong cardinality")
     if len(m_times_s) == len(n_set):
         raise ConstructionError("witness sizes unexpectedly agree")
-    if verify:
-        _require_mis(prod, m_times_s, "the first witness")
-        _require_mis(prod, n_set, "the second witness")
-    return m_times_s, n_set
+    _require_mis(prod, m_times_s, "the first witness")
+    return m_times_s, _require_mis(prod, n_set, "the second witness")
 
 
-def two_size_witnesses(
-    ring: Ring, verify: bool = True
-) -> tuple[VertexSet, VertexSet]:
+def two_size_witnesses(ring: Ring) -> tuple[VertexSet, VertexSet]:
     """Two different-size maximal independent sets of the unit graph of
     any supported ring in which 2 is a unit (hence: not well-covered).
 
@@ -382,24 +386,23 @@ def two_size_witnesses(
     product, so both are quotient sets as they stand; both lift to the
     ring.
     """
-    two = ring.add(ring.one, ring.one)
+    two = _arg(ring, Ring, "ring").add(ring.one, ring.one)
     if not ring.is_unit(two):
         raise ConstructionError("2 must be a unit")
     # 2 is a unit in every block, so every q is odd
     quotient = quotient_by_radical(ring)
     block_sign_sets = [
-        signature_set(n, q, verify=False).indices() for n, q in quotient.blocks
+        _signature_members(n, q).indices() for n, q in quotient.blocks
     ]
     sig_quotient = VertexSet.from_indices(
         [quotient.from_parts(c) for c in itertools.product(*block_sign_sets)], quotient.order
     )
     zero_quotient = _zero_row_set(quotient)
     # both sets are checked once, in R: R/J(R) would need a second graph
-    unit_lift = lift_unit_mis_reps(ring, sig_quotient, verify=False)
-    nonunit_lift = lift_nonunit_mis(ring, zero_quotient, verify=False)
-    if verify:
-        _require_mis(ring, unit_lift, "the lifted signature set")
-        _require_mis(ring, nonunit_lift, "the lifted zero-first-row set")
+    unit_lift = _representative_lift(ring, sig_quotient)
+    nonunit_lift = _coset_union(ring, zero_quotient)
+    _require_mis(ring, unit_lift, "the lifted signature set")
+    _require_mis(ring, nonunit_lift, "the lifted zero-first-row set")
     if len(unit_lift) != 2 ** sum(n for n, _ in quotient.blocks):
         raise ConstructionError("signature lift has the wrong cardinality")
     if len(zero_quotient) % 2 == 0:

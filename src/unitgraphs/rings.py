@@ -15,11 +15,12 @@ algebra, and block i of R/J(R) = B_1 x ... x B_t (``semisimple_blocks``,
 see QuotientRing) part i.
 
 In every encoding the additive group is a direct sum of cyclic groups
-acting digit-wise, so ``Ring`` itself holds the scalar ``add``/``neg``
-and the elementwise ``add_many``/``neg_many``.  Each ring kind states
-its product once, as a broadcasting kernel ``mul_many(xs, ys)`` on
-int64 index arrays, and ``Ring.mul`` is that kernel on one pair; the
-scalar operations refuse an index outside the ring.  GF(q), realized
+acting digit-wise, so ``Ring`` itself holds the elementwise
+``add_many``/``neg_many``, and the characteristic is the lcm of the
+digit moduli.  Each ring kind states its product once, as a
+broadcasting kernel ``mul_many(xs, ys)`` on int64 index arrays.  The
+scalar ``add``, ``neg`` and ``mul`` are the kernels on one pair, and
+refuse an index that is not an int of the ring.  GF(q), realized
 once as ``GfRing``, multiplies through its own log/antilog tables,
 matrix, product and group-algebra rings call their base or factor
 kernels on their parts, and R/J(R) is the product of its blocks.  The
@@ -166,23 +167,18 @@ class Ring:
     # -- scalar arithmetic ---------------------------------------------------
 
     def _element(self, x: int) -> int:
+        # a float or a bool would pass the range test and index wrongly
+        if type(x) is not int:
+            raise RingError(f"element index {x!r} is not an int")
         if not 0 <= x < self.order:
             raise RingError(f"element index {x} out of range")
         return x
 
     def add(self, x: int, y: int) -> int:
-        x, y = self._element(x), self._element(y)
-        out = 0
-        for pl, m in zip(self._places, self._moduli):
-            out += ((x // pl + y // pl) % m) * pl
-        return out
+        return int(self.add_many(self._element(x), self._element(y)))
 
     def neg(self, x: int) -> int:
-        x = self._element(x)
-        out = 0
-        for pl, m in zip(self._places, self._moduli):
-            out += (-(x // pl) % m) * pl
-        return out
+        return int(self.neg_many(self._element(x)))
 
     def mul(self, x: int, y: int) -> int:
         return int(self.mul_many(self._element(x), self._element(y)))
@@ -289,16 +285,11 @@ class Ring:
 
     # -- misc ----------------------------------------------------------------
 
-    @cached_property
+    @property
     def characteristic(self) -> int:
-        acc = self.one
-        k = 1
-        while acc != self.zero:
-            acc = self.add(acc, self.one)
-            k += 1
-            if k > self.order + 1:
-                raise RingError("additive order of 1 exceeds ring order")
-        return k
+        """The additive order of 1, which in a ring with identity is the
+        exponent of (R, +): the lcm of the digit moduli."""
+        return math.lcm(*self._moduli)
 
     @property
     def expr(self) -> str:

@@ -3,7 +3,8 @@
 These deliberately avoid the library's algorithms: independence is
 re-derived from adjacency rows, maximal independent sets come from a
 full 2^n subset sweep, a product is taken one pair at a time from the
-definition of its ring kind, units and the Jacobson radical are scanned
+definition of its ring kind, a sum and a negative one digit at a time
+and the characteristic by adding 1 until the sum is 0, units and the Jacobson radical are scanned
 from the definitions over rows of the multiplication table, polynomial
 irreducibility is checked by enumerating factor pairs or by trial
 division, and the reduced Euler characteristic is counted both from
@@ -31,6 +32,31 @@ def _row_slices(count: int, width: int) -> list[slice]:
     """Slices of count rows of width entries, about CHUNK entries each."""
     step = max(1, CHUNK // width)
     return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
+def add_by_digits(ring, x: int, y: int) -> int:
+    """x + y one cyclic digit at a time, digit j of modulus
+    ``_moduli[j]`` at place ``_places[j]``."""
+    out = 0
+    for pl, m in zip(ring._places, ring._moduli):
+        out += ((x // pl + y // pl) % m) * pl
+    return out
+
+
+def neg_by_digits(ring, x: int) -> int:
+    """-x one cyclic digit at a time."""
+    out = 0
+    for pl, m in zip(ring._places, ring._moduli):
+        out += (-(x // pl) % m) * pl
+    return out
+
+
+def additive_order_of_one(ring) -> int:
+    """The least k >= 1 with 1 + ... + 1 (k terms) = 0."""
+    acc, k = ring.one, 1
+    while acc != ring.zero:
+        acc, k = add_by_digits(ring, acc, ring.one), k + 1
+    return k
 
 
 def product(ring, x: int, y: int) -> int:

@@ -80,10 +80,10 @@ def test_criterion_2_signature_and_zero_row_sets():
         ring = build_ring(parse_ring_expr("M2(GF(3))"))
         graph = build_graph(ring)
         assert graph.n == 81
-        sig = signature_set(2, 3, verify=False)
+        sig = signature_set(2, 3)
         assert len(sig) == 2**2
         assert is_maximal_independent(graph, sig)
-        zero_row = zero_first_row_set(2, 3, verify=False)
+        zero_row = zero_first_row_set(2, 3)
         assert len(zero_row) == 9
         assert is_maximal_independent(graph, zero_row)
 
@@ -104,7 +104,7 @@ def test_criterion_4_complement_witness_exhaustive():
             for y in range(1, ring.order):
                 if ring.is_unit(y):
                     continue
-                z = nonunit_complement_witness(ring, y, verify=False)
+                z = nonunit_complement_witness(ring, y)
                 assert not ring.is_unit(z), (expr, y)
                 assert ring.is_unit(ring.add(y, z)), (expr, y)
 
@@ -217,19 +217,19 @@ def test_criterion_8_counting_identities_exact():
             ("Z4", [0]),
             ("Z8", [0]),
             ("Z9", [0]),
-            ("M2(Z4)", list(zero_first_row_set(2, 2, verify=False))),
+            ("M2(Z4)", list(zero_first_row_set(2, 2))),
         ):
             ring = build_ring(parse_ring_expr(expr))
             quot = quotient_by_radical(ring)
             vs = VertexSet.from_indices(qset, quot.order)
-            lifted = lift_nonunit_mis(ring, vs, verify=False)
+            lifted = lift_nonunit_mis(ring, vs)
             assert len(lifted) == len(vs) * len(quot.radical), expr
 
         # second witness size = |R| + |M||X| - |M|
         for r_expr, s_expr in (("Z2", "Z3"), ("GF(4)", "Z3"), ("Z2", "Z5")):
             r = build_ring(parse_ring_expr(r_expr))
             s = build_ring(parse_ring_expr(s_expr))
-            m_times_s, n_set = mixed_char_product_witnesses(r, s, verify=False)
+            m_times_s, n_set = mixed_char_product_witnesses(r, s)
             m_size = len(m_times_s) // s.order
             x_size = s.order - len(s.unit_set)
             assert len(n_set) == r.order + m_size * x_size - m_size, (r_expr, s_expr)

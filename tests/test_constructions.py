@@ -18,7 +18,7 @@ from unitgraphs.constructions import (
 from unitgraphs.bits import VertexSet
 from unitgraphs.descriptors import Gf, Mat, Product, Zn
 from unitgraphs.dsl import parse_ring_expr
-from unitgraphs.graphs import build_graph
+from unitgraphs.graphs import GraphError, build_graph
 from unitgraphs.indsets import is_maximal_independent, well_covered_bruteforce
 from unitgraphs.rings import ProductRing, build_ring, jacobson_radical, quotient_by_radical
 
@@ -37,14 +37,17 @@ def test_signature_set_basics():
     s2 = signature_set(2, 3)
     assert len(s2) == 4
     assert is_maximal_independent(build_graph(matrix_ring(2, 3)), s2)
-    s3 = signature_set(2, 9, verify=False)  # M2(GF(9)) is over the graph cap
-    assert len(s3) == 4
+    with pytest.raises(GraphError, match="exceeds the graph cap"):
+        signature_set(2, 9)  # M2(GF(9)) has 6561 elements, over the graph cap
 
 
 def test_signature_sizes_are_powers_of_two():
-    for n, q in [(1, 3), (1, 5), (2, 3), (3, 3), (2, 5)]:
-        verify = q ** (n * n) <= 2048  # eager check only at graph scale
-        assert len(signature_set(n, q, verify=verify)) == 2**n
+    for n, q in [(1, 3), (1, 5), (2, 3), (2, 5)]:
+        assert len(signature_set(n, q)) == 2**n
+    # M3(GF(3)) is over the graph cap: the members are built, not certified
+    assert len(constructions._signature_members(3, 3)) == 2**3
+    with pytest.raises(GraphError):
+        signature_set(3, 3)
 
 
 def test_signature_rejects_characteristic_two():
@@ -140,7 +143,7 @@ def test_lift_nonunit_size_identity_m2z4():
     ring = _ring("M2(Z4)")
     quot = quotient_by_radical(ring)
     # zero-first-row of the quotient (= M2(GF(2)) under canonical indexing)
-    zq = zero_first_row_set(2, 2, verify=False)
+    zq = zero_first_row_set(2, 2)
     qset = VertexSet(zq.mask, quot.order)
     out = lift_nonunit_mis(ring, qset)
     assert len(out) == len(qset) * len(quot.radical) == 4 * 16
@@ -281,6 +284,29 @@ def test_complement_witness_rejects_bad_inputs():
             nonunit_complement_witness(_ring(expr), 2)
 
 
+def test_recipes_refuse_arguments_of_the_wrong_type():
+    z4, m2 = _ring("Z4"), _ring("M2(GF(3))")
+    zero = VertexSet.from_indices([0], 4)
+    calls = {
+        "bad ring 'Z4'": lambda: two_size_witnesses("Z4"),
+        "bad quotient set \\[0\\]": lambda: lift_nonunit_mis(z4, [0]),
+        "bad ring None": lambda: lift_unit_mis_reps(None, zero),
+        "bad factor position True": lambda: product_nonunit_extend([z4, z4], True, zero),
+        "bad factor set 0": lambda: product_nonunit_extend([z4, z4], 1, 0),
+        "bad factor 'Z4'": lambda: product_unit_sets(["Z4"], [zero]),
+        "bad factor list <": lambda: product_unit_sets(z4, [zero]),
+        "bad y '3'": lambda: nonunit_complement_witness(m2, "3"),
+        "bad y 1.0": lambda: nonunit_complement_witness(m2, 1.0),
+        "bad R 'Z2'": lambda: mixed_char_product_witnesses("Z2", _ring("Z3")),
+        "bad S 3": lambda: mixed_char_product_witnesses(_ring("Z2"), 3),
+        "bad n 2.0": lambda: signature_set(2.0, 3),
+        "bad q True": lambda: zero_first_row_set(2, True),
+    }
+    for message, call in calls.items():
+        with pytest.raises(ConstructionError, match=message):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # two different-size witnesses
 # ---------------------------------------------------------------------------
@@ -365,10 +391,10 @@ def test_two_size_witnesses_require_two_a_unit():
 
 
 def test_two_size_witnesses_certify_their_output(monkeypatch):
-    real = constructions.zero_first_row_set
+    real = constructions._zero_row_members
 
-    def short(n, q, verify=True):
-        full = real(n, q, verify=False)
+    def short(n, q):
+        full = real(n, q)
         # odd size still, and still independent, but no longer maximal
         return VertexSet.from_indices(full.indices()[2:], full.universe)
 
@@ -376,7 +402,7 @@ def test_two_size_witnesses_certify_their_output(monkeypatch):
     build_graph.cache_clear()
     two_size_witnesses(ring)
     assert build_graph.cache_info().misses == 1  # R/J(R) = R needs no second graph
-    monkeypatch.setattr(constructions, "zero_first_row_set", short)
+    monkeypatch.setattr(constructions, "_zero_row_members", short)
     with pytest.raises(ConstructionError, match="not a maximal independent set"):
         two_size_witnesses(ring)
 

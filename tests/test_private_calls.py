@@ -16,6 +16,11 @@ unpacks ``*args`` or ``**kwargs`` counts as passing what it could.  A
 default no caller overrides is a setting nobody sets, and belongs in a
 module constant read where it is enforced.
 
+A ``True`` or ``False`` default of a public module-level function must
+be passed by some call in another module of the package: a switch that
+only its own module sets, or nobody does, is an option with one value in
+use.
+
 A name ``__init__.py`` exports must be named in ``src/unitgraphs``
 outside ``__init__.py`` and outside its own definition, or in
 ``demos/`` or ``benchmark/``: as a bare name, an attribute, or a string
@@ -99,40 +104,63 @@ def _calls(tree: ast.Module):
             )
 
 
+def _defaults(node):
+    """(name, position or None, passable by keyword, default) of each
+    parameter of a function definition that has a default."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for i, a in enumerate(positional[first:], first):
+        yield a.arg, i, i >= len(args.posonlyargs), args.defaults[i - first]
+    for a, d in zip(args.kwonlyargs, args.kw_defaults):
+        if d is not None:
+            yield a.arg, None, True, d
+
+
+def _passed(calls, called: str, skip: int, param: str, index, by_keyword: bool) -> bool:
+    """Whether some call of called passes the parameter, by position or
+    by keyword; skip is the leading parameters a call leaves out."""
+    return any(
+        name == called
+        and (
+            index is not None and (count is None or count + skip > index)
+            or by_keyword and (keywords is None or param in keywords)
+        )
+        for name, count, keywords in calls
+    )
+
+
 def unset_defaults(sources: dict[str, str]) -> list[str]:
     """The defaulted parameters of sources' private functions and methods
     (see the module docstring) that no call passes, as
     file:qualname(parameter)."""
     trees = {path: ast.parse(text) for path, text in sources.items()}
     calls = [call for tree in trees.values() for call in _calls(tree)]
+    return [
+        f"{path}:{qualname}({param})"
+        for path, tree in trees.items()
+        for qualname, called, node, skip in _checked_defs(tree)
+        for param, index, by_keyword, _ in _defaults(node)
+        if not _passed(calls, called, skip, param, index, by_keyword)
+    ]
+
+
+def unset_switches(sources: dict[str, str]) -> list[str]:
+    """The True/False defaults of sources' public module-level functions
+    that no call in another source passes, as file:name(parameter)."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
     out = []
     for path, tree in trees.items():
-        for qualname, called, node, skip in _checked_defs(tree):
-            args = node.args
-            positional = args.posonlyargs + args.args
-            first = len(positional) - len(args.defaults)
-            # (name, position or None, passable by keyword) of each
-            # parameter with a default
-            params = [
-                (a.arg, i, i >= len(args.posonlyargs))
-                for i, a in enumerate(positional)
-                if i >= first
-            ]
-            params += [
-                (a.arg, None, True)
-                for a, d in zip(args.kwonlyargs, args.kw_defaults)
-                if d is not None
-            ]
-            for param, index, by_keyword in params:
-                if not any(
-                    name == called
-                    and (
-                        index is not None and (count is None or count + skip > index)
-                        or by_keyword and (keywords is None or param in keywords)
-                    )
-                    for name, count, keywords in calls
-                ):
-                    out.append(f"{path}:{qualname}({param})")
+        calls = [c for other, t in trees.items() if other != path for c in _calls(t)]
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if node.name.startswith("_"):
+                continue
+            for param, index, by_keyword, default in _defaults(node):
+                switch = isinstance(default, ast.Constant) and type(default.value) is bool
+                if switch and not _passed(calls, node.name, 0, param, index, by_keyword):
+                    out.append(f"{path}:{node.name}({param})")
     return out
 
 
@@ -272,3 +300,26 @@ def test_the_check_sees_a_planted_unset_default():
     # public functions and the public methods of public classes are not
     # checked; positional, keyword and unpacked arguments all count
     assert found == ["first.py:_K.__init__(whole)", "first.py:Public._m(y)"]
+
+
+def test_every_public_switch_is_set_by_another_module():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unset_switches(sources) == []
+
+
+def test_the_check_sees_a_planted_switch():
+    first = (
+        "def recipe(n, verify=True):\n    return n\n\n"
+        "def enumerate(g, collect: bool = True, *, strict=False, limit=0):\n    return g\n\n"
+        "def _private(flag=False):\n    return flag\n\n"
+        "def own(flag=True):\n    return flag\n\n"
+        "def helper():\n    return own(flag=False) or recipe(1)\n"
+    )
+    second = (
+        "from first import enumerate, recipe\n\n"
+        "def use(g):\n    return enumerate(g, False), recipe(2)\n"
+    )
+    found = unset_switches({"first.py": first, "second.py": second})
+    # private functions and non-bool defaults are not checked; a call in
+    # the function's own module does not count
+    assert found == ["first.py:recipe(verify)", "first.py:enumerate(strict)", "first.py:own(flag)"]

@@ -8,10 +8,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    add_by_digits,
+    additive_order_of_one,
     is_boolean_ring,
     is_field,
     matrix_unit_count,
     mul_table,
+    neg_by_digits,
     product,
     radical_generic,
     units_generic,
@@ -304,12 +307,28 @@ def test_scalar_arithmetic_refuses_an_index_outside_the_ring():
                 for call in calls:
                     with pytest.raises(RingError, match=f"element index {bad} out of range"):
                         call()
-    for q in (5, 4):
+            # a float or a bool passes a range test and would index wrongly
+            for bad in (1.5, 1.0, True, None, "1", np.int64(1)):
+                calls = (
+                    lambda: r.add(1, bad), lambda: r.add(bad, 0), lambda: r.neg(bad),
+                    lambda: r.mul(1, bad), lambda: r.mul(bad, 1), lambda: r.is_unit(bad),
+                    lambda: r.element_repr(bad),
+                )
+                for call in calls:
+                    with pytest.raises(RingError, match="is not an int"):
+                        call()
+    for q in (5, 4, 9):
         fld = build_ring(Gf(q))
         assert fld.mul(fld.inv(q - 1), q - 1) == 1
         for bad in (-1, q):
             with pytest.raises(RingError, match="out of range"):
                 fld.inv(bad)
+        for bad in (2.0, None):
+            for call in (lambda: fld.mul(bad, 3), lambda: fld.inv(bad)):
+                with pytest.raises(RingError, match="is not an int"):
+                    call()
+    with pytest.raises(RingError, match="is not an int"):
+        quotient_by_radical(build_ring(Zn(4))).project("1")
 
 
 def test_project_refuses_an_index_outside_the_parent():
@@ -441,6 +460,18 @@ def test_unit_iff_unit_in_quotient(catalog_descriptors):
         quot = quotient_by_radical(ring)
         for x in range(ring.order):
             assert ring.is_unit(x) == quot.is_unit(quot.project(x)), expr
+
+
+def test_scalar_addition_and_characteristic_match_the_digit_loops(catalog_descriptors):
+    rng = random.Random(7)
+    for expr, descriptor in catalog_descriptors:
+        ring = build_ring(descriptor)
+        for r in (ring, quotient_by_radical(ring)):
+            assert r.characteristic == additive_order_of_one(r), expr
+            for _ in range(50):
+                x, y = rng.randrange(r.order), rng.randrange(r.order)
+                assert r.add(x, y) == add_by_digits(r, x, y), expr
+                assert r.neg(x) == neg_by_digits(r, x), expr
 
 
 def test_characteristic_divides_order_and_quotient_char(catalog_descriptors):
